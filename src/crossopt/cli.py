@@ -12,6 +12,7 @@ opt-in (--timing) because it would break report determinism.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -309,7 +310,10 @@ def cmd_selftest(args):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser():
+    """The argument parser; built once per process, since parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="crossopt",
         description="Exact iterative-relaxation solvers for degree-constrained "

@@ -25,6 +25,18 @@ from .oracles import ContraPolymatroidPair, CrossingConstraint, LatticeOracle
 from .rational import ONE, ZERO, Rat, rat_ceil, render_rat
 
 
+def _encode_value(v):
+    """JSON form of a report value: rationals become "p/q" strings and
+    dict keys become strings."""
+    if isinstance(v, dict):
+        return {str(k): _encode_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_encode_value(x) for x in v]
+    if hasattr(v, "denominator") and not isinstance(v, (int, bool)):
+        return render_rat(v)
+    return v
+
+
 @dataclass(frozen=True)
 class GapReport:
     kind: str
@@ -37,25 +49,16 @@ class GapReport:
     details: dict
 
     def to_json(self):
-        def enc(v):
-            if isinstance(v, dict):
-                return {str(k): enc(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [enc(x) for x in v]
-            if hasattr(v, "denominator") and not isinstance(v, (int, bool)):
-                return render_rat(v)
-            return v
-
         return {
             "schema": 1,
             "kind": self.kind,
             "lp_point": {str(e): render_rat(v) for e, v in self.lp_point.items()},
             "lp_feasible": self.lp_feasible,
-            "integral_min_violation": enc(self.integral_min_violation),
-            "claimed_bound": enc(self.claimed_bound),
+            "integral_min_violation": _encode_value(self.integral_min_violation),
+            "claimed_bound": _encode_value(self.claimed_bound),
             "claim_ok": self.claim_ok,
-            "witness": enc(self.witness),
-            "details": enc(self.details),
+            "witness": _encode_value(self.witness),
+            "details": _encode_value(self.details),
         }
 
 

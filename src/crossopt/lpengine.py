@@ -9,10 +9,13 @@ relaxation that is feasible for the full system is a vertex of the full
 polytope (the full region is contained in the relaxation), so the
 result is a certified extreme point with an optimal objective.
 
-Separation is exhaustive by design: subset enumeration doubles as an
-independent oracle for the tests.  A min-cut separator could replace
-separate_spanning_tree behind the same interface if larger graphs were
-ever needed.
+Separation is exhaustive: every vertex subset, every ground subset, or
+every lattice member is checked.  Each separator first scales x by the
+lcm D of its denominators, so all subset sums and slack comparisons run
+on exact Python integers; only the returned witness's lhs and rhs are
+built as rationals.  A min-cut separator could replace
+separate_spanning_tree behind the same interface if graphs beyond
+SPANNING_SUBSET_GUARD vertices were ever needed.
 
 Ties in "most violated" break by smaller witness set, then by the
 lexicographically smallest bitmask (for lattices, by member index), so
@@ -20,6 +23,9 @@ runs are reproducible.
 """
 
 from dataclasses import dataclass
+from itertools import islice
+from math import lcm
+from operator import add, sub
 
 from .errors import InstanceError, InternalCheckError, SizeGuardError
 from .graphs import iter_bits
@@ -91,29 +97,35 @@ class ResidualLatticeLp:
 # -- separation oracles ------------------------------------------------------
 
 
-def _subset_sums(n, items, values):
-    """sums[vmask] = sum of values for items with both endpoints in vmask.
+def _scale(x_by_id):
+    """(D, {id: x*D}) with D the lcm of the denominators of the values,
+    so every scaled value is an integer and x(S) <= c iff X(S) <= D*c."""
+    den = lcm(*(v.denominator for v in x_by_id.values()))
+    return den, {k: v.numerator * (den // v.denominator) for k, v in x_by_id.items()}
 
-    items: per-vertex adjacency (vertex -> [(value index, other endpoint)]).
-    """
-    sums = [ZERO] * (1 << n)
-    for vmask in range(1, 1 << n):
-        low = vmask & -vmask
-        v = low.bit_length() - 1
-        prev = vmask ^ low
-        acc = sums[prev]
-        for idx, other in items[v]:
-            if (prev >> other) & 1:
-                acc = acc + values[idx]
-        sums[vmask] = acc
-    return sums
+
+def _smallest_witness(values, target, start, stop):
+    """Index i in [start, stop) with values[i] == target, smallest
+    popcount first, then smallest index; None if there is none."""
+    found, size = None, None
+    i = start - 1
+    try:
+        while True:
+            i = values.index(target, i + 1, stop)
+            if size is None or i.bit_count() < size:
+                found, size = i, i.bit_count()
+    except ValueError:
+        return found
 
 
 def separate_spanning_tree(x_by_id, graph, fmask):
     """Most-violated spanning-tree row at x, or feasible.
 
     Checks the total-count equality exactly, then every induced-subset
-    row x(E'(U)) <= |U| - |F(U)| - 1 over 2 <= |U| <= n-1.
+    row x(E'(U)) <= |U| - |F(U)| - 1 over 2 <= |U| <= n-1.  With x
+    scaled to integers X = D*x, row U is violated iff
+    X(E'(U)) + D*|F(U)| - D*|U| > -D; that excess is tabulated for all
+    subsets at once, vertex by vertex.
     """
     n = graph.n
     if n > SPANNING_SUBSET_GUARD:
@@ -121,93 +133,101 @@ def separate_spanning_tree(x_by_id, graph, fmask):
             f"subset separation is exhaustive and guarded at n <= "
             f"{SPANNING_SUBSET_GUARD}; larger graphs need a min-cut separator"
         )
-    adj_x = [[] for _ in range(n)]
-    adj_f = [[] for _ in range(n)]
-    xs = []
-    for eid, val in sorted(x_by_id.items()):
+    den, scaled = _scale(x_by_id)
+    # weight[h][u] for u < h: scaled x plus D per fixed edge between u and h
+    weight = [[0] * n for _ in range(n)]
+    xtotal = 0
+    for eid, val in scaled.items():
         e = graph.by_id[eid]
-        adj_x[e.u].append((len(xs), e.v))
-        adj_x[e.v].append((len(xs), e.u))
-        xs.append(val)
+        weight[max(e.u, e.v)][min(e.u, e.v)] += val
+        xtotal += val
     fcount = 0
     for eid in iter_bits(fmask):
         e = graph.by_id[eid]
-        adj_f[e.u].append((fcount, e.v))
-        adj_f[e.v].append((fcount, e.u))
+        weight[max(e.u, e.v)][min(e.u, e.v)] += den
         fcount += 1
 
-    xsum = _subset_sums(n, adj_x, xs)
-    fsum = _subset_sums(n, adj_f, [1] * fcount)
-
     full = graph.full_vmask
-    target = Rat(n - fcount - 1)
-    if xsum[full] != target:
-        return SeparationResult(False, "tree_total", full, xsum[full], target, EQ)
+    if xtotal != den * (n - fcount - 1):
+        return SeparationResult(
+            False, "tree_total", full, Rat(xtotal, den), Rat(n - fcount - 1), EQ
+        )
 
-    best = None
-    for vmask in range(1, full):
-        size = vmask.bit_count()
-        if size < 2:
-            continue
-        rhs = Rat(size - fsum[vmask] - 1)
-        viol = xsum[vmask] - rhs
-        if viol > 0:
-            key = (viol, -size, -vmask)
-            if best is None or key > best[0]:
-                best = (key, vmask, xsum[vmask], rhs)
-    if best is None:
+    # excess[U] = X(E'(U)) + D*|F(U)| - D*|U|.  Adding vertex h to every
+    # U below it adds row[U] = (weight of edges from h into U) - D.
+    excess = [0]
+    for h in range(n):
+        row = [-den]
+        for w in weight[h][:h]:
+            if w:
+                row += [r + w for r in row]
+            else:
+                row *= 2
+        excess += list(map(add, excess, row))
+    worst = max(islice(excess, 1, full), default=-den)
+    if worst <= -den:
         return SeparationResult.ok()
-    _, vmask, lhs, rhs = best
-    return SeparationResult(False, "subtour", vmask, lhs, rhs, LE)
+    vmask = _smallest_witness(excess, worst, 1, full)
+    inside = graph.induced_mask(vmask)
+    lhs = sum(val for eid, val in scaled.items() if (inside >> eid) & 1)
+    rhs = vmask.bit_count() - (inside & fmask).bit_count() - 1
+    return SeparationResult(False, "subtour", vmask, Rat(lhs, den), Rat(rhs), LE)
 
 
 def separate_contra_polymatroid(x_by_id, fmask, pair):
     """Most-violated covering row x(S & E') >= r_i(S) - |F & S|,
-    exhaustive over both functions and all subsets."""
+    exhaustive over both functions and all subsets, in integers scaled
+    by the common denominator of x."""
     n = pair.n
-    xsum = [ZERO] * (1 << n)
-    for s in range(1, 1 << n):
-        low = s & -s
-        e = low.bit_length() - 1
-        xsum[s] = xsum[s ^ low] + x_by_id.get(e, ZERO)
+    den, scaled = _scale(x_by_id)
+    xsum, fixed = [0], [0]
+    for e in range(n):
+        w = scaled.get(e, 0)
+        xsum += [s + w for s in xsum] if w else xsum
+        fixed += [f + 1 for f in fixed] if (fmask >> e) & 1 else fixed
     best = None
     for func_idx, table in ((1, pair.r1), (2, pair.r2)):
-        for s in range(1, 1 << n):
-            rhs = table[s] - (fmask & s).bit_count()
-            if rhs <= 0:
-                continue
-            viol = Rat(rhs) - xsum[s]
-            if viol > 0:
-                key = (viol, -s.bit_count(), -s, -func_idx)
-                if best is None or key > best[0]:
-                    best = (key, func_idx, s, xsum[s], Rat(rhs))
+        viol = [
+            den * r - x if r > 0 else 0
+            for r, x in zip(map(sub, table, fixed), xsum)
+        ]
+        worst = max(islice(viol, 1, None), default=0)
+        if worst <= 0:
+            continue
+        s = _smallest_witness(viol, worst, 1, len(viol))
+        key = (worst, -s.bit_count(), -s, -func_idx)
+        if best is None or key > best[0]:
+            best = (key, func_idx, s)
     if best is None:
         return SeparationResult.ok()
-    _, func_idx, s, lhs, rhs = best
-    return SeparationResult(False, f"cover{func_idx}", s, lhs, rhs, GE)
+    _, func_idx, s = best
+    table = pair.r1 if func_idx == 1 else pair.r2
+    rhs = table[s] - fixed[s]
+    return SeparationResult(
+        False, f"cover{func_idx}", s, Rat(xsum[s], den), Rat(rhs), GE
+    )
 
 
 def separate_lattice(x_by_id, fmask, lat):
-    """Most-violated rank row x(rho(S) & E') >= r(S) - |F & rho(S)|;
-    ties break by member index."""
-    best = None
-    for j in range(lat.size):
-        rho = lat.rho[j]
-        rhs = lat.rank[j] - (fmask & rho).bit_count()
-        if rhs <= 0:
-            continue
-        lhs = ZERO
-        for e in iter_bits(rho):
-            if e in x_by_id:
-                lhs += x_by_id[e]
-        viol = Rat(rhs) - lhs
-        if viol > 0:
-            if best is None or viol > best[0]:
-                best = (viol, j, lhs, Rat(rhs))
-    if best is None:
+    """Most-violated rank row x(rho(S) & E') >= r(S) - |F & rho(S)|,
+    in integers scaled by the common denominator of x; ties break by
+    member index."""
+    den, scaled = _scale(x_by_id)
+    lhs = [0] * lat.size
+    for base in range(0, lat.ground_n, 8):
+        # sums[b]: scaled x over the elements base + i for the bits i of b
+        sums = [0]
+        for e in range(base, base + 8):
+            w = scaled.get(e, 0)
+            sums += [s + w for s in sums] if w else sums
+        lhs = [acc + sums[(rho >> base) & 255] for acc, rho in zip(lhs, lat.rho)]
+    need = [rank - (fmask & rho).bit_count() for rank, rho in zip(lat.rank, lat.rho)]
+    viol = [den * r - x if r > 0 else 0 for r, x in zip(need, lhs)]
+    worst = max(viol, default=0)
+    if worst <= 0:
         return SeparationResult.ok()
-    _, j, lhs, rhs = best
-    return SeparationResult(False, "rank", j, lhs, rhs, GE)
+    j = viol.index(worst)
+    return SeparationResult(False, "rank", j, Rat(lhs[j], den), Rat(need[j]), GE)
 
 
 # -- working LP assembly -----------------------------------------------------

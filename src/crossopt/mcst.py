@@ -216,23 +216,6 @@ def _forest_json(forest):
     }
 
 
-def _forest_equal(a, b):
-    alive_a = {nd.id: nd for nd in a.nodes if nd.alive}
-    alive_b = {nd.id: nd for nd in b.nodes if nd.alive}
-    if set(alive_a) != set(alive_b) or a.roots != b.roots:
-        return False
-    for nid, nd in alive_a.items():
-        other = alive_b[nid]
-        if (
-            nd.vset != other.vset
-            or nd.bound != other.bound
-            or nd.parent != other.parent
-            or nd.children != other.children
-        ):
-            return False
-    return True
-
-
 class RunTrace:
     """Ordered event log of one run; replaying it against the instance
     must reproduce the final tree and forest exactly."""
@@ -597,6 +580,17 @@ def verify_guarantee(instance, tree, trace):
     )
 
 
+def _encode_detail(v):
+    """JSON form of a check detail: rationals become "p/q" strings."""
+    if isinstance(v, (list, tuple)):
+        return [_encode_detail(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _encode_detail(x) for k, x in v.items()}
+    if hasattr(v, "denominator") and not isinstance(v, int):
+        return render_rat(v)
+    return v
+
+
 @dataclass(frozen=True)
 class GuaranteeReport:
     ok: bool
@@ -606,21 +600,12 @@ class GuaranteeReport:
     failures: tuple
 
     def to_json(self):
-        def enc(v):
-            if isinstance(v, (list, tuple)):
-                return [enc(x) for x in v]
-            if isinstance(v, dict):
-                return {k: enc(x) for k, x in v.items()}
-            if hasattr(v, "denominator") and not isinstance(v, int):
-                return render_rat(v)
-            return v
-
         return {
             "ok": self.ok,
             "drop_rounds": self.t_rounds,
             "family_sizes": list(self.family_sizes),
             "checks": [
-                {"name": name, "pass": ok, "detail": enc(detail)}
+                {"name": name, "pass": ok, "detail": _encode_detail(detail)}
                 for name, ok, detail in self.checks
             ],
             "failures": list(self.failures),

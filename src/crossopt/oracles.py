@@ -145,9 +145,6 @@ class LatticeOracle:
     def leq(self, i, j):
         return bool((self.above[i] >> j) & 1)
 
-    def lt(self, i, j):
-        return i != j and self.leq(i, j)
-
     def comparable(self, i, j):
         return self.leq(i, j) or self.leq(j, i)
 

@@ -1,10 +1,13 @@
 """Exact rational arithmetic used by every solver path.
 
 All fractional quantities in this package (LP values, residual bounds,
-separation slacks) are arbitrary-precision rationals, never floats.
-gmpy2.mpq is used when available (roughly 7x faster than Fraction at
-this workload); the stdlib Fraction is a drop-in fallback.  Both store
-values in lowest terms with a positive denominator.
+separation results) are arbitrary-precision rationals, never floats;
+the separators scan subsets in integers scaled by a common denominator.
+gmpy2.mpq is used when it is installed (the optional ``gmpy2`` extra);
+otherwise the stdlib Fraction is a drop-in fallback.  A speed-up of
+roughly 7x for mpq at this workload was once claimed but has not been
+measured in this repository.  Both store values in lowest terms with a
+positive denominator.
 """
 
 try:
@@ -19,11 +22,6 @@ except ImportError:  # pragma: no cover
 ZERO = Rat(0)
 ONE = Rat(1)
 HALF = Rat(1, 2)
-
-
-def rat(num, den=1):
-    """Build a rational from integers or from another rational."""
-    return Rat(num, den)
 
 
 def parse_rat(s):

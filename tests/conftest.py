@@ -1,9 +1,17 @@
 import pytest
 
+from crossopt.generators import gen_mcst_gap
 from crossopt.graphs import Graph
 from crossopt.instances import IntersectionInstance, McstInstance
 from crossopt.oracles import ContraPolymatroidPair, CrossingConstraint, MatroidOracle
 from crossopt.rational import Rat
+
+
+@pytest.fixture(scope="session")
+def mcst_gap_e8():
+    """gen_mcst_gap(8): (instance, report).  Deterministic and several
+    seconds to certify, so it is built once for every test that reads it."""
+    return gen_mcst_gap(8)
 
 
 @pytest.fixture

@@ -212,11 +212,10 @@ def test_criterion_6_planar_gap():
     announce("criterion-6 planar min-cut gap", ok, f"({elapsed:.1f}s for k=2,3)")
 
 
-def test_criterion_7_mcst_gap():
+def test_criterion_7_mcst_gap(mcst_gap_e8):
     ok = True
     rhos = {}
-    for e in (4, 8):
-        inst, rep = gen_mcst_gap(e)
+    for e, (inst, rep) in ((4, gen_mcst_gap(4)), (8, mcst_gap_e8)):
         rhos[e] = rep.details["discrepancy"]
         ok = ok and rep.lp_feasible and rep.claim_ok
         ok = ok and rep.integral_min_violation >= Rat(rhos[e], 2) - 1

@@ -63,8 +63,8 @@ def test_mcst_gap_e4_certificates():
             assert (tree & u_mask).bit_count() == s.bit_count() + (x & s).bit_count()
 
 
-def test_mcst_gap_e8_runs_and_certifies():
-    inst, rep = gen_mcst_gap(8)
+def test_mcst_gap_e8_runs_and_certifies(mcst_gap_e8):
+    inst, rep = mcst_gap_e8
     assert rep.lp_feasible and rep.claim_ok
     assert rep.details["method"] == "tree-exhaustive"
 
