@@ -250,6 +250,17 @@ def _decode_graph(body):
     return Graph(body["n"], edges)
 
 
+def _int_table(values, field):
+    """The entries as a tuple; each must be an int (bool, an int
+    subclass, is refused: true/false is no rank)."""
+    if not isinstance(values, list):
+        raise InstanceError(f"{field} must be a list of integers")
+    for i, v in enumerate(values):
+        if type(v) is not int:
+            raise InstanceError(f"{field}[{i}] must be an integer, got {v!r}")
+    return tuple(values)
+
+
 def decode_instance(body):
     if not isinstance(body, dict):
         raise InstanceError("instance must be a JSON object")
@@ -270,7 +281,9 @@ def decode_instance(body):
             return GeneralMcstInstance(_decode_graph(body), bounds)
         if kind == "intersection":
             pair = ContraPolymatroidPair(
-                body["ground"], tuple(body["r1"]), tuple(body["r2"])
+                body["ground"],
+                _int_table(body["r1"], "r1"),
+                _int_table(body["r2"], "r2"),
             )
             cons = tuple(
                 CrossingConstraint(mask_of(b["elements"]), None, parse_rat(b["upper"]))
@@ -290,13 +303,17 @@ def decode_instance(body):
             )
             costs = tuple(parse_rat(c) for c in body["cost"])
             if "matroid_rank" in body:
-                matroid = MatroidOracle(body["ground"], tuple(body["matroid_rank"]))
+                matroid = MatroidOracle(
+                    body["ground"], _int_table(body["matroid_rank"], "matroid_rank")
+                )
                 return from_matroid(matroid, costs, cons, body["variant"])
             tables = body["lattice"]
             lat = LatticeOracle(
                 body["ground"],
                 rho=[mask_of(m["rho"]) for m in tables["members"]],
-                rank=[m["rank"] for m in tables["members"]],
+                rank=_int_table(
+                    [m["rank"] for m in tables["members"]], "lattice member rank"
+                ),
                 leq=tables["leq"],
                 meet=tables["meet"],
                 join=tables["join"],

@@ -9,6 +9,11 @@ shrunk to ceil(2 b') + frequency - 1 elements.  A full iteration that
 changes nothing is an internal error: the counting argument guarantees
 progress.
 
+Every iteration re-solves the LP from scratch: rounding a value in
+[1/2, 1) up and lowering bounds by fractional amounts does not restrict
+the old region to a face, so the old vertex is not reused (compare
+lpengine.reuse_extreme_point).
+
 The final solution covers both functions on every subset, exceeds no
 bound by more than b + frequency - 1 beyond a factor two, and costs at
 most twice the initial LP optimum; verify_intersection re-checks all

@@ -9,6 +9,15 @@ whose undecided support is small enough.  The drop threshold is
 inclusion and only upper bounds are present, the sharper threshold
 residual_bound + frequency - 1 applies and halves the final violation.
 
+After a delete or fix step the LP is not re-solved: the new residual
+region is the face x_e = 0 (or 1) of the old one with e dropped (a fix
+lowers every rank and bound rhs containing e by one, exactly x_e), the
+old optimal vertex lies on that face, so its restriction is optimal and
+is reused after a full re-check (lpengine.reuse_extreme_point); the
+``solve`` event says ``"reused": true``.  Dropping a bound removes rows
+and can enlarge the region, so the LP after a drop, like the first, is
+solved from scratch.
+
 Exactly one action happens per iteration, so |undecided| + |bounds|
 drops by one each time and the run ends after at most |E| + |I|
 iterations with all rank constraints met exactly.
@@ -19,7 +28,12 @@ from dataclasses import dataclass
 from .errors import InstanceError, InternalCheckError, NoStepApplies
 from .graphs import iter_bits
 from .instances import INCLUSION, instance_digest
-from .lpengine import LATTICE, ResidualLatticeLp, solve_to_extreme_point
+from .lpengine import (
+    LATTICE,
+    ResidualLatticeLp,
+    reuse_extreme_point,
+    solve_to_extreme_point,
+)
 from .rational import ONE, ZERO, Rat, render_rat
 from .simplex import LpInfeasible
 
@@ -67,6 +81,7 @@ def run_lattice(instance, collect_chain_checks=False):
     max_iters = n + len(instance.constraints)
     iters = 0
     chain_reports = []
+    point = None
 
     while eprime or alive:
         iters += 1
@@ -75,12 +90,17 @@ def run_lattice(instance, collect_chain_checks=False):
                 "progress invariant broke: more iterations than |E| + |I|"
             )
         budget_before = eprime.bit_count() + len(alive)
-        point = None
-        if eprime:
+        # after a delete or fix the previous vertex, restricted, is optimal
+        reuse = events[-1]["ev"] in ("delete", "fix")
+        if not eprime:
+            point = None
+        else:
+            state = _residual(instance, eprime, fmask, alive)
             try:
-                point = solve_to_extreme_point(
-                    LATTICE, _residual(instance, eprime, fmask, alive)
-                )
+                if reuse:
+                    point = reuse_extreme_point(LATTICE, state, point)
+                else:
+                    point = solve_to_extreme_point(LATTICE, state)
             except LpInfeasible:
                 if initial_opt is None:
                     raise InstanceError("instance LP is infeasible") from None
@@ -92,6 +112,7 @@ def run_lattice(instance, collect_chain_checks=False):
                     "ev": "solve",
                     "x": {str(e): render_rat(v) for e, v in point.x_by_id.items()},
                     "objective": render_rat(point.objective),
+                    "reused": reuse,
                 }
             )
 

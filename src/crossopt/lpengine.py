@@ -20,6 +20,24 @@ SPANNING_SUBSET_GUARD vertices were ever needed.
 Ties in "most violated" break by smaller witness set, then by the
 lexicographically smallest bitmask (for lattices, by member index), so
 runs are reproducible.
+
+After a fix (x_e = 1) or delete (x_e = 0) step no LP needs solving:
+reuse_extreme_point returns the previous vertex restricted to the
+remaining variables.  The previous vertex x is optimal over the old
+region P and lies on its face {x in P : x_e = c}; the new residual
+region is exactly that face with coordinate e dropped (every row's rhs
+absorbs c), and the objective changes by the constant c * cost_e, so
+the restriction is an optimal point of the new region.  The cost is
+rebuilding the working LP and re-checking, not re-solving: the base
+rows for the new state plus the previous point's tight cut rows
+(rebuilt from their tags, so each rhs reflects the new fixed set), one
+feasibility pass over them, a full separation pass and a vertex
+certificate.  Any failed check is an InternalCheckError; nothing falls
+back to a cold solve.  Steps that drop or merge bounds remove or relax
+rows, so the region can grow and the old vertex need not stay optimal;
+those, and the intersection rounding (which rounds values >= 1/2 and
+changes bounds by fractional amounts, so the new region is not a face
+of the old one), always call solve_to_extreme_point.
 """
 
 from dataclasses import dataclass
@@ -34,15 +52,22 @@ from .simplex import (
     EQ,
     GE,
     LE,
+    STATS,
+    BasicSolution,
     Constraint,
     LinearProgram,
     LpUnbounded,
+    row_status,
     simplex_solve,
+    verify_vertex_certificate,
 )
 
 MCST = "mcst"
 INTERSECTION = "intersection"
 LATTICE = "lattice"
+
+# row-tag kinds the separators add; every other tag names a base row
+CUT_KINDS = frozenset(("subtour", "cover1", "cover2", "rank"))
 
 SPANNING_SUBSET_GUARD = 20
 
@@ -348,6 +373,13 @@ _BUILDERS = {
 }
 
 
+def _working_lp(var_ids, objective, rows):
+    n = len(var_ids)
+    return LinearProgram(
+        n, objective, tuple(c for c, _ in rows), (ZERO,) * n, (ONE,) * n
+    )
+
+
 def solve_to_extreme_point(family, state, extra_rows=(), objective_override=None):
     """Cutting-plane loop: optimal certified vertex of the full system.
 
@@ -361,16 +393,9 @@ def solve_to_extreme_point(family, state, extra_rows=(), objective_override=None
         objective = tuple(objective_override)
     rows = list(rows) + list(extra_rows)
     seen = {tag for _, tag in rows}
-    n = len(var_ids)
     prev_obj = None
     while True:
-        lp = LinearProgram(
-            n,
-            objective,
-            tuple(c for c, _ in rows),
-            (ZERO,) * n,
-            (ONE,) * n,
-        )
+        lp = _working_lp(var_ids, objective, rows)
         try:
             sol = simplex_solve(lp)
         except LpUnbounded as exc:  # impossible: the box is compact
@@ -398,6 +423,44 @@ def solve_to_extreme_point(family, state, extra_rows=(), objective_override=None
                 f"separator violation for {tag} failed exact re-verification"
             )
         rows.append((constraint, tag))
+
+
+def reuse_extreme_point(family, state, prev):
+    """Certified optimal vertex of ``state`` after a fix or delete step,
+    taken from the previous extreme point ``prev`` without a solve.
+
+    The working LP is the family's base rows for ``state`` plus the cut
+    rows that were tight at ``prev``, each rebuilt from its tag by the
+    family's cut builder.  The restriction of ``prev`` to the undecided
+    variables must satisfy that LP, pass full separation and carry a
+    vertex certificate; otherwise InternalCheckError.  Optimality is the
+    face argument in the module docstring.
+    """
+    var_ids, objective, rows, separator, cut_row = _BUILDERS[family](state)
+    rows = list(rows)
+    for kind, witness in prev.tight_constraint_tags():
+        if kind in CUT_KINDS:
+            rows.append(cut_row(SeparationResult(False, kind, witness)))
+    try:
+        values = tuple(prev.x_by_id[v] for v in var_ids)
+    except KeyError as exc:
+        raise InternalCheckError(
+            f"undecided variable {exc} has no value at the previous vertex"
+        ) from None
+    lp = _working_lp(var_ids, objective, rows)
+    feasible, tight = row_status(lp, values)
+    if not feasible:
+        raise InternalCheckError("reused vertex violates the new working LP")
+    x_by_id = dict(zip(var_ids, values))
+    if not separator(x_by_id).feasible:
+        raise InternalCheckError("reused vertex violates a family constraint")
+    value = sum((c * v for c, v in zip(objective, values) if c and v), ZERO)
+    solution = BasicSolution(values, value, tight)
+    verify_vertex_certificate(lp, solution)
+    STATS["reused"] += 1
+    return ExtremePoint(
+        family, solution, lp, var_ids, tuple(t for _, t in rows), x_by_id
+    )
 
 
 def full_separation_clean(family, state, x_by_id):

@@ -13,6 +13,16 @@ first applicable step:
 4. if more than a quarter are good leaves, merge them pairwise per
    parent in child order (bounds add; an odd leftover is dropped).
 
+Only the first solve and the solve after a drop or merge step run the
+cutting-plane loop.  After a fix or delete step the new residual region
+is the face x_e = 1 (or 0) of the old one, which the old optimal vertex
+lies on: tightening only lowered bounds to the loads at that vertex, and
+fixing decrements exactly the bounds the fixed edge crosses.  So the old
+vertex restricted to the remaining edges is reused, re-checked and
+re-certified (lpengine.reuse_extreme_point), and its trace ``solve``
+event says ``"reused": true``.  A drop or merge step removes or loosens
+rows, so the old vertex need not stay optimal and the LP is re-solved.
+
 A node is good when at most MAX_LOCAL = 24 undecided edges are local to
 it.  If no step applies the run aborts with an internal error: the
 counting argument behind the algorithm guarantees this never happens,
@@ -30,6 +40,7 @@ from .laminar import all_consecutive_blocks
 from .lpengine import (
     MCST,
     ResidualMcstLp,
+    reuse_extreme_point,
     solve_to_extreme_point,
     tighten_degree_bounds,
 )
@@ -292,12 +303,16 @@ def run_mcst(instance):
     initial_opt = None
     step_cap = graph.all_edges_mask.bit_count() + drop_round_limit(graph.n) + 2
     steps = 0
+    reuse = False  # the previous step fixed or deleted an edge
     while state.eprime:
         steps += 1
         if steps > step_cap:
             raise InternalCheckError("iteration cap exceeded")
         try:
-            point = solve_to_extreme_point(MCST, state.residual())
+            if reuse:
+                point = reuse_extreme_point(MCST, state.residual(), point)
+            else:
+                point = solve_to_extreme_point(MCST, state.residual())
         except LpInfeasible:
             if initial_opt is None:
                 raise InstanceError("instance LP is infeasible") from None
@@ -314,6 +329,7 @@ def run_mcst(instance):
                 "ev": "solve",
                 "x": {str(eid): render_rat(v) for eid, v in point.x_by_id.items()},
                 "objective": render_rat(point.objective),
+                "reused": reuse,
             }
         )
         changes = tighten_degree_bounds(
@@ -333,6 +349,7 @@ def run_mcst(instance):
         _assert_degree_accounting(state)
         before = state.forest.size()
         step = try_step(state, point.x_by_id)
+        reuse = step.kind in ("fix", "delete")
         if step.kind == "fix":
             trace.add({"ev": "fix", "edge": step.edge})
         elif step.kind == "delete":

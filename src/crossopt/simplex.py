@@ -108,15 +108,6 @@ class LinearProgram:
         vec[j] = ONE
         return tuple(vec)
 
-    def is_feasible(self, values):
-        for c in self.constraints:
-            if not c.holds(values):
-                return False
-        for v, lo, up in zip(values, self.lower, self.upper):
-            if v < lo or (up is not None and v > up):
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class BasicSolution:
@@ -180,8 +171,9 @@ def rank_of_rows(rows):
 
 _MAX_PIVOTS = 500_000
 
-# running totals so callers can confirm every solve was certified
-STATS = {"solves": 0, "certificates": 0}
+# running totals so callers can confirm every simplex solve and every
+# reused vertex (lpengine.reuse_extreme_point) was certified
+STATS = {"solves": 0, "certificates": 0, "reused": 0}
 
 
 class _Tableau:
@@ -449,17 +441,25 @@ class _Tableau:
         )
 
 
-def _collect_tight_rows(lp, values):
+def row_status(lp, values):
+    """(feasible, tight rows) of values in one pass: each constraint's
+    lhs is evaluated once.  Tight rows use the ``tight_rows`` index
+    scheme and are None when values is infeasible."""
     tight = []
     for idx, c in enumerate(lp.constraints):
-        if c.tight(values):
+        lhs = c.evaluate(values)
+        if lhs == c.rhs:
             tight.append(idx)
-    for j in range(lp.num_vars):
-        if values[j] == lp.lower[j]:
+        elif c.rel == EQ or (lhs > c.rhs if c.rel == LE else lhs < c.rhs):
+            return False, None
+    for j, (v, lo, up) in enumerate(zip(values, lp.lower, lp.upper)):
+        if v < lo or (up is not None and v > up):
+            return False, None
+        if v == lo:
             tight.append(lp.lower_row(j))
-        if lp.upper[j] is not None and values[j] == lp.upper[j]:
+        if up is not None and v == up:
             tight.append(lp.upper_row(j))
-    return tuple(tight)
+    return True, tuple(tight)
 
 
 def verify_vertex_certificate(lp, solution):
@@ -516,10 +516,11 @@ def simplex_solve(lp):
         return BasicSolution((), ZERO, tuple(tight))
 
     values = _Tableau(lp).solve()
-    if not lp.is_feasible(values):
+    feasible, tight = row_status(lp, values)
+    if not feasible:
         raise InternalCheckError("simplex returned an infeasible point")
     objective = sum((c * v for c, v in zip(lp.objective, values) if c and v), ZERO)
-    solution = BasicSolution(values, objective, _collect_tight_rows(lp, values))
+    solution = BasicSolution(values, objective, tight)
     verify_vertex_certificate(lp, solution)
     STATS["solves"] += 1
     return solution

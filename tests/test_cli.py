@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from crossopt.cli import main
 from crossopt.instances import dump_instance
 from crossopt.randgen import random_lattice_instance, random_mcst_instance
@@ -187,3 +189,49 @@ def test_timing_field_is_opt_in(tmp_path):
     run_cli("solve-mcst", "--in", str(inst), "--timing", "--report", str(timed))
     assert "timing_seconds" not in json.loads(plain.read_text())
     assert "timing_seconds" in json.loads(timed.read_text())
+
+
+def _bad_rank_cases():
+    """(solve command, instance body, container, field name, key): one
+    rank entry, container[key], of each kind of rank table."""
+    from crossopt.generators import gen_edge_cover_tight
+    from crossopt.instances import LatticeInstance
+
+    # with its full-set rank raised by 0.5 this instance passes every
+    # table check and used to run into an internal error (exit 3)
+    matroid_inst = random_lattice_instance(random.Random(10))
+    tables_inst = LatticeInstance(
+        matroid_inst.lat,
+        matroid_inst.costs,
+        matroid_inst.constraints,
+        matroid_inst.variant,
+    )
+    body = matroid_inst.to_json()
+    yield "solve-lattice", body, body["matroid_rank"], "matroid_rank", -1
+    body = tables_inst.to_json()
+    members = body["lattice"]["members"]
+    top = max(range(len(members)), key=lambda i: members[i]["rank"])
+    yield "solve-lattice", body, members[top], "lattice member rank", "rank"
+    for field in ("r1", "r2"):
+        body = gen_edge_cover_tight(1).to_json()
+        yield "solve-intersection", body, body[field], field, -1
+
+
+BAD_RANKS = {
+    "raised-by-half": lambda v: v + 0.5,
+    "float": float,
+    "string": str,
+    "true": lambda v: True,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_RANKS))
+def test_non_integer_rank_entry_is_usage_error(kind, tmp_path, capsys):
+    for command, body, table, field, key in _bad_rank_cases():
+        table[key] = BAD_RANKS[kind](table[key])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(body))
+        assert run_cli(command, "--in", str(path), "--verify") == 2, field
+        err = capsys.readouterr().err
+        assert field in err and "must be an integer" in err
+        assert "Traceback" not in err
