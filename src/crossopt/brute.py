@@ -5,13 +5,20 @@ These are the independent oracles the guarantee verifiers compare
 against.  Enumeration sizes are pre-checked with an exact Kirchhoff
 count (Bareiss fraction-free determinant over the integers) so failure
 modes are deterministic counts, never timeouts.
+
+Tree scans compare violations in integers: the bounds are scaled once
+by D, the lcm of their denominators, so each tree's worst violation is
+max(count * D - bound * D) over the rows, and only the result is turned
+back into a rational (worst / D).  Every tree is still visited, in the
+enumeration order, with the same smallest-mask tie-break.
 """
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import SizeGuardError
 from .graphs import iter_bits
-from .rational import ZERO
+from .rational import ZERO, Rat
 
 TREE_COUNT_GUARD = 10**6
 SUBSET_GUARD = 16
@@ -108,6 +115,10 @@ def enumerate_spanning_trees(graph, limit=TREE_COUNT_GUARD, reverse=False):
 
     if connected(edges0, labels0):
         recurse(edges0, labels0, 0)
+    # recurse refers to itself through its closure; without the cycle,
+    # `out` is freed as soon as the caller drops it, not at the next full
+    # garbage collection
+    del recurse
     assert len(out) == count, "enumeration disagrees with Kirchhoff count"
     return out
 
@@ -142,13 +153,15 @@ class BruteMcstResult:
     tree_count: int
 
 
-def _max_violation(tree, bound_masks):
-    worst = None
-    for emask, bound in bound_masks:
-        viol = (tree & emask).bit_count() - bound
-        if worst is None or viol > worst:
-            worst = viol
-    return worst
+def _scaled_bounds(bound_masks):
+    """(D, [(emask, bound * D)]) with D the lcm of the bounds'
+    denominators, so that a tree's violation count - bound of a row is
+    the integer count * D - bound * D over D."""
+    d = lcm(*(bound.denominator for _, bound in bound_masks))
+    return d, [
+        (emask, bound.numerator * (d // bound.denominator))
+        for emask, bound in bound_masks
+    ]
 
 
 def brute_mcst(instance, limit=TREE_COUNT_GUARD):
@@ -168,15 +181,16 @@ def brute_general_mcst(instance, limit=TREE_COUNT_GUARD):
 
 def _brute_tree_opt(graph, bound_masks, limit):
     trees = enumerate_spanning_trees(graph, limit=limit)
+    d, scaled = _scaled_bounds(bound_masks)
     best = None
     witness = None
-    by_slack = {}
+    by_slack = {}  # scaled slack -> (cost, tree)
     for tree in trees:
         cost = graph.cost_of(tree)
-        viol = _max_violation(tree, bound_masks)
-        if viol is None:
-            viol = ZERO
-        slack = max(viol, ZERO)
+        viol = max(
+            [(tree & emask).bit_count() * d - b for emask, b in scaled], default=0
+        )
+        slack = max(viol, 0)
         cur = by_slack.get(slack)
         if cur is None or cost < cur[0] or (cost == cur[0] and tree < cur[1]):
             by_slack[slack] = (cost, tree)
@@ -189,21 +203,26 @@ def _brute_tree_opt(graph, bound_masks, limit):
     for slack in sorted(by_slack):
         cost, _ = by_slack[slack]
         running = cost if running is None else min(running, cost)
-        profile.append((slack, running))
+        profile.append((Rat(slack, d), running))
     return BruteMcstResult(best, witness, tuple(profile), len(trees))
 
 
 def min_max_violation_over_trees(graph, bound_masks, limit=TREE_COUNT_GUARD, reverse=False):
-    """min over spanning trees of the max additive bound violation."""
+    """min over spanning trees of the max additive bound violation, and
+    the smallest tree mask attaining it; no bounds means violation 0.
+    (None, None) when the graph has no spanning tree."""
     trees = enumerate_spanning_trees(graph, limit=limit, reverse=reverse)
+    d, scaled = _scaled_bounds(bound_masks)
     best = None
     witness = None
     for tree in trees:
-        viol = _max_violation(tree, bound_masks)
+        viol = max(
+            [(tree & emask).bit_count() * d - b for emask, b in scaled], default=0
+        )
         if best is None or viol < best or (viol == best and tree < witness):
             best = viol
             witness = tree
-    return best, witness
+    return (None if best is None else Rat(best, d)), witness
 
 
 def brute_subset_opt(n, feasible_fn, costs):

@@ -7,9 +7,17 @@ counts, and integral violation lower bounds come from exhaustive
 enumeration (never sampling).  Where full enumeration is out of reach
 (16-gadget trees, the k=4 hitting sets) the search is factored through
 an exactly-verified product structure and the report says so.
+
+The exhaustive scans work in Python ints and precomputed tables: each
+set's size and ceil(size/2) are computed once, a cut's paths hit come
+from one table per half of its bits, and the path lattice's leq, meet
+and join rows are built from the mixed-radix digits of the path index.
+Every scan still visits all candidates, in the same order and with the
+same tie-breaks, so the reports are unchanged.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from .brute import kirchhoff_count, min_max_violation_over_trees
 from .errors import InstanceError, SizeGuardError
@@ -173,13 +181,13 @@ def hadamard_sets(e):
 
 def brute_discrepancy(sets, e, reverse=False):
     """min over X of max_j | |X & S_j| - |complement & S_j| |, exhaustive."""
+    sized = [(s, s.bit_count()) for s in sets]
     best = None
     witness = None
     space = range((1 << e) - 1, -1, -1) if reverse else range(1 << e)
     for x in space:
         worst = 0
-        for s in sets:
-            size = s.bit_count()
+        for s, size in sized:
             imbalance = abs(2 * (x & s).bit_count() - size)
             if imbalance > worst:
                 worst = imbalance
@@ -263,14 +271,14 @@ def _min_violation_via_subsets(e, sets):
     """Every tree induces X = gadgets keeping both u-edges, with loads
     |S_j| + |X & S_j| on the u-side bound and |S_j| + |comp & S_j| on
     the w-side; minimize the worst violation over all X exhaustively."""
+    sized = [(s, s.bit_count(), -(-s.bit_count() // 2)) for s in sets]
     best = None
     for x in range(1 << e):
         worst = None
-        for s in sets:
-            size = s.bit_count()
-            half = rat_ceil(Rat(size, 2))
+        for s, size, half in sized:
             hit = (x & s).bit_count()
-            v = max(hit - half, (size - hit) - half)
+            # the larger of hit - half and (size - hit) - half
+            v = (hit if 2 * hit >= size else size - hit) - half
             if worst is None or v > worst:
                 worst = v
         if best is None or worst < best:
@@ -298,17 +306,7 @@ def planar_gap_graph(k):
 
 def _planar_paths(k):
     """All s-t paths as channel choices (j_1..j_k); index is mixed radix."""
-    paths = []
-
-    def expand(prefix):
-        if len(prefix) == k:
-            paths.append(tuple(prefix))
-            return
-        for j in range(k):
-            expand(prefix + [j])
-
-    expand([])
-    return paths
+    return list(product(range(k), repeat=k))
 
 
 def _path_edge_mask(k, choice):
@@ -317,6 +315,32 @@ def _path_edge_mask(k, choice):
         base = 2 * (layer * k + j)
         mask |= 1 << base | 1 << (base + 1)
     return mask
+
+
+def _path_lattice_tables(k, choices):
+    """leq, meet and join tables of the paths under the componentwise
+    order of their channel choices.
+
+    Path b's index is the mixed-radix number of its digits (j_1..j_k),
+    so each row is built digit by digit: after layer l the partial row
+    lists, for every prefix (j_1..j_l) in index order, the order bit or
+    the index weight of min/max(a's digit, j) summed so far."""
+    weights = [k ** (k - 1 - layer) for layer in range(k)]
+    digits = range(k)
+    leq, meet, join = [], [], []
+    for choice in choices:
+        le_row, meet_row, join_row = [1], [0], [0]
+        for d, w in zip(choice, weights):
+            le_d = [int(d <= j) for j in digits]
+            meet_d = [min(d, j) * w for j in digits]
+            join_d = [max(d, j) * w for j in digits]
+            le_row = [x & y for x in le_row for y in le_d]
+            meet_row = [x + y for x in meet_row for y in meet_d]
+            join_row = [x + y for x in join_row for y in join_d]
+        leq.append(le_row)
+        meet.append(meet_row)
+        join.append(join_row)
+    return leq, meet, join
 
 
 def gen_planar_mincut_gap(k):
@@ -328,20 +352,8 @@ def gen_planar_mincut_gap(k):
     graph = planar_gap_graph(k)
     choices = _planar_paths(k)
     rho = [_path_edge_mask(k, c) for c in choices]
-    index = {c: i for i, c in enumerate(choices)}
-
-    def leq(a, b):
-        return all(x <= y for x, y in zip(choices[a], choices[b]))
-
-    def meet(a, b):
-        return index[tuple(min(x, y) for x, y in zip(choices[a], choices[b]))]
-
-    def join(a, b):
-        return index[tuple(max(x, y) for x, y in zip(choices[a], choices[b]))]
-
-    lat = LatticeOracle.build(
-        2 * k * k, rho, [1] * len(choices), leq, meet, join
-    )
+    leq, meet, join = _path_lattice_tables(k, choices)
+    lat = LatticeOracle(2 * k * k, rho, [1] * len(choices), leq, meet, join)
     layer_masks = [
         mask_of(range(2 * layer * k, 2 * (layer + 1) * k)) for layer in range(k)
     ]
@@ -383,19 +395,45 @@ def gen_planar_mincut_gap(k):
     return instance, report
 
 
+def _path_hit_table(rho, shift, width):
+    """table[c] = bitmask of the paths p whose edge mask meets c << shift,
+    for every c below 2^width."""
+    table = [0]
+    for e in range(shift, shift + width):
+        paths = mask_of(p for p, m in enumerate(rho) if (m >> e) & 1)
+        table += [hit | paths for hit in table]
+    return table
+
+
 def _min_hitting_violation_exhaustive(k, rho, layer_masks, reverse=False):
-    """min over all hitting sets of (max layer load - 1), full 2^|E| scan."""
+    """min over all hitting sets of (max layer load - 1), full 2^|E| scan.
+
+    Each cut is split into its low and high halves of bits; a table per
+    half gives the paths that half hits, so "hits every path" is one OR
+    and one compare.  Cuts are visited in the order of the plain scan
+    (high half outer, low half inner)."""
     nbits = 2 * k * k
+    low = nbits // 2
+    low_hits = _path_hit_table(rho, 0, low)
+    high_hits = _path_hit_table(rho, low, nbits - low)
+    every = (1 << len(rho)) - 1
+    lows = range(len(low_hits))
+    highs = range(len(high_hits))
+    if reverse:
+        lows, highs = lows[::-1], highs[::-1]
     best = None
     witness = None
-    space = range((1 << nbits) - 1, -1, -1) if reverse else range(1 << nbits)
-    for cut in space:
-        if any(not (cut & m) for m in rho):
-            continue
-        worst = max((cut & m).bit_count() for m in layer_masks)
-        if best is None or worst - 1 < best:
-            best = worst - 1
-            witness = cut
+    for high in highs:
+        hit = high_hits[high]
+        base = high << low
+        for lo in lows:
+            if low_hits[lo] | hit != every:
+                continue
+            cut = base | lo
+            worst = max([(cut & m).bit_count() for m in layer_masks])
+            if best is None or worst - 1 < best:
+                best = worst - 1
+                witness = cut
     return best, witness
 
 

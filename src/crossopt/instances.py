@@ -261,6 +261,15 @@ def _int_table(values, field):
     return tuple(values)
 
 
+def _element_mask(ids, ground, field):
+    """Bitmask of a list of element ids, each an int in range(ground)."""
+    if not isinstance(ids, list) or not all(
+        type(e) is int and 0 <= e < ground for e in ids
+    ):
+        raise InstanceError(f"{field} must list elements 0..{ground - 1}, got {ids!r}")
+    return mask_of(ids)
+
+
 def decode_instance(body):
     if not isinstance(body, dict):
         raise InstanceError("instance must be a JSON object")
@@ -310,7 +319,10 @@ def decode_instance(body):
             tables = body["lattice"]
             lat = LatticeOracle(
                 body["ground"],
-                rho=[mask_of(m["rho"]) for m in tables["members"]],
+                rho=[
+                    _element_mask(m["rho"], body["ground"], f"lattice member {i} rho")
+                    for i, m in enumerate(tables["members"])
+                ],
                 rank=_int_table(
                     [m["rank"] for m in tables["members"]], "lattice member rank"
                 ),

@@ -12,9 +12,10 @@ inequalities as the pairwise definition.
 """
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import InstanceError
-from .graphs import iter_bits
+from .graphs import iter_bits, mask_of
 
 MAX_GROUND = 16
 
@@ -110,6 +111,22 @@ class ContraPolymatroidPair:
         return max(self.r1[mask], self.r2[mask])
 
 
+def _check_table(name, table, m, types, values, what):
+    """InstanceError unless the table has m rows of m entries, each of a
+    type in types and with a value in values.  The entry tests are set
+    operations over whole rows, so a valid table costs little."""
+    if not isinstance(table, (list, tuple)) or len(table) != m:
+        raise InstanceError(f"lattice {name} table must have {m} rows, one per member")
+    for i, row in enumerate(table):
+        if not isinstance(row, (list, tuple)) or len(row) != m:
+            raise InstanceError(f"lattice {name} row {i} must have {m} entries")
+        if not (types.issuperset(map(type, row)) and values.issuperset(row)):
+            j = next(
+                j for j, v in enumerate(row) if type(v) not in types or v not in values
+            )
+            raise InstanceError(f"lattice {name}[{i}][{j}] is {row[j]!r}, not {what}")
+
+
 class LatticeOracle:
     """Finite lattice with explicit order, meet/join tables, a ground-set
     image map rho, and an integer rank per member."""
@@ -122,25 +139,24 @@ class LatticeOracle:
         self.join = join
         m = len(self.rho)
         self.size = m
-        if len(self.rank) != m or len(leq) != m:
+        if len(self.rank) != m:
             raise InstanceError("lattice tables must agree on member count")
+        _check_table("leq", leq, m, {int, bool}, {0, 1}, "0 or 1")
+        members = set(range(m))
+        _check_table("meet", meet, m, {int}, members, f"a member index below {m}")
+        _check_table("join", join, m, {int}, members, f"a member index below {m}")
+        for i, r in enumerate(self.rho):
+            if r >> ground_n:  # also true for a negative mask
+                raise InstanceError(
+                    f"lattice member {i} rho has an element outside 0..{ground_n - 1}"
+                )
         # above[i] = bitmask over members j with i <= j; below[i] dual
-        self.above = [0] * m
-        self.below = [0] * m
-        for i in range(m):
-            for j in range(m):
-                if leq[i][j]:
-                    self.above[i] |= 1 << j
-                    self.below[j] |= 1 << i
+        self.above = [mask_of(compress(range(m), row)) for row in leq]
+        self.below = below = [0] * m
+        for i, up in enumerate(self.above):
+            for j in iter_bits(up):
+                below[j] |= 1 << i
         self._validate()
-
-    @classmethod
-    def build(cls, ground_n, rho, rank, leq_fn, meet_fn, join_fn):
-        m = len(rho)
-        leq = [[leq_fn(i, j) for j in range(m)] for i in range(m)]
-        meet = [[meet_fn(i, j) for j in range(m)] for i in range(m)]
-        join = [[join_fn(i, j) for j in range(m)] for i in range(m)]
-        return cls(ground_n, rho, rank, leq, meet, join)
 
     def leq(self, i, j):
         return bool((self.above[i] >> j) & 1)
@@ -153,48 +169,56 @@ class LatticeOracle:
         return self.above[lo] & self.below[hi]
 
     def _validate(self):
+        """Check the lattice axioms in a fixed order; the first failure
+        raises InstanceError naming the check and its members.  Order
+        tests are bit tests on the above/below rows."""
         m = self.size
-        if any(r < 0 for r in self.rank):
+        rho, rank, above, below = self.rho, self.rank, self.above, self.below
+        meet, join = self.meet, self.join
+        if any(r < 0 for r in rank):
             raise InstanceError("lattice ranks must be non-negative integers")
         for i in range(m):
-            if not (self.above[i] >> i) & 1:
+            if not (above[i] >> i) & 1:
                 raise InstanceError(f"order not reflexive at member {i}")
-            for j in range(m):
-                if i != j and self.leq(i, j) and self.leq(j, i):
-                    raise InstanceError(f"order not antisymmetric at ({i},{j})")
+            twins = above[i] & below[i] & ~(1 << i)
+            if twins:
+                j = (twins & -twins).bit_length() - 1
+                raise InstanceError(f"order not antisymmetric at ({i},{j})")
         for i in range(m):
-            acc = self.above[i]
-            for j in iter_bits(self.above[i]):
-                if self.above[j] & ~acc:
+            acc = above[i]
+            for j in iter_bits(acc):
+                if above[j] & ~acc:
                     raise InstanceError(f"order not transitive through ({i},{j})")
         has_elem = [0] * self.ground_n
         for i in range(m):
-            for e in iter_bits(self.rho[i]):
+            for e in iter_bits(rho[i]):
                 has_elem[e] |= 1 << i
         for a in range(m):
+            meet_a, join_a = meet[a], join[a]
+            rho_a, rank_a = rho[a], rank[a]
             for b in range(a, m):
-                mt, jn = self.meet[a][b], self.join[a][b]
-                if mt != self.meet[b][a] or jn != self.join[b][a]:
+                mt, jn = meet_a[b], join_a[b]
+                if mt != meet[b][a] or jn != join[b][a]:
                     raise InstanceError(f"meet/join not commutative at ({a},{b})")
-                if not (self.leq(mt, a) and self.leq(mt, b)):
+                pair = (1 << a) | (1 << b)
+                if above[mt] & pair != pair:
                     raise InstanceError(f"meet not below both at ({a},{b})")
-                if not (self.leq(a, jn) and self.leq(b, jn)):
+                if below[jn] & pair != pair:
                     raise InstanceError(f"join not above both at ({a},{b})")
-                outside = (self.rho[mt] | self.rho[jn]) & ~(self.rho[a] | self.rho[b])
-                if outside:
+                if (rho[mt] | rho[jn]) & ~(rho_a | rho[b]):
                     raise InstanceError(
                         f"image submodularity violated at ({a},{b})"
                     )
-                if self.rank[a] + self.rank[b] > self.rank[mt] + self.rank[jn]:
+                if rank_a + rank[b] > rank[mt] + rank[jn]:
                     raise InstanceError(
                         f"rank supermodularity violated at ({a},{b})"
                     )
         for a in range(m):
-            for c in iter_bits(self.above[a]):
-                common = self.rho[a] & self.rho[c]
+            for c in iter_bits(above[a]):
+                common = rho[a] & rho[c]
                 if not common:
                     continue
-                between = self.members_between(a, c)
+                between = above[a] & below[c]
                 for e in iter_bits(common):
                     bad = between & ~has_elem[e]
                     if bad:
@@ -212,15 +236,15 @@ def matroid_to_lattice(matroid):
     if n > MAX_GROUND:
         raise InstanceError(f"ground set {n} exceeds {MAX_GROUND}")
     full = (1 << n) - 1
-    members = list(range(1 << n))
+    members = range(1 << n)
     rank = [matroid.full_rank - matroid.rank_of(full & ~s) for s in members]
-    return LatticeOracle.build(
+    return LatticeOracle(
         n,
         rho=members,
         rank=rank,
-        leq_fn=lambda a, b: a & b == a,
-        meet_fn=lambda a, b: a & b,
-        join_fn=lambda a, b: a | b,
+        leq=[[a & b == a for b in members] for a in members],
+        meet=[[a & b for b in members] for a in members],
+        join=[[a | b for b in members] for a in members],
     )
 
 

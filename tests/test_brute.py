@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -44,6 +45,18 @@ def test_reverse_enumeration_same_set():
         fwd = sorted(enumerate_spanning_trees(inst.graph))
         rev = sorted(enumerate_spanning_trees(inst.graph, reverse=True))
         assert fwd == rev
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # a cycle would keep the tree list alive until a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        trees = enumerate_spanning_trees(gadget_graph(2))
+        del trees
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumeration_guard():

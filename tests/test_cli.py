@@ -235,3 +235,56 @@ def test_non_integer_rank_entry_is_usage_error(kind, tmp_path, capsys):
         err = capsys.readouterr().err
         assert field in err and "must be an integer" in err
         assert "Traceback" not in err
+
+
+def _explicit_lattice_body():
+    """A lattice instance of at most 32 members, written with its
+    leq/meet/join tables (no matroid rank table), so decoding builds
+    LatticeOracle from them."""
+    from crossopt.instances import LatticeInstance
+
+    inst = random_lattice_instance(random.Random(10), max_ground=5)
+    return LatticeInstance(
+        inst.lat, inst.costs, inst.constraints, inst.variant
+    ).to_json()
+
+
+def _set_both(table, value):
+    table[0][1] = table[1][0] = value
+
+
+# case -> (what the error must name, corruption of the "lattice" object);
+# the -1 and true meet entries used to be read as the last member and
+# as member 1, the others crashed with a traceback
+BAD_TABLES = {
+    "meet-row-short": ("lattice meet row 2", lambda t: t["meet"][2].pop()),
+    "join-row-missing": ("lattice join table", lambda t: t["join"].pop()),
+    "leq-row-short": ("lattice leq row 0", lambda t: t["leq"][0].pop()),
+    "leq-entry-2": ("lattice leq[3][1]", lambda t: t["leq"][3].__setitem__(1, 2)),
+    "meet-entry-99": ("lattice meet[0][1]", lambda t: _set_both(t["meet"], 99)),
+    "meet-entry-float": ("lattice meet[0][1]", lambda t: _set_both(t["meet"], 1.0)),
+    "meet-entry-negative": ("lattice meet[0][1]", lambda t: _set_both(t["meet"], -1)),
+    "meet-entry-true": ("lattice meet[0][1]", lambda t: _set_both(t["meet"], True)),
+    "join-entry-99": ("lattice join[0][1]", lambda t: _set_both(t["join"], 99)),
+    "rho-element-99": (
+        "lattice member 1 rho",
+        lambda t: t["members"][1]["rho"].append(99),
+    ),
+    "rho-element-negative": (
+        "lattice member 1 rho",
+        lambda t: t["members"][1]["rho"].append(-1),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+def test_malformed_lattice_table_is_usage_error(case, tmp_path, capsys):
+    named, corrupt = BAD_TABLES[case]
+    body = _explicit_lattice_body()
+    corrupt(body["lattice"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    assert run_cli("solve-lattice", "--in", str(path), "--verify") == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from crossopt.brute import (
@@ -20,6 +22,7 @@ from crossopt.generators import (
     yes_case_tree,
 )
 from crossopt.graphs import iter_bits
+from crossopt.instances import canonical_json
 from crossopt.lpengine import separate_lattice
 from crossopt.rational import Rat
 
@@ -67,6 +70,15 @@ def test_mcst_gap_e8_runs_and_certifies(mcst_gap_e8):
     inst, rep = mcst_gap_e8
     assert rep.lp_feasible and rep.claim_ok
     assert rep.details["method"] == "tree-exhaustive"
+
+
+def test_mcst_gap_e16_subset_certificate(mcst_gap_e16):
+    inst, rep = mcst_gap_e16
+    assert rep.details["method"] == "gadget-subset-exhaustive"
+    assert rep.details["discrepancy"] == 2
+    assert rep.integral_min_violation == 1 and rep.claimed_bound == 0
+    assert rep.lp_feasible and rep.claim_ok
+    assert rep.witness is None
 
 
 def test_mcst_gap_rejects_other_sizes():
@@ -201,3 +213,53 @@ def test_reduction_validates_inputs():
         reduce_uniform_crossing_to_mcst(2, 3, [])
     with pytest.raises(InstanceError):
         reduce_uniform_crossing_to_mcst(2, 1, [(0b100, 1)])
+
+
+# -- byte-identical generator output ------------------------------------------------
+
+# sha256 of the instance file and of the report file that
+# `crossopt gen <kind> --out --report` writes, for each generator run of
+# the benchmark's gap mix, recorded before the exhaustive scans moved to
+# integers and tables.
+GAP_DIGESTS = {
+    ("mcst-gap", 4): (
+        "593ed009181bad7923ff0d2399615f4d20cb1bdb27be3d50374f319d8e814826",
+        "2ae1c8900cfeba7bbfa0da998c37c0d0245f68b09a58a14cfba21693662f74f4",
+    ),
+    ("mcst-gap", 8): (
+        "7378910fe862ad397744559339bd3e29f7c72d98ee230407c98bcf42247ed3e0",
+        "d63267f580191890147d33c0d985fb1cb857f9aed70408dfa784aa9a8b294efb",
+    ),
+    ("mcst-gap", 16): (
+        "4dbea07a4e0614b284b7ed4f17b375825589636495472a9a3d279b29e548807f",
+        "bd60221a1a05482713ac8136c244da05d8bcb76bba546ea018945b886e52d5bb",
+    ),
+    ("planar-gap", 2): (
+        "867bfe6729f2531e3847f1c72b4418d3537ecf1ad94662161bb1a9cc01ac51c8",
+        "62f5bb0b1e3f3b42dd52cf4887b969db83a1dc5d10131df6ec7b9470d9814842",
+    ),
+    ("planar-gap", 3): (
+        "ce6bb3d8430ab1002b0a32479cbf76a4f7959a29b07d4ac9ef2e7462254111a4",
+        "8f70bd2b86cb89040c6f7473eff844dcb1987b12e8c0f7509785d3cdd78cedbc",
+    ),
+    ("planar-gap", 4): (
+        "bd91a04c78daa618f32620b4695571ce1743cf4567bbf15ca6a0c5a39a9393a6",
+        "3c898334d8547bfd1cc7f20a48df4109b9352b9f5434581b924412e4aeec12ab",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, size", sorted(GAP_DIGESTS))
+def test_gap_outputs_are_pinned(kind, size, request):
+    if (kind, size) == ("mcst-gap", 8):
+        inst, rep = request.getfixturevalue("mcst_gap_e8")
+    elif (kind, size) == ("mcst-gap", 16):
+        inst, rep = request.getfixturevalue("mcst_gap_e16")
+    elif kind == "mcst-gap":
+        inst, rep = gen_mcst_gap(size)
+    else:
+        inst, rep = gen_planar_mincut_gap(size)
+    # what dump_instance and the CLI's report writer put in the files
+    written = (canonical_json(inst.to_json()), canonical_json(rep.to_json()))
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in written)
+    assert digests == GAP_DIGESTS[kind, size]

@@ -1,0 +1,315 @@
+"""The integer and table-driven exhaustive scans against the code they
+replaced (tests/fraction_oracles.py).
+
+Each scan must return a result equal in value, type and witness to the
+reference, in both enumeration orders, on the generators' own inputs
+and on random ones; a lattice must be refused by both validators with
+the same message, or accepted by both.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_oracles as reference
+from test_separators import chain_lattice
+from crossopt import brute, generators
+from crossopt.brute import TREE_COUNT_GUARD, min_max_violation_over_trees
+from crossopt.errors import InstanceError
+from crossopt.generators import (
+    _path_edge_mask,
+    _planar_paths,
+    gen_mcst_gap,
+    hadamard_sets,
+)
+from crossopt.graphs import Graph, mask_of
+from crossopt.oracles import LatticeOracle, MatroidOracle, matroid_to_lattice
+from crossopt.randgen import random_lattice_instance
+from crossopt.rational import ZERO, Rat
+
+
+def assert_same(got, want):
+    """Equal values of the same types, element by element."""
+    assert got == want, (got, want)
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    else:
+        assert type(got) is type(want), (got, want)
+
+
+def assert_same_brute(got, want):
+    assert_same(
+        (got.optimum, got.witness, got.profile, got.tree_count),
+        (want.optimum, want.witness, want.profile, want.tree_count),
+    )
+
+
+@pytest.fixture
+def shared_trees(monkeypatch):
+    """Enumerate each (graph, order) once for both implementations; the
+    enumeration itself is not under test here."""
+    cache = {}
+    enumerate_trees = brute.enumerate_spanning_trees
+
+    def cached(graph, limit=TREE_COUNT_GUARD, reverse=False):
+        key = (id(graph), reverse)
+        if key not in cache:
+            cache[key] = (graph, enumerate_trees(graph, limit=limit, reverse=reverse))
+        return cache[key][1]
+
+    monkeypatch.setattr(brute, "enumerate_spanning_trees", cached)
+    monkeypatch.setattr(reference, "enumerate_spanning_trees", cached)
+
+
+# -- the generators' own scans ----------------------------------------------------
+
+
+@pytest.fixture
+def mcst_gap_e4():
+    return gen_mcst_gap(4)
+
+
+@pytest.mark.parametrize("gap", ["mcst_gap_e4", "mcst_gap_e8"])
+def test_gap_tree_scans_match_reference(gap, request, shared_trees):
+    instance, report = request.getfixturevalue(gap)
+    e = len(report.details["set_sizes"])
+    graph, bounds, sets = instance.graph, list(instance.bounds), hadamard_sets(e)
+    for reverse in (False, True):
+        got = min_max_violation_over_trees(graph, bounds, reverse=reverse)
+        assert_same(
+            got, reference.min_max_violation_over_trees(graph, bounds, reverse=reverse)
+        )
+        if not reverse:
+            assert got == (report.integral_min_violation, report.witness)
+    assert_same(
+        generators._min_violation_via_subsets(e, sets),
+        reference._min_violation_via_subsets(e, sets),
+    )
+    if e == 4:  # the Fraction reference takes half a minute at e = 8
+        assert_same_brute(
+            brute._brute_tree_opt(graph, bounds, TREE_COUNT_GUARD),
+            reference._brute_tree_opt(graph, bounds, TREE_COUNT_GUARD),
+        )
+
+
+def test_gap_subset_scans_e16_match_reference():
+    sets = hadamard_sets(16)
+    assert_same(
+        generators._min_violation_via_subsets(16, sets),
+        reference._min_violation_via_subsets(16, sets),
+    )
+    for reverse in (False, True):
+        assert_same(
+            generators.brute_discrepancy(sets, 16, reverse=reverse),
+            reference.brute_discrepancy(sets, 16, reverse=reverse),
+        )
+
+
+def planar_inputs(k):
+    rho = [_path_edge_mask(k, c) for c in _planar_paths(k)]
+    layers = [mask_of(range(2 * layer * k, 2 * (layer + 1) * k)) for layer in range(k)]
+    return rho, layers
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_planar_hitting_scan_matches_reference(k):
+    rho, layers = planar_inputs(k)
+    for reverse in (False, True):
+        assert_same(
+            generators._min_hitting_violation_exhaustive(k, rho, layers, reverse),
+            reference._min_hitting_violation_exhaustive(k, rho, layers, reverse),
+        )
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_planar_lattice_tables_match_reference(k):
+    choices = _planar_paths(k)
+    leq, meet, join = generators._path_lattice_tables(k, choices)
+    rho, _ = planar_inputs(k)
+    old = reference.planar_gap_lattice(k, rho)
+    m = len(choices)
+    assert meet == old.meet and join == old.join
+    assert leq == [[int(old.leq(i, j)) for j in range(m)] for i in range(m)]
+    new = LatticeOracle(2 * k * k, rho, [1] * m, leq, meet, join)
+    assert new.above == old.above and new.below == old.below
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_matroid_lattice_matches_reference(n):
+    matroid = MatroidOracle(n, tuple(min(s.bit_count(), 2) for s in range(1 << n)))
+    new, old = matroid_to_lattice(matroid), reference.matroid_to_lattice(matroid)
+    assert (new.rho, new.rank) == (old.rho, old.rank)
+    assert (new.meet, new.join) == (old.meet, old.join)
+    assert new.above == old.above and new.below == old.below
+
+
+def test_no_bounds_is_zero_violation_at_smallest_tree(triangle):
+    # trees of the triangle: 0b011, 0b101, 0b110 (either order)
+    for reverse in (False, True):
+        viol, witness = min_max_violation_over_trees(triangle, [], reverse=reverse)
+        assert viol == 0 and type(viol) is type(ZERO)
+        assert witness == 0b011
+    assert brute._brute_tree_opt(triangle, [], TREE_COUNT_GUARD).profile == ((ZERO, 2),)
+
+
+# -- random inputs ------------------------------------------------------------------
+
+
+def bounds_strategy():
+    """Rational bounds: small, negative, fractional and huge-denominator."""
+    return st.one_of(
+        st.integers(-2, 6).map(Rat),
+        st.fractions(-3, 7, max_denominator=12).map(
+            lambda f: Rat(f.numerator, f.denominator)
+        ),
+        st.tuples(st.integers(-(10**30), 10**31), st.integers(1, 10**30)).map(
+            lambda t: Rat(*t)
+        ),
+    )
+
+
+@st.composite
+def tree_cases(draw):
+    """A multigraph on at most 6 vertices (parallel edges, sometimes
+    disconnected) and a list of edge-set bounds."""
+    n = draw(st.integers(1, 6))
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda p: p[0] != p[1]
+            ),
+            max_size=10,
+        )
+    )
+    costs = draw(st.lists(st.integers(0, 5), min_size=len(edges), max_size=len(edges)))
+    graph = Graph.from_pairs(n, edges, costs)
+    full = (1 << len(edges)) - 1
+    bounds = draw(
+        st.lists(st.tuples(st.integers(0, full), bounds_strategy()), max_size=6)
+    )
+    return graph, bounds
+
+
+@settings(max_examples=120, deadline=None)
+@given(tree_cases())
+def test_tree_scans_match_reference_on_random_instances(case):
+    graph, bounds = case
+    assert_same_brute(
+        brute._brute_tree_opt(graph, bounds, TREE_COUNT_GUARD),
+        reference._brute_tree_opt(graph, bounds, TREE_COUNT_GUARD),
+    )
+    if not bounds:
+        return  # the reference returned the last tree enumerated here
+    for reverse in (False, True):
+        assert_same(
+            min_max_violation_over_trees(graph, bounds, reverse=reverse),
+            reference.min_max_violation_over_trees(graph, bounds, reverse=reverse),
+        )
+
+
+@st.composite
+def set_families(draw):
+    """A ground size e and one to eight subsets of [e], empty ones too."""
+    e = draw(st.integers(1, 9))
+    return e, draw(st.lists(st.integers(0, (1 << e) - 1), min_size=1, max_size=8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(set_families())
+def test_set_family_scans_match_reference(case):
+    e, sets = case
+    assert_same(
+        generators._min_violation_via_subsets(e, sets),
+        reference._min_violation_via_subsets(e, sets),
+    )
+    for reverse in (False, True):
+        assert_same(
+            generators.brute_discrepancy(sets, e, reverse=reverse),
+            reference.brute_discrepancy(sets, e, reverse=reverse),
+        )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(0, 255), max_size=10),
+    st.lists(st.integers(0, 255), min_size=1, max_size=4),
+)
+def test_path_family_scans_match_reference(rho, layers):
+    # k = 2: every cut of the 8 edges, split into two 4-bit halves
+    for reverse in (False, True):
+        assert_same(
+            generators._min_hitting_violation_exhaustive(2, rho, layers, reverse),
+            reference._min_hitting_violation_exhaustive(2, rho, layers, reverse),
+        )
+
+
+# -- lattice validation ---------------------------------------------------------------
+
+
+def lattice_tables(lat):
+    m = lat.size
+    return (
+        lat.ground_n,
+        list(lat.rho),
+        list(lat.rank),
+        [[int(lat.leq(i, j)) for j in range(m)] for i in range(m)],
+        [list(row) for row in lat.meet],
+        [list(row) for row in lat.join],
+    )
+
+
+def outcome(cls, tables):
+    """The InstanceError message if cls refuses the tables, else the
+    above and below rows it built."""
+    try:
+        lat = cls(*tables)
+    except InstanceError as exc:
+        return str(exc)
+    return lat.above, lat.below
+
+
+@st.composite
+def corrupted_lattices(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    source = draw(st.sampled_from(["matroid", "chain", "planar-2", "planar-3"]))
+    if source == "matroid":
+        tables = lattice_tables(random_lattice_instance(rng, max_ground=5).lat)
+    elif source == "chain":
+        tables = lattice_tables(chain_lattice(rng, draw(st.integers(1, 9))))
+    else:
+        k = int(source[-1])
+        rho, _ = planar_inputs(k)
+        leq, meet, join = generators._path_lattice_tables(k, _planar_paths(k))
+        tables = (2 * k * k, rho, [1] * len(rho), leq, meet, join)
+    ground_n, rho, rank, leq, meet, join = tables
+    m = len(rho)
+    field = draw(st.sampled_from(["none", "leq", "meet", "join", "rank", "rho"]))
+    i, j = rng.randrange(m), rng.randrange(m)
+    if field == "leq":
+        leq[i][j] = 1 - leq[i][j]
+    elif field in ("meet", "join"):
+        (meet if field == "meet" else join)[i][j] = rng.randrange(m)
+    elif field == "rank":
+        rank[i] = rng.randint(-2, 6)
+    elif field == "rho":
+        rho[i] = rng.randrange(1 << ground_n)
+    return tables
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_lattices())
+def test_lattice_validation_matches_reference(tables):
+    assert outcome(LatticeOracle, tables) == outcome(reference.LatticeOracle, tables)
+
+
+def test_antisymmetry_names_the_smallest_twin():
+    # three members all below one another: the first twin of 0 is 1
+    ones, zeros = [[1] * 3 for _ in range(3)], [[0] * 3 for _ in range(3)]
+    tables = (1, [0, 0, 0], [0, 0, 0], ones, zeros, zeros)
+    message = "order not antisymmetric at (0,1)"
+    assert outcome(LatticeOracle, tables) == message
+    assert outcome(reference.LatticeOracle, tables) == message

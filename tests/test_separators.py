@@ -163,7 +163,15 @@ def chain_lattice(rng, ground_n):
     cuts = sorted(rng.sample(range(ground_n + 1), rng.randint(1, ground_n + 1)))
     rho = [sum(1 << e for e in order[:c]) for c in cuts]
     rank = [rng.randint(0, 4) for _ in rho]
-    return LatticeOracle.build(ground_n, rho, rank, int.__le__, min, max)
+    members = range(len(rho))
+    return LatticeOracle(
+        ground_n,
+        rho,
+        rank,
+        [[i <= j for j in members] for i in members],
+        [[min(i, j) for j in members] for i in members],
+        [[max(i, j) for j in members] for i in members],
+    )
 
 
 @st.composite

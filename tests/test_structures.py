@@ -211,6 +211,19 @@ def test_matroid_to_lattice_examples():
     assert tri.rank[0b011] == 1  # rank(E) - rank({third edge}) = 2 - 1
 
 
+@pytest.mark.parametrize("mask", [0b100, -1])
+def test_lattice_image_outside_ground_set_is_refused(mask):
+    with pytest.raises(InstanceError, match="member 1 rho"):
+        LatticeOracle(
+            2,
+            rho=[0b01, mask],
+            rank=[0, 0],
+            leq=[[1, 1], [0, 1]],
+            meet=[[0, 0], [0, 1]],
+            join=[[0, 1], [1, 1]],
+        )
+
+
 def test_lattice_axiom_failures_carry_witnesses():
     # consecutive property violated: bottom {0}, mid {1}, top {0,1}
     with pytest.raises(InstanceError, match="consecutive"):
