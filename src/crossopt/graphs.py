@@ -32,14 +32,8 @@ class Edge:
     v: int
     cost: object
 
-    def touches(self, vmask):
-        return bool((vmask >> self.u) & 1) or bool((vmask >> self.v) & 1)
-
     def crosses(self, vmask):
         return ((vmask >> self.u) & 1) != ((vmask >> self.v) & 1)
-
-    def inside(self, vmask):
-        return ((vmask >> self.u) & 1) and ((vmask >> self.v) & 1)
 
 
 class Graph:
@@ -60,6 +54,11 @@ class Graph:
         self.by_id = {e.id: e for e in self.edges}
         self.full_vmask = (1 << n) - 1
         self.all_edges_mask = mask_of(e.id for e in self.edges)
+        # incidence[v]: the edges with an endpoint at v
+        self.incidence = [0] * n
+        for e in self.edges:
+            self.incidence[e.u] |= 1 << e.id
+            self.incidence[e.v] |= 1 << e.id
 
     @classmethod
     def from_pairs(cls, n, pairs, costs=None):
@@ -73,32 +72,29 @@ class Graph:
         )
 
     def delta_mask(self, vmask, within=None):
-        """Edges with exactly one endpoint in vmask (restricted to `within`)."""
+        """Edges with exactly one endpoint in vmask (restricted to
+        `within`): the XOR of the vertices' incidence masks, in which an
+        edge with both endpoints in vmask cancels."""
         out = 0
-        for e in self.edges:
-            if e.crosses(vmask):
-                out |= 1 << e.id
-        if within is not None:
-            out &= within
-        return out
-
-    def induced_mask(self, vmask, within=None):
-        out = 0
-        for e in self.edges:
-            if e.inside(vmask):
-                out |= 1 << e.id
-        if within is not None:
-            out &= within
-        return out
+        for v in iter_bits(vmask & self.full_vmask):
+            out ^= self.incidence[v]
+        return out if within is None else out & within
 
     def touching_mask(self, vmask, within=None):
+        """Edges with an endpoint in vmask: the OR of incidence masks."""
         out = 0
-        for e in self.edges:
-            if e.touches(vmask):
-                out |= 1 << e.id
-        if within is not None:
-            out &= within
-        return out
+        for v in iter_bits(vmask & self.full_vmask):
+            out |= self.incidence[v]
+        return out if within is None else out & within
+
+    def induced_mask(self, vmask, within=None):
+        """Edges with both endpoints in vmask: touching but not crossing."""
+        touching = delta = 0
+        for v in iter_bits(vmask & self.full_vmask):
+            touching |= self.incidence[v]
+            delta ^= self.incidence[v]
+        out = touching & ~delta
+        return out if within is None else out & within
 
     def cost_of(self, edge_mask):
         total = ZERO

@@ -150,6 +150,29 @@ class IntersectionInstance:
         }
 
 
+def _check_image_inclusion_order(lat):
+    """InstanceError unless i <= j exactly when rho[i] is a subset of
+    rho[j], naming the first disagreeing pair in row-major order.  Row
+    i of the order is compared with the AND, over the elements of
+    rho[i], of the masks of members whose image holds the element."""
+    holding = [0] * lat.ground_n
+    for j, r in enumerate(lat.rho):
+        for e in iter_bits(r):
+            holding[e] |= 1 << j
+    everyone = (1 << lat.size) - 1
+    for i, r in enumerate(lat.rho):
+        supersets = everyone
+        for e in iter_bits(r):
+            supersets &= holding[e]
+        bad = lat.above[i] ^ supersets
+        if bad:
+            j = (bad & -bad).bit_length() - 1
+            raise InstanceError(
+                "inclusion variant requires the order to be "
+                f"image inclusion; members ({i},{j}) disagree"
+            )
+
+
 @dataclass(frozen=True)
 class LatticeInstance:
     lat: LatticeOracle
@@ -178,14 +201,7 @@ class LatticeInstance:
                     raise InstanceError(
                         "inclusion variant admits upper bounds only"
                     )
-            lat = self.lat
-            for i in range(lat.size):
-                for j in range(lat.size):
-                    if lat.leq(i, j) != (lat.rho[i] & lat.rho[j] == lat.rho[i]):
-                        raise InstanceError(
-                            "inclusion variant requires the order to be "
-                            f"image inclusion; members ({i},{j}) disagree"
-                        )
+            _check_image_inclusion_order(self.lat)
 
     @property
     def n(self):
@@ -261,13 +277,17 @@ def _int_table(values, field):
     return tuple(values)
 
 
+def _id_mask(ids, valid, what):
+    """Bitmask of a JSON list of ids, each an int (not a bool) in valid,
+    a range or the graph's edge-id dict; else InstanceError naming what."""
+    if not isinstance(ids, list) or not all(type(i) is int and i in valid for i in ids):
+        raise InstanceError(f"{what}, got {ids!r}")
+    return mask_of(ids)
+
+
 def _element_mask(ids, ground, field):
     """Bitmask of a list of element ids, each an int in range(ground)."""
-    if not isinstance(ids, list) or not all(
-        type(e) is int and 0 <= e < ground for e in ids
-    ):
-        raise InstanceError(f"{field} must list elements 0..{ground - 1}, got {ids!r}")
-    return mask_of(ids)
+    return _id_mask(ids, range(ground), f"{field} must list elements 0..{ground - 1}")
 
 
 def decode_instance(body):
@@ -278,16 +298,26 @@ def decode_instance(body):
     kind = body.get("type")
     try:
         if kind == "mcst":
+            graph = _decode_graph(body)
+            vertices = range(graph.n)
             family = tuple(
-                (mask_of(s["vertices"]), parse_rat(s["bound"]))
+                (
+                    _id_mask(s["vertices"], vertices, "family set out of vertex range"),
+                    parse_rat(s["bound"]),
+                )
                 for s in body["family"]
             )
-            return McstInstance(_decode_graph(body), family)
+            return McstInstance(graph, family)
         if kind == "general-mcst":
+            graph = _decode_graph(body)
             bounds = tuple(
-                (mask_of(s["edges"]), parse_rat(s["bound"])) for s in body["bounds"]
+                (
+                    _id_mask(s["edges"], graph.by_id, f"bound {i} must list edge ids"),
+                    parse_rat(s["bound"]),
+                )
+                for i, s in enumerate(body["bounds"])
             )
-            return GeneralMcstInstance(_decode_graph(body), bounds)
+            return GeneralMcstInstance(graph, bounds)
         if kind == "intersection":
             pair = ContraPolymatroidPair(
                 body["ground"],
@@ -295,8 +325,12 @@ def decode_instance(body):
                 _int_table(body["r2"], "r2"),
             )
             cons = tuple(
-                CrossingConstraint(mask_of(b["elements"]), None, parse_rat(b["upper"]))
-                for b in body["bounds"]
+                CrossingConstraint(
+                    _element_mask(b["elements"], pair.n, f"bound {i} elements"),
+                    None,
+                    parse_rat(b["upper"]),
+                )
+                for i, b in enumerate(body["bounds"])
             )
             return IntersectionInstance(
                 pair, tuple(parse_rat(c) for c in body["cost"]), cons
@@ -304,11 +338,11 @@ def decode_instance(body):
         if kind == "lattice":
             cons = tuple(
                 CrossingConstraint(
-                    mask_of(b["elements"]),
+                    _element_mask(b["elements"], body["ground"], f"bound {i} elements"),
                     None if b.get("lower") is None else parse_rat(b["lower"]),
                     parse_rat(b["upper"]),
                 )
-                for b in body["bounds"]
+                for i, b in enumerate(body["bounds"])
             )
             costs = tuple(parse_rat(c) for c in body["cost"])
             if "matroid_rank" in body:

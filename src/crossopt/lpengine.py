@@ -42,7 +42,6 @@ of the old one), always call solve_to_extreme_point.
 
 from dataclasses import dataclass
 from itertools import islice
-from math import lcm
 from operator import add, sub
 
 from .errors import InstanceError, InternalCheckError, SizeGuardError
@@ -58,6 +57,7 @@ from .simplex import (
     LinearProgram,
     LpUnbounded,
     row_status,
+    scale_values,
     simplex_solve,
     verify_vertex_certificate,
 )
@@ -125,8 +125,8 @@ class ResidualLatticeLp:
 def _scale(x_by_id):
     """(D, {id: x*D}) with D the lcm of the denominators of the values,
     so every scaled value is an integer and x(S) <= c iff X(S) <= D*c."""
-    den = lcm(*(v.denominator for v in x_by_id.values()))
-    return den, {k: v.numerator * (den // v.denominator) for k, v in x_by_id.items()}
+    den, scaled = scale_values(x_by_id.values())
+    return den, dict(zip(x_by_id, scaled))
 
 
 def _smallest_witness(values, target, start, stop):
@@ -415,9 +415,13 @@ def solve_to_extreme_point(family, state, extra_rows=(), objective_override=None
         if tag in seen:
             raise InternalCheckError(f"separator repeated row {tag}")
         seen.add(tag)
-        # re-verify the reported violation exactly against the new row
-        lhs = constraint.evaluate(sol.values)
-        violated = lhs > constraint.rhs if constraint.rel == LE else lhs < constraint.rhs
+        # re-verify the reported violation exactly against the new row,
+        # in integers: excess is K * D * (lhs - rhs), K the row's scale
+        den, scaled = scale_values(sol.values)
+        excess = constraint.excess(den, scaled)
+        k, _, k_rhs = constraint.scaled
+        violated = excess > 0 if constraint.rel == LE else excess < 0
+        lhs = Rat(excess + k_rhs * den, k * den)
         if not violated or lhs != res.lhs or constraint.rhs != res.rhs:
             raise InternalCheckError(
                 f"separator violation for {tag} failed exact re-verification"
@@ -465,13 +469,11 @@ def reuse_extreme_point(family, state, prev):
 
 def full_separation_clean(family, state, x_by_id):
     """Post-hoc pass: no family constraint is violated at x."""
-    _, _, rows, separator, _ = _BUILDERS[family](state)
-    values_ok = separator(x_by_id).feasible
-    if not values_ok:
+    var_ids, objective, rows, separator, _ = _BUILDERS[family](state)
+    if not separator(x_by_id).feasible:
         return False
-    var_ids = tuple(sorted(iter_bits(state.eprime)))
     vals = tuple(x_by_id[v] for v in var_ids)
-    return all(c.holds(vals) for c, _ in rows)
+    return row_status(_working_lp(var_ids, objective, rows), vals)[0]
 
 
 def tighten_degree_bounds(forest, graph, eprime, x_by_id):

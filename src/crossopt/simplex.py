@@ -6,6 +6,36 @@ rows, Bland's rule (lowest index for entering and for leaving ties)
 guarantees termination and determinism, and degeneracy needs no
 perturbation because all arithmetic is exact.
 
+The tableau is integer-preserving (Edmonds 1967; Bareiss 1968).  It is
+stored as an integer matrix A with one common denominator q > 0, so
+the rational tableau is T = A / q.  Each constraint row is first
+multiplied by L_i, the lcm of its coefficient denominators; its slack
+and artificial keep their unit coefficients and so stand for L_i times
+the original slack and artificial, and phase 1 charges that artificial
+1/L_i.  The starting basis is then the identity with q = 1.  A pivot on
+p = A[r][j] (row r negated first when p < 0, so q stays positive) sets
+A_i <- (A_i * p - A_ij * A_r) / q for every row i != r, then q <- p;
+by Sylvester's identity every division is exact.  Reduced costs are
+integers over q * C, C the lcm of the phase's cost denominators, and
+are updated as one more row.  Basic values, ratios and bounds stay
+rationals: they take O(m) operations per iteration.
+
+The pivots are exactly those of a Fraction tableau on the unscaled
+rows.  T = B^-1 A does not depend on how rows are scaled.  Standing
+for L_i times a variable divides its column and its reduced cost by
+L_i and multiplies the row it is basic in, and its basic value, by L_i.
+So every reduced cost keeps its sign, every zero entry stays zero, and
+the ratios of one ratio test are all multiplied by the same positive
+factor (the scale of the entering column), which leaves Bland's choice
+of entering column, leaving row and tie-break unchanged; structural
+columns are never scaled, so their values are the same rationals.
+
+Row checks run in integers too: a point x is scaled once by D, the lcm
+of its denominators, and each row's sign of lhs - rhs is one integer
+comparison against the row's cached integer form (Constraint.scaled).
+The vertex certificate's rank comes from fraction-free elimination of
+integer rows.
+
 Every returned solution carries a vertex certificate: the indices of
 all constraints and variable bounds satisfied with equality, verified
 to have full column rank on the support of the solution.  Certificate
@@ -17,6 +47,8 @@ of variable ``j``; ``m + num_vars + j`` is its upper bound.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 
 from .errors import InternalCheckError
 from .rational import Rat, ZERO, ONE
@@ -35,29 +67,36 @@ class LpUnbounded(Exception):
     """The objective is unbounded below on the feasible region."""
 
 
+def scale_values(values):
+    """(D, [v * D for v in values]) with D the lcm of the values'
+    denominators, so every scaled value is an int."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 @dataclass(frozen=True)
 class Constraint:
     coeffs: tuple
     rel: str
     rhs: object
 
-    def evaluate(self, values):
-        acc = ZERO
-        for a, v in zip(self.coeffs, values):
-            if a:
-                acc += a * v
-        return acc
+    @cached_property
+    def scaled(self):
+        """(K, terms, K * rhs): K is the lcm of the row's denominators
+        and terms are (j, K * a_j) for the nonzero coefficients a_j, so
+        K * rhs and every term are ints."""
+        # skipping the shared ZERO by identity saves a rational test per
+        # coefficient; any other zero just gives a zero term
+        nonzero = [(j, a) for j, a in enumerate(self.coeffs) if a is not ZERO]
+        k = lcm(self.rhs.denominator, *(a.denominator for _, a in nonzero))
+        terms = tuple((j, a.numerator * (k // a.denominator)) for j, a in nonzero)
+        return k, terms, self.rhs.numerator * (k // self.rhs.denominator)
 
-    def holds(self, values):
-        lhs = self.evaluate(values)
-        if self.rel == LE:
-            return lhs <= self.rhs
-        if self.rel == GE:
-            return lhs >= self.rhs
-        return lhs == self.rhs
-
-    def tight(self, values):
-        return self.evaluate(values) == self.rhs
+    def excess(self, den, scaled_values):
+        """K * D * (lhs - rhs) at the point scaled_values / D (see
+        scale_values): an int with the sign of lhs - rhs."""
+        _, terms, rhs = self.scaled
+        return sum(a * scaled_values[j] for j, a in terms) - rhs * den
 
 
 @dataclass(frozen=True)
@@ -133,47 +172,58 @@ def make_lp(objective, constraints, lower=None, upper=None):
     return LinearProgram(n, objective, cons, lo, up)
 
 
-def rank_of_rows(rows):
-    """Exact rank of a list of rational row vectors (Gaussian elimination)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    width = len(mat[0])
-    for r in mat:
-        if len(r) != width:
-            raise ValueError("ragged rows")
+def _bareiss(row, prow, col, p, q):
+    """One fraction-free (Bareiss) step: row after eliminating its entry
+    in column col with the pivot row prow, p = prow[col], q the previous
+    pivot.  The division is exact when row and prow are rows of a
+    matrix reached from an integer one by such steps (Sylvester)."""
+    f = row[col]
+    if f:
+        return [(a * p - f * b) // q for a, b in zip(row, prow)]
+    if p != q:
+        return [a * p // q for a in row]
+    return row
+
+
+def _int_rank(rows):
+    """Rank of a list of equal-length int rows by fraction-free
+    elimination.  Rewrites rows."""
     rank = 0
-    col = 0
-    nrows = len(mat)
-    while rank < nrows and col < width:
-        piv = None
-        for i in range(rank, nrows):
-            if mat[i][col]:
-                piv = i
-                break
+    prev = 1
+    width = len(rows[0]) if rows else 0
+    for col in range(width):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
-            col += 1
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        prow = mat[rank]
-        for i in range(nrows):
-            if i != rank and mat[i][col]:
-                f = mat[i][col] / pv
-                row = mat[i]
-                for k in range(col, width):
-                    if prow[k]:
-                        row[k] -= f * prow[k]
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        p = prow[col]
+        for i in range(rank + 1, len(rows)):
+            rows[i] = _bareiss(rows[i], prow, col, p, prev)
+        prev = p
         rank += 1
-        col += 1
     return rank
+
+
+def rank_of_rows(rows):
+    """Exact rank of a list of rational row vectors: each row is scaled
+    to ints by the lcm of its denominators, then eliminated
+    fraction-free."""
+    mat = []
+    for r in rows:
+        k = lcm(*(a.denominator for a in r))
+        mat.append([a.numerator * (k // a.denominator) for a in r])
+    if any(len(r) != len(mat[0]) for r in mat):
+        raise ValueError("ragged rows")
+    return _int_rank(mat)
 
 
 _MAX_PIVOTS = 500_000
 
 # running totals so callers can confirm every simplex solve and every
-# reused vertex (lpengine.reuse_extreme_point) was certified
-STATS = {"solves": 0, "certificates": 0, "reused": 0}
+# reused vertex (lpengine.reuse_extreme_point) was certified; pivots
+# counts every tableau pivot, including those of failed solves
+STATS = {"solves": 0, "certificates": 0, "reused": 0, "pivots": 0}
 
 
 class _Tableau:
@@ -211,7 +261,7 @@ class _Tableau:
         for i, (_, rhs, rel) in enumerate(rows):
             if rel in (LE, GE):
                 self.slack_of_row.append(cols)
-                slack_cols.append((cols, i, ONE if rel == LE else -ONE))
+                slack_cols.append((cols, i, 1 if rel == LE else -1))
                 cols += 1
             else:
                 self.slack_of_row.append(None)
@@ -232,17 +282,23 @@ class _Tableau:
 
         m = len(rows)
         self.m = m
-        self.T = [[ZERO] * cols for _ in range(m)]
-        self.bval = [ZERO] * m
-        for i, (coeffs, rhs, _) in enumerate(rows):
-            Ti = self.T[i]
-            for j, a in enumerate(coeffs):
-                Ti[j] = Rat(a)
-            self.bval[i] = rhs
+        # row i times row_scale[i] has integer coefficients; its slack
+        # and artificial stand for row_scale[i] times the originals
+        self.row_scale = []
+        self.A = []
+        self.bval = []
+        for coeffs, rhs, _ in rows:
+            k = lcm(*(a.denominator for a in coeffs if a))
+            self.row_scale.append(k)
+            self.A.append(
+                [a.numerator * (k // a.denominator) for a in coeffs] + [0] * (cols - n)
+            )
+            self.bval.append(rhs * k)
         for col, i, sign in slack_cols:
-            self.T[i][col] = sign
+            self.A[i][col] = sign
         for col, i in art_cols:
-            self.T[i][col] = ONE
+            self.A[i][col] = 1
+        self.q = 1
 
         # basis: one column per row
         self.basis = [0] * m
@@ -255,7 +311,8 @@ class _Tableau:
             self.basis[i] = col
             self.row_of[col] = i
             self.status[col] = "B"
-        self.d = [ZERO] * cols  # reduced costs, set per phase
+        self.d = [0] * cols  # reduced costs times q * cost_den, set per phase
+        self.cost_den = 1
         self.pivots = 0
 
     # -- basic helpers -------------------------------------------------
@@ -267,44 +324,33 @@ class _Tableau:
             return self.ub[j]
         return ZERO
 
-    def set_costs(self, cost):
-        """Recompute reduced costs for the given internal cost vector."""
-        cb = [cost[self.basis[i]] for i in range(self.m)]
-        d = list(cost)
-        for i, ci in enumerate(cb):
-            if ci:
-                Ti = self.T[i]
-                for j in range(self.ncols):
-                    if Ti[j]:
-                        d[j] -= ci * Ti[j]
+    def set_costs(self, cost, cost_den):
+        """Reduced costs for the internal cost vector cost / cost_den
+        (cost a list of ints), as ints over q * cost_den."""
+        d = [self.q * c for c in cost]
+        for b, row in zip(self.basis, self.A):
+            cb = cost[b]
+            if cb:
+                d = [x - cb * a for x, a in zip(d, row)]
         self.d = d
+        self.cost_den = cost_den
 
     def _pivot(self, r, j):
-        """Row-reduce so column j becomes the identity column of row r."""
-        T = self.T
-        piv = T[r][j]
-        if not piv:
+        """Bareiss update making column j the unit column of row r."""
+        A = self.A
+        prow = A[r]
+        p = prow[j]
+        if not p:
             raise InternalCheckError("zero pivot")
-        prow = T[r]
-        if piv != ONE:
-            inv = ONE / piv
-            for k in range(self.ncols):
-                if prow[k]:
-                    prow[k] *= inv
+        if p < 0:
+            prow = A[r] = [-a for a in prow]
+            p = -p
+        q = self.q
         for i in range(self.m):
             if i != r:
-                f = T[i][j]
-                if f:
-                    row = T[i]
-                    for k in range(self.ncols):
-                        if prow[k]:
-                            row[k] -= f * prow[k]
-        dj = self.d[j]
-        if dj:
-            d = self.d
-            for k in range(self.ncols):
-                if prow[k]:
-                    d[k] -= dj * prow[k]
+                A[i] = _bareiss(A[i], prow, j, p, q)
+        self.d = _bareiss(self.d, prow, j, p, q)
+        self.q = p
         self.pivots += 1
         if self.pivots > _MAX_PIVOTS:
             raise InternalCheckError("pivot limit exceeded")
@@ -323,6 +369,7 @@ class _Tableau:
 
     def optimize(self, allow_art_entering):
         """Bland-rule iteration until optimal; raises LpUnbounded."""
+        A = self.A
         while True:
             enter = None
             direction = 0
@@ -346,24 +393,26 @@ class _Tableau:
             if enter is None:
                 return
 
-            # ratio test: largest step t >= 0 for the entering variable
+            # ratio test: largest step t >= 0 for the entering variable;
+            # column entries are A[i][enter] / q with q > 0
+            q = self.q
             best_t = None
             leave_row = None
             leave_to = None
             leave_var = None
             for i in range(self.m):
-                a = self.T[i][enter]
+                a = A[i][enter]
                 if not a:
                     continue
-                a = a * direction
+                a *= direction
                 if a > 0:
-                    lim = self.bval[i] / a
+                    lim = self.bval[i] * q / a
                     to = "L"
                 else:
                     ub_b = self.ub[self.basis[i]]
                     if ub_b is None:
                         continue
-                    lim = (ub_b - self.bval[i]) / (-a)
+                    lim = (ub_b - self.bval[i]) * q / (-a)
                     to = "U"
                 if (
                     best_t is None
@@ -380,20 +429,22 @@ class _Tableau:
                 # bound flip, basis unchanged
                 t = own
                 if t:
+                    step = t * direction / q
                     for i in range(self.m):
-                        a = self.T[i][enter]
+                        a = A[i][enter]
                         if a:
-                            self.bval[i] -= t * direction * a
+                            self.bval[i] -= step * a
                 self.status[enter] = "U" if direction == 1 else "L"
                 continue
             if best_t is None:
                 raise LpUnbounded()
             t = best_t
             if t:
-                col = [self.T[i][enter] for i in range(self.m)]
+                step = t * direction / q
                 for i in range(self.m):
-                    if col[i]:
-                        self.bval[i] -= t * direction * col[i]
+                    a = A[i][enter]
+                    if a:
+                        self.bval[i] -= step * a
             new_val = self.value_of(enter) + t * direction
             self._enter_basis(leave_row, enter, new_val, leave_to)
 
@@ -406,7 +457,7 @@ class _Tableau:
                 raise InternalCheckError("artificial basic at nonzero value")
             target = None
             for j in range(self.art_start):
-                if self.status[j] != "B" and self.T[r][j]:
+                if self.status[j] != "B" and self.A[r][j]:
                     target = j
                     break
             if target is None:
@@ -416,10 +467,18 @@ class _Tableau:
     def solve(self):
         has_art = self.art_start < self.ncols
         if has_art:
-            cost1 = [ZERO] * self.ncols
-            for j in range(self.art_start, self.ncols):
-                cost1[j] = ONE
-            self.set_costs(cost1)
+            # the artificial of row i stands for row_scale[i] times the
+            # original, so it costs 1 / row_scale[i]
+            arts = [
+                (j, self.row_scale[i])
+                for i, j in enumerate(self.art_of_row)
+                if j is not None
+            ]
+            den = lcm(*(k for _, k in arts))
+            cost1 = [0] * self.ncols
+            for j, k in arts:
+                cost1[j] = den // k
+            self.set_costs(cost1, den)
             self.optimize(allow_art_entering=True)
             infeas = sum(
                 (self.value_of(j) for j in range(self.art_start, self.ncols)), ZERO
@@ -430,10 +489,11 @@ class _Tableau:
             for j in range(self.art_start, self.ncols):
                 self.ub[j] = ZERO
 
-        cost2 = [ZERO] * self.ncols
-        for j in range(self.n_struct):
-            cost2[j] = self.lp.objective[j]
-        self.set_costs(cost2)
+        den = lcm(*(c.denominator for c in self.lp.objective if c))
+        cost2 = [0] * self.ncols
+        for j, c in enumerate(self.lp.objective):
+            cost2[j] = c.numerator * (den // c.denominator)
+        self.set_costs(cost2, den)
         self.optimize(allow_art_entering=False)
 
         return tuple(
@@ -442,15 +502,16 @@ class _Tableau:
 
 
 def row_status(lp, values):
-    """(feasible, tight rows) of values in one pass: each constraint's
-    lhs is evaluated once.  Tight rows use the ``tight_rows`` index
-    scheme and are None when values is infeasible."""
+    """(feasible, tight rows) of values in one pass: each constraint is
+    one integer comparison on the scaled point.  Tight rows use the
+    ``tight_rows`` index scheme and are None when values is infeasible."""
+    den, scaled = scale_values(values)
     tight = []
     for idx, c in enumerate(lp.constraints):
-        lhs = c.evaluate(values)
-        if lhs == c.rhs:
+        excess = c.excess(den, scaled)
+        if not excess:
             tight.append(idx)
-        elif c.rel == EQ or (lhs > c.rhs if c.rel == LE else lhs < c.rhs):
+        elif c.rel == EQ or (excess > 0 if c.rel == LE else excess < 0):
             return False, None
     for j, (v, lo, up) in enumerate(zip(values, lp.lower, lp.upper)):
         if v < lo or (up is not None and v > up):
@@ -467,30 +528,44 @@ def verify_vertex_certificate(lp, solution):
 
     A vertex of the feasible region has tight rows of full rank, and
     restricting those rows to the support columns must leave them with
-    full column rank.  Returns the computed support rank.
+    full column rank.  A tight bound row is a unit row, so each support
+    column with one counts once and drops out; the constraint rows on
+    the remaining support columns are ranked by integer elimination.
+    Returns the computed support rank.
     """
     values = solution.values
-    support = [j for j in range(lp.num_vars) if values[j] != 0]
+    m = len(lp.constraints)
+    n = lp.num_vars
+    den, scaled = scale_values(values)
+    bound_cols = set()
     for idx in solution.tight_rows:
-        m = len(lp.constraints)
         if idx < m:
-            if not lp.constraints[idx].tight(values):
+            if lp.constraints[idx].excess(den, scaled):
                 raise InternalCheckError(f"claimed tight row {idx} is not tight")
         else:
             j = idx - m
-            if j >= lp.num_vars:
-                j -= lp.num_vars
+            if j >= n:
+                j -= n
                 if lp.upper[j] is None or values[j] != lp.upper[j]:
                     raise InternalCheckError(f"claimed tight upper bound {j} is not")
             elif values[j] != lp.lower[j]:
                 raise InternalCheckError(f"claimed tight lower bound {j} is not")
-    if not support:
-        STATS["certificates"] += 1
-        return 0
-    rows = [
-        [lp.row_vector(idx)[j] for j in support] for idx in solution.tight_rows
-    ]
-    rank = rank_of_rows(rows)
+            if scaled[j]:
+                bound_cols.add(j)
+    support = [j for j in range(n) if scaled[j]]
+    free = {j: k for k, j in enumerate(j for j in support if j not in bound_cols)}
+    rows = []
+    if free:
+        for idx in solution.tight_rows:
+            if idx < m:
+                row = [0] * len(free)
+                for j, a in lp.constraints[idx].scaled[1]:
+                    k = free.get(j)
+                    if k is not None:
+                        row[k] = a
+                if any(row):
+                    rows.append(row)
+    rank = len(bound_cols) + _int_rank(rows)
     if rank != len(support):
         raise InternalCheckError(
             f"vertex certificate failed: support {len(support)}, tight-row rank {rank}"
@@ -505,17 +580,18 @@ def simplex_solve(lp):
     Deterministic: identical input yields the identical BasicSolution.
     """
     if lp.num_vars == 0:
-        tight = []
-        for idx, c in enumerate(lp.constraints):
-            if not c.holds(()):
-                raise LpInfeasible()
-            if c.tight(()):
-                tight.append(idx)
+        feasible, tight = row_status(lp, ())
+        if not feasible:
+            raise LpInfeasible()
         STATS["solves"] += 1
         STATS["certificates"] += 1
-        return BasicSolution((), ZERO, tuple(tight))
+        return BasicSolution((), ZERO, tight)
 
-    values = _Tableau(lp).solve()
+    tableau = _Tableau(lp)
+    try:
+        values = tableau.solve()
+    finally:
+        STATS["pivots"] += tableau.pivots
     feasible, tight = row_status(lp, values)
     if not feasible:
         raise InternalCheckError("simplex returned an infeasible point")

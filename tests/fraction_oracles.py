@@ -4,8 +4,9 @@ rewrite: the reference the package versions are checked against.
 ``crossopt.brute`` and ``crossopt.generators`` now scan with Python
 ints and precomputed tables, and ``crossopt.oracles.LatticeOracle``
 validates on local bitmask tables.  The functions below are the
-original code, kept verbatim (only the imports and the function around
-the planar-gap table closures are new): violations as
+original code, kept verbatim (only the imports and the functions
+around the planar-gap table closures and around the inclusion-variant
+check of ``LatticeInstance`` are new): violations as
 ``Fraction`` (or gmpy2 ``mpq``) differences, ``rat_ceil`` per set, one
 ``any`` over the paths per cut, closure-built lattice tables and a
 method call per order test.  The new versions must agree with them in
@@ -264,3 +265,17 @@ def matroid_to_lattice(matroid):
         meet_fn=lambda a, b: a & b,
         join_fn=lambda a, b: a | b,
     )
+
+
+# -- crossopt.instances ----------------------------------------------------------
+
+
+def check_inclusion_variant(lat):
+    """The inclusion-variant order check of LatticeInstance.__post_init__."""
+    for i in range(lat.size):
+        for j in range(lat.size):
+            if lat.leq(i, j) != (lat.rho[i] & lat.rho[j] == lat.rho[i]):
+                raise InstanceError(
+                    "inclusion variant requires the order to be "
+                    f"image inclusion; members ({i},{j}) disagree"
+                )

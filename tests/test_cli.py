@@ -288,3 +288,55 @@ def test_malformed_lattice_table_is_usage_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+
+
+def _id_list_cases():
+    """list name -> (solve command, instance body, the id list in it, text
+    the error must contain)."""
+    from crossopt.generators import gen_edge_cover_tight
+    from crossopt.graphs import Graph
+    from crossopt.instances import GeneralMcstInstance
+    from crossopt.rational import Rat
+
+    body = random_mcst_instance(random.Random(3)).to_json()
+    ids = body["family"][0]["vertices"]
+    yield "mcst-family-vertices", (
+        "solve-mcst", body, ids, "family set out of vertex range"
+    )
+    graph = Graph.from_pairs(3, [(0, 1), (1, 2)])
+    body = GeneralMcstInstance(graph, ((0b11, Rat(1)),)).to_json()
+    ids = body["bounds"][0]["edges"]
+    yield "general-mcst-bound-edges", (
+        "solve-mcst", body, ids, "bound 0 must list edge ids"
+    )
+    body = gen_edge_cover_tight(1).to_json()
+    ids = body["bounds"][0]["elements"]
+    yield "intersection-bound-elements", (
+        "solve-intersection", body, ids, "bound 0 elements"
+    )
+    body = random_lattice_instance(random.Random(10), max_ground=5).to_json()
+    ids = body["bounds"][0]["elements"]
+    yield "lattice-bound-elements", ("solve-lattice", body, ids, "bound 0 elements")
+
+
+ID_LISTS = (
+    "mcst-family-vertices",
+    "general-mcst-bound-edges",
+    "intersection-bound-elements",
+    "lattice-bound-elements",
+)
+# -1, 1.5 and "0" used to crash in graphs.mask_of; true was read as id 1
+BAD_IDS = {"minus-one": -1, "one-and-a-half": 1.5, "true": True, "string-zero": "0"}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_IDS))
+@pytest.mark.parametrize("case", ID_LISTS)
+def test_bad_id_in_instance_list_is_usage_error(case, bad, tmp_path, capsys):
+    command, body, ids, named = dict(_id_list_cases())[case]
+    ids.append(BAD_IDS[bad])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    assert run_cli(command, "--in", str(path), "--verify") == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err

@@ -25,6 +25,7 @@ from crossopt.generators import (
     hadamard_sets,
 )
 from crossopt.graphs import Graph, mask_of
+from crossopt.instances import GENERAL, INCLUSION, LatticeInstance
 from crossopt.oracles import LatticeOracle, MatroidOracle, matroid_to_lattice
 from crossopt.randgen import random_lattice_instance
 from crossopt.rational import ZERO, Rat
@@ -304,6 +305,63 @@ def corrupted_lattices(draw):
 @given(corrupted_lattices())
 def test_lattice_validation_matches_reference(tables):
     assert outcome(LatticeOracle, tables) == outcome(reference.LatticeOracle, tables)
+
+
+@st.composite
+def inclusion_cases(draw):
+    """A valid lattice, ordered by image inclusion or not; then one order
+    bit or one image of the built oracle corrupted; and a variant."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    source = draw(st.sampled_from(["matroid", "chain", "planar-2"]))
+    if source == "matroid":
+        lat = random_lattice_instance(rng, max_ground=5).lat
+    elif source == "chain":
+        lat = chain_lattice(rng, draw(st.integers(1, 9)))
+    else:
+        rho, _ = planar_inputs(2)
+        leq, meet, join = generators._path_lattice_tables(2, _planar_paths(2))
+        lat = LatticeOracle(8, rho, [1] * len(rho), leq, meet, join)
+    i, j = rng.randrange(lat.size), rng.randrange(lat.size)
+    field = draw(st.sampled_from(["none", "leq", "rho"]))
+    if field == "leq":
+        lat.above[i] ^= 1 << j
+    elif field == "rho":
+        rho = list(lat.rho)
+        rho[i] = rng.randrange(1 << lat.ground_n)
+        lat.rho = tuple(rho)
+    return lat, draw(st.sampled_from([GENERAL, INCLUSION]))
+
+
+def variant_outcome(lat, variant):
+    """(new message or None, reference message or None)."""
+    try:
+        LatticeInstance(lat, (ZERO,) * lat.ground_n, (), variant)
+        got = None
+    except InstanceError as exc:
+        got = str(exc)
+    try:
+        if variant == INCLUSION:
+            reference.check_inclusion_variant(lat)
+        want = None
+    except InstanceError as exc:
+        want = str(exc)
+    return got, want
+
+
+@settings(max_examples=200, deadline=None)
+@given(inclusion_cases())
+def test_inclusion_variant_check_matches_reference(case):
+    got, want = variant_outcome(*case)
+    assert got == want
+
+
+def test_inclusion_variant_names_the_first_pair():
+    lat = matroid_to_lattice(MatroidOracle(2, (0, 1, 1, 2)))
+    assert variant_outcome(lat, INCLUSION) == (None, None)
+    lat.above[2] ^= 1 << 1  # {1} <= {0} now claimed
+    message = "members (2,1) disagree"
+    got, want = variant_outcome(lat, INCLUSION)
+    assert got == want and got.endswith(message)
 
 
 def test_antisymmetry_names_the_smallest_twin():

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import triangle_graphic_matroid
 from crossopt.errors import InstanceError, InternalCheckError
-from crossopt.graphs import Graph, mask_of
+from crossopt.graphs import Edge, Graph, mask_of
 from crossopt.instances import (
     GENERAL,
     INCLUSION,
@@ -55,6 +57,40 @@ def test_delta_induced_touching(triangle):
     assert triangle.touching_mask(s) == 0b111
     assert triangle.is_spanning_tree(0b011)
     assert not triangle.is_spanning_tree(0b111)
+
+
+@st.composite
+def multigraphs(draw):
+    """Graphs on up to 8 vertices with parallel edges and sparse ids."""
+    n = draw(st.integers(1, 8))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = [(u, v) for u, v in draw(st.lists(ends, max_size=16)) if u != v]
+    pairs += pairs[: draw(st.integers(0, len(pairs)))]  # parallel copies
+    ids = draw(
+        st.lists(
+            st.integers(0, 40), min_size=len(pairs), max_size=len(pairs), unique=True
+        )
+    )
+    return Graph(n, [Edge(i, u, v, Rat(0)) for i, (u, v) in zip(ids, pairs)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(), st.data())
+def test_incidence_masks_match_per_edge_definitions(graph, data):
+    vmask = data.draw(st.integers(0, graph.full_vmask))
+    within = data.draw(st.one_of(st.none(), st.integers(0, (1 << 41) - 1)))
+
+    def per_edge(keep):
+        out = sum(
+            1 << e.id
+            for e in graph.edges
+            if keep((vmask >> e.u) & 1, (vmask >> e.v) & 1)
+        )
+        return out if within is None else out & within
+
+    assert graph.delta_mask(vmask, within) == per_edge(lambda a, b: a != b)
+    assert graph.touching_mask(vmask, within) == per_edge(lambda a, b: a or b)
+    assert graph.induced_mask(vmask, within) == per_edge(lambda a, b: a and b)
 
 
 # -- laminar forests ------------------------------------------------------------
