@@ -152,30 +152,19 @@ class IntersectionInstance:
 
 def _check_image_inclusion_order(lat):
     """InstanceError unless i <= j exactly when rho[i] is a subset of
-    rho[j], naming the first disagreeing pair in row-major order.  Row
-    i of the order is compared with the AND, over the elements of
-    rho[i], of the masks of members whose image holds the element."""
-    holding = [0] * lat.ground_n
-    for j, r in enumerate(lat.rho):
-        for e in iter_bits(r):
-            holding[e] |= 1 << j
-    everyone = (1 << lat.size) - 1
-    for i, r in enumerate(lat.rho):
-        supersets = everyone
-        for e in iter_bits(r):
-            supersets &= holding[e]
-        bad = lat.above[i] ^ supersets
-        if bad:
-            j = (bad & -bad).bit_length() - 1
-            raise InstanceError(
-                "inclusion variant requires the order to be "
-                f"image inclusion; members ({i},{j}) disagree"
-            )
+    rho[j], naming the first disagreeing pair in row-major order."""
+    witness = lat.inclusion_witness()
+    if witness is not None:
+        i, j = witness
+        raise InstanceError(
+            "inclusion variant requires the order to be "
+            f"image inclusion; members ({i},{j}) disagree"
+        )
 
 
 @dataclass(frozen=True)
 class LatticeInstance:
-    lat: LatticeOracle
+    lat: object  # LatticeOracle, or SubsetLattice for a matroid rank table
     costs: tuple
     constraints: tuple  # CrossingConstraint; lower may be None
     variant: str = GENERAL
@@ -260,9 +249,17 @@ def from_matroid(matroid, costs, constraints, variant=GENERAL):
 
 
 def _decode_graph(body):
-    edges = [
-        Edge(e["id"], e["u"], e["v"], parse_rat(e["cost"])) for e in body["edges"]
-    ]
+    """The graph of an mcst body; each edge's id, u and v must be a
+    non-negative int (not a bool), and Graph checks the rest."""
+    edges = []
+    for i, e in enumerate(body["edges"]):
+        ends = e["id"], e["u"], e["v"]
+        for field, value in zip(("id", "u", "v"), ends):
+            if type(value) is not int or value < 0:
+                raise InstanceError(
+                    f"edge {i} {field} must be a non-negative integer, got {value!r}"
+                )
+        edges.append(Edge(*ends, parse_rat(e["cost"])))
     return Graph(body["n"], edges)
 
 

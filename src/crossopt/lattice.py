@@ -1,13 +1,15 @@
 """Rounding over lattice covering constraints with crossing bounds.
 
 The algorithm needs the monotonicity property (comparable members have
-strictly growing images); it is verified up front, never assumed.  Each
-iteration solves the residual LP to a certified extreme point and then,
-in order: deletes a zero element, fixes a one element, or drops a bound
-whose undecided support is small enough.  The drop threshold is
-2*frequency in the general variant; when the member order is image
-inclusion and only upper bounds are present, the sharper threshold
-residual_bound + frequency - 1 applies and halves the final violation.
+strictly growing images); it is checked up front, never assumed: an
+explicit lattice scans its order, and the subset lattice of a matroid
+has it by construction.  Each iteration solves the residual LP to a
+certified extreme point and then, in order: deletes a zero element,
+fixes a one element, or drops a bound whose undecided support is small
+enough.  The drop threshold is 2*frequency in the general variant; when
+the member order is image inclusion and only upper bounds are present,
+the sharper threshold residual_bound + frequency - 1 applies and halves
+the final violation.
 
 After a delete or fix step the LP is not re-solved: the new residual
 region is the face x_e = 0 (or 1) of the old one with e dropped (a fix
@@ -41,11 +43,7 @@ from .simplex import LpInfeasible
 def check_monotonicity_star(lat):
     """None if strictly comparable members have strictly larger images;
     otherwise a witness pair (smaller, larger)."""
-    for i in range(lat.size):
-        for j in iter_bits(lat.above[i]):
-            if j != i and lat.rho[i].bit_count() >= lat.rho[j].bit_count():
-                return (i, j)
-    return None
+    return lat.monotonicity_witness()
 
 
 def _drop_threshold(instance, i, fmask, variant):
@@ -264,12 +262,11 @@ def verify_lattice(instance, solution, brute_optimum=None):
 def bound_feasible_predicate(instance):
     """Feasibility test for the brute-force optimum: all rank constraints
     and all bounds met exactly (no slack)."""
-    lat = instance.lat
+    covers = instance.lat.covers
 
     def feasible(mask):
-        for j in range(lat.size):
-            if (mask & lat.rho[j]).bit_count() < lat.rank[j]:
-                return False
+        if not covers(mask):
+            return False
         for con in instance.constraints:
             got = (mask & con.elems).bit_count()
             if Rat(got) > con.upper:
@@ -302,7 +299,7 @@ def uncross_tight_members(lat, members, assert_pair):
         if not found:
             break
         a, b = found
-        meet, join = lat.meet[a][b], lat.join[a][b]
+        meet, join = lat.meet_of(a, b), lat.join_of(a, b)
         assert_pair(a, b, meet, join)
         family.remove(a)
         family.remove(b)

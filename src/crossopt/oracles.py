@@ -1,9 +1,19 @@
-"""Table-based matroid, contra-polymatroid, and lattice oracles.
+"""Matroid, contra-polymatroid, and lattice oracles.
 
-All oracles are explicit (every subset / member enumerated) so that the
-axioms the algorithms rely on can be verified exhaustively at
-construction time.  Construction fails loudly with the violated axiom
-and a witness; nothing is ever assumed.
+Rank tables (matroid, covering pair) and explicit lattices (order,
+meet and join tables) list every subset or member, and their axioms
+are verified exhaustively at construction time.  Construction fails
+loudly with the violated axiom and a witness; nothing is ever assumed.
+
+The lattice of a matroid is implicit: ``SubsetLattice`` numbers the
+subsets of the ground set by their bitmasks, and order, meet, join and
+intervals are bit operations on those numbers.  Its axioms hold by
+construction.  Inclusion is a partial order whose meet and join are
+intersection and union.  The image map is the identity, so images are
+submodular, the consecutive property holds and images grow strictly up
+the order.  The one axiom that depends on the data is supermodularity
+of the rank r(E) - r(E without S), and it is equivalent to the
+submodularity of r that ``MatroidOracle`` verifies.
 
 Submodularity and supermodularity are verified through the equivalent
 local exchange conditions (for all S and e != f outside S, compare
@@ -11,6 +21,7 @@ r(S+e) + r(S+f) against r(S+e+f) + r(S)), which cover exactly the same
 inequalities as the pairwise definition.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
 
@@ -168,6 +179,46 @@ class LatticeOracle:
         """Bitmask of members b with lo <= b <= hi."""
         return self.above[lo] & self.below[hi]
 
+    def meet_of(self, a, b):
+        return self.meet[a][b]
+
+    def join_of(self, a, b):
+        return self.join[a][b]
+
+    def covers(self, mask):
+        """True when the element set mask meets every rank row:
+        |mask & rho[j]| >= rank[j] for every member j."""
+        return all((mask & r).bit_count() >= k for r, k in zip(self.rho, self.rank))
+
+    def monotonicity_witness(self):
+        """None if strictly comparable members have strictly larger
+        images; otherwise the first such pair (smaller, larger)."""
+        rho = self.rho
+        for i in range(self.size):
+            for j in iter_bits(self.above[i]):
+                if j != i and rho[i].bit_count() >= rho[j].bit_count():
+                    return (i, j)
+        return None
+
+    def inclusion_witness(self):
+        """None if i <= j exactly when rho[i] is a subset of rho[j];
+        otherwise the first disagreeing pair in row-major order.  Row i
+        of the order is compared with the AND, over the elements of
+        rho[i], of the masks of members whose image holds the element."""
+        holding = [0] * self.ground_n
+        for j, r in enumerate(self.rho):
+            for e in iter_bits(r):
+                holding[e] |= 1 << j
+        everyone = (1 << self.size) - 1
+        for i, r in enumerate(self.rho):
+            supersets = everyone
+            for e in iter_bits(r):
+                supersets &= holding[e]
+            bad = self.above[i] ^ supersets
+            if bad:
+                return (i, (bad & -bad).bit_length() - 1)
+        return None
+
     def _validate(self):
         """Check the lattice axioms in a fixed order; the first failure
         raises InstanceError naming the check and its members.  Order
@@ -228,24 +279,82 @@ class LatticeOracle:
                         )
 
 
+class _Supersets(Sequence):
+    """The above rows of a subset lattice, each built when it is read."""
+
+    def __init__(self, lat):
+        self.lat = lat
+
+    def __len__(self):
+        return self.lat.size
+
+    def __getitem__(self, i):
+        if not 0 <= i < self.lat.size:
+            raise IndexError(i)
+        return self.lat.members_between(i, self.lat.size - 1)
+
+
+class SubsetLattice:
+    """Subset lattice of a matroid's ground set E, with nothing tabled.
+
+    Member S is the subset whose bitmask is S.  The order is inclusion,
+    meet and join are intersection and union, the image rho[S] is S, and
+    the rank of S is r(E) - r(E without S).  Only the rank list is
+    stored.  The axioms hold by construction once the matroid's own
+    checks pass (module docstring), so nothing else is validated."""
+
+    def __init__(self, matroid):
+        self.matroid = matroid
+        self.ground_n = matroid.n
+        self.size = 1 << matroid.n
+        self.rho = range(self.size)
+        # E without S is the mask E - S, so in member order the ranks
+        # of the complements are the matroid's table reversed
+        self.rank = tuple(matroid.full_rank - r for r in reversed(matroid.rank))
+        self.above = _Supersets(self)
+
+    def leq(self, i, j):
+        return not i & ~j
+
+    def comparable(self, i, j):
+        return not i & ~j or not j & ~i
+
+    def members_between(self, lo, hi):
+        """Bitmask of members b with lo <= b <= hi: the bit of lo,
+        copied up once by each element of hi outside lo."""
+        if lo & ~hi:
+            return 0
+        between = 1 << lo
+        for e in iter_bits(hi & ~lo):
+            between |= between << (1 << e)
+        return between
+
+    def meet_of(self, a, b):
+        return a & b
+
+    def join_of(self, a, b):
+        return a | b
+
+    def covers(self, mask):
+        """True when mask meets every rank row, which on the subset
+        lattice means r(mask) = r(E).  If r(T) = r(E), submodularity and
+        monotonicity give, for every S,
+        |T & S| >= r(T & S) >= r(T) - r(T - S) >= r(E) - r(E - S);
+        conversely the row S = E - T asks 0 >= r(E) - r(T)."""
+        return self.matroid.rank[mask & (self.size - 1)] == self.matroid.full_rank
+
+    def monotonicity_witness(self):
+        """None: a proper superset has more elements."""
+        return None
+
+    def inclusion_witness(self):
+        """None: the order is image inclusion, as rho is the identity."""
+        return None
+
+
 def matroid_to_lattice(matroid):
-    """Subset lattice of a matroid ground set: order by inclusion, meet
-    and join are intersection and union, the image map is the identity,
-    and the rank of S is rank(E) - rank(E without S)."""
-    n = matroid.n
-    if n > MAX_GROUND:
-        raise InstanceError(f"ground set {n} exceeds {MAX_GROUND}")
-    full = (1 << n) - 1
-    members = range(1 << n)
-    rank = [matroid.full_rank - matroid.rank_of(full & ~s) for s in members]
-    return LatticeOracle(
-        n,
-        rho=members,
-        rank=rank,
-        leq=[[a & b == a for b in members] for a in members],
-        meet=[[a & b for b in members] for a in members],
-        join=[[a | b for b in members] for a in members],
-    )
+    """The subset lattice of a matroid's ground set (SubsetLattice)."""
+    return SubsetLattice(matroid)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import table_lattice
 from crossopt.cli import main
 from crossopt.instances import dump_instance
 from crossopt.randgen import random_lattice_instance, random_mcst_instance
@@ -201,7 +202,7 @@ def _bad_rank_cases():
     # table check and used to run into an internal error (exit 3)
     matroid_inst = random_lattice_instance(random.Random(10))
     tables_inst = LatticeInstance(
-        matroid_inst.lat,
+        table_lattice.matroid_to_lattice(matroid_inst.lat.matroid),
         matroid_inst.costs,
         matroid_inst.constraints,
         matroid_inst.variant,
@@ -245,7 +246,10 @@ def _explicit_lattice_body():
 
     inst = random_lattice_instance(random.Random(10), max_ground=5)
     return LatticeInstance(
-        inst.lat, inst.costs, inst.constraints, inst.variant
+        table_lattice.matroid_to_lattice(inst.lat.matroid),
+        inst.costs,
+        inst.constraints,
+        inst.variant,
     ).to_json()
 
 
@@ -339,4 +343,25 @@ def test_bad_id_in_instance_list_is_usage_error(case, bad, tmp_path, capsys):
     assert run_cli(command, "--in", str(path), "--verify") == 2
     err = capsys.readouterr().err
     assert named in err
+    assert "Traceback" not in err
+
+
+# field, value -> the message: -1 as an id used to raise "negative shift
+# count" and the floats a TypeError, each a traceback with exit 1
+BAD_EDGE_FIELDS = {
+    ("id", -1): "edge 0 id must be a non-negative integer, got -1",
+    ("id", 1.5): "edge 0 id must be a non-negative integer, got 1.5",
+    ("u", 0.5): "edge 0 u must be a non-negative integer, got 0.5",
+}
+
+
+@pytest.mark.parametrize("field, value", sorted(BAD_EDGE_FIELDS))
+def test_bad_edge_field_is_usage_error(field, value, tmp_path, capsys):
+    body = random_mcst_instance(random.Random(3)).to_json()
+    body["edges"][0][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    assert run_cli("solve-mcst", "--in", str(path)) == 2
+    err = capsys.readouterr().err
+    assert BAD_EDGE_FIELDS[field, value] in err
     assert "Traceback" not in err

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles as reference
+import table_lattice
 from test_separators import chain_lattice
 from crossopt import brute, generators
 from crossopt.brute import TREE_COUNT_GUARD, min_max_violation_over_trees
@@ -142,10 +143,14 @@ def test_planar_lattice_tables_match_reference(k):
 @pytest.mark.parametrize("n", [0, 1, 3, 5])
 def test_matroid_lattice_matches_reference(n):
     matroid = MatroidOracle(n, tuple(min(s.bit_count(), 2) for s in range(1 << n)))
-    new, old = matroid_to_lattice(matroid), reference.matroid_to_lattice(matroid)
+    new = table_lattice.matroid_to_lattice(matroid)
+    old = reference.matroid_to_lattice(matroid)
     assert (new.rho, new.rank) == (old.rho, old.rank)
     assert (new.meet, new.join) == (old.meet, old.join)
     assert new.above == old.above and new.below == old.below
+    implicit = matroid_to_lattice(matroid)
+    assert (tuple(implicit.rho), implicit.rank) == (old.rho, old.rank)
+    assert list(implicit.above) == old.above
 
 
 def test_no_bounds_is_zero_violation_at_smallest_tree(triangle):
@@ -278,7 +283,8 @@ def corrupted_lattices(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
     source = draw(st.sampled_from(["matroid", "chain", "planar-2", "planar-3"]))
     if source == "matroid":
-        tables = lattice_tables(random_lattice_instance(rng, max_ground=5).lat)
+        matroid = random_lattice_instance(rng, max_ground=5).lat.matroid
+        tables = lattice_tables(table_lattice.matroid_to_lattice(matroid))
     elif source == "chain":
         tables = lattice_tables(chain_lattice(rng, draw(st.integers(1, 9))))
     else:
@@ -314,7 +320,8 @@ def inclusion_cases(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
     source = draw(st.sampled_from(["matroid", "chain", "planar-2"]))
     if source == "matroid":
-        lat = random_lattice_instance(rng, max_ground=5).lat
+        matroid = random_lattice_instance(rng, max_ground=5).lat.matroid
+        lat = table_lattice.matroid_to_lattice(matroid)
     elif source == "chain":
         lat = chain_lattice(rng, draw(st.integers(1, 9)))
     else:
@@ -356,7 +363,7 @@ def test_inclusion_variant_check_matches_reference(case):
 
 
 def test_inclusion_variant_names_the_first_pair():
-    lat = matroid_to_lattice(MatroidOracle(2, (0, 1, 1, 2)))
+    lat = table_lattice.matroid_to_lattice(MatroidOracle(2, (0, 1, 1, 2)))
     assert variant_outcome(lat, INCLUSION) == (None, None)
     lat.above[2] ^= 1 << 1  # {1} <= {0} now claimed
     message = "members (2,1) disagree"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import table_lattice
 from conftest import triangle_graphic_matroid
 from crossopt.errors import InstanceError, InternalCheckError
 from crossopt.graphs import Edge, Graph, mask_of
@@ -245,6 +246,11 @@ def test_matroid_to_lattice_examples():
 
     tri = matroid_to_lattice(triangle_graphic_matroid())
     assert tri.rank[0b011] == 1  # rank(E) - rank({third edge}) = 2 - 1
+
+    # the table-built reference gives the same ranks
+    for matroid in (free1, u23, triangle_graphic_matroid()):
+        new = matroid_to_lattice(matroid)
+        assert new.rank == table_lattice.matroid_to_lattice(matroid).rank
 
 
 @pytest.mark.parametrize("mask", [0b100, -1])
