@@ -3,18 +3,33 @@ subset optimization.
 
 These are the independent oracles the guarantee verifiers compare
 against.  Enumeration sizes are pre-checked with an exact Kirchhoff
-count (Bareiss fraction-free determinant over the integers) so failure
-modes are deterministic counts, never timeouts.
+count (Bareiss fraction-free determinant over the integers, one row
+per list comprehension) so failure modes are deterministic counts,
+never timeouts.
+
+Spanning trees are enumerated block by block.  A connected graph's
+biconnected blocks (Hopcroft-Tarjan) share no edge, and an edge set is
+a spanning tree exactly when it is a spanning tree of every block, so
+the trees are the OR-products of one tree per block.  Each block's
+trees come from a contraction/deletion recursion on that block alone,
+which is small on graphs made of many little blocks (the gap gadget's
+4-cycles at the root).  The Kirchhoff count is still taken on the whole
+graph and must equal the number of products, and the blocks must hold
+n - 1 tree edges between them, so a block the decomposition split or
+lost cannot go unseen.
 
 Tree scans compare violations in integers: the bounds are scaled once
 by D, the lcm of their denominators, so each tree's worst violation is
 max(count * D - bound * D) over the rows, and only the result is turned
-back into a rational (worst / D).  Every tree is still visited, in the
+back into a rational (worst / D).  The counts come from two tables, one
+row per distinct low half and high half of the tree masks, so a tree
+costs one elementwise sum.  Every tree is still visited, in the
 enumeration order, with the same smallest-mask tie-break.
 """
 
 from dataclasses import dataclass
 from math import lcm
+from operator import add
 
 from .errors import SizeGuardError
 from .graphs import iter_bits
@@ -25,25 +40,40 @@ SUBSET_GUARD = 16
 
 
 def _bareiss_det(mat):
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    m = [row[:] for row in mat]
-    n = len(m)
-    if n == 0:
+    """Exact determinant of an integer matrix (fraction-free Bareiss).
+
+    After each step the rows keep only the columns still to eliminate,
+    and each row is rebuilt by one comprehension: a row whose
+    pivot-column entry is 0 is only rescaled by pivot / prev, an exact
+    division, and is kept as it is when the two are equal."""
+    rows = [list(row) for row in mat]
+    if not rows:
         return 1
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+    while len(rows) > 1:
+        if rows[0][0] == 0:
+            swap = next((i for i in range(1, len(rows)) if rows[i][0] != 0), None)
             if swap is None:
                 return 0
-            m[k], m[swap] = m[swap], m[k]
+            rows[0], rows[swap] = rows[swap], rows[0]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        pivot = rows[0][0]
+        top = rows[0][1:]
+        rest = []
+        for row in rows[1:]:
+            lead = row[0]
+            if lead:
+                rest.append(
+                    [(x * pivot - lead * y) // prev for x, y in zip(row[1:], top)]
+                )
+            elif pivot == prev:
+                rest.append(row[1:])
+            else:
+                rest.append([x * pivot // prev for x in row[1:]])
+        rows = rest
+        prev = pivot
+    return sign * rows[0][0]
 
 
 def kirchhoff_count(graph):
@@ -61,64 +91,131 @@ def kirchhoff_count(graph):
     return _bareiss_det(minor)
 
 
+def _blocks(graph):
+    """The biconnected blocks of a graph with n >= 1, each as its list of
+    (id, u, v) in graph edge order, or None when the graph is
+    disconnected.
+
+    Iterative Hopcroft-Tarjan from vertex 0: edges are stacked as the
+    depth-first search meets them, and when a child's low point does not
+    reach above its parent, the edges stacked from the tree edge into
+    that child onwards are one block.  Only the tree edge itself is
+    skipped when looking back, so a parallel edge is a back edge and
+    joins its partner's block."""
+    adj = [[] for _ in range(graph.n)]
+    for pos, e in enumerate(graph.edges):
+        adj[e.u].append((e.v, pos))
+        adj[e.v].append((e.u, pos))
+    disc = [-1] * graph.n
+    low = [0] * graph.n
+    disc[0] = 0
+    seen = 1
+    stacked = []
+    blocks = []
+    # (vertex, position of its tree edge, its edge iterator, the stack
+    # depth at which its tree edge lies)
+    frames = [(0, -1, iter(adj[0]), 0)]
+    while frames:
+        v, via, it, depth = frames[-1]
+        for w, pos in it:
+            if pos == via:
+                continue
+            if disc[w] < 0:
+                disc[w] = low[w] = seen
+                seen += 1
+                frames.append((w, pos, iter(adj[w]), len(stacked)))
+                stacked.append(pos)
+                break
+            if disc[w] < disc[v]:  # back edge to an ancestor
+                stacked.append(pos)
+                low[v] = min(low[v], disc[w])
+        else:
+            frames.pop()
+            if not frames:
+                break
+            parent = frames[-1][0]
+            low[parent] = min(low[parent], low[v])
+            if low[v] >= disc[parent]:
+                edges = [graph.edges[p] for p in sorted(stacked[depth:])]
+                del stacked[depth:]
+                blocks.append([(e.id, e.u, e.v) for e in edges])
+    if seen < graph.n:
+        return None
+    return blocks
+
+
+def _connected(edges, labels):
+    parent = {v: v for v in labels}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    comps = len(labels)
+    for _, a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            comps -= 1
+    return comps == 1
+
+
+def _block_trees(edges, labels, chosen, reverse, out):
+    """Append to out every spanning tree (as chosen | edge mask) of the
+    connected multigraph (edges, labels): contraction/deletion on the
+    first edge, or on the last when reverse."""
+    if len(labels) == 1:
+        out.append(chosen)
+        return
+    eid, u, v = edges[-1] if reverse else edges[0]
+    contracted = []
+    for tup in edges:
+        if tup[0] == eid:
+            continue
+        a = u if tup[1] == v else tup[1]
+        b = u if tup[2] == v else tup[2]
+        if a != b:
+            contracted.append((tup[0], a, b))
+    _block_trees(contracted, labels - {v}, chosen | (1 << eid), reverse, out)
+    rest = [tup for tup in edges if tup[0] != eid]
+    if _connected(rest, labels):
+        _block_trees(rest, labels, chosen, reverse, out)
+
+
 def enumerate_spanning_trees(graph, limit=TREE_COUNT_GUARD, reverse=False):
     """All spanning trees as edge masks, each exactly once.
 
-    Contraction/deletion recursion; `reverse` flips the branching edge
-    choice, giving an independent enumeration order for cross-checks.
+    The trees are the OR-products of one spanning tree per biconnected
+    block, each block's trees enumerated by contraction/deletion.
+    `reverse` branches on each block's last edge instead of its first
+    and takes the product over the blocks in the opposite order: every
+    block's recursion, and so every product, is built by a different
+    sequence of steps, which keeps it an independent order for
+    cross-checks.  The Kirchhoff count that guards the size is taken on
+    the whole graph, never per block, and the number of trees must equal
+    it; the blocks' vertex counts, less one each, must add up to the
+    n - 1 edges of a tree.  So a block the decomposition split, or one
+    it lost, shows as a mismatch instead of a wrong set of trees.
     """
     count = kirchhoff_count(graph)
     if count > limit:
         raise SizeGuardError(f"{count} spanning trees exceeds guard {limit}")
-    out = []
     if graph.n == 0:
-        return out
-    edges0 = [(e.id, e.u, e.v) for e in graph.edges]
-    labels0 = frozenset(range(graph.n))
-
-    def connected(edges, labels):
-        parent = {v: v for v in labels}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        comps = len(labels)
-        for _, a, b in edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-                comps -= 1
-        return comps == 1
-
-    def recurse(edges, labels, chosen):
-        if len(labels) == 1:
-            out.append(chosen)
-            return
-        if not edges:
-            return
-        eid, u, v = edges[-1] if reverse else edges[0]
-        contracted = []
-        for tup in edges:
-            if tup[0] == eid:
-                continue
-            a = u if tup[1] == v else tup[1]
-            b = u if tup[2] == v else tup[2]
-            if a != b:
-                contracted.append((tup[0], a, b))
-        recurse(contracted, labels - {v}, chosen | (1 << eid))
-        rest = [tup for tup in edges if tup[0] != eid]
-        if connected(rest, labels):
-            recurse(rest, labels, chosen)
-
-    if connected(edges0, labels0):
-        recurse(edges0, labels0, 0)
-    # recurse refers to itself through its closure; without the cycle,
-    # `out` is freed as soon as the caller drops it, not at the next full
-    # garbage collection
-    del recurse
+        return []
+    blocks = _blocks(graph)
+    if blocks is None:
+        return []
+    out = [0]
+    tree_size = 0
+    for block in reversed(blocks) if reverse else blocks:
+        labels = frozenset(x for _, u, v in block for x in (u, v))
+        tree_size += len(labels) - 1
+        trees = []
+        _block_trees(block, labels, 0, reverse, trees)
+        out = [head | tail for head in out for tail in trees]
+    assert tree_size == graph.n - 1, "blocks do not cover the graph"
     assert len(out) == count, "enumeration disagrees with Kirchhoff count"
     return out
 
@@ -153,15 +250,34 @@ class BruteMcstResult:
     tree_count: int
 
 
-def _scaled_bounds(bound_masks):
-    """(D, [(emask, bound * D)]) with D the lcm of the bounds'
-    denominators, so that a tree's violation count - bound of a row is
-    the integer count * D - bound * D over D."""
+def _scaled_violations(graph, trees, bound_masks):
+    """(D, [D times each tree's worst violation max(count - bound)]),
+    with D the lcm of the bounds' denominators; 0 for every tree when
+    there are no bounds.
+
+    A tree's count on a row is the count of its low half (edge ids below
+    the middle one) plus that of its high half.  Each distinct half gets
+    one row of scaled counts, the scaled bounds taken off the low rows,
+    so a tree costs one elementwise sum and a max."""
     d = lcm(*(bound.denominator for _, bound in bound_masks))
-    return d, [
-        (emask, bound.numerator * (d // bound.denominator))
+    if not bound_masks:
+        return d, [0] * len(trees)
+    mid = graph.all_edges_mask.bit_length() // 2
+    low = (1 << mid) - 1
+    lo_rows = [
+        (emask & low, bound.numerator * (d // bound.denominator))
         for emask, bound in bound_masks
     ]
+    hi_rows = [emask >> mid for emask, _ in bound_masks]
+    lo_table = {
+        half: [(half & m).bit_count() * d - b for m, b in lo_rows]
+        for half in {tree & low for tree in trees}
+    }
+    hi_table = {
+        half: [(half & m).bit_count() * d for m in hi_rows]
+        for half in {tree >> mid for tree in trees}
+    }
+    return d, [max(map(add, lo_table[t & low], hi_table[t >> mid])) for t in trees]
 
 
 def brute_mcst(instance, limit=TREE_COUNT_GUARD):
@@ -181,15 +297,12 @@ def brute_general_mcst(instance, limit=TREE_COUNT_GUARD):
 
 def _brute_tree_opt(graph, bound_masks, limit):
     trees = enumerate_spanning_trees(graph, limit=limit)
-    d, scaled = _scaled_bounds(bound_masks)
+    d, viols = _scaled_violations(graph, trees, bound_masks)
     best = None
     witness = None
     by_slack = {}  # scaled slack -> (cost, tree)
-    for tree in trees:
+    for tree, viol in zip(trees, viols):
         cost = graph.cost_of(tree)
-        viol = max(
-            [(tree & emask).bit_count() * d - b for emask, b in scaled], default=0
-        )
         slack = max(viol, 0)
         cur = by_slack.get(slack)
         if cur is None or cost < cur[0] or (cost == cur[0] and tree < cur[1]):
@@ -212,13 +325,10 @@ def min_max_violation_over_trees(graph, bound_masks, limit=TREE_COUNT_GUARD, rev
     the smallest tree mask attaining it; no bounds means violation 0.
     (None, None) when the graph has no spanning tree."""
     trees = enumerate_spanning_trees(graph, limit=limit, reverse=reverse)
-    d, scaled = _scaled_bounds(bound_masks)
+    d, viols = _scaled_violations(graph, trees, bound_masks)
     best = None
     witness = None
-    for tree in trees:
-        viol = max(
-            [(tree & emask).bit_count() * d - b for emask, b in scaled], default=0
-        )
+    for tree, viol in zip(trees, viols):
         if best is None or viol < best or (viol == best and tree < witness):
             best = viol
             witness = tree

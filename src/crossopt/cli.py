@@ -14,6 +14,7 @@ opt-in (--timing) because it would break report determinism.
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 import time
@@ -26,15 +27,17 @@ from .generators import (
     gen_planar_mincut_gap,
     reduce_uniform_crossing_to_mcst,
 )
-from .graphs import iter_bits, mask_of
+from .graphs import iter_bits
 from .instances import (
     IntersectionInstance,
     LatticeInstance,
     McstInstance,
+    _id_mask,
     canonical_json,
     dump_instance,
     instance_digest,
     load_instance,
+    read_json,
 )
 from .intersection import run_intersection, verify_intersection
 from .lattice import bound_feasible_predicate, run_lattice, verify_lattice
@@ -50,6 +53,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+# selftest starts at most this many worker processes at once
+MAX_JOBS = os.cpu_count() or 1
 
 
 def _rat_field(value):
@@ -63,7 +68,7 @@ def _load(path):
 
         try:
             return decode_instance(json.load(sys.stdin))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InstanceError(f"invalid JSON on stdin: {exc}") from exc
     return load_instance(path)
 
@@ -208,8 +213,7 @@ def cmd_gen(args):
     elif kind == "edge-cover":
         instance = gen_edge_cover_tight(args.n)
     elif kind == "reduction":
-        specs = json.loads(args.bounds) if args.bounds else []
-        bounds = [(mask_of(c), b) for c, b in specs]
+        bounds = _reduction_bounds(args.bounds, args.e) if args.bounds else []
         instance = reduce_uniform_crossing_to_mcst(args.e, args.t, bounds)
     elif kind == "random-mcst":
         instance = random_mcst_instance(random.Random(args.seed))
@@ -230,11 +234,51 @@ def cmd_gen(args):
     return EXIT_OK
 
 
+def _reduction_bounds(text, e):
+    """The --bounds of `gen reduction`: a JSON list of [[element ids],
+    bound] pairs, each id an int in range(e) and each bound an int."""
+    try:
+        specs = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"--bounds is not valid JSON: {exc}") from exc
+    if not isinstance(specs, list):
+        raise InstanceError(
+            f"--bounds must be a list of [[elements], bound] pairs, got {specs!r}"
+        )
+    bounds = []
+    for i, spec in enumerate(specs):
+        if not (isinstance(spec, list) and len(spec) == 2):
+            raise InstanceError(
+                f"--bounds entry {i} must be a pair [[elements], bound], got {spec!r}"
+            )
+        elems, bound = spec
+        if type(bound) is not int:
+            raise InstanceError(
+                f"--bounds entry {i} bound must be an integer, got {bound!r}"
+            )
+        what = f"--bounds entry {i} must list elements 0..{e - 1}"
+        bounds.append((_id_mask(elems, range(e), what), bound))
+    return bounds
+
+
+def _load_solution(path, instance):
+    """The mask of a solution file's ids, each an id of the instance:
+    an edge id for a spanning tree instance, else an element 0..n-1."""
+    body = read_json(path)
+    if not isinstance(body, dict) or "ids" not in body:
+        raise InstanceError(f"solution {path} must be a JSON object with an ids list")
+    if isinstance(instance, (IntersectionInstance, LatticeInstance)):
+        valid = range(instance.n)
+        what = f"solution ids must list elements 0..{instance.n - 1}"
+    else:
+        valid = instance.graph.by_id
+        what = "solution ids must list edge ids of the instance"
+    return _id_mask(body["ids"], valid, what)
+
+
 def cmd_verify(args):
     instance = _load(args.infile)
-    with open(args.solution, "r", encoding="utf-8") as fh:
-        sol_body = json.load(fh)
-    mask = mask_of(sol_body["ids"])
+    mask = _load_solution(args.solution, instance)
     if isinstance(instance, McstInstance):
         if not args.trace:
             raise InstanceError("verifying an mcst run needs --trace")
@@ -279,6 +323,12 @@ def _selftest_one(task):
 
 
 def cmd_selftest(args):
+    if args.runs < 0:
+        raise InstanceError(f"--runs must be at least 0, got {args.runs}")
+    if not 1 <= args.jobs <= MAX_JOBS:
+        raise InstanceError(
+            f"--jobs must be between 1 and {MAX_JOBS} (the CPU count), got {args.jobs}"
+        )
     tasks = [("mcst", 100 + i) for i in range(args.runs)]
     tasks += [("intersection", 200 + i) for i in range(args.runs)]
     tasks += [("lattice", 300 + i) for i in range(args.runs)]

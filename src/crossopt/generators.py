@@ -498,8 +498,10 @@ def reduce_uniform_crossing_to_mcst(e, t, bounds):
     """Crossing spanning tree encoding of rank-t uniform-matroid bases:
     per input bound (C, b) a bound |C| + b on the u-side edges of C, and
     the special bound 2e - t on all w-side edges.  No costs."""
-    if t > e:
-        raise InstanceError("rank exceeds ground size")
+    if e < 1:
+        raise InstanceError(f"ground size must be at least 1, got {e}")
+    if not 0 <= t <= e:
+        raise InstanceError(f"rank must be between 0 and the ground size {e}, got {t}")
     graph = gadget_graph(e)
     rows = []
     for c_mask, b in bounds:

@@ -367,15 +367,20 @@ def decode_instance(body):
     raise InstanceError(f"unknown instance type {kind!r}")
 
 
-def load_instance(path):
+def read_json(path):
+    """The JSON body of a file; InstanceError when it cannot be read or
+    is not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            body = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InstanceError(f"invalid JSON in {path}: {exc}") from exc
-    return decode_instance(body)
+
+
+def load_instance(path):
+    return decode_instance(read_json(path))
 
 
 def dump_instance(instance, path):

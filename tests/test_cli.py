@@ -3,7 +3,7 @@ import json
 import pytest
 
 import table_lattice
-from crossopt.cli import main
+from crossopt.cli import MAX_JOBS, main
 from crossopt.instances import dump_instance
 from crossopt.randgen import random_lattice_instance, random_mcst_instance
 import random
@@ -165,6 +165,20 @@ def test_pipe_through_stdin(tmp_path, monkeypatch, capsys):
     assert run_cli("solve-intersection", "--in", "-", "--verify") == 0
     out = json.loads(capsys.readouterr().out)
     assert out["outcome"] == "ok"
+
+
+def test_non_utf8_input_is_usage_error(tmp_path, monkeypatch, capsys):
+    import io
+    import sys as _sys
+
+    path = tmp_path / "inst.json"
+    path.write_bytes(b'\xff{"schema": 1}')
+    assert run_cli("solve-mcst", "--in", str(path)) == 2
+    assert "invalid JSON in" in capsys.readouterr().err
+    stdin = io.TextIOWrapper(io.BytesIO(b'\xff{"schema": 1}'), encoding="utf-8")
+    monkeypatch.setattr(_sys, "stdin", stdin)
+    assert run_cli("solve-mcst", "--in", "-") == 2
+    assert "invalid JSON on stdin" in capsys.readouterr().err
 
 
 def test_internal_invariant_maps_to_exit_3(tmp_path, monkeypatch):
@@ -365,3 +379,100 @@ def test_bad_edge_field_is_usage_error(field, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert BAD_EDGE_FIELDS[field, value] in err
     assert "Traceback" not in err
+
+
+# solution body -> the message; each used to end in a traceback (a
+# negative shift count, a TypeError, IndexError or KeyError, a
+# JSONDecodeError, UnicodeDecodeError or FileNotFoundError), and true
+# was read as id 1
+BAD_SOLUTIONS = {
+    "minus-one": ('{"ids": [-1]}', "must list elements 0..3, got [-1]"),
+    "one-and-a-half": ('{"ids": [1.5]}', "solution ids must list elements 0..3"),
+    "string": ('{"ids": "ab"}', "solution ids must list elements 0..3, got 'ab'"),
+    "out-of-range": ('{"ids": [99]}', "solution ids must list elements 0..3"),
+    "true": ('{"ids": [true]}', "must list elements 0..3, got [True]"),
+    "no-ids": ('{"schema": 1}', "must be a JSON object with an ids list"),
+    "top-level-list": ("[0, 1]", "must be a JSON object with an ids list"),
+    "invalid-json": ('{"ids": [0', "invalid JSON in"),
+    "not-utf8": ('\udcff{"ids": [0]}', "invalid JSON in"),
+    "missing-file": (None, "cannot read"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SOLUTIONS))
+def test_bad_solution_file_is_usage_error(case, tmp_path, capsys):
+    text, named = BAD_SOLUTIONS[case]
+    inst = tmp_path / "inst.json"
+    dump_instance(random_lattice_instance(random.Random(3), max_ground=5), inst)
+    solution = tmp_path / "sol.json"
+    if text is not None:
+        solution.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert run_cli("verify", "--in", str(inst), "--solution", str(solution)) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+# --bounds -> the message: bad JSON and -1 used to end in a traceback,
+# and 0.5 was written as the bound 3/2
+BAD_REDUCTION_BOUNDS = {
+    "bad-json": ("{bad", "--bounds is not valid JSON"),
+    "not-a-list": ('{"0": 1}', "--bounds must be a list of [[elements], bound]"),
+    "not-a-pair": ("[[[0]]]", "--bounds entry 0 must be a pair"),
+    "minus-one": ("[[[-1], 1]]", "entry 0 must list elements 0..2, got [-1]"),
+    "out-of-range": ("[[[0], 1], [[3], 1]]", "--bounds entry 1 must list elements 0..2"),
+    "true-element": ("[[[true], 1]]", "--bounds entry 0 must list elements 0..2"),
+    "half-bound": ("[[[0], 0.5]]", "entry 0 bound must be an integer, got 0.5"),
+    "true-bound": ("[[[0], true]]", "--bounds entry 0 bound must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REDUCTION_BOUNDS))
+def test_bad_reduction_bounds_are_usage_error(case, tmp_path, capsys):
+    bounds, named = BAD_REDUCTION_BOUNDS[case]
+    out = tmp_path / "red.json"
+    argv = ("gen", "reduction", "--e", "3", "--t", "2", "--bounds", bounds)
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "e, t, named",
+    [
+        (-1, -3, "ground size must be at least 1, got -1"),
+        (0, 0, "ground size must be at least 1, got 0"),
+        (3, -1, "rank must be between 0 and the ground size 3, got -1"),
+        (2, 3, "rank must be between 0 and the ground size 2, got 3"),
+    ],
+)
+def test_bad_reduction_size_is_usage_error(e, t, named, capsys):
+    # --e -1 used to end in "negative shift count" with a traceback
+    assert run_cli("gen", "reduction", "--e", str(e), "--t", str(t)) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--runs", -1, "--runs must be at least 0, got -1"),
+        ("--jobs", 0, "--jobs must be between 1 and"),
+        ("--jobs", -3, "--jobs must be between 1 and"),
+        ("--jobs", MAX_JOBS + 1, f"must be between 1 and {MAX_JOBS} (the CPU count)"),
+    ],
+    ids=["runs-negative", "jobs-zero", "jobs-negative", "jobs-above-cpu-count"],
+)
+def test_selftest_size_guards(flag, value, named, monkeypatch, capsys):
+    import concurrent.futures
+
+    from crossopt import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("selftest started work it should have refused")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(cli, "_selftest_one", no_work)
+    assert run_cli("selftest", flag, str(value)) == 2
+    assert named in capsys.readouterr().err

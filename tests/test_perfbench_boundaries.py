@@ -37,3 +37,34 @@ def test_boundary_exists(boundary):
     assert callable(getattr(module, boundary.attr, None)), (
         f"{boundary.module}.{boundary.attr}, wrapped as {boundary.span}, is gone"
     )
+
+
+def test_gap_certify_spans_fire_through_module_globals(monkeypatch):
+    """gen_mcst_gap reaches the tree enumerator and the Kirchhoff count
+    through crossopt.brute's module globals, where the benchmark's
+    brute.tree_enum and brute.kirchhoff wrappers sit, and calls the
+    violation scan by the name it imports, once per order."""
+    from crossopt import brute, generators
+
+    calls = {"enum": [], "kirchhoff": 0, "scan": 0}
+    enumerate_trees = brute.enumerate_spanning_trees
+    kirchhoff = brute.kirchhoff_count
+    scan = generators.min_max_violation_over_trees
+
+    def counted_enumerate(graph, limit=brute.TREE_COUNT_GUARD, reverse=False):
+        calls["enum"].append(reverse)
+        return enumerate_trees(graph, limit=limit, reverse=reverse)
+
+    def counted_kirchhoff(graph):
+        calls["kirchhoff"] += 1
+        return kirchhoff(graph)
+
+    def counted_scan(*args, **kwargs):
+        calls["scan"] += 1
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(brute, "enumerate_spanning_trees", counted_enumerate)
+    monkeypatch.setattr(brute, "kirchhoff_count", counted_kirchhoff)
+    monkeypatch.setattr(generators, "min_max_violation_over_trees", counted_scan)
+    generators.gen_mcst_gap(4)
+    assert calls == {"enum": [False, True], "kirchhoff": 2, "scan": 2}
