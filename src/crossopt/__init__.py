@@ -19,8 +19,8 @@ from .instances import (
     load_instance,
 )
 from .intersection import run_intersection, verify_intersection
-from .lattice import check_monotonicity_star, run_lattice, verify_lattice
-from .mcst import RunTrace, run_mcst, verify_guarantee
+from .lattice import run_lattice, verify_lattice
+from .mcst import run_mcst, verify_guarantee
 from .oracles import (
     ContraPolymatroidPair,
     CrossingConstraint,
@@ -29,6 +29,7 @@ from .oracles import (
     matroid_to_lattice,
 )
 from .rational import Rat, parse_rat, render_rat
+from .relax import RunTrace
 from .simplex import (
     BasicSolution,
     LinearProgram,

@@ -18,6 +18,7 @@ import os
 import random
 import sys
 import time
+from dataclasses import dataclass, replace
 
 from .brute import brute_subset_opt
 from .errors import InstanceError, InternalCheckError
@@ -41,13 +42,14 @@ from .instances import (
 )
 from .intersection import run_intersection, verify_intersection
 from .lattice import bound_feasible_predicate, run_lattice, verify_lattice
-from .mcst import RunTrace, run_mcst, verify_guarantee
+from .mcst import run_mcst, verify_guarantee
 from .randgen import (
     random_intersection_instance,
     random_lattice_instance,
     random_mcst_instance,
 )
 from .rational import as_float, render_rat
+from .relax import RunTrace
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -93,101 +95,98 @@ def _maybe_timing(report, started, args):
         report["timing_seconds"] = round(time.perf_counter() - started, 3)
 
 
-def cmd_solve_mcst(args):
-    started = time.perf_counter()
-    instance = _load(args.infile)
-    if not isinstance(instance, McstInstance):
-        raise InstanceError("solve-mcst expects a laminar mcst instance")
+@dataclass(frozen=True)
+class Solved:
+    instance: object  # the instance as solved, after any --variant
+    mask: int
+    cost: object
+    lp_optimum: object
+    verify: object  # () -> a report with .ok and .to_json()
+    fields: dict  # report fields of this solver only
+
+
+def _solve_mcst(instance, args):
     tree, trace = run_mcst(instance)
     if args.trace:
         trace.to_jsonl(args.trace)
-    report = {
-        "schema": 1,
-        "algorithm": "mcst",
-        "instance_digest": instance_digest(instance),
-        "solution": sorted(iter_bits(tree)),
-        "cost": _rat_field(instance.graph.cost_of(tree)),
-        "lp_optimum": _rat_field(trace.initial_lp_objective()),
-        "drop_rounds": trace.drop_round_count(),
-        "trace": args.trace,
-    }
-    outcome = EXIT_OK
-    if args.verify:
-        result = verify_guarantee(instance, tree, trace)
-        report["checks"] = result.to_json()["checks"]
-        report["outcome"] = "ok" if result.ok else "check-failed"
-        if not result.ok:
-            outcome = EXIT_CHECK_FAILED
-    else:
-        report["outcome"] = "ok"
-    if args.solution:
-        _write_solution(tree, "edges", args.solution)
-    _maybe_timing(report, started, args)
-    _emit(report, args.report)
-    return outcome
+    return Solved(
+        instance,
+        tree,
+        instance.graph.cost_of(tree),
+        trace.initial_lp_objective(),
+        lambda: verify_guarantee(instance, tree, trace),
+        {"drop_rounds": trace.drop_round_count(), "trace": args.trace},
+    )
 
 
-def cmd_solve_intersection(args):
-    started = time.perf_counter()
-    instance = _load(args.infile)
-    if not isinstance(instance, IntersectionInstance):
-        raise InstanceError("solve-intersection expects an intersection instance")
-    sol, events, opt = run_intersection(instance)
-    report = {
-        "schema": 1,
-        "algorithm": "intersection",
-        "instance_digest": instance_digest(instance),
-        "solution": sorted(iter_bits(sol)),
-        "cost": _rat_field(sum((instance.costs[e] for e in iter_bits(sol)), 0)),
-        "lp_optimum": _rat_field(opt),
-    }
-    outcome = EXIT_OK
-    if args.verify:
-        result = verify_intersection(instance, sol, opt)
-        report["checks"] = result.to_json()["checks"]
-        report["outcome"] = "ok" if result.ok else "check-failed"
-        if not result.ok:
-            outcome = EXIT_CHECK_FAILED
-    else:
-        report["outcome"] = "ok"
-    if args.solution:
-        _write_solution(sol, "elements", args.solution)
-    _maybe_timing(report, started, args)
-    _emit(report, args.report)
-    return outcome
+def _solve_intersection(instance, args):
+    sol, _, opt = run_intersection(instance)
+    return Solved(
+        instance,
+        sol,
+        sum((instance.costs[e] for e in iter_bits(sol)), 0),
+        opt,
+        lambda: verify_intersection(instance, sol, opt),
+        {},
+    )
 
 
-def cmd_solve_lattice(args):
-    started = time.perf_counter()
-    instance = _load(args.infile)
-    if not isinstance(instance, LatticeInstance):
-        raise InstanceError("solve-lattice expects a lattice instance")
+def _solve_lattice(instance, args):
     if args.variant and args.variant != instance.variant:
-        instance = LatticeInstance(
-            instance.lat,
-            instance.costs,
-            instance.constraints,
-            args.variant,
-            instance.matroid_rank,
-        )
-    sol, events, opt = run_lattice(instance)
-    report = {
-        "schema": 1,
-        "algorithm": "lattice",
-        "variant": instance.variant,
-        "instance_digest": instance_digest(instance),
-        "solution": sorted(iter_bits(sol)),
-        "cost": _rat_field(sum((instance.costs[e] for e in iter_bits(sol)), 0)),
-        "lp_optimum": _rat_field(opt),
-    }
-    outcome = EXIT_OK
-    if args.verify:
+        instance = replace(instance, variant=args.variant)
+    sol, _, opt = run_lattice(instance)
+
+    def verify():
         brute = None
         if instance.n <= 16:
             _, brute = brute_subset_opt(
                 instance.n, bound_feasible_predicate(instance), instance.costs
             )
-        result = verify_lattice(instance, sol, brute)
+        return verify_lattice(instance, sol, brute)
+
+    return Solved(
+        instance,
+        sol,
+        sum((instance.costs[e] for e in iter_bits(sol)), 0),
+        opt,
+        verify,
+        {"variant": instance.variant},
+    )
+
+
+# command -> (instance type, its description, solution kind, solver);
+# the solvers look run_* and verify_* up in this module when called
+SOLVERS = {
+    "solve-mcst": (McstInstance, "a laminar mcst instance", "edges", _solve_mcst),
+    "solve-intersection": (
+        IntersectionInstance,
+        "an intersection instance",
+        "elements",
+        _solve_intersection,
+    ),
+    "solve-lattice": (LatticeInstance, "a lattice instance", "elements", _solve_lattice),
+}
+
+
+def cmd_solve(args):
+    started = time.perf_counter()
+    instance = _load(args.infile)
+    expected, description, kind, solve = SOLVERS[args.command]
+    if not isinstance(instance, expected):
+        raise InstanceError(f"{args.command} expects {description}")
+    solved = solve(instance, args)
+    report = {
+        "schema": 1,
+        "algorithm": args.command.removeprefix("solve-"),
+        "instance_digest": instance_digest(solved.instance),
+        "solution": sorted(iter_bits(solved.mask)),
+        "cost": _rat_field(solved.cost),
+        "lp_optimum": _rat_field(solved.lp_optimum),
+        **solved.fields,
+    }
+    outcome = EXIT_OK
+    if args.verify:
+        result = solved.verify()
         report["checks"] = result.to_json()["checks"]
         report["outcome"] = "ok" if result.ok else "check-failed"
         if not result.ok:
@@ -195,7 +194,7 @@ def cmd_solve_lattice(args):
     else:
         report["outcome"] = "ok"
     if args.solution:
-        _write_solution(sol, "elements", args.solution)
+        _write_solution(solved.mask, kind, args.solution)
     _maybe_timing(report, started, args)
     _emit(report, args.report)
     return outcome
@@ -381,16 +380,16 @@ def build_parser():
     p = sub.add_parser("solve-mcst", help="laminar degree-bounded spanning tree")
     add_common(p)
     p.add_argument("--trace", help="write the event trace (JSON lines)")
-    p.set_defaults(func=cmd_solve_mcst)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("solve-intersection", help="two-function covering")
     add_common(p)
-    p.set_defaults(func=cmd_solve_intersection)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("solve-lattice", help="lattice covering with bounds")
     add_common(p)
     p.add_argument("--variant", choices=["general", "inclusion"])
-    p.set_defaults(func=cmd_solve_lattice)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("gen", help="instance generators")
     p.add_argument(

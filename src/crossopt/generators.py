@@ -30,19 +30,7 @@ from .instances import (
 )
 from .lpengine import separate_lattice, separate_spanning_tree
 from .oracles import ContraPolymatroidPair, CrossingConstraint, LatticeOracle
-from .rational import ONE, ZERO, Rat, rat_ceil, render_rat
-
-
-def _encode_value(v):
-    """JSON form of a report value: rationals become "p/q" strings and
-    dict keys become strings."""
-    if isinstance(v, dict):
-        return {str(k): _encode_value(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_encode_value(x) for x in v]
-    if hasattr(v, "denominator") and not isinstance(v, (int, bool)):
-        return render_rat(v)
-    return v
+from .rational import ONE, ZERO, Rat, encode_rationals, rat_ceil, render_rat
 
 
 @dataclass(frozen=True)
@@ -62,11 +50,11 @@ class GapReport:
             "kind": self.kind,
             "lp_point": {str(e): render_rat(v) for e, v in self.lp_point.items()},
             "lp_feasible": self.lp_feasible,
-            "integral_min_violation": _encode_value(self.integral_min_violation),
-            "claimed_bound": _encode_value(self.claimed_bound),
+            "integral_min_violation": encode_rationals(self.integral_min_violation),
+            "claimed_bound": encode_rationals(self.claimed_bound),
             "claim_ok": self.claim_ok,
-            "witness": _encode_value(self.witness),
-            "details": _encode_value(self.details),
+            "witness": encode_rationals(self.witness),
+            "details": encode_rationals(self.details),
         }
 
 

@@ -1,18 +1,17 @@
-"""Rounding for two supermodular covering functions with crossing upper
-bounds.
+"""Step rule for two supermodular covering functions with crossing
+upper bounds.
 
-Each iteration solves the residual LP to a certified extreme point,
-deletes every zero element, rounds every element of value at least 1/2
-into the solution (decrementing residual bounds by the fractional
-value, exactly), and drops every bound whose undecided support has
-shrunk to ceil(2 b') + frequency - 1 elements.  A full iteration that
-changes nothing is an internal error: the counting argument guarantees
-progress.
+The relax module runs the loop; this module supplies the residual
+state and the step.  At each certified extreme point the step deletes
+every zero element, rounds every element of value at least 1/2 into the
+solution (decrementing residual bounds by the fractional value,
+exactly), and drops every bound whose undecided support has shrunk to
+ceil(2 b') + frequency - 1 elements.  A step that changes nothing is an
+internal error: the counting argument guarantees progress.
 
-Every iteration re-solves the LP from scratch: rounding a value in
+The step never asks for the old vertex to be reused: rounding a value in
 [1/2, 1) up and lowering bounds by fractional amounts does not restrict
-the old region to a face, so the old vertex is not reused (compare
-lpengine.reuse_extreme_point).
+the old region to a face, so every iteration solves the LP again.
 
 The final solution covers both functions on every subset, exceeds no
 bound by more than b + frequency - 1 beyond a factor two, and costs at
@@ -20,125 +19,125 @@ most twice the initial LP optimum; verify_intersection re-checks all
 three claims exhaustively from scratch.
 """
 
-from dataclasses import dataclass
-
-from .errors import InstanceError, InternalCheckError, NoStepApplies
+from .errors import InternalCheckError, NoStepApplies
 from .graphs import iter_bits
-from .instances import instance_digest
-from .lpengine import (
-    INTERSECTION,
-    ResidualIntersectionLp,
-    solve_to_extreme_point,
-)
-from .oracles import supermodular_violation
+from .lpengine import ResidualIntersectionLp
+from .oracles import supermodular_violation, uncross
 from .rational import HALF, ZERO, Rat, rat_ceil, render_rat
-from .simplex import LpInfeasible
+from .relax import CoverReport, relax
 
 SPOT_CHECK_LIMIT = 10  # residual supermodularity re-check up to 2^10 subsets
-
-
-def _residual(instance, eprime, fmask, alive, bprime):
-    rows = tuple(
-        (i, instance.constraints[i].elems, bprime[i]) for i in sorted(alive)
-    )
-    return ResidualIntersectionLp(
-        instance.pair, instance.costs, eprime, fmask, rows
-    )
 
 
 def _drop_threshold(bprime_i, delta):
     return rat_ceil(2 * bprime_i) + delta - 1
 
 
-def run_intersection(instance, collect_chain_checks=False):
-    """Round to an integral covering set; returns (mask, events, lp opt).
+class IntersectionState:
+    """Mutable run state: chosen and undecided elements, alive bounds
+    and their residual values."""
 
-    Raises InstanceError when the initial LP is infeasible; any later
-    infeasibility or a no-progress iteration is an internal error.
-    """
-    n = instance.n
-    delta = instance.delta
-    eprime = (1 << n) - 1
-    fmask = 0
-    alive = set(range(len(instance.constraints)))
-    bprime = {i: instance.constraints[i].upper for i in alive}
-    events = [
-        {"ev": "begin", "kind": "intersection-trace", "digest": instance_digest(instance)}
-    ]
-    initial_opt = None
-    chain_reports = []
+    header = {"kind": "intersection-trace"}
 
-    while eprime:
-        try:
-            point = solve_to_extreme_point(
-                INTERSECTION, _residual(instance, eprime, fmask, alive, bprime)
-            )
-        except LpInfeasible:
-            if initial_opt is None:
-                raise InstanceError("instance LP is infeasible") from None
-            raise InternalCheckError("LP became infeasible mid-run") from None
-        if initial_opt is None:
-            initial_opt = point.objective
-        events.append(
-            {
-                "ev": "solve",
-                "x": {str(e): render_rat(v) for e, v in point.x_by_id.items()},
-                "objective": render_rat(point.objective),
-            }
+    def __init__(self, instance, collect_chain_checks):
+        self.instance = instance
+        self.eprime = (1 << instance.n) - 1
+        self.fmask = 0
+        self.alive = set(range(len(instance.constraints)))
+        self.bprime = {i: instance.constraints[i].upper for i in self.alive}
+        self.delta = instance.delta
+        # every step removes an element or a bound
+        self.iteration_cap = instance.n + len(instance.constraints)
+        self.chain_reports = [] if collect_chain_checks else None
+
+    def finished(self):
+        return not self.eprime
+
+    def residual(self):
+        instance = self.instance
+        rows = tuple(
+            (i, instance.constraints[i].elems, self.bprime[i])
+            for i in sorted(self.alive)
         )
-        if collect_chain_checks and all(v > 0 for v in point.x_by_id.values()):
-            chain_reports.append(
+        return ResidualIntersectionLp(
+            instance.pair, instance.costs, self.eprime, self.fmask, rows
+        )
+
+    def step(self, point, lp_initial, trace):
+        """Delete zeros, round up halves, drop small bounds; never a face."""
+        instance = self.instance
+        delta = self.delta
+        x = point.x_by_id
+        if self.chain_reports is not None and all(v > 0 for v in x.values()):
+            self.chain_reports.append(
                 [
-                    check_chain_token_bound(point, instance.pair, f, fmask)
+                    check_chain_token_bound(point, instance.pair, f, self.fmask)
                     for f in (1, 2)
                 ]
             )
 
-        zeros = [e for e, v in sorted(point.x_by_id.items()) if v == ZERO]
+        zeros = [e for e, v in sorted(x.items()) if v == ZERO]
         for e in zeros:
-            eprime &= ~(1 << e)
-        halves = [e for e, v in sorted(point.x_by_id.items()) if v >= HALF]
+            self.eprime &= ~(1 << e)
+        halves = [e for e, v in sorted(x.items()) if v >= HALF]
         for e in halves:
-            fmask |= 1 << e
-            eprime &= ~(1 << e)
-            for i in alive:
+            self.fmask |= 1 << e
+            self.eprime &= ~(1 << e)
+            for i in self.alive:
                 if (instance.constraints[i].elems >> e) & 1:
-                    bprime[i] -= point.x_by_id[e]
-        for i in alive:
-            if bprime[i] < 0:
+                    self.bprime[i] -= x[e]
+        for i in self.alive:
+            if self.bprime[i] < 0:
                 raise InternalCheckError(f"residual bound {i} went negative")
 
         drops = [
             i
-            for i in sorted(alive)
-            if (instance.constraints[i].elems & eprime).bit_count()
-            <= _drop_threshold(bprime[i], delta)
+            for i in sorted(self.alive)
+            if (instance.constraints[i].elems & self.eprime).bit_count()
+            <= _drop_threshold(self.bprime[i], delta)
         ]
         for i in drops:
-            _assert_drop_accounting(instance, i, bprime[i], eprime, fmask, delta)
-            alive.discard(i)
+            _assert_drop_accounting(
+                instance, i, self.bprime[i], self.eprime, self.fmask, delta
+            )
+            self.alive.discard(i)
 
         if not zeros and not halves and not drops:
             raise NoStepApplies(
                 "no zero element, no half element, and no droppable bound"
             )
-        if zeros:
-            events.append({"ev": "delete", "edges": zeros})
-        if halves:
-            events.append({"ev": "fix", "edges": halves})
-        if drops:
-            events.append({"ev": "drop", "bounds": drops})
+        for e in zeros:
+            trace.add({"ev": "delete", "edge": e})
+        for e in halves:
+            trace.add({"ev": "fix", "edge": e})
+        for i in drops:
+            trace.add({"ev": "drop", "bound": i})
         if halves and instance.n <= SPOT_CHECK_LIMIT:
-            _assert_residual_supermodular(instance, fmask)
+            _assert_residual_supermodular(instance, self.fmask)
+        return False
 
-    cost = ZERO
-    for e in iter_bits(fmask):
-        cost += instance.costs[e]
-    if initial_opt is not None and cost > 2 * initial_opt:
-        raise InternalCheckError("final cost exceeds twice the LP optimum")
-    events.append({"ev": "end", "solution": sorted(iter_bits(fmask))})
-    result = (fmask, events, initial_opt)
-    return result + (chain_reports,) if collect_chain_checks else result
+    def finish(self, lp_initial):
+        cost = ZERO
+        for e in iter_bits(self.fmask):
+            cost += self.instance.costs[e]
+        if cost > 2 * lp_initial:
+            raise InternalCheckError("final cost exceeds twice the LP optimum")
+        return {"solution": sorted(iter_bits(self.fmask))}
+
+
+def run_intersection(instance, collect_chain_checks=False):
+    """Round to an integral covering set; returns (mask, events, lp opt).
+
+    With collect_chain_checks, every strictly positive vertex also runs
+    the tight-chain token diagnostic and the reports are appended to the
+    return tuple.  Raises InstanceError when the initial LP is
+    infeasible; any later infeasibility or a no-progress iteration is an
+    internal error.
+    """
+    state = IntersectionState(instance, collect_chain_checks)
+    trace, lp_initial = relax(state)
+    result = (state.fmask, trace.events, lp_initial)
+    return result + (state.chain_reports,) if collect_chain_checks else result
 
 
 def _assert_drop_accounting(instance, i, bprime_i, eprime, fmask, delta):
@@ -171,26 +170,6 @@ def _assert_residual_supermodular(instance, fmask):
 # -- verification -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntersectionReport:
-    ok: bool
-    coverage_ok: bool
-    bounds_ok: bool
-    cost_ok: bool
-    checks: tuple
-    failures: tuple
-
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": name, "pass": good, "bound": bound, "achieved": achieved}
-                for name, good, bound, achieved in self.checks
-            ],
-            "failures": list(self.failures),
-        }
-
-
 def verify_intersection(instance, solution, lp_opt):
     """Re-check the three output clauses exhaustively and exactly."""
     n = instance.n
@@ -210,7 +189,8 @@ def verify_intersection(instance, solution, lp_opt):
             coverage_ok = False
             failures.append(f"coverage S={s:#x}")
             break
-    checks.append(("coverage", coverage_ok, "0", str(worst)))
+    # r(empty) = 0, so on an empty ground set the only slack is 0
+    checks.append(("coverage", coverage_ok, "0", str(0 if worst is None else worst)))
 
     bounds_ok = True
     for i, con in enumerate(instance.constraints):
@@ -231,9 +211,9 @@ def verify_intersection(instance, solution, lp_opt):
     if not cost_ok:
         failures.append("cost")
 
-    return IntersectionReport(
+    return CoverReport(
         ok=not failures,
-        coverage_ok=coverage_ok,
+        cover_ok=coverage_ok,
         bounds_ok=bounds_ok,
         cost_ok=cost_ok,
         checks=tuple(checks),
@@ -242,41 +222,6 @@ def verify_intersection(instance, solution, lp_opt):
 
 
 # -- tight-set chain diagnostics ----------------------------------------------
-
-
-def uncross_to_chain(masks, assert_pair):
-    """Repeatedly replace the lexicographically smallest incomparable
-    pair by (intersection, union) until the family is a chain.
-
-    ``assert_pair(a, b, meet, join)`` is called at every replacement so
-    callers can verify tightness is preserved.
-    """
-    family = sorted(set(masks))
-    rounds = 0
-    while True:
-        found = None
-        for ai in range(len(family)):
-            for bi in range(ai + 1, len(family)):
-                a, b = family[ai], family[bi]
-                if a & b != a and a & b != b:
-                    found = (a, b)
-                    break
-            if found:
-                break
-        if not found:
-            return sorted(family, key=lambda m: (m.bit_count(), m))
-        a, b = found
-        meet, join = a & b, a | b
-        assert_pair(a, b, meet, join)
-        family.remove(a)
-        family.remove(b)
-        for new in (meet, join):
-            if new not in family:
-                family.append(new)
-        family.sort()
-        rounds += 1
-        if rounds > 300 * (len(masks) + 2):
-            raise InternalCheckError("uncrossing failed to terminate")
 
 
 def check_chain_token_bound(point, pair, which, fmask=0):
@@ -319,7 +264,13 @@ def check_chain_token_bound(point, pair, which, fmask=0):
         if lhs != rhs:
             raise InternalCheckError(f"certificate row {s:#x} is not tight")
 
-    chain_full = uncross_to_chain(tight_full, assert_pair)
+    chain_full = uncross(
+        tight_full,
+        lambda a, b: a & b in (a, b),
+        lambda a, b: a & b,
+        lambda a, b: a | b,
+        assert_pair,
+    )
     restricted = sorted({s & eprime for s in chain_full if s & eprime})
     total = sum(x.values(), ZERO)
     k = len(restricted)

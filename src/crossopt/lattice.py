@@ -1,49 +1,37 @@
-"""Rounding over lattice covering constraints with crossing bounds.
+"""Step rule for lattice covering constraints with crossing bounds.
 
 The algorithm needs the monotonicity property (comparable members have
-strictly growing images); it is checked up front, never assumed: an
-explicit lattice scans its order, and the subset lattice of a matroid
-has it by construction.  Each iteration solves the residual LP to a
-certified extreme point and then, in order: deletes a zero element,
-fixes a one element, or drops a bound whose undecided support is small
-enough.  The drop threshold is 2*frequency in the general variant; when
-the member order is image inclusion and only upper bounds are present,
-the sharper threshold residual_bound + frequency - 1 applies and halves
-the final violation.
+strictly growing images); run_lattice checks it up front, never assumes
+it: an explicit lattice scans its order, and the subset lattice of a
+matroid has it by construction.  The relax module runs the loop; this
+module supplies the residual state and the step.  Each step does
+exactly one thing, in order: delete a zero element, fix a one element,
+or drop a bound whose undecided support is small enough.  The drop
+threshold is 2*frequency in the general variant; when the member order
+is image inclusion and only upper bounds are present, the sharper
+threshold residual_bound + frequency - 1 applies and halves the final
+violation.
 
-After a delete or fix step the LP is not re-solved: the new residual
-region is the face x_e = 0 (or 1) of the old one with e dropped (a fix
-lowers every rank and bound rhs containing e by one, exactly x_e), the
-old optimal vertex lies on that face, so its restriction is optimal and
-is reused after a full re-check (lpengine.reuse_extreme_point); the
-``solve`` event says ``"reused": true``.  Dropping a bound removes rows
-and can enlarge the region, so the LP after a drop, like the first, is
-solved from scratch.
+A delete or fix step leaves the face x_e = 0 (or 1) of the old region
+with e dropped (a fix lowers every rank and bound rhs containing e by
+one, exactly x_e), and the old optimal vertex lies on that face, so the
+step asks for its restriction to be reused after a full re-check
+(lpengine.reuse_extreme_point).  Dropping a bound removes rows and can
+enlarge the region, so the LP after a drop, like the first, is solved
+from scratch.
 
 Exactly one action happens per iteration, so |undecided| + |bounds|
 drops by one each time and the run ends after at most |E| + |I|
 iterations with all rank constraints met exactly.
 """
 
-from dataclasses import dataclass
-
 from .errors import InstanceError, InternalCheckError, NoStepApplies
 from .graphs import iter_bits
-from .instances import INCLUSION, instance_digest
-from .lpengine import (
-    LATTICE,
-    ResidualLatticeLp,
-    reuse_extreme_point,
-    solve_to_extreme_point,
-)
+from .instances import INCLUSION
+from .lpengine import ResidualLatticeLp
+from .oracles import uncross
 from .rational import ONE, ZERO, Rat, render_rat
-from .simplex import LpInfeasible
-
-
-def check_monotonicity_star(lat):
-    """None if strictly comparable members have strictly larger images;
-    otherwise a witness pair (smaller, larger)."""
-    return lat.monotonicity_witness()
+from .relax import CoverReport, relax
 
 
 def _drop_threshold(instance, i, fmask, variant):
@@ -54,6 +42,83 @@ def _drop_threshold(instance, i, fmask, variant):
     return Rat(2 * instance.delta)
 
 
+class LatticeState:
+    """Mutable run state: chosen and undecided elements, alive bounds."""
+
+    header = {"kind": "lattice-trace"}
+
+    def __init__(self, instance, collect_chain_checks):
+        self.instance = instance
+        self.eprime = (1 << instance.n) - 1
+        self.fmask = 0
+        self.alive = set(range(len(instance.constraints)))
+        self.iteration_cap = instance.n + len(instance.constraints)
+        self.chain_reports = [] if collect_chain_checks else None
+
+    def finished(self):
+        return not self.eprime and not self.alive
+
+    def residual(self):
+        constraints = self.instance.constraints
+        rows = tuple(
+            (i, constraints[i].elems, constraints[i].lower, constraints[i].upper)
+            for i in sorted(self.alive)
+        )
+        return ResidualLatticeLp(
+            self.instance.lat, self.instance.costs, self.eprime, self.fmask, rows
+        )
+
+    def step(self, point, lp_initial, trace):
+        """One delete, fix or drop; True after a delete or fix."""
+        budget = self.eprime.bit_count() + len(self.alive)
+        event = self._delete_or_fix(point) or self._drop(point)
+        if event is None:
+            raise NoStepApplies(
+                "no zero element, no one element, and no droppable bound "
+                f"(undecided={self.eprime.bit_count()}, bounds={len(self.alive)})"
+            )
+        trace.add(event)
+        if self.eprime.bit_count() + len(self.alive) != budget - 1:
+            raise InternalCheckError("|E'| + |W| did not decrease by exactly 1")
+        return event["ev"] != "drop"
+
+    def _delete_or_fix(self, point):
+        if point is None:
+            return None
+        for e, v in sorted(point.x_by_id.items()):
+            if v == ZERO:
+                self.eprime &= ~(1 << e)
+                return {"ev": "delete", "edge": e}
+        for e, v in sorted(point.x_by_id.items()):
+            if v == ONE:
+                self.fmask |= 1 << e
+                self.eprime &= ~(1 << e)
+                return {"ev": "fix", "edge": e}
+        return None
+
+    def _drop(self, point):
+        instance = self.instance
+        for i in sorted(self.alive):
+            support = (instance.constraints[i].elems & self.eprime).bit_count()
+            threshold = _drop_threshold(instance, i, self.fmask, instance.variant)
+            if Rat(support) <= threshold:
+                _assert_drop_accounting(
+                    instance, i, self.eprime, self.fmask, instance.variant
+                )
+                self.alive.discard(i)
+                if (
+                    self.chain_reports is not None
+                    and point is not None
+                    and not self.fmask
+                ):
+                    self.chain_reports.append(check_chain_growth(point, instance.lat))
+                return {"ev": "drop", "bound": i}
+        return None
+
+    def finish(self, lp_initial):
+        return {"solution": sorted(iter_bits(self.fmask))}
+
+
 def run_lattice(instance, collect_chain_checks=False):
     """Round to an integral covering set; returns (mask, events, lp opt).
 
@@ -61,116 +126,17 @@ def run_lattice(instance, collect_chain_checks=False):
     bound-drop iteration also runs the tight-chain growth diagnostic and
     the reports are appended to the return tuple.
     """
-    witness = check_monotonicity_star(instance.lat)
+    witness = instance.lat.monotonicity_witness()
     if witness is not None:
         raise InstanceError(
             f"lattice violates the image-growth property at members {witness}; "
             "the rounding guarantees do not apply"
         )
-    variant = instance.variant
-    n = instance.n
-    eprime = (1 << n) - 1
-    fmask = 0
-    alive = set(range(len(instance.constraints)))
-    events = [
-        {"ev": "begin", "kind": "lattice-trace", "digest": instance_digest(instance)}
-    ]
-    initial_opt = None
-    max_iters = n + len(instance.constraints)
-    iters = 0
-    chain_reports = []
-    point = None
-
-    while eprime or alive:
-        iters += 1
-        if iters > max_iters:
-            raise InternalCheckError(
-                "progress invariant broke: more iterations than |E| + |I|"
-            )
-        budget_before = eprime.bit_count() + len(alive)
-        # after a delete or fix the previous vertex, restricted, is optimal
-        reuse = events[-1]["ev"] in ("delete", "fix")
-        if not eprime:
-            point = None
-        else:
-            state = _residual(instance, eprime, fmask, alive)
-            try:
-                if reuse:
-                    point = reuse_extreme_point(LATTICE, state, point)
-                else:
-                    point = solve_to_extreme_point(LATTICE, state)
-            except LpInfeasible:
-                if initial_opt is None:
-                    raise InstanceError("instance LP is infeasible") from None
-                raise InternalCheckError("LP became infeasible mid-run") from None
-            if initial_opt is None:
-                initial_opt = point.objective
-            events.append(
-                {
-                    "ev": "solve",
-                    "x": {str(e): render_rat(v) for e, v in point.x_by_id.items()},
-                    "objective": render_rat(point.objective),
-                    "reused": reuse,
-                }
-            )
-
-        acted = False
-        if point is not None:
-            for e, v in sorted(point.x_by_id.items()):
-                if v == ZERO:
-                    eprime &= ~(1 << e)
-                    events.append({"ev": "delete", "edge": e})
-                    acted = True
-                    break
-            if not acted:
-                for e, v in sorted(point.x_by_id.items()):
-                    if v == ONE:
-                        fmask |= 1 << e
-                        eprime &= ~(1 << e)
-                        events.append({"ev": "fix", "edge": e})
-                        acted = True
-                        break
-        if not acted:
-            for i in sorted(alive):
-                support = (instance.constraints[i].elems & eprime).bit_count()
-                if Rat(support) <= _drop_threshold(instance, i, fmask, variant):
-                    _assert_drop_accounting(instance, i, eprime, fmask, variant)
-                    alive.discard(i)
-                    events.append({"ev": "drop", "bound": i})
-                    acted = True
-                    if collect_chain_checks and point is not None and not fmask:
-                        chain_reports.append(
-                            check_chain_growth(point, instance.lat)
-                        )
-                    break
-        if not acted:
-            raise NoStepApplies(
-                "no zero element, no one element, and no droppable bound "
-                f"(undecided={eprime.bit_count()}, bounds={len(alive)})"
-            )
-        if eprime.bit_count() + len(alive) != budget_before - 1:
-            raise InternalCheckError("|E'| + |W| did not decrease by exactly 1")
-
-    events.append({"ev": "end", "solution": sorted(iter_bits(fmask))})
-    opt = initial_opt if initial_opt is not None else ZERO
+    state = LatticeState(instance, collect_chain_checks)
+    trace, lp_initial = relax(state)
     if collect_chain_checks:
-        return fmask, events, opt, chain_reports
-    return fmask, events, opt
-
-
-def _residual(instance, eprime, fmask, alive):
-    rows = tuple(
-        (
-            i,
-            instance.constraints[i].elems,
-            instance.constraints[i].lower,
-            instance.constraints[i].upper,
-        )
-        for i in sorted(alive)
-    )
-    return ResidualLatticeLp(
-        instance.lat, instance.costs, eprime, fmask, rows
-    )
+        return state.fmask, trace.events, lp_initial, state.chain_reports
+    return state.fmask, trace.events, lp_initial
 
 
 def _assert_drop_accounting(instance, i, eprime, fmask, variant):
@@ -186,26 +152,6 @@ def _assert_drop_accounting(instance, i, eprime, fmask, variant):
 
 
 # -- verification -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LatticeReport:
-    ok: bool
-    rank_ok: bool
-    bounds_ok: bool
-    cost_ok: bool
-    checks: tuple
-    failures: tuple
-
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": name, "pass": good, "bound": bound, "achieved": achieved}
-                for name, good, bound, achieved in self.checks
-            ],
-            "failures": list(self.failures),
-        }
 
 
 def verify_lattice(instance, solution, brute_optimum=None):
@@ -249,9 +195,9 @@ def verify_lattice(instance, solution, brute_optimum=None):
         if not cost_ok:
             failures.append("cost")
 
-    return LatticeReport(
+    return CoverReport(
         ok=not failures,
-        rank_ok=rank_ok,
+        cover_ok=rank_ok,
         bounds_ok=bounds_ok,
         cost_ok=cost_ok,
         checks=tuple(checks),
@@ -279,42 +225,6 @@ def bound_feasible_predicate(instance):
 
 
 # -- tight-chain diagnostics ----------------------------------------------------
-
-
-def uncross_tight_members(lat, members, assert_pair):
-    """Meet/join uncrossing of lattice members (smallest incomparable
-    pair by index first) until the family is a chain in the order."""
-    family = sorted(set(members))
-    rounds = 0
-    while True:
-        found = None
-        for ai in range(len(family)):
-            for bi in range(ai + 1, len(family)):
-                a, b = family[ai], family[bi]
-                if not lat.comparable(a, b):
-                    found = (a, b)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        a, b = found
-        meet, join = lat.meet_of(a, b), lat.join_of(a, b)
-        assert_pair(a, b, meet, join)
-        family.remove(a)
-        family.remove(b)
-        for new in (meet, join):
-            if new not in family:
-                family.append(new)
-        family.sort()
-        rounds += 1
-        if rounds > 300 * (len(members) + 2):
-            raise InternalCheckError("lattice uncrossing failed to terminate")
-    chain = sorted(family, key=lambda j: (lat.rho[j].bit_count(), j))
-    for prev, cur in zip(chain, chain[1:]):
-        if not lat.leq(prev, cur):
-            raise InternalCheckError("uncrossed family is not a chain")
-    return chain
 
 
 def check_chain_growth(point, lat, fmask=0):
@@ -363,7 +273,11 @@ def check_chain_growth(point, lat, fmask=0):
                 f"at members ({a},{b})"
             )
 
-    chain = uncross_tight_members(lat, tight, assert_pair)
+    family = uncross(tight, lat.comparable, lat.meet_of, lat.join_of, assert_pair)
+    chain = sorted(family, key=lambda j: (lat.rho[j].bit_count(), j))
+    for prev, cur in zip(chain, chain[1:]):
+        if not lat.leq(prev, cur):
+            raise InternalCheckError("uncrossed family is not a chain")
     seen_images = set()
     kept = []
     for j in chain:

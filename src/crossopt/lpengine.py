@@ -1,10 +1,18 @@
-"""Cutting-plane engine for the three constraint families.
+"""Cutting-plane engine for the three residual LPs.
 
-The working LP starts from the explicitly known rows (the spanning-tree
-total-count row plus degree rows, or the crossing bound rows) with the
-0 <= x <= 1 box, and repeatedly adds the most-violated row found by the
-family's separation oracle until the vertex returned by the exact
-simplex satisfies the full exponential system.  A vertex of the working
+A residual LP (ResidualMcstLp, ResidualIntersectionLp or
+ResidualLatticeLp) describes one iteration's system, and its ``base()``
+method returns what the engine needs: the undecided variable ids, their
+costs, the explicitly known rows (the spanning-tree total-count row plus
+degree rows, or the crossing bound rows), the separation oracle for the
+exponential rows, and the builder that turns a separation witness into
+a row.  The engine functions take any of the three and never ask which
+one it is.
+
+The working LP starts from the base rows with the 0 <= x <= 1 box, and
+repeatedly adds the most-violated row found by the separation oracle
+until the vertex returned by the exact simplex satisfies the full
+exponential system.  A vertex of the working
 relaxation that is feasible for the full system is a vertex of the full
 polytope (the full region is contained in the relaxation), so the
 result is a certified extreme point with an optimal objective.
@@ -35,9 +43,9 @@ feasibility pass over them, a full separation pass and a vertex
 certificate.  Any failed check is an InternalCheckError; nothing falls
 back to a cold solve.  Steps that drop or merge bounds remove or relax
 rows, so the region can grow and the old vertex need not stay optimal;
-those, and the intersection rounding (which rounds values >= 1/2 and
-changes bounds by fractional amounts, so the new region is not a face
-of the old one), always call solve_to_extreme_point.
+after those, and after rounding values >= 1/2 (which changes bounds by
+fractional amounts, so the new region is not a face of the old one),
+the LP is solved again with solve_to_extreme_point.
 """
 
 from dataclasses import dataclass
@@ -62,10 +70,6 @@ from .simplex import (
     verify_vertex_certificate,
 )
 
-MCST = "mcst"
-INTERSECTION = "intersection"
-LATTICE = "lattice"
-
 # row-tag kinds the separators add; every other tag names a base row
 CUT_KINDS = frozenset(("subtour", "cover1", "cover2", "rank"))
 
@@ -84,39 +88,6 @@ class SeparationResult:
     @classmethod
     def ok(cls):
         return cls(True)
-
-
-@dataclass(frozen=True)
-class ResidualMcstLp:
-    """LP data of one spanning-tree iteration: undecided edges, fixed
-    edges, and the alive degree rows (node id, vertex set, bound)."""
-
-    graph: object
-    eprime: int
-    fmask: int
-    degree_rows: tuple
-
-    def __post_init__(self):
-        if self.eprime & self.fmask:
-            raise InstanceError("undecided and fixed edge sets overlap")
-
-
-@dataclass(frozen=True)
-class ResidualIntersectionLp:
-    pair: object
-    costs: tuple
-    eprime: int
-    fmask: int
-    bound_rows: tuple  # (constraint index, element mask, residual upper)
-
-
-@dataclass(frozen=True)
-class ResidualLatticeLp:
-    lat: object
-    costs: tuple
-    eprime: int
-    fmask: int
-    bound_rows: tuple  # (constraint index, element mask, lower | None, upper)
 
 
 # -- separation oracles ------------------------------------------------------
@@ -260,7 +231,6 @@ def separate_lattice(x_by_id, fmask, lat):
 
 @dataclass(frozen=True)
 class ExtremePoint:
-    family: str
     solution: object
     lp: LinearProgram
     var_ids: tuple
@@ -282,95 +252,121 @@ def _indicator(var_ids, mask):
     return tuple(ONE if (mask >> v) & 1 else ZERO for v in var_ids)
 
 
-def _base_mcst(state):
-    graph = state.graph
-    var_ids = tuple(sorted(iter_bits(state.eprime)))
-    objective = tuple(graph.by_id[v].cost for v in var_ids)
-    n_fixed = state.fmask.bit_count()
-    rows = [
-        (
-            Constraint(tuple(ONE for _ in var_ids), EQ, Rat(graph.n - n_fixed - 1)),
-            ("tree_total", None),
-        )
-    ]
-    for node_id, vset, bound in state.degree_rows:
-        dmask = graph.delta_mask(vset, within=state.eprime)
-        rows.append(
-            (Constraint(_indicator(var_ids, dmask), LE, bound), ("degree", node_id))
-        )
+@dataclass(frozen=True)
+class ResidualMcstLp:
+    """LP data of one spanning-tree iteration: undecided edges, fixed
+    edges, and the alive degree rows (node id, vertex set, bound)."""
 
-    def cut_row(res):
-        vmask = res.witness
-        inside = graph.induced_mask(vmask, within=state.eprime)
-        f_inside = (graph.induced_mask(vmask) & state.fmask).bit_count()
-        rhs = Rat(vmask.bit_count() - f_inside - 1)
-        return Constraint(_indicator(var_ids, inside), LE, rhs), ("subtour", vmask)
+    graph: object
+    eprime: int
+    fmask: int
+    degree_rows: tuple
 
-    def separator(x_by_id):
-        return separate_spanning_tree(x_by_id, graph, state.fmask)
+    def __post_init__(self):
+        if self.eprime & self.fmask:
+            raise InstanceError("undecided and fixed edge sets overlap")
 
-    return var_ids, objective, rows, separator, cut_row
-
-
-def _base_intersection(state):
-    var_ids = tuple(sorted(iter_bits(state.eprime)))
-    objective = tuple(state.costs[v] for v in var_ids)
-    rows = []
-    for idx, elems, resid in state.bound_rows:
-        rows.append(
+    def base(self):
+        """(variable ids, objective, base rows, separator, cut builder)."""
+        graph = self.graph
+        var_ids = tuple(sorted(iter_bits(self.eprime)))
+        objective = tuple(graph.by_id[v].cost for v in var_ids)
+        n_fixed = self.fmask.bit_count()
+        rows = [
             (
-                Constraint(_indicator(var_ids, elems & state.eprime), LE, resid),
-                ("bound_upper", idx),
+                Constraint(tuple(ONE for _ in var_ids), EQ, Rat(graph.n - n_fixed - 1)),
+                ("tree_total", None),
             )
-        )
+        ]
+        for node_id, vset, bound in self.degree_rows:
+            dmask = graph.delta_mask(vset, within=self.eprime)
+            rows.append(
+                (Constraint(_indicator(var_ids, dmask), LE, bound), ("degree", node_id))
+            )
 
-    def cut_row(res):
-        func_idx = 1 if res.family == "cover1" else 2
-        s = res.witness
-        table = state.pair.r1 if func_idx == 1 else state.pair.r2
-        rhs = Rat(table[s] - (state.fmask & s).bit_count())
-        return (
-            Constraint(_indicator(var_ids, s & state.eprime), GE, rhs),
-            (res.family, s),
-        )
+        def cut_row(res):
+            vmask = res.witness
+            inside = graph.induced_mask(vmask, within=self.eprime)
+            f_inside = (graph.induced_mask(vmask) & self.fmask).bit_count()
+            rhs = Rat(vmask.bit_count() - f_inside - 1)
+            return Constraint(_indicator(var_ids, inside), LE, rhs), ("subtour", vmask)
 
-    def separator(x_by_id):
-        return separate_contra_polymatroid(x_by_id, state.fmask, state.pair)
+        def separator(x_by_id):
+            return separate_spanning_tree(x_by_id, graph, self.fmask)
 
-    return var_ids, objective, rows, separator, cut_row
-
-
-def _base_lattice(state):
-    var_ids = tuple(sorted(iter_bits(state.eprime)))
-    objective = tuple(state.costs[v] for v in var_ids)
-    rows = []
-    for idx, elems, lower, upper in state.bound_rows:
-        fixed = (elems & state.fmask).bit_count()
-        ind = _indicator(var_ids, elems & state.eprime)
-        rows.append((Constraint(ind, LE, upper - fixed), ("bound_upper", idx)))
-        if lower is not None:
-            rows.append((Constraint(ind, GE, lower - fixed), ("bound_lower", idx)))
-
-    def cut_row(res):
-        j = res.witness
-        rho = state.lat.rho[j]
-        rhs = Rat(state.lat.rank[j] - (state.fmask & rho).bit_count())
-        return (
-            Constraint(_indicator(var_ids, rho & state.eprime), GE, rhs),
-            ("rank", j),
-        )
-
-    def separator(x_by_id):
-        return separate_lattice(x_by_id, state.fmask, state.lat)
-
-    return var_ids, objective, rows, separator, cut_row
+        return var_ids, objective, rows, separator, cut_row
 
 
-_BUILDERS = {
-    MCST: _base_mcst,
-    INTERSECTION: _base_intersection,
-    LATTICE: _base_lattice,
-}
+@dataclass(frozen=True)
+class ResidualIntersectionLp:
+    pair: object
+    costs: tuple
+    eprime: int
+    fmask: int
+    bound_rows: tuple  # (constraint index, element mask, residual upper)
+
+    def base(self):
+        """(variable ids, objective, base rows, separator, cut builder)."""
+        var_ids = tuple(sorted(iter_bits(self.eprime)))
+        objective = tuple(self.costs[v] for v in var_ids)
+        rows = []
+        for idx, elems, resid in self.bound_rows:
+            rows.append(
+                (
+                    Constraint(_indicator(var_ids, elems & self.eprime), LE, resid),
+                    ("bound_upper", idx),
+                )
+            )
+
+        def cut_row(res):
+            func_idx = 1 if res.family == "cover1" else 2
+            s = res.witness
+            table = self.pair.r1 if func_idx == 1 else self.pair.r2
+            rhs = Rat(table[s] - (self.fmask & s).bit_count())
+            return (
+                Constraint(_indicator(var_ids, s & self.eprime), GE, rhs),
+                (res.family, s),
+            )
+
+        def separator(x_by_id):
+            return separate_contra_polymatroid(x_by_id, self.fmask, self.pair)
+
+        return var_ids, objective, rows, separator, cut_row
+
+
+@dataclass(frozen=True)
+class ResidualLatticeLp:
+    lat: object
+    costs: tuple
+    eprime: int
+    fmask: int
+    bound_rows: tuple  # (constraint index, element mask, lower | None, upper)
+
+    def base(self):
+        """(variable ids, objective, base rows, separator, cut builder)."""
+        var_ids = tuple(sorted(iter_bits(self.eprime)))
+        objective = tuple(self.costs[v] for v in var_ids)
+        rows = []
+        for idx, elems, lower, upper in self.bound_rows:
+            fixed = (elems & self.fmask).bit_count()
+            ind = _indicator(var_ids, elems & self.eprime)
+            rows.append((Constraint(ind, LE, upper - fixed), ("bound_upper", idx)))
+            if lower is not None:
+                rows.append((Constraint(ind, GE, lower - fixed), ("bound_lower", idx)))
+
+        def cut_row(res):
+            j = res.witness
+            rho = self.lat.rho[j]
+            rhs = Rat(self.lat.rank[j] - (self.fmask & rho).bit_count())
+            return (
+                Constraint(_indicator(var_ids, rho & self.eprime), GE, rhs),
+                ("rank", j),
+            )
+
+        def separator(x_by_id):
+            return separate_lattice(x_by_id, self.fmask, self.lat)
+
+        return var_ids, objective, rows, separator, cut_row
 
 
 def _working_lp(var_ids, objective, rows):
@@ -380,15 +376,15 @@ def _working_lp(var_ids, objective, rows):
     )
 
 
-def solve_to_extreme_point(family, state, extra_rows=(), objective_override=None):
+def solve_to_extreme_point(state, extra_rows=(), objective_override=None):
     """Cutting-plane loop: optimal certified vertex of the full system.
 
     ``extra_rows`` are (Constraint, tag) pairs appended to the base LP
     (used for optimum-pinning).  ``objective_override`` replaces the
-    family cost vector (aligned with the sorted undecided ids).
+    cost vector (aligned with the sorted undecided ids).
     Raises LpInfeasible if the full system is empty.
     """
-    var_ids, objective, rows, separator, cut_row = _BUILDERS[family](state)
+    var_ids, objective, rows, separator, cut_row = state.base()
     if objective_override is not None:
         objective = tuple(objective_override)
     rows = list(rows) + list(extra_rows)
@@ -409,7 +405,7 @@ def solve_to_extreme_point(family, state, extra_rows=(), objective_override=None
         res = separator(x_by_id)
         if res.feasible:
             return ExtremePoint(
-                family, sol, lp, var_ids, tuple(t for _, t in rows), x_by_id
+                sol, lp, var_ids, tuple(t for _, t in rows), x_by_id
             )
         constraint, tag = cut_row(res)
         if tag in seen:
@@ -429,18 +425,18 @@ def solve_to_extreme_point(family, state, extra_rows=(), objective_override=None
         rows.append((constraint, tag))
 
 
-def reuse_extreme_point(family, state, prev):
+def reuse_extreme_point(state, prev):
     """Certified optimal vertex of ``state`` after a fix or delete step,
     taken from the previous extreme point ``prev`` without a solve.
 
-    The working LP is the family's base rows for ``state`` plus the cut
-    rows that were tight at ``prev``, each rebuilt from its tag by the
-    family's cut builder.  The restriction of ``prev`` to the undecided
+    The working LP is the base rows of ``state`` plus the cut rows that
+    were tight at ``prev``, each rebuilt from its tag by the cut builder
+    of ``state``.  The restriction of ``prev`` to the undecided
     variables must satisfy that LP, pass full separation and carry a
     vertex certificate; otherwise InternalCheckError.  Optimality is the
     face argument in the module docstring.
     """
-    var_ids, objective, rows, separator, cut_row = _BUILDERS[family](state)
+    var_ids, objective, rows, separator, cut_row = state.base()
     rows = list(rows)
     for kind, witness in prev.tight_constraint_tags():
         if kind in CUT_KINDS:
@@ -463,13 +459,13 @@ def reuse_extreme_point(family, state, prev):
     verify_vertex_certificate(lp, solution)
     STATS["reused"] += 1
     return ExtremePoint(
-        family, solution, lp, var_ids, tuple(t for _, t in rows), x_by_id
+        solution, lp, var_ids, tuple(t for _, t in rows), x_by_id
     )
 
 
-def full_separation_clean(family, state, x_by_id):
+def full_separation_clean(state, x_by_id):
     """Post-hoc pass: no family constraint is violated at x."""
-    var_ids, objective, rows, separator, _ = _BUILDERS[family](state)
+    var_ids, objective, rows, separator, _ = state.base()
     if not separator(x_by_id).feasible:
         return False
     vals = tuple(x_by_id[v] for v in var_ids)
@@ -499,13 +495,13 @@ def tighten_degree_bounds(forest, graph, eprime, x_by_id):
     return changes
 
 
-def coordinate_ranges(family, state, optimum, base_objective):
+def coordinate_ranges(state, optimum, base_objective):
     """Exact per-coordinate min/max over the optimal face.
 
     Adds the row base_objective . x = optimum and re-optimizes +e_j and
     -e_j for every variable; a coordinate is pinned when min == max.
     """
-    var_ids = _BUILDERS[family](state)[0]
+    var_ids = state.base()[0]
     pin = (
         Constraint(tuple(base_objective), EQ, optimum),
         ("pin", None),
@@ -515,11 +511,11 @@ def coordinate_ranges(family, state, optimum, base_objective):
         unit = [ZERO] * len(var_ids)
         unit[j] = ONE
         lo = solve_to_extreme_point(
-            family, state, extra_rows=(pin,), objective_override=tuple(unit)
+            state, extra_rows=(pin,), objective_override=tuple(unit)
         ).objective
         unit[j] = -ONE
         hi = -solve_to_extreme_point(
-            family, state, extra_rows=(pin,), objective_override=tuple(unit)
+            state, extra_rows=(pin,), objective_override=tuple(unit)
         ).objective
         ranges.append((lo, hi))
     return ranges

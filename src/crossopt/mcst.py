@@ -1,8 +1,9 @@
-"""Iterative relaxation for spanning trees under laminar degree bounds.
+"""Step rule for spanning trees under laminar degree bounds.
 
-Each iteration solves the residual LP to a certified extreme point,
-tightens every alive bound to its exact crossing load, then applies the
-first applicable step:
+The relax module runs the loop; this module supplies the residual
+state and the step.  At each certified extreme point the step tightens
+every alive bound to its exact crossing load, then applies the first
+applicable step:
 
 1. fix an edge with value 1 (decrementing the bounds it crosses),
 2. delete an edge with value 0,
@@ -13,15 +14,14 @@ first applicable step:
 4. if more than a quarter are good leaves, merge them pairwise per
    parent in child order (bounds add; an odd leftover is dropped).
 
-Only the first solve and the solve after a drop or merge step run the
-cutting-plane loop.  After a fix or delete step the new residual region
-is the face x_e = 1 (or 0) of the old one, which the old optimal vertex
-lies on: tightening only lowered bounds to the loads at that vertex, and
-fixing decrements exactly the bounds the fixed edge crosses.  So the old
-vertex restricted to the remaining edges is reused, re-checked and
-re-certified (lpengine.reuse_extreme_point), and its trace ``solve``
-event says ``"reused": true``.  A drop or merge step removes or loosens
-rows, so the old vertex need not stay optimal and the LP is re-solved.
+After a fix or delete step the new residual region is the face x_e = 1
+(or 0) of the old one, which the old optimal vertex lies on: tightening
+only lowered bounds to the loads at that vertex, and fixing decrements
+exactly the bounds the fixed edge crosses.  So the old vertex,
+restricted to the remaining edges, is reused and re-certified
+(lpengine.reuse_extreme_point).  A drop or merge step removes or
+loosens rows, so the old vertex need not stay optimal and the LP is
+solved again.
 
 A node is good when at most MAX_LOCAL = 24 undecided edges are local to
 it.  If no step applies the run aborts with an internal error: the
@@ -30,22 +30,18 @@ and the event trace emitted by every run lets the guarantee verifier
 re-check the degree-violation bound round by round.
 """
 
-import json
 from dataclasses import dataclass
 
 from .errors import InstanceError, InternalCheckError, NoStepApplies
 from .graphs import iter_bits, mask_of
-from .instances import SCHEMA_VERSION, instance_digest
 from .laminar import all_consecutive_blocks
-from .lpengine import (
-    MCST,
-    ResidualMcstLp,
-    reuse_extreme_point,
-    solve_to_extreme_point,
-    tighten_degree_bounds,
-)
-from .rational import ONE, ZERO, Rat, parse_rat, render_rat
-from .simplex import LpInfeasible
+from .lpengine import ResidualMcstLp, tighten_degree_bounds
+
+# imported by name so that crossopt.mcst.solve_to_extreme_point, which
+# the benchmark's wrapper test reads, stays the lpengine function
+from .lpengine import solve_to_extreme_point  # noqa: F401
+from .rational import ONE, ZERO, Rat, encode_rationals, parse_rat, render_rat
+from .relax import relax
 
 MAX_LOCAL = 24  # locality threshold for "good" nodes
 VIOLATION_FACTOR = 4 * MAX_LOCAL  # additive degree slack per drop round
@@ -104,13 +100,11 @@ class StepTaken:
     merges: tuple = ()  # (parent_key, first, second, new_id)
     removed: tuple = ()  # (parent_key, node_id)
 
-    @property
-    def is_drop_round(self):
-        return self.kind in ("drop_children", "merge_leaves")
-
 
 class McstState:
     """Mutable run state: chosen edges, undecided edges, residual forest."""
+
+    header = {"kind": "mcst-trace", "alpha": MAX_LOCAL}
 
     def __init__(self, instance):
         self.instance = instance
@@ -118,6 +112,12 @@ class McstState:
         self.forest = instance.build_forest()
         self.eprime = self.graph.all_edges_mask
         self.fmask = 0
+        self.iteration_cap = (
+            self.eprime.bit_count() + drop_round_limit(self.graph.n) + 2
+        )
+
+    def finished(self):
+        return not self.eprime
 
     def residual(self):
         rows = tuple(
@@ -141,6 +141,65 @@ class McstState:
 
     def delete_edge(self, eid):
         self.eprime &= ~(1 << eid)
+
+    def step(self, point, lp_initial, trace):
+        """Tighten, check the invariants and apply try_step; True after
+        a fix or delete, whose new region is a face of the old one."""
+        graph = self.graph
+        if graph.cost_of(self.fmask) + point.objective > lp_initial:
+            raise InternalCheckError("cost accounting broke: c(F) + z > z0")
+        changes = tighten_degree_bounds(self.forest, graph, self.eprime, point.x_by_id)
+        trace.add(
+            {
+                "ev": "tighten",
+                "changes": [
+                    [nid, render_rat(old), render_rat(new)]
+                    for nid, old, new in changes
+                ],
+            }
+        )
+        locals_by, _, _ = classify_good(self.forest, graph, self.eprime)
+        assert_edge_locality(locals_by, self.eprime)
+        _assert_degree_accounting(self)
+        before = self.forest.size()
+        step = try_step(self, point.x_by_id)
+        if step.kind in ("fix", "delete"):
+            trace.add({"ev": step.kind, "edge": step.edge})
+            return True
+        if step.kind == "drop_children":
+            trace.add(
+                {
+                    "ev": "drop_children",
+                    "parity": step.parity,
+                    "parents": list(step.parents),
+                    "dropped": list(step.dropped),
+                }
+            )
+        else:
+            trace.add(
+                {
+                    "ev": "merge_leaves",
+                    "merges": [list(m) for m in step.merges],
+                    "removed": [list(r) for r in step.removed],
+                }
+            )
+        after = self.forest.size()
+        if 8 * (before - after) < before:
+            raise InternalCheckError(
+                f"drop round shrank the family by {before - after} of {before}, "
+                "less than an eighth"
+            )
+        return False
+
+    def finish(self, lp_initial):
+        tree = self.fmask
+        if not self.graph.is_spanning_tree(tree):
+            raise InternalCheckError("output is not a spanning tree")
+        if not self.graph.all_edges_mask:
+            raise InstanceError("graph has no edges")
+        if self.graph.cost_of(tree) > lp_initial:
+            raise InternalCheckError("tree cost exceeds the initial LP optimum")
+        return {"tree": sorted(iter_bits(tree)), "forest": _forest_json(self.forest)}
 
 
 def try_step(state, x_by_id):
@@ -227,68 +286,6 @@ def _forest_json(forest):
     }
 
 
-class RunTrace:
-    """Ordered event log of one run; replaying it against the instance
-    must reproduce the final tree and forest exactly."""
-
-    def __init__(self, events=None):
-        self.events = events if events is not None else []
-
-    def add(self, event):
-        self.events.append(event)
-
-    def begin(self, instance):
-        self.add(
-            {
-                "ev": "begin",
-                "schema": SCHEMA_VERSION,
-                "kind": "mcst-trace",
-                "instance_digest": instance_digest(instance),
-                "alpha": MAX_LOCAL,
-            }
-        )
-
-    def end(self, tree_mask, forest, lp_initial):
-        self.add(
-            {
-                "ev": "end",
-                "tree": sorted(iter_bits(tree_mask)),
-                "lp_initial": render_rat(lp_initial),
-                "forest": _forest_json(forest),
-            }
-        )
-
-    @property
-    def footer(self):
-        if not self.events or self.events[-1].get("ev") != "end":
-            raise InstanceError("trace has no end event")
-        return self.events[-1]
-
-    def initial_lp_objective(self):
-        return parse_rat(self.footer["lp_initial"])
-
-    def drop_round_count(self):
-        return sum(
-            1 for ev in self.events if ev["ev"] in ("drop_children", "merge_leaves")
-        )
-
-    def to_jsonl(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for ev in self.events:
-                fh.write(json.dumps(ev, sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
-
-    @classmethod
-    def from_jsonl(cls, path):
-        events = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    events.append(json.loads(line))
-        return cls(events)
-
-
 def run_mcst(instance):
     """Run to completion; returns (tree mask, trace).
 
@@ -297,97 +294,8 @@ def run_mcst(instance):
     should be impossible to break fails mid-run.
     """
     state = McstState(instance)
-    graph = state.graph
-    trace = RunTrace()
-    trace.begin(instance)
-    initial_opt = None
-    step_cap = graph.all_edges_mask.bit_count() + drop_round_limit(graph.n) + 2
-    steps = 0
-    reuse = False  # the previous step fixed or deleted an edge
-    while state.eprime:
-        steps += 1
-        if steps > step_cap:
-            raise InternalCheckError("iteration cap exceeded")
-        try:
-            if reuse:
-                point = reuse_extreme_point(MCST, state.residual(), point)
-            else:
-                point = solve_to_extreme_point(MCST, state.residual())
-        except LpInfeasible:
-            if initial_opt is None:
-                raise InstanceError("instance LP is infeasible") from None
-            raise InternalCheckError(
-                "LP became infeasible mid-run; feasibility is maintained "
-                "inductively and must never fail"
-            ) from None
-        if initial_opt is None:
-            initial_opt = point.objective
-        if graph.cost_of(state.fmask) + point.objective > initial_opt:
-            raise InternalCheckError("cost accounting broke: c(F) + z > z0")
-        trace.add(
-            {
-                "ev": "solve",
-                "x": {str(eid): render_rat(v) for eid, v in point.x_by_id.items()},
-                "objective": render_rat(point.objective),
-                "reused": reuse,
-            }
-        )
-        changes = tighten_degree_bounds(
-            state.forest, graph, state.eprime, point.x_by_id
-        )
-        trace.add(
-            {
-                "ev": "tighten",
-                "changes": [
-                    [nid, render_rat(old), render_rat(new)]
-                    for nid, old, new in changes
-                ],
-            }
-        )
-        locals_by, _, _ = classify_good(state.forest, graph, state.eprime)
-        assert_edge_locality(locals_by, state.eprime)
-        _assert_degree_accounting(state)
-        before = state.forest.size()
-        step = try_step(state, point.x_by_id)
-        reuse = step.kind in ("fix", "delete")
-        if step.kind == "fix":
-            trace.add({"ev": "fix", "edge": step.edge})
-        elif step.kind == "delete":
-            trace.add({"ev": "delete", "edge": step.edge})
-        elif step.kind == "drop_children":
-            trace.add(
-                {
-                    "ev": "drop_children",
-                    "parity": step.parity,
-                    "parents": list(step.parents),
-                    "dropped": list(step.dropped),
-                }
-            )
-        else:
-            trace.add(
-                {
-                    "ev": "merge_leaves",
-                    "merges": [list(m) for m in step.merges],
-                    "removed": [list(r) for r in step.removed],
-                }
-            )
-        if step.is_drop_round:
-            after = state.forest.size()
-            if 8 * (before - after) < before:
-                raise InternalCheckError(
-                    f"drop round shrank the family by {before - after} of {before}, "
-                    "less than an eighth"
-                )
-
-    tree = state.fmask
-    if not graph.is_spanning_tree(tree):
-        raise InternalCheckError("output is not a spanning tree")
-    if initial_opt is None:
-        raise InstanceError("graph has no edges")
-    if graph.cost_of(tree) > initial_opt:
-        raise InternalCheckError("tree cost exceeds the initial LP optimum")
-    trace.end(tree, state.forest, initial_opt)
-    return tree, trace
+    trace, _ = relax(state)
+    return state.fmask, trace
 
 
 def drop_round_limit(n):
@@ -597,17 +505,6 @@ def verify_guarantee(instance, tree, trace):
     )
 
 
-def _encode_detail(v):
-    """JSON form of a check detail: rationals become "p/q" strings."""
-    if isinstance(v, (list, tuple)):
-        return [_encode_detail(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _encode_detail(x) for k, x in v.items()}
-    if hasattr(v, "denominator") and not isinstance(v, int):
-        return render_rat(v)
-    return v
-
-
 @dataclass(frozen=True)
 class GuaranteeReport:
     ok: bool
@@ -622,7 +519,7 @@ class GuaranteeReport:
             "drop_rounds": self.t_rounds,
             "family_sizes": list(self.family_sizes),
             "checks": [
-                {"name": name, "pass": ok, "detail": _encode_detail(detail)}
+                {"name": name, "pass": ok, "detail": encode_rationals(detail)}
                 for name, ok, detail in self.checks
             ],
             "failures": list(self.failures),

@@ -19,13 +19,17 @@ Submodularity and supermodularity are verified through the equivalent
 local exchange conditions (for all S and e != f outside S, compare
 r(S+e) + r(S+f) against r(S+e+f) + r(S)), which cover exactly the same
 inequalities as the pairwise definition.
+
+``uncross`` turns a family of tight sets or lattice members into a
+chain by meets and joins, for the tight-chain diagnostics of the
+covering solvers.
 """
 
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import InstanceError
+from .errors import InstanceError, InternalCheckError
 from .graphs import iter_bits, mask_of
 
 MAX_GROUND = 16
@@ -368,6 +372,42 @@ class CrossingConstraint:
     def __post_init__(self):
         if self.lower is not None and self.lower > self.upper:
             raise InstanceError("constraint lower bound exceeds upper bound")
+
+
+def uncross(members, comparable, meet, join, assert_pair):
+    """Repeatedly replace the first incomparable pair, in sorted order,
+    by its meet and join until every pair is comparable; returns the
+    family sorted.
+
+    ``assert_pair(a, b, meet, join)`` is called at every replacement so
+    callers can verify tightness is preserved.
+    """
+    family = sorted(set(members))
+    rounds = 0
+    while True:
+        found = next(
+            (
+                (a, b)
+                for i, a in enumerate(family)
+                for b in family[i + 1 :]
+                if not comparable(a, b)
+            ),
+            None,
+        )
+        if found is None:
+            return family
+        a, b = found
+        low, high = meet(a, b), join(a, b)
+        assert_pair(a, b, low, high)
+        family.remove(a)
+        family.remove(b)
+        for new in (low, high):
+            if new not in family:
+                family.append(new)
+        family.sort()
+        rounds += 1
+        if rounds > 300 * (len(members) + 2):
+            raise InternalCheckError("uncrossing failed to terminate")
 
 
 def max_frequency(constraints, n):

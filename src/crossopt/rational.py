@@ -38,6 +38,18 @@ def render_rat(r):
     return f"{r.numerator}/{r.denominator}"
 
 
+def encode_rationals(v):
+    """JSON form of a report value: rationals become "p/q" strings,
+    tuples become lists and dict keys become strings."""
+    if isinstance(v, dict):
+        return {str(k): encode_rationals(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [encode_rationals(x) for x in v]
+    if hasattr(v, "denominator") and not isinstance(v, int):
+        return render_rat(v)
+    return v
+
+
 def rat_floor(r):
     return r.numerator // r.denominator
 

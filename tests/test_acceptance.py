@@ -20,8 +20,6 @@ from crossopt.instances import INCLUSION
 from crossopt.intersection import run_intersection, verify_intersection
 from crossopt.lattice import bound_feasible_predicate, run_lattice, verify_lattice
 from crossopt.lpengine import (
-    INTERSECTION,
-    MCST,
     ResidualIntersectionLp,
     ResidualMcstLp,
     coordinate_ranges,
@@ -137,8 +135,8 @@ def test_criterion_4_intersection(mcst_results):
         0,
         tuple((i, c.elems, c.upper) for i, c in enumerate(tight.constraints)),
     )
-    point = solve_to_extreme_point(INTERSECTION, state)
-    pinned = coordinate_ranges(INTERSECTION, state, point.objective, tight.costs)
+    point = solve_to_extreme_point(state)
+    pinned = coordinate_ranges(state, point.objective, tight.costs)
     unique_half = all(lo == hi == Rat(1, 2) for lo, hi in pinned)
     sol, _, opt = run_intersection(tight)
     clause = all(
@@ -284,10 +282,10 @@ def test_criterion_9_certificates_and_separation(mcst_results):
             0,
             tuple((i, c.elems, c.upper) for i, c in enumerate(inst.constraints)),
         )
-        point = solve_to_extreme_point(INTERSECTION, state)
+        point = solve_to_extreme_point(state)
         verify_vertex_certificate(point.lp, point.solution)
         clean = clean and full_separation_clean(
-            INTERSECTION, state, point.x_by_id
+            state, point.x_by_id
         )
     results, _, _ = mcst_results
     for inst, tree, trace, report in results[:5]:
@@ -297,9 +295,9 @@ def test_criterion_9_certificates_and_separation(mcst_results):
             0,
             tuple((i, m, b) for i, (m, b) in enumerate(inst.family)),
         )
-        point = solve_to_extreme_point(MCST, state)
+        point = solve_to_extreme_point(state)
         verify_vertex_certificate(point.lp, point.solution)
-        clean = clean and full_separation_clean(MCST, state, point.x_by_id)
+        clean = clean and full_separation_clean(state, point.x_by_id)
     announce(
         "criterion-9 vertex certificates and clean separation",
         counters_ok and clean,

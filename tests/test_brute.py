@@ -14,7 +14,7 @@ from crossopt.errors import SizeGuardError
 from crossopt.generators import gadget_graph
 from crossopt.graphs import Graph
 from crossopt.instances import McstInstance
-from crossopt.lpengine import MCST, ResidualMcstLp, solve_to_extreme_point
+from crossopt.lpengine import ResidualMcstLp, solve_to_extreme_point
 from crossopt.randgen import random_mcst_instance, random_spanning_tree
 from crossopt.rational import Rat
 
@@ -97,7 +97,7 @@ def test_brute_optimum_at_least_lp_optimum():
             (i, vmask, bound) for i, (vmask, bound) in enumerate(inst.family)
         )
         lp = solve_to_extreme_point(
-            MCST, ResidualMcstLp(inst.graph, inst.graph.all_edges_mask, 0, rows)
+            ResidualMcstLp(inst.graph, inst.graph.all_edges_mask, 0, rows)
         )
         result = brute_mcst(inst)
         assert result.optimum is None or result.optimum >= lp.objective

@@ -476,3 +476,39 @@ def test_selftest_size_guards(flag, value, named, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_selftest_one", no_work)
     assert run_cli("selftest", flag, str(value)) == 2
     assert named in capsys.readouterr().err
+
+
+# instances with an empty ground set: there is no LP to solve, so the
+# initial optimum is 0; solve-intersection and verify used to crash on
+# an optimum of None and exit 1
+EMPTY_GROUND = {
+    "intersection": {
+        "schema": 1, "type": "intersection", "ground": 0,
+        "r1": [0], "r2": [0], "cost": [], "bounds": [],
+    },
+    "lattice": {
+        "schema": 1, "type": "lattice", "variant": "general", "ground": 0,
+        "matroid_rank": [0], "cost": [], "bounds": [],
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EMPTY_GROUND))
+def test_empty_ground_set_solves_and_verifies(kind, tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(EMPTY_GROUND[kind]))
+    report = tmp_path / "report.json"
+    solution = tmp_path / "sol.json"
+    argv = ["--in", str(inst), "--report", str(report), "--solution", str(solution)]
+    assert run_cli(f"solve-{kind}", *argv, "--verify") == 0
+    body = json.loads(report.read_text())
+    assert body["outcome"] == "ok" and body["solution"] == []
+    assert body["lp_optimum"]["rational"] == "0/1"
+    checks = body["checks"]
+    assert "None" not in [c["achieved"] for c in checks]
+    verified = tmp_path / "verified.json"
+    argv = ["--in", str(inst), "--solution", str(solution)]
+    assert run_cli("verify", *argv, "--report", str(verified)) == 0
+    body = json.loads(verified.read_text())
+    assert body["ok"] and body["checks"] == checks
+    assert "Traceback" not in capsys.readouterr().err

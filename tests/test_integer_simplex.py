@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_simplex as reference
-from crossopt import lattice, lpengine, mcst, simplex
+from crossopt import lpengine, relax, simplex
 from crossopt.errors import InternalCheckError
 from crossopt.instances import GENERAL, INCLUSION
 from crossopt.intersection import run_intersection
@@ -279,8 +279,8 @@ def checked_core(monkeypatch):
 
     reuse = lpengine.reuse_extreme_point
 
-    def checked_reuse(family, state, prev):
-        point = reuse(family, state, prev)
+    def checked_reuse(state, prev):
+        point = reuse(state, prev)
         lp, sol = point.lp, point.solution
         assert reference.row_status(lp, sol.values) == (True, sol.tight_rows)
         rank = verify_vertex_certificate(lp, sol)
@@ -289,8 +289,7 @@ def checked_core(monkeypatch):
         return point
 
     monkeypatch.setattr(lpengine, "simplex_solve", solve)
-    monkeypatch.setattr(mcst, "reuse_extreme_point", checked_reuse)
-    monkeypatch.setattr(lattice, "reuse_extreme_point", checked_reuse)
+    monkeypatch.setattr(relax, "reuse_extreme_point", checked_reuse)
     return counts
 
 

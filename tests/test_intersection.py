@@ -7,16 +7,14 @@ from crossopt.instances import IntersectionInstance
 from crossopt.intersection import (
     check_chain_token_bound,
     run_intersection,
-    uncross_to_chain,
     verify_intersection,
 )
 from crossopt.lpengine import (
-    INTERSECTION,
     ResidualIntersectionLp,
     coordinate_ranges,
     solve_to_extreme_point,
 )
-from crossopt.oracles import ContraPolymatroidPair, CrossingConstraint
+from crossopt.oracles import ContraPolymatroidPair, CrossingConstraint, uncross
 from crossopt.randgen import random_intersection_instance
 from crossopt.rational import Rat
 
@@ -29,7 +27,7 @@ def first_point(inst):
         0,
         tuple((i, c.elems, c.upper) for i, c in enumerate(inst.constraints)),
     )
-    return state, solve_to_extreme_point(INTERSECTION, state)
+    return state, solve_to_extreme_point(state)
 
 
 def test_huge_bounds_drop_immediately():
@@ -40,7 +38,7 @@ def test_huge_bounds_drop_immediately():
     first_round = [ev["ev"] for ev in events if ev["ev"] in ("fix", "delete", "drop")]
     assert "drop" in first_round
     drop_event = next(ev for ev in events if ev["ev"] == "drop")
-    assert drop_event["bounds"] == [0]
+    assert drop_event["bound"] == 0
     assert verify_intersection(inst, sol, opt).ok
 
 
@@ -57,7 +55,7 @@ def test_tight_example_pipeline(edge_cover_4cycle):
     state, point = first_point(inst)
     assert all(v == Rat(1, 2) for v in point.x_by_id.values())
     # unique optimum: every coordinate pinned
-    ranges = coordinate_ranges(INTERSECTION, state, point.objective, inst.costs)
+    ranges = coordinate_ranges(state, point.objective, inst.costs)
     assert all(lo == hi == Rat(1, 2) for lo, hi in ranges)
 
     sol, events, opt = run_intersection(inst)
@@ -90,7 +88,7 @@ def test_random_batch_exhaustive():
 
 def test_verify_catches_bad_solution(edge_cover_4cycle):
     report = verify_intersection(edge_cover_4cycle, 0b0001, Rat(2))
-    assert not report.ok and not report.coverage_ok
+    assert not report.ok and not report.cover_ok
 
 
 def test_chain_token_bound_on_tight_example(edge_cover_4cycle):
@@ -130,7 +128,13 @@ def test_uncross_to_chain_tightness_hook():
     def watcher(a, b, meet, join):
         calls.append((a, b, meet, join))
 
-    chain = uncross_to_chain([0b011, 0b110], watcher)
+    chain = uncross(
+        [0b011, 0b110],
+        lambda a, b: a & b in (a, b),
+        lambda a, b: a & b,
+        lambda a, b: a | b,
+        watcher,
+    )
     assert chain == [0b010, 0b111]
     assert calls == [(0b011, 0b110, 0b010, 0b111)]
 

@@ -9,17 +9,16 @@ from crossopt.instances import GENERAL, INCLUSION, from_matroid
 from crossopt.lattice import (
     bound_feasible_predicate,
     check_chain_growth,
-    check_monotonicity_star,
     run_lattice,
-    uncross_tight_members,
     verify_lattice,
 )
-from crossopt.lpengine import LATTICE, ResidualLatticeLp, solve_to_extreme_point
+from crossopt.lpengine import ResidualLatticeLp, solve_to_extreme_point
 from crossopt.oracles import (
     CrossingConstraint,
     LatticeOracle,
     MatroidOracle,
     matroid_to_lattice,
+    uncross,
 )
 from crossopt.randgen import random_lattice_instance
 from crossopt.rational import Rat
@@ -34,7 +33,7 @@ def brute_opt(inst):
 
 def test_matroid_lattice_satisfies_monotonicity():
     lat = matroid_to_lattice(triangle_graphic_matroid())
-    assert check_monotonicity_star(lat) is None
+    assert lat.monotonicity_witness() is None
 
 
 def test_incomparable_same_size_members_pass():
@@ -47,7 +46,7 @@ def test_incomparable_same_size_members_pass():
         meet=[[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]],
         join=[[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]],
     )
-    assert check_monotonicity_star(lat) is None
+    assert lat.monotonicity_witness() is None
 
 
 def test_comparable_equal_size_images_witnessed():
@@ -59,14 +58,14 @@ def test_comparable_equal_size_images_witnessed():
         meet=[[0, 0], [0, 1]],
         join=[[0, 1], [1, 1]],
     )
-    assert check_monotonicity_star(lat) == (0, 1)
+    assert lat.monotonicity_witness() == (0, 1)
 
 
 def test_planar_gap_lattice_fails_monotonicity_and_is_refused():
     from crossopt.generators import gen_planar_mincut_gap
 
     inst, _ = gen_planar_mincut_gap(2)
-    assert check_monotonicity_star(inst.lat) is not None
+    assert inst.lat.monotonicity_witness() is not None
     with pytest.raises(InstanceError):
         run_lattice(inst)
 
@@ -110,7 +109,7 @@ def test_no_bounds_reduces_to_rank_coverage():
     inst = from_matroid(k4_graphic_matroid(), [2, 1, 3, 1, 2, 4], ())
     sol, events, opt = run_lattice(inst)
     report = verify_lattice(inst, sol, brute_opt(inst))
-    assert report.ok and report.rank_ok
+    assert report.ok and report.cover_ok
     assert inst.lat.rank[(1 << 6) - 1] == sol.bit_count() == 3
 
 
@@ -140,7 +139,7 @@ def test_random_batches_general_and_inclusion():
 def test_verify_catches_bad_solution():
     inst = from_matroid(triangle_graphic_matroid(), [1, 1, 1], ())
     report = verify_lattice(inst, 0b001, None)
-    assert not report.ok and not report.rank_ok
+    assert not report.ok and not report.cover_ok
 
 
 # -- chain growth diagnostics ---------------------------------------------------------
@@ -171,7 +170,7 @@ def test_chain_growth_on_forced_fractional_vertex():
         0,
         tuple((i, c.elems, c.lower, c.upper) for i, c in enumerate(inst.constraints)),
     )
-    point = solve_to_extreme_point(LATTICE, state)
+    point = solve_to_extreme_point(state)
     assert all(v == Rat(1, 2) for v in point.x_by_id.values())
     rep = check_chain_growth(point, inst.lat)
     assert rep["chain"] == [0b100001]
@@ -194,7 +193,7 @@ def test_chain_growth_preconditions():
         0,
         tuple((i, c.elems, c.lower, c.upper) for i, c in enumerate(inst.constraints)),
     )
-    point = solve_to_extreme_point(LATTICE, state)
+    point = solve_to_extreme_point(state)
     with pytest.raises(ValueError):
         check_chain_growth(point, inst.lat, fmask=0b1)
 
@@ -206,6 +205,6 @@ def test_uncross_tight_members_produces_chain():
     def watcher(a, b, meet, join):
         seen.append((a, b))
 
-    chain = uncross_tight_members(lat, [0b011, 0b110], watcher)
+    chain = uncross([0b011, 0b110], lat.comparable, lat.meet_of, lat.join_of, watcher)
     assert chain == [0b010, 0b111]
     assert seen == [(0b011, 0b110)]

@@ -6,8 +6,6 @@ from crossopt.errors import SizeGuardError
 from crossopt.generators import gen_planar_mincut_gap
 from crossopt.laminar import LaminarForest
 from crossopt.lpengine import (
-    INTERSECTION,
-    MCST,
     ResidualIntersectionLp,
     ResidualMcstLp,
     coordinate_ranges,
@@ -110,10 +108,10 @@ def test_planar_lattice_separation_examples():
 
 def test_triangle_solve_integral(triangle):
     state = ResidualMcstLp(triangle, 0b111, 0, ())
-    point = solve_to_extreme_point(MCST, state)
+    point = solve_to_extreme_point(state)
     assert point.objective == 2
     assert sorted(point.x_by_id.values()) == [Rat(0), Rat(1), Rat(1)]
-    assert full_separation_clean(MCST, state, point.x_by_id)
+    assert full_separation_clean(state, point.x_by_id)
 
 
 def test_edge_cover_solve_half_everywhere(edge_cover_4cycle):
@@ -125,12 +123,12 @@ def test_edge_cover_solve_half_everywhere(edge_cover_4cycle):
         0,
         tuple((i, c.elems, c.upper) for i, c in enumerate(inst.constraints)),
     )
-    point = solve_to_extreme_point(INTERSECTION, state)
+    point = solve_to_extreme_point(state)
     assert point.objective == 2
     assert all(v == Rat(1, 2) for v in point.x_by_id.values())
-    assert full_separation_clean(INTERSECTION, state, point.x_by_id)
+    assert full_separation_clean(state, point.x_by_id)
     ranges = coordinate_ranges(
-        INTERSECTION, state, point.objective, tuple(inst.costs)
+        state, point.objective, tuple(inst.costs)
     )
     assert all(lo == hi == Rat(1, 2) for lo, hi in ranges)
 
@@ -139,7 +137,7 @@ def test_infeasible_residual_propagates(triangle):
     forest_rows = ((0, 0b001, Rat(0)),)  # vertex 0 may not be reached
     state = ResidualMcstLp(triangle, 0b111, 0, forest_rows)
     with pytest.raises(LpInfeasible):
-        solve_to_extreme_point(MCST, state)
+        solve_to_extreme_point(state)
 
 
 # -- bound tightening ----------------------------------------------------------------
@@ -158,7 +156,7 @@ def test_tighten_examples(triangle):
 def test_tighten_triangle_bound_two(triangle):
     forest = LaminarForest.from_sets([(0b001, Rat(2))])
     state = ResidualMcstLp(triangle, 0b111, 0, ((0, 0b001, Rat(2)),))
-    point = solve_to_extreme_point(MCST, state)
+    point = solve_to_extreme_point(state)
     load = sum(
         point.x_by_id[e]
         for e in point.x_by_id

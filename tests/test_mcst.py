@@ -10,7 +10,6 @@ from crossopt.laminar import LaminarForest
 from crossopt.mcst import (
     MAX_LOCAL,
     McstState,
-    RunTrace,
     classify_good,
     drop_round_limit,
     local_edges,
@@ -21,6 +20,7 @@ from crossopt.mcst import (
 )
 from crossopt.randgen import random_mcst_instance
 from crossopt.rational import Rat
+from crossopt.relax import RunTrace
 
 
 def half(ids):

@@ -68,3 +68,43 @@ def test_gap_certify_spans_fire_through_module_globals(monkeypatch):
     monkeypatch.setattr(generators, "min_max_violation_over_trees", counted_scan)
     generators.gen_mcst_gap(4)
     assert calls == {"enum": [False, True], "kirchhoff": 2, "scan": 2}
+
+
+def test_run_lattice_events_carry_solve_vertices():
+    """The benchmark counts reusable lattice solves from the event dicts
+    that run_lattice returns second, reading each solve event's "x"."""
+    import random
+
+    from crossopt.lattice import run_lattice
+    from crossopt.randgen import random_lattice_instance
+
+    events = run_lattice(random_lattice_instance(random.Random(505)))[1]
+    assert isinstance(events, list) and all(isinstance(ev, dict) for ev in events)
+    solves = [ev for ev in events if ev["ev"] == "solve"]
+    assert solves and all(isinstance(ev["x"], dict) for ev in solves)
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("solve-intersection", "run_intersection"), ("solve-lattice", "run_lattice")],
+)
+def test_cli_reaches_covering_runs_through_module_globals(command, name, tmp_path, monkeypatch):
+    """cli calls run_intersection and run_lattice by their names in its
+    own module, where the benchmark's wrappers sit: a replacement there
+    is what runs, and an internal failure in it exits 3."""
+    import random
+
+    from crossopt import cli
+    from crossopt.errors import InternalCheckError
+    from crossopt.instances import dump_instance
+    from crossopt.randgen import random_intersection_instance, random_lattice_instance
+
+    make = random_intersection_instance if name == "run_intersection" else random_lattice_instance
+    inst = tmp_path / "inst.json"
+    dump_instance(make(random.Random(3)), inst)
+
+    def boom(instance):
+        raise InternalCheckError("synthetic")
+
+    monkeypatch.setattr(cli, name, boom)
+    assert cli.main([command, "--in", str(inst)]) == 3

@@ -1,8 +1,8 @@
 """Vertex reuse after fix and delete steps against cold re-solving.
 
 After a fix or delete step run_mcst and run_lattice take the previous
-vertex restricted to the remaining variables (lpengine.reuse_extreme_point)
-instead of running the cutting-plane loop.  These tests swap that call
+vertex restricted to the remaining variables (lpengine.reuse_extreme_point,
+called by the relax loop) instead of running the cutting-plane loop.  These tests swap that call
 for a cold solve_to_extreme_point and compare, and check that a
 tampered previous point is refused.
 """
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossopt import lattice, lpengine, mcst
+from crossopt import lpengine, relax
 from crossopt.errors import InternalCheckError
 from crossopt.graphs import iter_bits
 from crossopt.instances import GENERAL, INCLUSION
@@ -36,16 +36,14 @@ LATTICE_SLICE = 30
 INCLUSION_SLICE = 12
 
 
-def cold(family, state, prev):
-    return lpengine.solve_to_extreme_point(family, state)
+def cold(state, prev):
+    return lpengine.solve_to_extreme_point(state)
 
 
 @contextmanager
 def reuse_replaced(fn):
-    """Route the solvers' reuse calls through fn(family, state, prev)."""
-    with mock.patch.object(mcst, "reuse_extreme_point", fn), mock.patch.object(
-        lattice, "reuse_extreme_point", fn
-    ):
+    """Route the solvers' reuse calls through fn(state, prev)."""
+    with mock.patch.object(relax, "reuse_extreme_point", fn):
         yield
 
 
@@ -53,15 +51,15 @@ def reuse_replaced(fn):
 def checked_reuse():
     """Every reuse call also runs a cold solve of the same state; the
     reused vertex must be certified, separation-clean and as cheap as
-    the cold one.  Yields the list of (family, state, prev) calls."""
+    the cold one.  Yields the list of (state, prev) calls."""
     calls = []
 
-    def checked(family, state, prev):
-        point = lpengine.reuse_extreme_point(family, state, prev)
+    def checked(state, prev):
+        point = lpengine.reuse_extreme_point(state, prev)
         verify_vertex_certificate(point.lp, point.solution)
-        assert lpengine.full_separation_clean(family, state, point.x_by_id)
-        assert point.objective == lpengine.solve_to_extreme_point(family, state).objective
-        calls.append((family, state, prev))
+        assert lpengine.full_separation_clean(state, point.x_by_id)
+        assert point.objective == lpengine.solve_to_extreme_point(state).objective
+        calls.append((state, prev))
         return point
 
     with reuse_replaced(checked):
@@ -86,9 +84,9 @@ def test_acceptance_mcst_traces_equal_cold_solves():
     corpus = mcst_corpus(CorpusConfig(count=ACCEPTANCE_MCST))
     cold_calls = []
 
-    def counted_cold(family, state, prev):
-        cold_calls.append(family)
-        return cold(family, state, prev)
+    def counted_cold(state, prev):
+        cold_calls.append(state)
+        return cold(state, prev)
 
     reused = 0
     for inst in corpus:
@@ -148,7 +146,10 @@ def recorded_calls():
             run_mcst(inst)
         for inst in lattice_slice(10, 2):
             run_lattice(inst)
-    assert {family for family, _, _ in calls} == {lpengine.MCST, lpengine.LATTICE}
+    assert {type(state) for state, _ in calls} == {
+        lpengine.ResidualMcstLp,
+        lpengine.ResidualLatticeLp,
+    }
     return calls
 
 
@@ -162,20 +163,20 @@ def test_moved_value_is_refused(reuse_calls):
     # coordinate in the support with no tight row covering it, or
     # breaks a tight equality or upper row: never a certified vertex
     eps = Rat(1, 10**9)
-    for family, state, prev in reuse_calls:
+    for state, prev in reuse_calls:
         for var in sorted(iter_bits(state.eprime))[:3]:
             x = dict(prev.x_by_id)
             x[var] += eps if x[var] < 1 else -eps
             with pytest.raises(InternalCheckError):
-                lpengine.reuse_extreme_point(family, state, replace(prev, x_by_id=x))
+                lpengine.reuse_extreme_point(state, replace(prev, x_by_id=x))
 
 
 def test_dropped_tight_cut_is_refused_when_needed(reuse_calls):
     # Dropping a tight cut changes nothing but the certificate, so the
     # reuse must fail exactly when the rows left do not span the support.
     refused = kept = 0
-    for family, state, prev in reuse_calls:
-        point = lpengine.reuse_extreme_point(family, state, prev)
+    for state, prev in reuse_calls:
+        point = lpengine.reuse_extreme_point(state, prev)
         values = point.solution.values
         support = [j for j, v in enumerate(values) if v]
         m = len(prev.lp.constraints)
@@ -198,9 +199,9 @@ def test_dropped_tight_cut_is_refused_when_needed(reuse_calls):
             )
             if needed:
                 with pytest.raises(InternalCheckError):
-                    lpengine.reuse_extreme_point(family, state, tampered)
+                    lpengine.reuse_extreme_point(state, tampered)
                 refused += 1
             else:
-                lpengine.reuse_extreme_point(family, state, tampered)
+                lpengine.reuse_extreme_point(state, tampered)
                 kept += 1
     assert refused > 0 and kept > 0

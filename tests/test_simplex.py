@@ -54,7 +54,6 @@ def test_rank_of_rows_basics():
 def test_rank_of_tight_rows_at_four_cycle_half_point(edge_cover_4cycle):
     """The half-integral edge-cover vertex has |E'| independent tight rows."""
     from crossopt.lpengine import (
-        INTERSECTION,
         ResidualIntersectionLp,
         solve_to_extreme_point,
     )
@@ -67,7 +66,7 @@ def test_rank_of_tight_rows_at_four_cycle_half_point(edge_cover_4cycle):
         0,
         tuple((i, c.elems, c.upper) for i, c in enumerate(inst.constraints)),
     )
-    point = solve_to_extreme_point(INTERSECTION, state)
+    point = solve_to_extreme_point(state)
     assert all(v == Rat(1, 2) for v in point.x_by_id.values())
     rows = [
         point.lp.row_vector(idx)

@@ -34,7 +34,6 @@ from crossopt.instances import (
 from crossopt.lattice import (
     bound_feasible_predicate,
     run_lattice,
-    uncross_tight_members,
     verify_lattice,
 )
 from crossopt.oracles import (
@@ -42,6 +41,7 @@ from crossopt.oracles import (
     MatroidOracle,
     SubsetLattice,
     matroid_to_lattice,
+    uncross,
 )
 from crossopt.randgen import (
     random_basis,
@@ -189,7 +189,12 @@ def test_uncrossing_matches_tables(case):
     outcomes = []
     for lat in (matroid_to_lattice(matroid), table_lattice.matroid_to_lattice(matroid)):
         steps = []
-        chain = uncross_tight_members(lat, family, lambda *pair: steps.append(pair))
+        chain = uncross(
+            family, lat.comparable, lat.meet_of, lat.join_of,
+            lambda *pair: steps.append(pair),
+        )
+        order = sorted(chain, key=lambda j: (lat.rho[j].bit_count(), j))
+        assert all(lat.leq(a, b) for a, b in zip(order, order[1:]))
         outcomes.append((chain, steps))
     assert outcomes[0] == outcomes[1]
 
