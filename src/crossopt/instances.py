@@ -248,19 +248,44 @@ def from_matroid(matroid, costs, constraints, variant=GENERAL):
 # -- decoding ---------------------------------------------------------------
 
 
+def _rat(value, field):
+    """The rational of a "p/q" (or "p") string; InstanceError naming
+    field for anything else, a zero denominator included."""
+    if isinstance(value, str):
+        try:
+            return parse_rat(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InstanceError(f'{field} must be a rational string "p/q", got {value!r}')
+
+
+def _objects(body, field):
+    """The list body[field], each entry a JSON object."""
+    items = body[field]
+    if not isinstance(items, list):
+        raise InstanceError(f"{field} must be a list of objects, got {items!r}")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise InstanceError(f"{field}[{i}] must be an object, got {item!r}")
+    return items
+
+
 def _decode_graph(body):
-    """The graph of an mcst body; each edge's id, u and v must be a
-    non-negative int (not a bool), and Graph checks the rest."""
+    """The graph of an mcst body; n and each edge's id, u and v must be
+    a non-negative int (not a bool), and Graph checks the rest."""
+    n = body["n"]
+    if type(n) is not int or n < 0:
+        raise InstanceError(f"n must be a non-negative integer, got {n!r}")
     edges = []
-    for i, e in enumerate(body["edges"]):
+    for i, e in enumerate(_objects(body, "edges")):
         ends = e["id"], e["u"], e["v"]
         for field, value in zip(("id", "u", "v"), ends):
             if type(value) is not int or value < 0:
                 raise InstanceError(
                     f"edge {i} {field} must be a non-negative integer, got {value!r}"
                 )
-        edges.append(Edge(*ends, parse_rat(e["cost"])))
-    return Graph(body["n"], edges)
+        edges.append(Edge(*ends, _rat(e["cost"], f"edge {i} cost")))
+    return Graph(n, edges)
 
 
 def _int_table(values, field):
@@ -300,9 +325,9 @@ def decode_instance(body):
             family = tuple(
                 (
                     _id_mask(s["vertices"], vertices, "family set out of vertex range"),
-                    parse_rat(s["bound"]),
+                    _rat(s["bound"], f"family set {i} bound"),
                 )
-                for s in body["family"]
+                for i, s in enumerate(_objects(body, "family"))
             )
             return McstInstance(graph, family)
         if kind == "general-mcst":
@@ -310,9 +335,9 @@ def decode_instance(body):
             bounds = tuple(
                 (
                     _id_mask(s["edges"], graph.by_id, f"bound {i} must list edge ids"),
-                    parse_rat(s["bound"]),
+                    _rat(s["bound"], f"bound {i} bound"),
                 )
-                for i, s in enumerate(body["bounds"])
+                for i, s in enumerate(_objects(body, "bounds"))
             )
             return GeneralMcstInstance(graph, bounds)
         if kind == "intersection":

@@ -36,21 +36,31 @@ region P and lies on its face {x in P : x_e = c}; the new residual
 region is exactly that face with coordinate e dropped (every row's rhs
 absorbs c), and the objective changes by the constant c * cost_e, so
 the restriction is an optimal point of the new region.  The cost is
-rebuilding the working LP and re-checking, not re-solving: the base
-rows for the new state plus the previous point's tight cut rows
-(rebuilt from their tags, so each rhs reflects the new fixed set), one
-feasibility pass over them, a full separation pass and a vertex
-certificate.  Any failed check is an InternalCheckError; nothing falls
-back to a cold solve.  Steps that drop or merge bounds remove or relax
-rows, so the region can grow and the old vertex need not stay optimal;
-after those, and after rounding values >= 1/2 (which changes bounds by
-fractional amounts, so the new region is not a face of the old one),
-the LP is solved again with solve_to_extreme_point.
+re-checking, not re-solving, and no dense LP is built for it.  Every
+base and cut row of the three residual LPs is a 0/1 indicator row, so
+each is kept as a MaskRow (variable-id bitmask, relation, rhs), and an
+ExtremePoint carries its vertex once as integers X / D.  The reused
+point is checked against the base rows for the new state plus the
+previous point's tight cut rows (rebuilt from their tags, so each rhs
+reflects the new fixed set): one integer pass gives row feasibility,
+the box and the tight set, then comes a full separation pass and the
+vertex certificate, whose rank runs over the tight 0/1 rows restricted
+to the support strictly inside the box.  Any failed check is an
+InternalCheckError; nothing falls back to a cold solve.  Only
+solve_to_extreme_point turns mask rows into dense Constraints.  Steps
+that drop or merge bounds remove or relax rows, so the region can grow
+and the old vertex need not stay optimal; after those, and after
+rounding values >= 1/2 (which changes bounds by fractional amounts, so
+the new region is not a face of the old one), the LP is solved again
+with solve_to_extreme_point.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice
+from math import lcm
 from operator import add, sub
+from typing import NamedTuple
 
 from .errors import InstanceError, InternalCheckError, SizeGuardError
 from .graphs import iter_bits
@@ -60,11 +70,9 @@ from .simplex import (
     GE,
     LE,
     STATS,
-    BasicSolution,
     Constraint,
     LinearProgram,
     LpUnbounded,
-    row_status,
     scale_values,
     simplex_solve,
     verify_vertex_certificate,
@@ -229,27 +237,179 @@ def separate_lattice(x_by_id, fmask, lat):
 # -- working LP assembly -----------------------------------------------------
 
 
+def _violated(rel, excess):
+    """Whether a row whose lhs - rhs has the sign of excess is violated."""
+    if rel == LE:
+        return excess > 0
+    if rel == GE:
+        return excess < 0
+    return excess != 0
+
+
+class MaskRow(NamedTuple):
+    """The 0/1 row x(mask) rel rhs: the sum of x over the variable ids
+    in the bitmask ``mask``."""
+
+    mask: int
+    rel: str
+    rhs: object
+
+    def excess(self, den, load):
+        """An int with the sign of lhs - rhs, where lhs = load / den."""
+        return load * self.rhs.denominator - self.rhs.numerator * den
+
+    def dense(self, var_ids):
+        """The row as a Constraint over the columns var_ids."""
+        coeffs = tuple(ONE if (self.mask >> v) & 1 else ZERO for v in var_ids)
+        return Constraint(coeffs, self.rel, self.rhs)
+
+
+@dataclass(frozen=True)
+class MaskLp:
+    """A working LP kept as 0/1 mask rows over the box 0 <= x <= 1: the
+    system a reused vertex is checked and certified on, with no dense
+    rows built."""
+
+    var_ids: tuple
+    rows: tuple  # MaskRow
+
+    def status(self, point):
+        """The tight rows of point (simplex.BasicSolution's index
+        scheme), or None when it violates a row or leaves the box."""
+        den = point.den
+        if any(x < 0 or x > den for x in point.fractional.values()):
+            return None
+        tight = []
+        for idx, row in enumerate(self.rows):
+            excess = row.excess(den, point.load(row.mask))
+            if not excess:
+                tight.append(idx)
+            elif _violated(row.rel, excess):
+                return None
+        m, n = len(self.rows), len(self.var_ids)
+        for j, x in enumerate(point.scaled):
+            if not x:
+                tight.append(m + j)
+            elif x == den:
+                tight.append(m + n + j)
+        return tuple(tight)
+
+    def certificate_rows(self, point):
+        """simplex.verify_vertex_certificate's rows for an ExtremePoint:
+        the claimed tight rows are re-checked, and each tight mask row,
+        restricted to the support columns strictly inside the box, is a
+        0/1 int row."""
+        den, scaled = point.den, point.scaled
+        m, n = len(self.rows), len(self.var_ids)
+        bound_cols = set()
+        for idx in point.tight_rows:
+            if idx < m:
+                row = self.rows[idx]
+                if row.excess(den, point.load(row.mask)):
+                    raise InternalCheckError(f"claimed tight row {idx} is not tight")
+            else:
+                j = idx - m
+                if j >= n:
+                    j -= n
+                    if scaled[j] != den:
+                        raise InternalCheckError(
+                            f"claimed tight upper bound {j} is not"
+                        )
+                elif scaled[j]:
+                    raise InternalCheckError(f"claimed tight lower bound {j} is not")
+                if scaled[j]:
+                    bound_cols.add(j)
+        support = [j for j in range(n) if scaled[j]]
+        free = [self.var_ids[j] for j in support if j not in bound_cols]
+        rows = []
+        if free:
+            for idx in point.tight_rows:
+                if idx < m:
+                    mask = self.rows[idx].mask
+                    row = [(mask >> v) & 1 for v in free]
+                    if any(row):
+                        rows.append(row)
+        return len(support), len(bound_cols), rows
+
+
 @dataclass(frozen=True)
 class ExtremePoint:
-    solution: object
-    lp: LinearProgram
+    """A certified vertex of one iteration's LP.
+
+    The vertex is x = X / D over ``var_ids``, with D = ``den`` and X =
+    ``scaled`` (ints aligned with var_ids, as simplex.scale_values gives
+    them); the engine and the spanning-tree step work on these.
+    ``x_by_id`` holds the same values as rationals for the trace, the
+    reports, the separators and the covering step rules.  ``lp`` is the
+    system the vertex was certified on (the LinearProgram the simplex
+    solved, or the MaskLp of a reused vertex); ``row_tags`` name its
+    rows and ``tight_rows`` lists its tight rows and bounds in
+    simplex.BasicSolution's index scheme.
+    """
+
+    lp: object
     var_ids: tuple
-    row_tags: tuple  # (kind, witness) aligned with lp.constraints
+    row_tags: tuple
+    den: int
+    scaled: tuple
+    objective: object
+    tight_rows: tuple
     x_by_id: dict
 
+    @classmethod
+    def of_solution(cls, lp, var_ids, row_tags, solution):
+        den, scaled = scale_values(solution.values)
+        return cls(
+            lp,
+            var_ids,
+            row_tags,
+            den,
+            tuple(scaled),
+            solution.objective_value,
+            solution.tight_rows,
+            dict(zip(var_ids, solution.values)),
+        )
+
     @property
-    def objective(self):
-        return self.solution.objective_value
+    def values(self):
+        return tuple(self.x_by_id[v] for v in self.var_ids)
+
+    @cached_property
+    def ones(self):
+        """Bitmask of the variable ids at value 1."""
+        den = self.den
+        return sum(1 << v for v, x in zip(self.var_ids, self.scaled) if x == den)
+
+    @cached_property
+    def zeros(self):
+        """Bitmask of the variable ids at value 0."""
+        return sum(1 << v for v, x in zip(self.var_ids, self.scaled) if not x)
+
+    @cached_property
+    def fractional(self):
+        """{1 << variable id: X} for every value other than 0 and 1."""
+        den = self.den
+        return {1 << v: x for v, x in zip(self.var_ids, self.scaled) if x and x != den}
+
+    @cached_property
+    def _fractional_mask(self):
+        return sum(self.fractional)
+
+    def load(self, mask):
+        """D * x(mask), an int."""
+        total = self.den * (mask & self.ones).bit_count()
+        rest = mask & self._fractional_mask
+        if rest:
+            fractional = self.fractional
+            while rest:
+                low = rest & -rest
+                total += fractional[low]
+                rest ^= low
+        return total
 
     def tight_constraint_tags(self):
-        m = len(self.lp.constraints)
-        return [
-            self.row_tags[idx] for idx in self.solution.tight_rows if idx < m
-        ]
-
-
-def _indicator(var_ids, mask):
-    return tuple(ONE if (mask >> v) & 1 else ZERO for v in var_ids)
+        m = len(self.row_tags)
+        return [self.row_tags[idx] for idx in self.tight_rows if idx < m]
 
 
 @dataclass(frozen=True)
@@ -267,29 +427,24 @@ class ResidualMcstLp:
             raise InstanceError("undecided and fixed edge sets overlap")
 
     def base(self):
-        """(variable ids, objective, base rows, separator, cut builder)."""
+        """(variable ids, objective, base rows, separator, cut builder);
+        every row is a (MaskRow, tag) pair."""
         graph = self.graph
-        var_ids = tuple(sorted(iter_bits(self.eprime)))
+        var_ids = tuple(iter_bits(self.eprime))
         objective = tuple(graph.by_id[v].cost for v in var_ids)
         n_fixed = self.fmask.bit_count()
-        rows = [
-            (
-                Constraint(tuple(ONE for _ in var_ids), EQ, Rat(graph.n - n_fixed - 1)),
-                ("tree_total", None),
-            )
-        ]
+        total = MaskRow(self.eprime, EQ, Rat(graph.n - n_fixed - 1))
+        rows = [(total, ("tree_total", None))]
         for node_id, vset, bound in self.degree_rows:
             dmask = graph.delta_mask(vset, within=self.eprime)
-            rows.append(
-                (Constraint(_indicator(var_ids, dmask), LE, bound), ("degree", node_id))
-            )
+            rows.append((MaskRow(dmask, LE, bound), ("degree", node_id)))
 
         def cut_row(res):
             vmask = res.witness
             inside = graph.induced_mask(vmask, within=self.eprime)
             f_inside = (graph.induced_mask(vmask) & self.fmask).bit_count()
             rhs = Rat(vmask.bit_count() - f_inside - 1)
-            return Constraint(_indicator(var_ids, inside), LE, rhs), ("subtour", vmask)
+            return MaskRow(inside, LE, rhs), ("subtour", vmask)
 
         def separator(x_by_id):
             return separate_spanning_tree(x_by_id, graph, self.fmask)
@@ -306,27 +461,21 @@ class ResidualIntersectionLp:
     bound_rows: tuple  # (constraint index, element mask, residual upper)
 
     def base(self):
-        """(variable ids, objective, base rows, separator, cut builder)."""
-        var_ids = tuple(sorted(iter_bits(self.eprime)))
+        """(variable ids, objective, base rows, separator, cut builder);
+        every row is a (MaskRow, tag) pair."""
+        var_ids = tuple(iter_bits(self.eprime))
         objective = tuple(self.costs[v] for v in var_ids)
-        rows = []
-        for idx, elems, resid in self.bound_rows:
-            rows.append(
-                (
-                    Constraint(_indicator(var_ids, elems & self.eprime), LE, resid),
-                    ("bound_upper", idx),
-                )
-            )
+        rows = [
+            (MaskRow(elems & self.eprime, LE, resid), ("bound_upper", idx))
+            for idx, elems, resid in self.bound_rows
+        ]
 
         def cut_row(res):
             func_idx = 1 if res.family == "cover1" else 2
             s = res.witness
             table = self.pair.r1 if func_idx == 1 else self.pair.r2
             rhs = Rat(table[s] - (self.fmask & s).bit_count())
-            return (
-                Constraint(_indicator(var_ids, s & self.eprime), GE, rhs),
-                (res.family, s),
-            )
+            return MaskRow(s & self.eprime, GE, rhs), (res.family, s)
 
         def separator(x_by_id):
             return separate_contra_polymatroid(x_by_id, self.fmask, self.pair)
@@ -343,25 +492,23 @@ class ResidualLatticeLp:
     bound_rows: tuple  # (constraint index, element mask, lower | None, upper)
 
     def base(self):
-        """(variable ids, objective, base rows, separator, cut builder)."""
-        var_ids = tuple(sorted(iter_bits(self.eprime)))
+        """(variable ids, objective, base rows, separator, cut builder);
+        every row is a (MaskRow, tag) pair."""
+        var_ids = tuple(iter_bits(self.eprime))
         objective = tuple(self.costs[v] for v in var_ids)
         rows = []
         for idx, elems, lower, upper in self.bound_rows:
             fixed = (elems & self.fmask).bit_count()
-            ind = _indicator(var_ids, elems & self.eprime)
-            rows.append((Constraint(ind, LE, upper - fixed), ("bound_upper", idx)))
+            mask = elems & self.eprime
+            rows.append((MaskRow(mask, LE, upper - fixed), ("bound_upper", idx)))
             if lower is not None:
-                rows.append((Constraint(ind, GE, lower - fixed), ("bound_lower", idx)))
+                rows.append((MaskRow(mask, GE, lower - fixed), ("bound_lower", idx)))
 
         def cut_row(res):
             j = res.witness
             rho = self.lat.rho[j]
             rhs = Rat(self.lat.rank[j] - (self.fmask & rho).bit_count())
-            return (
-                Constraint(_indicator(var_ids, rho & self.eprime), GE, rhs),
-                ("rank", j),
-            )
+            return MaskRow(rho & self.eprime, GE, rhs), ("rank", j)
 
         def separator(x_by_id):
             return separate_lattice(x_by_id, self.fmask, self.lat)
@@ -369,29 +516,27 @@ class ResidualLatticeLp:
         return var_ids, objective, rows, separator, cut_row
 
 
-def _working_lp(var_ids, objective, rows):
-    n = len(var_ids)
-    return LinearProgram(
-        n, objective, tuple(c for c, _ in rows), (ZERO,) * n, (ONE,) * n
-    )
-
-
 def solve_to_extreme_point(state, extra_rows=(), objective_override=None):
     """Cutting-plane loop: optimal certified vertex of the full system.
 
-    ``extra_rows`` are (Constraint, tag) pairs appended to the base LP
-    (used for optimum-pinning).  ``objective_override`` replaces the
-    cost vector (aligned with the sorted undecided ids).
-    Raises LpInfeasible if the full system is empty.
+    The mask rows of ``state`` become dense Constraints here, the only
+    place a LinearProgram is built.  ``extra_rows`` are (Constraint,
+    tag) pairs appended to the base LP (used for optimum-pinning).
+    ``objective_override`` replaces the cost vector (aligned with the
+    sorted undecided ids).  Raises LpInfeasible if the full system is
+    empty.
     """
     var_ids, objective, rows, separator, cut_row = state.base()
     if objective_override is not None:
         objective = tuple(objective_override)
-    rows = list(rows) + list(extra_rows)
-    seen = {tag for _, tag in rows}
+    constraints = [row.dense(var_ids) for row, _ in rows]
+    constraints += [c for c, _ in extra_rows]
+    tags = [tag for _, tag in rows] + [tag for _, tag in extra_rows]
+    seen = set(tags)
+    n = len(var_ids)
     prev_obj = None
     while True:
-        lp = _working_lp(var_ids, objective, rows)
+        lp = LinearProgram(n, objective, tuple(constraints), (ZERO,) * n, (ONE,) * n)
         try:
             sol = simplex_solve(lp)
         except LpUnbounded as exc:  # impossible: the box is compact
@@ -401,28 +546,23 @@ def solve_to_extreme_point(state, extra_rows=(), objective_override=None):
                 "objective decreased while adding cutting planes"
             )
         prev_obj = sol.objective_value
-        x_by_id = dict(zip(var_ids, sol.values))
-        res = separator(x_by_id)
+        point = ExtremePoint.of_solution(lp, var_ids, tuple(tags), sol)
+        res = separator(point.x_by_id)
         if res.feasible:
-            return ExtremePoint(
-                sol, lp, var_ids, tuple(t for _, t in rows), x_by_id
-            )
-        constraint, tag = cut_row(res)
+            return point
+        row, tag = cut_row(res)
         if tag in seen:
             raise InternalCheckError(f"separator repeated row {tag}")
         seen.add(tag)
-        # re-verify the reported violation exactly against the new row,
-        # in integers: excess is K * D * (lhs - rhs), K the row's scale
-        den, scaled = scale_values(sol.values)
-        excess = constraint.excess(den, scaled)
-        k, _, k_rhs = constraint.scaled
-        violated = excess > 0 if constraint.rel == LE else excess < 0
-        lhs = Rat(excess + k_rhs * den, k * den)
-        if not violated or lhs != res.lhs or constraint.rhs != res.rhs:
+        # re-verify the reported violation exactly against the new row
+        load = point.load(row.mask)
+        violated = _violated(row.rel, row.excess(point.den, load))
+        if not violated or Rat(load, point.den) != res.lhs or row.rhs != res.rhs:
             raise InternalCheckError(
                 f"separator violation for {tag} failed exact re-verification"
             )
-        rows.append((constraint, tag))
+        constraints.append(row.dense(var_ids))
+        tags.append(tag)
 
 
 def reuse_extreme_point(state, prev):
@@ -431,67 +571,78 @@ def reuse_extreme_point(state, prev):
 
     The working LP is the base rows of ``state`` plus the cut rows that
     were tight at ``prev``, each rebuilt from its tag by the cut builder
-    of ``state``.  The restriction of ``prev`` to the undecided
-    variables must satisfy that LP, pass full separation and carry a
-    vertex certificate; otherwise InternalCheckError.  Optimality is the
-    face argument in the module docstring.
+    of ``state``, all kept as mask rows (MaskLp).  The restriction of
+    ``prev`` to the undecided variables must satisfy that LP, pass full
+    separation and carry a vertex certificate; otherwise
+    InternalCheckError.  Optimality is the face argument in the module
+    docstring.
     """
     var_ids, objective, rows, separator, cut_row = state.base()
     rows = list(rows)
     for kind, witness in prev.tight_constraint_tags():
         if kind in CUT_KINDS:
             rows.append(cut_row(SeparationResult(False, kind, witness)))
+    prev_scaled = dict(zip(prev.var_ids, prev.scaled))
     try:
-        values = tuple(prev.x_by_id[v] for v in var_ids)
+        scaled = tuple(prev_scaled[v] for v in var_ids)
     except KeyError as exc:
         raise InternalCheckError(
             f"undecided variable {exc} has no value at the previous vertex"
         ) from None
-    lp = _working_lp(var_ids, objective, rows)
-    feasible, tight = row_status(lp, values)
-    if not feasible:
+    x_by_id = {v: prev.x_by_id[v] for v in var_ids}
+    k = lcm(*(c.denominator for c in objective))
+    value = Rat(
+        sum(c.numerator * (k // c.denominator) * x for c, x in zip(objective, scaled)),
+        k * prev.den,
+    )
+    lp = MaskLp(var_ids, tuple(row for row, _ in rows))
+    point = ExtremePoint(
+        lp, var_ids, tuple(t for _, t in rows), prev.den, scaled, value, (), x_by_id
+    )
+    tight = lp.status(point)
+    if tight is None:
         raise InternalCheckError("reused vertex violates the new working LP")
-    x_by_id = dict(zip(var_ids, values))
     if not separator(x_by_id).feasible:
         raise InternalCheckError("reused vertex violates a family constraint")
-    value = sum((c * v for c, v in zip(objective, values) if c and v), ZERO)
-    solution = BasicSolution(values, value, tight)
-    verify_vertex_certificate(lp, solution)
+    point = replace(point, tight_rows=tight)
+    verify_vertex_certificate(lp, point)
     STATS["reused"] += 1
-    return ExtremePoint(
-        solution, lp, var_ids, tuple(t for _, t in rows), x_by_id
-    )
+    return point
 
 
 def full_separation_clean(state, x_by_id):
     """Post-hoc pass: no family constraint is violated at x."""
-    var_ids, objective, rows, separator, _ = state.base()
+    var_ids, _, rows, separator, _ = state.base()
     if not separator(x_by_id).feasible:
         return False
-    vals = tuple(x_by_id[v] for v in var_ids)
-    return row_status(_working_lp(var_ids, objective, rows), vals)[0]
+    lp = MaskLp(var_ids, tuple(row for row, _ in rows))
+    den, scaled = scale_values([x_by_id[v] for v in var_ids])
+    point = ExtremePoint(lp, var_ids, (), den, tuple(scaled), None, (), x_by_id)
+    return lp.status(point) is not None
 
 
-def tighten_degree_bounds(forest, graph, eprime, x_by_id):
-    """Lower every alive bound to the current crossing load x(delta(S)).
+def tighten_degree_bounds(forest, graph, eprime, point):
+    """Lower every alive bound to the current crossing load x(delta(S))
+    at the ExtremePoint ``point``, compared in integers.
 
     Never increases a bound; returns [(node id, old, new)] for changed
     nodes.
     """
+    den = point.den
     changes = []
     for nid in forest.alive_ids():
-        node = forest.node(nid)
-        load = ZERO
-        for eid in iter_bits(graph.delta_mask(node.vset, within=eprime)):
-            load += x_by_id[eid]
-        if load > node.bound:
+        bound = forest.node(nid).bound
+        load = point.load(graph.delta_mask(forest.node(nid).vset, within=eprime))
+        excess = load * bound.denominator - bound.numerator * den
+        if excess > 0:
             raise InternalCheckError(
                 f"crossing load exceeds bound at node {nid}; tightening "
                 "would increase the bound"
             )
-        if load != node.bound:
-            changes.append((nid, node.bound, load))
-            forest.set_bound(nid, load)
+        if excess:
+            new = Rat(load, den)
+            changes.append((nid, bound, new))
+            forest.set_bound(nid, new)
     return changes
 
 

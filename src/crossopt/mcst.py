@@ -115,6 +115,10 @@ class McstState:
         self.iteration_cap = (
             self.eprime.bit_count() + drop_round_limit(self.graph.n) + 2
         )
+        # delta masks of the original sets, for _assert_degree_accounting
+        self.family_deltas = tuple(
+            self.graph.delta_mask(vmask) for vmask, _ in instance.family
+        )
 
     def finished(self):
         return not self.eprime
@@ -148,7 +152,7 @@ class McstState:
         graph = self.graph
         if graph.cost_of(self.fmask) + point.objective > lp_initial:
             raise InternalCheckError("cost accounting broke: c(F) + z > z0")
-        changes = tighten_degree_bounds(self.forest, graph, self.eprime, point.x_by_id)
+        changes = tighten_degree_bounds(self.forest, graph, self.eprime, point)
         trace.add(
             {
                 "ev": "tighten",
@@ -158,11 +162,11 @@ class McstState:
                 ],
             }
         )
-        locals_by, _, _ = classify_good(self.forest, graph, self.eprime)
-        assert_edge_locality(locals_by, self.eprime)
+        classified = classify_good(self.forest, graph, self.eprime)
+        assert_edge_locality(classified[0], self.eprime)
         _assert_degree_accounting(self)
         before = self.forest.size()
-        step = try_step(self, point.x_by_id)
+        step = try_step(self, point, classified)
         if step.kind in ("fix", "delete"):
             trace.add({"ev": step.kind, "edge": step.edge})
             return True
@@ -193,31 +197,31 @@ class McstState:
 
     def finish(self, lp_initial):
         tree = self.fmask
-        if not self.graph.is_spanning_tree(tree):
-            raise InternalCheckError("output is not a spanning tree")
         if not self.graph.all_edges_mask:
             raise InstanceError("graph has no edges")
+        if not self.graph.is_spanning_tree(tree):
+            raise InternalCheckError("output is not a spanning tree")
         if self.graph.cost_of(tree) > lp_initial:
             raise InternalCheckError("tree cost exceeds the initial LP optimum")
         return {"tree": sorted(iter_bits(tree)), "forest": _forest_json(self.forest)}
 
 
-def try_step(state, x_by_id):
-    """Apply the first applicable step (fix, delete, drop, merge)."""
+def try_step(state, point, classified):
+    """Apply the first applicable step (fix, delete, drop, merge) at the
+    ExtremePoint ``point``; ``classified`` is classify_good of the
+    state's forest and undecided edges, already checked for edge
+    locality."""
     forest = state.forest
-    for eid in sorted(x_by_id):
-        if x_by_id[eid] == ONE:
-            state.fix_edge(eid)
-            return StepTaken("fix", edge=eid)
-    for eid in sorted(x_by_id):
-        if x_by_id[eid] == ZERO:
-            state.delete_edge(eid)
-            return StepTaken("delete", edge=eid)
+    if point.ones:
+        eid = (point.ones & -point.ones).bit_length() - 1
+        state.fix_edge(eid)
+        return StepTaken("fix", edge=eid)
+    if point.zeros:
+        eid = (point.zeros & -point.zeros).bit_length() - 1
+        state.delete_edge(eid)
+        return StepTaken("delete", edge=eid)
 
-    locals_by, good_nonleaves, good_leaves = classify_good(
-        forest, state.graph, state.eprime
-    )
-    assert_edge_locality(locals_by, state.eprime)
+    _, good_nonleaves, good_leaves = classified
     total = forest.size()
 
     if good_nonleaves and 4 * len(good_nonleaves) >= total:
@@ -311,12 +315,19 @@ def _assert_degree_accounting(state):
     """An original node's residual bound plus the chosen edges crossing
     it never exceeds its original bound (tightening only decreases, and
     each fixed crossing edge decremented it by one)."""
-    for idx, (vmask, bound) in enumerate(state.instance.family):
+    for idx, (delta, (_, bound)) in enumerate(
+        zip(state.family_deltas, state.instance.family)
+    ):
         node = state.forest.nodes[idx]
         if not node.alive:
             continue
-        fixed = (state.graph.delta_mask(vmask) & state.fmask).bit_count()
-        if node.bound + fixed > bound:
+        fixed = (delta & state.fmask).bit_count()
+        residual = node.bound
+        # residual + fixed > bound, in integers
+        if (
+            (residual.numerator + fixed * residual.denominator) * bound.denominator
+            > bound.numerator * residual.denominator
+        ):
             raise InternalCheckError(
                 f"degree accounting broke at original set {idx}"
             )

@@ -147,6 +147,47 @@ class LinearProgram:
         vec[j] = ONE
         return tuple(vec)
 
+    def certificate_rows(self, solution):
+        """(support size, support columns with a tight bound, the tight
+        constraint rows as int rows over the other support columns) for
+        verify_vertex_certificate; raises when a claimed tight row is
+        not tight."""
+        values = solution.values
+        m = len(self.constraints)
+        n = self.num_vars
+        den, scaled = scale_values(values)
+        bound_cols = set()
+        for idx in solution.tight_rows:
+            if idx < m:
+                if self.constraints[idx].excess(den, scaled):
+                    raise InternalCheckError(f"claimed tight row {idx} is not tight")
+            else:
+                j = idx - m
+                if j >= n:
+                    j -= n
+                    if self.upper[j] is None or values[j] != self.upper[j]:
+                        raise InternalCheckError(
+                            f"claimed tight upper bound {j} is not"
+                        )
+                elif values[j] != self.lower[j]:
+                    raise InternalCheckError(f"claimed tight lower bound {j} is not")
+                if scaled[j]:
+                    bound_cols.add(j)
+        support = [j for j in range(n) if scaled[j]]
+        free = {j: k for k, j in enumerate(j for j in support if j not in bound_cols)}
+        rows = []
+        if free:
+            for idx in solution.tight_rows:
+                if idx < m:
+                    row = [0] * len(free)
+                    for j, a in self.constraints[idx].scaled[1]:
+                        k = free.get(j)
+                        if k is not None:
+                            row[k] = a
+                    if any(row):
+                        rows.append(row)
+        return len(support), len(bound_cols), rows
+
 
 @dataclass(frozen=True)
 class BasicSolution:
@@ -531,44 +572,16 @@ def verify_vertex_certificate(lp, solution):
     full column rank.  A tight bound row is a unit row, so each support
     column with one counts once and drops out; the constraint rows on
     the remaining support columns are ranked by integer elimination.
-    Returns the computed support rank.
+    ``lp`` supplies those rows through ``certificate_rows(solution)``,
+    which first re-checks every claimed tight row: a LinearProgram for
+    a simplex solution, or the 0/1 mask rows of a reused vertex
+    (lpengine.MaskLp).  Returns the computed support rank.
     """
-    values = solution.values
-    m = len(lp.constraints)
-    n = lp.num_vars
-    den, scaled = scale_values(values)
-    bound_cols = set()
-    for idx in solution.tight_rows:
-        if idx < m:
-            if lp.constraints[idx].excess(den, scaled):
-                raise InternalCheckError(f"claimed tight row {idx} is not tight")
-        else:
-            j = idx - m
-            if j >= n:
-                j -= n
-                if lp.upper[j] is None or values[j] != lp.upper[j]:
-                    raise InternalCheckError(f"claimed tight upper bound {j} is not")
-            elif values[j] != lp.lower[j]:
-                raise InternalCheckError(f"claimed tight lower bound {j} is not")
-            if scaled[j]:
-                bound_cols.add(j)
-    support = [j for j in range(n) if scaled[j]]
-    free = {j: k for k, j in enumerate(j for j in support if j not in bound_cols)}
-    rows = []
-    if free:
-        for idx in solution.tight_rows:
-            if idx < m:
-                row = [0] * len(free)
-                for j, a in lp.constraints[idx].scaled[1]:
-                    k = free.get(j)
-                    if k is not None:
-                        row[k] = a
-                if any(row):
-                    rows.append(row)
-    rank = len(bound_cols) + _int_rank(rows)
-    if rank != len(support):
+    support, bounded, rows = lp.certificate_rows(solution)
+    rank = bounded + _int_rank(rows)
+    if rank != support:
         raise InternalCheckError(
-            f"vertex certificate failed: support {len(support)}, tight-row rank {rank}"
+            f"vertex certificate failed: support {support}, tight-row rank {rank}"
         )
     STATS["certificates"] += 1
     return rank

@@ -3,8 +3,10 @@ import pytest
 from crossopt.generators import gen_mcst_gap
 from crossopt.graphs import Graph
 from crossopt.instances import IntersectionInstance, McstInstance
+from crossopt.lpengine import ExtremePoint
 from crossopt.oracles import ContraPolymatroidPair, CrossingConstraint, MatroidOracle
 from crossopt.rational import Rat
+from crossopt.simplex import BasicSolution
 
 
 @pytest.fixture(scope="session")
@@ -97,3 +99,11 @@ def k4_graphic_matroid():
 def tree_instance():
     graph = Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3)], [5, 2, 7])
     return McstInstance(graph, ((0b0011, Rat(2)), (0b0100, Rat(2))))
+
+
+def point_at(x_by_id):
+    """An ExtremePoint with the values x_by_id ({variable id: Rat}) and
+    no rows, for step rules that read only the vertex."""
+    var_ids = tuple(sorted(x_by_id))
+    values = tuple(x_by_id[v] for v in var_ids)
+    return ExtremePoint.of_solution(None, var_ids, (), BasicSolution(values, None, ()))

@@ -283,7 +283,7 @@ def test_criterion_9_certificates_and_separation(mcst_results):
             tuple((i, c.elems, c.upper) for i, c in enumerate(inst.constraints)),
         )
         point = solve_to_extreme_point(state)
-        verify_vertex_certificate(point.lp, point.solution)
+        verify_vertex_certificate(point.lp, point)
         clean = clean and full_separation_clean(
             state, point.x_by_id
         )
@@ -296,7 +296,7 @@ def test_criterion_9_certificates_and_separation(mcst_results):
             tuple((i, m, b) for i, (m, b) in enumerate(inst.family)),
         )
         point = solve_to_extreme_point(state)
-        verify_vertex_certificate(point.lp, point.solution)
+        verify_vertex_certificate(point.lp, point)
         clean = clean and full_separation_clean(state, point.x_by_id)
     announce(
         "criterion-9 vertex certificates and clean separation",

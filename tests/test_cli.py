@@ -512,3 +512,105 @@ def test_empty_ground_set_solves_and_verifies(kind, tmp_path, capsys):
     body = json.loads(verified.read_text())
     assert body["ok"] and body["checks"] == checks
     assert "Traceback" not in capsys.readouterr().err
+
+
+# n >= 2 and no edges: relax solves no LP, and the tree check used to
+# run before the "no edges" check, so both exited 3
+NO_EDGES = {
+    "empty-list": ([], "graph has no edges"),
+    "empty-object": ({}, "edges must be a list of objects, got {}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_EDGES))
+def test_mcst_without_edges_is_usage_error(case, tmp_path, capsys):
+    edges, named = NO_EDGES[case]
+    body = {"schema": 1, "type": "mcst", "n": 3, "edges": edges, "family": []}
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(body))
+    assert run_cli("solve-mcst", "--in", str(inst), "--verify") == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+def _mcst_body(kind):
+    from crossopt.graphs import Graph
+    from crossopt.instances import GeneralMcstInstance
+    from crossopt.rational import Rat
+
+    if kind == "mcst":
+        return random_mcst_instance(random.Random(3)).to_json()
+    graph = Graph.from_pairs(3, [(0, 1), (1, 2)])
+    return GeneralMcstInstance(graph, ((0b11, Rat(1)),)).to_json()
+
+
+# (body type, field) -> (the entry holding the field, the name the error
+# gives it); each bad value used to raise AttributeError, ValueError or
+# ZeroDivisionError in parse_rat, a traceback with exit 1
+RAT_FIELDS = {
+    ("mcst", "cost"): (lambda body: body["edges"][0], "edge 0 cost"),
+    ("mcst", "bound"): (lambda body: body["family"][0], "family set 0 bound"),
+    ("general-mcst", "cost"): (lambda body: body["edges"][0], "edge 0 cost"),
+    ("general-mcst", "bound"): (lambda body: body["bounds"][0], "bound 0 bound"),
+}
+BAD_RATS = {"int": 3, "null": None, "word": "abc", "zero-denominator": "1/0"}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_RATS))
+@pytest.mark.parametrize("kind, field", sorted(RAT_FIELDS))
+def test_bad_rational_field_is_usage_error(kind, field, bad, tmp_path, capsys):
+    body = _mcst_body(kind)
+    entry, named = RAT_FIELDS[kind, field]
+    entry(body)[field] = BAD_RATS[bad]
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(body))
+    assert run_cli("solve-mcst", "--in", str(inst)) == 2
+    err = capsys.readouterr().err
+    assert f'{named} must be a rational string "p/q", got {BAD_RATS[bad]!r}' in err
+    assert "Traceback" not in err
+
+
+def _listed(entries):
+    entries[0] = list(entries[0].values())
+
+
+# case -> (corrupt the mcst body, the message); "3" and 3.0 as n used to
+# raise TypeError and true was read as n = 1; a family that is no list,
+# or an entry that is a list, raised TypeError
+BAD_MCST_SHAPES = {
+    "n-string": (
+        lambda body: body.update(n="3"), "n must be a non-negative integer, got '3'"
+    ),
+    "n-float": (
+        lambda body: body.update(n=3.0), "n must be a non-negative integer, got 3.0"
+    ),
+    "n-true": (
+        lambda body: body.update(n=True), "n must be a non-negative integer, got True"
+    ),
+    "family-number": (
+        lambda body: body.update(family=3), "family must be a list of objects, got 3"
+    ),
+    "family-object": (
+        lambda body: body.update(family={}), "family must be a list of objects, got {}"
+    ),
+    "edge-list": (
+        lambda body: _listed(body["edges"]), "edges[0] must be an object, got ["
+    ),
+    "family-entry-list": (
+        lambda body: _listed(body["family"]), "family[0] must be an object, got ["
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MCST_SHAPES))
+def test_bad_mcst_shape_is_usage_error(case, tmp_path, capsys):
+    body = _mcst_body("mcst")
+    corrupt, named = BAD_MCST_SHAPES[case]
+    corrupt(body)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(body))
+    assert run_cli("solve-mcst", "--in", str(inst)) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err

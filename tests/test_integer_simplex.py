@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_simplex as reference
+from dense_reuse import dense_lp, dense_solution
 from crossopt import lpengine, relax, simplex
 from crossopt.errors import InternalCheckError
 from crossopt.instances import GENERAL, INCLUSION
@@ -281,9 +282,9 @@ def checked_core(monkeypatch):
 
     def checked_reuse(state, prev):
         point = reuse(state, prev)
-        lp, sol = point.lp, point.solution
+        lp, sol = dense_lp(point), dense_solution(point)
         assert reference.row_status(lp, sol.values) == (True, sol.tight_rows)
-        rank = verify_vertex_certificate(lp, sol)
+        rank = verify_vertex_certificate(point.lp, point)
         assert rank == reference.verify_vertex_certificate(lp, sol)
         counts["reuse"] += 1
         return point

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import edge_cover_pair
+from conftest import edge_cover_pair, point_at
 from crossopt.graphs import Graph
 from crossopt.errors import SizeGuardError
 from crossopt.generators import gen_planar_mincut_gap
@@ -146,11 +146,11 @@ def test_infeasible_residual_propagates(triangle):
 def test_tighten_examples(triangle):
     forest = LaminarForest.from_sets([(0b001, Rat(3))])
     x = {0: Rat(1), 1: Rat(1, 2), 2: Rat(1)}  # load at vertex 0: edges 0 and 2
-    changes = tighten_degree_bounds(forest, triangle, 0b111, x)
+    changes = tighten_degree_bounds(forest, triangle, 0b111, point_at(x))
     assert changes == [(0, Rat(3), Rat(2))]
     assert forest.node(0).bound == Rat(2)
     # already tight: no change
-    assert tighten_degree_bounds(forest, triangle, 0b111, x) == []
+    assert tighten_degree_bounds(forest, triangle, 0b111, point_at(x)) == []
 
 
 def test_tighten_triangle_bound_two(triangle):
@@ -162,7 +162,7 @@ def test_tighten_triangle_bound_two(triangle):
         for e in point.x_by_id
         if triangle.by_id[e].crosses(0b001)
     )
-    changes = tighten_degree_bounds(forest, triangle, 0b111, point.x_by_id)
+    changes = tighten_degree_bounds(forest, triangle, 0b111, point)
     assert forest.node(0).bound == load
     if load == Rat(2):
         assert changes == []

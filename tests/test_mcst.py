@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import point_at
 from crossopt.brute import brute_mcst
 from crossopt.errors import InstanceError, InternalCheckError
 from crossopt.graphs import Graph, mask_of
@@ -25,6 +26,12 @@ from crossopt.relax import RunTrace
 
 def half(ids):
     return {e: Rat(1, 2) for e in ids}
+
+
+def step_at(state, x_by_id):
+    """try_step at the values x_by_id, classified as McstState.step does."""
+    classified = classify_good(state.forest, state.graph, state.eprime)
+    return try_step(state, point_at(x_by_id), classified)
 
 
 # -- local edges -------------------------------------------------------------------
@@ -96,12 +103,12 @@ def test_everything_good_when_few_edges():
 
 def test_integral_values_fix_then_delete(tree_instance):
     state = McstState(tree_instance)
-    step = try_step(state, {0: Rat(1), 1: Rat(1), 2: Rat(1)})
+    step = step_at(state, {0: Rat(1), 1: Rat(1), 2: Rat(1)})
     assert step.kind == "fix" and step.edge == 0
     # a 1-edge is fixed before a 0-edge is deleted
-    step = try_step(state, {1: Rat(0), 2: Rat(1)})
+    step = step_at(state, {1: Rat(0), 2: Rat(1)})
     assert step.kind == "fix" and step.edge == 2
-    step = try_step(state, {1: Rat(0)})
+    step = step_at(state, {1: Rat(0)})
     assert step.kind == "delete" and step.edge == 1
 
 
@@ -124,7 +131,7 @@ def test_drop_children_round_even_parity():
     )
     state = McstState(inst)
     assert state.forest.size() == 8
-    step = try_step(state, half(range(6)))
+    step = step_at(state, half(range(6)))
     assert step.kind == "drop_children"
     assert step.parity == 0
     assert sorted(step.parents) == [0, 3]
@@ -144,7 +151,7 @@ def test_merge_leaves_round_pairs_in_child_order():
     ]
     inst = McstInstance(graph, tuple(sets))
     state = McstState(inst)
-    step = try_step(state, half(range(len(pairs))))
+    step = step_at(state, half(range(len(pairs))))
     assert step.kind == "merge_leaves"
     ((pkey, first, second, new_id),) = step.merges
     assert (pkey, first, second) == (0, 1, 2)
@@ -160,7 +167,7 @@ def test_root_leaves_merge_under_virtual_root():
     inst = McstInstance(graph, tuple(sets))
     state = McstState(inst)
     # 28 > 24 local edges at each root leaf? no: each vertex touches 14
-    step = try_step(state, half(range(28)))
+    step = step_at(state, half(range(28)))
     assert step.kind == "merge_leaves"
     ((pkey, first, second, new_id),) = step.merges
     assert pkey == -1 and (first, second) == (0, 1)

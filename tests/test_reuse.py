@@ -29,7 +29,8 @@ from crossopt.randgen import (
     random_lattice_instance,
     random_mcst_instance,
 )
-from crossopt.simplex import rank_of_rows, verify_vertex_certificate
+from crossopt.simplex import rank_of_rows, scale_values, verify_vertex_certificate
+from dense_reuse import dense_lp
 
 ACCEPTANCE_MCST = 200
 LATTICE_SLICE = 30
@@ -56,7 +57,7 @@ def checked_reuse():
 
     def checked(state, prev):
         point = lpengine.reuse_extreme_point(state, prev)
-        verify_vertex_certificate(point.lp, point.solution)
+        verify_vertex_certificate(point.lp, point)
         assert lpengine.full_separation_clean(state, point.x_by_id)
         assert point.objective == lpengine.solve_to_extreme_point(state).objective
         calls.append((state, prev))
@@ -167,8 +168,10 @@ def test_moved_value_is_refused(reuse_calls):
         for var in sorted(iter_bits(state.eprime))[:3]:
             x = dict(prev.x_by_id)
             x[var] += eps if x[var] < 1 else -eps
+            den, scaled = scale_values([x[v] for v in prev.var_ids])
+            moved = replace(prev, x_by_id=x, den=den, scaled=tuple(scaled))
             with pytest.raises(InternalCheckError):
-                lpengine.reuse_extreme_point(state, replace(prev, x_by_id=x))
+                lpengine.reuse_extreme_point(state, moved)
 
 
 def test_dropped_tight_cut_is_refused_when_needed(reuse_calls):
@@ -177,25 +180,22 @@ def test_dropped_tight_cut_is_refused_when_needed(reuse_calls):
     refused = kept = 0
     for state, prev in reuse_calls:
         point = lpengine.reuse_extreme_point(state, prev)
-        values = point.solution.values
+        lp = dense_lp(point)
+        values = point.values
         support = [j for j, v in enumerate(values) if v]
-        m = len(prev.lp.constraints)
-        for idx in prev.solution.tight_rows:
+        m = len(prev.row_tags)
+        for idx in prev.tight_rows:
             if idx >= m or prev.row_tags[idx][0] not in lpengine.CUT_KINDS:
                 continue
             tag = prev.row_tags[idx]
             left = [
-                i for i in point.solution.tight_rows
+                i for i in point.tight_rows
                 if i >= len(point.row_tags) or point.row_tags[i] != tag
             ]
-            rows = [[point.lp.row_vector(i)[j] for j in support] for i in left]
+            rows = [[lp.row_vector(i)[j] for j in support] for i in left]
             needed = rank_of_rows(rows) < len(support)
             tampered = replace(
-                prev,
-                solution=replace(
-                    prev.solution,
-                    tight_rows=tuple(i for i in prev.solution.tight_rows if i != idx),
-                ),
+                prev, tight_rows=tuple(i for i in prev.tight_rows if i != idx)
             )
             if needed:
                 with pytest.raises(InternalCheckError):

@@ -70,7 +70,7 @@ def test_rank_of_tight_rows_at_four_cycle_half_point(edge_cover_4cycle):
     assert all(v == Rat(1, 2) for v in point.x_by_id.values())
     rows = [
         point.lp.row_vector(idx)
-        for idx in point.solution.tight_rows
+        for idx in point.tight_rows
         if idx < len(point.lp.constraints)
     ]
     assert rank_of_rows(rows) == 4
