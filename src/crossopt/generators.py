@@ -9,15 +9,20 @@ enumeration (never sampling).  Where full enumeration is out of reach
 an exactly-verified product structure and the report says so.
 
 The exhaustive scans work in Python ints and precomputed tables: each
-set's size and ceil(size/2) are computed once, a cut's paths hit come
-from one table per half of its bits, and the path lattice's leq, meet
-and join rows are built from the mixed-radix digits of the path index.
-Every scan still visits all candidates, in the same order and with the
-same tie-breaks, so the reports are unchanged.
+set's size and ceil(size/2) are computed once, a cut's paths hit and
+layer loads come from one table per half of its bits, and the path
+lattice's leq, meet and join rows are built from the mixed-radix digits
+of the path index.  Each scan looks for a minimum, so once it holds an
+incumbent it cuts a candidate off as soon as the candidate's running
+worst reaches the incumbent (branch and bound): only candidates that
+could never replace the incumbent are skipped.  Candidates are visited
+in the same order as a plain scan, with the same strict-< tie-breaks,
+so the minima, the witnesses and the reports are unchanged.
 """
 
 from dataclasses import dataclass
 from itertools import product
+from operator import add
 
 from .brute import kirchhoff_count, min_max_violation_over_trees
 from .errors import InstanceError, SizeGuardError
@@ -179,6 +184,8 @@ def brute_discrepancy(sets, e, reverse=False):
             imbalance = abs(2 * (x & s).bit_count() - size)
             if imbalance > worst:
                 worst = imbalance
+                if best is not None and worst >= best:
+                    break  # x cannot beat the incumbent
         if best is None or worst < best:
             best = worst
             witness = x
@@ -269,6 +276,8 @@ def _min_violation_via_subsets(e, sets):
             v = (hit if 2 * hit >= size else size - hit) - half
             if worst is None or v > worst:
                 worst = v
+                if best is not None and worst >= best:
+                    break  # x cannot beat the incumbent
         if best is None or worst < best:
             best = worst
     return best
@@ -393,17 +402,33 @@ def _path_hit_table(rho, shift, width):
     return table
 
 
+def _layer_load_table(layer_masks, shift, width):
+    """table[c] = the list of |(c << shift) & m| over the layer masks m,
+    for every c below 2^width."""
+    table = [[0] * len(layer_masks)]
+    for e in range(shift, shift + width):
+        bits = [(m >> e) & 1 for m in layer_masks]
+        table += [list(map(add, loads, bits)) for loads in table]
+    return table
+
+
 def _min_hitting_violation_exhaustive(k, rho, layer_masks, reverse=False):
     """min over all hitting sets of (max layer load - 1), full 2^|E| scan.
 
     Each cut is split into its low and high halves of bits; a table per
     half gives the paths that half hits, so "hits every path" is one OR
-    and one compare.  Cuts are visited in the order of the plain scan
-    (high half outer, low half inner)."""
+    and one compare, and a cut's load on a layer is the sum of its two
+    halves' loads.  Cuts are visited in the order of the plain scan
+    (high half outer, low half inner).  Once a cut is held, a high half
+    whose own load on some layer already reaches the incumbent is
+    skipped whole, and a cut's layers are summed only until it cannot
+    win: no skipped cut could have replaced the incumbent."""
     nbits = 2 * k * k
     low = nbits // 2
     low_hits = _path_hit_table(rho, 0, low)
     high_hits = _path_hit_table(rho, low, nbits - low)
+    low_loads = _layer_load_table(layer_masks, 0, low)
+    high_loads = _layer_load_table(layer_masks, low, nbits - low)
     every = (1 << len(rho)) - 1
     lows = range(len(low_hits))
     highs = range(len(high_hits))
@@ -411,17 +436,24 @@ def _min_hitting_violation_exhaustive(k, rho, layer_masks, reverse=False):
         lows, highs = lows[::-1], highs[::-1]
     best = None
     witness = None
+    cap = nbits  # a cut with a layer load above cap cannot win
     for high in highs:
         hit = high_hits[high]
-        base = high << low
+        loads = high_loads[high]
+        if max(loads, default=0) > cap:
+            continue
         for lo in lows:
             if low_hits[lo] | hit != every:
                 continue
-            cut = base | lo
-            worst = max([(cut & m).bit_count() for m in layer_masks])
+            worst = 0
+            for a, b in zip(low_loads[lo], loads):
+                if a + b > worst:
+                    worst = a + b
+                    if worst > cap:
+                        break
             if best is None or worst - 1 < best:
-                best = worst - 1
-                witness = cut
+                best = cap = worst - 1
+                witness = high << low | lo
     return best, witness
 
 

@@ -150,6 +150,16 @@ class IntersectionInstance:
         }
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_row(mask, width):
+    """The 0/1 ints of bits 0..width-1 of mask, lowest bit first, built
+    by string and bytes operations instead of one shift per bit."""
+    digits = format(mask, f"0{width}b")[::-1].encode()
+    return list(digits.translate(_BIT_BYTES))
+
+
 def _check_image_inclusion_order(lat):
     """InstanceError unless i <= j exactly when rho[i] is a subset of
     rho[j], naming the first disagreeing pair in row-major order."""
@@ -225,10 +235,7 @@ class LatticeInstance:
                     {"rho": _ids(lat.rho[i]), "rank": lat.rank[i]}
                     for i in range(lat.size)
                 ],
-                "leq": [
-                    [1 if lat.leq(i, j) else 0 for j in range(lat.size)]
-                    for i in range(lat.size)
-                ],
+                "leq": [_bit_row(up, lat.size) for up in lat.above],
                 "meet": [list(row) for row in lat.meet],
                 "join": [list(row) for row in lat.join],
             }
@@ -270,12 +277,26 @@ def _objects(body, field):
     return items
 
 
+def _count(body, field):
+    """body[field], which must be a non-negative int (not a bool)."""
+    value = body[field]
+    if type(value) is not int or value < 0:
+        raise InstanceError(f"{field} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _rats(body, field):
+    """The rationals of the list body[field] of "p/q" strings."""
+    values = body[field]
+    if not isinstance(values, list):
+        raise InstanceError(f"{field} must be a list of rational strings, got {values!r}")
+    return tuple(_rat(v, f"{field}[{i}]") for i, v in enumerate(values))
+
+
 def _decode_graph(body):
     """The graph of an mcst body; n and each edge's id, u and v must be
     a non-negative int (not a bool), and Graph checks the rest."""
-    n = body["n"]
-    if type(n) is not int or n < 0:
-        raise InstanceError(f"n must be a non-negative integer, got {n!r}")
+    n = _count(body, "n")
     edges = []
     for i, e in enumerate(_objects(body, "edges")):
         ends = e["id"], e["u"], e["v"]
@@ -312,6 +333,19 @@ def _element_mask(ids, ground, field):
     return _id_mask(ids, range(ground), f"{field} must list elements 0..{ground - 1}")
 
 
+def _decode_bounds(body, ground):
+    """The crossing constraints of an intersection or lattice body; a
+    lower bound that is absent or null is none."""
+    return tuple(
+        CrossingConstraint(
+            _element_mask(b["elements"], ground, f"bound {i} elements"),
+            None if b.get("lower") is None else _rat(b["lower"], f"bound {i} lower"),
+            _rat(b["upper"], f"bound {i} upper"),
+        )
+        for i, b in enumerate(_objects(body, "bounds"))
+    )
+
+
 def decode_instance(body):
     if not isinstance(body, dict):
         raise InstanceError("instance must be a JSON object")
@@ -342,46 +376,32 @@ def decode_instance(body):
             return GeneralMcstInstance(graph, bounds)
         if kind == "intersection":
             pair = ContraPolymatroidPair(
-                body["ground"],
+                _count(body, "ground"),
                 _int_table(body["r1"], "r1"),
                 _int_table(body["r2"], "r2"),
             )
-            cons = tuple(
-                CrossingConstraint(
-                    _element_mask(b["elements"], pair.n, f"bound {i} elements"),
-                    None,
-                    parse_rat(b["upper"]),
-                )
-                for i, b in enumerate(body["bounds"])
-            )
-            return IntersectionInstance(
-                pair, tuple(parse_rat(c) for c in body["cost"]), cons
-            )
+            cons = _decode_bounds(body, pair.n)
+            return IntersectionInstance(pair, _rats(body, "cost"), cons)
         if kind == "lattice":
-            cons = tuple(
-                CrossingConstraint(
-                    _element_mask(b["elements"], body["ground"], f"bound {i} elements"),
-                    None if b.get("lower") is None else parse_rat(b["lower"]),
-                    parse_rat(b["upper"]),
-                )
-                for i, b in enumerate(body["bounds"])
-            )
-            costs = tuple(parse_rat(c) for c in body["cost"])
+            ground = _count(body, "ground")
+            cons = _decode_bounds(body, ground)
+            costs = _rats(body, "cost")
             if "matroid_rank" in body:
                 matroid = MatroidOracle(
-                    body["ground"], _int_table(body["matroid_rank"], "matroid_rank")
+                    ground, _int_table(body["matroid_rank"], "matroid_rank")
                 )
                 return from_matroid(matroid, costs, cons, body["variant"])
             tables = body["lattice"]
+            if not isinstance(tables, dict):
+                raise InstanceError(f"lattice must be an object, got {tables!r}")
+            members = _objects(tables, "members")
             lat = LatticeOracle(
-                body["ground"],
+                ground,
                 rho=[
-                    _element_mask(m["rho"], body["ground"], f"lattice member {i} rho")
-                    for i, m in enumerate(tables["members"])
+                    _element_mask(m["rho"], ground, f"lattice member {i} rho")
+                    for i, m in enumerate(members)
                 ],
-                rank=_int_table(
-                    [m["rank"] for m in tables["members"]], "lattice member rank"
-                ),
+                rank=_int_table([m["rank"] for m in members], "lattice member rank"),
                 leq=tables["leq"],
                 meet=tables["meet"],
                 join=tables["join"],

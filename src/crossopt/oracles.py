@@ -27,7 +27,9 @@ covering solvers.
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
+from operator import or_
 
 from .errors import InstanceError, InternalCheckError
 from .graphs import iter_bits, mask_of
@@ -226,7 +228,15 @@ class LatticeOracle:
     def _validate(self):
         """Check the lattice axioms in a fixed order; the first failure
         raises InstanceError naming the check and its members.  Order
-        tests are bit tests on the above/below rows."""
+        tests are bit tests on the above/below rows.
+
+        The consecutive property (a <= b <= c puts every element of
+        rho[a] & rho[c] in rho[b]) is checked one element e at a time:
+        with H the members whose image holds e, it fails exactly when a
+        member outside H lies above one member of H and below another.
+        Only then are the comparable pairs walked, to name the first
+        violating a, b, c and e.  Last, each meet must be the greatest
+        lower bound and each join the least upper bound."""
         m = self.size
         rho, rank, above, below = self.rho, self.rank, self.above, self.below
         meet, join = self.meet, self.join
@@ -244,10 +254,6 @@ class LatticeOracle:
             for j in iter_bits(acc):
                 if above[j] & ~acc:
                     raise InstanceError(f"order not transitive through ({i},{j})")
-        has_elem = [0] * self.ground_n
-        for i in range(m):
-            for e in iter_bits(rho[i]):
-                has_elem[e] |= 1 << i
         for a in range(m):
             meet_a, join_a = meet[a], join[a]
             rho_a, rank_a = rho[a], rank[a]
@@ -268,19 +274,44 @@ class LatticeOracle:
                     raise InstanceError(
                         f"rank supermodularity violated at ({a},{b})"
                     )
+        # per element e: the members holding e, and those above or
+        # below some member holding e; elements no image holds are
+        # left out, so a huge ground_n allocates nothing
+        width = reduce(or_, rho, 0).bit_length()
+        has_elem, ups, downs = [0] * width, [0] * width, [0] * width
+        for i in range(m):
+            for e in iter_bits(rho[i]):
+                has_elem[e] |= 1 << i
+                ups[e] |= above[i]
+                downs[e] |= below[i]
+        if any(up & down & ~held for up, down, held in zip(ups, downs, has_elem)):
+            for a in range(m):
+                for c in iter_bits(above[a]):
+                    common = rho[a] & rho[c]
+                    if not common:
+                        continue
+                    between = above[a] & below[c]
+                    for e in iter_bits(common):
+                        bad = between & ~has_elem[e]
+                        if bad:
+                            b = (bad & -bad).bit_length() - 1
+                            raise InstanceError(
+                                "consecutive property violated: "
+                                f"{a}<={b}<={c}, element {e}"
+                            )
+        # a meet is a lower bound of both members (checked above), so
+        # its down-set lies inside theirs and is greatest exactly when
+        # it equals their intersection; dually for joins
         for a in range(m):
-            for c in iter_bits(above[a]):
-                common = rho[a] & rho[c]
-                if not common:
-                    continue
-                between = above[a] & below[c]
-                for e in iter_bits(common):
-                    bad = between & ~has_elem[e]
-                    if bad:
-                        b = (bad & -bad).bit_length() - 1
-                        raise InstanceError(
-                            f"consecutive property violated: {a}<={b}<={c}, element {e}"
-                        )
+            meet_a, join_a = meet[a], join[a]
+            below_a, above_a = below[a], above[a]
+            for b in range(a, m):
+                if below_a & below[b] != below[meet_a[b]]:
+                    raise InstanceError(
+                        f"meet not greatest lower bound at ({a},{b})"
+                    )
+                if above_a & above[b] != above[join_a[b]]:
+                    raise InstanceError(f"join not least upper bound at ({a},{b})")
 
 
 class _Supersets(Sequence):

@@ -292,6 +292,14 @@ BAD_TABLES = {
         "lattice member 1 rho",
         lambda t: t["members"][1]["rho"].append(-1),
     ),
+    # these two raised TypeError
+    "members-number": (
+        "members must be a list of objects, got 3", lambda t: t.update(members=3)
+    ),
+    "member-number": (
+        "members[0] must be an object, got 3",
+        lambda t: t["members"].__setitem__(0, 3),
+    ),
 }
 
 
@@ -534,38 +542,59 @@ def test_mcst_without_edges_is_usage_error(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def _mcst_body(kind):
+def _body(kind):
+    """(the solve command, a valid instance body of the given type)."""
+    from crossopt.generators import gen_edge_cover_tight
     from crossopt.graphs import Graph
     from crossopt.instances import GeneralMcstInstance
     from crossopt.rational import Rat
 
     if kind == "mcst":
-        return random_mcst_instance(random.Random(3)).to_json()
-    graph = Graph.from_pairs(3, [(0, 1), (1, 2)])
-    return GeneralMcstInstance(graph, ((0b11, Rat(1)),)).to_json()
+        return "solve-mcst", random_mcst_instance(random.Random(3)).to_json()
+    if kind == "general-mcst":
+        graph = Graph.from_pairs(3, [(0, 1), (1, 2)])
+        return "solve-mcst", GeneralMcstInstance(graph, ((0b11, Rat(1)),)).to_json()
+    if kind == "intersection":
+        return "solve-intersection", gen_edge_cover_tight(1).to_json()
+    if kind == "lattice-tables":
+        return "solve-lattice", _explicit_lattice_body()
+    lattice = random_lattice_instance(random.Random(10), max_ground=5)
+    return "solve-lattice", lattice.to_json()
 
 
-# (body type, field) -> (the entry holding the field, the name the error
-# gives it); each bad value used to raise AttributeError, ValueError or
-# ZeroDivisionError in parse_rat, a traceback with exit 1
+# (body type, field) -> (the entry holding the field, its key there, the
+# name the error gives it); each bad value used to raise AttributeError,
+# TypeError, ValueError or ZeroDivisionError in parse_rat, a traceback
+# with exit 1
 RAT_FIELDS = {
-    ("mcst", "cost"): (lambda body: body["edges"][0], "edge 0 cost"),
-    ("mcst", "bound"): (lambda body: body["family"][0], "family set 0 bound"),
-    ("general-mcst", "cost"): (lambda body: body["edges"][0], "edge 0 cost"),
-    ("general-mcst", "bound"): (lambda body: body["bounds"][0], "bound 0 bound"),
+    ("mcst", "cost"): (lambda body: body["edges"][0], "cost", "edge 0 cost"),
+    ("mcst", "bound"): (lambda body: body["family"][0], "bound", "family set 0 bound"),
+    ("general-mcst", "cost"): (lambda body: body["edges"][0], "cost", "edge 0 cost"),
+    ("general-mcst", "bound"): (lambda body: body["bounds"][0], "bound", "bound 0 bound"),
+    ("intersection", "cost"): (lambda body: body["cost"], 0, "cost[0]"),
+    ("intersection", "upper"): (lambda body: body["bounds"][0], "upper", "bound 0 upper"),
+    ("lattice", "cost"): (lambda body: body["cost"], 0, "cost[0]"),
+    ("lattice", "upper"): (lambda body: body["bounds"][0], "upper", "bound 0 upper"),
+    ("lattice", "lower"): (lambda body: body["bounds"][0], "lower", "bound 0 lower"),
 }
 BAD_RATS = {"int": 3, "null": None, "word": "abc", "zero-denominator": "1/0"}
+# a null lower bound is an absent one, so that body stays valid
+RAT_CASES = [
+    (kind, field, bad)
+    for kind, field in sorted(RAT_FIELDS)
+    for bad in sorted(BAD_RATS)
+    if (field, bad) != ("lower", "null")
+]
 
 
-@pytest.mark.parametrize("bad", sorted(BAD_RATS))
-@pytest.mark.parametrize("kind, field", sorted(RAT_FIELDS))
+@pytest.mark.parametrize("kind, field, bad", RAT_CASES)
 def test_bad_rational_field_is_usage_error(kind, field, bad, tmp_path, capsys):
-    body = _mcst_body(kind)
-    entry, named = RAT_FIELDS[kind, field]
-    entry(body)[field] = BAD_RATS[bad]
+    command, body = _body(kind)
+    entry, key, named = RAT_FIELDS[kind, field]
+    entry(body)[key] = BAD_RATS[bad]
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(body))
-    assert run_cli("solve-mcst", "--in", str(inst)) == 2
+    assert run_cli(command, "--in", str(inst)) == 2
     err = capsys.readouterr().err
     assert f'{named} must be a rational string "p/q", got {BAD_RATS[bad]!r}' in err
     assert "Traceback" not in err
@@ -601,16 +630,51 @@ BAD_MCST_SHAPES = {
         lambda body: _listed(body["family"]), "family[0] must be an object, got ["
     ),
 }
+# the same for intersection and lattice bodies, where each raised TypeError
+COVERING_SHAPES = {
+    "ground-string": (
+        lambda body: body.update(ground="3"),
+        "ground must be a non-negative integer, got '3'",
+    ),
+    "bounds-number": (
+        lambda body: body.update(bounds=[3]), "bounds[0] must be an object, got 3"
+    ),
+    "cost-null": (
+        lambda body: body.update(cost=None),
+        "cost must be a list of rational strings, got None",
+    ),
+}
+# case -> (body type, corruption, message)
+BAD_SHAPES = {case: ("mcst", *v) for case, v in BAD_MCST_SHAPES.items()}
+BAD_SHAPES.update(
+    (f"{kind}-{case}", (kind, *v))
+    for kind in ("intersection", "lattice")
+    for case, v in COVERING_SHAPES.items()
+)
+# lattice validation used to build lists of one entry per ground
+# element, so this ground ended in MemoryError (a list that long fails
+# its size check, so the old code allocated nothing either)
+BAD_SHAPES["lattice-tables-ground-huge"] = (
+    "lattice-tables",
+    lambda body: body.update(ground=2**62),
+    "cost vector length mismatch",
+)
+# this raised TypeError
+BAD_SHAPES["lattice-tables-number"] = (
+    "lattice-tables",
+    lambda body: body.update(lattice=3),
+    "lattice must be an object, got 3",
+)
 
 
-@pytest.mark.parametrize("case", sorted(BAD_MCST_SHAPES))
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
 def test_bad_mcst_shape_is_usage_error(case, tmp_path, capsys):
-    body = _mcst_body("mcst")
-    corrupt, named = BAD_MCST_SHAPES[case]
+    kind, corrupt, named = BAD_SHAPES[case]
+    command, body = _body(kind)
     corrupt(body)
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(body))
-    assert run_cli("solve-mcst", "--in", str(inst)) == 2
+    assert run_cli(command, "--in", str(inst)) == 2
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err

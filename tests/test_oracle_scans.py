@@ -10,7 +10,7 @@ the same message, or accepted by both.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles as reference
@@ -253,6 +253,23 @@ def test_path_family_scans_match_reference(rho, layers):
         )
 
 
+@pytest.mark.parametrize("seed", [1, 5, 6])
+def test_path_family_scans_k3_match_reference(seed):
+    # k = 3: all 2^18 cuts against the planar paths, on one to four
+    # random layer masks (violations -1, 1 and 2 and 0 occur)
+    rng = random.Random(seed)
+    rho, _ = planar_inputs(3)
+    layers = [
+        rng.randrange(1 << 18) | rng.randrange(1 << 18)
+        for _ in range(rng.randint(1, 4))
+    ]
+    for reverse in (False, True):
+        assert_same(
+            generators._min_hitting_violation_exhaustive(3, rho, layers, reverse),
+            reference._min_hitting_violation_exhaustive(3, rho, layers, reverse),
+        )
+
+
 # -- lattice validation ---------------------------------------------------------------
 
 
@@ -307,10 +324,49 @@ def corrupted_lattices(draw):
     return tables
 
 
+def best_bound_failures(tables):
+    """The messages of every pair a <= b whose meet is not the greatest
+    lower bound or whose join is not the least upper bound, recomputed
+    from the leq table alone, in the order LatticeOracle checks them."""
+    leq, meet, join = tables[3], tables[4], tables[5]
+    m = len(leq)
+
+    def best(bounds, below):
+        return next(x for x in bounds if all(below(y, x) for y in bounds))
+
+    failures = []
+    for a in range(m):
+        for b in range(a, m):
+            lower = [x for x in range(m) if leq[x][a] and leq[x][b]]
+            if meet[a][b] != best(lower, lambda y, x: leq[y][x]):
+                failures.append(f"meet not greatest lower bound at ({a},{b})")
+            upper = [x for x in range(m) if leq[a][x] and leq[b][x]]
+            if join[a][b] != best(upper, lambda y, x: leq[x][y]):
+                failures.append(f"join not least upper bound at ({a},{b})")
+    return failures
+
+
+CHAIN_LEQ = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+
+
+# the chain 0 < 1 < 2 with empty images and every meet 0, once with every
+# join 2 and once with joins the larger member: the reference accepts
+# these bounds, though join(0, 0) = 2 is not the least and meet(1, 1) = 0
+# not the greatest
+@example((1, [0, 0, 0], [0, 0, 0], CHAIN_LEQ, [[0] * 3] * 3, [[2] * 3] * 3))
+@example((1, [0, 0, 0], [0, 0, 0], CHAIN_LEQ, [[0] * 3] * 3,
+          [[max(i, j) for j in range(3)] for i in range(3)]))
 @settings(max_examples=300, deadline=None)
 @given(corrupted_lattices())
 def test_lattice_validation_matches_reference(tables):
-    assert outcome(LatticeOracle, tables) == outcome(reference.LatticeOracle, tables)
+    """Both validators refuse with the same message or both accept,
+    except that a meet or join which is a bound but not the best one
+    is refused only by LatticeOracle, naming the first pair whose glb
+    or lub, recomputed from leq, differs."""
+    got = outcome(LatticeOracle, tables)
+    want = outcome(reference.LatticeOracle, tables)
+    failures = best_bound_failures(tables) if isinstance(want, tuple) else []
+    assert got == (failures[0] if failures else want)
 
 
 @st.composite
@@ -369,6 +425,24 @@ def test_inclusion_variant_names_the_first_pair():
     message = "members (2,1) disagree"
     got, want = variant_outcome(lat, INCLUSION)
     assert got == want and got.endswith(message)
+
+
+def test_consecutive_property_names_the_first_witness():
+    # the chain 0 < 1 < 2 < 3 breaks the property four times: element 0
+    # skips member 2, which member 0 reaches only past member 1;
+    # element 1 skips member 2; element 2 skips members 1 and 2
+    members = range(4)
+    tables = (
+        3,
+        [0b101, 0b011, 0b000, 0b111],
+        [0] * 4,
+        [[int(i <= j) for j in members] for i in members],
+        [[min(i, j) for j in members] for i in members],
+        [[max(i, j) for j in members] for i in members],
+    )
+    message = "consecutive property violated: 0<=2<=3, element 0"
+    assert outcome(LatticeOracle, tables) == message
+    assert outcome(reference.LatticeOracle, tables) == message
 
 
 def test_antisymmetry_names_the_smallest_twin():
