@@ -31,10 +31,11 @@ from .oracles import (
 from .rational import Rat, parse_rat, render_rat
 from .relax import RunTrace
 from .simplex import (
-    BasicSolution,
     LinearProgram,
     LpInfeasible,
     LpUnbounded,
+    Row,
+    Vertex,
     make_lp,
     rank_of_rows,
     simplex_solve,

@@ -220,28 +220,6 @@ def enumerate_spanning_trees(graph, limit=TREE_COUNT_GUARD, reverse=False):
     return out
 
 
-def minimum_spanning_tree_cost(graph):
-    """Kruskal cross-check; None when the graph is disconnected."""
-    order = sorted(graph.edges, key=lambda e: (e.cost, e.id))
-    parent = list(range(graph.n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    total = ZERO
-    picked = 0
-    for e in order:
-        ra, rb = find(e.u), find(e.v)
-        if ra != rb:
-            parent[ra] = rb
-            total += e.cost
-            picked += 1
-    return total if picked == graph.n - 1 else None
-
-
 @dataclass(frozen=True)
 class BruteMcstResult:
     optimum: object  # min cost over bound-feasible trees, None if none
@@ -288,11 +266,6 @@ def brute_mcst(instance, limit=TREE_COUNT_GUARD):
         (graph.delta_mask(vmask), bound) for vmask, bound in instance.family
     ]
     return _brute_tree_opt(graph, bound_masks, limit)
-
-
-def brute_general_mcst(instance, limit=TREE_COUNT_GUARD):
-    """Same as brute_mcst for explicit edge-set bounds."""
-    return _brute_tree_opt(instance.graph, list(instance.bounds), limit)
 
 
 def _brute_tree_opt(graph, bound_masks, limit):

@@ -10,6 +10,10 @@ from dataclasses import dataclass
 from .errors import InstanceError
 from .rational import Rat, ZERO
 
+# vertex and edge ids are bit positions in int bitmasks, which take one
+# bit per position up to the highest id; ids stay below this limit
+ID_LIMIT = 1 << 16
+
 
 def iter_bits(mask):
     while mask:

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InstanceError
-from .graphs import Edge, Graph, iter_bits, mask_of
+from .graphs import ID_LIMIT, Edge, Graph, iter_bits, mask_of
 from .laminar import LaminarForest
 from .oracles import (
     ContraPolymatroidPair,
@@ -295,8 +295,11 @@ def _rats(body, field):
 
 def _decode_graph(body):
     """The graph of an mcst body; n and each edge's id, u and v must be
-    a non-negative int (not a bool), and Graph checks the rest."""
+    a non-negative int (not a bool), n at most ID_LIMIT and each id
+    below it, and Graph checks the rest."""
     n = _count(body, "n")
+    if n > ID_LIMIT:
+        raise InstanceError(f"n must be at most {ID_LIMIT}, got {n}")
     edges = []
     for i, e in enumerate(_objects(body, "edges")):
         ends = e["id"], e["u"], e["v"]
@@ -305,6 +308,8 @@ def _decode_graph(body):
                 raise InstanceError(
                     f"edge {i} {field} must be a non-negative integer, got {value!r}"
                 )
+        if ends[0] >= ID_LIMIT:
+            raise InstanceError(f"edge {i} id must be below {ID_LIMIT}, got {ends[0]}")
         edges.append(Edge(*ends, _rat(e["cost"], f"edge {i} cost")))
     return Graph(n, edges)
 

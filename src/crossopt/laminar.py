@@ -226,36 +226,6 @@ class LaminarForest:
                 seen |= c.vset
 
 
-def laminar_level(forest, node_id):
-    return forest.level(node_id)
-
-
-def consecutive_sibling_blocks(forest, node_ids):
-    """Partition the given alive nodes into maximal runs of siblings
-    that sit contiguously in their parent's child order."""
-    ids = set(node_ids)
-    for nid in ids:
-        if not forest.nodes[nid].alive:
-            raise InstanceError(f"node {nid} is dead")
-    by_parent = {}
-    for nid in ids:
-        by_parent.setdefault(forest.parent_key(nid), set()).add(nid)
-    blocks = []
-    for parent_key in sorted(by_parent):
-        members = by_parent[parent_key]
-        order = forest.sibling_order(parent_key)
-        run = []
-        for cid in order:
-            if cid in members:
-                run.append(cid)
-            elif run:
-                blocks.append(run)
-                run = []
-        if run:
-            blocks.append(run)
-    return blocks
-
-
 def all_consecutive_blocks(forest):
     """Every consecutive sibling block in the forest (all contiguous runs
     of every parent's child order, roots included)."""

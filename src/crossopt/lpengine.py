@@ -12,7 +12,9 @@ one it is.
 The working LP starts from the base rows with the 0 <= x <= 1 box, and
 repeatedly adds the most-violated row found by the separation oracle
 until the vertex returned by the exact simplex satisfies the full
-exponential system.  A vertex of the working
+exponential system.  Every base and cut row of the three residual LPs
+is a 0/1 simplex.Row (one variable-id bitmask, a relation and a rhs),
+which the simplex takes as it is.  A vertex of the working
 relaxation that is feasible for the full system is a vertex of the full
 polytope (the full region is contained in the relaxation), so the
 result is a certified extreme point with an optimal objective.
@@ -36,31 +38,24 @@ region P and lies on its face {x in P : x_e = c}; the new residual
 region is exactly that face with coordinate e dropped (every row's rhs
 absorbs c), and the objective changes by the constant c * cost_e, so
 the restriction is an optimal point of the new region.  The cost is
-re-checking, not re-solving, and no dense LP is built for it.  Every
-base and cut row of the three residual LPs is a 0/1 indicator row, so
-each is kept as a MaskRow (variable-id bitmask, relation, rhs), and an
-ExtremePoint carries its vertex once as integers X / D.  The reused
-point is checked against the base rows for the new state plus the
-previous point's tight cut rows (rebuilt from their tags, so each rhs
-reflects the new fixed set): one integer pass gives row feasibility,
-the box and the tight set, then comes a full separation pass and the
-vertex certificate, whose rank runs over the tight 0/1 rows restricted
-to the support strictly inside the box.  Any failed check is an
-InternalCheckError; nothing falls back to a cold solve.  Only
-solve_to_extreme_point turns mask rows into dense Constraints.  Steps
-that drop or merge bounds remove or relax rows, so the region can grow
-and the old vertex need not stay optimal; after those, and after
-rounding values >= 1/2 (which changes bounds by fractional amounts, so
-the new region is not a face of the old one), the LP is solved again
-with solve_to_extreme_point.
+re-checking, not re-solving.  An ExtremePoint carries its vertex once
+as integers X / D.  The reused point is checked against the base rows for the new
+state plus the previous point's tight cut rows (rebuilt from their
+tags, so each rhs reflects the new fixed set), with the same integer
+routines the simplex checks its own vertices with: simplex.row_status
+gives row feasibility, the box and the tight set, then comes a full
+separation pass and the vertex certificate.  Any failed check is an
+InternalCheckError; nothing falls back to a cold solve.  Steps that
+drop or merge bounds remove or relax rows, so the region can grow and
+the old vertex need not stay optimal; after those, and after rounding
+values >= 1/2 (which changes bounds by fractional amounts, so the new
+region is not a face of the old one), the LP is solved again with
+solve_to_extreme_point.
 """
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, fields, replace
 from itertools import islice
-from math import lcm
 from operator import add, sub
-from typing import NamedTuple
 
 from .errors import InstanceError, InternalCheckError, SizeGuardError
 from .graphs import iter_bits
@@ -70,12 +65,16 @@ from .simplex import (
     GE,
     LE,
     STATS,
-    Constraint,
     LinearProgram,
     LpUnbounded,
+    Row,
+    Vertex,
+    objective_value,
+    row_status,
     scale_values,
     simplex_solve,
     verify_vertex_certificate,
+    violated,
 )
 
 # row-tag kinds the separators add; every other tag names a base row
@@ -237,179 +236,35 @@ def separate_lattice(x_by_id, fmask, lat):
 # -- working LP assembly -----------------------------------------------------
 
 
-def _violated(rel, excess):
-    """Whether a row whose lhs - rhs has the sign of excess is violated."""
-    if rel == LE:
-        return excess > 0
-    if rel == GE:
-        return excess < 0
-    return excess != 0
-
-
-class MaskRow(NamedTuple):
-    """The 0/1 row x(mask) rel rhs: the sum of x over the variable ids
-    in the bitmask ``mask``."""
-
-    mask: int
-    rel: str
-    rhs: object
-
-    def excess(self, den, load):
-        """An int with the sign of lhs - rhs, where lhs = load / den."""
-        return load * self.rhs.denominator - self.rhs.numerator * den
-
-    def dense(self, var_ids):
-        """The row as a Constraint over the columns var_ids."""
-        coeffs = tuple(ONE if (self.mask >> v) & 1 else ZERO for v in var_ids)
-        return Constraint(coeffs, self.rel, self.rhs)
-
-
 @dataclass(frozen=True)
-class MaskLp:
-    """A working LP kept as 0/1 mask rows over the box 0 <= x <= 1: the
-    system a reused vertex is checked and certified on, with no dense
-    rows built."""
+class ExtremePoint(Vertex):
+    """A certified vertex of one iteration's LP (a simplex.Vertex).
 
-    var_ids: tuple
-    rows: tuple  # MaskRow
-
-    def status(self, point):
-        """The tight rows of point (simplex.BasicSolution's index
-        scheme), or None when it violates a row or leaves the box."""
-        den = point.den
-        if any(x < 0 or x > den for x in point.fractional.values()):
-            return None
-        tight = []
-        for idx, row in enumerate(self.rows):
-            excess = row.excess(den, point.load(row.mask))
-            if not excess:
-                tight.append(idx)
-            elif _violated(row.rel, excess):
-                return None
-        m, n = len(self.rows), len(self.var_ids)
-        for j, x in enumerate(point.scaled):
-            if not x:
-                tight.append(m + j)
-            elif x == den:
-                tight.append(m + n + j)
-        return tuple(tight)
-
-    def certificate_rows(self, point):
-        """simplex.verify_vertex_certificate's rows for an ExtremePoint:
-        the claimed tight rows are re-checked, and each tight mask row,
-        restricted to the support columns strictly inside the box, is a
-        0/1 int row."""
-        den, scaled = point.den, point.scaled
-        m, n = len(self.rows), len(self.var_ids)
-        bound_cols = set()
-        for idx in point.tight_rows:
-            if idx < m:
-                row = self.rows[idx]
-                if row.excess(den, point.load(row.mask)):
-                    raise InternalCheckError(f"claimed tight row {idx} is not tight")
-            else:
-                j = idx - m
-                if j >= n:
-                    j -= n
-                    if scaled[j] != den:
-                        raise InternalCheckError(
-                            f"claimed tight upper bound {j} is not"
-                        )
-                elif scaled[j]:
-                    raise InternalCheckError(f"claimed tight lower bound {j} is not")
-                if scaled[j]:
-                    bound_cols.add(j)
-        support = [j for j in range(n) if scaled[j]]
-        free = [self.var_ids[j] for j in support if j not in bound_cols]
-        rows = []
-        if free:
-            for idx in point.tight_rows:
-                if idx < m:
-                    mask = self.rows[idx].mask
-                    row = [(mask >> v) & 1 for v in free]
-                    if any(row):
-                        rows.append(row)
-        return len(support), len(bound_cols), rows
-
-
-@dataclass(frozen=True)
-class ExtremePoint:
-    """A certified vertex of one iteration's LP.
-
-    The vertex is x = X / D over ``var_ids``, with D = ``den`` and X =
-    ``scaled`` (ints aligned with var_ids, as simplex.scale_values gives
-    them); the engine and the spanning-tree step work on these.
-    ``x_by_id`` holds the same values as rationals for the trace, the
-    reports, the separators and the covering step rules.  ``lp`` is the
-    system the vertex was certified on (the LinearProgram the simplex
-    solved, or the MaskLp of a reused vertex); ``row_tags`` name its
-    rows and ``tight_rows`` lists its tight rows and bounds in
-    simplex.BasicSolution's index scheme.
+    ``lp`` is the system the vertex was certified on: the LinearProgram
+    the simplex solved, or the working LP of a reused vertex.  The
+    engine and the spanning-tree step work on the integers ``den`` and
+    ``scaled``; ``x_by_id`` serves the trace, the reports, the
+    separators and the covering step rules.  ``row_tags`` name the LP's
+    rows.
     """
 
-    lp: object
-    var_ids: tuple
-    row_tags: tuple
-    den: int
-    scaled: tuple
-    objective: object
-    tight_rows: tuple
-    x_by_id: dict
+    row_tags: tuple = ()
 
     @classmethod
-    def of_solution(cls, lp, var_ids, row_tags, solution):
-        den, scaled = scale_values(solution.values)
-        return cls(
-            lp,
-            var_ids,
-            row_tags,
-            den,
-            tuple(scaled),
-            solution.objective_value,
-            solution.tight_rows,
-            dict(zip(var_ids, solution.values)),
-        )
-
-    @property
-    def values(self):
-        return tuple(self.x_by_id[v] for v in self.var_ids)
-
-    @cached_property
-    def ones(self):
-        """Bitmask of the variable ids at value 1."""
-        den = self.den
-        return sum(1 << v for v, x in zip(self.var_ids, self.scaled) if x == den)
-
-    @cached_property
-    def zeros(self):
-        """Bitmask of the variable ids at value 0."""
-        return sum(1 << v for v, x in zip(self.var_ids, self.scaled) if not x)
-
-    @cached_property
-    def fractional(self):
-        """{1 << variable id: X} for every value other than 0 and 1."""
-        den = self.den
-        return {1 << v: x for v, x in zip(self.var_ids, self.scaled) if x and x != den}
-
-    @cached_property
-    def _fractional_mask(self):
-        return sum(self.fractional)
-
-    def load(self, mask):
-        """D * x(mask), an int."""
-        total = self.den * (mask & self.ones).bit_count()
-        rest = mask & self._fractional_mask
-        if rest:
-            fractional = self.fractional
-            while rest:
-                low = rest & -rest
-                total += fractional[low]
-                rest ^= low
-        return total
+    def of_solution(cls, row_tags, vertex):
+        """The simplex's Vertex with its rows named by row_tags."""
+        vertex_fields = {f.name: getattr(vertex, f.name) for f in fields(Vertex)}
+        return cls(**vertex_fields, row_tags=row_tags)
 
     def tight_constraint_tags(self):
         m = len(self.row_tags)
         return [self.row_tags[idx] for idx in self.tight_rows if idx < m]
+
+
+def _box_lp(var_ids, objective, rows):
+    """The LP of the rows over the box 0 <= x <= 1."""
+    n = len(var_ids)
+    return LinearProgram(var_ids, objective, tuple(rows), (0,) * n, (1,) * n)
 
 
 @dataclass(frozen=True)
@@ -428,23 +283,23 @@ class ResidualMcstLp:
 
     def base(self):
         """(variable ids, objective, base rows, separator, cut builder);
-        every row is a (MaskRow, tag) pair."""
+        every row is a (Row, tag) pair."""
         graph = self.graph
         var_ids = tuple(iter_bits(self.eprime))
         objective = tuple(graph.by_id[v].cost for v in var_ids)
         n_fixed = self.fmask.bit_count()
-        total = MaskRow(self.eprime, EQ, Rat(graph.n - n_fixed - 1))
+        total = Row.of_mask(self.eprime, EQ, Rat(graph.n - n_fixed - 1))
         rows = [(total, ("tree_total", None))]
         for node_id, vset, bound in self.degree_rows:
             dmask = graph.delta_mask(vset, within=self.eprime)
-            rows.append((MaskRow(dmask, LE, bound), ("degree", node_id)))
+            rows.append((Row.of_mask(dmask, LE, bound), ("degree", node_id)))
 
         def cut_row(res):
             vmask = res.witness
             inside = graph.induced_mask(vmask, within=self.eprime)
             f_inside = (graph.induced_mask(vmask) & self.fmask).bit_count()
             rhs = Rat(vmask.bit_count() - f_inside - 1)
-            return MaskRow(inside, LE, rhs), ("subtour", vmask)
+            return Row.of_mask(inside, LE, rhs), ("subtour", vmask)
 
         def separator(x_by_id):
             return separate_spanning_tree(x_by_id, graph, self.fmask)
@@ -462,11 +317,11 @@ class ResidualIntersectionLp:
 
     def base(self):
         """(variable ids, objective, base rows, separator, cut builder);
-        every row is a (MaskRow, tag) pair."""
+        every row is a (Row, tag) pair."""
         var_ids = tuple(iter_bits(self.eprime))
         objective = tuple(self.costs[v] for v in var_ids)
         rows = [
-            (MaskRow(elems & self.eprime, LE, resid), ("bound_upper", idx))
+            (Row.of_mask(elems & self.eprime, LE, resid), ("bound_upper", idx))
             for idx, elems, resid in self.bound_rows
         ]
 
@@ -475,7 +330,7 @@ class ResidualIntersectionLp:
             s = res.witness
             table = self.pair.r1 if func_idx == 1 else self.pair.r2
             rhs = Rat(table[s] - (self.fmask & s).bit_count())
-            return MaskRow(s & self.eprime, GE, rhs), (res.family, s)
+            return Row.of_mask(s & self.eprime, GE, rhs), (res.family, s)
 
         def separator(x_by_id):
             return separate_contra_polymatroid(x_by_id, self.fmask, self.pair)
@@ -493,22 +348,23 @@ class ResidualLatticeLp:
 
     def base(self):
         """(variable ids, objective, base rows, separator, cut builder);
-        every row is a (MaskRow, tag) pair."""
+        every row is a (Row, tag) pair."""
         var_ids = tuple(iter_bits(self.eprime))
         objective = tuple(self.costs[v] for v in var_ids)
         rows = []
         for idx, elems, lower, upper in self.bound_rows:
             fixed = (elems & self.fmask).bit_count()
             mask = elems & self.eprime
-            rows.append((MaskRow(mask, LE, upper - fixed), ("bound_upper", idx)))
+            rows.append((Row.of_mask(mask, LE, upper - fixed), ("bound_upper", idx)))
             if lower is not None:
-                rows.append((MaskRow(mask, GE, lower - fixed), ("bound_lower", idx)))
+                row = Row.of_mask(mask, GE, lower - fixed)
+                rows.append((row, ("bound_lower", idx)))
 
         def cut_row(res):
             j = res.witness
             rho = self.lat.rho[j]
             rhs = Rat(self.lat.rank[j] - (self.fmask & rho).bit_count())
-            return MaskRow(rho & self.eprime, GE, rhs), ("rank", j)
+            return Row.of_mask(rho & self.eprime, GE, rhs), ("rank", j)
 
         def separator(x_by_id):
             return separate_lattice(x_by_id, self.fmask, self.lat)
@@ -519,34 +375,29 @@ class ResidualLatticeLp:
 def solve_to_extreme_point(state, extra_rows=(), objective_override=None):
     """Cutting-plane loop: optimal certified vertex of the full system.
 
-    The mask rows of ``state`` become dense Constraints here, the only
-    place a LinearProgram is built.  ``extra_rows`` are (Constraint,
-    tag) pairs appended to the base LP (used for optimum-pinning).
-    ``objective_override`` replaces the cost vector (aligned with the
-    sorted undecided ids).  Raises LpInfeasible if the full system is
-    empty.
+    ``extra_rows`` are (Row, tag) pairs appended to the base LP (used
+    for optimum-pinning).  ``objective_override`` replaces the cost
+    vector (aligned with the sorted undecided ids).  Raises LpInfeasible
+    if the full system is empty.
     """
     var_ids, objective, rows, separator, cut_row = state.base()
     if objective_override is not None:
         objective = tuple(objective_override)
-    constraints = [row.dense(var_ids) for row, _ in rows]
-    constraints += [c for c, _ in extra_rows]
-    tags = [tag for _, tag in rows] + [tag for _, tag in extra_rows]
-    seen = set(tags)
-    n = len(var_ids)
+    rows = list(rows) + list(extra_rows)
+    seen = {tag for _, tag in rows}
     prev_obj = None
     while True:
-        lp = LinearProgram(n, objective, tuple(constraints), (ZERO,) * n, (ONE,) * n)
+        lp = _box_lp(var_ids, objective, (row for row, _ in rows))
         try:
-            sol = simplex_solve(lp)
+            vertex = simplex_solve(lp)
         except LpUnbounded as exc:  # impossible: the box is compact
             raise InternalCheckError("box-bounded LP reported unbounded") from exc
-        if prev_obj is not None and sol.objective_value < prev_obj:
+        if prev_obj is not None and vertex.objective < prev_obj:
             raise InternalCheckError(
                 "objective decreased while adding cutting planes"
             )
-        prev_obj = sol.objective_value
-        point = ExtremePoint.of_solution(lp, var_ids, tuple(tags), sol)
+        prev_obj = vertex.objective
+        point = ExtremePoint.of_solution(tuple(tag for _, tag in rows), vertex)
         res = separator(point.x_by_id)
         if res.feasible:
             return point
@@ -555,14 +406,13 @@ def solve_to_extreme_point(state, extra_rows=(), objective_override=None):
             raise InternalCheckError(f"separator repeated row {tag}")
         seen.add(tag)
         # re-verify the reported violation exactly against the new row
-        load = point.load(row.mask)
-        violated = _violated(row.rel, row.excess(point.den, load))
-        if not violated or Rat(load, point.den) != res.lhs or row.rhs != res.rhs:
+        excess = row.excess(point)
+        lhs = row.rhs + Rat(excess, row.scale * point.den * row.rhs.denominator)
+        if not violated(row.rel, excess) or lhs != res.lhs or row.rhs != res.rhs:
             raise InternalCheckError(
                 f"separator violation for {tag} failed exact re-verification"
             )
-        constraints.append(row.dense(var_ids))
-        tags.append(tag)
+        rows.append((row, tag))
 
 
 def reuse_extreme_point(state, prev):
@@ -571,11 +421,10 @@ def reuse_extreme_point(state, prev):
 
     The working LP is the base rows of ``state`` plus the cut rows that
     were tight at ``prev``, each rebuilt from its tag by the cut builder
-    of ``state``, all kept as mask rows (MaskLp).  The restriction of
-    ``prev`` to the undecided variables must satisfy that LP, pass full
-    separation and carry a vertex certificate; otherwise
-    InternalCheckError.  Optimality is the face argument in the module
-    docstring.
+    of ``state``.  The restriction of ``prev`` to the undecided
+    variables must satisfy that LP, pass full separation and carry a
+    vertex certificate; otherwise InternalCheckError.  Optimality is the
+    face argument in the module docstring.
     """
     var_ids, objective, rows, separator, cut_row = state.base()
     rows = list(rows)
@@ -590,16 +439,18 @@ def reuse_extreme_point(state, prev):
             f"undecided variable {exc} has no value at the previous vertex"
         ) from None
     x_by_id = {v: prev.x_by_id[v] for v in var_ids}
-    k = lcm(*(c.denominator for c in objective))
-    value = Rat(
-        sum(c.numerator * (k // c.denominator) * x for c, x in zip(objective, scaled)),
-        k * prev.den,
-    )
-    lp = MaskLp(var_ids, tuple(row for row, _ in rows))
+    lp = _box_lp(var_ids, objective, (row for row, _ in rows))
     point = ExtremePoint(
-        lp, var_ids, tuple(t for _, t in rows), prev.den, scaled, value, (), x_by_id
+        lp,
+        var_ids,
+        prev.den,
+        scaled,
+        objective_value(objective, prev.den, scaled),
+        (),
+        x_by_id,
+        tuple(t for _, t in rows),
     )
-    tight = lp.status(point)
+    tight = row_status(lp, point)
     if tight is None:
         raise InternalCheckError("reused vertex violates the new working LP")
     if not separator(x_by_id).feasible:
@@ -612,13 +463,11 @@ def reuse_extreme_point(state, prev):
 
 def full_separation_clean(state, x_by_id):
     """Post-hoc pass: no family constraint is violated at x."""
-    var_ids, _, rows, separator, _ = state.base()
+    var_ids, objective, rows, separator, _ = state.base()
     if not separator(x_by_id).feasible:
         return False
-    lp = MaskLp(var_ids, tuple(row for row, _ in rows))
-    den, scaled = scale_values([x_by_id[v] for v in var_ids])
-    point = ExtremePoint(lp, var_ids, (), den, tuple(scaled), None, (), x_by_id)
-    return lp.status(point) is not None
+    lp = _box_lp(var_ids, objective, (row for row, _ in rows))
+    return row_status(lp, Vertex.at(lp, [x_by_id[v] for v in var_ids])) is not None
 
 
 def tighten_degree_bounds(forest, graph, eprime, point):
@@ -654,7 +503,7 @@ def coordinate_ranges(state, optimum, base_objective):
     """
     var_ids = state.base()[0]
     pin = (
-        Constraint(tuple(base_objective), EQ, optimum),
+        Row.of_coefficients(base_objective, var_ids, EQ, optimum),
         ("pin", None),
     )
     ranges = []

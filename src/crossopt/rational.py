@@ -50,10 +50,6 @@ def encode_rationals(v):
     return v
 
 
-def rat_floor(r):
-    return r.numerator // r.denominator
-
-
 def rat_ceil(r):
     return -((-r.numerator) // r.denominator)
 

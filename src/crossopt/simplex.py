@@ -1,4 +1,4 @@
-"""Exact rational simplex returning certified vertex solutions.
+"""Exact rational simplex returning certified vertices.
 
 The solver is a bounded-variable primal simplex over exact rationals:
 variable bounds l <= x <= u are handled natively rather than as extra
@@ -6,13 +6,23 @@ rows, Bland's rule (lowest index for entering and for leaving ties)
 guarantees termination and determinism, and degeneracy needs no
 perturbation because all arithmetic is exact.
 
+Every LP has one row type, kept in integer form.  A Row is
+``(sum of a * x(mask) over its terms (a, mask)) / scale  rel  rhs``,
+where x(mask) sums x over the variable ids in the bitmask ``mask`` and
+every coefficient a is an int: the solvers' 0/1 rows are the one term
+(1, mask) with scale 1, and make_lp groups a dense coefficient list
+into one term per distinct coefficient, scaled by L, the lcm of the
+coefficients' denominators.  A LinearProgram's column j is the variable
+var_ids[j] (make_lp numbers them 0..n-1).  No row is ever expanded into
+a vector of rationals.
+
 The tableau is integer-preserving (Edmonds 1967; Bareiss 1968).  It is
 stored as an integer matrix A with one common denominator q > 0, so
-the rational tableau is T = A / q.  Each constraint row is first
-multiplied by L_i, the lcm of its coefficient denominators; its slack
-and artificial keep their unit coefficients and so stand for L_i times
-the original slack and artificial, and phase 1 charges that artificial
-1/L_i.  The starting basis is then the identity with q = 1.  A pivot on
+the rational tableau is T = A / q.  Row i enters as its integer terms,
+that is L_i = scale times the original row; its slack and artificial
+keep their unit coefficients and so stand for L_i times the original
+slack and artificial, and phase 1 charges that artificial 1/L_i.  The
+starting basis is then the identity with q = 1.  A pivot on
 p = A[r][j] (row r negated first when p < 0, so q stays positive) sets
 A_i <- (A_i * p - A_ij * A_r) / q for every row i != r, then q <- p;
 by Sylvester's identity every division is exact.  Reduced costs are
@@ -30,25 +40,30 @@ factor (the scale of the entering column), which leaves Bland's choice
 of entering column, leaving row and tie-break unchanged; structural
 columns are never scaled, so their values are the same rationals.
 
-Row checks run in integers too: a point x is scaled once by D, the lcm
-of its denominators, and each row's sign of lhs - rhs is one integer
-comparison against the row's cached integer form (Constraint.scaled).
-The vertex certificate's rank comes from fraction-free elimination of
-integer rows.
+A solved or reused vertex is one Vertex: x = X / D, D the lcm of the
+values' denominators and X the ints D * x.  Row checks run on it in
+integers: a row's lhs times scale * D is a sum of ``Vertex.load``
+values, so the sign of lhs - rhs, and each bound comparison, is one
+integer comparison.  row_status finds the tight rows of a point, and
+certificate_rows re-checks claimed tight rows and hands the rank check
+their integer coefficients; the rank comes from fraction-free
+elimination.  The simplex checks its own vertices with these two, and
+so does the engine for a reused vertex.
 
-Every returned solution carries a vertex certificate: the indices of
-all constraints and variable bounds satisfied with equality, verified
-to have full column rank on the support of the solution.  Certificate
-failure is an internal error, never ignored.
+Every returned vertex carries a vertex certificate: the indices of all
+rows and variable bounds satisfied with equality, verified to have full
+column rank on the support of the solution.  Certificate failure is an
+internal error, never ignored.
 
-Row index scheme used by ``BasicSolution.tight_rows``: indices
-``0..m-1`` are the constraints in order; ``m + j`` is the lower bound
-of variable ``j``; ``m + num_vars + j`` is its upper bound.
+Row index scheme used by ``Vertex.tight_rows``: indices ``0..m-1`` are
+the rows in order; ``m + j`` is the lower bound of column ``j``;
+``m + num_vars + j`` is its upper bound.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import lcm
+from typing import NamedTuple
 
 from .errors import InternalCheckError
 from .rational import Rat, ZERO, ONE
@@ -74,42 +89,74 @@ def scale_values(values):
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: tuple
+def violated(rel, excess):
+    """Whether a row whose lhs - rhs has the sign of excess is violated."""
+    if rel == LE:
+        return excess > 0
+    if rel == GE:
+        return excess < 0
+    return excess != 0
+
+
+class Row(NamedTuple):
+    """The row  (sum of a * x(mask) over (a, mask) in terms) / scale
+    rel  rhs, where x(mask) is the sum of x over the variable ids in the
+    bitmask mask.  The row is kept in its integer form: every coefficient
+    a is an int, and scale is the lcm of the denominators of the
+    rational coefficients it was built from (1 for a 0/1 row)."""
+
+    terms: tuple
     rel: str
     rhs: object
+    scale: int = 1
 
-    @cached_property
-    def scaled(self):
-        """(K, terms, K * rhs): K is the lcm of the row's denominators
-        and terms are (j, K * a_j) for the nonzero coefficients a_j, so
-        K * rhs and every term are ints."""
-        # skipping the shared ZERO by identity saves a rational test per
-        # coefficient; any other zero just gives a zero term
-        nonzero = [(j, a) for j, a in enumerate(self.coeffs) if a is not ZERO]
-        k = lcm(self.rhs.denominator, *(a.denominator for _, a in nonzero))
-        terms = tuple((j, a.numerator * (k // a.denominator)) for j, a in nonzero)
-        return k, terms, self.rhs.numerator * (k // self.rhs.denominator)
+    @classmethod
+    def of_mask(cls, mask, rel, rhs):
+        """The 0/1 row x(mask) rel rhs."""
+        return cls(((1, mask),), rel, rhs)
 
-    def excess(self, den, scaled_values):
-        """K * D * (lhs - rhs) at the point scaled_values / D (see
-        scale_values): an int with the sign of lhs - rhs."""
-        _, terms, rhs = self.scaled
-        return sum(a * scaled_values[j] for j, a in terms) - rhs * den
+    @classmethod
+    def of_coefficients(cls, coeffs, var_ids, rel, rhs):
+        """The row with the rational coefficient coeffs[j] on variable
+        var_ids[j]; the variables sharing a coefficient share one term."""
+        k = lcm(*(a.denominator for a in coeffs if a))
+        masks = {}
+        for a, v in zip(coeffs, var_ids):
+            if a:
+                a = a.numerator * (k // a.denominator)
+                masks[a] = masks.get(a, 0) | 1 << v
+        return cls(tuple(masks.items()), rel, rhs, k)
+
+    def columns(self, var_ids):
+        """The row's integer form as one coefficient per variable of
+        var_ids."""
+        coeffs = [0] * len(var_ids)
+        for a, mask in self.terms:
+            coeffs = [c + a if (mask >> v) & 1 else c for c, v in zip(coeffs, var_ids)]
+        return coeffs
+
+    def excess(self, point):
+        """scale * D * Q * (lhs - rhs) at the Vertex point, Q the rhs's
+        denominator: an int with the sign of lhs - rhs."""
+        load = 0  # scale * D * lhs
+        for a, mask in self.terms:
+            load += a * point.load(mask)
+        rhs = self.rhs
+        return load * rhs.denominator - rhs.numerator * self.scale * point.den
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min c.x  subject to  constraints, lower <= x <= upper.
+    """min c.x  subject to  rows, lower <= x <= upper.
 
-    ``upper[j] is None`` means no finite upper bound.  Lower bounds must
-    be finite rationals.
+    Column j is the variable var_ids[j]; rows name variables by id.
+    The bounds are ints or rationals; ``upper[j] is None`` means no
+    finite upper bound, and lower bounds must be finite.
     """
 
-    num_vars: int
+    var_ids: tuple
     objective: tuple
-    constraints: tuple
+    rows: tuple  # Row
     lower: tuple
     upper: tuple
 
@@ -117,100 +164,122 @@ class LinearProgram:
         n = self.num_vars
         if len(self.objective) != n or len(self.lower) != n or len(self.upper) != n:
             raise ValueError("objective/bounds length mismatch")
-        for c in self.constraints:
-            if len(c.coeffs) != n:
-                raise ValueError("constraint arity mismatch")
-            if c.rel not in RELATIONS:
-                raise ValueError(f"bad relation {c.rel!r}")
+        for row in self.rows:
+            if row.rel not in RELATIONS:
+                raise ValueError(f"bad relation {row.rel!r}")
         for lo, up in zip(self.lower, self.upper):
             if lo is None:
                 raise ValueError("lower bounds must be finite")
             if up is not None and lo > up:
                 raise ValueError("lower bound exceeds upper bound")
 
+    @property
+    def num_vars(self):
+        return len(self.var_ids)
+
     # tight_rows index helpers
     def lower_row(self, j):
-        return len(self.constraints) + j
+        return len(self.rows) + j
 
     def upper_row(self, j):
-        return len(self.constraints) + self.num_vars + j
+        return len(self.rows) + self.num_vars + j
 
-    def row_vector(self, idx):
-        """Coefficient vector of a constraint or bound row."""
-        m = len(self.constraints)
-        if idx < m:
-            return self.constraints[idx].coeffs
-        j = idx - m
-        if j >= self.num_vars:
-            j -= self.num_vars
-        vec = [ZERO] * self.num_vars
-        vec[j] = ONE
-        return tuple(vec)
 
-    def certificate_rows(self, solution):
-        """(support size, support columns with a tight bound, the tight
-        constraint rows as int rows over the other support columns) for
-        verify_vertex_certificate; raises when a claimed tight row is
-        not tight."""
-        values = solution.values
-        m = len(self.constraints)
-        n = self.num_vars
-        den, scaled = scale_values(values)
-        bound_cols = set()
-        for idx in solution.tight_rows:
-            if idx < m:
-                if self.constraints[idx].excess(den, scaled):
-                    raise InternalCheckError(f"claimed tight row {idx} is not tight")
-            else:
-                j = idx - m
-                if j >= n:
-                    j -= n
-                    if self.upper[j] is None or values[j] != self.upper[j]:
-                        raise InternalCheckError(
-                            f"claimed tight upper bound {j} is not"
-                        )
-                elif values[j] != self.lower[j]:
-                    raise InternalCheckError(f"claimed tight lower bound {j} is not")
-                if scaled[j]:
-                    bound_cols.add(j)
-        support = [j for j in range(n) if scaled[j]]
-        free = {j: k for k, j in enumerate(j for j in support if j not in bound_cols)}
-        rows = []
-        if free:
-            for idx in solution.tight_rows:
-                if idx < m:
-                    row = [0] * len(free)
-                    for j, a in self.constraints[idx].scaled[1]:
-                        k = free.get(j)
-                        if k is not None:
-                            row[k] = a
-                    if any(row):
-                        rows.append(row)
-        return len(support), len(bound_cols), rows
+def objective_value(objective, den, scaled):
+    """c.x at x = scaled / den, computed in integers."""
+    k = lcm(*(c.denominator for c in objective))
+    total = sum(
+        c.numerator * (k // c.denominator) * x for c, x in zip(objective, scaled)
+    )
+    return Rat(total, k * den)
 
 
 @dataclass(frozen=True)
-class BasicSolution:
-    values: tuple
-    objective_value: object
+class Vertex:
+    """A point x = X / D of ``lp``, with D = ``den`` and X = ``scaled``
+    (ints aligned with var_ids, as scale_values gives them).  ``x_by_id``
+    holds the same values as rationals; ``tight_rows`` lists the rows
+    and bounds claimed tight (the module's index scheme)."""
+
+    lp: object
+    var_ids: tuple
+    den: int
+    scaled: tuple
+    objective: object
     tight_rows: tuple
+    x_by_id: dict
+
+    @classmethod
+    def at(cls, lp, values):
+        """The point of lp with the rational values (aligned with
+        lp.var_ids), claiming no tight rows."""
+        den, scaled = scale_values(values)
+        return cls(
+            lp,
+            lp.var_ids,
+            den,
+            tuple(scaled),
+            objective_value(lp.objective, den, scaled),
+            (),
+            dict(zip(lp.var_ids, values)),
+        )
+
+    @property
+    def values(self):
+        return tuple(self.x_by_id[v] for v in self.var_ids)
+
+    @cached_property
+    def ones(self):
+        """Bitmask of the variable ids at value 1."""
+        den = self.den
+        return sum(1 << v for v, x in zip(self.var_ids, self.scaled) if x == den)
+
+    @cached_property
+    def zeros(self):
+        """Bitmask of the variable ids at value 0."""
+        return sum(1 << v for v, x in zip(self.var_ids, self.scaled) if not x)
+
+    @cached_property
+    def fractional(self):
+        """{1 << variable id: X} for every value other than 0 and 1."""
+        den = self.den
+        return {1 << v: x for v, x in zip(self.var_ids, self.scaled) if x and x != den}
+
+    @cached_property
+    def _fractional_mask(self):
+        return sum(self.fractional)
+
+    def load(self, mask):
+        """D * x(mask), an int."""
+        total = self.den * (mask & self.ones).bit_count()
+        rest = mask & self._fractional_mask
+        if rest:
+            fractional = self.fractional
+            while rest:
+                low = rest & -rest
+                total += fractional[low]
+                rest ^= low
+        return total
 
 
 def make_lp(objective, constraints, lower=None, upper=None):
-    """Convenience constructor; defaults to the 0 <= x <= 1 box."""
+    """An LP over the variables 0..n-1 from dense coefficient lists
+    (coeffs, rel, rhs); defaults to the 0 <= x <= 1 box."""
     objective = tuple(Rat(c) for c in objective)
     n = len(objective)
-    cons = tuple(
-        Constraint(tuple(Rat(a) for a in coeffs), rel, Rat(rhs))
-        for coeffs, rel, rhs in constraints
-    )
+    rows = []
+    for coeffs, rel, rhs in constraints:
+        if len(coeffs) != n:
+            raise ValueError("constraint arity mismatch")
+        coeffs = [Rat(a) for a in coeffs]
+        rows.append(Row.of_coefficients(coeffs, range(n), rel, Rat(rhs)))
     lo = tuple(Rat(v) for v in lower) if lower is not None else (ZERO,) * n
     up = (
         tuple(None if v is None else Rat(v) for v in upper)
         if upper is not None
         else (ONE,) * n
     )
-    return LinearProgram(n, objective, cons, lo, up)
+    return LinearProgram(tuple(range(n)), objective, tuple(rows), lo, up)
 
 
 def _bareiss(row, prow, col, p, q):
@@ -276,37 +345,39 @@ class _Tableau:
         self.n_struct = n
         # shift structurals to y = x - lower, so every internal variable
         # has lower bound 0
-        self.shift = list(lp.lower)
+        self.shift = [Rat(lo) for lo in lp.lower]
         self.span = [
-            None if up is None else up - lo for lo, up in zip(lp.lower, lp.upper)
+            None if up is None else up - lo for lo, up in zip(self.shift, lp.upper)
         ]
 
-        rows = []  # (coeffs over structurals, rhs, original rel after normalize)
+        # (integer form over structurals, row scale L, L * rhs, relation),
+        # negated where the shifted rhs is negative
+        rows = []
         self.slack_of_row = []
         self.art_of_row = []
         cols = n
         slack_cols = []
         art_cols = []
-        for c in lp.constraints:
-            rhs = c.rhs - sum(
-                (a * s for a, s in zip(c.coeffs, self.shift) if a and s), ZERO
+        for row in lp.rows:
+            coeffs = row.columns(lp.var_ids)
+            rhs = row.rhs * row.scale - sum(
+                (a * s for a, s in zip(coeffs, self.shift) if a and s), ZERO
             )
-            coeffs = list(c.coeffs)
-            rel = c.rel
+            rel = row.rel
             if rhs < 0:
                 coeffs = [-a for a in coeffs]
                 rhs = -rhs
                 rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            rows.append((coeffs, rhs, rel))
+            rows.append((coeffs, row.scale, rhs, rel))
 
-        for i, (_, rhs, rel) in enumerate(rows):
+        for i, (_, _, _, rel) in enumerate(rows):
             if rel in (LE, GE):
                 self.slack_of_row.append(cols)
                 slack_cols.append((cols, i, 1 if rel == LE else -1))
                 cols += 1
             else:
                 self.slack_of_row.append(None)
-        for i, (_, rhs, rel) in enumerate(rows):
+        for i, (_, _, _, rel) in enumerate(rows):
             if rel == LE:
                 self.art_of_row.append(None)  # slack serves as initial basis
             else:
@@ -323,18 +394,11 @@ class _Tableau:
 
         m = len(rows)
         self.m = m
-        # row i times row_scale[i] has integer coefficients; its slack
-        # and artificial stand for row_scale[i] times the originals
-        self.row_scale = []
-        self.A = []
-        self.bval = []
-        for coeffs, rhs, _ in rows:
-            k = lcm(*(a.denominator for a in coeffs if a))
-            self.row_scale.append(k)
-            self.A.append(
-                [a.numerator * (k // a.denominator) for a in coeffs] + [0] * (cols - n)
-            )
-            self.bval.append(rhs * k)
+        # row i is row_scale[i] times the original; its slack and
+        # artificial stand for row_scale[i] times the originals
+        self.row_scale = [k for _, k, _, _ in rows]
+        self.A = [coeffs + [0] * (cols - n) for coeffs, _, _, _ in rows]
+        self.bval = [rhs for _, _, rhs, _ in rows]
         for col, i, sign in slack_cols:
             self.A[i][col] = sign
         for col, i in art_cols:
@@ -542,42 +606,86 @@ class _Tableau:
         )
 
 
-def row_status(lp, values):
-    """(feasible, tight rows) of values in one pass: each constraint is
-    one integer comparison on the scaled point.  Tight rows use the
-    ``tight_rows`` index scheme and are None when values is infeasible."""
-    den, scaled = scale_values(values)
+
+
+def row_status(lp, point):
+    """The tight rows of the Vertex point in lp (the module's index
+    scheme), or None when point violates a row or a bound.  Each row
+    and bound is one integer comparison."""
+    den = point.den
     tight = []
-    for idx, c in enumerate(lp.constraints):
-        excess = c.excess(den, scaled)
+    for idx, row in enumerate(lp.rows):
+        excess = row.excess(point)
         if not excess:
             tight.append(idx)
-        elif c.rel == EQ or (excess > 0 if c.rel == LE else excess < 0):
-            return False, None
-    for j, (v, lo, up) in enumerate(zip(values, lp.lower, lp.upper)):
-        if v < lo or (up is not None and v > up):
-            return False, None
-        if v == lo:
-            tight.append(lp.lower_row(j))
-        if up is not None and v == up:
-            tight.append(lp.upper_row(j))
-    return True, tuple(tight)
+        elif violated(row.rel, excess):
+            return None
+    m, n = len(lp.rows), lp.num_vars
+    for j, (x, lo, up) in enumerate(zip(point.scaled, lp.lower, lp.upper)):
+        below = x * lo.denominator - lo.numerator * den
+        if below < 0:
+            return None
+        if not below:
+            tight.append(m + j)
+        if up is not None:
+            above = x * up.denominator - up.numerator * den
+            if above > 0:
+                return None
+            if not above:
+                tight.append(m + n + j)
+    return tuple(tight)
 
 
-def verify_vertex_certificate(lp, solution):
-    """Check the tight rows span the support; raise on failure.
+def certificate_rows(lp, point):
+    """(support size, support columns with a tight bound, the tight rows
+    as int rows over the other support columns) of the Vertex point for
+    verify_vertex_certificate; raises when a claimed tight row or bound
+    is not tight."""
+    den, scaled = point.den, point.scaled
+    m, n = len(lp.rows), lp.num_vars
+    bound_cols = set()
+    for idx in point.tight_rows:
+        if idx < m:
+            if lp.rows[idx].excess(point):
+                raise InternalCheckError(f"claimed tight row {idx} is not tight")
+        else:
+            j = idx - m
+            if j >= n:
+                j -= n
+                up = lp.upper[j]
+                if up is None or scaled[j] * up.denominator != up.numerator * den:
+                    raise InternalCheckError(
+                        f"claimed tight upper bound {j} is not"
+                    )
+            elif scaled[j] * lp.lower[j].denominator != lp.lower[j].numerator * den:
+                raise InternalCheckError(f"claimed tight lower bound {j} is not")
+            if scaled[j]:
+                bound_cols.add(j)
+    support = [j for j in range(n) if scaled[j]]
+    free = [lp.var_ids[j] for j in support if j not in bound_cols]
+    rows = []
+    if free:
+        for idx in point.tight_rows:
+            if idx < m:
+                row = lp.rows[idx].columns(free)
+                if any(row):
+                    rows.append(row)
+    return len(support), len(bound_cols), rows
+
+
+def verify_vertex_certificate(lp, point):
+    """Check the tight rows of the Vertex point span its support; raise
+    on failure.
 
     A vertex of the feasible region has tight rows of full rank, and
     restricting those rows to the support columns must leave them with
     full column rank.  A tight bound row is a unit row, so each support
-    column with one counts once and drops out; the constraint rows on
-    the remaining support columns are ranked by integer elimination.
-    ``lp`` supplies those rows through ``certificate_rows(solution)``,
-    which first re-checks every claimed tight row: a LinearProgram for
-    a simplex solution, or the 0/1 mask rows of a reused vertex
-    (lpengine.MaskLp).  Returns the computed support rank.
+    column with one counts once and drops out; the remaining tight rows
+    on the remaining support columns are ranked by integer elimination
+    (certificate_rows, which first re-checks every claimed tight row).
+    Returns the computed support rank.
     """
-    support, bounded, rows = lp.certificate_rows(solution)
+    support, bounded, rows = certificate_rows(lp, point)
     rank = bounded + _int_rank(rows)
     if rank != support:
         raise InternalCheckError(
@@ -588,28 +696,25 @@ def verify_vertex_certificate(lp, solution):
 
 
 def simplex_solve(lp):
-    """Solve to an optimal vertex; raises LpInfeasible / LpUnbounded.
+    """Solve to an optimal certified Vertex; raises LpInfeasible /
+    LpUnbounded.
 
-    Deterministic: identical input yields the identical BasicSolution.
+    Deterministic: identical input yields the identical Vertex.
     """
-    if lp.num_vars == 0:
-        feasible, tight = row_status(lp, ())
-        if not feasible:
+    values = ()
+    if lp.num_vars:
+        tableau = _Tableau(lp)
+        try:
+            values = tableau.solve()
+        finally:
+            STATS["pivots"] += tableau.pivots
+    point = Vertex.at(lp, values)
+    tight = row_status(lp, point)
+    if tight is None:
+        if not lp.num_vars:
             raise LpInfeasible()
-        STATS["solves"] += 1
-        STATS["certificates"] += 1
-        return BasicSolution((), ZERO, tight)
-
-    tableau = _Tableau(lp)
-    try:
-        values = tableau.solve()
-    finally:
-        STATS["pivots"] += tableau.pivots
-    feasible, tight = row_status(lp, values)
-    if not feasible:
         raise InternalCheckError("simplex returned an infeasible point")
-    objective = sum((c * v for c, v in zip(lp.objective, values) if c and v), ZERO)
-    solution = BasicSolution(values, objective, tight)
-    verify_vertex_certificate(lp, solution)
+    point = replace(point, tight_rows=tight)
+    verify_vertex_certificate(lp, point)
     STATS["solves"] += 1
-    return solution
+    return point

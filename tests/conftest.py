@@ -6,7 +6,7 @@ from crossopt.instances import IntersectionInstance, McstInstance
 from crossopt.lpengine import ExtremePoint
 from crossopt.oracles import ContraPolymatroidPair, CrossingConstraint, MatroidOracle
 from crossopt.rational import Rat
-from crossopt.simplex import BasicSolution
+from crossopt.simplex import scale_values
 
 
 @pytest.fixture(scope="session")
@@ -105,5 +105,5 @@ def point_at(x_by_id):
     """An ExtremePoint with the values x_by_id ({variable id: Rat}) and
     no rows, for step rules that read only the vertex."""
     var_ids = tuple(sorted(x_by_id))
-    values = tuple(x_by_id[v] for v in var_ids)
-    return ExtremePoint.of_solution(None, var_ids, (), BasicSolution(values, None, ()))
+    den, scaled = scale_values([x_by_id[v] for v in var_ids])
+    return ExtremePoint(None, var_ids, den, tuple(scaled), None, (), dict(x_by_id))

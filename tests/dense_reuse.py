@@ -1,29 +1,29 @@
-"""Dense vertex reuse: the reference the mask-row reuse is checked against.
+"""Dense vertex reuse: the reference the integer-row reuse is checked against.
 
 ``crossopt.lpengine.reuse_extreme_point`` used to rebuild the working LP
 after a fix or delete step as a dense ``LinearProgram`` of rational
-``Constraint`` rows, then run ``simplex.row_status`` and the dense
-vertex certificate on it.  It now checks the reused vertex on 0/1 mask
-rows in integers.  The dense version is kept below verbatim; only the
-imports, ``_dense_base`` (which turns the residual LP's mask rows back
-into the indicator Constraints the old ``base()`` built) and the result
-type are new.  ``dense_lp`` gives the dense LP of any ExtremePoint, so
-tests can re-check a reused vertex with the dense and Fraction code.
+``Constraint`` rows, then run the dense ``row_status`` and vertex
+certificate on it.  It now checks the reused vertex on the 0/1 rows in
+integers.  The dense version is kept below verbatim; only the imports
+(the dense types and checks now come from tests/dense_rows.py),
+``_dense_base`` (which turns the residual LP's 0/1 rows back into the
+indicator Constraints the old ``base()`` built) and the result type are
+new.
 """
 
 from dataclasses import dataclass
 
-from crossopt.errors import InternalCheckError
-from crossopt.lpengine import CUT_KINDS, SeparationResult
-from crossopt.rational import ONE, ZERO
-from crossopt.simplex import (
-    STATS,
+from dense_rows import (
     BasicSolution,
     Constraint,
     LinearProgram,
     row_status,
     verify_vertex_certificate,
 )
+from crossopt.errors import InternalCheckError
+from crossopt.lpengine import CUT_KINDS, SeparationResult
+from crossopt.rational import ONE, ZERO
+from crossopt.simplex import STATS
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,14 @@ class DenseReuse:
 
 
 def _dense_base(state):
-    """state.base() with every (MaskRow, tag) row, including the rows
+    """state.base() with every 0/1 (Row, tag) row, including the rows
     the cut builder returns, as an indicator (Constraint, tag) row."""
     var_ids, objective, rows, separator, cut_row = state.base()
 
     def dense(pair):
         row, tag = pair
-        return Constraint(_indicator(var_ids, row.mask), row.rel, row.rhs), tag
+        ((_, mask),) = row.terms
+        return Constraint(_indicator(var_ids, mask), row.rel, row.rhs), tag
 
     return (
         var_ids,
@@ -51,23 +52,6 @@ def _dense_base(state):
         separator,
         lambda res: dense(cut_row(res)),
     )
-
-
-def dense_lp(point):
-    """The dense LP of an ExtremePoint's rows (zero objective)."""
-    if isinstance(point.lp, LinearProgram):
-        return point.lp
-    var_ids = point.var_ids
-    n = len(var_ids)
-    rows = tuple(
-        Constraint(_indicator(var_ids, row.mask), row.rel, row.rhs)
-        for row in point.lp.rows
-    )
-    return LinearProgram(n, (ZERO,) * n, rows, (ZERO,) * n, (ONE,) * n)
-
-
-def dense_solution(point):
-    return BasicSolution(point.values, point.objective, point.tight_rows)
 
 
 # -- crossopt.lpengine -----------------------------------------------------------

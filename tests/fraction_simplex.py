@@ -4,7 +4,9 @@ the reference the package's simplex is checked against.
 ``crossopt.simplex`` now keeps its tableau as an integer matrix over
 one common denominator, checks rows in integers scaled by the point's
 common denominator, and ranks certificates by fraction-free
-elimination.  The code below is the original, kept verbatim: a
+elimination.  The code below is the original, kept verbatim; it takes
+the dense LPs of tests/dense_rows.py (``dense_rows.dense_lp`` turns a
+package LP into one).  It is a
 ``Fraction`` (or gmpy2 ``mpq``) tableau, row checks through
 ``Constraint.evaluate`` and Gaussian elimination over rationals.  Only
 these are new: the imports; the deleted ``Constraint`` methods
@@ -17,7 +19,8 @@ the way the package does, so pivot counts can be compared.
 
 from crossopt.errors import InternalCheckError
 from crossopt.rational import ONE, ZERO, Rat
-from crossopt.simplex import EQ, GE, LE, BasicSolution, LpInfeasible, LpUnbounded
+from crossopt.simplex import EQ, GE, LE, LpInfeasible, LpUnbounded
+from dense_rows import BasicSolution
 
 _MAX_PIVOTS = 500_000
 

@@ -8,7 +8,6 @@ from crossopt.brute import (
     brute_subset_opt,
     enumerate_spanning_trees,
     kirchhoff_count,
-    minimum_spanning_tree_cost,
 )
 from crossopt.errors import SizeGuardError
 from crossopt.generators import gadget_graph
@@ -16,7 +15,7 @@ from crossopt.graphs import Graph
 from crossopt.instances import McstInstance
 from crossopt.lpengine import ResidualMcstLp, solve_to_extreme_point
 from crossopt.randgen import random_mcst_instance, random_spanning_tree
-from crossopt.rational import Rat
+from crossopt.rational import ZERO, Rat
 
 
 def test_triangle_and_cycle_counts(triangle, four_cycle):
@@ -63,6 +62,28 @@ def test_enumeration_guard():
     g = Graph.from_pairs(2, [(0, 1)] * 4, [1] * 4)
     with pytest.raises(SizeGuardError):
         enumerate_spanning_trees(g, limit=3)
+
+
+def minimum_spanning_tree_cost(graph):
+    """Kruskal cross-check; None when the graph is disconnected."""
+    order = sorted(graph.edges, key=lambda e: (e.cost, e.id))
+    parent = list(range(graph.n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    total = ZERO
+    picked = 0
+    for e in order:
+        ra, rb = find(e.u), find(e.v)
+        if ra != rb:
+            parent[ra] = rb
+            total += e.cost
+            picked += 1
+    return total if picked == graph.n - 1 else None
 
 
 def test_brute_mcst_no_bounds_equals_mst():

@@ -629,6 +629,19 @@ BAD_MCST_SHAPES = {
     "family-entry-list": (
         lambda body: _listed(body["family"]), "family[0] must be an object, got ["
     ),
+    # ids are bit positions: 2**70 raised OverflowError building a mask,
+    # 2**40 MemoryError, and n = 2**70 OverflowError in Graph
+    "edge-id-2-70": (
+        lambda body: body["edges"][0].update(id=2**70),
+        f"edge 0 id must be below 65536, got {2**70}",
+    ),
+    "edge-id-2-40": (
+        lambda body: body["edges"][0].update(id=2**40),
+        f"edge 0 id must be below 65536, got {2**40}",
+    ),
+    "n-2-70": (
+        lambda body: body.update(n=2**70), f"n must be at most 65536, got {2**70}"
+    ),
 }
 # the same for intersection and lattice bodies, where each raised TypeError
 COVERING_SHAPES = {
@@ -665,6 +678,23 @@ BAD_SHAPES["lattice-tables-number"] = (
     lambda body: body.update(lattice=3),
     "lattice must be an object, got 3",
 )
+
+
+def test_unknown_instance_keys_are_ignored(tmp_path):
+    command, body = _body("mcst")
+    plain, extra = tmp_path / "plain.json", tmp_path / "extra.json"
+    plain.write_text(json.dumps(body))
+    body["comment"] = "not a field"
+    body["edges"][0]["colour"] = "red"
+    extra.write_text(json.dumps(body))
+    reports = []
+    for inst in (plain, extra):
+        report = tmp_path / f"{inst.stem}-report.json"
+        argv = ["--in", str(inst), "--verify", "--report", str(report)]
+        assert run_cli(command, *argv) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["instance_digest"]
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SHAPES))

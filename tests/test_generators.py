@@ -3,7 +3,8 @@ import hashlib
 import pytest
 
 from crossopt.brute import (
-    brute_general_mcst,
+    TREE_COUNT_GUARD,
+    _brute_tree_opt,
     enumerate_spanning_trees,
     kirchhoff_count,
     min_max_violation_over_trees,
@@ -88,7 +89,7 @@ def test_mcst_gap_rejects_other_sizes():
 
 def test_gap_instance_has_no_feasible_tree():
     inst, rep = gen_mcst_gap(4)
-    result = brute_general_mcst(inst)
+    result = _brute_tree_opt(inst.graph, list(inst.bounds), TREE_COUNT_GUARD)
     if rep.integral_min_violation > 0:
         assert result.optimum is None
 

@@ -1,21 +1,28 @@
 """The integer-preserving simplex core against the Fraction code it
 replaced (tests/fraction_simplex.py).
 
-Every LP must give the identical BasicSolution (values, objective,
-tight rows, and their rational types), the identical pivot count, or
-the identical exception.  The two tableaux are also stepped side by
-side: after every pivot and every change of costs, A / q and the
-integer reduced costs must equal the Fraction tableau's entries, up to
-the row scale L_i for which a scaled row's slack and artificial stand.
+The Fraction simplex takes the dense form of each LP (tests/
+dense_rows.py); that adapter at its input is the only difference.
+Every LP must give the identical solution (values, objective, tight
+rows, and their rational types), the identical pivot count, or the
+identical exception.  The two tableaux are also stepped side by side:
+after every pivot and every change of costs, A / q and the integer
+reduced costs must equal the Fraction tableau's entries, up to the row
+scale L_i for which a scaled row's slack and artificial stand.  The
+integer row checks and certificate must give the tight rows, rank or
+error of the Fraction ones and of the dense integer ones they replaced.
 """
 
 import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_rows
 import fraction_simplex as reference
-from dense_reuse import dense_lp, dense_solution
+from dense_rows import BasicSolution, dense_lp, dense_solution
 from crossopt import lpengine, relax, simplex
 from crossopt.errors import InternalCheckError
 from crossopt.instances import GENERAL, INCLUSION
@@ -30,26 +37,36 @@ from crossopt.randgen import (
 )
 from crossopt.rational import Rat
 from crossopt.simplex import (
-    BasicSolution,
     LpInfeasible,
     LpUnbounded,
+    Row,
+    Vertex,
     make_lp,
     rank_of_rows,
     row_status,
+    scale_values,
     simplex_solve,
     verify_vertex_certificate,
 )
 
 
 def solve_counted(solve, lp):
-    """(BasicSolution or exception type, pivots taken) of one solve."""
-    stats = reference.STATS if solve is reference.simplex_solve else simplex.STATS
+    """(BasicSolution or exception type, pivots taken) of one solve; the
+    Fraction reference solves the dense form of lp, and the package's
+    Vertex is compared as a BasicSolution."""
+    if solve is reference.simplex_solve:
+        stats, lp = reference.STATS, dense_lp(lp)
+    else:
+        stats = simplex.STATS
     before = stats["pivots"]
     try:
         result = solve(lp)
     except (LpInfeasible, LpUnbounded) as exc:
         result = type(exc)
     else:
+        if isinstance(result, Vertex):
+            assert (result.den, list(result.scaled)) == scale_values(result.values)
+            result = dense_solution(result)
         for v in (*result.values, result.objective_value):
             assert type(v) is Rat
     return result, stats["pivots"] - before
@@ -109,7 +126,7 @@ def assert_same_run(lp):
     got = solve_counted(simplex_solve, lp)
     assert got == solve_counted(reference.simplex_solve, lp)
     values, snapshots, pivots = run_tableau(IntegerTableau, lp)
-    ref_values, ref_snapshots, ref_pivots = run_tableau(FractionTableau, lp)
+    ref_values, ref_snapshots, ref_pivots = run_tableau(FractionTableau, dense_lp(lp))
     assert values == ref_values and pivots == ref_pivots
     assert len(snapshots) == len(ref_snapshots)
     for step, (snap, ref_snap) in enumerate(zip(snapshots, ref_snapshots)):
@@ -216,17 +233,30 @@ def certificate_outcome(verify, lp, solution):
         return str(exc)
 
 
+def assert_same_checks(lp, point):
+    """row_status and the certificate of the Vertex point in lp give
+    the tight rows, and the rank or error, of the Fraction and the dense
+    integer references on the dense LP."""
+    dense, sol = dense_lp(lp), dense_solution(point)
+    tight = row_status(lp, point)
+    for ref in (reference, dense_rows):
+        assert ref.row_status(dense, sol.values) == (tight is not None, tight)
+    outcome = certificate_outcome(verify_vertex_certificate, lp, point)
+    for ref in (reference, dense_rows):
+        assert outcome == certificate_outcome(ref.verify_vertex_certificate, dense, sol)
+    return tight, outcome
+
+
 @settings(max_examples=300, deadline=None)
 @given(lps(), st.data())
 def test_row_checks_and_certificates_match_reference(lp, data):
     point = st.lists(bound_value, min_size=lp.num_vars, max_size=lp.num_vars)
-    values = tuple(data.draw(point))
-    assert row_status(lp, values) == reference.row_status(lp, values)
+    assert_same_checks(lp, Vertex.at(lp, tuple(data.draw(point))))
     try:
-        sol = reference.simplex_solve(lp)
+        sol = reference.simplex_solve(dense_lp(lp))
     except (LpInfeasible, LpUnbounded):
         return
-    rows = range(len(lp.constraints) + 2 * lp.num_vars)
+    rows = range(len(lp.rows) + 2 * lp.num_vars)
     # the true certificate, one with rows dropped or added, and a moved point
     claims = [
         sol.tight_rows,
@@ -234,12 +264,9 @@ def test_row_checks_and_certificates_match_reference(lp, data):
         sol.tight_rows + tuple(data.draw(st.lists(st.sampled_from(rows), max_size=2))),
     ]
     moved = (sol.values[0] + data.draw(bound_value),) + sol.values[1:]
-    candidates = [BasicSolution(sol.values, sol.objective_value, c) for c in claims]
-    candidates.append(BasicSolution(moved, sol.objective_value, sol.tight_rows))
-    for candidate in candidates:
-        assert certificate_outcome(
-            verify_vertex_certificate, lp, candidate
-        ) == certificate_outcome(reference.verify_vertex_certificate, lp, candidate)
+    candidates = [(sol.values, c) for c in claims] + [(moved, sol.tight_rows)]
+    for values, claim in candidates:
+        assert_same_checks(lp, replace(Vertex.at(lp, values), tight_rows=claim))
 
 
 @settings(max_examples=300, deadline=None)
@@ -271,18 +298,25 @@ def checked_core(monkeypatch):
     counts = {"solve": 0, "reuse": 0}
 
     def solve(lp):
-        got, pivots = solve_counted(simplex_solve, lp)
-        assert (got, pivots) == solve_counted(reference.simplex_solve, lp)
+        before = simplex.STATS["pivots"]
+        try:
+            got = simplex_solve(lp)
+        except (LpInfeasible, LpUnbounded) as exc:
+            ours = type(exc)
+        else:
+            ours = dense_solution(got)
+        pivots = simplex.STATS["pivots"] - before
+        assert (ours, pivots) == solve_counted(reference.simplex_solve, lp)
         counts["solve"] += 1
-        if isinstance(got, BasicSolution):
+        if isinstance(ours, BasicSolution):
             return got
-        raise got()
+        raise ours()
 
     reuse = lpengine.reuse_extreme_point
 
     def checked_reuse(state, prev):
         point = reuse(state, prev)
-        lp, sol = dense_lp(point), dense_solution(point)
+        lp, sol = dense_lp(point.lp), dense_solution(point)
         assert reference.row_status(lp, sol.values) == (True, sol.tight_rows)
         rank = verify_vertex_certificate(point.lp, point)
         assert rank == reference.verify_vertex_certificate(lp, sol)
@@ -315,7 +349,14 @@ def test_covering_slices_match_reference(checked_core):
 
 
 def test_constraint_integer_form():
-    row = make_lp([0, 0], [([Rat(1, 2), 0], "<=", Rat(1, 3))]).constraints[0]
-    k, terms, rhs = row.scaled
-    assert (k, rhs) == (6, 2) and {j: a for j, a in terms if a} == {0: 3}
-    assert row.excess(4, [1, 0]) == 3 * 1 - 2 * 4  # 6*4*(1/8 - 1/3)
+    lp = make_lp([0, 0], [([Rat(1, 2), 0], "<=", Rat(1, 3))])
+    row = lp.rows[0]
+    assert row == Row(((1, 0b01),), "<=", Rat(1, 3), 2)
+    point = Vertex.at(lp, [Rat(1, 4), Rat(0)])
+    assert (point.den, point.scaled) == (4, (1, 0))
+    # 2 * 4 * x0 = 1, so 2*4*3*(1/8 - 1/3) = 1*3 - 1*2*4
+    assert row.excess(point) == 1 * 3 - 1 * 2 * 4
+    # variables sharing a coefficient share a term, over the lcm of all
+    row = make_lp([0] * 3, [([Rat(1, 2), Rat(2, 3), Rat(1, 2)], ">=", 1)]).rows[0]
+    assert (row.terms, row.scale) == (((3, 0b101), (4, 0b010)), 6)
+    assert row.columns((0, 1, 2)) == [3, 4, 3] and row.columns((2,)) == [3]

@@ -1,13 +1,21 @@
-"""Mask-row vertex reuse against the dense reference, and its accounting.
+"""Integer-row vertex checks against the references they replaced, and
+their accounting.
 
-lpengine.reuse_extreme_point checks a reused vertex on 0/1 mask rows in
-integers.  Every reuse call of the benchmark's mcst-corpus (seeds 0 and
-7919), its covering-corpus (seed 0, whose lattices reuse vertices) and
-of Hypothesis-drawn graphs with n <= 8 is repeated here with the dense
-reference (tests/dense_reuse.py), which must return the same values,
-tight rows, row tags and objective.  The other tests check, run by run,
-that every solved and every reused vertex was certified, and that
-reuse builds no dense LinearProgram or Constraint.
+simplex.row_status and simplex.certificate_rows check every solved and
+every reused vertex on the integer rows of its LP.  Every solve and
+every reuse of the benchmark's mcst-corpus (seeds 0 and 7919), its
+covering-corpus (seed 0, whose lattices reuse vertices) and of
+Hypothesis-drawn graphs with n <= 8 is checked here against the
+references in tests/dense_rows.py: the dense row_status and certificate
+the simplex path used, and the MaskLp status and certificate the reuse
+path used.  Each must give the same tight rows, and on the true claim of
+tight rows, on claims with a tight row dropped and on claims with a
+loose row or bound added, the same rank or the same error message.
+Each reuse is also repeated with the dense reuse reference
+(tests/dense_reuse.py), which must return the same values, tight rows,
+row tags and objective.  The other tests check, run by run, that every
+solved and every reused vertex was certified, and that reuse runs no
+simplex.
 """
 
 import importlib.util
@@ -22,7 +30,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reuse
+import dense_rows
 import fraction_simplex
+from dense_rows import dense_lp, dense_solution, mask_lp
 from crossopt import lpengine, relax, simplex
 from crossopt.errors import InternalCheckError
 from crossopt.instances import (
@@ -42,10 +52,12 @@ from crossopt.randgen import (
     random_lattice_instance,
     random_mcst_instance,
 )
-from crossopt.simplex import STATS, verify_vertex_certificate
+from crossopt.simplex import STATS, row_status, verify_vertex_certificate
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-# reused vertices in one pass of the benchmark's mcst-corpus at seed 0
+# simplex solves and reused vertices in one pass of the benchmark's
+# mcst-corpus at seed 0
+MCST_CORPUS_SOLVES = 280
 MCST_CORPUS_REUSED = 1829
 
 
@@ -71,11 +83,60 @@ def solve(instance):
         run_intersection(instance)
 
 
+def certificate_outcome(verify, lp, solution):
+    try:
+        return verify(lp, solution)
+    except InternalCheckError as exc:
+        return str(exc)
+
+
+def claims(point, rng, count):
+    """The true tight rows of point, up to count claims with one of them
+    dropped, and up to count with a loose row or bound added."""
+    tight = point.tight_rows
+    loose = [
+        i for i in range(len(point.lp.rows) + 2 * len(point.var_ids)) if i not in tight
+    ]
+    dropped = rng.sample(range(len(tight)), min(count, len(tight)))
+    added = rng.sample(loose, min(count, len(loose)))
+    return (
+        [tight]
+        + [tight[:k] + tight[k + 1:] for k in dropped]
+        + [tight + (i,) for i in added]
+    )
+
+
+def assert_same_checks(point, rng):
+    """The integer checks of a solved or reused vertex give the tight
+    rows, ranks and errors of the dense and the mask references."""
+    lp = point.lp
+    dense, mask = dense_lp(lp), mask_lp(lp)
+    unclaimed = replace(point, tight_rows=())
+    assert row_status(lp, unclaimed) == point.tight_rows
+    assert mask.status(unclaimed) == point.tight_rows
+    assert dense_rows.row_status(dense, point.values) == (True, point.tight_rows)
+    for claim in claims(point, rng, 2):
+        claimed = replace(point, tight_rows=claim)
+        outcome = certificate_outcome(verify_vertex_certificate, lp, claimed)
+        verify = dense_rows.verify_vertex_certificate
+        assert outcome == certificate_outcome(verify, mask, claimed)
+        assert outcome == certificate_outcome(verify, dense, dense_solution(claimed))
+
+
 @contextmanager
 def compared_reuse():
-    """Every reuse call of the runs also runs the dense reference, whose
-    result must match.  Yields the list of (state, prev) calls."""
-    calls = []
+    """Every simplex solve and every reuse call of the runs is checked by
+    assert_same_checks, and every reuse also runs the dense reference,
+    whose result must match.  Yields the lists of solved vertices
+    ("solve") and of (state, prev) reuse calls ("reuse")."""
+    calls = {"solve": [], "reuse": []}
+    rng = random.Random(0)
+
+    def solve(lp):
+        point = simplex.simplex_solve(lp)
+        assert_same_checks(point, rng)
+        calls["solve"].append(point)
+        return point
 
     def both(state, prev):
         point = lpengine.reuse_extreme_point(state, prev)
@@ -89,11 +150,13 @@ def compared_reuse():
         assert all(
             Rat(x, point.den) == v for x, v in zip(point.scaled, point.values)
         )
-        calls.append((state, prev))
+        assert_same_checks(point, rng)
+        calls["reuse"].append((state, prev))
         return point
 
-    with mock.patch.object(relax, "reuse_extreme_point", both):
-        yield calls
+    with mock.patch.object(lpengine, "simplex_solve", solve):
+        with mock.patch.object(relax, "reuse_extreme_point", both):
+            yield calls
 
 
 @pytest.mark.parametrize("seed", [0, 7919])
@@ -102,15 +165,17 @@ def test_mcst_corpus_reuse_matches_dense(seed, tmp_path):
         for instance in benchmark_instances("mcst-corpus", seed, tmp_path):
             solve(instance)
     if seed == 0:
-        assert len(calls) == MCST_CORPUS_REUSED
-    assert calls
+        assert len(calls["solve"]) == MCST_CORPUS_SOLVES
+        assert len(calls["reuse"]) == MCST_CORPUS_REUSED
+    assert calls["solve"] and calls["reuse"]
 
 
 def test_covering_corpus_reuse_matches_dense(tmp_path):
     with compared_reuse() as calls:
         for instance in benchmark_instances("covering-corpus", 0, tmp_path):
             solve(instance)
-    assert {type(state) for state, _ in calls} == {lpengine.ResidualLatticeLp}
+    assert {type(state) for state, _ in calls["reuse"]} == {lpengine.ResidualLatticeLp}
+    assert calls["solve"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,53 +226,36 @@ def reuse_calls():
     return calls
 
 
-def certificate_outcome(verify, lp, solution):
-    try:
-        return verify(lp, solution)
-    except InternalCheckError as exc:
-        return str(exc)
-
-
 def test_mask_certificate_matches_fraction_reference(reuse_calls):
     # the true tight rows, some dropped, and rows or bounds that are not
-    # tight claimed as tight: the mask certificate must give the rank or
-    # the error the Fraction certificate gives on the dense rows
+    # tight claimed as tight: the integer certificate must give the rank
+    # or the error the Fraction certificate gives on the dense rows
     rng = random.Random(0)
     for _, _, point in reuse_calls:
-        tight = point.tight_rows
-        loose = [
-            i
-            for i in range(len(point.row_tags) + 2 * len(point.var_ids))
-            if i not in tight
-        ]
-        claims = [tight]
-        dropped = rng.sample(range(len(tight)), min(3, len(tight)))
-        claims += [tight[:k] + tight[k + 1:] for k in dropped]
-        claims += [tight + (i,) for i in rng.sample(loose, min(4, len(loose)))]
-        lp = dense_reuse.dense_lp(point)
-        for claim in claims:
+        lp = dense_lp(point.lp)
+        for claim in claims(point, rng, 4):
             claimed = replace(point, tight_rows=claim)
             assert certificate_outcome(
                 verify_vertex_certificate, point.lp, claimed
             ) == certificate_outcome(
                 fraction_simplex.verify_vertex_certificate,
                 lp,
-                dense_reuse.dense_solution(claimed),
+                dense_solution(claimed),
             )
 
 
 def test_reuse_builds_no_dense_lp(reuse_calls, monkeypatch):
+    # reuse re-checks the previous vertex and never runs the simplex
     calls = [(state, prev) for state, prev, _ in reuse_calls]
 
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} built during reuse")
 
-    monkeypatch.setattr(simplex.LinearProgram, "__init__", refuse)
-    monkeypatch.setattr(simplex.Constraint, "__init__", refuse)
+    monkeypatch.setattr(simplex._Tableau, "__init__", refuse)
     before = STATS["certificates"]
     for state, prev in calls:
         lpengine.reuse_extreme_point(state, prev)
     assert STATS["certificates"] - before == len(calls)
-    # the patch does stop the dense path
+    # the patch does stop the simplex
     with pytest.raises(AssertionError, match="built during reuse"):
         lpengine.solve_to_extreme_point(calls[0][0])

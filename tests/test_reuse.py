@@ -30,7 +30,7 @@ from crossopt.randgen import (
     random_mcst_instance,
 )
 from crossopt.simplex import rank_of_rows, scale_values, verify_vertex_certificate
-from dense_reuse import dense_lp
+from dense_rows import dense_lp
 
 ACCEPTANCE_MCST = 200
 LATTICE_SLICE = 30
@@ -180,7 +180,7 @@ def test_dropped_tight_cut_is_refused_when_needed(reuse_calls):
     refused = kept = 0
     for state, prev in reuse_calls:
         point = lpengine.reuse_extreme_point(state, prev)
-        lp = dense_lp(point)
+        lp = dense_lp(point.lp)
         values = point.values
         support = [j for j, v in enumerate(values) if v]
         m = len(prev.row_tags)

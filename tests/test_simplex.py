@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossopt.errors import InternalCheckError
-from crossopt.rational import Rat, ZERO
+from crossopt.rational import Rat
 from crossopt.simplex import (
     LpInfeasible,
     LpUnbounded,
+    Vertex,
     make_lp,
     rank_of_rows,
     simplex_solve,
@@ -14,11 +17,22 @@ from crossopt.simplex import (
 )
 
 
+def row_vector(lp, idx):
+    """The rational coefficients, one per column, of a row or bound row
+    of lp (the tight_rows index scheme)."""
+    m = len(lp.rows)
+    if idx < m:
+        row = lp.rows[idx]
+        return [Rat(a, row.scale) for a in row.columns(lp.var_ids)]
+    j = (idx - m) % lp.num_vars
+    return [Rat(int(k == j)) for k in range(lp.num_vars)]
+
+
 def test_equality_forces_unique_point():
     lp = make_lp([1, 1], [([1, 1], "=", 2)])
     sol = simplex_solve(lp)
     assert sol.values == (Rat(1), Rat(1))
-    assert sol.objective_value == 2
+    assert sol.objective == 2
 
 
 def test_contradictory_rows_infeasible():
@@ -35,14 +49,14 @@ def test_unbounded_detected():
 
 def test_triangle_total_row_unit_costs():
     lp = make_lp([1, 1, 1], [([1, 1, 1], "=", 2)])
-    assert simplex_solve(lp).objective_value == 2
+    assert simplex_solve(lp).objective == 2
 
 
 def test_fractional_optimum_exact():
     lp = make_lp([1, 0], [([1, 1], ">=", 1), ([0, 1], "<=", Rat(1, 2))])
     sol = simplex_solve(lp)
     assert sol.values == (Rat(1, 2), Rat(1, 2))
-    assert sol.objective_value == Rat(1, 2)
+    assert sol.objective == Rat(1, 2)
 
 
 def test_rank_of_rows_basics():
@@ -69,9 +83,9 @@ def test_rank_of_tight_rows_at_four_cycle_half_point(edge_cover_4cycle):
     point = solve_to_extreme_point(state)
     assert all(v == Rat(1, 2) for v in point.x_by_id.values())
     rows = [
-        point.lp.row_vector(idx)
+        row_vector(point.lp, idx)
         for idx in point.tight_rows
-        if idx < len(point.lp.constraints)
+        if idx < len(point.lp.rows)
     ]
     assert rank_of_rows(rows) == 4
 
@@ -113,12 +127,12 @@ def test_constraint_order_never_changes_objective(rows, objective, rnd):
     rnd.shuffle(shuffled)
     lp2 = make_lp(objective, shuffled)
     try:
-        first = simplex_solve(lp).objective_value
+        first = simplex_solve(lp).objective
     except LpInfeasible:
         with pytest.raises(LpInfeasible):
             simplex_solve(lp2)
         return
-    assert simplex_solve(lp2).objective_value == first
+    assert simplex_solve(lp2).objective == first
 
 
 @settings(max_examples=120, deadline=None)
@@ -130,9 +144,9 @@ def test_support_bounded_by_certificate_rank(rows, objective):
     except LpInfeasible:
         return
     support = [j for j in range(lp.num_vars) if sol.values[j] != 0]
-    m = len(lp.constraints)
+    m = len(lp.rows)
     constraint_rows = [
-        [lp.row_vector(idx)[j] for j in support]
+        [row_vector(lp, idx)[j] for j in support]
         for idx in sol.tight_rows
         if idx < m
     ]
@@ -149,9 +163,6 @@ def test_support_bounded_by_certificate_rank(rows, objective):
 
 def test_certificate_rejects_nonvertex():
     lp = make_lp([0, 0], [([1, 1], "=", 1)])
-    sol = simplex_solve(lp)
-    from crossopt.simplex import BasicSolution
-
-    fake = BasicSolution((Rat(1, 2), Rat(1, 2)), ZERO, (0,))
+    fake = replace(Vertex.at(lp, (Rat(1, 2), Rat(1, 2))), tight_rows=(0,))
     with pytest.raises(InternalCheckError):
         verify_vertex_certificate(lp, fake)

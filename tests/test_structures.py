@@ -18,11 +18,7 @@ from crossopt.instances import (
     from_matroid,
     instance_digest,
 )
-from crossopt.laminar import (
-    LaminarForest,
-    consecutive_sibling_blocks,
-    laminar_level,
-)
+from crossopt.laminar import LaminarForest
 from crossopt.oracles import (
     ContraPolymatroidPair,
     CrossingConstraint,
@@ -105,9 +101,9 @@ def chain_forest():
 
 def test_levels():
     f = chain_forest()
-    assert laminar_level(f, 0) == 0
-    assert laminar_level(f, 1) == 1
-    assert laminar_level(f, 2) == 2
+    assert f.level(0) == 0
+    assert f.level(1) == 1
+    assert f.level(2) == 2
 
 
 def test_level_of_dead_node_rejected():
@@ -115,18 +111,11 @@ def test_level_of_dead_node_rejected():
     f.nodes[2].alive = False
     f.nodes[1].children.remove(2)
     with pytest.raises(InstanceError):
-        laminar_level(f, 2)
+        f.level(2)
 
 
 def flat_forest(k):
     return LaminarForest.from_sets([(1 << i, Rat(1)) for i in range(k)])
-
-
-def test_consecutive_blocks():
-    f = flat_forest(4)
-    assert consecutive_sibling_blocks(f, [0, 1]) == [[0, 1]]
-    assert consecutive_sibling_blocks(f, [0, 2]) == [[0], [2]]
-    assert consecutive_sibling_blocks(f, [0, 1, 3]) == [[0, 1], [3]]
 
 
 def test_crossing_family_rejected():
