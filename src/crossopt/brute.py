@@ -5,7 +5,9 @@ These are the independent oracles the guarantee verifiers compare
 against.  Enumeration sizes are pre-checked with an exact Kirchhoff
 count (Bareiss fraction-free determinant over the integers, one row
 per list comprehension) so failure modes are deterministic counts,
-never timeouts.
+never timeouts.  The tree count of every edge at once comes from the
+adjugate of the reduced Laplacian, from one fraction-free Gauss-Jordan
+pass that also gives the determinant.
 
 Spanning trees are enumerated block by block.  A connected graph's
 biconnected blocks (Hopcroft-Tarjan) share no edge, and an edge set is
@@ -76,19 +78,83 @@ def _bareiss_det(mat):
     return sign * rows[0][0]
 
 
-def kirchhoff_count(graph):
-    """Number of spanning trees (multigraph Laplacian minor determinant)."""
+def _bareiss_adjugate(mat):
+    """(det, adj) of a square integer matrix from one fraction-free
+    Gauss-Jordan pass on [mat | I]; adj is None when det is 0.
+
+    Each step clears the pivot column above and below the pivot, so
+    the left block ends as d * I, with d the last pivot, and the right
+    block as d * (P mat)^-1 for the row swaps P.  That is sign * adj(mat)
+    with sign = det P, and det(mat) = sign * d.  Rows keep only the left
+    columns still to eliminate, as in `_bareiss_det`, and every division
+    by the previous pivot is exact."""
+    n = len(mat)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if rows[k][0] == 0:
+            swap = next((i for i in range(k + 1, n) if rows[i][0] != 0), None)
+            if swap is None:
+                return 0, None
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot = rows[k][0]
+        top = rows[k][1:]
+        rest = []
+        for i, row in enumerate(rows):
+            lead = row[0]
+            if i == k:
+                rest.append(top)
+            elif lead:
+                rest.append(
+                    [(x * pivot - lead * y) // prev for x, y in zip(row[1:], top)]
+                )
+            elif pivot == prev:
+                rest.append(row[1:])
+            else:
+                rest.append([x * pivot // prev for x in row[1:]])
+        rows = rest
+        prev = pivot
+    if sign < 0:
+        rows = [[-x for x in row] for row in rows]
+    return sign * prev, rows
+
+
+def _reduced_laplacian(graph):
+    """The multigraph Laplacian without the row and column of vertex 0."""
     n = graph.n
-    if n <= 1:
-        return 1
     lap = [[0] * n for _ in range(n)]
     for e in graph.edges:
         lap[e.u][e.u] += 1
         lap[e.v][e.v] += 1
         lap[e.u][e.v] -= 1
         lap[e.v][e.u] -= 1
-    minor = [row[1:] for row in lap[1:]]
-    return _bareiss_det(minor)
+    return [row[1:] for row in lap[1:]]
+
+
+def kirchhoff_count(graph):
+    """Number of spanning trees (multigraph Laplacian minor determinant)."""
+    return _bareiss_det(_reduced_laplacian(graph))
+
+
+def edge_tree_counts(graph):
+    """(number of spanning trees, [number of them that contain e, for
+    each edge e in graph order]), from one adjugate.
+
+    With adj the adjugate of the reduced Laplacian, and its row and
+    column of the dropped vertex 0 read as 0, the trees that contain
+    edge uv number adj[u][u] + adj[v][v] - 2 * adj[u][v] (Kirchhoff's
+    matrix-tree theorem; Lyons and Peres, Probability on Trees and
+    Networks, ch. 4).  A graph with no spanning tree has no tree that
+    contains any edge."""
+    total, adj = _bareiss_adjugate(_reduced_laplacian(graph))
+    if total == 0:
+        return 0, [0] * len(graph.edges)
+    full = [[0] * graph.n] + [[0] + row for row in adj]
+    return total, [
+        full[e.u][e.u] + full[e.v][e.v] - 2 * full[e.u][e.v] for e in graph.edges
+    ]
 
 
 def _blocks(graph):

@@ -2,31 +2,35 @@
 
 Every generated instance ships with a GapReport whose claims are
 established mechanically: LP feasibility of the stated fractional point
-is certified by exact enumeration or exact Kirchhoff contraction
-counts, and integral violation lower bounds come from exhaustive
-enumeration (never sampling).  Where full enumeration is out of reach
-(16-gadget trees, the k=4 hitting sets) the search is factored through
-an exactly-verified product structure and the report says so.
+is certified by exact enumeration or by exact tree counts (the
+Kirchhoff determinant and every edge's count, all read off one
+adjugate of the reduced Laplacian), and integral violation lower
+bounds come from exhaustive enumeration (never sampling).  Where full
+enumeration is out of reach (16-gadget trees, the k=4 hitting sets)
+the search is factored through an exactly-verified product structure
+and the report says so.
 
 The exhaustive scans work in Python ints and precomputed tables: each
 set's size and ceil(size/2) are computed once, a cut's paths hit and
 layer loads come from one table per half of its bits, and the path
-lattice's leq, meet and join rows are built from the mixed-radix digits
-of the path index.  Each scan looks for a minimum, so once it holds an
-incumbent it cuts a candidate off as soon as the candidate's running
-worst reaches the incumbent (branch and bound): only candidates that
-could never replace the incumbent are skipped.  Candidates are visited
-in the same order as a plain scan, with the same strict-< tie-breaks,
-so the minima, the witnesses and the reports are unchanged.
+lattice's order rows (as bitmasks), meet and join rows are built from
+the mixed-radix digits of the path index.  Each scan looks for a
+minimum, so once it holds an incumbent it cuts a candidate off as soon
+as the candidate's running worst reaches the incumbent (branch and
+bound): only candidates that could never replace the incumbent are
+skipped.  Candidates are visited in the same order as a plain scan,
+with the same strict-< tie-breaks, so the minima, the witnesses and the
+reports are unchanged.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
-from operator import add
+from operator import add, and_
 
-from .brute import kirchhoff_count, min_max_violation_over_trees
+from .brute import edge_tree_counts, min_max_violation_over_trees
 from .errors import InstanceError, SizeGuardError
-from .graphs import Edge, Graph, iter_bits, mask_of
+from .graphs import Graph, iter_bits, mask_of
 from .instances import (
     GENERAL,
     GeneralMcstInstance,
@@ -35,7 +39,7 @@ from .instances import (
 )
 from .lpengine import separate_lattice, separate_spanning_tree
 from .oracles import ContraPolymatroidPair, CrossingConstraint, LatticeOracle
-from .rational import ONE, ZERO, Rat, encode_rationals, rat_ceil, render_rat
+from .rational import ONE, Rat, encode_rationals, rat_ceil, render_rat
 
 
 @dataclass(frozen=True)
@@ -116,47 +120,20 @@ def tree_to_subset(e, tree_mask):
     return x
 
 
-def _contract_edge(graph, eid):
-    """Merge the endpoints of one edge, dropping loops (parallels stay)."""
-    gone = graph.by_id[eid]
-    keep, merge = gone.u, gone.v
-    edges = []
-    for e in graph.edges:
-        if e.id == eid:
-            continue
-        u = keep if e.u == merge else e.u
-        v = keep if e.v == merge else e.v
-        if u == v:
-            continue
-        edges.append((e.id, u, v))
-    remap = {}
-    for old in range(graph.n):
-        if old == merge:
-            continue
-        remap[old] = len(remap)
-    return Graph(
-        graph.n - 1,
-        [Edge(i, remap[u], remap[v], ZERO) for i, u, v in edges],
-    )
-
-
 def tree_polytope_membership_certificate(graph, point):
     """Certify that the point is the exact average of all spanning trees:
     for every edge, trees-containing(e) / trees-total must equal x_e.
 
-    Both counts are exact Kirchhoff determinants (the containing count
-    is the tree count of the graph with e contracted), so this is a
-    mechanical convex-combination certificate of membership in the
-    spanning tree polytope.
+    Both counts are exact: the total is the determinant of the reduced
+    Laplacian, and every edge's containing count is read off its one
+    adjugate (`brute.edge_tree_counts`), so this is a mechanical
+    convex-combination certificate of membership in the spanning tree
+    polytope.
     """
-    total = kirchhoff_count(graph)
+    total, containing = edge_tree_counts(graph)
     if total == 0:
         return False
-    for e in graph.edges:
-        containing = kirchhoff_count(_contract_edge(graph, e.id))
-        if Rat(containing, total) != point[e.id]:
-            return False
-    return True
+    return all(Rat(c, total) == point[e.id] for e, c in zip(graph.edges, containing))
 
 
 # -- Hadamard discrepancy family ------------------------------------------------
@@ -315,29 +292,34 @@ def _path_edge_mask(k, choice):
 
 
 def _path_lattice_tables(k, choices):
-    """leq, meet and join tables of the paths under the componentwise
+    """above, meet and join tables of the paths under the componentwise
     order of their channel choices.
 
-    Path b's index is the mixed-radix number of its digits (j_1..j_k),
-    so each row is built digit by digit: after layer l the partial row
-    lists, for every prefix (j_1..j_l) in index order, the order bit or
-    the index weight of min/max(a's digit, j) summed so far."""
+    Path b's index is the mixed-radix number of its digits (j_1..j_k).
+    In a layer of index weight w, the paths whose digit is at least d
+    are the bits d*w..k*w-1 of every period of k*w bits, so above[a]
+    is the AND over the layers of those masks at a's digits.  Meet and
+    join rows are built digit by digit: after layer l the partial row
+    lists, for every prefix (j_1..j_l) in index order, the index weight
+    of min/max(a's digit, j) summed so far."""
     weights = [k ** (k - 1 - layer) for layer in range(k)]
     digits = range(k)
-    leq, meet, join = [], [], []
+    at_least = []  # at_least[layer][d]: the paths whose digit there is >= d
+    for w in weights:
+        starts = mask_of(range(0, k**k, k * w))  # the first bit of each period
+        at_least.append([((1 << k * w) - (1 << d * w)) * starts for d in digits])
+    above, meet, join = [], [], []
     for choice in choices:
-        le_row, meet_row, join_row = [1], [0], [0]
+        meet_row, join_row = [0], [0]
         for d, w in zip(choice, weights):
-            le_d = [int(d <= j) for j in digits]
             meet_d = [min(d, j) * w for j in digits]
             join_d = [max(d, j) * w for j in digits]
-            le_row = [x & y for x in le_row for y in le_d]
             meet_row = [x + y for x in meet_row for y in meet_d]
             join_row = [x + y for x in join_row for y in join_d]
-        leq.append(le_row)
+        above.append(reduce(and_, (masks[d] for masks, d in zip(at_least, choice))))
         meet.append(meet_row)
         join.append(join_row)
-    return leq, meet, join
+    return above, meet, join
 
 
 def gen_planar_mincut_gap(k):
@@ -349,8 +331,8 @@ def gen_planar_mincut_gap(k):
     graph = planar_gap_graph(k)
     choices = _planar_paths(k)
     rho = [_path_edge_mask(k, c) for c in choices]
-    leq, meet, join = _path_lattice_tables(k, choices)
-    lat = LatticeOracle(2 * k * k, rho, [1] * len(choices), leq, meet, join)
+    above, meet, join = _path_lattice_tables(k, choices)
+    lat = LatticeOracle(2 * k * k, rho, [1] * len(choices), above, meet, join)
     layer_masks = [
         mask_of(range(2 * layer * k, 2 * (layer + 1) * k)) for layer in range(k)
     ]

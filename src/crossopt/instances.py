@@ -400,7 +400,7 @@ def decode_instance(body):
             if not isinstance(tables, dict):
                 raise InstanceError(f"lattice must be an object, got {tables!r}")
             members = _objects(tables, "members")
-            lat = LatticeOracle(
+            lat = LatticeOracle.from_leq(
                 ground,
                 rho=[
                     _element_mask(m["rho"], ground, f"lattice member {i} rho")

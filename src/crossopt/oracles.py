@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import eq, or_
 
 from .errors import InstanceError, InternalCheckError
 from .graphs import iter_bits, mask_of
@@ -144,21 +144,35 @@ def _check_table(name, table, m, types, values, what):
             raise InstanceError(f"lattice {name}[{i}][{j}] is {row[j]!r}, not {what}")
 
 
+def _member_count(rho, rank):
+    if len(rank) != len(rho):
+        raise InstanceError("lattice tables must agree on member count")
+    return len(rho)
+
+
 class LatticeOracle:
     """Finite lattice with explicit order, meet/join tables, a ground-set
-    image map rho, and an integer rank per member."""
+    image map rho, and an integer rank per member.
 
-    def __init__(self, ground_n, rho, rank, leq, meet, join):
+    The order comes in as bitmask rows: bit j of above[i] is set when
+    i <= j.  ``from_leq`` checks an m x m 0/1 order table and folds it
+    into those rows.  The dual rows below[j] (bit i set when i <= j) are
+    built by transposing the above rows as one bit matrix."""
+
+    def __init__(self, ground_n, rho, rank, above, meet, join):
         self.ground_n = ground_n
         self.rho = tuple(rho)
         self.rank = tuple(rank)
         self.meet = meet
         self.join = join
-        m = len(self.rho)
-        self.size = m
-        if len(self.rank) != m:
-            raise InstanceError("lattice tables must agree on member count")
-        _check_table("leq", leq, m, {int, bool}, {0, 1}, "0 or 1")
+        self.size = m = _member_count(self.rho, self.rank)
+        if not isinstance(above, (list, tuple)) or len(above) != m:
+            raise InstanceError(f"lattice above table must have {m} rows, one per member")
+        for i, up in enumerate(above):
+            if type(up) is not int or up < 0 or up >> m:
+                raise InstanceError(
+                    f"lattice above[{i}] is {up!r}, not a bitmask of members below {m}"
+                )
         members = set(range(m))
         _check_table("meet", meet, m, {int}, members, f"a member index below {m}")
         _check_table("join", join, m, {int}, members, f"a member index below {m}")
@@ -167,13 +181,23 @@ class LatticeOracle:
                 raise InstanceError(
                     f"lattice member {i} rho has an element outside 0..{ground_n - 1}"
                 )
-        # above[i] = bitmask over members j with i <= j; below[i] dual
-        self.above = [mask_of(compress(range(m), row)) for row in leq]
-        self.below = below = [0] * m
-        for i, up in enumerate(self.above):
-            for j in iter_bits(up):
-                below[j] |= 1 << i
+        self.above = list(above)
+        # row i's binary digits, highest member first: column t of these
+        # strings holds bit m-1-t of every row, which read lowest member
+        # first is below[m-1-t]
+        digits = [format(up, f"0{m}b") for up in above]
+        self.below = [int("".join(col)[::-1], 2) for col in zip(*digits)][::-1]
         self._validate()
+
+    @classmethod
+    def from_leq(cls, ground_n, rho, rank, leq, meet, join):
+        """The lattice whose order is the 0/1 table leq (leq[i][j] = 1
+        when i <= j), checked to be m x m and folded into above rows."""
+        rho, rank = tuple(rho), tuple(rank)
+        m = _member_count(rho, rank)
+        _check_table("leq", leq, m, {int, bool}, {0, 1}, "0 or 1")
+        above = [mask_of(compress(range(m), row)) for row in leq]
+        return cls(ground_n, rho, rank, above, meet, join)
 
     def leq(self, i, j):
         return bool((self.above[i] >> j) & 1)
@@ -230,17 +254,13 @@ class LatticeOracle:
         raises InstanceError naming the check and its members.  Order
         tests are bit tests on the above/below rows.
 
-        The consecutive property (a <= b <= c puts every element of
-        rho[a] & rho[c] in rho[b]) is checked one element e at a time:
-        with H the members whose image holds e, it fails exactly when a
-        member outside H lies above one member of H and below another.
-        Only then are the comparable pairs walked, to name the first
-        violating a, b, c and e.  Last, each meet must be the greatest
-        lower bound and each join the least upper bound."""
+        The pair checks run first in one pass (`_pairs_hold`).  Only
+        when it finds a failure are the pairs walked check by check, in
+        the order of the messages (`_check_pairs`, the consecutive
+        property, `_check_best_bounds`), to name the first failure."""
         m = self.size
-        rho, rank, above, below = self.rho, self.rank, self.above, self.below
-        meet, join = self.meet, self.join
-        if any(r < 0 for r in rank):
+        above, below = self.above, self.below
+        if any(r < 0 for r in self.rank):
             raise InstanceError("lattice ranks must be non-negative integers")
         for i in range(m):
             if not (above[i] >> i) & 1:
@@ -254,6 +274,49 @@ class LatticeOracle:
             for j in iter_bits(acc):
                 if above[j] & ~acc:
                     raise InstanceError(f"order not transitive through ({i},{j})")
+        pairs_hold = self._pairs_hold()
+        if not pairs_hold:
+            self._check_pairs()
+        self._check_consecutive()
+        if not pairs_hold:
+            self._check_best_bounds()
+            raise InternalCheckError("lattice pair checks disagree")
+
+    def _pairs_hold(self):
+        """True when meet and join are commutative and every pair a <= b
+        (by index) has submodular images and supermodular ranks, and its
+        meet and join are the greatest lower and least upper bounds.
+
+        Commutativity compares each table with its transpose.  For the
+        bounds, below[meet] must equal below[a] & below[b]: as the order
+        is reflexive, that also puts the meet below both, and dually for
+        the join."""
+        meet, join = self.meet, self.join
+        for table in (meet, join):
+            if not all(map(eq, map(tuple, table), zip(*table))):
+                return False
+        rho, rank, above, below = self.rho, self.rank, self.above, self.below
+        for a in range(self.size):
+            rho_a, rank_a, below_a, above_a = rho[a], rank[a], below[a], above[a]
+            for mt, jn, rho_b, rank_b, below_b, above_b in zip(
+                meet[a][a:], join[a][a:], rho[a:], rank[a:], below[a:], above[a:]
+            ):
+                if (
+                    (rho[mt] | rho[jn]) & ~(rho_a | rho_b)
+                    or rank_a + rank_b > rank[mt] + rank[jn]
+                    or below_a & below_b != below[mt]
+                    or above_a & above_b != above[jn]
+                ):
+                    return False
+        return True
+
+    def _check_pairs(self):
+        """Walk the pairs a <= b (by index) and raise on the first that is
+        not commutative, whose meet is not below both or join not above
+        both, or whose images or ranks break the inequalities."""
+        m = self.size
+        rho, rank, above, below = self.rho, self.rank, self.above, self.below
+        meet, join = self.meet, self.join
         for a in range(m):
             meet_a, join_a = meet[a], join[a]
             rho_a, rank_a = rho[a], rank[a]
@@ -274,6 +337,16 @@ class LatticeOracle:
                     raise InstanceError(
                         f"rank supermodularity violated at ({a},{b})"
                     )
+
+    def _check_consecutive(self):
+        """The consecutive property (a <= b <= c puts every element of
+        rho[a] & rho[c] in rho[b]) is checked one element e at a time:
+        with H the members whose image holds e, it fails exactly when a
+        member outside H lies above one member of H and below another.
+        Only then are the comparable pairs walked, to name the first
+        violating a, b, c and e."""
+        m = self.size
+        rho, above, below = self.rho, self.above, self.below
         # per element e: the members holding e, and those above or
         # below some member holding e; elements no image holds are
         # left out, so a huge ground_n allocates nothing
@@ -299,9 +372,15 @@ class LatticeOracle:
                                 "consecutive property violated: "
                                 f"{a}<={b}<={c}, element {e}"
                             )
-        # a meet is a lower bound of both members (checked above), so
-        # its down-set lies inside theirs and is greatest exactly when
-        # it equals their intersection; dually for joins
+
+    def _check_best_bounds(self):
+        """Raise on the first pair a <= b (by index) whose meet is not the
+        greatest lower bound or whose join is not the least upper bound.
+        Once `_check_pairs` has passed, a meet is a lower bound of both
+        members, so its down-set lies inside theirs and is greatest
+        exactly when it equals their intersection; dually for joins."""
+        m = self.size
+        above, below, meet, join = self.above, self.below, self.meet, self.join
         for a in range(m):
             meet_a, join_a = meet[a], join[a]
             below_a, above_a = below[a], above[a]

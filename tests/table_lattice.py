@@ -5,8 +5,10 @@ lattice of a matroid as an explicit ``LatticeOracle``: 2^n x 2^n leq,
 meet and join tables, validated axiom by axiom.  It now returns the
 implicit ``SubsetLattice``.  The table-built version and the brute-force
 feasibility predicate that scanned every member are kept below
-verbatim (only the imports are new), so the implicit lattice can be
-checked against them member by member and pair by pair.
+verbatim (only the imports are new, and the constructor is now
+``LatticeOracle.from_leq``, which takes the same leq table), so the
+implicit lattice can be checked against them member by member and pair
+by pair.
 """
 
 from crossopt.errors import InstanceError
@@ -27,7 +29,7 @@ def matroid_to_lattice(matroid):
     full = (1 << n) - 1
     members = range(1 << n)
     rank = [matroid.full_rank - matroid.rank_of(full & ~s) for s in members]
-    return LatticeOracle(
+    return LatticeOracle.from_leq(
         n,
         rho=members,
         rank=rank,

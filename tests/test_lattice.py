@@ -38,7 +38,7 @@ def test_matroid_lattice_satisfies_monotonicity():
 
 def test_incomparable_same_size_members_pass():
     # diamond: bottom {0} < P {0,1}, Q {0,2} < top {0,1,2}; P,Q same size
-    lat = LatticeOracle(
+    lat = LatticeOracle.from_leq(
         3,
         rho=[0b001, 0b011, 0b101, 0b111],
         rank=[1, 1, 1, 2],
@@ -50,7 +50,7 @@ def test_incomparable_same_size_members_pass():
 
 
 def test_comparable_equal_size_images_witnessed():
-    lat = LatticeOracle(
+    lat = LatticeOracle.from_leq(
         2,
         rho=[0b01, 0b10],
         rank=[1, 1],

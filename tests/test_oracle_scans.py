@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import fraction_oracles as reference
 import table_lattice
+from pairwise_lattice import PairwiseLatticeOracle
 from test_separators import chain_lattice
 from crossopt import brute, generators
 from crossopt.brute import TREE_COUNT_GUARD, min_max_violation_over_trees
@@ -130,13 +131,15 @@ def test_planar_hitting_scan_matches_reference(k):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_planar_lattice_tables_match_reference(k):
     choices = _planar_paths(k)
-    leq, meet, join = generators._path_lattice_tables(k, choices)
+    above, meet, join = generators._path_lattice_tables(k, choices)
     rho, _ = planar_inputs(k)
     old = reference.planar_gap_lattice(k, rho)
     m = len(choices)
     assert meet == old.meet and join == old.join
-    assert leq == [[int(old.leq(i, j)) for j in range(m)] for i in range(m)]
-    new = LatticeOracle(2 * k * k, rho, [1] * m, leq, meet, join)
+    # the reference's rows hold one bit per pair (i, j) with leq(i, j)
+    assert len(above) == m and all(type(up) is int for up in above)
+    assert above == old.above
+    new = LatticeOracle(2 * k * k, rho, [1] * m, above, meet, join)
     assert new.above == old.above and new.below == old.below
 
 
@@ -295,23 +298,53 @@ def outcome(cls, tables):
     return lat.above, lat.below
 
 
+def with_rows(tables):
+    """The tables with the leq table folded into above bitmask rows."""
+    ground_n, rho, rank, leq, meet, join = tables
+    above = [mask_of(j for j, bit in enumerate(row) if bit) for row in leq]
+    return ground_n, rho, rank, above, meet, join
+
+
+def validation_outcomes(tables):
+    """The outcomes of LatticeOracle built from above rows and from the
+    leq table, and of the check-by-check reference (pairwise_lattice)."""
+    return (
+        outcome(LatticeOracle, with_rows(tables)),
+        outcome(LatticeOracle.from_leq, tables),
+        outcome(PairwiseLatticeOracle.from_leq, tables),
+    )
+
+
 @st.composite
 def corrupted_lattices(draw):
+    """Valid lattice tables, from a matroid, a chain or the planar paths
+    (built as above rows), with one field corrupted.  "meet-pair" and
+    "join-pair" set the entries of (i, j) and (j, i) to one member, so
+    commutativity holds and a bound check speaks first; "meet-pair-up"
+    and "join-pair-down" pick that member off the wrong side of i."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     source = draw(st.sampled_from(["matroid", "chain", "planar-2", "planar-3"]))
     if source == "matroid":
         matroid = random_lattice_instance(rng, max_ground=5).lat.matroid
-        tables = lattice_tables(table_lattice.matroid_to_lattice(matroid))
+        lat = table_lattice.matroid_to_lattice(matroid)
     elif source == "chain":
-        tables = lattice_tables(chain_lattice(rng, draw(st.integers(1, 9))))
+        lat = chain_lattice(rng, draw(st.integers(1, 9)))
     else:
         k = int(source[-1])
         rho, _ = planar_inputs(k)
-        leq, meet, join = generators._path_lattice_tables(k, _planar_paths(k))
-        tables = (2 * k * k, rho, [1] * len(rho), leq, meet, join)
+        above, meet, join = generators._path_lattice_tables(k, _planar_paths(k))
+        lat = LatticeOracle(2 * k * k, rho, [1] * len(rho), above, meet, join)
+    tables = lattice_tables(lat)
     ground_n, rho, rank, leq, meet, join = tables
     m = len(rho)
-    field = draw(st.sampled_from(["none", "leq", "meet", "join", "rank", "rho"]))
+    field = draw(
+        st.sampled_from(
+            [
+                "none", "leq", "meet", "join", "rank", "rho",
+                "meet-pair", "join-pair", "meet-pair-up", "join-pair-down",
+            ]
+        )
+    )
     i, j = rng.randrange(m), rng.randrange(m)
     if field == "leq":
         leq[i][j] = 1 - leq[i][j]
@@ -321,6 +354,14 @@ def corrupted_lattices(draw):
         rank[i] = rng.randint(-2, 6)
     elif field == "rho":
         rho[i] = rng.randrange(1 << ground_n)
+    else:
+        table = meet if field.startswith("meet") else join
+        member = rng.randrange(m)
+        if field.endswith("-up"):  # a member not below i, if there is one
+            member = next((x for x in range(m) if not lat.leq(x, i)), member)
+        elif field.endswith("-down"):  # a member not above i
+            member = next((x for x in range(m) if not lat.leq(i, x)), member)
+        table[i][j] = table[j][i] = member
     return tables
 
 
@@ -363,10 +404,51 @@ def test_lattice_validation_matches_reference(tables):
     except that a meet or join which is a bound but not the best one
     is refused only by LatticeOracle, naming the first pair whose glb
     or lub, recomputed from leq, differs."""
-    got = outcome(LatticeOracle, tables)
+    got, got_leq, pairwise = validation_outcomes(tables)
+    assert got == got_leq == pairwise
     want = outcome(reference.LatticeOracle, tables)
     failures = best_bound_failures(tables) if isinstance(want, tuple) else []
     assert got == (failures[0] if failures else want)
+
+
+def chain_tables(meet, join):
+    """The chain 0 < 1 < 2 with empty images and zero ranks."""
+    return (1, [0, 0, 0], [0, 0, 0], CHAIN_LEQ, meet, join)
+
+
+CHAIN_MEET = [[min(i, j) for j in range(3)] for i in range(3)]
+CHAIN_JOIN = [[max(i, j) for j in range(3)] for i in range(3)]
+
+
+def corrupt(table, *entries):
+    """A copy of table with each (i, j, value) written in."""
+    table = [list(row) for row in table]
+    for i, j, value in entries:
+        table[i][j] = value
+    return table
+
+
+@pytest.mark.parametrize(
+    "meet, join, message",
+    [
+        # only entry (2, 0) is corrupted; the pair is named as (0, 2)
+        (corrupt(CHAIN_MEET, (2, 0, 1)), CHAIN_JOIN, "meet/join not commutative at (0,2)"),
+        # (1, 2) is the first corrupted entry in row order, but the
+        # pair (0, 2) is checked before the pair (1, 2)
+        (
+            corrupt(CHAIN_MEET, (1, 2, 0), (2, 0, 1)),
+            CHAIN_JOIN,
+            "meet/join not commutative at (0,2)",
+        ),
+        (corrupt(CHAIN_MEET, (0, 1, 1), (1, 0, 1)), CHAIN_JOIN, "meet not below both at (0,1)"),
+        (CHAIN_MEET, corrupt(CHAIN_JOIN, (1, 2, 1), (2, 1, 1)), "join not above both at (1,2)"),
+        (corrupt(CHAIN_MEET, (1, 1, 0)), CHAIN_JOIN, "meet not greatest lower bound at (1,1)"),
+        (CHAIN_MEET, corrupt(CHAIN_JOIN, (0, 0, 2)), "join not least upper bound at (0,0)"),
+    ],
+)
+def test_pair_failures_name_the_first_pair(meet, join, message):
+    tables = chain_tables(meet, join)
+    assert validation_outcomes(tables) == (message,) * 3
 
 
 @st.composite
@@ -382,8 +464,8 @@ def inclusion_cases(draw):
         lat = chain_lattice(rng, draw(st.integers(1, 9)))
     else:
         rho, _ = planar_inputs(2)
-        leq, meet, join = generators._path_lattice_tables(2, _planar_paths(2))
-        lat = LatticeOracle(8, rho, [1] * len(rho), leq, meet, join)
+        above, meet, join = generators._path_lattice_tables(2, _planar_paths(2))
+        lat = LatticeOracle(8, rho, [1] * len(rho), above, meet, join)
     i, j = rng.randrange(lat.size), rng.randrange(lat.size)
     field = draw(st.sampled_from(["none", "leq", "rho"]))
     if field == "leq":
@@ -441,7 +523,7 @@ def test_consecutive_property_names_the_first_witness():
         [[max(i, j) for j in members] for i in members],
     )
     message = "consecutive property violated: 0<=2<=3, element 0"
-    assert outcome(LatticeOracle, tables) == message
+    assert validation_outcomes(tables) == (message,) * 3
     assert outcome(reference.LatticeOracle, tables) == message
 
 
@@ -450,5 +532,5 @@ def test_antisymmetry_names_the_smallest_twin():
     ones, zeros = [[1] * 3 for _ in range(3)], [[0] * 3 for _ in range(3)]
     tables = (1, [0, 0, 0], [0, 0, 0], ones, zeros, zeros)
     message = "order not antisymmetric at (0,1)"
-    assert outcome(LatticeOracle, tables) == message
+    assert validation_outcomes(tables) == (message,) * 3
     assert outcome(reference.LatticeOracle, tables) == message

@@ -164,7 +164,7 @@ def chain_lattice(rng, ground_n):
     rho = [sum(1 << e for e in order[:c]) for c in cuts]
     rank = [rng.randint(0, 4) for _ in rho]
     members = range(len(rho))
-    return LatticeOracle(
+    return LatticeOracle.from_leq(
         ground_n,
         rho,
         rank,

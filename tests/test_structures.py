@@ -245,7 +245,7 @@ def test_matroid_to_lattice_examples():
 @pytest.mark.parametrize("mask", [0b100, -1])
 def test_lattice_image_outside_ground_set_is_refused(mask):
     with pytest.raises(InstanceError, match="member 1 rho"):
-        LatticeOracle(
+        LatticeOracle.from_leq(
             2,
             rho=[0b01, mask],
             rank=[0, 0],
@@ -255,10 +255,27 @@ def test_lattice_image_outside_ground_set_is_refused(mask):
         )
 
 
+@pytest.mark.parametrize(
+    "above, message",
+    [
+        ([0b11], "lattice above table must have 2 rows, one per member"),
+        ([0b11, 0b110], "lattice above[1] is 6, not a bitmask of members below 2"),
+        ([0b11, -2], "lattice above[1] is -2, not a bitmask of members below 2"),
+        ([0b11, True], "lattice above[1] is True, not a bitmask of members below 2"),
+    ],
+)
+def test_lattice_above_rows_are_checked(above, message):
+    with pytest.raises(InstanceError) as exc:
+        LatticeOracle(1, [0, 1], [0, 0], above, [[0, 0], [0, 1]], [[0, 1], [1, 1]])
+    assert str(exc.value) == message
+    lat = LatticeOracle(1, [0, 1], [0, 0], [0b11, 0b10], [[0, 0], [0, 1]], [[0, 1], [1, 1]])
+    assert lat.below == [0b01, 0b11]
+
+
 def test_lattice_axiom_failures_carry_witnesses():
     # consecutive property violated: bottom {0}, mid {1}, top {0,1}
     with pytest.raises(InstanceError, match="consecutive"):
-        LatticeOracle(
+        LatticeOracle.from_leq(
             2,
             rho=[0b01, 0b10, 0b11],
             rank=[0, 0, 1],
@@ -267,7 +284,7 @@ def test_lattice_axiom_failures_carry_witnesses():
             join=[[0, 1, 2], [1, 1, 2], [2, 2, 2]],
         )
     with pytest.raises(InstanceError, match="supermodularity"):
-        LatticeOracle(
+        LatticeOracle.from_leq(
             2,
             rho=[0b00, 0b01, 0b10, 0b11],
             rank=[0, 1, 1, 1],  # 1 + 1 > 0 + 1
