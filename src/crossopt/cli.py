@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
-from .brute import brute_subset_opt
+from .brute import SUBSET_GUARD, brute_subset_opt
 from .errors import InstanceError, InternalCheckError
 from .generators import (
     gen_edge_cover_tight,
@@ -135,23 +135,25 @@ def _solve_lattice(instance, args):
     if args.variant and args.variant != instance.variant:
         instance = replace(instance, variant=args.variant)
     sol, _, opt = run_lattice(instance)
-
-    def verify():
-        brute = None
-        if instance.n <= 16:
-            _, brute = brute_subset_opt(
-                instance.n, bound_feasible_predicate(instance), instance.costs
-            )
-        return verify_lattice(instance, sol, brute)
-
     return Solved(
         instance,
         sol,
         sum((instance.costs[e] for e in iter_bits(sol)), 0),
         opt,
-        verify,
+        lambda: _verify_lattice(instance, sol),
         {"variant": instance.variant},
     )
+
+
+def _verify_lattice(instance, mask):
+    """verify_lattice of mask, with the cost check against the
+    brute-force optimum when the ground set is within SUBSET_GUARD."""
+    brute = None
+    if instance.n <= SUBSET_GUARD:
+        _, brute = brute_subset_opt(
+            instance.n, bound_feasible_predicate(instance), instance.costs
+        )
+    return verify_lattice(instance, mask, brute)
 
 
 # command -> (instance type, its description, solution kind, solver);
@@ -289,10 +291,7 @@ def cmd_verify(args):
         result = verify_intersection(instance, mask, opt)
         body = result.to_json()
     elif isinstance(instance, LatticeInstance):
-        _, brute = brute_subset_opt(
-            instance.n, bound_feasible_predicate(instance), instance.costs
-        )
-        result = verify_lattice(instance, mask, brute)
+        result = _verify_lattice(instance, mask)
         body = result.to_json()
     else:
         raise InstanceError("general-mcst instances are verified by generators")
@@ -315,10 +314,7 @@ def _selftest_one(task):
         return verify_intersection(instance, sol, opt).ok
     instance = random_lattice_instance(rng, max_ground=6)
     sol, _, _ = run_lattice(instance)
-    _, brute = brute_subset_opt(
-        instance.n, bound_feasible_predicate(instance), instance.costs
-    )
-    return verify_lattice(instance, sol, brute).ok
+    return _verify_lattice(instance, sol).ok
 
 
 def cmd_selftest(args):

@@ -76,7 +76,7 @@ class IntersectionState:
                 ]
             )
 
-        zeros = [e for e, v in sorted(x.items()) if v == ZERO]
+        zeros = list(iter_bits(point.zeros))
         for e in zeros:
             self.eprime &= ~(1 << e)
         halves = [e for e, v in sorted(x.items()) if v >= HALF]
@@ -240,7 +240,7 @@ def check_chain_token_bound(point, pair, which, fmask=0):
     table = pair.r1 if which == 1 else pair.r2
     fam = f"cover{which}"
     tight_full = []
-    for tag, witness in point.tight_constraint_tags():
+    for tag, witness in point.tight_tags():
         if tag == fam:
             tight_full.append(witness)
 

@@ -85,15 +85,15 @@ class LatticeState:
     def _delete_or_fix(self, point):
         if point is None:
             return None
-        for e, v in sorted(point.x_by_id.items()):
-            if v == ZERO:
-                self.eprime &= ~(1 << e)
-                return {"ev": "delete", "edge": e}
-        for e, v in sorted(point.x_by_id.items()):
-            if v == ONE:
-                self.fmask |= 1 << e
-                self.eprime &= ~(1 << e)
-                return {"ev": "fix", "edge": e}
+        if point.zeros:
+            e = (point.zeros & -point.zeros).bit_length() - 1
+            self.eprime &= ~(1 << e)
+            return {"ev": "delete", "edge": e}
+        if point.ones:
+            e = (point.ones & -point.ones).bit_length() - 1
+            self.fmask |= 1 << e
+            self.eprime &= ~(1 << e)
+            return {"ev": "fix", "edge": e}
         return None
 
     def _drop(self, point):
@@ -254,7 +254,7 @@ def check_chain_growth(point, lat, fmask=0):
         rhs = lat.rank[j] - (lat.rho[j] & fmask).bit_count()
         return lhs == Rat(rhs)
 
-    tight = [w for tag, w in point.tight_constraint_tags() if tag == "rank"]
+    tight = [w for tag, w in point.tight_tags() if tag == "rank"]
     for j in tight:
         if not residual_tight(j):
             raise InternalCheckError(f"certificate rank row {j} is not tight")

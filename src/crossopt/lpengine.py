@@ -38,13 +38,14 @@ region P and lies on its face {x in P : x_e = c}; the new residual
 region is exactly that face with coordinate e dropped (every row's rhs
 absorbs c), and the objective changes by the constant c * cost_e, so
 the restriction is an optimal point of the new region.  The cost is
-re-checking, not re-solving.  An ExtremePoint carries its vertex once
-as integers X / D.  The reused point is checked against the base rows for the new
+re-checking, not re-solving.  A certified vertex is one simplex.Vertex,
+carried once as integers X / D, whose LP rows name themselves by their
+tags.  The reused point is checked against the base rows for the new
 state plus the previous point's tight cut rows (rebuilt from their
-tags, so each rhs reflects the new fixed set), with the same integer
-routines the simplex checks its own vertices with: simplex.row_status
-gives row feasibility, the box and the tight set, then comes a full
-separation pass and the vertex certificate.  Any failed check is an
+tags, so each rhs reflects the new fixed set) by simplex.certify, the
+routine the simplex certifies its own vertices with: row feasibility,
+the box, the tight set and the vertex certificate; then comes a full
+separation pass.  Any failed check is an
 InternalCheckError; nothing falls back to a cold solve.  Steps that
 drop or merge bounds remove or relax rows, so the region can grow and
 the old vertex need not stay optimal; after those, and after rounding
@@ -53,7 +54,7 @@ region is not a face of the old one), the LP is solved again with
 solve_to_extreme_point.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from itertools import islice
 from operator import add, sub
 
@@ -69,11 +70,11 @@ from .simplex import (
     LpUnbounded,
     Row,
     Vertex,
+    certify,
     objective_value,
     row_status,
     scale_values,
     simplex_solve,
-    verify_vertex_certificate,
     violated,
 )
 
@@ -236,31 +237,6 @@ def separate_lattice(x_by_id, fmask, lat):
 # -- working LP assembly -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtremePoint(Vertex):
-    """A certified vertex of one iteration's LP (a simplex.Vertex).
-
-    ``lp`` is the system the vertex was certified on: the LinearProgram
-    the simplex solved, or the working LP of a reused vertex.  The
-    engine and the spanning-tree step work on the integers ``den`` and
-    ``scaled``; ``x_by_id`` serves the trace, the reports, the
-    separators and the covering step rules.  ``row_tags`` name the LP's
-    rows.
-    """
-
-    row_tags: tuple = ()
-
-    @classmethod
-    def of_solution(cls, row_tags, vertex):
-        """The simplex's Vertex with its rows named by row_tags."""
-        vertex_fields = {f.name: getattr(vertex, f.name) for f in fields(Vertex)}
-        return cls(**vertex_fields, row_tags=row_tags)
-
-    def tight_constraint_tags(self):
-        m = len(self.row_tags)
-        return [self.row_tags[idx] for idx in self.tight_rows if idx < m]
-
-
 def _box_lp(var_ids, objective, rows):
     """The LP of the rows over the box 0 <= x <= 1."""
     n = len(var_ids)
@@ -283,23 +259,23 @@ class ResidualMcstLp:
 
     def base(self):
         """(variable ids, objective, base rows, separator, cut builder);
-        every row is a (Row, tag) pair."""
+        every row is a tagged Row."""
         graph = self.graph
         var_ids = tuple(iter_bits(self.eprime))
         objective = tuple(graph.by_id[v].cost for v in var_ids)
         n_fixed = self.fmask.bit_count()
-        total = Row.of_mask(self.eprime, EQ, Rat(graph.n - n_fixed - 1))
-        rows = [(total, ("tree_total", None))]
+        total = Rat(graph.n - n_fixed - 1)
+        rows = [Row.of_mask(self.eprime, EQ, total, ("tree_total", None))]
         for node_id, vset, bound in self.degree_rows:
             dmask = graph.delta_mask(vset, within=self.eprime)
-            rows.append((Row.of_mask(dmask, LE, bound), ("degree", node_id)))
+            rows.append(Row.of_mask(dmask, LE, bound, ("degree", node_id)))
 
         def cut_row(res):
             vmask = res.witness
             inside = graph.induced_mask(vmask, within=self.eprime)
             f_inside = (graph.induced_mask(vmask) & self.fmask).bit_count()
             rhs = Rat(vmask.bit_count() - f_inside - 1)
-            return Row.of_mask(inside, LE, rhs), ("subtour", vmask)
+            return Row.of_mask(inside, LE, rhs, ("subtour", vmask))
 
         def separator(x_by_id):
             return separate_spanning_tree(x_by_id, graph, self.fmask)
@@ -317,11 +293,11 @@ class ResidualIntersectionLp:
 
     def base(self):
         """(variable ids, objective, base rows, separator, cut builder);
-        every row is a (Row, tag) pair."""
+        every row is a tagged Row."""
         var_ids = tuple(iter_bits(self.eprime))
         objective = tuple(self.costs[v] for v in var_ids)
         rows = [
-            (Row.of_mask(elems & self.eprime, LE, resid), ("bound_upper", idx))
+            Row.of_mask(elems & self.eprime, LE, resid, ("bound_upper", idx))
             for idx, elems, resid in self.bound_rows
         ]
 
@@ -330,7 +306,7 @@ class ResidualIntersectionLp:
             s = res.witness
             table = self.pair.r1 if func_idx == 1 else self.pair.r2
             rhs = Rat(table[s] - (self.fmask & s).bit_count())
-            return Row.of_mask(s & self.eprime, GE, rhs), (res.family, s)
+            return Row.of_mask(s & self.eprime, GE, rhs, (res.family, s))
 
         def separator(x_by_id):
             return separate_contra_polymatroid(x_by_id, self.fmask, self.pair)
@@ -348,23 +324,22 @@ class ResidualLatticeLp:
 
     def base(self):
         """(variable ids, objective, base rows, separator, cut builder);
-        every row is a (Row, tag) pair."""
+        every row is a tagged Row."""
         var_ids = tuple(iter_bits(self.eprime))
         objective = tuple(self.costs[v] for v in var_ids)
         rows = []
         for idx, elems, lower, upper in self.bound_rows:
             fixed = (elems & self.fmask).bit_count()
             mask = elems & self.eprime
-            rows.append((Row.of_mask(mask, LE, upper - fixed), ("bound_upper", idx)))
+            rows.append(Row.of_mask(mask, LE, upper - fixed, ("bound_upper", idx)))
             if lower is not None:
-                row = Row.of_mask(mask, GE, lower - fixed)
-                rows.append((row, ("bound_lower", idx)))
+                rows.append(Row.of_mask(mask, GE, lower - fixed, ("bound_lower", idx)))
 
         def cut_row(res):
             j = res.witness
             rho = self.lat.rho[j]
             rhs = Rat(self.lat.rank[j] - (self.fmask & rho).bit_count())
-            return Row.of_mask(rho & self.eprime, GE, rhs), ("rank", j)
+            return Row.of_mask(rho & self.eprime, GE, rhs, ("rank", j))
 
         def separator(x_by_id):
             return separate_lattice(x_by_id, self.fmask, self.lat)
@@ -375,8 +350,8 @@ class ResidualLatticeLp:
 def solve_to_extreme_point(state, extra_rows=(), objective_override=None):
     """Cutting-plane loop: optimal certified vertex of the full system.
 
-    ``extra_rows`` are (Row, tag) pairs appended to the base LP (used
-    for optimum-pinning).  ``objective_override`` replaces the cost
+    ``extra_rows`` are tagged Rows appended to the base LP (used for
+    optimum-pinning).  ``objective_override`` replaces the cost
     vector (aligned with the sorted undecided ids).  Raises LpInfeasible
     if the full system is empty.
     """
@@ -384,24 +359,24 @@ def solve_to_extreme_point(state, extra_rows=(), objective_override=None):
     if objective_override is not None:
         objective = tuple(objective_override)
     rows = list(rows) + list(extra_rows)
-    seen = {tag for _, tag in rows}
+    seen = {row.tag for row in rows}
     prev_obj = None
     while True:
-        lp = _box_lp(var_ids, objective, (row for row, _ in rows))
+        lp = _box_lp(var_ids, objective, rows)
         try:
-            vertex = simplex_solve(lp)
+            point = simplex_solve(lp)
         except LpUnbounded as exc:  # impossible: the box is compact
             raise InternalCheckError("box-bounded LP reported unbounded") from exc
-        if prev_obj is not None and vertex.objective < prev_obj:
+        if prev_obj is not None and point.objective < prev_obj:
             raise InternalCheckError(
                 "objective decreased while adding cutting planes"
             )
-        prev_obj = vertex.objective
-        point = ExtremePoint.of_solution(tuple(tag for _, tag in rows), vertex)
+        prev_obj = point.objective
         res = separator(point.x_by_id)
         if res.feasible:
             return point
-        row, tag = cut_row(res)
+        row = cut_row(res)
+        tag = row.tag
         if tag in seen:
             raise InternalCheckError(f"separator repeated row {tag}")
         seen.add(tag)
@@ -412,7 +387,7 @@ def solve_to_extreme_point(state, extra_rows=(), objective_override=None):
             raise InternalCheckError(
                 f"separator violation for {tag} failed exact re-verification"
             )
-        rows.append((row, tag))
+        rows.append(row)
 
 
 def reuse_extreme_point(state, prev):
@@ -428,7 +403,7 @@ def reuse_extreme_point(state, prev):
     """
     var_ids, objective, rows, separator, cut_row = state.base()
     rows = list(rows)
-    for kind, witness in prev.tight_constraint_tags():
+    for kind, witness in prev.tight_tags():
         if kind in CUT_KINDS:
             rows.append(cut_row(SeparationResult(False, kind, witness)))
     prev_scaled = dict(zip(prev.var_ids, prev.scaled))
@@ -439,24 +414,18 @@ def reuse_extreme_point(state, prev):
             f"undecided variable {exc} has no value at the previous vertex"
         ) from None
     x_by_id = {v: prev.x_by_id[v] for v in var_ids}
-    lp = _box_lp(var_ids, objective, (row for row, _ in rows))
-    point = ExtremePoint(
-        lp,
+    point = Vertex(
+        _box_lp(var_ids, objective, rows),
         var_ids,
         prev.den,
         scaled,
         objective_value(objective, prev.den, scaled),
         (),
         x_by_id,
-        tuple(t for _, t in rows),
     )
-    tight = row_status(lp, point)
-    if tight is None:
-        raise InternalCheckError("reused vertex violates the new working LP")
+    certify(point, InternalCheckError("reused vertex violates the new working LP"))
     if not separator(x_by_id).feasible:
         raise InternalCheckError("reused vertex violates a family constraint")
-    point = replace(point, tight_rows=tight)
-    verify_vertex_certificate(lp, point)
     STATS["reused"] += 1
     return point
 
@@ -466,13 +435,13 @@ def full_separation_clean(state, x_by_id):
     var_ids, objective, rows, separator, _ = state.base()
     if not separator(x_by_id).feasible:
         return False
-    lp = _box_lp(var_ids, objective, (row for row, _ in rows))
+    lp = _box_lp(var_ids, objective, rows)
     return row_status(lp, Vertex.at(lp, [x_by_id[v] for v in var_ids])) is not None
 
 
 def tighten_degree_bounds(forest, graph, eprime, point):
     """Lower every alive bound to the current crossing load x(delta(S))
-    at the ExtremePoint ``point``, compared in integers.
+    at the certified Vertex ``point``, compared in integers.
 
     Never increases a bound; returns [(node id, old, new)] for changed
     nodes.
@@ -502,10 +471,7 @@ def coordinate_ranges(state, optimum, base_objective):
     -e_j for every variable; a coordinate is pinned when min == max.
     """
     var_ids = state.base()[0]
-    pin = (
-        Row.of_coefficients(base_objective, var_ids, EQ, optimum),
-        ("pin", None),
-    )
+    pin = Row.of_coefficients(base_objective, var_ids, EQ, optimum, ("pin", None))
     ranges = []
     for j in range(len(var_ids)):
         unit = [ZERO] * len(var_ids)

@@ -33,7 +33,7 @@ re-check the degree-violation bound round by round.
 from dataclasses import dataclass
 
 from .errors import InstanceError, InternalCheckError, NoStepApplies
-from .graphs import iter_bits, mask_of
+from .graphs import iter_bits
 from .laminar import all_consecutive_blocks
 from .lpengine import ResidualMcstLp, tighten_degree_bounds
 
@@ -208,7 +208,7 @@ class McstState:
 
 def try_step(state, point, classified):
     """Apply the first applicable step (fix, delete, drop, merge) at the
-    ExtremePoint ``point``; ``classified`` is classify_good of the
+    certified Vertex ``point``; ``classified`` is classify_good of the
     state's forest and undecided edges, already checked for edge
     locality."""
     forest = state.forest
@@ -379,24 +379,10 @@ def replay_trace(instance, trace):
                 forest.remove_leaf(nid)
             snapshots.append((forest.snapshot(), state.eprime))
         elif kind == "end":
-            footer_tree = mask_of(ev["tree"])
-            matches = footer_tree == state.fmask
-            ftr = ev["forest"]
-            matches = matches and ftr["roots"] == forest.roots
-            for nd in ftr["nodes"]:
-                ours = forest.nodes[nd["id"]] if nd["id"] < len(forest.nodes) else None
-                if ours is None:
-                    matches = False
-                    break
-                if nd["alive"] != ours.alive:
-                    matches = False
-                if ours.alive and (
-                    mask_of(nd["vertices"]) != ours.vset
-                    or parse_rat(nd["bound"]) != ours.bound
-                    or nd["parent"] != ours.parent
-                    or nd["children"] != ours.children
-                ):
-                    matches = False
+            matches = (
+                ev["tree"] == sorted(iter_bits(state.fmask))
+                and ev["forest"] == _forest_json(forest)
+            )
             return ReplayResult(state.fmask, forest, tuple(snapshots), matches)
     raise InstanceError("trace has no end event")
 

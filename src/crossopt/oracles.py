@@ -37,8 +37,10 @@ from .graphs import iter_bits, mask_of
 MAX_GROUND = 16
 
 
-def _check_local_exchange(table, n, direction, name):
-    """direction=+1 checks submodular, -1 checks supermodular."""
+def _local_exchange_violation(table, n, direction):
+    """The first (S, e, f), in scan order, at which the table breaks the
+    local exchange condition, or None; direction=+1 checks submodular,
+    -1 supermodular."""
     for s in range(1 << n):
         free = [e for e in range(n) if not (s >> e) & 1]
         for a in range(len(free)):
@@ -47,26 +49,22 @@ def _check_local_exchange(table, n, direction, name):
                 lhs = table[s | (1 << e)] + table[s | (1 << f)]
                 rhs = table[s | (1 << e) | (1 << f)] + table[s]
                 if direction * (lhs - rhs) < 0:
-                    raise InstanceError(
-                        f"{name} violated at S={s:#x}, e={e}, f={f}"
-                    )
+                    return (s, e, f)
+    return None
+
+
+def _check_local_exchange(table, n, direction, name):
+    """Raise on the first local exchange violation (see
+    _local_exchange_violation)."""
+    witness = _local_exchange_violation(table, n, direction)
+    if witness is not None:
+        s, e, f = witness
+        raise InstanceError(f"{name} violated at S={s:#x}, e={e}, f={f}")
 
 
 def supermodular_violation(table, n):
     """Return a witness (S, e, f) if the table is not supermodular."""
-    try:
-        _check_local_exchange(table, n, -1, "supermodularity")
-    except InstanceError:
-        for s in range(1 << n):
-            free = [e for e in range(n) if not (s >> e) & 1]
-            for a in range(len(free)):
-                for b in range(a + 1, len(free)):
-                    e, f = free[a], free[b]
-                    lhs = table[s | (1 << e)] + table[s | (1 << f)]
-                    rhs = table[s | (1 << e) | (1 << f)] + table[s]
-                    if lhs > rhs:
-                        return (s, e, f)
-    return None
+    return _local_exchange_violation(table, n, -1)
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,10 @@ values, so the sign of lhs - rhs, and each bound comparison, is one
 integer comparison.  row_status finds the tight rows of a point, and
 certificate_rows re-checks claimed tight rows and hands the rank check
 their integer coefficients; the rank comes from fraction-free
-elimination.  The simplex checks its own vertices with these two, and
-so does the engine for a reused vertex.
+elimination.  certify runs both on a vertex and claims its tight rows
+on that one object; the simplex certifies its own vertices with it,
+and so does the engine a reused vertex.  A row's ``tag`` names it for
+the engine's step rules (Vertex.tight_tags) and is otherwise ignored.
 
 Every returned vertex carries a vertex certificate: the indices of all
 rows and variable bounds satisfied with equality, verified to have full
@@ -60,7 +62,7 @@ the rows in order; ``m + j`` is the lower bound of column ``j``;
 ``m + num_vars + j`` is its upper bound.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 from typing import NamedTuple
@@ -103,20 +105,23 @@ class Row(NamedTuple):
     rel  rhs, where x(mask) is the sum of x over the variable ids in the
     bitmask mask.  The row is kept in its integer form: every coefficient
     a is an int, and scale is the lcm of the denominators of the
-    rational coefficients it was built from (1 for a 0/1 row)."""
+    rational coefficients it was built from (1 for a 0/1 row).  ``tag``
+    names the row for its builder (Vertex.tight_tags); the tableau and
+    the checks ignore it."""
 
     terms: tuple
     rel: str
     rhs: object
     scale: int = 1
+    tag: object = None
 
     @classmethod
-    def of_mask(cls, mask, rel, rhs):
+    def of_mask(cls, mask, rel, rhs, tag=None):
         """The 0/1 row x(mask) rel rhs."""
-        return cls(((1, mask),), rel, rhs)
+        return cls(((1, mask),), rel, rhs, 1, tag)
 
     @classmethod
-    def of_coefficients(cls, coeffs, var_ids, rel, rhs):
+    def of_coefficients(cls, coeffs, var_ids, rel, rhs, tag=None):
         """The row with the rational coefficient coeffs[j] on variable
         var_ids[j]; the variables sharing a coefficient share one term."""
         k = lcm(*(a.denominator for a in coeffs if a))
@@ -125,7 +130,7 @@ class Row(NamedTuple):
             if a:
                 a = a.numerator * (k // a.denominator)
                 masks[a] = masks.get(a, 0) | 1 << v
-        return cls(tuple(masks.items()), rel, rhs, k)
+        return cls(tuple(masks.items()), rel, rhs, k, tag)
 
     def columns(self, var_ids):
         """The row's integer form as one coefficient per variable of
@@ -194,12 +199,13 @@ def objective_value(objective, den, scaled):
     return Rat(total, k * den)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Vertex:
     """A point x = X / D of ``lp``, with D = ``den`` and X = ``scaled``
     (ints aligned with var_ids, as scale_values gives them).  ``x_by_id``
     holds the same values as rationals; ``tight_rows`` lists the rows
-    and bounds claimed tight (the module's index scheme)."""
+    and bounds claimed tight (the module's index scheme), which certify
+    sets on the vertex itself."""
 
     lp: object
     var_ids: tuple
@@ -227,6 +233,12 @@ class Vertex:
     @property
     def values(self):
         return tuple(self.x_by_id[v] for v in self.var_ids)
+
+    def tight_tags(self):
+        """The tags of the rows of lp claimed tight (bounds have none)."""
+        rows = self.lp.rows
+        m = len(rows)
+        return [rows[idx].tag for idx in self.tight_rows if idx < m]
 
     @cached_property
     def ones(self):
@@ -695,6 +707,18 @@ def verify_vertex_certificate(lp, point):
     return rank
 
 
+def certify(point, infeasible):
+    """Claim the tight rows of the Vertex point in point.lp and verify
+    its vertex certificate; returns point.  Raises ``infeasible`` when
+    point violates a row or a bound."""
+    tight = row_status(point.lp, point)
+    if tight is None:
+        raise infeasible
+    point.tight_rows = tight
+    verify_vertex_certificate(point.lp, point)
+    return point
+
+
 def simplex_solve(lp):
     """Solve to an optimal certified Vertex; raises LpInfeasible /
     LpUnbounded.
@@ -708,13 +732,9 @@ def simplex_solve(lp):
             values = tableau.solve()
         finally:
             STATS["pivots"] += tableau.pivots
-    point = Vertex.at(lp, values)
-    tight = row_status(lp, point)
-    if tight is None:
-        if not lp.num_vars:
-            raise LpInfeasible()
-        raise InternalCheckError("simplex returned an infeasible point")
-    point = replace(point, tight_rows=tight)
-    verify_vertex_certificate(lp, point)
+        infeasible = InternalCheckError("simplex returned an infeasible point")
+    else:
+        infeasible = LpInfeasible()
+    point = certify(Vertex.at(lp, values), infeasible)
     STATS["solves"] += 1
     return point

@@ -3,10 +3,9 @@ import pytest
 from crossopt.generators import gen_mcst_gap
 from crossopt.graphs import Graph
 from crossopt.instances import IntersectionInstance, McstInstance
-from crossopt.lpengine import ExtremePoint
 from crossopt.oracles import ContraPolymatroidPair, CrossingConstraint, MatroidOracle
 from crossopt.rational import Rat
-from crossopt.simplex import scale_values
+from crossopt.simplex import Vertex, scale_values
 
 
 @pytest.fixture(scope="session")
@@ -102,8 +101,8 @@ def tree_instance():
 
 
 def point_at(x_by_id):
-    """An ExtremePoint with the values x_by_id ({variable id: Rat}) and
+    """A Vertex with the values x_by_id ({variable id: Rat}) and
     no rows, for step rules that read only the vertex."""
     var_ids = tuple(sorted(x_by_id))
     den, scaled = scale_values([x_by_id[v] for v in var_ids])
-    return ExtremePoint(None, var_ids, den, tuple(scaled), None, (), dict(x_by_id))
+    return Vertex(None, var_ids, den, tuple(scaled), None, (), dict(x_by_id))

@@ -7,8 +7,8 @@ certificate on it.  It now checks the reused vertex on the 0/1 rows in
 integers.  The dense version is kept below verbatim; only the imports
 (the dense types and checks now come from tests/dense_rows.py),
 ``_dense_base`` (which turns the residual LP's 0/1 rows back into the
-indicator Constraints the old ``base()`` built) and the result type are
-new.
+indicator Constraints the old ``base()`` built), the tags read through
+``Vertex.tight_tags`` and the result type are new.
 """
 
 from dataclasses import dataclass
@@ -36,19 +36,18 @@ class DenseReuse:
 
 
 def _dense_base(state):
-    """state.base() with every 0/1 (Row, tag) row, including the rows
-    the cut builder returns, as an indicator (Constraint, tag) row."""
+    """state.base() with every tagged 0/1 Row, including the rows the
+    cut builder returns, as an indicator (Constraint, tag) row."""
     var_ids, objective, rows, separator, cut_row = state.base()
 
-    def dense(pair):
-        row, tag = pair
+    def dense(row):
         ((_, mask),) = row.terms
-        return Constraint(_indicator(var_ids, mask), row.rel, row.rhs), tag
+        return Constraint(_indicator(var_ids, mask), row.rel, row.rhs), row.tag
 
     return (
         var_ids,
         objective,
-        [dense(pair) for pair in rows],
+        [dense(row) for row in rows],
         separator,
         lambda res: dense(cut_row(res)),
     )
@@ -81,7 +80,7 @@ def reuse_extreme_point(state, prev):
     """
     var_ids, objective, rows, separator, cut_row = _dense_base(state)
     rows = list(rows)
-    for kind, witness in prev.tight_constraint_tags():
+    for kind, witness in prev.tight_tags():
         if kind in CUT_KINDS:
             rows.append(cut_row(SeparationResult(False, kind, witness)))
     try:

@@ -255,7 +255,7 @@ class MaskLp:
         return tuple(tight)
 
     def certificate_rows(self, point):
-        """simplex.verify_vertex_certificate's rows for an ExtremePoint:
+        """simplex.verify_vertex_certificate's rows for a reused Vertex:
         the claimed tight rows are re-checked, and each tight mask row,
         restricted to the support columns strictly inside the box, is a
         0/1 int row."""

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import table_lattice
+from crossopt.brute import SUBSET_GUARD
 from crossopt.cli import MAX_JOBS, main
 from crossopt.instances import dump_instance
 from crossopt.randgen import random_lattice_instance, random_mcst_instance
@@ -125,6 +126,25 @@ def test_gen_gap_reports(tmp_path):
 
     inst_body = json.loads(out.read_text())
     assert inst_body["schema"] == 1 and inst_body["type"] == "lattice"
+
+
+def test_verify_lattice_beyond_the_brute_guard(tmp_path):
+    # the k=3 path lattice has 18 elements, past brute.SUBSET_GUARD: the
+    # cost check is skipped, as in solve-lattice --verify, and taking
+    # every element breaks the bounds
+    inst = tmp_path / "gap.json"
+    assert run_cli("gen", "planar-gap", "--k", "3", "--out", str(inst)) == 0
+    n = json.loads(inst.read_text())["ground"]
+    assert n > SUBSET_GUARD
+    solution = tmp_path / "all.json"
+    solution.write_text(json.dumps({"ids": list(range(n))}))
+    report = tmp_path / "report.json"
+    argv = ("verify", "--in", str(inst), "--solution", str(solution))
+    assert run_cli(*argv, "--report", str(report)) == 1
+    body = json.loads(report.read_text())
+    names = [c["name"] for c in body["checks"]]
+    assert "cost" not in names
+    assert any(name.startswith("bound") for name in body["failures"])
 
 
 def test_gen_reduction_with_bounds(tmp_path):

@@ -144,7 +144,7 @@ def compared_reuse():
         assert point.values == ref.solution.values
         assert point.x_by_id == ref.x_by_id
         assert point.tight_rows == ref.solution.tight_rows
-        assert point.row_tags == ref.row_tags
+        assert tuple(row.tag for row in point.lp.rows) == ref.row_tags
         assert point.objective == ref.solution.objective_value
         assert point.var_ids == ref.var_ids
         assert all(

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -263,6 +264,23 @@ def test_trace_round_trip_and_tamper(tmp_path, tree_instance):
             break
     with pytest.raises(InternalCheckError):
         replay_trace(tree_instance, bad)
+
+    # edited footers: the last node removed, and a dead node's bound
+    # changed (seed 76 drops bounds, so its final forest has dead nodes)
+    def tampered(seed, edit):
+        inst = random_mcst_instance(random.Random(seed))
+        _, run = run_mcst(inst)
+        assert replay_trace(inst, run).matches_footer
+        events = copy.deepcopy(run.events)
+        edit(events[-1]["forest"]["nodes"])
+        return replay_trace(inst, RunTrace(events)).matches_footer
+
+    def edit_dead_bound(nodes):
+        dead = next(nd for nd in nodes if not nd["alive"])
+        dead["bound"] = "99"
+
+    assert not tampered(5, list.pop)
+    assert not tampered(76, edit_dead_bound)
 
 
 def test_drop_round_limit_values():

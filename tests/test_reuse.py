@@ -183,14 +183,14 @@ def test_dropped_tight_cut_is_refused_when_needed(reuse_calls):
         lp = dense_lp(point.lp)
         values = point.values
         support = [j for j, v in enumerate(values) if v]
-        m = len(prev.row_tags)
+        m = len(prev.lp.rows)
         for idx in prev.tight_rows:
-            if idx >= m or prev.row_tags[idx][0] not in lpengine.CUT_KINDS:
+            if idx >= m or prev.lp.rows[idx].tag[0] not in lpengine.CUT_KINDS:
                 continue
-            tag = prev.row_tags[idx]
+            tag = prev.lp.rows[idx].tag
             left = [
                 i for i in point.tight_rows
-                if i >= len(point.row_tags) or point.row_tags[i] != tag
+                if i >= len(point.lp.rows) or point.lp.rows[i].tag != tag
             ]
             rows = [[lp.row_vector(i)[j] for j in support] for i in left]
             needed = rank_of_rows(rows) < len(support)

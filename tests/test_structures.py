@@ -25,6 +25,7 @@ from crossopt.oracles import (
     LatticeOracle,
     MatroidOracle,
     matroid_to_lattice,
+    supermodular_violation,
 )
 from crossopt.rational import Rat
 
@@ -223,6 +224,19 @@ def test_supermodular_pair_validation():
     assert ok.requirement(0b11) == 1
     with pytest.raises(InstanceError):
         ContraPolymatroidPair(2, (0, 1, 1, 1), (0, 0, 0, 0))  # submodular, not super
+
+
+def test_supermodular_violation_names_the_first_witness():
+    # |S|^2 with r(E) lowered to 6 breaks the exchange condition at
+    # S = {0}, {1} and {2}; the scan names the first, as the pair's
+    # validation does
+    square = tuple(s.bit_count() ** 2 for s in range(8))
+    table = square[:7] + (6,)
+    assert supermodular_violation(square, 3) is None
+    assert supermodular_violation(table, 3) == (0b1, 1, 2)
+    message = r"^r1 supermodularity violated at S=0x1, e=1, f=2$"
+    with pytest.raises(InstanceError, match=message):
+        ContraPolymatroidPair(3, table, (0,) * 8)
 
 
 def test_matroid_to_lattice_examples():
