@@ -3,11 +3,12 @@ subset optimization.
 
 These are the independent oracles the guarantee verifiers compare
 against.  Enumeration sizes are pre-checked with an exact Kirchhoff
-count (Bareiss fraction-free determinant over the integers, one row
-per list comprehension) so failure modes are deterministic counts,
-never timeouts.  The tree count of every edge at once comes from the
-adjugate of the reduced Laplacian, from one fraction-free Gauss-Jordan
-pass that also gives the determinant.
+count (a Bareiss fraction-free determinant over the integers) so
+failure modes are deterministic counts, never timeouts.  The tree count
+of every edge at once comes from the adjugate of the reduced Laplacian,
+from one fraction-free Gauss-Jordan pass that also gives the
+determinant.  Both are the LP core's one elimination loop
+(simplex._eliminate), which also ranks the vertex certificates.
 
 Spanning trees are enumerated block by block.  A connected graph's
 biconnected blocks (Hopcroft-Tarjan) share no edge, and an edge set is
@@ -36,89 +37,34 @@ from operator import add
 from .errors import SizeGuardError
 from .graphs import iter_bits
 from .rational import ZERO, Rat
+from .simplex import _eliminate
 
 TREE_COUNT_GUARD = 10**6
 SUBSET_GUARD = 16
 
 
 def _bareiss_det(mat):
-    """Exact determinant of an integer matrix (fraction-free Bareiss).
-
-    After each step the rows keep only the columns still to eliminate,
-    and each row is rebuilt by one comprehension: a row whose
-    pivot-column entry is 0 is only rescaled by pivot / prev, an exact
-    division, and is kept as it is when the two are equal."""
+    """Exact determinant of a square integer matrix (simplex._eliminate:
+    sign times the last pivot, 0 when a column has no pivot)."""
     rows = [list(row) for row in mat]
-    if not rows:
-        return 1
-    sign = 1
-    prev = 1
-    while len(rows) > 1:
-        if rows[0][0] == 0:
-            swap = next((i for i in range(1, len(rows)) if rows[i][0] != 0), None)
-            if swap is None:
-                return 0
-            rows[0], rows[swap] = rows[swap], rows[0]
-            sign = -sign
-        pivot = rows[0][0]
-        top = rows[0][1:]
-        rest = []
-        for row in rows[1:]:
-            lead = row[0]
-            if lead:
-                rest.append(
-                    [(x * pivot - lead * y) // prev for x, y in zip(row[1:], top)]
-                )
-            elif pivot == prev:
-                rest.append(row[1:])
-            else:
-                rest.append([x * pivot // prev for x in row[1:]])
-        rows = rest
-        prev = pivot
-    return sign * rows[0][0]
+    rank, sign, last = _eliminate(rows, len(rows))
+    return sign * last if rank == len(rows) else 0
 
 
 def _bareiss_adjugate(mat):
     """(det, adj) of a square integer matrix from one fraction-free
     Gauss-Jordan pass on [mat | I]; adj is None when det is 0.
 
-    Each step clears the pivot column above and below the pivot, so
-    the left block ends as d * I, with d the last pivot, and the right
-    block as d * (P mat)^-1 for the row swaps P.  That is sign * adj(mat)
-    with sign = det P, and det(mat) = sign * d.  Rows keep only the left
-    columns still to eliminate, as in `_bareiss_det`, and every division
-    by the previous pivot is exact."""
+    The row operations make up one matrix R with R mat = d * I, d the
+    last pivot, so the right block R is d * mat^-1.  The swaps give
+    det(mat) = sign * d, and adj(mat) = det(mat) * mat^-1 is sign times
+    the right block."""
     n = len(mat)
     rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if rows[k][0] == 0:
-            swap = next((i for i in range(k + 1, n) if rows[i][0] != 0), None)
-            if swap is None:
-                return 0, None
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        pivot = rows[k][0]
-        top = rows[k][1:]
-        rest = []
-        for i, row in enumerate(rows):
-            lead = row[0]
-            if i == k:
-                rest.append(top)
-            elif lead:
-                rest.append(
-                    [(x * pivot - lead * y) // prev for x, y in zip(row[1:], top)]
-                )
-            elif pivot == prev:
-                rest.append(row[1:])
-            else:
-                rest.append([x * pivot // prev for x in row[1:]])
-        rows = rest
-        prev = pivot
-    if sign < 0:
-        rows = [[-x for x in row] for row in rows]
-    return sign * prev, rows
+    rank, sign, last = _eliminate(rows, n, jordan=True)
+    if rank < n:
+        return 0, None
+    return sign * last, [[sign * x for x in row] for row in rows]
 
 
 def _reduced_laplacian(graph):

@@ -40,7 +40,7 @@ from .instances import (
     load_instance,
     read_json,
 )
-from .intersection import run_intersection, verify_intersection
+from .intersection import IntersectionState, run_intersection, verify_intersection
 from .lattice import bound_feasible_predicate, run_lattice, verify_lattice
 from .mcst import run_mcst, verify_guarantee
 from .randgen import (
@@ -49,7 +49,7 @@ from .randgen import (
     random_mcst_instance,
 )
 from .rational import as_float, render_rat
-from .relax import RunTrace
+from .relax import RunTrace, initial_optimum
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -287,7 +287,8 @@ def cmd_verify(args):
         result = verify_guarantee(instance, mask, trace)
         body = result.to_json()
     elif isinstance(instance, IntersectionInstance):
-        sol, events, opt = run_intersection(instance)
+        # the LP optimum that run_intersection reports, without the rounding
+        opt = initial_optimum(IntersectionState(instance, False))
         result = verify_intersection(instance, mask, opt)
         body = result.to_json()
     elif isinstance(instance, LatticeInstance):

@@ -6,8 +6,8 @@ are verified exhaustively at construction time.  Construction fails
 loudly with the violated axiom and a witness; nothing is ever assumed.
 
 The lattice of a matroid is implicit: ``SubsetLattice`` numbers the
-subsets of the ground set by their bitmasks, and order, meet, join and
-intervals are bit operations on those numbers.  Its axioms hold by
+subsets of the ground set by their bitmasks, and order, meet and join
+are bit operations on those numbers.  Its axioms hold by
 construction.  Inclusion is a partial order whose meet and join are
 intersection and union.  The image map is the identity, so images are
 submodular, the consecutive property holds and images grow strictly up
@@ -25,7 +25,6 @@ chain by meets and joins, for the tight-chain diagnostics of the
 covering solvers.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
@@ -203,10 +202,6 @@ class LatticeOracle:
     def comparable(self, i, j):
         return self.leq(i, j) or self.leq(j, i)
 
-    def members_between(self, lo, hi):
-        """Bitmask of members b with lo <= b <= hi."""
-        return self.above[lo] & self.below[hi]
-
     def meet_of(self, a, b):
         return self.meet[a][b]
 
@@ -252,10 +247,9 @@ class LatticeOracle:
         raises InstanceError naming the check and its members.  Order
         tests are bit tests on the above/below rows.
 
-        The pair checks run first in one pass (`_pairs_hold`).  Only
-        when it finds a failure are the pairs walked check by check, in
-        the order of the messages (`_check_pairs`, the consecutive
-        property, `_check_best_bounds`), to name the first failure."""
+        One walk over the pairs (`_check_pairs`) raises at once on every
+        pair failure but a meet or join that is not the best bound; that
+        message is raised only after the consecutive property passes."""
         m = self.size
         above, below = self.above, self.below
         if any(r < 0 for r in self.rank):
@@ -272,54 +266,45 @@ class LatticeOracle:
             for j in iter_bits(acc):
                 if above[j] & ~acc:
                     raise InstanceError(f"order not transitive through ({i},{j})")
-        pairs_hold = self._pairs_hold()
-        if not pairs_hold:
-            self._check_pairs()
+        bound_failure = self._check_pairs()
         self._check_consecutive()
-        if not pairs_hold:
-            self._check_best_bounds()
-            raise InternalCheckError("lattice pair checks disagree")
+        if bound_failure:
+            raise InstanceError(bound_failure)
 
-    def _pairs_hold(self):
-        """True when meet and join are commutative and every pair a <= b
-        (by index) has submodular images and supermodular ranks, and its
-        meet and join are the greatest lower and least upper bounds.
+    def _check_pairs(self):
+        """Walk the pairs a <= b (by index) once.  A pair passes when its
+        images are submodular, its ranks supermodular, below[meet] equals
+        below[a] & below[b] and above[join] equals above[a] & above[b]:
+        as the order is reflexive, that also puts the meet below both and
+        the join above both, and makes them the greatest lower and least
+        upper bounds.  Commutativity is one comparison of each table with
+        its transpose; when it fails, every pair is taken apart.
 
-        Commutativity compares each table with its transpose.  For the
-        bounds, below[meet] must equal below[a] & below[b]: as the order
-        is reflexive, that also puts the meet below both, and dually for
-        the join."""
+        A pair that is taken apart raises on the first of: not
+        commutative, meet not below both, join not above both, image
+        submodularity, rank supermodularity.  Failing none of those, its
+        meet or join is a bound but not the best one; the message for
+        the first such pair is returned (None when there is none)."""
         meet, join = self.meet, self.join
-        for table in (meet, join):
-            if not all(map(eq, map(tuple, table), zip(*table))):
-                return False
+        skewed = not all(
+            all(map(eq, map(tuple, table), zip(*table))) for table in (meet, join)
+        )
         rho, rank, above, below = self.rho, self.rank, self.above, self.below
+        first = None
         for a in range(self.size):
             rho_a, rank_a, below_a, above_a = rho[a], rank[a], below[a], above[a]
-            for mt, jn, rho_b, rank_b, below_b, above_b in zip(
-                meet[a][a:], join[a][a:], rho[a:], rank[a:], below[a:], above[a:]
+            for b, mt, jn, rho_b, rank_b, below_b, above_b in zip(
+                range(a, self.size),
+                meet[a][a:], join[a][a:], rho[a:], rank[a:], below[a:], above[a:],
             ):
-                if (
-                    (rho[mt] | rho[jn]) & ~(rho_a | rho_b)
+                if not (
+                    skewed
+                    or (rho[mt] | rho[jn]) & ~(rho_a | rho_b)
                     or rank_a + rank_b > rank[mt] + rank[jn]
                     or below_a & below_b != below[mt]
                     or above_a & above_b != above[jn]
                 ):
-                    return False
-        return True
-
-    def _check_pairs(self):
-        """Walk the pairs a <= b (by index) and raise on the first that is
-        not commutative, whose meet is not below both or join not above
-        both, or whose images or ranks break the inequalities."""
-        m = self.size
-        rho, rank, above, below = self.rho, self.rank, self.above, self.below
-        meet, join = self.meet, self.join
-        for a in range(m):
-            meet_a, join_a = meet[a], join[a]
-            rho_a, rank_a = rho[a], rank[a]
-            for b in range(a, m):
-                mt, jn = meet_a[b], join_a[b]
+                    continue
                 if mt != meet[b][a] or jn != join[b][a]:
                     raise InstanceError(f"meet/join not commutative at ({a},{b})")
                 pair = (1 << a) | (1 << b)
@@ -327,14 +312,20 @@ class LatticeOracle:
                     raise InstanceError(f"meet not below both at ({a},{b})")
                 if below[jn] & pair != pair:
                     raise InstanceError(f"join not above both at ({a},{b})")
-                if (rho[mt] | rho[jn]) & ~(rho_a | rho[b]):
+                if (rho[mt] | rho[jn]) & ~(rho_a | rho_b):
                     raise InstanceError(
                         f"image submodularity violated at ({a},{b})"
                     )
-                if rank_a + rank[b] > rank[mt] + rank[jn]:
+                if rank_a + rank_b > rank[mt] + rank[jn]:
                     raise InstanceError(
                         f"rank supermodularity violated at ({a},{b})"
                     )
+                if first is None:
+                    if below_a & below_b != below[mt]:
+                        first = f"meet not greatest lower bound at ({a},{b})"
+                    elif above_a & above_b != above[jn]:
+                        first = f"join not least upper bound at ({a},{b})"
+        return first
 
     def _check_consecutive(self):
         """The consecutive property (a <= b <= c puts every element of
@@ -371,40 +362,6 @@ class LatticeOracle:
                                 f"{a}<={b}<={c}, element {e}"
                             )
 
-    def _check_best_bounds(self):
-        """Raise on the first pair a <= b (by index) whose meet is not the
-        greatest lower bound or whose join is not the least upper bound.
-        Once `_check_pairs` has passed, a meet is a lower bound of both
-        members, so its down-set lies inside theirs and is greatest
-        exactly when it equals their intersection; dually for joins."""
-        m = self.size
-        above, below, meet, join = self.above, self.below, self.meet, self.join
-        for a in range(m):
-            meet_a, join_a = meet[a], join[a]
-            below_a, above_a = below[a], above[a]
-            for b in range(a, m):
-                if below_a & below[b] != below[meet_a[b]]:
-                    raise InstanceError(
-                        f"meet not greatest lower bound at ({a},{b})"
-                    )
-                if above_a & above[b] != above[join_a[b]]:
-                    raise InstanceError(f"join not least upper bound at ({a},{b})")
-
-
-class _Supersets(Sequence):
-    """The above rows of a subset lattice, each built when it is read."""
-
-    def __init__(self, lat):
-        self.lat = lat
-
-    def __len__(self):
-        return self.lat.size
-
-    def __getitem__(self, i):
-        if not 0 <= i < self.lat.size:
-            raise IndexError(i)
-        return self.lat.members_between(i, self.lat.size - 1)
-
 
 class SubsetLattice:
     """Subset lattice of a matroid's ground set E, with nothing tabled.
@@ -423,23 +380,12 @@ class SubsetLattice:
         # E without S is the mask E - S, so in member order the ranks
         # of the complements are the matroid's table reversed
         self.rank = tuple(matroid.full_rank - r for r in reversed(matroid.rank))
-        self.above = _Supersets(self)
 
     def leq(self, i, j):
         return not i & ~j
 
     def comparable(self, i, j):
         return not i & ~j or not j & ~i
-
-    def members_between(self, lo, hi):
-        """Bitmask of members b with lo <= b <= hi: the bit of lo,
-        copied up once by each element of hi outside lo."""
-        if lo & ~hi:
-            return 0
-        between = 1 << lo
-        for e in iter_bits(hi & ~lo):
-            between |= between << (1 << e)
-        return between
 
     def meet_of(self, a, b):
         return a & b

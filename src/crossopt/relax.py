@@ -22,7 +22,8 @@ passes ``relax`` its residual state, an object with
 The first LP decides feasibility: if it is empty the instance is
 infeasible (InstanceError).  Each step keeps the residual LP feasible,
 so an empty LP later is an internal error.  The initial optimum is the
-first LP's objective, or zero when no variable was ever undecided.
+first LP's objective, or zero when no variable was ever undecided;
+``initial_optimum`` reads it without running the loop.
 
 CoverReport is the outcome of re-checking a covering solution
 (intersection or lattice) from scratch.
@@ -117,18 +118,7 @@ def relax(state):
         if not state.eprime:
             point = None
         else:
-            try:
-                if reuse:
-                    point = reuse_extreme_point(state.residual(), point)
-                else:
-                    point = solve_to_extreme_point(state.residual())
-            except LpInfeasible:
-                if lp_initial is None:
-                    raise InstanceError("instance LP is infeasible") from None
-                raise InternalCheckError(
-                    "LP became infeasible mid-run; feasibility is maintained "
-                    "inductively and must never fail"
-                ) from None
+            point = _extreme_point(state, point if reuse else None, lp_initial is None)
             if lp_initial is None:
                 lp_initial = point.objective
             trace.add(
@@ -146,6 +136,32 @@ def relax(state):
         {"ev": "end", "lp_initial": render_rat(lp_initial), **state.finish(lp_initial)}
     )
     return trace, lp_initial
+
+
+def _extreme_point(state, prev, first):
+    """The certified extreme point of state's residual LP: prev reused
+    when given, else a fresh solve.  An empty LP is InstanceError when
+    it is the first, and InternalCheckError after that."""
+    try:
+        if prev is not None:
+            return reuse_extreme_point(state.residual(), prev)
+        return solve_to_extreme_point(state.residual())
+    except LpInfeasible:
+        if first:
+            raise InstanceError("instance LP is infeasible") from None
+        raise InternalCheckError(
+            "LP became infeasible mid-run; feasibility is maintained "
+            "inductively and must never fail"
+        ) from None
+
+
+def initial_optimum(state):
+    """The initial LP optimum that relax(state) reports, from the first
+    LP alone: ZERO when nothing is undecided, else the objective of the
+    first residual LP.  Raises InstanceError when that LP is empty."""
+    if state.finished() or not state.eprime:
+        return ZERO
+    return _extreme_point(state, None, True).objective
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,14 @@ integers: a row's lhs times scale * D is a sum of ``Vertex.load``
 values, so the sign of lhs - rhs, and each bound comparison, is one
 integer comparison.  row_status finds the tight rows of a point, and
 certificate_rows re-checks claimed tight rows and hands the rank check
-their integer coefficients; the rank comes from fraction-free
-elimination.  certify runs both on a vertex and claims its tight rows
-on that one object; the simplex certifies its own vertices with it,
-and so does the engine a reused vertex.  A row's ``tag`` names it for
-the engine's step rules (Vertex.tight_tags) and is otherwise ignored.
+their integer coefficients.  The rank comes from _eliminate, the one
+fraction-free elimination loop: it takes the tableau's _bareiss step,
+skips columns with no pivot, and also gives brute its Kirchhoff
+determinants and, in Gauss-Jordan mode, its adjugates.  certify runs
+both on a vertex and claims its tight rows on that one object; the
+simplex certifies its own vertices with it, and so does the engine a
+reused vertex.  A row's ``tag`` names it for the engine's step rules
+(Vertex.tight_tags) and is otherwise ignored.
 
 Every returned vertex carries a vertex certificate: the indices of all
 rows and variable bounds satisfied with equality, verified to have full
@@ -307,24 +310,51 @@ def _bareiss(row, prow, col, p, q):
     return row
 
 
-def _int_rank(rows):
-    """Rank of a list of equal-length int rows by fraction-free
-    elimination.  Rewrites rows."""
+def _eliminate(rows, width, jordan=False):
+    """Fraction-free (Bareiss) elimination of the first width columns of
+    a list of distinct, equal-length int lists, in place; returns (rank,
+    sign, last pivot).
+
+    Each step takes the first column left.  A column with no nonzero
+    entry in the rows not yet pivoted is skipped, which keeps every
+    division exact; else the first such row is swapped into place,
+    flipping sign, and every row below it, or with jordan every other
+    row, takes one _bareiss step.  The column is then cut off; the rows
+    are kept reversed meanwhile so that the cut is a pop.  For a square
+    matrix of full rank, sign times the last pivot is the determinant,
+    and with jordan the rows end as their columns past width."""
+    for row in rows:
+        row.reverse()
     rank = 0
+    sign = 1
     prev = 1
-    width = len(rows[0]) if rows else 0
-    for col in range(width):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+    n = len(rows)
+    for _ in range(width):
+        piv = next((i for i in range(rank, n) if rows[i][-1]), None)
         if piv is None:
+            for i in range(0 if jordan else rank, n):
+                rows[i].pop()
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
         prow = rows[rank]
-        p = prow[col]
-        for i in range(rank + 1, len(rows)):
-            rows[i] = _bareiss(rows[i], prow, col, p, prev)
+        p = prow[-1]
+        for i in range(0 if jordan else rank + 1, n):
+            if i != rank:
+                row = rows[i] = _bareiss(rows[i], prow, -1, p, prev)
+                row.pop()
+        prow.pop()
         prev = p
         rank += 1
-    return rank
+    for row in rows:
+        row.reverse()
+    return rank, sign, prev
+
+
+def _int_rank(rows):
+    """Rank of a list of equal-length int rows; rewrites rows."""
+    return _eliminate(rows, len(rows[0]) if rows else 0)[0]
 
 
 def rank_of_rows(rows):

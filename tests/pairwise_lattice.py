@@ -1,12 +1,12 @@
 """The lattice validation as it was before its pair checks ran in one
 pass: the reference for the messages of ``LatticeOracle._validate``.
 
-``crossopt.oracles.LatticeOracle._validate`` now runs the pair checks
-(commutativity, image submodularity, rank supermodularity, greatest
-lower and least upper bounds) in one pass and walks the pairs check by
-check only after a failure.  The method below is the earlier
-``_validate``, kept verbatim (only the imports and the class around it
-are new): commutativity, "meet below both", "join above both" and the
+``crossopt.oracles.LatticeOracle._validate`` now walks the pairs once:
+a pair that fails is taken apart in the order of the messages below,
+and a meet or join that is a bound but not the best one is named only
+after the consecutive property has passed.  The method below is the
+earlier ``_validate``, kept verbatim (only the imports and the class
+around it are new): commutativity, "meet below both", "join above both" and the
 two inequalities in one loop over the pairs, then the consecutive
 property, then the bounds in a second loop.  Every lattice must be
 accepted by both, or refused by both with the same message.

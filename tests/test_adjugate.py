@@ -1,6 +1,11 @@
 """Edge tree counts from one adjugate against the per-edge contraction
 counts they replaced (tests/contraction_counts.py), and the
 fraction-free Gauss-Jordan adjugate against cofactor expansion.
+
+The determinant, the adjugate and the certificate rank share one
+elimination loop (crossopt.simplex._eliminate); fixed matrices with
+skipped columns check all three against cofactor expansion and the
+rational Gaussian elimination of tests/fraction_simplex.py.
 """
 
 import pytest
@@ -8,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contraction_counts as reference
+import fraction_simplex
 from crossopt import brute
+from crossopt.simplex import _int_rank
 from crossopt.generators import gadget_graph, tree_polytope_membership_certificate
 from crossopt.graphs import Graph
 from crossopt.rational import Rat
@@ -78,6 +85,32 @@ def test_adjugate_matches_cofactor_expansion(mat):
 def test_adjugate_fixed_cases(mat, det, adj):
     assert brute._bareiss_adjugate(mat) == (det, adj)
     assert cofactor_det(mat) == det
+
+
+@pytest.mark.parametrize(
+    "mat, rank",
+    [
+        ([], 0),
+        ([[7]], 1),
+        ([[0]], 0),
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 0),
+        ([[0, 1, 2], [0, 3, 4], [0, 5, 7]], 2),  # zero column first
+        ([[1, 0, 2], [3, 0, 4], [5, 0, 7]], 2),  # zero column in the middle
+        ([[1, 2, 0], [3, 4, 0], [5, 7, 0]], 2),  # zero column last
+        ([[1, 2, 3], [1, 2, 3], [4, 5, 6]], 2),  # duplicate rows
+        ([[0, 2, 1], [0, 4, 2], [3, 1, 1], [0, 0, 0]], 2),  # tall, zero row
+        ([[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 1]], 2),  # wide
+        ([[0, 0, 5, 1], [0, 0, 10, 2]], 1),  # wide, two zero columns first
+    ],
+)
+def test_elimination_fixed_cases(mat, rank):
+    want = fraction_simplex.rank_of_rows([[Rat(x) for x in row] for row in mat])
+    assert _int_rank([list(row) for row in mat]) == want == rank
+    if all(len(row) == len(mat) for row in mat):
+        det = cofactor_det(mat)
+        assert brute._bareiss_det(mat) == det
+        adj = cofactor_adjugate(mat) if det else None
+        assert brute._bareiss_adjugate(mat) == (det, adj)
 
 
 @st.composite

@@ -542,6 +542,23 @@ def test_empty_ground_set_solves_and_verifies(kind, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_verify_refuses_an_infeasible_intersection_lp(tmp_path, capsys):
+    # r1({0}) = 2 cannot be covered by x_0 <= 1: verify reads the LP
+    # optimum from the first LP alone, and an empty one is bad input
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "schema": 1, "type": "intersection", "ground": 1,
+        "r1": [0, 2], "r2": [0, 0], "cost": ["1"], "bounds": [],
+    }))
+    solution = tmp_path / "sol.json"
+    solution.write_text('{"ids": [0]}')
+    assert run_cli("solve-intersection", "--in", str(inst)) == 2
+    assert run_cli("verify", "--in", str(inst), "--solution", str(solution)) == 2
+    err = capsys.readouterr().err
+    assert err.count("instance LP is infeasible") == 2
+    assert "Traceback" not in err
+
+
 # n >= 2 and no edges: relax solves no LP, and the tree check used to
 # run before the "no edges" check, so both exited 3
 NO_EDGES = {

@@ -2,7 +2,8 @@
 
 Each case solves a small seeded instance through the command line and
 hashes the files it writes: the canonical report, the solution file and,
-for solve-mcst, the event trace.  The expected digests were recorded
+for solve-mcst, the event trace.  The covering cases also hash the
+report of ``crossopt verify`` on the solution written.  The expected digests were recorded
 from an earlier build, so any change to a report or an MCST trace shows
 up here; a change that means to alter them must update the digests.
 """
@@ -108,3 +109,28 @@ def test_output_bytes_match_recorded_digest(case, tmp_path, monkeypatch):
     # the report names the trace path, so write it by a fixed relative name
     monkeypatch.chdir(tmp_path)
     assert output_digest(case, tmp_path) == EXPECTED[case]
+
+
+# the report of `crossopt verify` on the solution each solve writes
+VERIFY_EXPECTED = {
+    "edge-cover-1": "249d9ec18bb1e312a3b24621bec818fbfbd8bd46c062c1909a3823891d9fa8e5",
+    "intersection-201": "5afed2b5a388de89973c86bb9e29210569cf05887249d10b93673ea0f2459248",
+    "intersection-202": "e9a9e7548e4fb4d9e85663a7016966512aef85423423ae1e2e6653c5e692238a",
+}
+
+
+def verify_digest(case, tmp_path):
+    make, arg, command = CASES[case]
+    inst = tmp_path / "inst.json"
+    solution = tmp_path / "solution.json"
+    report = tmp_path / "verify.json"
+    dump_instance(make(arg), inst)
+    assert main([*command, "--in", str(inst), "--solution", str(solution)]) == 0
+    argv = ["verify", "--in", str(inst), "--solution", str(solution)]
+    assert main([*argv, "--report", str(report)]) == 0
+    return hashlib.sha256(report.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_EXPECTED))
+def test_verify_report_bytes_match_recorded_digest(case, tmp_path):
+    assert verify_digest(case, tmp_path) == VERIFY_EXPECTED[case]

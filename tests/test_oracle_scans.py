@@ -153,7 +153,6 @@ def test_matroid_lattice_matches_reference(n):
     assert new.above == old.above and new.below == old.below
     implicit = matroid_to_lattice(matroid)
     assert (tuple(implicit.rho), implicit.rank) == (old.rho, old.rank)
-    assert list(implicit.above) == old.above
 
 
 def test_no_bounds_is_zero_violation_at_smallest_tree(triangle):
@@ -444,10 +443,47 @@ def corrupt(table, *entries):
         (CHAIN_MEET, corrupt(CHAIN_JOIN, (1, 2, 1), (2, 1, 1)), "join not above both at (1,2)"),
         (corrupt(CHAIN_MEET, (1, 1, 0)), CHAIN_JOIN, "meet not greatest lower bound at (1,1)"),
         (CHAIN_MEET, corrupt(CHAIN_JOIN, (0, 0, 2)), "join not least upper bound at (0,0)"),
+        # meet(1, 1) = 0 is a bound but not the greatest, and the later
+        # pair (1, 2) is not commutative: the later failure is named
+        (
+            corrupt(CHAIN_MEET, (1, 1, 0), (2, 1, 0)),
+            CHAIN_JOIN,
+            "meet/join not commutative at (1,2)",
+        ),
     ],
 )
 def test_pair_failures_name_the_first_pair(meet, join, message):
     tables = chain_tables(meet, join)
+    assert validation_outcomes(tables) == (message,) * 3
+
+
+# join(0, 0) = 2 is a bound but not the least, and meet(1, 2) = 0 is a
+# lower bound of (1, 2) but not the greatest
+LUB_AT_00 = corrupt(CHAIN_JOIN, (0, 0, 2))
+LOW_MEET_12 = corrupt(CHAIN_MEET, (1, 2, 0), (2, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "rho, rank, meet, join, message",
+    [
+        # the later pair (1, 2) breaks image submodularity: rho[0] holds
+        # element 1, which rho[1] | rho[2] lacks
+        ([0b11, 0, 0b01], [0, 0, 0], LOW_MEET_12, LUB_AT_00,
+         "image submodularity violated at (1,2)"),
+        # the later pair (1, 2) breaks rank supermodularity: 1 + 0 > 0 + 0
+        ([0, 0, 0], [0, 1, 0], LOW_MEET_12, LUB_AT_00,
+         "rank supermodularity violated at (1,2)"),
+        # meet(2, 2) = 1 is a bound but not the greatest, and element 0
+        # of members 0 and 2 skips member 1
+        ([1, 0, 1], [0, 0, 0], corrupt(CHAIN_MEET, (2, 2, 1)), CHAIN_JOIN,
+         "consecutive property violated: 0<=1<=2, element 0"),
+    ],
+)
+def test_bound_failures_yield_to_later_checks(rho, rank, meet, join, message):
+    """A meet or join that is a bound but not the best one is named only
+    when no later pair fails another pair check and the consecutive
+    property holds."""
+    tables = (2, rho, rank, CHAIN_LEQ, meet, join)
     assert validation_outcomes(tables) == (message,) * 3
 
 
