@@ -270,17 +270,17 @@ def _scaled_violations(graph, trees, bound_masks):
     return d, [max(map(add, lo_table[t & low], hi_table[t >> mid])) for t in trees]
 
 
-def brute_mcst(instance, limit=TREE_COUNT_GUARD):
+def brute_mcst(instance):
     """Exact optimum over all spanning trees meeting every bound, plus
     the min-cost profile per additive slack level."""
     graph = instance.graph
     bound_masks = [
         (graph.delta_mask(vmask), bound) for vmask, bound in instance.family
     ]
-    return _brute_tree_opt(graph, bound_masks, limit)
+    return _brute_tree_opt(graph, bound_masks)
 
 
-def _brute_tree_opt(graph, bound_masks, limit):
+def _brute_tree_opt(graph, bound_masks, limit=TREE_COUNT_GUARD):
     trees = enumerate_spanning_trees(graph, limit=limit)
     d, viols = _scaled_violations(graph, trees, bound_masks)
     best = None
@@ -305,11 +305,11 @@ def _brute_tree_opt(graph, bound_masks, limit):
     return BruteMcstResult(best, witness, tuple(profile), len(trees))
 
 
-def min_max_violation_over_trees(graph, bound_masks, limit=TREE_COUNT_GUARD, reverse=False):
+def min_max_violation_over_trees(graph, bound_masks, reverse=False):
     """min over spanning trees of the max additive bound violation, and
     the smallest tree mask attaining it; no bounds means violation 0.
     (None, None) when the graph has no spanning tree."""
-    trees = enumerate_spanning_trees(graph, limit=limit, reverse=reverse)
+    trees = enumerate_spanning_trees(graph, reverse=reverse)
     d, viols = _scaled_violations(graph, trees, bound_masks)
     best = None
     witness = None

@@ -288,7 +288,7 @@ def cmd_verify(args):
         body = result.to_json()
     elif isinstance(instance, IntersectionInstance):
         # the LP optimum that run_intersection reports, without the rounding
-        opt = initial_optimum(IntersectionState(instance, False))
+        opt = initial_optimum(IntersectionState(instance))
         result = verify_intersection(instance, mask, opt)
         body = result.to_json()
     elif isinstance(instance, LatticeInstance):

@@ -40,6 +40,7 @@ from .instances import (
 from .lpengine import separate_lattice, separate_spanning_tree
 from .oracles import ContraPolymatroidPair, CrossingConstraint, LatticeOracle
 from .rational import ONE, Rat, encode_rationals, rat_ceil, render_rat
+from .simplex import Vertex
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,7 @@ def gen_mcst_gap(e):
                 "tree-level and gadget-subset violation search disagree"
             )
         if e == 4:
-            sep = separate_spanning_tree(point, graph, 0)
+            sep = separate_spanning_tree(Vertex.of_values(point), graph, 0)
             if not sep.feasible:
                 feasible = False
     else:
@@ -342,7 +343,7 @@ def gen_planar_mincut_gap(k):
     )
 
     point = {e: Rat(1, 2 * k) for e in range(2 * k * k)}
-    feasible = separate_lattice(point, 0, lat).feasible
+    feasible = separate_lattice(Vertex.of_values(point), 0, lat).feasible
     for m in layer_masks:
         load = Rat(m.bit_count(), 2 * k)
         if load > 1:

@@ -23,7 +23,7 @@ from .errors import InternalCheckError, NoStepApplies
 from .graphs import iter_bits
 from .lpengine import ResidualIntersectionLp
 from .oracles import supermodular_violation, uncross
-from .rational import HALF, ZERO, Rat, rat_ceil, render_rat
+from .rational import ZERO, Rat, rat_ceil, render_rat
 from .relax import CoverReport, relax
 
 SPOT_CHECK_LIMIT = 10  # residual supermodularity re-check up to 2^10 subsets
@@ -39,7 +39,7 @@ class IntersectionState:
 
     header = {"kind": "intersection-trace"}
 
-    def __init__(self, instance, collect_chain_checks):
+    def __init__(self, instance):
         self.instance = instance
         self.eprime = (1 << instance.n) - 1
         self.fmask = 0
@@ -48,7 +48,8 @@ class IntersectionState:
         self.delta = instance.delta
         # every step removes an element or a bound
         self.iteration_cap = instance.n + len(instance.constraints)
-        self.chain_reports = [] if collect_chain_checks else None
+        # the tight-chain token check of every strictly positive vertex
+        self.chain_reports = []
 
     def finished(self):
         return not self.eprime
@@ -67,8 +68,7 @@ class IntersectionState:
         """Delete zeros, round up halves, drop small bounds; never a face."""
         instance = self.instance
         delta = self.delta
-        x = point.x_by_id
-        if self.chain_reports is not None and all(v > 0 for v in x.values()):
+        if not point.zeros:
             self.chain_reports.append(
                 [
                     check_chain_token_bound(point, instance.pair, f, self.fmask)
@@ -79,13 +79,15 @@ class IntersectionState:
         zeros = list(iter_bits(point.zeros))
         for e in zeros:
             self.eprime &= ~(1 << e)
-        halves = [e for e, v in sorted(x.items()) if v >= HALF]
-        for e in halves:
+        den = point.den
+        # x_e >= 1/2, compared in integers as 2 X_e >= D
+        halves = [(e, x) for e, x in zip(point.var_ids, point.scaled) if 2 * x >= den]
+        for e, x in halves:
             self.fmask |= 1 << e
             self.eprime &= ~(1 << e)
             for i in self.alive:
                 if (instance.constraints[i].elems >> e) & 1:
-                    self.bprime[i] -= x[e]
+                    self.bprime[i] -= Rat(x, den)
         for i in self.alive:
             if self.bprime[i] < 0:
                 raise InternalCheckError(f"residual bound {i} went negative")
@@ -108,7 +110,7 @@ class IntersectionState:
             )
         for e in zeros:
             trace.add({"ev": "delete", "edge": e})
-        for e in halves:
+        for e, _ in halves:
             trace.add({"ev": "fix", "edge": e})
         for i in drops:
             trace.add({"ev": "drop", "bound": i})
@@ -125,19 +127,17 @@ class IntersectionState:
         return {"solution": sorted(iter_bits(self.fmask))}
 
 
-def run_intersection(instance, collect_chain_checks=False):
+def run_intersection(instance):
     """Round to an integral covering set; returns (mask, events, lp opt).
 
-    With collect_chain_checks, every strictly positive vertex also runs
-    the tight-chain token diagnostic and the reports are appended to the
-    return tuple.  Raises InstanceError when the initial LP is
-    infeasible; any later infeasibility or a no-progress iteration is an
-    internal error.
+    Every strictly positive vertex also passes the tight-chain token
+    check.  Raises InstanceError when the initial LP is infeasible; any
+    later infeasibility, a no-progress iteration or a failed chain check
+    is an internal error.
     """
-    state = IntersectionState(instance, collect_chain_checks)
+    state = IntersectionState(instance)
     trace, lp_initial = relax(state)
-    result = (state.fmask, trace.events, lp_initial)
-    return result + (state.chain_reports,) if collect_chain_checks else result
+    return state.fmask, trace.events, lp_initial
 
 
 def _assert_drop_accounting(instance, i, bprime_i, eprime, fmask, delta):
@@ -221,7 +221,7 @@ def verify_intersection(instance, solution, lp_opt):
     )
 
 
-# -- tight-set chain diagnostics ----------------------------------------------
+# -- tight-set chain checks ---------------------------------------------------
 
 
 def check_chain_token_bound(point, pair, which, fmask=0):
@@ -229,14 +229,13 @@ def check_chain_token_bound(point, pair, which, fmask=0):
     number at most x(E'); at equality the chain top is all of E'.
 
     Requires a vertex with strictly positive values everywhere; fmask is
-    the fixed set the point was solved against.
+    the fixed set the point was solved against.  Every comparison is in
+    the point's integers: x(S) = r is D * x(S) = D * r.
     """
-    x = point.x_by_id
-    if any(v <= 0 for v in x.values()):
+    if point.zeros:
         raise ValueError("chain token bound needs strictly positive values")
-    eprime = 0
-    for e in x:
-        eprime |= 1 << e
+    den = point.den
+    eprime = sum(1 << e for e in point.var_ids)
     table = pair.r1 if which == 1 else pair.r2
     fam = f"cover{which}"
     tight_full = []
@@ -244,24 +243,18 @@ def check_chain_token_bound(point, pair, which, fmask=0):
         if tag == fam:
             tight_full.append(witness)
 
-    def residual(s):
-        req = table[s] - (fmask & s).bit_count()
-        lhs = ZERO
-        for e in iter_bits(s & eprime):
-            lhs += x[e]
-        return lhs, Rat(req)
+    def tight(s):
+        return point.load(s) == den * (table[s] - (fmask & s).bit_count())
 
     def assert_pair(a, b, meet, join):
         for s in (meet, join):
-            lhs, rhs = residual(s)
-            if lhs != rhs:
+            if not tight(s):
                 raise InternalCheckError(
                     f"uncrossing lost tightness at {s:#x} for {fam}"
                 )
 
     for s in tight_full:
-        lhs, rhs = residual(s)
-        if lhs != rhs:
+        if not tight(s):
             raise InternalCheckError(f"certificate row {s:#x} is not tight")
 
     chain_full = uncross(
@@ -272,12 +265,13 @@ def check_chain_token_bound(point, pair, which, fmask=0):
         assert_pair,
     )
     restricted = sorted({s & eprime for s in chain_full if s & eprime})
-    total = sum(x.values(), ZERO)
+    load = point.load(eprime)
+    total = Rat(load, den)
     k = len(restricted)
-    if Rat(k) > total:
+    if k * den > load:
         raise InternalCheckError(
             f"chain of {k} tight sets exceeds x(E') = {total}"
         )
-    if Rat(k) == total and restricted and restricted[-1] != eprime:
+    if k * den == load and restricted and restricted[-1] != eprime:
         raise InternalCheckError("chain saturates x(E') without topping at E'")
     return {"function": which, "chain": restricted, "x_total": total}

@@ -30,7 +30,7 @@ from .graphs import iter_bits
 from .instances import INCLUSION
 from .lpengine import ResidualLatticeLp
 from .oracles import uncross
-from .rational import ONE, ZERO, Rat, render_rat
+from .rational import ZERO, Rat, render_rat
 from .relax import CoverReport, relax
 
 
@@ -47,13 +47,14 @@ class LatticeState:
 
     header = {"kind": "lattice-trace"}
 
-    def __init__(self, instance, collect_chain_checks):
+    def __init__(self, instance):
         self.instance = instance
         self.eprime = (1 << instance.n) - 1
         self.fmask = 0
         self.alive = set(range(len(instance.constraints)))
         self.iteration_cap = instance.n + len(instance.constraints)
-        self.chain_reports = [] if collect_chain_checks else None
+        # the tight-chain growth check of every fresh fractional vertex
+        self.chain_reports = []
 
     def finished(self):
         return not self.eprime and not self.alive
@@ -106,11 +107,7 @@ class LatticeState:
                     instance, i, self.eprime, self.fmask, instance.variant
                 )
                 self.alive.discard(i)
-                if (
-                    self.chain_reports is not None
-                    and point is not None
-                    and not self.fmask
-                ):
+                if point is not None and not self.fmask:
                     self.chain_reports.append(check_chain_growth(point, instance.lat))
                 return {"ev": "drop", "bound": i}
         return None
@@ -119,12 +116,12 @@ class LatticeState:
         return {"solution": sorted(iter_bits(self.fmask))}
 
 
-def run_lattice(instance, collect_chain_checks=False):
+def run_lattice(instance):
     """Round to an integral covering set; returns (mask, events, lp opt).
 
-    With collect_chain_checks, every strictly fractional vertex met at a
-    bound-drop iteration also runs the tight-chain growth diagnostic and
-    the reports are appended to the return tuple.
+    Every strictly fractional vertex met at a bound-drop iteration with
+    nothing fixed also passes the tight-chain growth check; a failure is
+    an internal error.
     """
     witness = instance.lat.monotonicity_witness()
     if witness is not None:
@@ -132,10 +129,8 @@ def run_lattice(instance, collect_chain_checks=False):
             f"lattice violates the image-growth property at members {witness}; "
             "the rounding guarantees do not apply"
         )
-    state = LatticeState(instance, collect_chain_checks)
+    state = LatticeState(instance)
     trace, lp_initial = relax(state)
-    if collect_chain_checks:
-        return state.fmask, trace.events, lp_initial, state.chain_reports
     return state.fmask, trace.events, lp_initial
 
 
@@ -224,7 +219,7 @@ def bound_feasible_predicate(instance):
     return feasible
 
 
-# -- tight-chain diagnostics ----------------------------------------------------
+# -- tight-chain checks ---------------------------------------------------------
 
 
 def check_chain_growth(point, lat, fmask=0):
@@ -236,23 +231,17 @@ def check_chain_growth(point, lat, fmask=0):
     elements are fixed the residual images can stop growing along the
     order and the counting argument no longer binds.  The meet/join
     image identity chi(S) + chi(T) = chi(meet) + chi(join) is asserted
-    at every uncrossing step.
+    at every uncrossing step.  Tightness is compared in the point's
+    integers: x(rho(S)) = r(S) is D * x(rho(S)) = D * r(S).
     """
     if fmask:
         raise ValueError("chain growth applies to fresh vertices only")
-    x = point.x_by_id
-    if any(not (ZERO < v < ONE) for v in x.values()):
+    if point.zeros or point.ones:
         raise ValueError("chain growth needs a strictly fractional vertex")
-    eprime = 0
-    for e in x:
-        eprime |= 1 << e
+    eprime = sum(1 << e for e in point.var_ids)
 
     def residual_tight(j):
-        lhs = ZERO
-        for e in iter_bits(lat.rho[j] & eprime):
-            lhs += x[e]
-        rhs = lat.rank[j] - (lat.rho[j] & fmask).bit_count()
-        return lhs == Rat(rhs)
+        return point.load(lat.rho[j]) == point.den * lat.rank[j]
 
     tight = [w for tag, w in point.tight_tags() if tag == "rank"]
     for j in tight:

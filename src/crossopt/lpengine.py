@@ -20,10 +20,10 @@ polytope (the full region is contained in the relaxation), so the
 result is a certified extreme point with an optimal objective.
 
 Separation is exhaustive: every vertex subset, every ground subset, or
-every lattice member is checked.  Each separator first scales x by the
-lcm D of its denominators, so all subset sums and slack comparisons run
-on exact Python integers; only the returned witness's lhs and rhs are
-built as rationals.  A min-cut separator could replace
+every lattice member is checked.  Each separator takes the Vertex and
+reads its integers X = D * x, so all subset sums and slack comparisons
+run on exact Python integers; only the returned witness's lhs and rhs
+are built as rationals.  A min-cut separator could replace
 separate_spanning_tree behind the same interface if graphs beyond
 SPANNING_SUBSET_GUARD vertices were ever needed.
 
@@ -69,11 +69,8 @@ from .simplex import (
     LinearProgram,
     LpUnbounded,
     Row,
-    Vertex,
     certify,
-    objective_value,
     row_status,
-    scale_values,
     simplex_solve,
     violated,
 )
@@ -101,13 +98,6 @@ class SeparationResult:
 # -- separation oracles ------------------------------------------------------
 
 
-def _scale(x_by_id):
-    """(D, {id: x*D}) with D the lcm of the denominators of the values,
-    so every scaled value is an integer and x(S) <= c iff X(S) <= D*c."""
-    den, scaled = scale_values(x_by_id.values())
-    return den, dict(zip(x_by_id, scaled))
-
-
 def _smallest_witness(values, target, start, stop):
     """Index i in [start, stop) with values[i] == target, smallest
     popcount first, then smallest index; None if there is none."""
@@ -122,8 +112,8 @@ def _smallest_witness(values, target, start, stop):
         return found
 
 
-def separate_spanning_tree(x_by_id, graph, fmask):
-    """Most-violated spanning-tree row at x, or feasible.
+def separate_spanning_tree(point, graph, fmask):
+    """Most-violated spanning-tree row at the Vertex point, or feasible.
 
     Checks the total-count equality exactly, then every induced-subset
     row x(E'(U)) <= |U| - |F(U)| - 1 over 2 <= |U| <= n-1.  With x
@@ -137,11 +127,11 @@ def separate_spanning_tree(x_by_id, graph, fmask):
             f"subset separation is exhaustive and guarded at n <= "
             f"{SPANNING_SUBSET_GUARD}; larger graphs need a min-cut separator"
         )
-    den, scaled = _scale(x_by_id)
+    den = point.den
     # weight[h][u] for u < h: scaled x plus D per fixed edge between u and h
     weight = [[0] * n for _ in range(n)]
     xtotal = 0
-    for eid, val in scaled.items():
+    for eid, val in zip(point.var_ids, point.scaled):
         e = graph.by_id[eid]
         weight[max(e.u, e.v)][min(e.u, e.v)] += val
         xtotal += val
@@ -173,17 +163,18 @@ def separate_spanning_tree(x_by_id, graph, fmask):
         return SeparationResult.ok()
     vmask = _smallest_witness(excess, worst, 1, full)
     inside = graph.induced_mask(vmask)
-    lhs = sum(val for eid, val in scaled.items() if (inside >> eid) & 1)
     rhs = vmask.bit_count() - (inside & fmask).bit_count() - 1
-    return SeparationResult(False, "subtour", vmask, Rat(lhs, den), Rat(rhs), LE)
+    lhs = Rat(point.load(inside), den)
+    return SeparationResult(False, "subtour", vmask, lhs, Rat(rhs), LE)
 
 
-def separate_contra_polymatroid(x_by_id, fmask, pair):
-    """Most-violated covering row x(S & E') >= r_i(S) - |F & S|,
-    exhaustive over both functions and all subsets, in integers scaled
-    by the common denominator of x."""
+def separate_contra_polymatroid(point, fmask, pair):
+    """Most-violated covering row x(S & E') >= r_i(S) - |F & S| at the
+    Vertex point, exhaustive over both functions and all subsets, in its
+    integers X = D * x."""
     n = pair.n
-    den, scaled = _scale(x_by_id)
+    den = point.den
+    scaled = dict(zip(point.var_ids, point.scaled))
     xsum, fixed = [0], [0]
     for e in range(n):
         w = scaled.get(e, 0)
@@ -212,11 +203,12 @@ def separate_contra_polymatroid(x_by_id, fmask, pair):
     )
 
 
-def separate_lattice(x_by_id, fmask, lat):
-    """Most-violated rank row x(rho(S) & E') >= r(S) - |F & rho(S)|,
-    in integers scaled by the common denominator of x; ties break by
-    member index."""
-    den, scaled = _scale(x_by_id)
+def separate_lattice(point, fmask, lat):
+    """Most-violated rank row x(rho(S) & E') >= r(S) - |F & rho(S)| at
+    the Vertex point, in its integers X = D * x; ties break by member
+    index."""
+    den = point.den
+    scaled = dict(zip(point.var_ids, point.scaled))
     lhs = [0] * lat.size
     for base in range(0, lat.ground_n, 8):
         # sums[b]: scaled x over the elements base + i for the bits i of b
@@ -277,8 +269,8 @@ class ResidualMcstLp:
             rhs = Rat(vmask.bit_count() - f_inside - 1)
             return Row.of_mask(inside, LE, rhs, ("subtour", vmask))
 
-        def separator(x_by_id):
-            return separate_spanning_tree(x_by_id, graph, self.fmask)
+        def separator(point):
+            return separate_spanning_tree(point, graph, self.fmask)
 
         return var_ids, objective, rows, separator, cut_row
 
@@ -308,8 +300,8 @@ class ResidualIntersectionLp:
             rhs = Rat(table[s] - (self.fmask & s).bit_count())
             return Row.of_mask(s & self.eprime, GE, rhs, (res.family, s))
 
-        def separator(x_by_id):
-            return separate_contra_polymatroid(x_by_id, self.fmask, self.pair)
+        def separator(point):
+            return separate_contra_polymatroid(point, self.fmask, self.pair)
 
         return var_ids, objective, rows, separator, cut_row
 
@@ -341,8 +333,8 @@ class ResidualLatticeLp:
             rhs = Rat(self.lat.rank[j] - (self.fmask & rho).bit_count())
             return Row.of_mask(rho & self.eprime, GE, rhs, ("rank", j))
 
-        def separator(x_by_id):
-            return separate_lattice(x_by_id, self.fmask, self.lat)
+        def separator(point):
+            return separate_lattice(point, self.fmask, self.lat)
 
         return var_ids, objective, rows, separator, cut_row
 
@@ -372,7 +364,7 @@ def solve_to_extreme_point(state, extra_rows=(), objective_override=None):
                 "objective decreased while adding cutting planes"
             )
         prev_obj = point.objective
-        res = separator(point.x_by_id)
+        res = separator(point)
         if res.feasible:
             return point
         row = cut_row(res)
@@ -406,37 +398,27 @@ def reuse_extreme_point(state, prev):
     for kind, witness in prev.tight_tags():
         if kind in CUT_KINDS:
             rows.append(cut_row(SeparationResult(False, kind, witness)))
-    prev_scaled = dict(zip(prev.var_ids, prev.scaled))
     try:
-        scaled = tuple(prev_scaled[v] for v in var_ids)
+        point = prev.restricted_to(_box_lp(var_ids, objective, rows))
     except KeyError as exc:
         raise InternalCheckError(
             f"undecided variable {exc} has no value at the previous vertex"
         ) from None
-    x_by_id = {v: prev.x_by_id[v] for v in var_ids}
-    point = Vertex(
-        _box_lp(var_ids, objective, rows),
-        var_ids,
-        prev.den,
-        scaled,
-        objective_value(objective, prev.den, scaled),
-        (),
-        x_by_id,
-    )
     certify(point, InternalCheckError("reused vertex violates the new working LP"))
-    if not separator(x_by_id).feasible:
+    if not separator(point).feasible:
         raise InternalCheckError("reused vertex violates a family constraint")
     STATS["reused"] += 1
     return point
 
 
-def full_separation_clean(state, x_by_id):
-    """Post-hoc pass: no family constraint is violated at x."""
+def full_separation_clean(state, point):
+    """Post-hoc pass: no family constraint is violated at the Vertex
+    point."""
     var_ids, objective, rows, separator, _ = state.base()
-    if not separator(x_by_id).feasible:
+    if not separator(point).feasible:
         return False
     lp = _box_lp(var_ids, objective, rows)
-    return row_status(lp, Vertex.at(lp, [x_by_id[v] for v in var_ids])) is not None
+    return row_status(lp, point.restricted_to(lp)) is not None
 
 
 def tighten_degree_bounds(forest, graph, eprime, point):

@@ -90,17 +90,6 @@ def assert_edge_locality(locals_by, eprime):
             )
 
 
-@dataclass
-class StepTaken:
-    kind: str  # fix | delete | drop_children | merge_leaves
-    edge: int = None
-    parity: int = None
-    parents: tuple = ()
-    dropped: tuple = ()
-    merges: tuple = ()  # (parent_key, first, second, new_id)
-    removed: tuple = ()  # (parent_key, node_id)
-
-
 class McstState:
     """Mutable run state: chosen edges, undecided edges, residual forest."""
 
@@ -166,27 +155,10 @@ class McstState:
         assert_edge_locality(classified[0], self.eprime)
         _assert_degree_accounting(self)
         before = self.forest.size()
-        step = try_step(self, point, classified)
-        if step.kind in ("fix", "delete"):
-            trace.add({"ev": step.kind, "edge": step.edge})
+        event = try_step(self, point, classified)
+        trace.add(event)
+        if event["ev"] in ("fix", "delete"):
             return True
-        if step.kind == "drop_children":
-            trace.add(
-                {
-                    "ev": "drop_children",
-                    "parity": step.parity,
-                    "parents": list(step.parents),
-                    "dropped": list(step.dropped),
-                }
-            )
-        else:
-            trace.add(
-                {
-                    "ev": "merge_leaves",
-                    "merges": [list(m) for m in step.merges],
-                    "removed": [list(r) for r in step.removed],
-                }
-            )
         after = self.forest.size()
         if 8 * (before - after) < before:
             raise InternalCheckError(
@@ -208,18 +180,22 @@ class McstState:
 
 def try_step(state, point, classified):
     """Apply the first applicable step (fix, delete, drop, merge) at the
-    certified Vertex ``point``; ``classified`` is classify_good of the
-    state's forest and undecided edges, already checked for edge
+    certified Vertex ``point`` and return its trace event: ``fix`` or
+    ``delete`` with the ``edge``, ``drop_children`` with the ``parity``,
+    the ``parents`` and the ``dropped`` nodes, or ``merge_leaves`` with
+    the ``merges`` [parent key, first, second, new id] and the
+    ``removed`` [parent key, node id].  ``classified`` is classify_good
+    of the state's forest and undecided edges, already checked for edge
     locality."""
     forest = state.forest
     if point.ones:
         eid = (point.ones & -point.ones).bit_length() - 1
         state.fix_edge(eid)
-        return StepTaken("fix", edge=eid)
+        return {"ev": "fix", "edge": eid}
     if point.zeros:
         eid = (point.zeros & -point.zeros).bit_length() - 1
         state.delete_edge(eid)
-        return StepTaken("delete", edge=eid)
+        return {"ev": "delete", "edge": eid}
 
     _, good_nonleaves, good_leaves = classified
     total = forest.size()
@@ -236,11 +212,14 @@ def try_step(state, point, classified):
                 "no level parity holds an eighth of the nodes despite a "
                 "quarter being good non-leaves"
             )
-        parents = tuple(sorted(chosen))
-        dropped = tuple(forest.drop_children_of(parents))
-        return StepTaken(
-            "drop_children", parity=parity, parents=parents, dropped=dropped
-        )
+        parents = sorted(chosen)
+        dropped = forest.drop_children_of(parents)
+        return {
+            "ev": "drop_children",
+            "parity": parity,
+            "parents": parents,
+            "dropped": dropped,
+        }
 
     if 4 * len(good_leaves) > total:
         by_parent = {}
@@ -254,14 +233,12 @@ def try_step(state, point, classified):
             for i in range(len(ordered) // 2):
                 first, second = ordered[2 * i], ordered[2 * i + 1]
                 new_id = forest.merge_leaf_pair(first, second)
-                merges.append((pkey, first, second, new_id))
+                merges.append([pkey, first, second, new_id])
             if len(ordered) % 2 == 1:
                 leftover = ordered[-1]
                 forest.remove_leaf(leftover)
-                removed.append((pkey, leftover))
-        return StepTaken(
-            "merge_leaves", merges=tuple(merges), removed=tuple(removed)
-        )
+                removed.append([pkey, leftover])
+        return {"ev": "merge_leaves", "merges": merges, "removed": removed}
 
     raise NoStepApplies(
         "no step applies: "
@@ -387,45 +364,6 @@ def replay_trace(instance, trace):
     raise InstanceError("trace has no end event")
 
 
-class TraceAnalyzer:
-    """Snapshot view of a trace: per drop round t, the residual family
-    and undecided edges, with the block quantities the guarantee uses."""
-
-    def __init__(self, instance, trace):
-        self.instance = instance
-        self.graph = instance.graph
-        replay = replay_trace(instance, trace)
-        if not replay.matches_footer:
-            raise InternalCheckError("trace does not replay to its recorded end")
-        self.tree = replay.tree
-        self.snapshots = replay.snapshots
-        self.t_rounds = len(self.snapshots) - 1
-        if self.t_rounds != trace.drop_round_count():
-            raise InternalCheckError("snapshot count disagrees with drop events")
-
-    def forest_at(self, t):
-        return self.snapshots[t][0]
-
-    def undecided_at(self, t):
-        return self.snapshots[t][1]
-
-    def bound_sum(self, block, t):
-        forest = self.forest_at(t)
-        total = ZERO
-        for nid in block:
-            total += forest.node(nid).bound
-        return total
-
-    def included_count(self, block, t):
-        """Tree edges among the time-t undecided edges crossing the block."""
-        forest = self.forest_at(t)
-        union = 0
-        for nid in block:
-            union |= forest.node(nid).vset
-        crossing = self.graph.delta_mask(union, within=self.undecided_at(t))
-        return (crossing & self.tree).bit_count()
-
-
 def verify_guarantee(instance, tree, trace):
     """Check every guarantee a finished run promises.
 
@@ -437,14 +375,19 @@ def verify_guarantee(instance, tree, trace):
     (d) cost(tree) <= the initial LP optimum.
     """
     graph = instance.graph
-    analyzer = TraceAnalyzer(instance, trace)
-    if analyzer.tree != tree:
+    replay = replay_trace(instance, trace)
+    if not replay.matches_footer:
+        raise InternalCheckError("trace does not replay to its recorded end")
+    snapshots = replay.snapshots
+    T = len(snapshots) - 1
+    if T != trace.drop_round_count():
+        raise InternalCheckError("snapshot count disagrees with drop events")
+    if replay.tree != tree:
         raise InstanceError("tree does not match the trace")
-    T = analyzer.t_rounds
     checks = []
     failures = []
 
-    sizes = [analyzer.forest_at(t).size() for t in range(T + 1)]
+    sizes = [forest.size() for forest, _ in snapshots]
     shrink_ok = all(
         8 * (sizes[t] - sizes[t + 1]) >= sizes[t] for t in range(T)
     )
@@ -474,13 +417,17 @@ def verify_guarantee(instance, tree, trace):
 
     blocks_ok = True
     blocks_checked = 0
-    for t in range(T + 1):
-        forest_t = analyzer.forest_at(t)
+    for t, (forest, undecided) in enumerate(snapshots):
         allowed = Rat(VIOLATION_FACTOR * (T - t))
-        for block in all_consecutive_blocks(forest_t):
+        for block in all_consecutive_blocks(forest):
             blocks_checked += 1
-            inc = analyzer.included_count(block, t)
-            bnd = analyzer.bound_sum(block, t)
+            union = 0
+            bnd = ZERO
+            for nid in block:
+                union |= forest.node(nid).vset
+                bnd += forest.node(nid).bound
+            # tree edges among the time-t undecided edges crossing B
+            inc = (graph.delta_mask(union, within=undecided) & tree).bit_count()
             if Rat(inc) > bnd + allowed:
                 blocks_ok = False
                 failures.append(f"block t={t} B={block}")

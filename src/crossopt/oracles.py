@@ -21,7 +21,7 @@ r(S+e) + r(S+f) against r(S+e+f) + r(S)), which cover exactly the same
 inequalities as the pairwise definition.
 
 ``uncross`` turns a family of tight sets or lattice members into a
-chain by meets and joins, for the tight-chain diagnostics of the
+chain by meets and joins, for the tight-chain checks of the
 covering solvers.
 """
 

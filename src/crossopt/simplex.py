@@ -205,10 +205,10 @@ def objective_value(objective, den, scaled):
 @dataclass
 class Vertex:
     """A point x = X / D of ``lp``, with D = ``den`` and X = ``scaled``
-    (ints aligned with var_ids, as scale_values gives them).  ``x_by_id``
-    holds the same values as rationals; ``tight_rows`` lists the rows
-    and bounds claimed tight (the module's index scheme), which certify
-    sets on the vertex itself."""
+    (ints aligned with var_ids, as scale_values gives them), its one
+    stored form; ``values`` and ``x_by_id`` derive the rationals from
+    it.  ``tight_rows`` lists the rows and bounds claimed tight (the
+    module's index scheme), which certify sets on the vertex itself."""
 
     lp: object
     var_ids: tuple
@@ -216,26 +216,43 @@ class Vertex:
     scaled: tuple
     objective: object
     tight_rows: tuple
-    x_by_id: dict
 
     @classmethod
     def at(cls, lp, values):
         """The point of lp with the rational values (aligned with
         lp.var_ids), claiming no tight rows."""
         den, scaled = scale_values(values)
-        return cls(
-            lp,
-            lp.var_ids,
-            den,
-            tuple(scaled),
-            objective_value(lp.objective, den, scaled),
-            (),
-            dict(zip(lp.var_ids, values)),
-        )
+        return cls.scaled_at(lp, den, tuple(scaled))
+
+    @classmethod
+    def scaled_at(cls, lp, den, scaled):
+        """The point scaled / den of lp, claiming no tight rows."""
+        objective = objective_value(lp.objective, den, scaled)
+        return cls(lp, lp.var_ids, den, scaled, objective, ())
+
+    @classmethod
+    def of_values(cls, x_by_id):
+        """The point with the values x_by_id ({variable id: rational}),
+        of no LP, for separators and step rules that read only the
+        point."""
+        var_ids = tuple(sorted(x_by_id))
+        den, scaled = scale_values([x_by_id[v] for v in var_ids])
+        return cls(None, var_ids, den, tuple(scaled), None, ())
+
+    def restricted_to(self, lp):
+        """This point's values on the variables of lp, as a point of lp
+        claiming no tight rows; KeyError names a variable it lacks."""
+        by_id = dict(zip(self.var_ids, self.scaled))
+        return Vertex.scaled_at(lp, self.den, tuple(by_id[v] for v in lp.var_ids))
 
     @property
     def values(self):
-        return tuple(self.x_by_id[v] for v in self.var_ids)
+        den = self.den
+        return tuple(Rat(x, den) for x in self.scaled)
+
+    @property
+    def x_by_id(self):
+        return dict(zip(self.var_ids, self.values))
 
     def tight_tags(self):
         """The tags of the rows of lp claimed tight (bounds have none)."""

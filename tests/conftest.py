@@ -5,7 +5,7 @@ from crossopt.graphs import Graph
 from crossopt.instances import IntersectionInstance, McstInstance
 from crossopt.oracles import ContraPolymatroidPair, CrossingConstraint, MatroidOracle
 from crossopt.rational import Rat
-from crossopt.simplex import Vertex, scale_values
+from crossopt.relax import relax
 
 
 @pytest.fixture(scope="session")
@@ -100,9 +100,8 @@ def tree_instance():
     return McstInstance(graph, ((0b0011, Rat(2)), (0b0100, Rat(2))))
 
 
-def point_at(x_by_id):
-    """A Vertex with the values x_by_id ({variable id: Rat}) and
-    no rows, for step rules that read only the vertex."""
-    var_ids = tuple(sorted(x_by_id))
-    den, scaled = scale_values([x_by_id[v] for v in var_ids])
-    return Vertex(None, var_ids, den, tuple(scaled), None, (), dict(x_by_id))
+def run_with_chain_reports(state):
+    """relax(state) as (fixed mask, events, LP optimum, the tight-chain
+    check reports the run's state kept)."""
+    trace, lp_initial = relax(state)
+    return state.fmask, trace.events, lp_initial, state.chain_reports

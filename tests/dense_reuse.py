@@ -8,7 +8,8 @@ integers.  The dense version is kept below verbatim; only the imports
 (the dense types and checks now come from tests/dense_rows.py),
 ``_dense_base`` (which turns the residual LP's 0/1 rows back into the
 indicator Constraints the old ``base()`` built), the tags read through
-``Vertex.tight_tags`` and the result type are new.
+``Vertex.tight_tags``, the separator's point (now a ``Vertex``) and the
+result type are new.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from dense_rows import (
 from crossopt.errors import InternalCheckError
 from crossopt.lpengine import CUT_KINDS, SeparationResult
 from crossopt.rational import ONE, ZERO
-from crossopt.simplex import STATS
+from crossopt.simplex import STATS, Vertex
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def reuse_extreme_point(state, prev):
     if not feasible:
         raise InternalCheckError("reused vertex violates the new working LP")
     x_by_id = dict(zip(var_ids, values))
-    if not separator(x_by_id).feasible:
+    if not separator(Vertex.of_values(x_by_id)).feasible:
         raise InternalCheckError("reused vertex violates a family constraint")
     value = sum((c * v for c, v in zip(objective, values) if c and v), ZERO)
     solution = BasicSolution(values, value, tight)

@@ -284,9 +284,7 @@ def test_criterion_9_certificates_and_separation(mcst_results):
         )
         point = solve_to_extreme_point(state)
         verify_vertex_certificate(point.lp, point)
-        clean = clean and full_separation_clean(
-            state, point.x_by_id
-        )
+        clean = clean and full_separation_clean(state, point)
     results, _, _ = mcst_results
     for inst, tree, trace, report in results[:5]:
         state = ResidualMcstLp(
@@ -297,7 +295,7 @@ def test_criterion_9_certificates_and_separation(mcst_results):
         )
         point = solve_to_extreme_point(state)
         verify_vertex_certificate(point.lp, point)
-        clean = clean and full_separation_clean(state, point.x_by_id)
+        clean = clean and full_separation_clean(state, point)
     announce(
         "criterion-9 vertex certificates and clean separation",
         counters_ok and clean,

@@ -3,10 +3,16 @@ import json
 import pytest
 
 import table_lattice
-from crossopt.brute import SUBSET_GUARD
+from crossopt.brute import SUBSET_GUARD, enumerate_spanning_trees
 from crossopt.cli import MAX_JOBS, main
+from crossopt.graphs import iter_bits
 from crossopt.instances import dump_instance
-from crossopt.randgen import random_lattice_instance, random_mcst_instance
+from crossopt.randgen import (
+    CorpusConfig,
+    mcst_corpus,
+    random_lattice_instance,
+    random_mcst_instance,
+)
 import random
 
 
@@ -90,6 +96,56 @@ def test_solve_mcst_trace_and_verify_subcommand(tmp_path):
     assert (
         run_cli("verify", "--in", str(inst_path), "--solution", str(solution)) == 2
     )
+
+
+def _solved_mcst(tmp_path):
+    """(instance, solution, trace) paths of a solved drop-round instance."""
+    inst = tmp_path / "inst.json"
+    solution = tmp_path / "sol.json"
+    trace = tmp_path / "trace.jsonl"
+    dump_instance(mcst_corpus(CorpusConfig(count=1))[0], inst)
+    argv = ("--in", str(inst), "--solution", str(solution), "--trace", str(trace))
+    assert run_cli("solve-mcst", *argv) == 0
+    return inst, solution, trace
+
+
+def _verify_trace(inst, solution, trace):
+    return run_cli(
+        "verify", "--in", str(inst), "--solution", str(solution), "--trace", str(trace)
+    )
+
+
+def test_verify_refuses_a_tampered_step_event(tmp_path, capsys):
+    inst, solution, trace = _solved_mcst(tmp_path)
+    events = [json.loads(line) for line in trace.read_text().splitlines()]
+    fix = next(ev for ev in events if ev["ev"] == "fix")
+    fix["ev"] = "delete"  # the fixed edge leaves the replayed tree
+    trace.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+    assert _verify_trace(inst, solution, trace) == 3
+    assert "does not replay to its recorded end" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_drop_event_after_the_end(tmp_path, capsys):
+    inst, solution, trace = _solved_mcst(tmp_path)
+    with open(trace, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"ev": "drop_children", "parents": [], "dropped": []}))
+        fh.write("\n")
+    assert _verify_trace(inst, solution, trace) == 3
+    assert "snapshot count disagrees" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_tree_other_than_the_traced_one(tmp_path, capsys):
+    inst, solution, trace = _solved_mcst(tmp_path)
+    tree = json.loads(solution.read_text())["ids"]
+    instance = mcst_corpus(CorpusConfig(count=1))[0]
+    other = next(
+        t
+        for t in enumerate_spanning_trees(instance.graph)
+        if sorted(iter_bits(t)) != tree
+    )
+    solution.write_text(json.dumps({"ids": sorted(iter_bits(other))}))
+    assert _verify_trace(inst, solution, trace) == 2
+    assert "tree does not match the trace" in capsys.readouterr().err
 
 
 def test_solve_lattice_variant_flag(tmp_path):

@@ -26,6 +26,7 @@ from crossopt.graphs import iter_bits
 from crossopt.instances import canonical_json
 from crossopt.lpengine import separate_lattice
 from crossopt.rational import Rat
+from crossopt.simplex import Vertex
 
 
 # -- hadamard family ------------------------------------------------------------
@@ -104,7 +105,7 @@ def test_planar_gap_k2_full_certificates():
     assert rep.claim_ok
     # the fractional point satisfies every member with equality
     point = {e: Rat(1, 4) for e in range(8)}
-    assert separate_lattice(point, 0, inst.lat).feasible
+    assert separate_lattice(Vertex.of_values(point), 0, inst.lat).feasible
     for j in range(inst.lat.size):
         load = sum(point[e] for e in iter_bits(inst.lat.rho[j]))
         assert load == Rat(inst.lat.rank[j])

@@ -2,8 +2,9 @@
 
 Each case solves a small seeded instance through the command line and
 hashes the files it writes: the canonical report, the solution file and,
-for solve-mcst, the event trace.  The covering cases also hash the
-report of ``crossopt verify`` on the solution written.  The expected digests were recorded
+for solve-mcst, the event trace.  The MCST and intersection cases also
+hash the report of ``crossopt verify`` on the solution written (and,
+for MCST, on the trace written).  The expected digests were recorded
 from an earlier build, so any change to a report or an MCST trace shows
 up here; a change that means to alter them must update the digests.
 """
@@ -113,6 +114,9 @@ def test_output_bytes_match_recorded_digest(case, tmp_path, monkeypatch):
 
 # the report of `crossopt verify` on the solution each solve writes
 VERIFY_EXPECTED = {
+    "mcst-0": "7bcfd2234a57db921a7ad560c9a5e318c6c8eac175f5408bd790e62a4eb83427",
+    "mcst-1": "076f2fa9775fce336f4b47b625d8ded0a9c8a27b591d55b17afe67d674e3da96",
+    "mcst-2": "b9fef2990987a90d6ab07588035674e70f30a17ba3ae4dfe3c4384a04a9d5ca2",
     "edge-cover-1": "249d9ec18bb1e312a3b24621bec818fbfbd8bd46c062c1909a3823891d9fa8e5",
     "intersection-201": "5afed2b5a388de89973c86bb9e29210569cf05887249d10b93673ea0f2459248",
     "intersection-202": "e9a9e7548e4fb4d9e85663a7016966512aef85423423ae1e2e6653c5e692238a",
@@ -125,8 +129,13 @@ def verify_digest(case, tmp_path):
     solution = tmp_path / "solution.json"
     report = tmp_path / "verify.json"
     dump_instance(make(arg), inst)
-    assert main([*command, "--in", str(inst), "--solution", str(solution)]) == 0
+    solve = [*command, "--in", str(inst), "--solution", str(solution)]
     argv = ["verify", "--in", str(inst), "--solution", str(solution)]
+    if command[0] == "solve-mcst":
+        trace = str(tmp_path / "trace.jsonl")
+        solve += ["--trace", trace]
+        argv += ["--trace", trace]
+    assert main(solve) == 0
     assert main([*argv, "--report", str(report)]) == 0
     return hashlib.sha256(report.read_bytes()).hexdigest()
 

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from conftest import edge_cover_pair
+from conftest import edge_cover_pair, run_with_chain_reports
 from crossopt.instances import IntersectionInstance
 from crossopt.intersection import (
+    IntersectionState,
     check_chain_token_bound,
     run_intersection,
     verify_intersection,
@@ -17,6 +18,8 @@ from crossopt.lpengine import (
 from crossopt.oracles import ContraPolymatroidPair, CrossingConstraint, uncross
 from crossopt.randgen import random_intersection_instance
 from crossopt.rational import Rat
+from crossopt.relax import RunTrace
+from crossopt.simplex import Vertex
 
 
 def first_point(inst):
@@ -112,14 +115,24 @@ def test_chain_token_bound_integral_vertex():
 
 def test_chain_token_bound_requires_positive_values(edge_cover_4cycle):
     _, point = first_point(edge_cover_4cycle)
-    fake = point.x_by_id.copy()
-    fake[0] = Rat(0)
     from dataclasses import replace
 
+    zero_first = replace(point, scaled=(0,) + point.scaled[1:])
+    assert zero_first.zeros == 0b1
     with pytest.raises(ValueError):
-        check_chain_token_bound(
-            replace(point, x_by_id=fake), edge_cover_4cycle.pair, 1
-        )
+        check_chain_token_bound(zero_first, edge_cover_4cycle.pair, 1)
+
+
+def test_rounding_compares_halves_in_integers():
+    # x_e >= 1/2 is 2 X_e >= D: 1/2 rounds, 1/2 - 10^-9 does not
+    pair = ContraPolymatroidPair(3, (0,) * 8, (0,) * 8)
+    state = IntersectionState(IntersectionInstance(pair, (Rat(1),) * 3, ()))
+    below = Rat(1, 2) - Rat(1, 10**9)
+    point = Vertex.of_values({0: Rat(0), 1: Rat(1, 2), 2: below})
+    trace = RunTrace()
+    state.step(point, Rat(0), trace)
+    assert trace.events == [{"ev": "delete", "edge": 0}, {"ev": "fix", "edge": 1}]
+    assert state.fmask == 0b010 and state.eprime == 0b100
 
 
 def test_uncross_to_chain_tightness_hook():
@@ -140,7 +153,7 @@ def test_uncross_to_chain_tightness_hook():
 
 
 def test_chain_checks_during_run(edge_cover_4cycle):
-    sol, events, opt, chains = run_intersection(
-        edge_cover_4cycle, collect_chain_checks=True
+    sol, events, opt, chains = run_with_chain_reports(
+        IntersectionState(edge_cover_4cycle)
     )
     assert chains, "the half-integral vertex should trigger the diagnostic"

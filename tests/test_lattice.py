@@ -2,11 +2,16 @@ import random
 
 import pytest
 
-from conftest import k4_graphic_matroid, triangle_graphic_matroid
+from conftest import (
+    k4_graphic_matroid,
+    run_with_chain_reports,
+    triangle_graphic_matroid,
+)
 from crossopt.brute import brute_subset_opt
 from crossopt.errors import InstanceError
 from crossopt.instances import GENERAL, INCLUSION, from_matroid
 from crossopt.lattice import (
+    LatticeState,
     bound_feasible_predicate,
     check_chain_growth,
     run_lattice,
@@ -179,7 +184,7 @@ def test_chain_growth_on_forced_fractional_vertex():
 
 def test_chain_growth_collected_during_run():
     inst = fractional_block_instance()
-    sol, events, opt, chains = run_lattice(inst, collect_chain_checks=True)
+    sol, events, opt, chains = run_with_chain_reports(LatticeState(inst))
     assert chains and chains[0]["chain"] == [0b100001]
     assert verify_lattice(inst, sol, brute_opt(inst)).ok
 

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import edge_cover_pair, point_at
+from conftest import edge_cover_pair
 from crossopt.graphs import Graph
 from crossopt.errors import SizeGuardError
 from crossopt.generators import gen_planar_mincut_gap
@@ -18,11 +18,13 @@ from crossopt.lpengine import (
 )
 from crossopt.oracles import ContraPolymatroidPair
 from crossopt.rational import Rat
-from crossopt.simplex import LpInfeasible
+from crossopt.simplex import LpInfeasible, Vertex
 
 
 def x_of(values):
-    return {i: Rat(v) if not isinstance(v, tuple) else Rat(*v) for i, v in enumerate(values)}
+    return Vertex.of_values(
+        {i: Rat(v) if not isinstance(v, tuple) else Rat(*v) for i, v in enumerate(values)}
+    )
 
 
 # -- spanning tree separation -----------------------------------------------------
@@ -45,7 +47,9 @@ def test_four_cycle_three_quarters_feasible(four_cycle):
 def test_subtour_most_violated_and_reverified(four_cycle):
     # overload one 2-subset: edge 0 at value 2 is clipped by U={0,1}
     res = separate_spanning_tree(
-        {0: Rat(2), 1: Rat(1, 3), 2: Rat(1, 3), 3: Rat(1, 3)}, four_cycle, 0
+        Vertex.of_values({0: Rat(2), 1: Rat(1, 3), 2: Rat(1, 3), 3: Rat(1, 3)}),
+        four_cycle,
+        0,
     )
     assert not res.feasible and res.family == "subtour"
     assert res.witness == 0b0011 and res.lhs == 2 and res.rhs == 1
@@ -54,12 +58,14 @@ def test_subtour_most_violated_and_reverified(four_cycle):
 def test_spanning_guard():
     big = Graph.from_pairs(21, [(i, i + 1) for i in range(20)], [1] * 20)
     with pytest.raises(SizeGuardError):
-        separate_spanning_tree({i: Rat(1) for i in range(20)}, big, 0)
+        separate_spanning_tree(Vertex.of_values({i: Rat(1) for i in range(20)}), big, 0)
 
 
 def test_fixed_edges_tighten_subtour_rows(four_cycle):
     # with edge 0 fixed, U={0,1} admits no more undecided edges inside
-    res = separate_spanning_tree({1: Rat(1), 2: Rat(1, 2)}, four_cycle, 0b1001)
+    res = separate_spanning_tree(
+        Vertex.of_values({1: Rat(1), 2: Rat(1, 2)}), four_cycle, 0b1001
+    )
     assert not res.feasible
 
 
@@ -96,9 +102,9 @@ def test_lattice_zero_ranks_feasible():
 def test_planar_lattice_separation_examples():
     inst, _ = gen_planar_mincut_gap(2)
     lat = inst.lat
-    point = {e: Rat(1, 4) for e in range(8)}
+    point = Vertex.of_values({e: Rat(1, 4) for e in range(8)})
     assert separate_lattice(point, 0, lat).feasible
-    res = separate_lattice({e: Rat(1, 8) for e in range(8)}, 0, lat)
+    res = separate_lattice(Vertex.of_values({e: Rat(1, 8) for e in range(8)}), 0, lat)
     assert not res.feasible and res.lhs == Rat(1, 2) and res.rhs == 1
     assert res.witness == 0  # ties break by member index
 
@@ -111,7 +117,7 @@ def test_triangle_solve_integral(triangle):
     point = solve_to_extreme_point(state)
     assert point.objective == 2
     assert sorted(point.x_by_id.values()) == [Rat(0), Rat(1), Rat(1)]
-    assert full_separation_clean(state, point.x_by_id)
+    assert full_separation_clean(state, point)
 
 
 def test_edge_cover_solve_half_everywhere(edge_cover_4cycle):
@@ -126,7 +132,7 @@ def test_edge_cover_solve_half_everywhere(edge_cover_4cycle):
     point = solve_to_extreme_point(state)
     assert point.objective == 2
     assert all(v == Rat(1, 2) for v in point.x_by_id.values())
-    assert full_separation_clean(state, point.x_by_id)
+    assert full_separation_clean(state, point)
     ranges = coordinate_ranges(
         state, point.objective, tuple(inst.costs)
     )
@@ -146,11 +152,11 @@ def test_infeasible_residual_propagates(triangle):
 def test_tighten_examples(triangle):
     forest = LaminarForest.from_sets([(0b001, Rat(3))])
     x = {0: Rat(1), 1: Rat(1, 2), 2: Rat(1)}  # load at vertex 0: edges 0 and 2
-    changes = tighten_degree_bounds(forest, triangle, 0b111, point_at(x))
+    changes = tighten_degree_bounds(forest, triangle, 0b111, Vertex.of_values(x))
     assert changes == [(0, Rat(3), Rat(2))]
     assert forest.node(0).bound == Rat(2)
     # already tight: no change
-    assert tighten_degree_bounds(forest, triangle, 0b111, point_at(x)) == []
+    assert tighten_degree_bounds(forest, triangle, 0b111, Vertex.of_values(x)) == []
 
 
 def test_tighten_triangle_bound_two(triangle):

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from conftest import point_at
 from crossopt.brute import brute_mcst
 from crossopt.errors import InstanceError, InternalCheckError
 from crossopt.graphs import Graph, mask_of
@@ -23,6 +22,7 @@ from crossopt.mcst import (
 from crossopt.randgen import random_mcst_instance
 from crossopt.rational import Rat
 from crossopt.relax import RunTrace
+from crossopt.simplex import Vertex
 
 
 def half(ids):
@@ -32,7 +32,7 @@ def half(ids):
 def step_at(state, x_by_id):
     """try_step at the values x_by_id, classified as McstState.step does."""
     classified = classify_good(state.forest, state.graph, state.eprime)
-    return try_step(state, point_at(x_by_id), classified)
+    return try_step(state, Vertex.of_values(x_by_id), classified)
 
 
 # -- local edges -------------------------------------------------------------------
@@ -105,12 +105,12 @@ def test_everything_good_when_few_edges():
 def test_integral_values_fix_then_delete(tree_instance):
     state = McstState(tree_instance)
     step = step_at(state, {0: Rat(1), 1: Rat(1), 2: Rat(1)})
-    assert step.kind == "fix" and step.edge == 0
+    assert step["ev"] == "fix" and step["edge"] == 0
     # a 1-edge is fixed before a 0-edge is deleted
     step = step_at(state, {1: Rat(0), 2: Rat(1)})
-    assert step.kind == "fix" and step.edge == 2
+    assert step["ev"] == "fix" and step["edge"] == 2
     step = step_at(state, {1: Rat(0)})
-    assert step.kind == "delete" and step.edge == 1
+    assert step["ev"] == "delete" and step["edge"] == 1
 
 
 def test_drop_children_round_even_parity():
@@ -133,10 +133,10 @@ def test_drop_children_round_even_parity():
     state = McstState(inst)
     assert state.forest.size() == 8
     step = step_at(state, half(range(6)))
-    assert step.kind == "drop_children"
-    assert step.parity == 0
-    assert sorted(step.parents) == [0, 3]
-    assert sorted(step.dropped) == [1, 2, 4, 5]
+    assert step["ev"] == "drop_children"
+    assert step["parity"] == 0
+    assert sorted(step["parents"]) == [0, 3]
+    assert sorted(step["dropped"]) == [1, 2, 4, 5]
     assert state.forest.size() == 4
 
 
@@ -153,10 +153,10 @@ def test_merge_leaves_round_pairs_in_child_order():
     inst = McstInstance(graph, tuple(sets))
     state = McstState(inst)
     step = step_at(state, half(range(len(pairs))))
-    assert step.kind == "merge_leaves"
-    ((pkey, first, second, new_id),) = step.merges
+    assert step["ev"] == "merge_leaves"
+    ((pkey, first, second, new_id),) = step["merges"]
     assert (pkey, first, second) == (0, 1, 2)
-    assert step.removed == ((0, 3),)
+    assert step["removed"] == [[0, 3]]
     merged = state.forest.node(new_id)
     assert merged.vset == 0b011 and merged.bound == Rat(3)
     assert state.forest.node(0).children == [new_id]
@@ -169,8 +169,8 @@ def test_root_leaves_merge_under_virtual_root():
     state = McstState(inst)
     # 28 > 24 local edges at each root leaf? no: each vertex touches 14
     step = step_at(state, half(range(28)))
-    assert step.kind == "merge_leaves"
-    ((pkey, first, second, new_id),) = step.merges
+    assert step["ev"] == "merge_leaves"
+    ((pkey, first, second, new_id),) = step["merges"]
     assert pkey == -1 and (first, second) == (0, 1)
     assert state.forest.roots[0] == new_id
 

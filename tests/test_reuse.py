@@ -58,7 +58,7 @@ def checked_reuse():
     def checked(state, prev):
         point = lpengine.reuse_extreme_point(state, prev)
         verify_vertex_certificate(point.lp, point)
-        assert lpengine.full_separation_clean(state, point.x_by_id)
+        assert lpengine.full_separation_clean(state, point)
         assert point.objective == lpengine.solve_to_extreme_point(state).objective
         calls.append((state, prev))
         return point
@@ -169,7 +169,7 @@ def test_moved_value_is_refused(reuse_calls):
             x = dict(prev.x_by_id)
             x[var] += eps if x[var] < 1 else -eps
             den, scaled = scale_values([x[v] for v in prev.var_ids])
-            moved = replace(prev, x_by_id=x, den=den, scaled=tuple(scaled))
+            moved = replace(prev, den=den, scaled=tuple(scaled))
             with pytest.raises(InternalCheckError):
                 lpengine.reuse_extreme_point(state, moved)
 

@@ -29,6 +29,7 @@ from crossopt.randgen import (
     random_supermodular_table,
 )
 from crossopt.rational import Rat
+from crossopt.simplex import Vertex
 
 SEPARATORS = (
     "separate_spanning_tree",
@@ -56,9 +57,9 @@ def checked_calls(monkeypatch):
     for name in SEPARATORS:
         fast, slow = getattr(lpengine, name), getattr(reference, name)
 
-        def checked(*args, name=name, fast=fast, slow=slow):
-            got = fast(*args)
-            assert_same(got, slow(*args))
+        def checked(point, *args, name=name, fast=fast, slow=slow):
+            got = fast(point, *args)
+            assert_same(got, slow(point.x_by_id, *args))
             counts[name, got.feasible] += 1
             return got
 
@@ -96,6 +97,12 @@ large_rat = st.builds(Rat, st.integers(-(10**12), 10**12), st.integers(1, 10**12
 values = st.one_of(tie_rat, small_rat, large_rat)
 
 
+def at_vertex(case):
+    """The separator arguments of case, its point dict as a Vertex."""
+    x, *rest = case
+    return (Vertex.of_values(x), *rest)
+
+
 def draw_point(draw, ids):
     keys = draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
     return {k: draw(values) for k in keys}
@@ -124,7 +131,7 @@ def test_spanning_tree_tie_breaks_to_smallest_mask():
     # {0,1} and {2,3} are both violated by 1 at size 2
     graph = Graph.from_pairs(5, [(0, 1), (2, 3), (3, 4)])
     x = {0: Rat(2), 1: Rat(2), 2: Rat(0)}
-    res = lpengine.separate_spanning_tree(x, graph, 0)
+    res = lpengine.separate_spanning_tree(Vertex.of_values(x), graph, 0)
     assert res.witness == 0b00011
     assert_same(res, reference.separate_spanning_tree(x, graph, 0))
 
@@ -133,7 +140,8 @@ def test_spanning_tree_tie_breaks_to_smallest_mask():
 @given(tree_cases())
 def test_spanning_tree_matches_reference(case):
     assert_same(
-        lpengine.separate_spanning_tree(*case), reference.separate_spanning_tree(*case)
+        lpengine.separate_spanning_tree(*at_vertex(case)),
+        reference.separate_spanning_tree(*case),
     )
 
 
@@ -151,7 +159,7 @@ def cover_cases(draw):
 @given(cover_cases())
 def test_contra_polymatroid_matches_reference(case):
     assert_same(
-        lpengine.separate_contra_polymatroid(*case),
+        lpengine.separate_contra_polymatroid(*at_vertex(case)),
         reference.separate_contra_polymatroid(*case),
     )
 
@@ -188,4 +196,6 @@ def lattice_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(lattice_cases())
 def test_lattice_matches_reference(case):
-    assert_same(lpengine.separate_lattice(*case), reference.separate_lattice(*case))
+    assert_same(
+        lpengine.separate_lattice(*at_vertex(case)), reference.separate_lattice(*case)
+    )

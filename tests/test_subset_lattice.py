@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import table_lattice
+from conftest import run_with_chain_reports
 from test_lattice import fractional_block_instance
 from crossopt.brute import brute_subset_opt
 from crossopt.cli import main
@@ -32,8 +33,8 @@ from crossopt.instances import (
     load_instance,
 )
 from crossopt.lattice import (
+    LatticeState,
     bound_feasible_predicate,
-    run_lattice,
     verify_lattice,
 )
 from crossopt.oracles import (
@@ -109,8 +110,8 @@ def assert_same_as_tables(inst):
     assert [new(s) for s in masks] == [old(s) for s in masks]
     assert [sub.covers(s) for s in masks] == [tab.covers(s) for s in masks]
 
-    got = run_lattice(inst, collect_chain_checks=True)
-    assert got == run_lattice(explicit, collect_chain_checks=True)
+    got = run_with_chain_reports(LatticeState(inst))
+    assert got == run_with_chain_reports(LatticeState(explicit))
     sol = got[0]
     brute_new = brute_subset_opt(inst.n, new, inst.costs)
     brute_old = brute_subset_opt(inst.n, old, inst.costs)
@@ -202,8 +203,8 @@ def test_chain_growth_matches_tables():
         inst.variant,
         inst.matroid_rank,
     )
-    got = run_lattice(inst, collect_chain_checks=True)
-    assert got[3] and got == run_lattice(explicit, collect_chain_checks=True)
+    got = run_with_chain_reports(LatticeState(inst))
+    assert got[3] and got == run_with_chain_reports(LatticeState(explicit))
 
 
 def test_matroid_lattice_keeps_no_tables():
