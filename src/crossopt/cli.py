@@ -204,6 +204,10 @@ def cmd_solve(args):
 
 def cmd_gen(args):
     kind = args.kind
+    if args.report and kind not in ("mcst-gap", "planar-gap"):
+        raise InstanceError(
+            f"gen {kind} writes no report; --report is for mcst-gap and planar-gap"
+        )
     report_body = None
     if kind == "mcst-gap":
         instance, gap = gen_mcst_gap(args.e)
@@ -228,7 +232,7 @@ def cmd_gen(args):
         dump_instance(instance, args.out)
     else:
         sys.stdout.write(canonical_json(instance.to_json()))
-    if report_body is not None and args.report:
+    if args.report:
         _emit(report_body, args.report)
     if report_body is not None and not report_body.get("claim_ok", True):
         return EXIT_CHECK_FAILED

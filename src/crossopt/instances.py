@@ -25,6 +25,7 @@ from .oracles import (
     CrossingConstraint,
     LatticeOracle,
     MatroidOracle,
+    SubsetLattice,
     matroid_to_lattice,
     max_frequency,
 )
@@ -178,7 +179,6 @@ class LatticeInstance:
     costs: tuple
     constraints: tuple  # CrossingConstraint; lower may be None
     variant: str = GENERAL
-    matroid_rank: tuple = None  # set when built from a matroid rank table
 
     def __post_init__(self):
         if self.variant not in (GENERAL, INCLUSION):
@@ -226,10 +226,10 @@ class LatticeInstance:
                 for c in self.constraints
             ],
         }
-        if self.matroid_rank is not None:
-            body["matroid_rank"] = list(self.matroid_rank)
+        lat = self.lat
+        if isinstance(lat, SubsetLattice):
+            body["matroid_rank"] = list(lat.matroid.rank)
         else:
-            lat = self.lat
             body["lattice"] = {
                 "members": [
                     {"rho": _ids(lat.rho[i]), "rank": lat.rank[i]}
@@ -248,7 +248,6 @@ def from_matroid(matroid, costs, constraints, variant=GENERAL):
         costs=tuple(Rat(c) for c in costs),
         constraints=tuple(constraints),
         variant=variant,
-        matroid_rank=tuple(matroid.rank),
     )
 
 

@@ -9,6 +9,11 @@ exactly), and drops every bound whose undecided support has shrunk to
 ceil(2 b') + frequency - 1 elements.  A step that changes nothing is an
 internal error: the counting argument guarantees progress.
 
+The residual requirement r_i(S) - |S & F| needs no supermodularity
+check of its own.  |S & F| is modular, so every local exchange
+difference of the residual equals that of r_i, which
+ContraPolymatroidPair verified when the instance was built.
+
 The step never asks for the old vertex to be reused: rounding a value in
 [1/2, 1) up and lowering bounds by fractional amounts does not restrict
 the old region to a face, so every iteration solves the LP again.
@@ -22,11 +27,9 @@ three claims exhaustively from scratch.
 from .errors import InternalCheckError, NoStepApplies
 from .graphs import iter_bits
 from .lpengine import ResidualIntersectionLp
-from .oracles import supermodular_violation, uncross
+from .oracles import uncross
 from .rational import ZERO, Rat, rat_ceil, render_rat
 from .relax import CoverReport, relax
-
-SPOT_CHECK_LIMIT = 10  # residual supermodularity re-check up to 2^10 subsets
 
 
 def _drop_threshold(bprime_i, delta):
@@ -114,8 +117,6 @@ class IntersectionState:
             trace.add({"ev": "fix", "edge": e})
         for i in drops:
             trace.add({"ev": "drop", "bound": i})
-        if halves and instance.n <= SPOT_CHECK_LIMIT:
-            _assert_residual_supermodular(instance, self.fmask)
         return False
 
     def finish(self, lp_initial):
@@ -153,18 +154,6 @@ def _assert_drop_accounting(instance, i, bprime_i, eprime, fmask, delta):
         raise InternalCheckError(
             f"fixed elements of bound {i} exceed the telescoping budget"
         )
-
-
-def _assert_residual_supermodular(instance, fmask):
-    for name, table in (("r1", instance.pair.r1), ("r2", instance.pair.r2)):
-        residual = [
-            table[s] - (s & fmask).bit_count() for s in range(1 << instance.n)
-        ]
-        witness = supermodular_violation(residual, instance.n)
-        if witness is not None:
-            raise InternalCheckError(
-                f"residual {name} lost supermodularity at {witness}"
-            )
 
 
 # -- verification -------------------------------------------------------------

@@ -60,7 +60,7 @@ from operator import add, sub
 
 from .errors import InstanceError, InternalCheckError, SizeGuardError
 from .graphs import iter_bits
-from .rational import Rat, ZERO, ONE
+from .rational import Rat
 from .simplex import (
     EQ,
     GE,
@@ -70,7 +70,6 @@ from .simplex import (
     LpUnbounded,
     Row,
     certify,
-    row_status,
     simplex_solve,
     violated,
 )
@@ -339,18 +338,15 @@ class ResidualLatticeLp:
         return var_ids, objective, rows, separator, cut_row
 
 
-def solve_to_extreme_point(state, extra_rows=(), objective_override=None):
+def solve_to_extreme_point(state):
     """Cutting-plane loop: optimal certified vertex of the full system.
 
-    ``extra_rows`` are tagged Rows appended to the base LP (used for
-    optimum-pinning).  ``objective_override`` replaces the cost
-    vector (aligned with the sorted undecided ids).  Raises LpInfeasible
-    if the full system is empty.
+    ``state`` is any object whose ``base()`` returns the five-tuple the
+    residual LPs return; the engine solves over exactly those rows and
+    that objective.  Raises LpInfeasible if the full system is empty.
     """
     var_ids, objective, rows, separator, cut_row = state.base()
-    if objective_override is not None:
-        objective = tuple(objective_override)
-    rows = list(rows) + list(extra_rows)
+    rows = list(rows)
     seen = {row.tag for row in rows}
     prev_obj = None
     while True:
@@ -411,16 +407,6 @@ def reuse_extreme_point(state, prev):
     return point
 
 
-def full_separation_clean(state, point):
-    """Post-hoc pass: no family constraint is violated at the Vertex
-    point."""
-    var_ids, objective, rows, separator, _ = state.base()
-    if not separator(point).feasible:
-        return False
-    lp = _box_lp(var_ids, objective, rows)
-    return row_status(lp, point.restricted_to(lp)) is not None
-
-
 def tighten_degree_bounds(forest, graph, eprime, point):
     """Lower every alive bound to the current crossing load x(delta(S))
     at the certified Vertex ``point``, compared in integers.
@@ -445,25 +431,3 @@ def tighten_degree_bounds(forest, graph, eprime, point):
             forest.set_bound(nid, new)
     return changes
 
-
-def coordinate_ranges(state, optimum, base_objective):
-    """Exact per-coordinate min/max over the optimal face.
-
-    Adds the row base_objective . x = optimum and re-optimizes +e_j and
-    -e_j for every variable; a coordinate is pinned when min == max.
-    """
-    var_ids = state.base()[0]
-    pin = Row.of_coefficients(base_objective, var_ids, EQ, optimum, ("pin", None))
-    ranges = []
-    for j in range(len(var_ids)):
-        unit = [ZERO] * len(var_ids)
-        unit[j] = ONE
-        lo = solve_to_extreme_point(
-            state, extra_rows=(pin,), objective_override=tuple(unit)
-        ).objective
-        unit[j] = -ONE
-        hi = -solve_to_extreme_point(
-            state, extra_rows=(pin,), objective_override=tuple(unit)
-        ).objective
-        ranges.append((lo, hi))
-    return ranges

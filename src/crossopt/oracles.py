@@ -61,11 +61,6 @@ def _check_local_exchange(table, n, direction, name):
         raise InstanceError(f"{name} violated at S={s:#x}, e={e}, f={f}")
 
 
-def supermodular_violation(table, n):
-    """Return a witness (S, e, f) if the table is not supermodular."""
-    return _local_exchange_violation(table, n, -1)
-
-
 @dataclass(frozen=True)
 class MatroidOracle:
     """Explicit rank table over all subsets of a ground set of size n."""

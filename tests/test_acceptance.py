@@ -22,8 +22,6 @@ from crossopt.lattice import bound_feasible_predicate, run_lattice, verify_latti
 from crossopt.lpengine import (
     ResidualIntersectionLp,
     ResidualMcstLp,
-    coordinate_ranges,
-    full_separation_clean,
     solve_to_extreme_point,
 )
 from crossopt.mcst import drop_round_limit, run_mcst, verify_guarantee
@@ -41,6 +39,7 @@ from crossopt.generators import (
     tree_to_subset,
     yes_case_tree,
 )
+from optimal_face import coordinate_ranges, full_separation_clean
 
 MCST_CORPUS_SIZE = 200
 INTERSECTION_CORPUS_SIZE = 100

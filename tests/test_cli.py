@@ -184,6 +184,18 @@ def test_gen_gap_reports(tmp_path):
     assert inst_body["schema"] == 1 and inst_body["type"] == "lattice"
 
 
+@pytest.mark.parametrize(
+    "kind",
+    ["edge-cover", "reduction", "random-mcst", "random-intersection", "random-lattice"],
+)
+def test_gen_report_without_a_report_is_usage_error(kind, tmp_path, capsys):
+    out, rep = tmp_path / "inst.json", tmp_path / "report.json"
+    assert run_cli("gen", kind, "--out", str(out), "--report", str(rep)) == 2
+    err = capsys.readouterr().err
+    assert "mcst-gap" in err and "planar-gap" in err and "Traceback" not in err
+    assert not out.exists() and not rep.exists()
+
+
 def test_verify_lattice_beyond_the_brute_guard(tmp_path):
     # the k=3 path lattice has 18 elements, past brute.SUBSET_GUARD: the
     # cost check is skipped, as in solve-lattice --verify, and taking

@@ -10,16 +10,13 @@ from crossopt.intersection import (
     run_intersection,
     verify_intersection,
 )
-from crossopt.lpengine import (
-    ResidualIntersectionLp,
-    coordinate_ranges,
-    solve_to_extreme_point,
-)
+from crossopt.lpengine import ResidualIntersectionLp, solve_to_extreme_point
 from crossopt.oracles import ContraPolymatroidPair, CrossingConstraint, uncross
 from crossopt.randgen import random_intersection_instance
 from crossopt.rational import Rat
 from crossopt.relax import RunTrace
 from crossopt.simplex import Vertex
+from optimal_face import coordinate_ranges
 
 
 def first_point(inst):

@@ -8,8 +8,6 @@ from crossopt.laminar import LaminarForest
 from crossopt.lpengine import (
     ResidualIntersectionLp,
     ResidualMcstLp,
-    coordinate_ranges,
-    full_separation_clean,
     separate_contra_polymatroid,
     separate_lattice,
     separate_spanning_tree,
@@ -19,6 +17,7 @@ from crossopt.lpengine import (
 from crossopt.oracles import ContraPolymatroidPair
 from crossopt.rational import Rat
 from crossopt.simplex import LpInfeasible, Vertex
+from optimal_face import coordinate_ranges, full_separation_clean
 
 
 def x_of(values):

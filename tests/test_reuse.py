@@ -31,6 +31,7 @@ from crossopt.randgen import (
 )
 from crossopt.simplex import rank_of_rows, scale_values, verify_vertex_certificate
 from dense_rows import dense_lp
+from optimal_face import full_separation_clean
 
 ACCEPTANCE_MCST = 200
 LATTICE_SLICE = 30
@@ -58,7 +59,7 @@ def checked_reuse():
     def checked(state, prev):
         point = lpengine.reuse_extreme_point(state, prev)
         verify_vertex_certificate(point.lp, point)
-        assert lpengine.full_separation_clean(state, point)
+        assert full_separation_clean(state, point)
         assert point.objective == lpengine.solve_to_extreme_point(state).objective
         calls.append((state, prev))
         return point

@@ -24,8 +24,8 @@ from crossopt.oracles import (
     CrossingConstraint,
     LatticeOracle,
     MatroidOracle,
+    _local_exchange_violation,
     matroid_to_lattice,
-    supermodular_violation,
 )
 from crossopt.rational import Rat
 
@@ -232,11 +232,37 @@ def test_supermodular_violation_names_the_first_witness():
     # validation does
     square = tuple(s.bit_count() ** 2 for s in range(8))
     table = square[:7] + (6,)
-    assert supermodular_violation(square, 3) is None
-    assert supermodular_violation(table, 3) == (0b1, 1, 2)
+    assert _local_exchange_violation(square, 3, -1) is None
+    assert _local_exchange_violation(table, 3, -1) == (0b1, 1, 2)
     message = r"^r1 supermodularity violated at S=0x1, e=1, f=2$"
     with pytest.raises(InstanceError, match=message):
         ContraPolymatroidPair(3, table, (0,) * 8)
+
+
+def _exchange_differences(table, n):
+    """t(S+e) + t(S+f) - t(S+e+f) - t(S) for every S and e < f outside S."""
+    return [
+        table[s | 1 << e] + table[s | 1 << f] - table[s | 1 << e | 1 << f] - table[s]
+        for s in range(1 << n)
+        for e in range(n)
+        for f in range(e + 1, n)
+        if not (s >> e) & 1 and not (s >> f) & 1
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_residual_keeps_every_local_exchange_difference(data):
+    # |S & F| is modular, so t(S) - |S & F| has the exchange differences
+    # of t: the residual of a table that passed decoding cannot fail the
+    # supermodularity check, and the solver does not repeat it
+    n = data.draw(st.integers(0, 6))
+    table = data.draw(st.lists(st.integers(-50, 50), min_size=1 << n, max_size=1 << n))
+    fmask = data.draw(st.integers(0, (1 << n) - 1))
+    residual = [t - (s & fmask).bit_count() for s, t in enumerate(table)]
+    assert _exchange_differences(residual, n) == _exchange_differences(table, n)
+    witness = _local_exchange_violation(table, n, -1)
+    assert _local_exchange_violation(residual, n, -1) == witness
 
 
 def test_matroid_to_lattice_examples():
@@ -385,7 +411,7 @@ def test_round_trip_lattice_matroid_and_explicit():
         tri, [1, 2, 3], (CrossingConstraint(0b011, Rat(0), Rat(1)),), GENERAL
     )
     clone = _round_trip(inst)
-    assert clone.matroid_rank == inst.matroid_rank
+    assert clone.lat.matroid.rank == inst.lat.matroid.rank
 
     from crossopt.generators import gen_planar_mincut_gap
 

@@ -30,11 +30,13 @@ from crossopt.instances import (
     LatticeInstance,
     dump_instance,
     from_matroid,
+    instance_digest,
     load_instance,
 )
 from crossopt.lattice import (
     LatticeState,
     bound_feasible_predicate,
+    run_lattice,
     verify_lattice,
 )
 from crossopt.oracles import (
@@ -85,6 +87,17 @@ def covering_corpus_lattices(seed, work_dir):
     return [load_instance(op.argv[op.argv.index("--in") + 1]) for op in ops]
 
 
+def table_twin_run(explicit, inst):
+    """The run of the table-built twin of inst.  Its begin event names
+    the digest of its own tables; that digest is checked and swapped
+    for inst's, the one field in which the two runs may differ."""
+    fmask, events, lp, chains = run_with_chain_reports(LatticeState(explicit))
+    begin = events[0]
+    assert begin["instance_digest"] == instance_digest(explicit)
+    events = [{**begin, "instance_digest": instance_digest(inst)}, *events[1:]]
+    return fmask, events, lp, chains
+
+
 def assert_same_as_tables(inst):
     """The instance's SubsetLattice against the explicit LatticeOracle of
     the same matroid: members, answers, runs, optima and reports."""
@@ -95,9 +108,7 @@ def assert_same_as_tables(inst):
     assert (sub.size, sub.ground_n) == (tab.size, tab.ground_n)
     assert sub.monotonicity_witness() is None and tab.monotonicity_witness() is None
     assert sub.inclusion_witness() is None and tab.inclusion_witness() is None
-    explicit = LatticeInstance(
-        tab, inst.costs, inst.constraints, inst.variant, inst.matroid_rank
-    )
+    explicit = LatticeInstance(tab, inst.costs, inst.constraints, inst.variant)
     for variant in (GENERAL, INCLUSION):
         if variant == INCLUSION and any(c.lower is not None for c in inst.constraints):
             continue
@@ -111,7 +122,7 @@ def assert_same_as_tables(inst):
     assert [sub.covers(s) for s in masks] == [tab.covers(s) for s in masks]
 
     got = run_with_chain_reports(LatticeState(inst))
-    assert got == run_with_chain_reports(LatticeState(explicit))
+    assert got == table_twin_run(explicit, inst)
     sol = got[0]
     brute_new = brute_subset_opt(inst.n, new, inst.costs)
     brute_old = brute_subset_opt(inst.n, old, inst.costs)
@@ -201,10 +212,24 @@ def test_chain_growth_matches_tables():
         inst.costs,
         inst.constraints,
         inst.variant,
-        inst.matroid_rank,
     )
     got = run_with_chain_reports(LatticeState(inst))
-    assert got[3] and got == run_with_chain_reports(LatticeState(explicit))
+    assert got[3] and got == table_twin_run(explicit, inst)
+
+
+@pytest.mark.parametrize("seed", [3, 10, 41])
+def test_direct_construction_matches_from_matroid(seed):
+    # a SubsetLattice built by hand, not through from_matroid, is still
+    # written as its matroid's rank table and runs the same rounding
+    inst = random_lattice_instance(random.Random(seed))
+    m = inst.lat.matroid
+    for cons in ((), inst.constraints):
+        made = from_matroid(m, inst.costs, cons, inst.variant)
+        direct = LatticeInstance(matroid_to_lattice(m), inst.costs, cons, inst.variant)
+        assert direct.to_json() == made.to_json()
+        assert direct.to_json()["matroid_rank"] == list(m.rank)
+        assert instance_digest(direct) == instance_digest(made)
+        assert run_lattice(direct) == run_lattice(made)
 
 
 def test_matroid_lattice_keeps_no_tables():
