@@ -30,7 +30,6 @@ costs one elementwise sum.  Every tree is still visited, in the
 enumeration order, with the same smallest-mask tie-break.
 """
 
-from dataclasses import dataclass
 from math import lcm
 from operator import add
 
@@ -232,14 +231,6 @@ def enumerate_spanning_trees(graph, limit=TREE_COUNT_GUARD, reverse=False):
     return out
 
 
-@dataclass(frozen=True)
-class BruteMcstResult:
-    optimum: object  # min cost over bound-feasible trees, None if none
-    witness: object  # a tree mask achieving it
-    profile: tuple  # ((slack v, min cost over trees with max violation <= v), ...)
-    tree_count: int
-
-
 def _scaled_violations(graph, trees, bound_masks):
     """(D, [D times each tree's worst violation max(count - bound)]),
     with D the lcm of the bounds' denominators; 0 for every tree when
@@ -268,41 +259,6 @@ def _scaled_violations(graph, trees, bound_masks):
         for half in {tree >> mid for tree in trees}
     }
     return d, [max(map(add, lo_table[t & low], hi_table[t >> mid])) for t in trees]
-
-
-def brute_mcst(instance):
-    """Exact optimum over all spanning trees meeting every bound, plus
-    the min-cost profile per additive slack level."""
-    graph = instance.graph
-    bound_masks = [
-        (graph.delta_mask(vmask), bound) for vmask, bound in instance.family
-    ]
-    return _brute_tree_opt(graph, bound_masks)
-
-
-def _brute_tree_opt(graph, bound_masks, limit=TREE_COUNT_GUARD):
-    trees = enumerate_spanning_trees(graph, limit=limit)
-    d, viols = _scaled_violations(graph, trees, bound_masks)
-    best = None
-    witness = None
-    by_slack = {}  # scaled slack -> (cost, tree)
-    for tree, viol in zip(trees, viols):
-        cost = graph.cost_of(tree)
-        slack = max(viol, 0)
-        cur = by_slack.get(slack)
-        if cur is None or cost < cur[0] or (cost == cur[0] and tree < cur[1]):
-            by_slack[slack] = (cost, tree)
-        if viol <= 0:
-            if best is None or cost < best or (cost == best and tree < witness):
-                best = cost
-                witness = tree
-    profile = []
-    running = None
-    for slack in sorted(by_slack):
-        cost, _ = by_slack[slack]
-        running = cost if running is None else min(running, cost)
-        profile.append((Rat(slack, d), running))
-    return BruteMcstResult(best, witness, tuple(profile), len(trees))
 
 
 def min_max_violation_over_trees(graph, bound_masks, reverse=False):

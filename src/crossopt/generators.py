@@ -26,7 +26,7 @@ reports are unchanged.
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from operator import add, and_
+from operator import add, and_, le, mul
 
 from .brute import edge_tree_counts, min_max_violation_over_trees
 from .errors import InstanceError, SizeGuardError
@@ -38,7 +38,7 @@ from .instances import (
     LatticeInstance,
 )
 from .lpengine import separate_lattice, separate_spanning_tree
-from .oracles import ContraPolymatroidPair, CrossingConstraint, LatticeOracle
+from .oracles import ContraPolymatroidPair, CrossingConstraint
 from .rational import ONE, Rat, encode_rationals, rat_ceil, render_rat
 from .simplex import Vertex
 
@@ -103,22 +103,6 @@ def gadget_u_edges(e, i):
 
 def gadget_w_edges(e, i):
     return mask_of([4 * i + 2, 4 * i + 3])
-
-
-def tree_to_subset(e, tree_mask):
-    """Map a spanning tree of the gadget graph to X = gadgets keeping
-    both u-side edges; checks the exactly-3-edges structure."""
-    x = 0
-    for i in range(e):
-        u_cnt = (tree_mask & gadget_u_edges(e, i)).bit_count()
-        w_cnt = (tree_mask & gadget_w_edges(e, i)).bit_count()
-        if u_cnt + w_cnt != 3 or u_cnt == 0 or w_cnt == 0:
-            raise InstanceError(
-                f"tree does not pick exactly three edges in gadget {i}"
-            )
-        if u_cnt == 2:
-            x |= 1 << i
-    return x
 
 
 def tree_polytope_membership_certificate(graph, point):
@@ -323,6 +307,80 @@ def _path_lattice_tables(k, choices):
     return above, meet, join
 
 
+class PathLattice:
+    """The planar-gap path lattice, held as the product of k chains
+    0 < 1 < ... < k-1, one per layer, with no table validated.
+
+    Member i is the path whose channel choices (j_1..j_k) are the
+    mixed-radix digits of i, in `_planar_paths` order.  Its image rho[i]
+    is the path's edges, two per layer (`_path_edge_mask`), and its rank
+    is 1.  Order, meet and join go digit by digit: <=, min and max.
+    Every axiom that `LatticeOracle` checks on tables holds by
+    construction (Topkis 1978 treats such products of chains):
+
+    - the digit-wise order of a product of chains is a partial order in
+      which the digit-wise min and max are the greatest lower and least
+      upper bounds, and min and max distribute over each other in a
+      chain, so the product is a distributive lattice;
+    - in each layer, the meet and the join of a and b take the two
+      channels of a and b, and a path's image is one channel's edges
+      per layer, so rho(a meet b) | rho(a join b) = rho(a) | rho(b),
+      and the same holds for &: images are submodular;
+    - the rank is the constant 1, so it is supermodular;
+    - each edge lies in one layer and one channel, so the members whose
+      image holds it are the choices with one fixed digit, which is a
+      convex set: that is the consecutive property.
+
+    The ``above``, ``meet`` and ``join`` tables that
+    `LatticeInstance.to_json` writes are built once per lattice by
+    `_path_lattice_tables`.  A written file is validated in full when
+    it is read (`LatticeOracle.from_leq`)."""
+
+    def __init__(self, k):
+        choices = _planar_paths(k)
+        self.k = k
+        self.weights = [k ** (k - 1 - layer) for layer in range(k)]
+        self.ground_n = 2 * k * k
+        self.size = len(choices)
+        self.rho = tuple(_path_edge_mask(k, c) for c in choices)
+        self.rank = (1,) * self.size
+        self.above, self.meet, self.join = _path_lattice_tables(k, choices)
+
+    def _digits(self, i):
+        return [i // w % self.k for w in self.weights]
+
+    def leq(self, i, j):
+        return all(map(le, self._digits(i), self._digits(j)))
+
+    def comparable(self, i, j):
+        return self.leq(i, j) or self.leq(j, i)
+
+    def meet_of(self, a, b):
+        digits = map(min, self._digits(a), self._digits(b))
+        return sum(map(mul, digits, self.weights))
+
+    def join_of(self, a, b):
+        digits = map(max, self._digits(a), self._digits(b))
+        return sum(map(mul, digits, self.weights))
+
+    def covers(self, mask):
+        """True when mask meets every path (every rank is 1)."""
+        return all(mask & r for r in self.rho)
+
+    def monotonicity_witness(self):
+        """(0, 1), the first pair `LatticeOracle` reports (k >= 2): every
+        image has 2k edges, so no image grows up the order, and the
+        first strictly comparable pair in row-major order is member 0
+        (all digits 0, below every member) and member 1."""
+        return (0, 1)
+
+    def inclusion_witness(self):
+        """(0, 1), the first pair `LatticeOracle` reports: images of
+        distinct paths have equal size and so are never nested, yet
+        member 0 lies below member 1."""
+        return (0, 1)
+
+
 def gen_planar_mincut_gap(k):
     """Crossing path-cover instance: 1/(2k) on every edge satisfies all
     path and layer constraints, yet any integral set hitting every path
@@ -330,10 +388,8 @@ def gen_planar_mincut_gap(k):
     if k not in (2, 3, 4):
         raise SizeGuardError("supported sizes are 2, 3, 4")
     graph = planar_gap_graph(k)
-    choices = _planar_paths(k)
-    rho = [_path_edge_mask(k, c) for c in choices]
-    above, meet, join = _path_lattice_tables(k, choices)
-    lat = LatticeOracle(2 * k * k, rho, [1] * len(choices), above, meet, join)
+    lat = PathLattice(k)
+    rho = lat.rho
     layer_masks = [
         mask_of(range(2 * layer * k, 2 * (layer + 1) * k)) for layer in range(k)
     ]
@@ -370,7 +426,7 @@ def gen_planar_mincut_gap(k):
         claimed_bound=claimed,
         claim_ok=bool(feasible and viol >= claimed),
         witness=witness,
-        details={"k": k, "paths": len(choices), "method": method},
+        details={"k": k, "paths": lat.size, "method": method},
     )
     return instance, report
 
@@ -520,14 +576,3 @@ def reduce_uniform_crossing_to_mcst(e, t, bounds):
     rows.append((special, Rat(2 * e - t)))
     return GeneralMcstInstance(graph, tuple(rows))
 
-
-def yes_case_tree(e, basis_mask):
-    """The witness tree for a basis: both u-edges plus (r, w_i) inside
-    the basis, both w-edges plus (r, u_i) outside."""
-    tree = 0
-    for i in range(e):
-        if (basis_mask >> i) & 1:
-            tree |= mask_of([4 * i, 4 * i + 1, 4 * i + 2])
-        else:
-            tree |= mask_of([4 * i + 2, 4 * i + 3, 4 * i])
-    return tree

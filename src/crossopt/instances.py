@@ -175,7 +175,10 @@ def _check_image_inclusion_order(lat):
 
 @dataclass(frozen=True)
 class LatticeInstance:
-    lat: object  # LatticeOracle, or SubsetLattice for a matroid rank table
+    # LatticeOracle (explicit tables, as every file decodes), SubsetLattice
+    # (a matroid rank table) or generators.PathLattice (planar-gap, built
+    # without table validation; to_json writes its tables)
+    lat: object
     costs: tuple
     constraints: tuple  # CrossingConstraint; lower may be None
     variant: str = GENERAL

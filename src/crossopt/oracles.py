@@ -4,6 +4,10 @@ Rank tables (matroid, covering pair) and explicit lattices (order,
 meet and join tables) list every subset or member, and their axioms
 are verified exhaustively at construction time.  Construction fails
 loudly with the violated axiom and a witness; nothing is ever assumed.
+Every lattice read from a file is a ``LatticeOracle`` and is validated
+in full.  The planar-gap generator's own lattice is implicit
+(``generators.PathLattice``, a product of chains, with its proof); the
+tables it writes are validated when the file is read back.
 
 The lattice of a matroid is implicit: ``SubsetLattice`` numbers the
 subsets of the ground set by their bitmasks, and order, meet and join

@@ -185,13 +185,6 @@ class LinearProgram:
     def num_vars(self):
         return len(self.var_ids)
 
-    # tight_rows index helpers
-    def lower_row(self, j):
-        return len(self.rows) + j
-
-    def upper_row(self, j):
-        return len(self.rows) + self.num_vars + j
-
 
 def objective_value(objective, den, scaled):
     """c.x at x = scaled / den, computed in integers."""

@@ -14,7 +14,8 @@ value, type and witness on every input, and a lattice must be refused
 by both with the same message or accepted by both.
 """
 
-from crossopt.brute import TREE_COUNT_GUARD, BruteMcstResult, enumerate_spanning_trees
+from brute_mcst import BruteMcstResult
+from crossopt.brute import TREE_COUNT_GUARD, enumerate_spanning_trees
 from crossopt.errors import InstanceError
 from crossopt.generators import _planar_paths
 from crossopt.graphs import iter_bits

@@ -34,11 +34,8 @@ from crossopt.randgen import (
 from crossopt.rational import Rat
 from crossopt.simplex import STATS, verify_vertex_certificate
 from crossopt.brute import enumerate_spanning_trees
-from crossopt.generators import (
-    reduce_uniform_crossing_to_mcst,
-    tree_to_subset,
-    yes_case_tree,
-)
+from crossopt.generators import reduce_uniform_crossing_to_mcst
+from gadget_trees import tree_to_subset, yes_case_tree
 from optimal_face import coordinate_ranges, full_separation_clean
 
 MCST_CORPUS_SIZE = 200

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import whole_graph_trees as reference
 from test_oracle_scans import assert_same, assert_same_brute, bounds_strategy
+from brute_mcst import _brute_tree_opt
 from crossopt import brute
 from crossopt.brute import TREE_COUNT_GUARD, enumerate_spanning_trees
 from crossopt.generators import gadget_graph, gen_mcst_gap
@@ -99,7 +100,7 @@ def scan_cases(draw):
 def test_scans_match_reference(case):
     graph, bounds = case
     assert_same_brute(
-        brute._brute_tree_opt(graph, bounds, TREE_COUNT_GUARD),
+        _brute_tree_opt(graph, bounds, TREE_COUNT_GUARD),
         reference._brute_tree_opt(graph, bounds, TREE_COUNT_GUARD),
     )
     for reverse in (False, True):

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
+from brute_mcst import brute_mcst
 from crossopt.brute import (
-    brute_mcst,
     brute_subset_opt,
     enumerate_spanning_trees,
     kirchhoff_count,

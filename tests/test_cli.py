@@ -404,6 +404,29 @@ def test_malformed_lattice_table_is_usage_error(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "solve-lattice"])
+def test_written_planar_gap_file_is_validated_on_read(command, tmp_path, capsys):
+    """The generator skips table validation (its lattice is a product of
+    chains), so a gap file is checked in full when read back: a meet pair
+    moved to another valid member is refused with the check and pair."""
+    inst = tmp_path / "planar.json"
+    assert run_cli("gen", "planar-gap", "--k", "2", "--out", str(inst)) == 0
+    body = json.loads(inst.read_text())
+    meet = body["lattice"]["meet"]
+    assert meet[1][2] == meet[2][1] == 0
+    meet[1][2] = meet[2][1] = 1  # (0,1) is not below (1,0)
+    inst.write_text(json.dumps(body))
+    solution = tmp_path / "sol.json"
+    solution.write_text(json.dumps({"ids": list(range(body["ground"]))}))
+    argv = ["--in", str(inst)]
+    if command == "verify":
+        argv += ["--solution", str(solution)]
+    assert run_cli(command, *argv) == 2
+    err = capsys.readouterr().err
+    assert "meet not below both at (1,2)" in err
+    assert "Traceback" not in err
+
+
 def _id_list_cases():
     """list name -> (solve command, instance body, the id list in it, text
     the error must contain)."""

@@ -2,9 +2,11 @@ import hashlib
 
 import pytest
 
+from brute_mcst import _brute_tree_opt
+from gadget_trees import tree_to_subset, yes_case_tree
+from crossopt import oracles
 from crossopt.brute import (
     TREE_COUNT_GUARD,
-    _brute_tree_opt,
     enumerate_spanning_trees,
     kirchhoff_count,
     min_max_violation_over_trees,
@@ -19,8 +21,6 @@ from crossopt.generators import (
     hadamard_sets,
     reduce_uniform_crossing_to_mcst,
     tree_polytope_membership_certificate,
-    tree_to_subset,
-    yes_case_tree,
 )
 from crossopt.graphs import iter_bits
 from crossopt.instances import canonical_json
@@ -265,3 +265,18 @@ def test_gap_outputs_are_pinned(kind, size, request):
     written = (canonical_json(inst.to_json()), canonical_json(rep.to_json()))
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in written)
     assert digests == GAP_DIGESTS[kind, size]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_planar_gap_builds_no_lattice_oracle(k, monkeypatch):
+    """The generator's lattice is implicit (generators.PathLattice): with
+    LatticeOracle unusable, its outputs are still the pinned ones."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen_planar_mincut_gap built a LatticeOracle")
+
+    monkeypatch.setattr(oracles.LatticeOracle, "__init__", refuse)
+    inst, rep = gen_planar_mincut_gap(k)
+    written = (canonical_json(inst.to_json()), canonical_json(rep.to_json()))
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in written)
+    assert digests == GAP_DIGESTS["planar-gap", k]

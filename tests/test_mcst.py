@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from crossopt.brute import brute_mcst
+from brute_mcst import brute_mcst
 from crossopt.errors import InstanceError, InternalCheckError
 from crossopt.graphs import Graph, mask_of
 from crossopt.instances import McstInstance

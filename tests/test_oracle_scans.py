@@ -17,6 +17,7 @@ import fraction_oracles as reference
 import table_lattice
 from pairwise_lattice import PairwiseLatticeOracle
 from test_separators import chain_lattice
+from brute_mcst import _brute_tree_opt
 from crossopt import brute, generators
 from crossopt.brute import TREE_COUNT_GUARD, min_max_violation_over_trees
 from crossopt.errors import InstanceError
@@ -94,7 +95,7 @@ def test_gap_tree_scans_match_reference(gap, request, shared_trees):
     )
     if e == 4:  # the Fraction reference takes half a minute at e = 8
         assert_same_brute(
-            brute._brute_tree_opt(graph, bounds, TREE_COUNT_GUARD),
+            _brute_tree_opt(graph, bounds, TREE_COUNT_GUARD),
             reference._brute_tree_opt(graph, bounds, TREE_COUNT_GUARD),
         )
 
@@ -161,7 +162,7 @@ def test_no_bounds_is_zero_violation_at_smallest_tree(triangle):
         viol, witness = min_max_violation_over_trees(triangle, [], reverse=reverse)
         assert viol == 0 and type(viol) is type(ZERO)
         assert witness == 0b011
-    assert brute._brute_tree_opt(triangle, [], TREE_COUNT_GUARD).profile == ((ZERO, 2),)
+    assert _brute_tree_opt(triangle, [], TREE_COUNT_GUARD).profile == ((ZERO, 2),)
 
 
 # -- random inputs ------------------------------------------------------------------
@@ -207,7 +208,7 @@ def tree_cases(draw):
 def test_tree_scans_match_reference_on_random_instances(case):
     graph, bounds = case
     assert_same_brute(
-        brute._brute_tree_opt(graph, bounds, TREE_COUNT_GUARD),
+        _brute_tree_opt(graph, bounds, TREE_COUNT_GUARD),
         reference._brute_tree_opt(graph, bounds, TREE_COUNT_GUARD),
     )
     if not bounds:

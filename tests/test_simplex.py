@@ -17,6 +17,11 @@ from crossopt.simplex import (
 )
 
 
+def upper_row(lp, j):
+    """The tight_rows index of column j's upper bound."""
+    return len(lp.rows) + lp.num_vars + j
+
+
 def row_vector(lp, idx):
     """The rational coefficients, one per column, of a row or bound row
     of lp (the tight_rows index scheme)."""
@@ -93,8 +98,8 @@ def test_rank_of_tight_rows_at_four_cycle_half_point(edge_cover_4cycle):
 def test_tight_rows_include_bound_rows():
     lp = make_lp([1, 1], [([1, 1], "=", 2)])
     sol = simplex_solve(lp)
-    assert lp.upper_row(0) in sol.tight_rows
-    assert lp.upper_row(1) in sol.tight_rows
+    assert upper_row(lp, 0) in sol.tight_rows
+    assert upper_row(lp, 1) in sol.tight_rows
 
 
 def test_determinism_same_input_same_output():

@@ -15,7 +15,8 @@ same value, type and witness of every scan.
 
 from math import lcm
 
-from crossopt.brute import TREE_COUNT_GUARD, BruteMcstResult
+from brute_mcst import BruteMcstResult
+from crossopt.brute import TREE_COUNT_GUARD
 from crossopt.errors import SizeGuardError
 from crossopt.rational import Rat
 
