@@ -24,6 +24,35 @@ local exchange conditions (for all S and e != f outside S, compare
 r(S+e) + r(S+f) against r(S+e+f) + r(S)), which cover exactly the same
 inequalities as the pairwise definition.
 
+The exchange conditions, and the monotonicity of a matroid's rank, are
+decided by one packed-integer pass (SIMD within a register: Lamport
+1975, "Multiple byte processing with full-word instructions"; Fisher
+and Dietz 1998, "Compiling for SIMD within a register").  Let t be an
+int table with span = max(t) - min(t), and w = 8k the smallest
+whole-byte width with 2^(w-1) > 2 span.  P is one int whose field s
+(bits ws .. ws+w-1) holds t(s) - min(t), in [0, span]; H has 2^(w-1)
+in each of the 2^n fields.  Field s of P_e = P >> (w 2^e) holds field
+s + 2^e of P, which is t(S+e) - min(t) when S = s avoids e, and P_ef =
+P_e >> (w 2^f) holds t(S+e+f) - min(t) when S avoids both; every field
+of the shifted ints, also one wrapped in from another position or
+shifted past the top, lies in [0, span].  For each pair e < f,
+
+    y = H + P_e + P_f - P_ef - P
+
+(the pairs of terms swapped for supermodularity).  Taken field by
+field, the sum has 2^(w-1) + a + b - c - d in field s, with a, b, c, d
+in [0, span]; that lies in [2^(w-1) - 2 span, 2^(w-1) + 2 span], inside
+[0, 2^w), so these values are the base-2^w digits of y and no carry or
+borrow crosses a field.  Field s has its top bit set exactly when
+a + b - c - d >= 0.  So the condition holds for every S that avoids e
+and f exactly when y & M == M, where M = C_e & C_f and C_e marks the top
+bits of the fields whose index has bit e clear; the fields that wrap in
+from other positions are masked out.  Monotonicity is the same test on
+H + P_e - P under C_e, whose fields lie in [2^(w-1) - span, 2^(w-1) +
+span].  Only when the pass finds a violation are the tables scanned in
+order, to name the same first witness; a table whose packed int would
+exceed PACK_LIMIT bytes (a huge span) is scanned directly.
+
 ``uncross`` turns a family of tight sets or lattice members into a
 chain by meets and joins, for the tight-chain checks of the
 covering solvers.
@@ -31,13 +60,78 @@ covering solvers.
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
-from operator import eq, or_
+from itertools import compress, repeat
+from operator import eq, or_, sub
 
 from .errors import InstanceError, InternalCheckError
 from .graphs import iter_bits, mask_of
 
 MAX_GROUND = 16
+# bytes in one packed table (module docstring): at n = 16 this allows
+# fields of 16 bytes, so spans below 2^126; wider tables are scanned
+PACK_LIMIT = 1 << 20
+
+
+def _packed(table, n):
+    """(w, P, H, C) for the packed pass of the module docstring, with C
+    the list of C_e, or None when P would exceed PACK_LIMIT bytes."""
+    low = min(table)
+    size = ((max(table) - low).bit_length() + 9) // 8  # 2^(8 size - 1) > 2 span
+    if size << n > PACK_LIMIT:
+        return None
+    deltas = map(sub, table, repeat(low))
+    fields = b"".join(map(int.to_bytes, deltas, repeat(size), repeat("little")))
+    top = bytes(size - 1) + b"\x80"  # one field with only its top bit set
+    # C_e repeats 2^e top-bit fields (bit e of the index clear), 2^e zero ones
+    clear = [
+        (top * (1 << e) + bytes(size << e)) * (1 << (n - e - 1)) for e in range(n)
+    ]
+    return (
+        size * 8,
+        int.from_bytes(fields, "little"),
+        int.from_bytes(top * (1 << n), "little"),
+        [int.from_bytes(c, "little") for c in clear],
+    )
+
+
+def _packed_exchange_holds(table, n, direction):
+    """True when the packed pass shows that the table meets the local
+    exchange condition (direction as in _local_exchange_violation);
+    False when it finds a violation or cannot pack the table."""
+    packed = _packed(table, n)
+    if packed is None:
+        return False
+    w, p, half, clear = packed
+    up = [p >> (w << e) for e in range(n)]
+    for e in range(n):
+        for f in range(e + 1, n):
+            lhs = up[e] + up[f]
+            rhs = (up[e] >> (w << f)) + p
+            y = half + lhs - rhs if direction > 0 else half + rhs - lhs
+            mask = clear[e] & clear[f]
+            if y & mask != mask:
+                return False
+    return True
+
+
+def _packed_monotone(table, n):
+    """True when the packed pass shows t(S+e) >= t(S) for every S and e
+    outside S; False when it finds a violation or cannot pack the table."""
+    packed = _packed(table, n)
+    if packed is None:
+        return False
+    w, p, half, clear = packed
+    return all((half + (p >> (w << e)) - p) & c == c for e, c in enumerate(clear))
+
+
+def _monotonicity_violation(table, n):
+    """The first (S, e), in scan order, with e outside S and
+    t(S+e) < t(S), or None."""
+    for s in range(1 << n):
+        for e in range(n):
+            if not (s >> e) & 1 and table[s | (1 << e)] < table[s]:
+                return (s, e)
+    return None
 
 
 def _local_exchange_violation(table, n, direction):
@@ -58,7 +152,10 @@ def _local_exchange_violation(table, n, direction):
 
 def _check_local_exchange(table, n, direction, name):
     """Raise on the first local exchange violation (see
-    _local_exchange_violation)."""
+    _local_exchange_violation); the scan runs only when the packed pass
+    does not show that the condition holds."""
+    if _packed_exchange_holds(table, n, direction):
+        return
     witness = _local_exchange_violation(table, n, direction)
     if witness is not None:
         s, e, f = witness
@@ -82,13 +179,11 @@ class MatroidOracle:
         for e in range(self.n):
             if not 0 <= self.rank[1 << e] <= 1:
                 raise InstanceError(f"rank of single element {e} must be 0 or 1")
-        for s in range(1 << self.n):
-            for e in range(self.n):
-                if not (s >> e) & 1:
-                    if self.rank[s | (1 << e)] < self.rank[s]:
-                        raise InstanceError(
-                            f"monotonicity violated at S={s:#x} + element {e}"
-                        )
+        if not _packed_monotone(self.rank, self.n):
+            witness = _monotonicity_violation(self.rank, self.n)
+            if witness is not None:
+                s, e = witness
+                raise InstanceError(f"monotonicity violated at S={s:#x} + element {e}")
         _check_local_exchange(self.rank, self.n, +1, "matroid submodularity")
 
     def rank_of(self, mask):

@@ -9,6 +9,7 @@ seed-free.
 
 import random
 from dataclasses import dataclass
+from operator import le
 
 from .brute import brute_subset_opt
 from .graphs import Graph, mask_of
@@ -162,7 +163,8 @@ def random_intersection_instance(rng, max_elems=10, max_delta=3):
         random_supermodular_table(rng, n),
     )
     costs = tuple(Rat(rng.randint(1, 10)) for _ in range(n))
-    witness, _ = brute_subset_opt(n, lambda s: _covers(pair, s), [Rat(1)] * n)
+    requirement = list(map(max, pair.r1, pair.r2))
+    witness, _ = brute_subset_opt(n, lambda s: _covers(requirement, s), [Rat(1)] * n)
     sets = random_constraint_sets(rng, n, max_delta, rng.randint(1, 4))
     cons = tuple(
         CrossingConstraint(
@@ -173,11 +175,10 @@ def random_intersection_instance(rng, max_elems=10, max_delta=3):
     return IntersectionInstance(pair, costs, cons)
 
 
-def _covers(pair, mask):
-    for s in range(1, 1 << pair.n):
-        if (mask & s).bit_count() < pair.requirement(s):
-            return False
-    return True
+def _covers(requirement, mask):
+    """True when |mask & S| >= requirement[S] for every subset S."""
+    loads = map(int.bit_count, map(mask.__and__, range(len(requirement))))
+    return all(map(le, requirement, loads))
 
 
 # -- lattice ------------------------------------------------------------------

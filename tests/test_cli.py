@@ -340,6 +340,48 @@ def test_non_integer_rank_entry_is_usage_error(kind, tmp_path, capsys):
         assert "Traceback" not in err
 
 
+# case -> (solver, corruption of a valid instance body, error line):
+# one integer entry changed, so the table stays well-typed but breaks an
+# axiom.  The r1 table is gen_edge_cover_tight(1)'s, the matroid the
+# rank min(|S|, 7) on 8 elements of random_lattice_instance(seed 10).
+AXIOM_VIOLATIONS = {
+    "r1-supermodularity": (
+        "intersection",
+        lambda body: body["r1"].__setitem__(0b1111, 1),
+        "r1 supermodularity violated at S=0x3, e=2, f=3",
+    ),
+    "matroid-submodularity": (
+        "lattice",
+        lambda body: body["matroid_rank"].__setitem__(0b11, 1),
+        "matroid submodularity violated at S=0x1, e=1, f=2",
+    ),
+    "matroid-monotonicity": (
+        "lattice",
+        lambda body: body["matroid_rank"].__setitem__(0b1111, 6),
+        "monotonicity violated at S=0xf + element 4",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AXIOM_VIOLATIONS))
+def test_rank_table_axiom_violation_is_usage_error(case, tmp_path, capsys):
+    from crossopt.generators import gen_edge_cover_tight
+
+    kind, corrupt, message = AXIOM_VIOLATIONS[case]
+    if kind == "intersection":
+        body = gen_edge_cover_tight(1).to_json()
+    else:
+        body = random_lattice_instance(random.Random(10)).to_json()
+    corrupt(body)
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(body))
+    solution = tmp_path / "sol.json"
+    solution.write_text('{"ids": [0]}')
+    assert run_cli(f"solve-{kind}", "--in", str(inst), "--verify") == 2
+    assert run_cli("verify", "--in", str(inst), "--solution", str(solution)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n" * 2
+
+
 def _explicit_lattice_body():
     """A lattice instance of at most 32 members, written with its
     leq/meet/join tables (no matroid rank table), so decoding builds
