@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from operator import le
 
-from .brute import brute_subset_opt
+from .brute import brute_subset_opt  # noqa: F401  (perfbench traces it here by name)
 from .graphs import Graph, mask_of
 from .instances import (
     GENERAL,
@@ -163,8 +163,7 @@ def random_intersection_instance(rng, max_elems=10, max_delta=3):
         random_supermodular_table(rng, n),
     )
     costs = tuple(Rat(rng.randint(1, 10)) for _ in range(n))
-    requirement = list(map(max, pair.r1, pair.r2))
-    witness, _ = brute_subset_opt(n, lambda s: _covers(requirement, s), [Rat(1)] * n)
+    witness = _least_cover(n, list(map(max, pair.r1, pair.r2)))
     sets = random_constraint_sets(rng, n, max_delta, rng.randint(1, 4))
     cons = tuple(
         CrossingConstraint(
@@ -179,6 +178,26 @@ def _covers(requirement, mask):
     """True when |mask & S| >= requirement[S] for every subset S."""
     loads = map(int.bit_count, map(mask.__and__, range(len(requirement))))
     return all(map(le, requirement, loads))
+
+
+def _least_cover(n, requirement):
+    """The smallest mask of least popcount that covers requirement, or
+    None: the optimum brute_subset_opt picks at unit costs.  No mask of
+    fewer than requirement[full set] elements covers, so popcounts are
+    scanned upward from there, the masks of each in increasing order
+    (Gosper's hack: the next larger int with as many bits set)."""
+    end = 1 << n
+    for k in range(max(requirement[-1], 0), n + 1):
+        mask = (1 << k) - 1
+        while mask < end:
+            if _covers(requirement, mask):
+                return mask
+            if not mask:
+                break
+            low = mask & -mask
+            ripple = mask + low
+            mask = ripple | ((mask ^ ripple) >> 2) // low
+    return None
 
 
 # -- lattice ------------------------------------------------------------------

@@ -27,8 +27,26 @@ p = A[r][j] (row r negated first when p < 0, so q stays positive) sets
 A_i <- (A_i * p - A_ij * A_r) / q for every row i != r, then q <- p;
 by Sylvester's identity every division is exact.  Reduced costs are
 integers over q * C, C the lcm of the phase's cost denominators, and
-are updated as one more row.  Basic values, ratios and bounds stay
-rationals: they take O(m) operations per iteration.
+are updated as one more row.
+
+The right-hand side is one more column, the last of A, and no step of
+a solve touches a rational.  With R the lcm of the denominators of the
+shifted right-hand sides and of the finite spans (upper - lower), row
+i's column entry starts as R * L_i * (its shifted rhs) and every
+stored upper bound is R * span, all ints.  The column is always
+q * R * B^-1 (b - sum of u_j * a_j over the columns j at their upper
+bound), so beta_i = A[i][-1] is q * R times the value basic in row i.
+It takes the same Bareiss steps as every other column, and stays
+exact because q * B^-1 is an integer matrix (plus or minus the
+adjugate of B) and b - sum u_j a_j is an integer vector once scaled by
+R.  A change of which columns are at their upper bound moves it by an
+integer multiple of a column: a bound flip of j by R * span_j times
+column j, and before a pivot, column j leaving its upper bound by
+R * span_j times column j, and a basic variable leaving row r for its
+upper bound by q * R * span at row r.  The ratio test compares the
+limits num_i / |A[i][enter]|, num_i = beta_i or q * R * span - beta_i,
+by cross-multiplying ints, and solve reads the vertex as (D, X) off
+the column.
 
 The pivots are exactly those of a Fraction tableau on the unscaled
 rows.  T = B^-1 A does not depend on how rows are scaled.  Standing
@@ -38,7 +56,10 @@ So every reduced cost keeps its sign, every zero entry stays zero, and
 the ratios of one ratio test are all multiplied by the same positive
 factor (the scale of the entering column), which leaves Bland's choice
 of entering column, leaving row and tie-break unchanged; structural
-columns are never scaled, so their values are the same rationals.
+columns are never scaled, so their values are the same rationals.  The
+integer ratio test multiplies every limit, and the entering column's
+own span it is compared with, by the same R > 0 once more, so each
+comparison, and each tie, comes out as it does on the rationals.
 
 A solved or reused vertex is one Vertex: x = X / D, D the lcm of the
 values' denominators and X the ints D * x.  Row checks run on it in
@@ -67,7 +88,7 @@ the rows in order; ``m + j`` is the lower bound of column ``j``;
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import InternalCheckError
@@ -146,10 +167,14 @@ class Row(NamedTuple):
     def excess(self, point):
         """scale * D * Q * (lhs - rhs) at the Vertex point, Q the rhs's
         denominator: an int with the sign of lhs - rhs."""
-        load = 0  # scale * D * lhs
-        for a, mask in self.terms:
-            load += a * point.load(mask)
         rhs = self.rhs
+        terms = self.terms
+        if len(terms) == 1 and self.scale == 1 and terms[0][0] == 1:
+            # the 0/1 row x(mask) of every solver
+            return point.load(terms[0][1]) * rhs.denominator - rhs.numerator * point.den
+        load = 0  # scale * D * lhs
+        for a, mask in terms:
+            load += a * point.load(mask)
         return load * rhs.denominator - rhs.numerator * self.scale * point.den
 
 
@@ -395,26 +420,37 @@ class _Tableau:
         self.lp = lp
         n = lp.num_vars
         self.n_struct = n
-        # shift structurals to y = x - lower, so every internal variable
-        # has lower bound 0
-        self.shift = [Rat(lo) for lo in lp.lower]
-        self.span = [
-            None if up is None else up - lo for lo, up in zip(self.shift, lp.upper)
+        # structurals are shifted to y = x - lower, so every internal
+        # variable has lower bound 0.  K clears every denominator of the
+        # bounds and right-hand sides: K * span and K * (shifted rhs) are
+        # ints, and dividing them by their gcd g with K leaves R = K / g,
+        # the lcm of the spans' and shifted rhs values' denominators.
+        K = lcm(
+            *(lo.denominator for lo in lp.lower),
+            *(up.denominator for up in lp.upper if up is not None),
+            *(row.rhs.denominator for row in lp.rows),
+        )
+        self.K = K
+        self.shift = shift = [lo.numerator * (K // lo.denominator) for lo in lp.lower]
+        spans = [
+            None if up is None else up.numerator * (K // up.denominator) - s
+            for s, up in zip(shift, lp.upper)
         ]
 
-        # (integer form over structurals, row scale L, L * rhs, relation),
-        # negated where the shifted rhs is negative
+        # (integer form over structurals, row scale L, K * L * shifted
+        # rhs, relation), negated where the shifted rhs is negative
         rows = []
         self.slack_of_row = []
         self.art_of_row = []
         cols = n
         slack_cols = []
         art_cols = []
+        shifted = any(shift)
         for row in lp.rows:
             coeffs = row.columns(lp.var_ids)
-            rhs = row.rhs * row.scale - sum(
-                (a * s for a, s in zip(coeffs, self.shift) if a and s), ZERO
-            )
+            rhs = row.rhs.numerator * (K // row.rhs.denominator) * row.scale
+            if shifted:
+                rhs -= sum(a * s for a, s in zip(coeffs, shift) if a and s)
             rel = row.rel
             if rhs < 0:
                 coeffs = [-a for a in coeffs]
@@ -437,20 +473,22 @@ class _Tableau:
                 art_cols.append((cols, i))
                 cols += 1
 
+        g = gcd(K, *(u for u in spans if u), *(rhs for _, _, rhs, _ in rows))
+        self.R = K // g
         self.ncols = cols
         self.art_start = cols - len(art_cols)
-        # upper bounds per internal column (lower bounds are all 0)
-        self.ub = [None] * cols
-        for j in range(n):
-            self.ub[j] = self.span[j]
+        # R times the upper bound of each internal column (lower bounds
+        # are all 0), an int or None
+        self.ub = [None if u is None else u // g for u in spans] + [None] * (cols - n)
 
         m = len(rows)
         self.m = m
         # row i is row_scale[i] times the original; its slack and
-        # artificial stand for row_scale[i] times the originals
+        # artificial stand for row_scale[i] times the originals.  Column
+        # ncols, the last, is the right-hand side: beta_i = q * R times
+        # the value of the variable basic in row i.
         self.row_scale = [k for _, k, _, _ in rows]
-        self.A = [coeffs + [0] * (cols - n) for coeffs, _, _, _ in rows]
-        self.bval = [rhs for _, _, rhs, _ in rows]
+        self.A = [coeffs + [0] * (cols - n) + [rhs // g] for coeffs, _, rhs, _ in rows]
         for col, i, sign in slack_cols:
             self.A[i][col] = sign
         for col, i in art_cols:
@@ -473,13 +511,6 @@ class _Tableau:
         self.pivots = 0
 
     # -- basic helpers -------------------------------------------------
-
-    def value_of(self, j):
-        if self.status[j] == "B":
-            return self.bval[self.row_of[j]]
-        if self.status[j] == "U":
-            return self.ub[j]
-        return ZERO
 
     def set_costs(self, cost, cost_den):
         """Reduced costs for the internal cost vector cost / cost_den
@@ -512,33 +543,49 @@ class _Tableau:
         if self.pivots > _MAX_PIVOTS:
             raise InternalCheckError("pivot limit exceeded")
 
-    def _enter_basis(self, r, j, new_value, leave_status):
+    def _shift_rhs(self, j, t):
+        """Raise the nonbasic variable j by t / R: the right-hand side
+        column gives up t times column j."""
+        for row in self.A:
+            a = row[j]
+            if a:
+                row[-1] -= t * a
+
+    def _enter_basis(self, r, j, leave_status):
+        """Pivot column j into row r; its old basic variable leaves at
+        leave_status.  The right-hand side column first takes j off its
+        upper bound and puts the leaving variable at its new bound, so
+        the pivot leaves it at the new basis's values."""
         old = self.basis[r]
+        if self.status[j] == "U":
+            self._shift_rhs(j, -self.ub[j])
+        if leave_status == "U":
+            self.A[r][-1] -= self.q * self.ub[old]
         self._pivot(r, j)
         self.basis[r] = j
         del self.row_of[old]
         self.row_of[j] = r
         self.status[old] = leave_status
         self.status[j] = "B"
-        self.bval[r] = new_value
 
     # -- simplex iterations --------------------------------------------
 
     def optimize(self, allow_art_entering):
         """Bland-rule iteration until optimal; raises LpUnbounded."""
         A = self.A
+        ub = self.ub
+        basis = self.basis
+        status = self.status
         while True:
             enter = None
             direction = 0
             limit = self.ncols if allow_art_entering else self.art_start
+            d = self.d
             for j in range(limit):
-                st = self.status[j]
-                if st == "B":
-                    continue
-                ubj = self.ub[j]
-                if ubj is not None and ubj == 0:
-                    continue  # fixed variable can never move
-                dj = self.d[j]
+                st = status[j]
+                if st == "B" or ub[j] == 0:
+                    continue  # a fixed variable can never move
+                dj = d[j]
                 if st == "L" and dj < 0:
                     enter = j
                     direction = 1
@@ -550,78 +597,64 @@ class _Tableau:
             if enter is None:
                 return
 
-            # ratio test: largest step t >= 0 for the entering variable;
-            # column entries are A[i][enter] / q with q > 0
+            # ratio test: the step limit of row i is num / (R * a) with
+            # a = |A[i][enter]| (over q > 0), compared by cross-multiplying
             q = self.q
-            best_t = None
-            leave_row = None
-            leave_to = None
-            leave_var = None
-            for i in range(self.m):
-                a = A[i][enter]
+            best_num = best_a = leave_row = leave_to = leave_var = None
+            for i, row in enumerate(A):
+                a = row[enter]
                 if not a:
                     continue
-                a *= direction
+                if direction < 0:
+                    a = -a
                 if a > 0:
-                    lim = self.bval[i] * q / a
+                    num = row[-1]
                     to = "L"
                 else:
-                    ub_b = self.ub[self.basis[i]]
-                    if ub_b is None:
+                    u = ub[basis[i]]
+                    if u is None:
                         continue
-                    lim = (ub_b - self.bval[i]) * q / (-a)
+                    num = q * u - row[-1]
+                    a = -a
                     to = "U"
-                if (
-                    best_t is None
-                    or lim < best_t
-                    or (lim == best_t and self.basis[i] < leave_var)
-                ):
-                    best_t = lim
-                    leave_row = i
-                    leave_to = to
-                    leave_var = self.basis[i]
+                if best_a is not None:
+                    lhs, rhs = num * best_a, best_num * a
+                    if lhs > rhs or (lhs == rhs and basis[i] > leave_var):
+                        continue
+                best_num, best_a = num, a
+                leave_row, leave_to, leave_var = i, to, basis[i]
 
-            own = self.ub[enter]
-            if own is not None and (best_t is None or own < best_t):
-                # bound flip, basis unchanged
-                t = own
-                if t:
-                    step = t * direction / q
-                    for i in range(self.m):
-                        a = A[i][enter]
-                        if a:
-                            self.bval[i] -= step * a
-                self.status[enter] = "U" if direction == 1 else "L"
+            own = ub[enter]
+            if own is not None and (best_a is None or own * best_a < best_num):
+                # bound flip, basis unchanged (own > 0: the scan skips
+                # fixed variables)
+                self._shift_rhs(enter, direction * own)
+                status[enter] = "U" if direction == 1 else "L"
                 continue
-            if best_t is None:
+            if best_a is None:
                 raise LpUnbounded()
-            t = best_t
-            if t:
-                step = t * direction / q
-                for i in range(self.m):
-                    a = A[i][enter]
-                    if a:
-                        self.bval[i] -= step * a
-            new_val = self.value_of(enter) + t * direction
-            self._enter_basis(leave_row, enter, new_val, leave_to)
+            self._enter_basis(leave_row, enter, leave_to)
 
     def drive_out_artificials(self):
         for r in range(self.m):
             b = self.basis[r]
             if b < self.art_start:
                 continue
-            if self.bval[r] != 0:
+            row = self.A[r]
+            if row[-1]:
                 raise InternalCheckError("artificial basic at nonzero value")
             target = None
             for j in range(self.art_start):
-                if self.status[j] != "B" and self.A[r][j]:
+                if self.status[j] != "B" and row[j]:
                     target = j
                     break
             if target is None:
                 continue  # redundant row; artificial stays pinned at 0
-            self._enter_basis(r, target, self.value_of(target), "L")
+            self._enter_basis(r, target, "L")
 
     def solve(self):
+        """The optimal vertex as (D, X): x = X / D with D the lcm of the
+        values' denominators, as scale_values gives it."""
         has_art = self.art_start < self.ncols
         if has_art:
             # the artificial of row i stands for row_scale[i] times the
@@ -637,14 +670,13 @@ class _Tableau:
                 cost1[j] = den // k
             self.set_costs(cost1, den)
             self.optimize(allow_art_entering=True)
-            infeas = sum(
-                (self.value_of(j) for j in range(self.art_start, self.ncols)), ZERO
-            )
-            if infeas != 0:
+            # every basic value is >= 0: infeasible when an artificial is not 0
+            art_start = self.art_start
+            if any(row[-1] for b, row in zip(self.basis, self.A) if b >= art_start):
                 raise LpInfeasible()
             self.drive_out_artificials()
             for j in range(self.art_start, self.ncols):
-                self.ub[j] = ZERO
+                self.ub[j] = 0
 
         den = lcm(*(c.denominator for c in self.lp.objective if c))
         cost2 = [0] * self.ncols
@@ -652,12 +684,28 @@ class _Tableau:
             cost2[j] = c.numerator * (den // c.denominator)
         self.set_costs(cost2, den)
         self.optimize(allow_art_entering=False)
+        return self.vertex()
 
-        return tuple(
-            self.value_of(j) + self.shift[j] for j in range(self.n_struct)
-        )
-
-
+    def vertex(self):
+        """(D, X) of the structural values x_j = y_j + lower_j, from
+        y_j = beta / (q * R) (basic), ub_j / R (at U) or 0: over
+        M = q * K they are g * (beta, q * ub_j or 0) + q * K * lower_j,
+        g = K / R, and dividing M and them by their gcd leaves D."""
+        q, A, status, ub = self.q, self.A, self.status, self.ub
+        g = self.K // self.R
+        nums = []
+        for j, shift in enumerate(self.shift):
+            st = status[j]
+            if st == "B":
+                y = A[self.row_of[j]][-1]
+            elif st == "U":
+                y = q * ub[j]
+            else:
+                y = 0
+            nums.append(y * g + q * shift)
+        M = q * self.K
+        common = gcd(M, *nums)
+        return M // common, [x // common for x in nums]
 
 
 def row_status(lp, point):
@@ -765,16 +813,16 @@ def simplex_solve(lp):
 
     Deterministic: identical input yields the identical Vertex.
     """
-    values = ()
+    den, scaled = 1, ()
     if lp.num_vars:
         tableau = _Tableau(lp)
         try:
-            values = tableau.solve()
+            den, scaled = tableau.solve()
         finally:
             STATS["pivots"] += tableau.pivots
         infeasible = InternalCheckError("simplex returned an infeasible point")
     else:
         infeasible = LpInfeasible()
-    point = certify(Vertex.at(lp, values), infeasible)
+    point = certify(Vertex.scaled_at(lp, den, tuple(scaled)), infeasible)
     STATS["solves"] += 1
     return point

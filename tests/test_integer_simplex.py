@@ -6,11 +6,14 @@ dense_rows.py); that adapter at its input is the only difference.
 Every LP must give the identical solution (values, objective, tight
 rows, and their rational types), the identical pivot count, or the
 identical exception.  The two tableaux are also stepped side by side:
-after every pivot and every change of costs, A / q and the integer
-reduced costs must equal the Fraction tableau's entries, up to the row
-scale L_i for which a scaled row's slack and artificial stand.  The
+after every pivot and every change of costs, A / q, the integer
+reduced costs and the basic values beta_i / (q * R) of the integer
+right-hand side column must equal the Fraction tableau's entries, up
+to the row scale L_i for which a scaled row's slack and artificial
+stand.  The
 integer row checks and certificate must give the tight rows, rank or
-error of the Fraction ones and of the dense integer ones they replaced.
+error of the Fraction ones and of the dense integer ones they replaced,
+on general rows and on the one-term 0/1 rows of the solvers.
 """
 
 import random
@@ -91,26 +94,45 @@ class Recorded:
 
 class FractionTableau(Recorded, reference._Tableau):
     def snapshot(self):
-        return list(self.basis), [list(row) for row in self.T], list(self.d)
+        return (
+            list(self.basis),
+            [list(row) for row in self.T],
+            list(self.d),
+            list(self.bval),
+        )
 
 
 class IntegerTableau(Recorded, simplex._Tableau):
     def snapshot(self):
         """Entries in the units of the Fraction tableau: a slack or
-        artificial of row i stands for row_scale[i] times the original."""
-        scale = [1] * self.ncols
+        artificial of row i stands for row_scale[i] times the original,
+        so here its column is divided by row_scale[i] and its basic value
+        multiplied by it, and the snapshot undoes both.  q, R, the right-hand side column and the
+        stored bounds R * span are all ints."""
+        ncols = self.ncols
+        scale = [1] * ncols
         for i, k in enumerate(self.row_scale):
             for col in (self.slack_of_row[i], self.art_of_row[i]):
                 if col is not None:
                     scale[col] = k
-        q = self.q
-        assert q > 0
+        q, R = self.q, self.R
+        assert type(q) is int and q > 0 and type(R) is int and R > 0
+        assert all(u is None or type(u) is int for u in self.ub)
+        assert all(len(row) == ncols + 1 and type(row[-1]) is int for row in self.A)
         rows = [
-            [Rat(a, q) * scale[k] / scale[b] for k, a in enumerate(row)]
+            [Rat(a, q) * scale[k] / scale[b] for k, a in enumerate(row[:ncols])]
             for b, row in zip(self.basis, self.A)
         ]
         d = [Rat(a, q * self.cost_den) * scale[k] for k, a in enumerate(self.d)]
-        return list(self.basis), rows, d
+        bval = [Rat(row[-1], q * R) / scale[b] for b, row in zip(self.basis, self.A)]
+        return list(self.basis), rows, d, bval
+
+    def solve(self):
+        """The values as rationals; (D, X) must be their scale_values."""
+        den, scaled = super().solve()
+        values = tuple(Rat(x, den) for x in scaled)
+        assert (den, scaled) == scale_values(values)
+        return values
 
 
 def run_tableau(cls, lp):
@@ -119,14 +141,14 @@ def run_tableau(cls, lp):
         values = tableau.solve()
     except (LpInfeasible, LpUnbounded) as exc:
         values = type(exc)
-    return values, tableau.snapshots, tableau.pivots
+    return values, tableau.snapshots, tableau.pivots, tableau
 
 
 def assert_same_run(lp):
     got = solve_counted(simplex_solve, lp)
     assert got == solve_counted(reference.simplex_solve, lp)
-    values, snapshots, pivots = run_tableau(IntegerTableau, lp)
-    ref_values, ref_snapshots, ref_pivots = run_tableau(FractionTableau, dense_lp(lp))
+    values, snapshots, pivots, _ = run_tableau(IntegerTableau, lp)
+    ref_values, ref_snapshots, ref_pivots, _ = run_tableau(FractionTableau, dense_lp(lp))
     assert values == ref_values and pivots == ref_pivots
     assert len(snapshots) == len(ref_snapshots)
     for step, (snap, ref_snap) in enumerate(zip(snapshots, ref_snapshots)):
@@ -200,6 +222,18 @@ FIXED = {
         [1, 2, 3],
         [([1, 1, 1], "=", 2), ([Rat(1, 2), Rat(1, 2), Rat(1, 2)], "=", 1)],
     ),
+    "bound-flips-over-non-integral-spans": make_lp(
+        [-1, -1], [([1, 1], "<=", 5)], upper=[Rat(3, 2), Rat(5, 3)]
+    ),
+    "fractional-lower-bounds": make_lp(
+        [1, -1],
+        [([1, 2], ">=", 1), ([Rat(1, 2), 1], "<=", 3)],
+        lower=[Rat(1, 3), Rat(-1, 4)],
+        upper=[2, Rat(5, 2)],
+    ),
+    "degenerate-tie-to-lower-index": make_lp(
+        [-1, 0], [([1, -1], "=", 0), ([Rat(1, 2), Rat(-1, 3)], "<=", 0)]
+    ),
 }
 
 
@@ -208,6 +242,24 @@ def test_fixed_lps_match_reference(name):
     got = assert_same_run(FIXED[name])
     expected = {"infeasible": LpInfeasible, "unbounded": LpUnbounded}.get(name)
     assert got is expected if expected else isinstance(got, BasicSolution)
+
+
+def test_fixed_lps_reach_their_cases():
+    def run(name):
+        return run_tableau(IntegerTableau, FIXED[name])
+
+    # both variables flip to upper bounds 3/2 and 5/3 without a pivot
+    values, _, pivots, tableau = run("bound-flips-over-non-integral-spans")
+    assert values == (Rat(3, 2), Rat(5, 3)) and pivots == 0
+    assert tableau.R == 6 and tableau.status[:2] == ["U", "U"]
+    # the lower bounds 1/3 and -1/4 shift every rhs and span
+    _, _, _, tableau = run("fractional-lower-bounds")
+    assert tableau.R == 12 and tableau.ub[:2] == [20, 33]
+    # x0 enters with ratio 0 in both rows; row 1's slack (column 2)
+    # leaves before row 0's artificial (column 3)
+    _, snapshots, _, _ = run("degenerate-tie-to-lower-index")
+    assert snapshots[0][0] == [3, 2] and snapshots[1][0] == [3, 0]
+    assert snapshots[1][3] == [0, 0]
 
 
 @pytest.mark.parametrize("rel, rhs", [("<=", 1), ("=", 0), (">=", 1)])
@@ -247,9 +299,22 @@ def assert_same_checks(lp, point):
     return tight, outcome
 
 
+def zero_one_rows(lp):
+    """lp with each row replaced by the 0/1 row x(support) of the same
+    relation and rhs: the one-term rows Row.excess checks without its
+    term loop."""
+    rows = tuple(
+        Row.of_mask(sum(mask for _, mask in row.terms), row.rel, row.rhs)
+        for row in lp.rows
+    )
+    return replace(lp, rows=rows)
+
+
 @settings(max_examples=300, deadline=None)
-@given(lps(), st.data())
-def test_row_checks_and_certificates_match_reference(lp, data):
+@given(lps(), st.booleans(), st.data())
+def test_row_checks_and_certificates_match_reference(lp, zero_one, data):
+    if zero_one:
+        lp = zero_one_rows(lp)
     point = st.lists(bound_value, min_size=lp.num_vars, max_size=lp.num_vars)
     assert_same_checks(lp, Vertex.at(lp, tuple(data.draw(point))))
     try:

@@ -10,7 +10,8 @@ negative entries and with entries as large as 10**300, for n = 0..8;
 and on every rank table of the benchmark's covering-corpus at seed 0.
 A table too wide to pack is decided by the scans alone.  At the size
 limit (MAX_GROUND = 16) valid tables are accepted and corrupted ones
-refused with the scan's witness.
+refused with the scan's witness.  The generator's witness cover, found
+by a popcount scan, must be brute_subset_opt's unit-cost optimum.
 """
 
 import importlib.util
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 import pair_covers
 from crossopt import randgen
+from crossopt.brute import brute_subset_opt
 from crossopt.errors import InstanceError
 from crossopt.instances import LatticeInstance, load_instance
 from crossopt.oracles import (
@@ -38,6 +40,7 @@ from crossopt.oracles import (
     _packed_exchange_holds,
     _packed_monotone,
 )
+from crossopt.rational import Rat
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -244,6 +247,25 @@ def test_covers_matches_reference(data):
     requirement = list(map(max, r1, r2))
     for mask in range(size):
         assert randgen._covers(requirement, mask) is pair_covers._covers(pair, mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_least_cover_matches_brute_force(data):
+    # the generator's witness: brute_subset_opt at unit costs, on random
+    # requirements (some covered by no mask) and on generated pairs
+    n = data.draw(st.integers(0, 7))
+    size = 1 << n
+    if n and data.draw(st.booleans()):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        tables = [randgen.random_supermodular_table(rng, n) for _ in range(2)]
+        requirement = list(map(max, *tables))
+    else:
+        requirement = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    expected, _ = brute_subset_opt(
+        n, lambda s: randgen._covers(requirement, s), [Rat(1)] * n
+    )
+    assert randgen._least_cover(n, requirement) == expected
 
 
 def test_covers_matches_reference_on_the_acceptance_stream():
