@@ -63,6 +63,7 @@ class Graph:
         for e in self.edges:
             self.incidence[e.u] |= 1 << e.id
             self.incidence[e.v] |= 1 << e.id
+        self._cuts = {}  # vertex mask -> (delta, touching), see cut()
 
     @classmethod
     def from_pairs(cls, n, pairs, costs=None):
@@ -75,28 +76,34 @@ class Graph:
             [Edge(i, u, v, Rat(c)) for i, ((u, v), c) in enumerate(zip(pairs, costs))],
         )
 
+    def cut(self, vmask):
+        """(delta, touching) of vmask: the XOR of its vertices' incidence
+        masks, in which an edge with both endpoints in vmask cancels, and
+        their OR.  Computed on first use and kept, since the graph never
+        changes and the solvers ask for the same vertex sets again."""
+        cut = self._cuts.get(vmask)
+        if cut is None:
+            delta = touching = 0
+            for v in iter_bits(vmask & self.full_vmask):
+                delta ^= self.incidence[v]
+                touching |= self.incidence[v]
+            cut = self._cuts[vmask] = (delta, touching)
+        return cut
+
     def delta_mask(self, vmask, within=None):
         """Edges with exactly one endpoint in vmask (restricted to
-        `within`): the XOR of the vertices' incidence masks, in which an
-        edge with both endpoints in vmask cancels."""
-        out = 0
-        for v in iter_bits(vmask & self.full_vmask):
-            out ^= self.incidence[v]
+        `within`)."""
+        out = self.cut(vmask)[0]
         return out if within is None else out & within
 
     def touching_mask(self, vmask, within=None):
-        """Edges with an endpoint in vmask: the OR of incidence masks."""
-        out = 0
-        for v in iter_bits(vmask & self.full_vmask):
-            out |= self.incidence[v]
+        """Edges with an endpoint in vmask."""
+        out = self.cut(vmask)[1]
         return out if within is None else out & within
 
     def induced_mask(self, vmask, within=None):
         """Edges with both endpoints in vmask: touching but not crossing."""
-        touching = delta = 0
-        for v in iter_bits(vmask & self.full_vmask):
-            touching |= self.incidence[v]
-            delta ^= self.incidence[v]
+        delta, touching = self.cut(vmask)
         out = touching & ~delta
         return out if within is None else out & within
 

@@ -441,4 +441,11 @@ def dump_instance(instance, path):
 
 
 def instance_digest(instance):
-    return digest_of(instance.to_json())
+    """sha256 of the instance's canonical JSON.  Instances are frozen,
+    so the digest is computed once and kept on the instance: a solve
+    command's trace and report share it."""
+    digest = instance.__dict__.get("_digest")
+    if digest is None:
+        digest = digest_of(instance.to_json())
+        object.__setattr__(instance, "_digest", digest)
+    return digest

@@ -24,53 +24,63 @@ loosens rows, so the old vertex need not stay optimal and the LP is
 solved again.
 
 A node is good when at most MAX_LOCAL = 24 undecided edges are local to
-it.  If no step applies the run aborts with an internal error: the
-counting argument behind the algorithm guarantees this never happens,
-and the event trace emitted by every run lets the guarantee verifier
-re-check the degree-violation bound round by round.
+it.  Its local edges are its reach (the edges touching it, less those
+inside a grandchild or crossing both a grandchild and the node) within
+the undecided edges.  The reach depends only on the forest's shape, so
+the state keeps it for every alive node until a drop or merge step.
+
+If no step applies the run aborts with an internal error: the counting
+argument behind the algorithm guarantees this never happens, and the
+event trace emitted by every run lets the guarantee verifier re-check
+the degree-violation bound round by round.
 """
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import InstanceError, InternalCheckError, NoStepApplies
 from .graphs import iter_bits
-from .laminar import all_consecutive_blocks
+from .instances import _rat
+from .laminar import VIRTUAL_ROOT, all_consecutive_blocks
 from .lpengine import ResidualMcstLp, tighten_degree_bounds
 
 # imported by name so that crossopt.mcst.solve_to_extreme_point, which
 # the benchmark's wrapper test reads, stays the lpengine function
 from .lpengine import solve_to_extreme_point  # noqa: F401
-from .rational import ONE, ZERO, Rat, encode_rationals, parse_rat, render_rat
+from .rational import ONE, ZERO, Rat, encode_rationals, render_rat
 from .relax import relax
 
 MAX_LOCAL = 24  # locality threshold for "good" nodes
 VIOLATION_FACTOR = 4 * MAX_LOCAL  # additive degree slack per drop round
 
 
-def local_edges(forest, graph, eprime, node_id):
-    """Undecided edges touching the node, excluding any edge inside a
-    grandchild or crossing both a grandchild and the node itself."""
-    node = forest.node(node_id)
-    if not node.alive:
-        raise InstanceError(f"node {node_id} is dead")
-    touching = graph.touching_mask(node.vset, within=eprime)
-    delta_s = graph.delta_mask(node.vset, within=eprime)
+def node_reach(forest, graph, node_id):
+    """Edges touching the node, excluding any edge inside a grandchild
+    or crossing both a grandchild and the node itself.  The node's local
+    edges are its reach restricted to the undecided edges; the reach
+    itself depends only on the forest's shape."""
+    delta_s, touching = graph.cut(forest.node(node_id).vset)
     exclude = 0
     for gid in forest.grandchildren(node_id):
-        gv = forest.node(gid).vset
-        exclude |= graph.induced_mask(gv, within=eprime)
-        exclude |= graph.delta_mask(gv, within=eprime) & delta_s
+        delta_g, touching_g = graph.cut(forest.node(gid).vset)
+        exclude |= (touching_g & ~delta_g) | (delta_g & delta_s)
     return touching & ~exclude
 
 
-def classify_good(forest, graph, eprime):
+def reach_masks(forest, graph):
+    """{alive node id: node_reach} in id order."""
+    return {nid: node_reach(forest, graph, nid) for nid in forest.alive_ids()}
+
+
+def classify_good(forest, reach, eprime):
     """Split alive good nodes by leaf status; also return the local-edge
-    masks so callers can check the edge-locality bound."""
+    masks (each reach & eprime) so callers can check the edge-locality
+    bound.  ``reach`` is reach_masks of the forest."""
     locals_by = {}
     good_nonleaves = []
     good_leaves = []
-    for nid in forest.alive_ids():
-        mask = local_edges(forest, graph, eprime, nid)
+    for nid, node_reach_mask in reach.items():
+        mask = node_reach_mask & eprime
         locals_by[nid] = mask
         if mask.bit_count() <= MAX_LOCAL:
             if forest.node(nid).is_leaf():
@@ -101,6 +111,10 @@ class McstState:
         self.forest = instance.build_forest()
         self.eprime = self.graph.all_edges_mask
         self.fmask = 0
+        self.fcost = ZERO  # c(F), kept by fix_edge
+        # reach_masks of the forest; None after a drop or merge step,
+        # the only steps that change a node's grandchildren
+        self.reach = None
         self.iteration_cap = (
             self.eprime.bit_count() + drop_round_limit(self.graph.n) + 2
         )
@@ -120,17 +134,18 @@ class McstState:
         return ResidualMcstLp(self.graph, self.eprime, self.fmask, rows)
 
     def fix_edge(self, eid):
-        edge = self.graph.by_id[eid]
-        self.fmask |= 1 << eid
-        self.eprime &= ~(1 << eid)
-        for nid in self.forest.alive_ids():
-            node = self.forest.node(nid)
-            if edge.crosses(node.vset):
+        bit = 1 << eid
+        self.fmask |= bit
+        self.eprime &= ~bit
+        self.fcost += self.graph.by_id[eid].cost
+        delta_mask = self.graph.delta_mask
+        for node in self.forest.nodes:
+            if node.alive and delta_mask(node.vset) & bit:
                 if node.bound < 1:
                     raise InternalCheckError(
-                        f"fixing edge {eid} drives bound of node {nid} negative"
+                        f"fixing edge {eid} drives bound of node {node.id} negative"
                     )
-                self.forest.set_bound(nid, node.bound - ONE)
+                self.forest.set_bound(node.id, node.bound - ONE)
 
     def delete_edge(self, eid):
         self.eprime &= ~(1 << eid)
@@ -139,7 +154,7 @@ class McstState:
         """Tighten, check the invariants and apply try_step; True after
         a fix or delete, whose new region is a face of the old one."""
         graph = self.graph
-        if graph.cost_of(self.fmask) + point.objective > lp_initial:
+        if self.fcost + point.objective > lp_initial:
             raise InternalCheckError("cost accounting broke: c(F) + z > z0")
         changes = tighten_degree_bounds(self.forest, graph, self.eprime, point)
         trace.add(
@@ -151,7 +166,9 @@ class McstState:
                 ],
             }
         )
-        classified = classify_good(self.forest, graph, self.eprime)
+        if self.reach is None:
+            self.reach = reach_masks(self.forest, graph)
+        classified = classify_good(self.forest, self.reach, self.eprime)
         assert_edge_locality(classified[0], self.eprime)
         _assert_degree_accounting(self)
         before = self.forest.size()
@@ -214,6 +231,7 @@ def try_step(state, point, classified):
             )
         parents = sorted(chosen)
         dropped = forest.drop_children_of(parents)
+        state.reach = None
         return {
             "ev": "drop_children",
             "parity": parity,
@@ -238,6 +256,7 @@ def try_step(state, point, classified):
                 leftover = ordered[-1]
                 forest.remove_leaf(leftover)
                 removed.append([pkey, leftover])
+        state.reach = None
         return {"ev": "merge_leaves", "merges": merges, "removed": removed}
 
     raise NoStepApplies(
@@ -323,45 +342,111 @@ class ReplayResult:
 
 def replay_trace(instance, trace):
     """Re-apply the event log mechanically (no LP solves) and check it
-    reproduces the recorded final tree and forest."""
+    reproduces the recorded final tree and forest.
+
+    Events are numbered from 1 in trace order (a trace file's line
+    numbers when it has no blank lines).  A field that replay cannot
+    apply, such as a node or edge the run does not have, is an
+    InstanceError naming the event and the field; a well-formed event
+    that does not reproduce the run is an InternalCheckError."""
     state = McstState(instance)
     forest = state.forest
     snapshots = [(forest.snapshot(), state.eprime)]
-    for ev in trace.events:
+    for number, ev in enumerate(trace.events, 1):
         kind = ev["ev"]
         if kind in ("begin", "solve"):
             continue
+        where = f"trace event {number} ({kind})"
         if kind == "tighten":
-            for nid, old, new in ev["changes"]:
-                if forest.node(nid).bound != parse_rat(old):
+            for i, (nid, old, new) in enumerate(_entries(ev, "changes", 3, where)):
+                field = f"{where} changes[{i}]"
+                nid = _node_id(nid, forest, field)
+                old, new = _rat(old, field), _rat(new, field)
+                if forest.node(nid).bound != old:
                     raise InternalCheckError(
                         f"replay mismatch: node {nid} bound differs before tighten"
                     )
-                forest.set_bound(nid, parse_rat(new))
-        elif kind == "fix":
-            state.fix_edge(ev["edge"])
-        elif kind == "delete":
-            state.delete_edge(ev["edge"])
+                forest.set_bound(nid, new)
+        elif kind in ("fix", "delete"):
+            eid = _field(ev, "edge", where)
+            if type(eid) is not int or eid not in instance.graph.by_id:
+                raise InstanceError(
+                    f"{where} edge must be an edge id of the instance, got {eid!r}"
+                )
+            if kind == "fix":
+                state.fix_edge(eid)
+            else:
+                state.delete_edge(eid)
         elif kind == "drop_children":
-            dropped = forest.drop_children_of(tuple(ev["parents"]))
-            if sorted(dropped) != sorted(ev["dropped"]):
+            parents = _node_ids(ev, "parents", forest, where)
+            expected = _node_ids(ev, "dropped", forest, where)
+            dropped = forest.drop_children_of(tuple(parents))
+            if sorted(dropped) != sorted(expected):
                 raise InternalCheckError("replay mismatch: dropped set differs")
+            state.reach = None
             snapshots.append((forest.snapshot(), state.eprime))
         elif kind == "merge_leaves":
-            for pkey, first, second, new_id in ev["merges"]:
-                got = forest.merge_leaf_pair(first, second)
+            merges = _entries(ev, "merges", 4, where)
+            removed = _entries(ev, "removed", 2, where)
+            for i, (pkey, first, second, new_id) in enumerate(merges):
+                field = f"{where} merges[{i}]"
+                _node_id(pkey, forest, field, root_ok=True)
+                got = forest.merge_leaf_pair(
+                    _node_id(first, forest, field), _node_id(second, forest, field)
+                )
                 if got != new_id:
                     raise InternalCheckError("replay mismatch: merged node id")
-            for pkey, nid in ev["removed"]:
-                forest.remove_leaf(nid)
+            for i, (pkey, nid) in enumerate(removed):
+                field = f"{where} removed[{i}]"
+                _node_id(pkey, forest, field, root_ok=True)
+                forest.remove_leaf(_node_id(nid, forest, field))
+            state.reach = None
             snapshots.append((forest.snapshot(), state.eprime))
         elif kind == "end":
             matches = (
-                ev["tree"] == sorted(iter_bits(state.fmask))
-                and ev["forest"] == _forest_json(forest)
+                _field(ev, "tree", where) == sorted(iter_bits(state.fmask))
+                and _field(ev, "forest", where) == _forest_json(forest)
             )
             return ReplayResult(state.fmask, forest, tuple(snapshots), matches)
     raise InstanceError("trace has no end event")
+
+
+def _field(ev, name, where):
+    if name not in ev:
+        raise InstanceError(f"{where} has no field {name!r}")
+    return ev[name]
+
+
+def _entries(ev, name, arity, where):
+    """The list field ``name`` of the event, each entry a list of
+    ``arity`` items."""
+    value = _field(ev, name, where)
+    if not isinstance(value, list) or not all(
+        isinstance(entry, list) and len(entry) == arity for entry in value
+    ):
+        raise InstanceError(
+            f"{where} {name} must be a list of {arity}-item lists, got {value!r}"
+        )
+    return value
+
+
+def _node_id(value, forest, field, root_ok=False):
+    """value, which must be the id of a node of the forest, alive or
+    not (or, with root_ok, VIRTUAL_ROOT, the parent key of the roots)."""
+    if type(value) is int and (
+        0 <= value < len(forest.nodes) or (root_ok and value == VIRTUAL_ROOT)
+    ):
+        return value
+    raise InstanceError(
+        f"{field} must name a node 0..{len(forest.nodes) - 1}, got {value!r}"
+    )
+
+
+def _node_ids(ev, name, forest, where):
+    value = _field(ev, name, where)
+    if not isinstance(value, list):
+        raise InstanceError(f"{where} {name} must be a list of node ids, got {value!r}")
+    return [_node_id(v, forest, f"{where} {name}[{i}]") for i, v in enumerate(value)]
 
 
 def verify_guarantee(instance, tree, trace):
@@ -401,34 +486,44 @@ def verify_guarantee(instance, tree, trace):
     if not round_ok:
         failures.append("round-count")
 
-    slack_total = Rat(VIOLATION_FACTOR * T)
+    # original bounds are integers (McstInstance checks them when built)
+    slack_total = VIOLATION_FACTOR * T
     orig_ok = True
     worst = None
     for idx, (vmask, bound) in enumerate(instance.family):
-        load = (graph.delta_mask(vmask) & tree).bit_count()
-        if Rat(load) > bound + slack_total:
+        over = (graph.delta_mask(vmask) & tree).bit_count() - bound.numerator
+        if over > slack_total:
             orig_ok = False
             failures.append(f"original-bound set#{idx}")
-        if worst is None or Rat(load) - bound > worst:
-            worst = Rat(load) - bound
-    checks.append(
-        ("original-bounds", orig_ok, {"max_violation": worst, "allowed": slack_total})
-    )
+        if worst is None or over > worst:
+            worst = over
+    detail = {
+        "max_violation": None if worst is None else Rat(worst),
+        "allowed": Rat(slack_total),
+    }
+    checks.append(("original-bounds", orig_ok, detail))
 
     blocks_ok = True
     blocks_checked = 0
     for t, (forest, undecided) in enumerate(snapshots):
-        allowed = Rat(VIOLATION_FACTOR * (T - t))
+        # every bound over one common denominator, so block sums are ints
+        alive = [nd for nd in forest.nodes if nd.alive]
+        scale = lcm(*(nd.bound.denominator for nd in alive))
+        scaled = {
+            nd.id: nd.bound.numerator * (scale // nd.bound.denominator)
+            for nd in alive
+        }
+        allowed = VIOLATION_FACTOR * (T - t) * scale
         for block in all_consecutive_blocks(forest):
             blocks_checked += 1
             union = 0
-            bnd = ZERO
+            limit = allowed
             for nid in block:
                 union |= forest.node(nid).vset
-                bnd += forest.node(nid).bound
+                limit += scaled[nid]
             # tree edges among the time-t undecided edges crossing B
             inc = (graph.delta_mask(union, within=undecided) & tree).bit_count()
-            if Rat(inc) > bnd + allowed:
+            if inc * scale > limit:
                 blocks_ok = False
                 failures.append(f"block t={t} B={block}")
     checks.append(("block-inequalities", blocks_ok, {"blocks": blocks_checked}))

@@ -31,11 +31,12 @@ CoverReport is the outcome of re-checking a covering solution
 
 import json
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import InstanceError, InternalCheckError
-from .instances import SCHEMA_VERSION, instance_digest
+from .instances import SCHEMA_VERSION, _rat, instance_digest
 from .lpengine import reuse_extreme_point, solve_to_extreme_point
-from .rational import ZERO, parse_rat, render_rat
+from .rational import ZERO, render_rat
 from .simplex import LpInfeasible
 
 
@@ -65,7 +66,8 @@ class RunTrace:
         return self.events[-1]
 
     def initial_lp_objective(self):
-        return parse_rat(self.footer["lp_initial"])
+        where = f"trace event {len(self.events)} (end) lp_initial"
+        return _rat(self.footer.get("lp_initial"), where)
 
     def drop_round_count(self):
         return sum(
@@ -80,13 +82,42 @@ class RunTrace:
 
     @classmethod
     def from_jsonl(cls, path):
+        """The trace in a JSON-lines file, one event object per line;
+        InstanceError when the file cannot be read or a line is not a
+        JSON object with an "ev" field."""
         events = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    events.append(json.loads(line))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                for number, line in enumerate(fh, 1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        ev = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise InstanceError(
+                            f"trace {path} line {number} is not valid JSON: {exc}"
+                        ) from exc
+                    if not isinstance(ev, dict) or "ev" not in ev:
+                        raise InstanceError(
+                            f'trace {path} line {number} must be an event object '
+                            f'with an "ev" field, got {ev!r}'
+                        )
+                    events.append(ev)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InstanceError(f"cannot read trace {path}: {exc}") from exc
         return cls(events)
+
+
+def _render_values(point):
+    """The solve event's {variable id: "p/q"} of the Vertex point, each
+    X / D reduced by gcd(X, D) in integers (render_rat of the value)."""
+    den = point.den
+    out = {}
+    for var, x in zip(point.var_ids, point.scaled):
+        g = gcd(x, den)
+        out[str(var)] = f"{x // g}/{den // g}"
+    return out
 
 
 def relax(state):
@@ -124,7 +155,7 @@ def relax(state):
             trace.add(
                 {
                     "ev": "solve",
-                    "x": {str(e): render_rat(v) for e, v in point.x_by_id.items()},
+                    "x": _render_values(point),
                     "objective": render_rat(point.objective),
                     "reused": reuse,
                 }

@@ -148,6 +148,114 @@ def test_verify_refuses_a_tree_other_than_the_traced_one(tmp_path, capsys):
     assert "tree does not match the trace" in capsys.readouterr().err
 
 
+def _set(kind, field, value, at=0):
+    """Edit: field of the at-th kind event set to value."""
+
+    def edit(events):
+        ev = [ev for ev in events if ev["ev"] == kind][at]
+        ev[field] = value
+
+    return edit
+
+
+def _set_change(slot, value):
+    """Edit: slot of the first tighten change set to value."""
+
+    def edit(events):
+        ev = next(ev for ev in events if ev["ev"] == "tighten" and ev["changes"])
+        ev["changes"][0][slot] = value
+
+    return edit
+
+
+def _replace_drop(event):
+    """Edit: the drop_children event replaced by event."""
+
+    def edit(events):
+        at = next(i for i, ev in enumerate(events) if ev["ev"] == "drop_children")
+        events[at] = event
+
+    return edit
+
+
+def _drop_ev(events):
+    del events[4]["ev"]
+
+
+# malformed trace of the seed-76 run (38 events: tighten 3 has two
+# changes, fix 4 is the first fix, drop_children 25 the only drop round)
+# -> the message; each used to end in a traceback with exit 1
+BAD_TRACES = {
+    "missing-file": (None, "cannot read trace"),
+    "truncated-line": ("truncate", "line 38 is not valid JSON"),
+    "no-ev": (_drop_ev, 'line 5 must be an event object with an "ev" field'),
+    "changes-int": (
+        _set("tighten", "changes", 7),
+        "trace event 3 (tighten) changes must be a list of 3-item lists, got 7",
+    ),
+    "changes-node-999": (
+        _set_change(0, 999),
+        "trace event 3 (tighten) changes[0] must name a node 0..8, got 999",
+    ),
+    "changes-node-x": (
+        _set_change(0, "x"),
+        "trace event 3 (tighten) changes[0] must name a node 0..8, got 'x'",
+    ),
+    "changes-rational-abc": (
+        _set_change(2, "abc"),
+        "trace event 3 (tighten) changes[0] must be a rational string",
+    ),
+    "fix-edge-999": (
+        _set("fix", "edge", 999),
+        "trace event 4 (fix) edge must be an edge id of the instance, got 999",
+    ),
+    "fix-edge-minus-one": (
+        _set("fix", "edge", -1),
+        "trace event 4 (fix) edge must be an edge id of the instance, got -1",
+    ),
+    "fix-edge-a": (
+        _set("fix", "edge", "a"),
+        "trace event 4 (fix) edge must be an edge id of the instance, got 'a'",
+    ),
+    "drop-unknown-parent": (
+        _set("drop_children", "parents", [0, 999]),
+        "trace event 25 (drop_children) parents[1] must name a node 0..8, got 999",
+    ),
+    "merge-unknown-node": (
+        _replace_drop({"ev": "merge_leaves", "merges": [[-1, 999, 0, 9]], "removed": []}),
+        "trace event 25 (merge_leaves) merges[0] must name a node 0..8, got 999",
+    ),
+    "remove-unknown-node": (
+        _replace_drop({"ev": "merge_leaves", "merges": [], "removed": [[-1, 9]]}),
+        "trace event 25 (merge_leaves) removed[0] must name a node 0..8, got 9",
+    ),
+    "end-lp-initial-x": (
+        _set("end", "lp_initial", "x"),
+        "trace event 38 (end) lp_initial must be a rational string",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRACES))
+def test_malformed_trace_is_usage_error(case, tmp_path, capsys):
+    edit, named = BAD_TRACES[case]
+    inst, solution, trace = _solved_mcst(tmp_path)
+    lines = trace.read_text().splitlines()
+    assert len(lines) == 38
+    if edit is None:
+        trace.unlink()
+    elif edit == "truncate":
+        trace.write_text("\n".join(lines[:-1] + [lines[-1][:40]]) + "\n")
+    else:
+        events = [json.loads(line) for line in lines]
+        edit(events)
+        trace.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+    assert _verify_trace(inst, solution, trace) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
 def test_solve_lattice_variant_flag(tmp_path):
     inst_path = tmp_path / "lat.json"
     dump_instance(

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from brute_mcst import brute_mcst
+from uncached_steps import local_edges
 from crossopt.errors import InstanceError, InternalCheckError
 from crossopt.graphs import Graph, mask_of
 from crossopt.instances import McstInstance
@@ -13,7 +14,8 @@ from crossopt.mcst import (
     McstState,
     classify_good,
     drop_round_limit,
-    local_edges,
+    node_reach,
+    reach_masks,
     replay_trace,
     run_mcst,
     try_step,
@@ -31,7 +33,8 @@ def half(ids):
 
 def step_at(state, x_by_id):
     """try_step at the values x_by_id, classified as McstState.step does."""
-    classified = classify_good(state.forest, state.graph, state.eprime)
+    reach = reach_masks(state.forest, state.graph)
+    classified = classify_good(state.forest, reach, state.eprime)
     return try_step(state, Vertex.of_values(x_by_id), classified)
 
 
@@ -42,6 +45,7 @@ def test_local_edges_without_grandchildren_is_all_touching(triangle):
     forest = LaminarForest.from_sets([(0b011, Rat(2)), (0b001, Rat(1))])
     # node 0 = {0,1} has a child but no grandchildren
     assert local_edges(forest, triangle, 0b111, 0) == triangle.touching_mask(0b011)
+    assert node_reach(forest, triangle, 0) == triangle.touching_mask(0b011)
 
 
 def test_local_edges_figure_configuration():
@@ -67,6 +71,8 @@ def test_local_edges_figure_configuration():
     ]
     graph = Graph.from_pairs(10, pairs, [1] * len(pairs))
     assert local_edges(forest, graph, 0b111111, 0) == mask_of([2, 3, 4])
+    assert node_reach(forest, graph, 0) == mask_of([2, 3, 4])
+    assert local_edges(forest, graph, 0b110111, 0) == mask_of([2, 4])
 
 
 def test_local_edges_three_level_chain():
@@ -75,6 +81,7 @@ def test_local_edges_three_level_chain():
     )
     graph = Graph.from_pairs(4, [(0, 1), (0, 2), (2, 3)], [1, 1, 1])
     assert local_edges(forest, graph, 0b111, 0) == 0b111
+    assert node_reach(forest, graph, 0) == 0b111
 
 
 def test_good_threshold_boundary():
@@ -82,7 +89,7 @@ def test_good_threshold_boundary():
         graph = Graph.from_pairs(2, [(0, 1)] * count, [1] * count)
         forest = LaminarForest.from_sets([(0b01, Rat(1))])
         _, nonleaves, leaves = classify_good(
-            forest, graph, graph.all_edges_mask
+            forest, reach_masks(forest, graph), graph.all_edges_mask
         )
         assert (0 in leaves) == expect_good
         assert nonleaves == []
@@ -94,7 +101,7 @@ def test_everything_good_when_few_edges():
     assert inst.graph.all_edges_mask.bit_count() <= 24
     forest = inst.build_forest()
     _, nonleaves, leaves = classify_good(
-        forest, inst.graph, inst.graph.all_edges_mask
+        forest, reach_masks(forest, inst.graph), inst.graph.all_edges_mask
     )
     assert len(nonleaves) + len(leaves) == forest.size()
 

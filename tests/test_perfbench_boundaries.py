@@ -143,3 +143,43 @@ def test_every_vertex_is_certified_through_the_simplex_global(monkeypatch):
     run_mcst(random_mcst_instance(random.Random(76)))
     assert calls["solve"] > 0 and calls["reuse"] > 0
     assert calls["certify"] == calls["solve"] + calls["reuse"]
+
+
+def test_mcst_classify_and_verify_fire_through_module_globals(tmp_path, monkeypatch):
+    """McstState.step calls classify_good through crossopt.mcst's module
+    global once per step, and a verified solve calls verify_guarantee
+    through the name cli imports once per run: where the benchmark's
+    mcst.classify and mcst.verify wrappers sit."""
+    import json
+    import random
+
+    from crossopt import cli, mcst
+    from crossopt.instances import dump_instance
+    from crossopt.randgen import MCST_DROP_SEEDS, random_mcst_instance
+
+    calls = {"classify": 0, "verify": 0}
+    classify, verify = mcst.classify_good, mcst.verify_guarantee
+
+    def counted_classify(*args):
+        calls["classify"] += 1
+        return classify(*args)
+
+    def counted_verify(*args):
+        calls["verify"] += 1
+        return verify(*args)
+
+    monkeypatch.setattr(mcst, "classify_good", counted_classify)
+    for module in (mcst, cli):
+        monkeypatch.setattr(module, "verify_guarantee", counted_verify)
+    steps = 0
+    seeds = MCST_DROP_SEEDS[:2] + (3, 4)
+    for seed in seeds:
+        inst, trace = tmp_path / f"{seed}.json", tmp_path / f"{seed}.jsonl"
+        dump_instance(random_mcst_instance(random.Random(seed)), inst)
+        report = tmp_path / "report.json"
+        argv = ["solve-mcst", "--in", str(inst), "--trace", str(trace), "--verify"]
+        assert cli.main(argv + ["--report", str(report)]) == 0
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        steps += sum(1 for ev in events if ev["ev"] == "tighten")
+    assert steps > len(seeds)
+    assert calls == {"classify": steps, "verify": len(seeds)}
