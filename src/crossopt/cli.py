@@ -39,6 +39,7 @@ from .instances import (
     instance_digest,
     load_instance,
     read_json,
+    write_text,
 )
 from .intersection import IntersectionState, run_intersection, verify_intersection
 from .lattice import bound_feasible_predicate, run_lattice, verify_lattice
@@ -78,16 +79,14 @@ def _load(path):
 def _emit(report, path):
     text = canonical_json(report)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(path, text)
     else:
         sys.stdout.write(text)
 
 
 def _write_solution(mask, kind, path):
     body = {"schema": 1, "type": "solution", "kind": kind, "ids": sorted(iter_bits(mask))}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(body))
+    write_text(path, canonical_json(body))
 
 
 def _maybe_timing(report, started, args):

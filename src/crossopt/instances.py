@@ -15,6 +15,8 @@ identical instances serialize byte-identically.
 
 import hashlib
 import json
+import os
+import stat
 from dataclasses import dataclass
 
 from .errors import InstanceError
@@ -37,8 +39,39 @@ GENERAL = "general"
 INCLUSION = "inclusion"
 
 
+# the one JSON encoder of every output file: sorted keys, no spaces
+ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return ENCODER.encode(obj) + "\n"
+
+
+def write_text(path, text):
+    """Make the file at path hold exactly the UTF-8 bytes of text: the
+    bytes open(path, "w", encoding="utf-8") writes.
+
+    The file is overwritten in place and then truncated to the new
+    length, never to zero: ext4 (auto_da_alloc) flushes a file that was
+    truncated to zero when it is closed, so an O_TRUNC overwrite pays
+    for a flush.  Only a regular file is truncated, so /dev/null and
+    pipes take the text as before.  If the process dies between the
+    write and the truncate, a shorter text leaves a stale tail of the
+    old file.  An OSError is an InstanceError naming the path.
+    """
+    data = memoryview(text.encode("utf-8"))
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            done = 0
+            while done < len(data):
+                done += os.write(fd, data[done:])
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, done)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise InstanceError(f"cannot write {path}: {exc}") from exc
 
 
 def digest_of(obj):
@@ -436,8 +469,7 @@ def load_instance(path):
 
 
 def dump_instance(instance, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(instance.to_json()))
+    write_text(path, canonical_json(instance.to_json()))
 
 
 def instance_digest(instance):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InstanceError, InternalCheckError
-from .instances import SCHEMA_VERSION, _rat, instance_digest
+from .instances import ENCODER, SCHEMA_VERSION, _rat, instance_digest, write_text
 from .lpengine import reuse_extreme_point, solve_to_extreme_point
 from .rational import ZERO, render_rat
 from .simplex import LpInfeasible
@@ -75,10 +75,9 @@ class RunTrace:
         )
 
     def to_jsonl(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for ev in self.events:
-                fh.write(json.dumps(ev, sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
+        """Write the trace to path, one canonical JSON event per line."""
+        encode = ENCODER.encode
+        write_text(path, "".join([encode(ev) + "\n" for ev in self.events]))
 
     @classmethod
     def from_jsonl(cls, path):

@@ -6,7 +6,7 @@ import table_lattice
 from crossopt.brute import SUBSET_GUARD, enumerate_spanning_trees
 from crossopt.cli import MAX_JOBS, main
 from crossopt.graphs import iter_bits
-from crossopt.instances import dump_instance
+from crossopt.instances import canonical_json, dump_instance, write_text
 from crossopt.randgen import (
     CorpusConfig,
     mcst_corpus,
@@ -290,6 +290,57 @@ def test_gen_gap_reports(tmp_path):
 
     inst_body = json.loads(out.read_text())
     assert inst_body["schema"] == 1 and inst_body["type"] == "lattice"
+
+
+def _mcst_instance(tmp_path):
+    inst = tmp_path / "inst.json"
+    dump_instance(random_mcst_instance(random.Random(5)), inst)
+    return inst
+
+
+# an output flag -> the command that writes it, before --flag path
+OUTPUT_FLAGS = {
+    "--out": ("gen", "edge-cover", "--n", "1"),
+    "--report": ("solve-mcst", "--verify"),
+    "--trace": ("solve-mcst",),
+    "--solution": ("solve-mcst",),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(OUTPUT_FLAGS))
+def test_unwritable_output_path_is_usage_error(flag, tmp_path, capsys):
+    command = OUTPUT_FLAGS[flag]
+    if command[0] != "gen":
+        command += ("--in", str(_mcst_instance(tmp_path)))
+    target = tmp_path / "absent" / "out.json"
+    assert run_cli(*command, flag, str(target)) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {target}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--report", "--trace", "--solution"])
+def test_output_to_dev_null_succeeds(flag, tmp_path):
+    inst = _mcst_instance(tmp_path)
+    assert run_cli("solve-mcst", "--in", str(inst), "--verify", flag, "/dev/null") == 0
+
+
+def test_rewriting_a_longer_file_leaves_exactly_the_new_text(tmp_path):
+    path = tmp_path / "out.txt"
+    write_text(path, "a much longer first text\n" * 4)
+    write_text(path, "short\n")
+    assert path.read_bytes() == b"short\n"
+    write_text(path, "")
+    assert path.read_bytes() == b""
+
+
+def test_trace_and_report_on_one_path_leave_the_report(tmp_path):
+    inst = _mcst_instance(tmp_path)
+    both = tmp_path / "both.json"
+    argv = ("--in", str(inst), "--verify", "--trace", str(both), "--report", str(both))
+    assert run_cli("solve-mcst", *argv) == 0
+    report = json.loads(both.read_text())
+    assert report["trace"] == str(both)
+    assert both.read_text() == canonical_json(report)
 
 
 @pytest.mark.parametrize(
