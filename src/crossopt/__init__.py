@@ -33,10 +33,7 @@ from .relax import RunTrace
 from .simplex import (
     LinearProgram,
     LpInfeasible,
-    LpUnbounded,
     Row,
     Vertex,
-    make_lp,
-    rank_of_rows,
     simplex_solve,
 )

@@ -35,6 +35,7 @@ from .instances import (
     McstInstance,
     _id_mask,
     canonical_json,
+    check_writable,
     dump_instance,
     instance_digest,
     load_instance,
@@ -171,6 +172,7 @@ SOLVERS = {
 
 def cmd_solve(args):
     started = time.perf_counter()
+    check_writable(args.report, args.solution, getattr(args, "trace", None))
     instance = _load(args.infile)
     expected, description, kind, solve = SOLVERS[args.command]
     if not isinstance(instance, expected):
@@ -207,6 +209,7 @@ def cmd_gen(args):
         raise InstanceError(
             f"gen {kind} writes no report; --report is for mcst-gap and planar-gap"
         )
+    check_writable(args.out, args.report)
     report_body = None
     if kind == "mcst-gap":
         instance, gap = gen_mcst_gap(args.e)
@@ -281,6 +284,7 @@ def _load_solution(path, instance):
 
 
 def cmd_verify(args):
+    check_writable(args.report)
     instance = _load(args.infile)
     mask = _load_solution(args.solution, instance)
     if isinstance(instance, McstInstance):

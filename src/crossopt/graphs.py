@@ -36,9 +36,6 @@ class Edge:
     v: int
     cost: object
 
-    def crosses(self, vmask):
-        return ((vmask >> self.u) & 1) != ((vmask >> self.v) & 1)
-
 
 class Graph:
     """Vertices 0..n-1; parallel edges permitted; ids unique and stable."""
@@ -94,11 +91,6 @@ class Graph:
         """Edges with exactly one endpoint in vmask (restricted to
         `within`)."""
         out = self.cut(vmask)[0]
-        return out if within is None else out & within
-
-    def touching_mask(self, vmask, within=None):
-        """Edges with an endpoint in vmask."""
-        out = self.cut(vmask)[1]
         return out if within is None else out & within
 
     def induced_mask(self, vmask, within=None):

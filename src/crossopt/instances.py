@@ -74,6 +74,22 @@ def write_text(path, text):
         raise InstanceError(f"cannot write {path}: {exc}") from exc
 
 
+def check_writable(*paths):
+    """Raise write_text's InstanceError for the first of paths (None
+    skipped) that is a directory or lies in a missing directory, so that
+    a command refuses it before doing any work."""
+    for path in paths:
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            reason = "is a directory"
+        elif not os.path.isdir(os.path.dirname(path) or "."):
+            reason = "no such directory"
+        else:
+            continue
+        raise InstanceError(f"cannot write {path}: {reason}")
+
+
 def digest_of(obj):
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 

@@ -9,15 +9,16 @@ exponential rows, and the builder that turns a separation witness into
 a row.  The engine functions take any of the three and never ask which
 one it is.
 
-The working LP starts from the base rows with the 0 <= x <= 1 box, and
-repeatedly adds the most-violated row found by the separation oracle
-until the vertex returned by the exact simplex satisfies the full
-exponential system.  Every base and cut row of the three residual LPs
-is a 0/1 simplex.Row (one variable-id bitmask, a relation and a rhs),
-which the simplex takes as it is.  A vertex of the working
-relaxation that is feasible for the full system is a vertex of the full
-polytope (the full region is contained in the relaxation), so the
-result is a certified extreme point with an optimal objective.
+The working LP starts from the base rows over the box 0 <= x <= 1 (the
+box of every simplex.LinearProgram), and repeatedly adds the
+most-violated row found by the separation oracle until the vertex
+returned by the exact simplex satisfies the full exponential system.
+Every base and cut row is a simplex.Row: a variable-id bitmask, a
+relation, a rhs and a tag, the one row the simplex takes.  A vertex of
+the working relaxation that is feasible for the full system is a
+vertex of the full polytope (the full region is contained in the
+relaxation), so the result is a certified extreme point with an
+optimal objective.
 
 Separation is exhaustive: every vertex subset, every ground subset, or
 every lattice member is checked.  Each separator takes the Vertex and
@@ -67,7 +68,6 @@ from .simplex import (
     LE,
     STATS,
     LinearProgram,
-    LpUnbounded,
     Row,
     certify,
     simplex_solve,
@@ -228,12 +228,6 @@ def separate_lattice(point, fmask, lat):
 # -- working LP assembly -----------------------------------------------------
 
 
-def _box_lp(var_ids, objective, rows):
-    """The LP of the rows over the box 0 <= x <= 1."""
-    n = len(var_ids)
-    return LinearProgram(var_ids, objective, tuple(rows), (0,) * n, (1,) * n)
-
-
 @dataclass(frozen=True)
 class ResidualMcstLp:
     """LP data of one spanning-tree iteration: undecided edges, fixed
@@ -256,17 +250,17 @@ class ResidualMcstLp:
         objective = tuple(graph.by_id[v].cost for v in var_ids)
         n_fixed = self.fmask.bit_count()
         total = Rat(graph.n - n_fixed - 1)
-        rows = [Row.of_mask(self.eprime, EQ, total, ("tree_total", None))]
+        rows = [Row(self.eprime, EQ, total, ("tree_total", None))]
         for node_id, vset, bound in self.degree_rows:
             dmask = graph.delta_mask(vset, within=self.eprime)
-            rows.append(Row.of_mask(dmask, LE, bound, ("degree", node_id)))
+            rows.append(Row(dmask, LE, bound, ("degree", node_id)))
 
         def cut_row(res):
             vmask = res.witness
             inside = graph.induced_mask(vmask, within=self.eprime)
             f_inside = (graph.induced_mask(vmask) & self.fmask).bit_count()
             rhs = Rat(vmask.bit_count() - f_inside - 1)
-            return Row.of_mask(inside, LE, rhs, ("subtour", vmask))
+            return Row(inside, LE, rhs, ("subtour", vmask))
 
         def separator(point):
             return separate_spanning_tree(point, graph, self.fmask)
@@ -288,7 +282,7 @@ class ResidualIntersectionLp:
         var_ids = tuple(iter_bits(self.eprime))
         objective = tuple(self.costs[v] for v in var_ids)
         rows = [
-            Row.of_mask(elems & self.eprime, LE, resid, ("bound_upper", idx))
+            Row(elems & self.eprime, LE, resid, ("bound_upper", idx))
             for idx, elems, resid in self.bound_rows
         ]
 
@@ -297,7 +291,7 @@ class ResidualIntersectionLp:
             s = res.witness
             table = self.pair.r1 if func_idx == 1 else self.pair.r2
             rhs = Rat(table[s] - (self.fmask & s).bit_count())
-            return Row.of_mask(s & self.eprime, GE, rhs, (res.family, s))
+            return Row(s & self.eprime, GE, rhs, (res.family, s))
 
         def separator(point):
             return separate_contra_polymatroid(point, self.fmask, self.pair)
@@ -322,15 +316,15 @@ class ResidualLatticeLp:
         for idx, elems, lower, upper in self.bound_rows:
             fixed = (elems & self.fmask).bit_count()
             mask = elems & self.eprime
-            rows.append(Row.of_mask(mask, LE, upper - fixed, ("bound_upper", idx)))
+            rows.append(Row(mask, LE, upper - fixed, ("bound_upper", idx)))
             if lower is not None:
-                rows.append(Row.of_mask(mask, GE, lower - fixed, ("bound_lower", idx)))
+                rows.append(Row(mask, GE, lower - fixed, ("bound_lower", idx)))
 
         def cut_row(res):
             j = res.witness
             rho = self.lat.rho[j]
             rhs = Rat(self.lat.rank[j] - (self.fmask & rho).bit_count())
-            return Row.of_mask(rho & self.eprime, GE, rhs, ("rank", j))
+            return Row(rho & self.eprime, GE, rhs, ("rank", j))
 
         def separator(point):
             return separate_lattice(point, self.fmask, self.lat)
@@ -350,11 +344,7 @@ def solve_to_extreme_point(state):
     seen = {row.tag for row in rows}
     prev_obj = None
     while True:
-        lp = _box_lp(var_ids, objective, rows)
-        try:
-            point = simplex_solve(lp)
-        except LpUnbounded as exc:  # impossible: the box is compact
-            raise InternalCheckError("box-bounded LP reported unbounded") from exc
+        point = simplex_solve(LinearProgram(var_ids, objective, tuple(rows)))
         if prev_obj is not None and point.objective < prev_obj:
             raise InternalCheckError(
                 "objective decreased while adding cutting planes"
@@ -370,7 +360,7 @@ def solve_to_extreme_point(state):
         seen.add(tag)
         # re-verify the reported violation exactly against the new row
         excess = row.excess(point)
-        lhs = row.rhs + Rat(excess, row.scale * point.den * row.rhs.denominator)
+        lhs = row.rhs + Rat(excess, point.den * row.rhs.denominator)
         if not violated(row.rel, excess) or lhs != res.lhs or row.rhs != res.rhs:
             raise InternalCheckError(
                 f"separator violation for {tag} failed exact re-verification"
@@ -395,7 +385,7 @@ def reuse_extreme_point(state, prev):
         if kind in CUT_KINDS:
             rows.append(cut_row(SeparationResult(False, kind, witness)))
     try:
-        point = prev.restricted_to(_box_lp(var_ids, objective, rows))
+        point = prev.restricted_to(LinearProgram(var_ids, objective, tuple(rows)))
     except KeyError as exc:
         raise InternalCheckError(
             f"undecided variable {exc} has no value at the previous vertex"

@@ -1,23 +1,15 @@
 """Exact rational arithmetic used by every solver path.
 
 All fractional quantities in this package (LP values, residual bounds,
-separation results) are arbitrary-precision rationals, never floats;
-the separators scan subsets in integers scaled by a common denominator.
-gmpy2.mpq is used when it is installed (the optional ``gmpy2`` extra);
-otherwise the stdlib Fraction is a drop-in fallback.  A speed-up of
-roughly 7x for mpq at this workload was once claimed but has not been
-measured in this repository.  Both store values in lowest terms with a
-positive denominator.
+separation results) are the stdlib's arbitrary-precision Fractions,
+never floats, in lowest terms with a positive denominator; the simplex
+and the separators compute in integers scaled by a common denominator.
 """
 
-try:
-    from gmpy2 import mpq as Rat
+from fractions import Fraction as Rat
 
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rat
-
-    HAVE_GMPY2 = False
+# the benchmark record (perfbench/run.py) still reads this flag
+HAVE_GMPY2 = False
 
 ZERO = Rat(0)
 ONE = Rat(1)

@@ -1,73 +1,52 @@
-"""Exact rational simplex returning certified vertices.
+"""Exact simplex over 0/1 rows in the unit box, returning certified
+vertices.
 
-The solver is a bounded-variable primal simplex over exact rationals:
-variable bounds l <= x <= u are handled natively rather than as extra
-rows, Bland's rule (lowest index for entering and for leaving ties)
-guarantees termination and determinism, and degeneracy needs no
-perturbation because all arithmetic is exact.
-
-Every LP has one row type, kept in integer form.  A Row is
-``(sum of a * x(mask) over its terms (a, mask)) / scale  rel  rhs``,
-where x(mask) sums x over the variable ids in the bitmask ``mask`` and
-every coefficient a is an int: the solvers' 0/1 rows are the one term
-(1, mask) with scale 1, and make_lp groups a dense coefficient list
-into one term per distinct coefficient, scaled by L, the lcm of the
-coefficients' denominators.  A LinearProgram's column j is the variable
-var_ids[j] (make_lp numbers them 0..n-1).  No row is ever expanded into
-a vector of rationals.
+Every LP the solvers build is  min c.x  subject to 0/1 rows
+``x(mask) rel rhs`` and the box 0 <= x <= 1, where x(mask) sums x over
+the variable ids in the bitmask ``mask``; only the costs and the
+right-hand sides can be fractional.  A LinearProgram's column j is the
+variable var_ids[j].  The solver is a bounded-variable primal simplex:
+the box is handled natively rather than as rows, Bland's rule (lowest
+index for entering and for leaving ties) guarantees termination and
+determinism, and degeneracy needs no perturbation because all
+arithmetic is exact.
 
 The tableau is integer-preserving (Edmonds 1967; Bareiss 1968).  It is
 stored as an integer matrix A with one common denominator q > 0, so
-the rational tableau is T = A / q.  Row i enters as its integer terms,
-that is L_i = scale times the original row; its slack and artificial
-keep their unit coefficients and so stand for L_i times the original
-slack and artificial, and phase 1 charges that artificial 1/L_i.  The
-starting basis is then the identity with q = 1.  A pivot on
-p = A[r][j] (row r negated first when p < 0, so q stays positive) sets
-A_i <- (A_i * p - A_ij * A_r) / q for every row i != r, then q <- p;
-by Sylvester's identity every division is exact.  Reduced costs are
-integers over q * C, C the lcm of the phase's cost denominators, and
-are updated as one more row.
+the rational tableau is T = A / q.  Row i enters as its 0/1
+coefficients, negated with its rhs when the rhs is negative (a lattice
+row's lower - fixed can be), with a unit slack and, unless it is a <=
+row, a unit artificial that phase 1 charges 1; the starting basis is
+the identity with q = 1.  A pivot on p = A[r][j] (row r negated first
+when p < 0, so q stays positive) sets A_i <- (A_i * p - A_ij * A_r) / q
+for every row i != r, then q <- p; by Sylvester's identity every
+division is exact.  Reduced costs are integers over q * C, C the lcm of
+the phase's cost denominators, and are updated as one more row.
 
 The right-hand side is one more column, the last of A, and no step of
-a solve touches a rational.  With R the lcm of the denominators of the
-shifted right-hand sides and of the finite spans (upper - lower), row
-i's column entry starts as R * L_i * (its shifted rhs) and every
-stored upper bound is R * span, all ints.  The column is always
-q * R * B^-1 (b - sum of u_j * a_j over the columns j at their upper
-bound), so beta_i = A[i][-1] is q * R times the value basic in row i.
-It takes the same Bareiss steps as every other column, and stays
-exact because q * B^-1 is an integer matrix (plus or minus the
-adjugate of B) and b - sum u_j a_j is an integer vector once scaled by
-R.  A change of which columns are at their upper bound moves it by an
-integer multiple of a column: a bound flip of j by R * span_j times
-column j, and before a pivot, column j leaving its upper bound by
-R * span_j times column j, and a basic variable leaving row r for its
-upper bound by q * R * span at row r.  The ratio test compares the
-limits num_i / |A[i][enter]|, num_i = beta_i or q * R * span - beta_i,
-by cross-multiplying ints, and solve reads the vertex as (D, X) off
-the column.
-
-The pivots are exactly those of a Fraction tableau on the unscaled
-rows.  T = B^-1 A does not depend on how rows are scaled.  Standing
-for L_i times a variable divides its column and its reduced cost by
-L_i and multiplies the row it is basic in, and its basic value, by L_i.
-So every reduced cost keeps its sign, every zero entry stays zero, and
-the ratios of one ratio test are all multiplied by the same positive
-factor (the scale of the entering column), which leaves Bland's choice
-of entering column, leaving row and tie-break unchanged; structural
-columns are never scaled, so their values are the same rationals.  The
-integer ratio test multiplies every limit, and the entering column's
-own span it is compared with, by the same R > 0 once more, so each
-comparison, and each tie, comes out as it does on the rationals.
+a solve touches a rational.  With R the lcm of the rhs denominators,
+row i's entry starts as R * rhs_i and every structural's stored upper
+bound is R.  The column is always q * R * B^-1 (b - the sum of the
+columns at their upper bound), so beta_i = A[i][-1] is q * R times the
+value basic in row i; it takes the same Bareiss steps as every other
+column and stays integral because q * B^-1 is plus or minus the
+adjugate of B.  A bound flip of column j moves it by R times column j,
+and a basic variable leaving row r for its upper bound by q * R at row
+r.  The ratio test compares the limits num_i / |A[i][enter]|, num_i =
+beta_i or q * R - beta_i, and the entering column's own span R, by
+cross-multiplying ints: every limit is scaled by the same R > 0, so
+each comparison and each tie comes out as on the rationals and the
+pivots are those of a Fraction tableau.  solve reads the vertex as
+(D, X) off the column.  A box-bounded LP always meets a row limit or a
+bound flip, so a step with neither is an internal error.
 
 A solved or reused vertex is one Vertex: x = X / D, D the lcm of the
 values' denominators and X the ints D * x.  Row checks run on it in
-integers: a row's lhs times scale * D is a sum of ``Vertex.load``
-values, so the sign of lhs - rhs, and each bound comparison, is one
-integer comparison.  row_status finds the tight rows of a point, and
+integers: D * x(mask) is ``Vertex.load(mask)``, so the sign of
+lhs - rhs is one integer comparison, and so is each bound (X_j against
+0 and D).  row_status finds the tight rows of a point, and
 certificate_rows re-checks claimed tight rows and hands the rank check
-their integer coefficients.  The rank comes from _eliminate, the one
+their 0/1 columns.  The rank comes from _eliminate, the one
 fraction-free elimination loop: it takes the tableau's _bareiss step,
 skips columns with no pivot, and also gives brute its Kirchhoff
 determinants and, in Gauss-Jordan mode, its adjugates.  certify runs
@@ -92,20 +71,18 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import InternalCheckError
-from .rational import Rat, ZERO, ONE
+from .rational import Rat
 
 LE = "<="
 EQ = "="
 GE = ">="
 RELATIONS = (LE, EQ, GE)
+# the relation of a row negated with its rhs
+_FLIPPED = {LE: GE, GE: LE, EQ: EQ}
 
 
 class LpInfeasible(Exception):
     """The feasible region is empty."""
-
-
-class LpUnbounded(Exception):
-    """The objective is unbounded below on the feasible region."""
 
 
 def scale_values(values):
@@ -125,86 +102,39 @@ def violated(rel, excess):
 
 
 class Row(NamedTuple):
-    """The row  (sum of a * x(mask) over (a, mask) in terms) / scale
-    rel  rhs, where x(mask) is the sum of x over the variable ids in the
-    bitmask mask.  The row is kept in its integer form: every coefficient
-    a is an int, and scale is the lcm of the denominators of the
-    rational coefficients it was built from (1 for a 0/1 row).  ``tag``
-    names the row for its builder (Vertex.tight_tags); the tableau and
-    the checks ignore it."""
+    """The 0/1 row  x(mask) rel rhs, where x(mask) is the sum of x over
+    the variable ids in the bitmask mask.  ``tag`` names the row for its
+    builder (Vertex.tight_tags); the tableau and the checks ignore it."""
 
-    terms: tuple
+    mask: int
     rel: str
     rhs: object
-    scale: int = 1
     tag: object = None
 
-    @classmethod
-    def of_mask(cls, mask, rel, rhs, tag=None):
-        """The 0/1 row x(mask) rel rhs."""
-        return cls(((1, mask),), rel, rhs, 1, tag)
-
-    @classmethod
-    def of_coefficients(cls, coeffs, var_ids, rel, rhs, tag=None):
-        """The row with the rational coefficient coeffs[j] on variable
-        var_ids[j]; the variables sharing a coefficient share one term."""
-        k = lcm(*(a.denominator for a in coeffs if a))
-        masks = {}
-        for a, v in zip(coeffs, var_ids):
-            if a:
-                a = a.numerator * (k // a.denominator)
-                masks[a] = masks.get(a, 0) | 1 << v
-        return cls(tuple(masks.items()), rel, rhs, k, tag)
-
-    def columns(self, var_ids):
-        """The row's integer form as one coefficient per variable of
-        var_ids."""
-        coeffs = [0] * len(var_ids)
-        for a, mask in self.terms:
-            coeffs = [c + a if (mask >> v) & 1 else c for c, v in zip(coeffs, var_ids)]
-        return coeffs
-
     def excess(self, point):
-        """scale * D * Q * (lhs - rhs) at the Vertex point, Q the rhs's
+        """D * Q * (lhs - rhs) at the Vertex point, Q the rhs's
         denominator: an int with the sign of lhs - rhs."""
         rhs = self.rhs
-        terms = self.terms
-        if len(terms) == 1 and self.scale == 1 and terms[0][0] == 1:
-            # the 0/1 row x(mask) of every solver
-            return point.load(terms[0][1]) * rhs.denominator - rhs.numerator * point.den
-        load = 0  # scale * D * lhs
-        for a, mask in terms:
-            load += a * point.load(mask)
-        return load * rhs.denominator - rhs.numerator * self.scale * point.den
+        return point.load(self.mask) * rhs.denominator - rhs.numerator * point.den
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min c.x  subject to  rows, lower <= x <= upper.
+    """min c.x  subject to  rows and 0 <= x <= 1.
 
     Column j is the variable var_ids[j]; rows name variables by id.
-    The bounds are ints or rationals; ``upper[j] is None`` means no
-    finite upper bound, and lower bounds must be finite.
     """
 
     var_ids: tuple
     objective: tuple
     rows: tuple  # Row
-    lower: tuple
-    upper: tuple
 
     def __post_init__(self):
-        n = self.num_vars
-        if len(self.objective) != n or len(self.lower) != n or len(self.upper) != n:
-            raise ValueError("objective/bounds length mismatch")
+        if len(self.objective) != self.num_vars:
+            raise ValueError("objective length mismatch")
         for row in self.rows:
             if row.rel not in RELATIONS:
                 raise ValueError(f"bad relation {row.rel!r}")
-        for lo, up in zip(self.lower, self.upper):
-            if lo is None:
-                raise ValueError("lower bounds must be finite")
-            if up is not None and lo > up:
-                raise ValueError("lower bound exceeds upper bound")
 
     @property
     def num_vars(self):
@@ -234,13 +164,6 @@ class Vertex:
     scaled: tuple
     objective: object
     tight_rows: tuple
-
-    @classmethod
-    def at(cls, lp, values):
-        """The point of lp with the rational values (aligned with
-        lp.var_ids), claiming no tight rows."""
-        den, scaled = scale_values(values)
-        return cls.scaled_at(lp, den, tuple(scaled))
 
     @classmethod
     def scaled_at(cls, lp, den, scaled):
@@ -312,24 +235,6 @@ class Vertex:
         return total
 
 
-def make_lp(objective, constraints, lower=None, upper=None):
-    """An LP over the variables 0..n-1 from dense coefficient lists
-    (coeffs, rel, rhs); defaults to the 0 <= x <= 1 box."""
-    objective = tuple(Rat(c) for c in objective)
-    n = len(objective)
-    rows = []
-    for coeffs, rel, rhs in constraints:
-        if len(coeffs) != n:
-            raise ValueError("constraint arity mismatch")
-        coeffs = [Rat(a) for a in coeffs]
-        rows.append(Row.of_coefficients(coeffs, range(n), rel, Rat(rhs)))
-    lo = tuple(Rat(v) for v in lower) if lower is not None else (ZERO,) * n
-    up = (
-        tuple(None if v is None else Rat(v) for v in upper)
-        if upper is not None
-        else (ONE,) * n
-    )
-    return LinearProgram(tuple(range(n)), objective, tuple(rows), lo, up)
 
 
 def _bareiss(row, prow, col, p, q):
@@ -392,19 +297,6 @@ def _int_rank(rows):
     return _eliminate(rows, len(rows[0]) if rows else 0)[0]
 
 
-def rank_of_rows(rows):
-    """Exact rank of a list of rational row vectors: each row is scaled
-    to ints by the lcm of its denominators, then eliminated
-    fraction-free."""
-    mat = []
-    for r in rows:
-        k = lcm(*(a.denominator for a in r))
-        mat.append([a.numerator * (k // a.denominator) for a in r])
-    if any(len(r) != len(mat[0]) for r in mat):
-        raise ValueError("ragged rows")
-    return _int_rank(mat)
-
-
 _MAX_PIVOTS = 500_000
 
 # running totals so callers can confirm every simplex solve and every
@@ -419,53 +311,35 @@ class _Tableau:
     def __init__(self, lp):
         self.lp = lp
         n = lp.num_vars
-        self.n_struct = n
-        # structurals are shifted to y = x - lower, so every internal
-        # variable has lower bound 0.  K clears every denominator of the
-        # bounds and right-hand sides: K * span and K * (shifted rhs) are
-        # ints, and dividing them by their gcd g with K leaves R = K / g,
-        # the lcm of the spans' and shifted rhs values' denominators.
-        K = lcm(
-            *(lo.denominator for lo in lp.lower),
-            *(up.denominator for up in lp.upper if up is not None),
-            *(row.rhs.denominator for row in lp.rows),
-        )
-        self.K = K
-        self.shift = shift = [lo.numerator * (K // lo.denominator) for lo in lp.lower]
-        spans = [
-            None if up is None else up.numerator * (K // up.denominator) - s
-            for s, up in zip(shift, lp.upper)
-        ]
+        var_ids = lp.var_ids
+        # R clears the rhs denominators: R * rhs is an int for every row
+        self.R = R = lcm(*(row.rhs.denominator for row in lp.rows))
 
-        # (integer form over structurals, row scale L, K * L * shifted
-        # rhs, relation), negated where the shifted rhs is negative
+        # (coefficients, R * rhs, relation), negated where rhs < 0
         rows = []
+        for row in lp.rows:
+            coeffs = [(row.mask >> v) & 1 for v in var_ids]
+            rhs = row.rhs.numerator * (R // row.rhs.denominator)
+            rel = row.rel
+            if rhs < 0:
+                coeffs = [-a for a in coeffs]
+                rhs = -rhs
+                rel = _FLIPPED[rel]
+            rows.append((coeffs, rhs, rel))
+
         self.slack_of_row = []
         self.art_of_row = []
         cols = n
         slack_cols = []
         art_cols = []
-        shifted = any(shift)
-        for row in lp.rows:
-            coeffs = row.columns(lp.var_ids)
-            rhs = row.rhs.numerator * (K // row.rhs.denominator) * row.scale
-            if shifted:
-                rhs -= sum(a * s for a, s in zip(coeffs, shift) if a and s)
-            rel = row.rel
-            if rhs < 0:
-                coeffs = [-a for a in coeffs]
-                rhs = -rhs
-                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            rows.append((coeffs, row.scale, rhs, rel))
-
-        for i, (_, _, _, rel) in enumerate(rows):
+        for i, (_, _, rel) in enumerate(rows):
             if rel in (LE, GE):
                 self.slack_of_row.append(cols)
                 slack_cols.append((cols, i, 1 if rel == LE else -1))
                 cols += 1
             else:
                 self.slack_of_row.append(None)
-        for i, (_, _, _, rel) in enumerate(rows):
+        for i, (_, _, rel) in enumerate(rows):
             if rel == LE:
                 self.art_of_row.append(None)  # slack serves as initial basis
             else:
@@ -473,22 +347,17 @@ class _Tableau:
                 art_cols.append((cols, i))
                 cols += 1
 
-        g = gcd(K, *(u for u in spans if u), *(rhs for _, _, rhs, _ in rows))
-        self.R = K // g
         self.ncols = cols
         self.art_start = cols - len(art_cols)
         # R times the upper bound of each internal column (lower bounds
-        # are all 0), an int or None
-        self.ub = [None if u is None else u // g for u in spans] + [None] * (cols - n)
+        # are all 0): R for a structural, None for a slack or artificial
+        self.ub = [R] * n + [None] * (cols - n)
 
         m = len(rows)
         self.m = m
-        # row i is row_scale[i] times the original; its slack and
-        # artificial stand for row_scale[i] times the originals.  Column
-        # ncols, the last, is the right-hand side: beta_i = q * R times
-        # the value of the variable basic in row i.
-        self.row_scale = [k for _, k, _, _ in rows]
-        self.A = [coeffs + [0] * (cols - n) + [rhs // g] for coeffs, _, rhs, _ in rows]
+        # column ncols, the last, is the right-hand side: beta_i = q * R
+        # times the value of the variable basic in row i
+        self.A = [coeffs + [0] * (cols - n) + [rhs] for coeffs, rhs, _ in rows]
         for col, i, sign in slack_cols:
             self.A[i][col] = sign
         for col, i in art_cols:
@@ -571,7 +440,7 @@ class _Tableau:
     # -- simplex iterations --------------------------------------------
 
     def optimize(self, allow_art_entering):
-        """Bland-rule iteration until optimal; raises LpUnbounded."""
+        """Bland-rule iteration until optimal."""
         A = self.A
         ub = self.ub
         basis = self.basis
@@ -632,7 +501,7 @@ class _Tableau:
                 status[enter] = "U" if direction == 1 else "L"
                 continue
             if best_a is None:
-                raise LpUnbounded()
+                raise InternalCheckError("no row limits a step in a box-bounded LP")
             self._enter_basis(leave_row, enter, leave_to)
 
     def drive_out_artificials(self):
@@ -657,21 +526,11 @@ class _Tableau:
         values' denominators, as scale_values gives it."""
         has_art = self.art_start < self.ncols
         if has_art:
-            # the artificial of row i stands for row_scale[i] times the
-            # original, so it costs 1 / row_scale[i]
-            arts = [
-                (j, self.row_scale[i])
-                for i, j in enumerate(self.art_of_row)
-                if j is not None
-            ]
-            den = lcm(*(k for _, k in arts))
-            cost1 = [0] * self.ncols
-            for j, k in arts:
-                cost1[j] = den // k
-            self.set_costs(cost1, den)
+            # every artificial costs 1
+            art_start = self.art_start
+            self.set_costs([0] * art_start + [1] * (self.ncols - art_start), 1)
             self.optimize(allow_art_entering=True)
             # every basic value is >= 0: infeasible when an artificial is not 0
-            art_start = self.art_start
             if any(row[-1] for b, row in zip(self.basis, self.A) if b >= art_start):
                 raise LpInfeasible()
             self.drive_out_artificials()
@@ -687,31 +546,26 @@ class _Tableau:
         return self.vertex()
 
     def vertex(self):
-        """(D, X) of the structural values x_j = y_j + lower_j, from
-        y_j = beta / (q * R) (basic), ub_j / R (at U) or 0: over
-        M = q * K they are g * (beta, q * ub_j or 0) + q * K * lower_j,
-        g = K / R, and dividing M and them by their gcd leaves D."""
-        q, A, status, ub = self.q, self.A, self.status, self.ub
-        g = self.K // self.R
+        """(D, X) of the structural values x_j = beta / (q * R) (basic),
+        1 (at U) or 0: over M = q * R they are beta, M or 0, and dividing
+        M and them by their gcd leaves D."""
+        A, status = self.A, self.status
+        M = self.q * self.R
         nums = []
-        for j, shift in enumerate(self.shift):
+        for j in range(self.lp.num_vars):
             st = status[j]
             if st == "B":
-                y = A[self.row_of[j]][-1]
-            elif st == "U":
-                y = q * ub[j]
+                nums.append(A[self.row_of[j]][-1])
             else:
-                y = 0
-            nums.append(y * g + q * shift)
-        M = q * self.K
+                nums.append(M if st == "U" else 0)
         common = gcd(M, *nums)
         return M // common, [x // common for x in nums]
 
 
 def row_status(lp, point):
     """The tight rows of the Vertex point in lp (the module's index
-    scheme), or None when point violates a row or a bound.  Each row
-    and bound is one integer comparison."""
+    scheme), or None when point violates a row or leaves the box.  Each
+    row and bound is one integer comparison."""
     den = point.den
     tight = []
     for idx, row in enumerate(lp.rows):
@@ -721,26 +575,21 @@ def row_status(lp, point):
         elif violated(row.rel, excess):
             return None
     m, n = len(lp.rows), lp.num_vars
-    for j, (x, lo, up) in enumerate(zip(point.scaled, lp.lower, lp.upper)):
-        below = x * lo.denominator - lo.numerator * den
-        if below < 0:
-            return None
-        if not below:
+    for j, x in enumerate(point.scaled):
+        if not x:
             tight.append(m + j)
-        if up is not None:
-            above = x * up.denominator - up.numerator * den
-            if above > 0:
-                return None
-            if not above:
-                tight.append(m + n + j)
+        elif x == den:
+            tight.append(m + n + j)
+        elif x < 0 or x > den:
+            return None
     return tuple(tight)
 
 
 def certificate_rows(lp, point):
     """(support size, support columns with a tight bound, the tight rows
-    as int rows over the other support columns) of the Vertex point for
-    verify_vertex_certificate; raises when a claimed tight row or bound
-    is not tight."""
+    as 0/1 int rows over the other support columns) of the Vertex point
+    for verify_vertex_certificate; raises when a claimed tight row or
+    bound is not tight."""
     den, scaled = point.den, point.scaled
     m, n = len(lp.rows), lp.num_vars
     bound_cols = set()
@@ -748,26 +597,22 @@ def certificate_rows(lp, point):
         if idx < m:
             if lp.rows[idx].excess(point):
                 raise InternalCheckError(f"claimed tight row {idx} is not tight")
+        elif idx < m + n:
+            if scaled[idx - m]:
+                raise InternalCheckError(f"claimed tight lower bound {idx - m} is not")
         else:
-            j = idx - m
-            if j >= n:
-                j -= n
-                up = lp.upper[j]
-                if up is None or scaled[j] * up.denominator != up.numerator * den:
-                    raise InternalCheckError(
-                        f"claimed tight upper bound {j} is not"
-                    )
-            elif scaled[j] * lp.lower[j].denominator != lp.lower[j].numerator * den:
-                raise InternalCheckError(f"claimed tight lower bound {j} is not")
-            if scaled[j]:
-                bound_cols.add(j)
+            j = idx - m - n
+            if scaled[j] != den:
+                raise InternalCheckError(f"claimed tight upper bound {j} is not")
+            bound_cols.add(j)
     support = [j for j in range(n) if scaled[j]]
     free = [lp.var_ids[j] for j in support if j not in bound_cols]
     rows = []
     if free:
         for idx in point.tight_rows:
             if idx < m:
-                row = lp.rows[idx].columns(free)
+                mask = lp.rows[idx].mask
+                row = [(mask >> v) & 1 for v in free]
                 if any(row):
                     rows.append(row)
     return len(support), len(bound_cols), rows
@@ -808,8 +653,7 @@ def certify(point, infeasible):
 
 
 def simplex_solve(lp):
-    """Solve to an optimal certified Vertex; raises LpInfeasible /
-    LpUnbounded.
+    """Solve to an optimal certified Vertex; raises LpInfeasible.
 
     Deterministic: identical input yields the identical Vertex.
     """

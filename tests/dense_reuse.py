@@ -42,8 +42,7 @@ def _dense_base(state):
     var_ids, objective, rows, separator, cut_row = state.base()
 
     def dense(row):
-        ((_, mask),) = row.terms
-        return Constraint(_indicator(var_ids, mask), row.rel, row.rhs), row.tag
+        return Constraint(_indicator(var_ids, row.mask), row.rel, row.rhs), row.tag
 
     return (
         var_ids,

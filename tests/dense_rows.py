@@ -1,18 +1,21 @@
 """Dense rows and the row checks of the LP layer before it had one row
-type: the references the unified routines are checked against.
+type: the references the unified routines are checked against, and the
+general LP forms the package no longer has.
 
-``crossopt.simplex`` keeps every row as integer (coefficient, id-mask)
-terms and checks solved and reused vertices with one ``row_status`` and
+``crossopt.simplex`` keeps every row as one 0/1 id-mask over the unit
+box and checks solved and reused vertices with one ``row_status`` and
 one ``certificate_rows``.  Before that, the simplex path expanded each
-row into a dense ``Constraint`` of one rational per column and checked
-its vertices with a dense ``row_status`` and
-``LinearProgram.certificate_rows``, while a reused vertex was checked by
-a second copy of both on 0/1 mask rows (``lpengine.MaskLp``).  Those
-classes and routines are kept below verbatim; only these are new: the
-imports, ``verify_vertex_certificate`` calls ``lp.certificate_rows`` of
-either kind of LP as the package's ``verify_vertex_certificate`` did,
-and the adapters at the end, which give the dense LP, the mask LP and
-the ``BasicSolution`` of a package LP or Vertex.
+row into a dense ``Constraint`` of one rational per column, with
+general bounds, and checked its vertices with a dense ``row_status``
+and ``LinearProgram.certificate_rows``, while a reused vertex was
+checked by a second copy of both on 0/1 mask rows (``lpengine.MaskLp``).
+Those classes and routines are kept below verbatim; only these are new:
+the imports, ``verify_vertex_certificate`` calls ``lp.certificate_rows``
+of either kind of LP as the package's ``verify_vertex_certificate`` did,
+and the helpers at the end: the dense row, dense LP, mask LP and
+``BasicSolution`` of a package row, LP or Vertex, a package LP built
+from 0/1 coefficient lists, a point of a package LP at given values,
+and the exact rank of rational rows.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,9 @@ from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
+from crossopt import simplex as package
 from crossopt.errors import InternalCheckError
+from crossopt.graphs import mask_of
 from crossopt.rational import ONE, ZERO, Rat
 from crossopt.simplex import (
     EQ,
@@ -292,39 +297,63 @@ class MaskLp:
         return len(support), len(bound_cols), rows
 
 
-# -- adapters --------------------------------------------------------------------
+# -- adapters and general forms --------------------------------------------------
+
+
+def dense_row(var_ids, row):
+    """The Constraint of a package Row over the columns var_ids."""
+    coeffs = tuple(ONE if (row.mask >> v) & 1 else ZERO for v in var_ids)
+    return Constraint(coeffs, row.rel, Rat(row.rhs))
 
 
 def dense_lp(lp):
-    """The dense LinearProgram of a package LinearProgram, with rational
-    bounds (the package's 0/1 box has int bounds)."""
-    var_ids = lp.var_ids
-
-    def coeff(a, scale):
-        return ZERO if not a else ONE if a == scale else Rat(a, scale)
-
-    constraints = tuple(
-        Constraint(
-            tuple(coeff(a, row.scale) for a in row.columns(var_ids)), row.rel, row.rhs
-        )
-        for row in lp.rows
-    )
-    lower = tuple(Rat(lo) for lo in lp.lower)
-    upper = tuple(None if up is None else Rat(up) for up in lp.upper)
-    return LinearProgram(lp.num_vars, lp.objective, constraints, lower, upper)
+    """The dense LinearProgram of a package LinearProgram: its rows as
+    Constraints over the box 0 <= x <= 1."""
+    n = lp.num_vars
+    constraints = tuple(dense_row(lp.var_ids, row) for row in lp.rows)
+    return LinearProgram(n, lp.objective, constraints, (ZERO,) * n, (ONE,) * n)
 
 
 def mask_lp(lp):
-    """The MaskLp of a package LinearProgram of 0/1 rows over the box."""
-    assert all(lo == 0 for lo in lp.lower) and all(up == 1 for up in lp.upper)
-    rows = []
-    for row in lp.rows:
-        ((a, mask),) = row.terms
-        assert a == 1 and row.scale == 1
-        rows.append(MaskRow(mask, row.rel, row.rhs))
-    return MaskLp(lp.var_ids, tuple(rows))
+    """The MaskLp of a package LinearProgram."""
+    rows = tuple(MaskRow(row.mask, row.rel, row.rhs) for row in lp.rows)
+    return MaskLp(lp.var_ids, rows)
 
 
 def dense_solution(point):
     """The BasicSolution of a package Vertex."""
     return BasicSolution(point.values, point.objective, point.tight_rows)
+
+
+def box_lp(objective, constraints):
+    """The package LP over the variables 0..n-1 from dense 0/1
+    coefficient lists (coeffs, rel, rhs)."""
+    n = len(objective)
+    rows = []
+    for coeffs, rel, rhs in constraints:
+        if len(coeffs) != n or any(a not in (0, 1) for a in coeffs):
+            raise ValueError(f"not a 0/1 row over {n} variables: {coeffs}")
+        mask = mask_of(j for j, a in enumerate(coeffs) if a)
+        rows.append(package.Row(mask, rel, Rat(rhs)))
+    objective = tuple(Rat(c) for c in objective)
+    return package.LinearProgram(tuple(range(n)), objective, tuple(rows))
+
+
+def vertex_at(lp, values):
+    """The point of the package LP lp with the rational values (aligned
+    with lp.var_ids), claiming no tight rows."""
+    den, scaled = scale_values(values)
+    return package.Vertex.scaled_at(lp, den, tuple(scaled))
+
+
+def rank_of_rows(rows):
+    """Exact rank of a list of rational row vectors: each row is scaled
+    to ints by the lcm of its denominators, then eliminated
+    fraction-free."""
+    mat = []
+    for r in rows:
+        k = lcm(*(a.denominator for a in r))
+        mat.append([a.numerator * (k // a.denominator) for a in r])
+    if any(len(r) != len(mat[0]) for r in mat):
+        raise ValueError("ragged rows")
+    return _int_rank(mat)

@@ -7,7 +7,7 @@ validates on local bitmask tables.  The functions below are the
 original code, kept verbatim (only the imports and the functions
 around the planar-gap table closures and around the inclusion-variant
 check of ``LatticeInstance`` are new): violations as
-``Fraction`` (or gmpy2 ``mpq``) differences, ``rat_ceil`` per set, one
+``Fraction`` differences, ``rat_ceil`` per set, one
 ``any`` over the paths per cut, closure-built lattice tables and a
 method call per order test.  The new versions must agree with them in
 value, type and witness on every input, and a lattice must be refused

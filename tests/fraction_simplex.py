@@ -2,27 +2,32 @@
 the reference the package's simplex is checked against.
 
 ``crossopt.simplex`` now keeps its tableau as an integer matrix over
-one common denominator, checks rows in integers scaled by the point's
-common denominator, and ranks certificates by fraction-free
-elimination.  The code below is the original, kept verbatim; it takes
-the dense LPs of tests/dense_rows.py (``dense_rows.dense_lp`` turns a
-package LP into one).  It is a
-``Fraction`` (or gmpy2 ``mpq``) tableau, row checks through
+one common denominator, takes only 0/1 rows over the unit box, checks
+rows in integers scaled by the point's common denominator, and ranks
+certificates by fraction-free elimination.  The code below is the
+original, kept verbatim; it takes the general dense LPs of
+tests/dense_rows.py (``dense_rows.dense_lp`` turns a package LP into
+one).  It is a ``Fraction`` tableau, row checks through
 ``Constraint.evaluate`` and Gaussian elimination over rationals.  Only
 these are new: the imports; the deleted ``Constraint`` methods
 ``evaluate``, ``holds`` and ``tight`` are module functions
 ``_evaluate``, ``_holds`` and ``_tight`` of the constraint (and are
-called as such); ``STATS`` is this module's own;
+called as such); ``STATS`` and ``LpUnbounded`` are this module's own;
 and ``simplex_solve`` adds each tableau's pivots to ``STATS["pivots"]``
 the way the package does, so pivot counts can be compared.
 """
 
 from crossopt.errors import InternalCheckError
 from crossopt.rational import ONE, ZERO, Rat
-from crossopt.simplex import EQ, GE, LE, LpInfeasible, LpUnbounded
+from crossopt.simplex import EQ, GE, LE, LpInfeasible
 from dense_rows import BasicSolution
 
 _MAX_PIVOTS = 500_000
+
+
+class LpUnbounded(Exception):
+    """The objective is unbounded below on the feasible region."""
+
 
 STATS = {"solves": 0, "certificates": 0, "pivots": 0}
 

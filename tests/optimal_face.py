@@ -2,31 +2,39 @@
 
 ``coordinate_ranges`` measures the optimal face: it solves the residual
 LP again under a pinned objective value with a unit objective, once per
-direction and coordinate.  ``full_separation_clean`` re-checks a vertex
-against the base rows and the separator from scratch.  The engine
-takes any object with a ``base()``, so the pinned LP is a wrapper
-around the residual state and the engine needs no knob for it.
+direction and coordinate.  The pin row has the costs as coefficients,
+which the package simplex (0/1 rows only) does not take, so the pinned
+LP is solved by the Fraction reference (tests/fraction_simplex.py) on
+the dense rows of tests/dense_rows.py, in a cutting-plane loop of its
+own with the residual LP's separator and cut builder.
+``full_separation_clean`` re-checks a vertex against the base rows and
+the separator from scratch.
 """
 
-from dataclasses import dataclass
+import fraction_simplex
+from dense_rows import Constraint, LinearProgram as DenseLp, dense_row
+from crossopt.rational import ONE, ZERO, Rat
+from crossopt.simplex import EQ, LinearProgram, Vertex, row_status
 
-from crossopt.lpengine import _box_lp, solve_to_extreme_point
-from crossopt.rational import ONE, ZERO
-from crossopt.simplex import EQ, Row, row_status
 
-
-@dataclass(frozen=True)
-class PinnedLp:
-    """The residual LP ``state`` with the extra row ``pin`` and the
-    objective ``objective`` (aligned with the sorted undecided ids)."""
-
-    state: object
-    pin: Row
-    objective: tuple
-
-    def base(self):
-        var_ids, _, rows, separator, cut_row = self.state.base()
-        return var_ids, self.objective, list(rows) + [self.pin], separator, cut_row
+def pinned_optimum(state, pin, objective):
+    """min objective . x over the full system of the residual LP state
+    plus the Constraint pin: the Fraction simplex on the dense base rows,
+    adding each violated row the separator finds until none is left."""
+    var_ids, _, rows, separator, cut_row = state.base()
+    n = len(var_ids)
+    constraints = [dense_row(var_ids, row) for row in rows] + [pin]
+    seen = set()
+    while True:
+        lp = DenseLp(n, objective, tuple(constraints), (ZERO,) * n, (ONE,) * n)
+        sol = fraction_simplex.simplex_solve(lp)
+        res = separator(Vertex.of_values(dict(zip(var_ids, sol.values))))
+        if res.feasible:
+            return sol.objective_value
+        row = cut_row(res)
+        assert row.tag not in seen, f"separator repeated row {row.tag}"
+        seen.add(row.tag)
+        constraints.append(dense_row(var_ids, row))
 
 
 def coordinate_ranges(state, optimum, base_objective):
@@ -35,15 +43,15 @@ def coordinate_ranges(state, optimum, base_objective):
     Adds the row base_objective . x = optimum and re-optimizes +e_j and
     -e_j for every variable; a coordinate is pinned when min == max.
     """
-    var_ids = state.base()[0]
-    pin = Row.of_coefficients(base_objective, var_ids, EQ, optimum, ("pin", None))
+    n = len(state.base()[0])
+    pin = Constraint(tuple(Rat(c) for c in base_objective), EQ, Rat(optimum))
     ranges = []
-    for j in range(len(var_ids)):
-        unit = [ZERO] * len(var_ids)
+    for j in range(n):
+        unit = [ZERO] * n
         unit[j] = ONE
-        lo = solve_to_extreme_point(PinnedLp(state, pin, tuple(unit))).objective
+        lo = pinned_optimum(state, pin, tuple(unit))
         unit[j] = -ONE
-        hi = -solve_to_extreme_point(PinnedLp(state, pin, tuple(unit))).objective
+        hi = -pinned_optimum(state, pin, tuple(unit))
         ranges.append((lo, hi))
     return ranges
 
@@ -54,5 +62,5 @@ def full_separation_clean(state, point):
     var_ids, objective, rows, separator, _ = state.base()
     if not separator(point).feasible:
         return False
-    lp = _box_lp(var_ids, objective, rows)
+    lp = LinearProgram(var_ids, objective, tuple(rows))
     return row_status(lp, point.restricted_to(lp)) is not None

@@ -4,6 +4,7 @@ import pytest
 
 import table_lattice
 from crossopt.brute import SUBSET_GUARD, enumerate_spanning_trees
+from crossopt import cli
 from crossopt.cli import MAX_JOBS, main
 from crossopt.graphs import iter_bits
 from crossopt.instances import canonical_json, dump_instance, write_text
@@ -307,15 +308,46 @@ OUTPUT_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("flag", sorted(OUTPUT_FLAGS))
-def test_unwritable_output_path_is_usage_error(flag, tmp_path, capsys):
+def refused_before_work(flag, target, tmp_path, capsys, monkeypatch):
+    """Run the command of flag with flag pointing at target and every
+    other output of a solve command at a writable path: it must exit 2
+    naming target before it generates or solves, and write nothing."""
+    calls = []
+    for name in ("run_mcst", "gen_edge_cover_tight"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
     command = OUTPUT_FLAGS[flag]
+    others = []
     if command[0] != "gen":
         command += ("--in", str(_mcst_instance(tmp_path)))
-    target = tmp_path / "absent" / "out.json"
+        for other in ("--report", "--trace", "--solution"):
+            if other != flag:
+                others.append(tmp_path / f"other{other}")
+                command += (other, str(others[-1]))
     assert run_cli(*command, flag, str(target)) == 2
     err = capsys.readouterr().err
     assert f"cannot write {target}" in err and "Traceback" not in err
+    assert calls == [] and not any(path.exists() for path in others)
+
+
+@pytest.mark.parametrize("flag", sorted(OUTPUT_FLAGS))
+def test_unwritable_output_path_is_usage_error(flag, tmp_path, capsys, monkeypatch):
+    target = tmp_path / "absent" / "out.json"
+    refused_before_work(flag, target, tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("flag", sorted(OUTPUT_FLAGS))
+def test_directory_output_path_is_usage_error(flag, tmp_path, capsys, monkeypatch):
+    target = tmp_path / "a directory"
+    target.mkdir()
+    refused_before_work(flag, target, tmp_path, capsys, monkeypatch)
+
+
+def test_verify_refuses_an_unwritable_report_before_loading(tmp_path, capsys):
+    target = tmp_path / "absent" / "report.json"
+    missing = tmp_path / "missing.json"
+    argv = ("--in", str(missing), "--solution", str(missing), "--report", str(target))
+    assert run_cli("verify", *argv) == 2
+    assert f"cannot write {target}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--report", "--trace", "--solution"])

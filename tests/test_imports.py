@@ -1,18 +1,23 @@
-"""Every name a crossopt module imports is used in that module, and
-only the one writer, ``instances.write_text``, opens a file for writing.
+"""Every name a crossopt module imports is used in that module, every
+function, class and method it defines is referenced, and only the one
+writer, ``instances.write_text``, opens a file for writing.
 
 A name that is imported only to be read from outside (a re-export)
 carries ``# noqa: F401`` on its import line.  The package's
-``__init__.py`` re-exports by design and is not checked for imports.
+``__init__.py`` re-exports by design and is not checked for imports,
+nor does its re-export count as a reference.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crossopt"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the benchmark calls into the package; it is read here, never changed
+PERFBENCH = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
 
 
 def unused_imports(source):
@@ -50,6 +55,81 @@ def test_unused_and_marked_imports_are_told_apart():
         "    return loads(os.sep)\n"
     )
     assert unused_imports(source) == [(2, "dumps"), (5, "path"), (8, "pi")]
+
+
+def definitions(tree):
+    """Every top-level function and class of a module tree, and every
+    method of such a class other than a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    sub.name.startswith("__") and sub.name.endswith("__")
+                ):
+                    yield sub
+
+
+def references(tree):
+    """Counter of the names tree reads as a Name, an Attribute or an
+    import."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+    return found
+
+
+def unreferenced(modules, readers):
+    """(module, name) of every definition in the sources modules ({name:
+    source}) that no module and no reader source references, leaving
+    out references inside the definition itself."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    total = Counter()
+    for tree in [*trees.values(), *(ast.parse(source) for source in readers)]:
+        total.update(references(tree))
+    return [
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in definitions(tree)
+        if total[node.name] == references(node)[node.name]
+    ]
+
+
+def test_every_definition_is_referenced():
+    modules = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    readers = [path.read_text(encoding="utf-8") for path in PERFBENCH]
+    assert unreferenced(modules, readers) == []
+
+
+def test_unreferenced_definitions_are_found():
+    modules = {
+        "a.py": (
+            "def used():\n"
+            "    return helper\n"
+            "def helper():\n"
+            "    return helper()\n"
+            "def lonely():\n"
+            "    return lonely()\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self.opened()\n"
+            "    def opened(self):\n"
+            "        pass\n"
+            "    def closed(self):\n"
+            "        pass\n"
+            "    def read(self):\n"
+            "        pass\n"
+        ),
+        "b.py": "from a import used\nused()\n",
+    }
+    readers = ["import a\na.Box().read()\n"]
+    assert unreferenced(modules, readers) == [("a.py", "lonely"), ("a.py", "closed")]
 
 
 # the one function of the package that opens a file for writing

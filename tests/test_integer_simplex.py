@@ -1,19 +1,19 @@
 """The integer-preserving simplex core against the Fraction code it
 replaced (tests/fraction_simplex.py).
 
-The Fraction simplex takes the dense form of each LP (tests/
-dense_rows.py); that adapter at its input is the only difference.
-Every LP must give the identical solution (values, objective, tight
-rows, and their rational types), the identical pivot count, or the
-identical exception.  The two tableaux are also stepped side by side:
-after every pivot and every change of costs, A / q, the integer
-reduced costs and the basic values beta_i / (q * R) of the integer
-right-hand side column must equal the Fraction tableau's entries, up
-to the row scale L_i for which a scaled row's slack and artificial
-stand.  The
-integer row checks and certificate must give the tight rows, rank or
-error of the Fraction ones and of the dense integer ones they replaced,
-on general rows and on the one-term 0/1 rows of the solvers.
+The LPs are drawn from the class the solvers build: 0/1 rows over the
+unit box, with fractional and negative right-hand sides, <=, = and >=
+rows (so phase 1 runs), repeated equalities and degenerate ties.  The
+Fraction simplex takes the dense form of each LP (tests/dense_rows.py);
+that adapter at its input is the only difference.  Every LP must give
+the identical solution (values, objective, tight rows, and their
+rational types), the identical pivot count, or the identical exception.
+The two tableaux are also stepped side by side: after every pivot and
+every change of costs, A / q, the integer reduced costs and the basic
+values beta_i / (q * R) of the integer right-hand side column must
+equal the Fraction tableau's entries.  The integer row checks and
+certificate must give the tight rows, rank or error of the Fraction
+ones and of the dense and mask integer ones they replaced.
 """
 
 import random
@@ -25,9 +25,18 @@ from hypothesis import strategies as st
 
 import dense_rows
 import fraction_simplex as reference
-from dense_rows import BasicSolution, dense_lp, dense_solution
+from dense_rows import (
+    BasicSolution,
+    box_lp,
+    dense_lp,
+    dense_solution,
+    mask_lp,
+    rank_of_rows,
+    vertex_at,
+)
 from crossopt import lpengine, relax, simplex
 from crossopt.errors import InternalCheckError
+from crossopt.graphs import mask_of
 from crossopt.instances import GENERAL, INCLUSION
 from crossopt.intersection import run_intersection
 from crossopt.lattice import run_lattice
@@ -40,12 +49,12 @@ from crossopt.randgen import (
 )
 from crossopt.rational import Rat
 from crossopt.simplex import (
+    EQ,
+    RELATIONS,
+    LinearProgram,
     LpInfeasible,
-    LpUnbounded,
     Row,
     Vertex,
-    make_lp,
-    rank_of_rows,
     row_status,
     scale_values,
     simplex_solve,
@@ -64,7 +73,7 @@ def solve_counted(solve, lp):
     before = stats["pivots"]
     try:
         result = solve(lp)
-    except (LpInfeasible, LpUnbounded) as exc:
+    except LpInfeasible as exc:
         result = type(exc)
     else:
         if isinstance(result, Vertex):
@@ -104,27 +113,15 @@ class FractionTableau(Recorded, reference._Tableau):
 
 class IntegerTableau(Recorded, simplex._Tableau):
     def snapshot(self):
-        """Entries in the units of the Fraction tableau: a slack or
-        artificial of row i stands for row_scale[i] times the original,
-        so here its column is divided by row_scale[i] and its basic value
-        multiplied by it, and the snapshot undoes both.  q, R, the right-hand side column and the
-        stored bounds R * span are all ints."""
-        ncols = self.ncols
-        scale = [1] * ncols
-        for i, k in enumerate(self.row_scale):
-            for col in (self.slack_of_row[i], self.art_of_row[i]):
-                if col is not None:
-                    scale[col] = k
-        q, R = self.q, self.R
+        """Entries in the units of the Fraction tableau.  q, R, the
+        right-hand side column and the stored bounds R are all ints."""
+        ncols, q, R = self.ncols, self.q, self.R
         assert type(q) is int and q > 0 and type(R) is int and R > 0
         assert all(u is None or type(u) is int for u in self.ub)
         assert all(len(row) == ncols + 1 and type(row[-1]) is int for row in self.A)
-        rows = [
-            [Rat(a, q) * scale[k] / scale[b] for k, a in enumerate(row[:ncols])]
-            for b, row in zip(self.basis, self.A)
-        ]
-        d = [Rat(a, q * self.cost_den) * scale[k] for k, a in enumerate(self.d)]
-        bval = [Rat(row[-1], q * R) / scale[b] for b, row in zip(self.basis, self.A)]
+        rows = [[Rat(a, q) for a in row[:ncols]] for row in self.A]
+        d = [Rat(a, q * self.cost_den) for a in self.d]
+        bval = [Rat(row[-1], q * R) for row in self.A]
         return list(self.basis), rows, d, bval
 
     def solve(self):
@@ -139,7 +136,7 @@ def run_tableau(cls, lp):
     tableau = cls(lp)
     try:
         values = tableau.solve()
-    except (LpInfeasible, LpUnbounded) as exc:
+    except LpInfeasible as exc:
         values = type(exc)
     return values, tableau.snapshots, tableau.pivots, tableau
 
@@ -158,36 +155,37 @@ def assert_same_run(lp):
 
 # -- random LPs ----------------------------------------------------------------
 
-# Non-integer coefficients make the row scales L_i > 1; zeros keep rows
-# sparse and degenerate, as the spanning-tree rows are.
-coefficient = st.one_of(
+# Right-hand sides: fractional ones make R > 1, negative ones flip their
+# row (a lattice row's lower - fixed can be negative), and zeros make
+# degenerate ties.  Costs are any small rationals.
+rhs_value = st.one_of(
     st.just(Rat(0)),
-    st.builds(Rat, st.integers(-3, 3)),
-    st.builds(Rat, st.integers(-6, 6), st.sampled_from([2, 3, 4, 6])),
+    st.builds(Rat, st.integers(-3, 6), st.sampled_from([1, 1, 2, 3, 4])),
 )
-bound_value = st.builds(Rat, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
+cost = st.builds(Rat, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+# values of a point to check: mostly in the box, some outside it
+point_value = st.one_of(
+    st.sampled_from([Rat(0), Rat(1)]),
+    st.builds(Rat, st.integers(-2, 6), st.sampled_from([1, 2, 3, 4])),
+)
 
 
 @st.composite
 def lps(draw):
-    n = draw(st.integers(1, 4))
+    """A solver-class LP: variable ids as the solvers number them (the
+    undecided ids, not always 0..n-1), rows as id-masks over them."""
+    var_ids = tuple(sorted(draw(st.sets(st.integers(0, 7), min_size=1, max_size=5))))
+    mask = st.lists(st.sampled_from(var_ids), unique=True).map(mask_of)
     rows = draw(
-        st.lists(
-            st.tuples(
-                st.lists(coefficient, min_size=n, max_size=n),
-                st.sampled_from(["<=", "=", ">="]),
-                bound_value,
-            ),
-            max_size=5,
-        )
+        st.lists(st.tuples(mask, st.sampled_from(RELATIONS), rhs_value), max_size=6)
     )
-    objective = draw(st.lists(coefficient, min_size=n, max_size=n))
-    lower = draw(st.lists(bound_value, min_size=n, max_size=n))
-    upper = []
-    for lo in lower:
-        width = draw(st.one_of(st.none(), bound_value.map(abs)))
-        upper.append(None if width is None else lo + width)
-    return make_lp(objective, rows, lower, upper)
+    if rows and draw(st.booleans()):
+        # a row made an equality and repeated: a redundant equality
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = (rows[i][0], EQ, rows[i][2])
+        rows.insert(draw(st.integers(0, len(rows))), rows[i])
+    objective = tuple(draw(st.lists(cost, min_size=len(var_ids), max_size=len(var_ids))))
+    return LinearProgram(var_ids, objective, tuple(Row(*row) for row in rows))
 
 
 @settings(max_examples=400, deadline=None)
@@ -199,40 +197,32 @@ def test_random_lps_match_reference(lp):
 # One LP of each kind the property must cover, so each is checked on
 # every run whatever Hypothesis draws.
 FIXED = {
-    "scaled-le-ge-eq-rows": make_lp(
+    "le-ge-eq-rows": box_lp(
         [1, Rat(-1, 2), 2],
         [
-            ([Rat(1, 2), Rat(1, 3), 0], "<=", Rat(5, 6)),
-            ([Rat(2, 3), 1, Rat(-1, 4)], ">=", Rat(1, 2)),
-            ([Rat(1, 6), Rat(1, 2), Rat(1, 3)], "=", 1),
+            ([1, 1, 0], "<=", Rat(5, 6)),
+            ([1, 1, 1], ">=", Rat(1, 2)),
+            ([0, 1, 1], "=", 1),
         ],
-        lower=[Rat(-1, 2), 0, Rat(1, 3)],
-        upper=[2, None, Rat(7, 3)],
     ),
-    "negative-rhs-after-shift": make_lp(
-        [1, 1], [([Rat(3, 2), 1], ">=", -4)], lower=[-3, Rat(-5, 2)], upper=[None, 1]
+    "negative-rhs": box_lp(
+        [Rat(-1, 2), 1, -1],
+        [
+            ([1, 1, 0], ">=", -1),
+            ([0, 1, 1], "=", Rat(1, 2)),
+            ([1, 0, 1], "<=", Rat(4, 3)),
+        ],
     ),
-    "infeasible": make_lp(
-        [0, 1], [([Rat(1, 2), 1], ">=", 3), ([1, Rat(2, 3)], "<=", 1)]
+    "negative-rhs-equality": box_lp([1, 1], [([1, 1], "=", Rat(-1, 2))]),
+    "infeasible": box_lp(
+        [0, 1], [([1, 1], ">=", Rat(3, 2)), ([1, 0], "<=", Rat(1, 3))]
     ),
-    "unbounded": make_lp(
-        [-1, Rat(1, 3)], [([1, Rat(-1, 2)], ">=", Rat(1, 2))], upper=[None, 1]
+    "redundant-equalities": box_lp(
+        [1, 2, 3], [([1, 1, 1], "=", 2), ([1, 1, 1], "=", 2)]
     ),
-    "redundant-equalities": make_lp(
-        [1, 2, 3],
-        [([1, 1, 1], "=", 2), ([Rat(1, 2), Rat(1, 2), Rat(1, 2)], "=", 1)],
-    ),
-    "bound-flips-over-non-integral-spans": make_lp(
-        [-1, -1], [([1, 1], "<=", 5)], upper=[Rat(3, 2), Rat(5, 3)]
-    ),
-    "fractional-lower-bounds": make_lp(
-        [1, -1],
-        [([1, 2], ">=", 1), ([Rat(1, 2), 1], "<=", 3)],
-        lower=[Rat(1, 3), Rat(-1, 4)],
-        upper=[2, Rat(5, 2)],
-    ),
-    "degenerate-tie-to-lower-index": make_lp(
-        [-1, 0], [([1, -1], "=", 0), ([Rat(1, 2), Rat(-1, 3)], "<=", 0)]
+    "bound-flips-over-unit-spans": box_lp([-1, -1], [([1, 1], "<=", Rat(5, 2))]),
+    "degenerate-tie-to-lower-index": box_lp(
+        [-1, 0], [([1, 1], "=", 0), ([1, 0], "<=", 0)]
     ),
 }
 
@@ -240,21 +230,27 @@ FIXED = {
 @pytest.mark.parametrize("name", sorted(FIXED))
 def test_fixed_lps_match_reference(name):
     got = assert_same_run(FIXED[name])
-    expected = {"infeasible": LpInfeasible, "unbounded": LpUnbounded}.get(name)
-    assert got is expected if expected else isinstance(got, BasicSolution)
+    if name in ("infeasible", "negative-rhs-equality"):
+        assert got is LpInfeasible
+    else:
+        assert isinstance(got, BasicSolution)
 
 
 def test_fixed_lps_reach_their_cases():
     def run(name):
         return run_tableau(IntegerTableau, FIXED[name])
 
-    # both variables flip to upper bounds 3/2 and 5/3 without a pivot
-    values, _, pivots, tableau = run("bound-flips-over-non-integral-spans")
-    assert values == (Rat(3, 2), Rat(5, 3)) and pivots == 0
-    assert tableau.R == 6 and tableau.status[:2] == ["U", "U"]
-    # the lower bounds 1/3 and -1/4 shift every rhs and span
-    _, _, _, tableau = run("fractional-lower-bounds")
-    assert tableau.R == 12 and tableau.ub[:2] == [20, 33]
+    # both variables flip to their upper bound 1 without a pivot; the
+    # rhs 5/2 makes R = 2, the stored bound of each
+    values, _, pivots, tableau = run("bound-flips-over-unit-spans")
+    assert values == (1, 1) and pivots == 0
+    assert tableau.R == 2 and tableau.ub[:2] == [2, 2]
+    assert tableau.status[:2] == ["U", "U"]
+    # x0 + x1 >= -1 enters negated, as the <= row -x0 - x1 <= 1 (times
+    # R = 6) with a slack and no artificial
+    tableau = simplex._Tableau(FIXED["negative-rhs"])
+    assert tableau.R == 6 and tableau.A[0] == [-1, -1, 0, 1, 0, 0, 6]
+    assert tableau.art_of_row[0] is None
     # x0 enters with ratio 0 in both rows; row 1's slack (column 2)
     # leaves before row 0's artificial (column 3)
     _, snapshots, _, _ = run("degenerate-tie-to-lower-index")
@@ -264,14 +260,14 @@ def test_fixed_lps_reach_their_cases():
 
 @pytest.mark.parametrize("rel, rhs", [("<=", 1), ("=", 0), (">=", 1)])
 def test_no_variable_lps_match_reference(rel, rhs):
-    lp = make_lp([], [([], "<=", 0), ([], rel, rhs)])
+    lp = LinearProgram((), (), (Row(0, "<=", Rat(0)), Row(0, rel, Rat(rhs))))
     got = solve_counted(simplex_solve, lp)
     assert got == solve_counted(reference.simplex_solve, lp)
 
 
 def test_pivots_are_counted():
     before = simplex.STATS["pivots"]
-    simplex_solve(FIXED["scaled-le-ge-eq-rows"])
+    simplex_solve(FIXED["le-ge-eq-rows"])
     assert simplex.STATS["pivots"] > before
 
 
@@ -288,38 +284,28 @@ def certificate_outcome(verify, lp, solution):
 def assert_same_checks(lp, point):
     """row_status and the certificate of the Vertex point in lp give
     the tight rows, and the rank or error, of the Fraction and the dense
-    integer references on the dense LP."""
-    dense, sol = dense_lp(lp), dense_solution(point)
+    integer references on the dense LP and of the mask reference."""
+    dense, mask, sol = dense_lp(lp), mask_lp(lp), dense_solution(point)
     tight = row_status(lp, point)
+    assert mask.status(point) == tight
     for ref in (reference, dense_rows):
         assert ref.row_status(dense, sol.values) == (tight is not None, tight)
     outcome = certificate_outcome(verify_vertex_certificate, lp, point)
+    verify = dense_rows.verify_vertex_certificate
+    assert outcome == certificate_outcome(verify, mask, point)
     for ref in (reference, dense_rows):
         assert outcome == certificate_outcome(ref.verify_vertex_certificate, dense, sol)
     return tight, outcome
 
 
-def zero_one_rows(lp):
-    """lp with each row replaced by the 0/1 row x(support) of the same
-    relation and rhs: the one-term rows Row.excess checks without its
-    term loop."""
-    rows = tuple(
-        Row.of_mask(sum(mask for _, mask in row.terms), row.rel, row.rhs)
-        for row in lp.rows
-    )
-    return replace(lp, rows=rows)
-
-
 @settings(max_examples=300, deadline=None)
-@given(lps(), st.booleans(), st.data())
-def test_row_checks_and_certificates_match_reference(lp, zero_one, data):
-    if zero_one:
-        lp = zero_one_rows(lp)
-    point = st.lists(bound_value, min_size=lp.num_vars, max_size=lp.num_vars)
-    assert_same_checks(lp, Vertex.at(lp, tuple(data.draw(point))))
+@given(lps(), st.data())
+def test_row_checks_and_certificates_match_reference(lp, data):
+    point = st.lists(point_value, min_size=lp.num_vars, max_size=lp.num_vars)
+    assert_same_checks(lp, vertex_at(lp, tuple(data.draw(point))))
     try:
         sol = reference.simplex_solve(dense_lp(lp))
-    except (LpInfeasible, LpUnbounded):
+    except LpInfeasible:
         return
     rows = range(len(lp.rows) + 2 * lp.num_vars)
     # the true certificate, one with rows dropped or added, and a moved point
@@ -328,10 +314,17 @@ def test_row_checks_and_certificates_match_reference(lp, zero_one, data):
         tuple(data.draw(st.lists(st.sampled_from(sol.tight_rows or (0,))))),
         sol.tight_rows + tuple(data.draw(st.lists(st.sampled_from(rows), max_size=2))),
     ]
-    moved = (sol.values[0] + data.draw(bound_value),) + sol.values[1:]
+    moved = (sol.values[0] + data.draw(point_value),) + sol.values[1:]
     candidates = [(sol.values, c) for c in claims] + [(moved, sol.tight_rows)]
     for values, claim in candidates:
-        assert_same_checks(lp, replace(Vertex.at(lp, values), tight_rows=claim))
+        assert_same_checks(lp, replace(vertex_at(lp, values), tight_rows=claim))
+
+
+coefficient = st.one_of(
+    st.just(Rat(0)),
+    st.builds(Rat, st.integers(-3, 3)),
+    st.builds(Rat, st.integers(-6, 6), st.sampled_from([2, 3, 4, 6])),
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -366,7 +359,7 @@ def checked_core(monkeypatch):
         before = simplex.STATS["pivots"]
         try:
             got = simplex_solve(lp)
-        except (LpInfeasible, LpUnbounded) as exc:
+        except LpInfeasible as exc:
             ours = type(exc)
         else:
             ours = dense_solution(got)
@@ -413,15 +406,18 @@ def test_covering_slices_match_reference(checked_core):
     assert checked_core["solve"] > solves and checked_core["reuse"] > 0
 
 
+
+
 def test_constraint_integer_form():
-    lp = make_lp([0, 0], [([Rat(1, 2), 0], "<=", Rat(1, 3))])
+    lp = box_lp([0, 0], [([1, 0], "<=", Rat(1, 3))])
     row = lp.rows[0]
-    assert row == Row(((1, 0b01),), "<=", Rat(1, 3), 2)
-    point = Vertex.at(lp, [Rat(1, 4), Rat(0)])
+    assert row == Row(0b01, "<=", Rat(1, 3))
+    point = vertex_at(lp, [Rat(1, 4), Rat(0)])
     assert (point.den, point.scaled) == (4, (1, 0))
-    # 2 * 4 * x0 = 1, so 2*4*3*(1/8 - 1/3) = 1*3 - 1*2*4
-    assert row.excess(point) == 1 * 3 - 1 * 2 * 4
-    # variables sharing a coefficient share a term, over the lcm of all
-    row = make_lp([0] * 3, [([Rat(1, 2), Rat(2, 3), Rat(1, 2)], ">=", 1)]).rows[0]
-    assert (row.terms, row.scale) == (((3, 0b101), (4, 0b010)), 6)
-    assert row.columns((0, 1, 2)) == [3, 4, 3] and row.columns((2,)) == [3]
+    # D = 4 and D * x0 = 1, so 4*3*(1/4 - 1/3) = 1*3 - 1*4
+    assert row.excess(point) == 1 * 3 - 1 * 4
+    # a row names variables by id, whatever the LP's columns
+    lp = LinearProgram((2, 5), (Rat(0), Rat(0)), (Row(0b100100, ">=", Rat(1, 2)),))
+    point = vertex_at(lp, [Rat(1, 3), Rat(1, 2)])
+    assert point.load(lp.rows[0].mask) == 2 + 3
+    assert lp.rows[0].excess(point) == (2 + 3) * 2 - 1 * 6

@@ -165,7 +165,7 @@ def test_tighten_triangle_bound_two(triangle):
     load = sum(
         point.x_by_id[e]
         for e in point.x_by_id
-        if triangle.by_id[e].crosses(0b001)
+        if (triangle.delta_mask(0b001) >> e) & 1
     )
     changes = tighten_degree_bounds(forest, triangle, 0b111, point)
     assert forest.node(0).bound == load

@@ -44,8 +44,9 @@ def step_at(state, x_by_id):
 def test_local_edges_without_grandchildren_is_all_touching(triangle):
     forest = LaminarForest.from_sets([(0b011, Rat(2)), (0b001, Rat(1))])
     # node 0 = {0,1} has a child but no grandchildren
-    assert local_edges(forest, triangle, 0b111, 0) == triangle.touching_mask(0b011)
-    assert node_reach(forest, triangle, 0) == triangle.touching_mask(0b011)
+    touching = triangle.cut(0b011)[1]
+    assert local_edges(forest, triangle, 0b111, 0) == touching
+    assert node_reach(forest, triangle, 0) == touching
 
 
 def test_local_edges_figure_configuration():

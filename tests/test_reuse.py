@@ -29,8 +29,8 @@ from crossopt.randgen import (
     random_lattice_instance,
     random_mcst_instance,
 )
-from crossopt.simplex import rank_of_rows, scale_values, verify_vertex_certificate
-from dense_rows import dense_lp
+from crossopt.simplex import scale_values, verify_vertex_certificate
+from dense_rows import dense_lp, rank_of_rows
 from optimal_face import full_separation_clean
 
 ACCEPTANCE_MCST = 200

@@ -6,15 +6,8 @@ from hypothesis import strategies as st
 
 from crossopt.errors import InternalCheckError
 from crossopt.rational import Rat
-from crossopt.simplex import (
-    LpInfeasible,
-    LpUnbounded,
-    Vertex,
-    make_lp,
-    rank_of_rows,
-    simplex_solve,
-    verify_vertex_certificate,
-)
+from crossopt.simplex import LpInfeasible, simplex_solve, verify_vertex_certificate
+from dense_rows import box_lp, rank_of_rows, vertex_at
 
 
 def upper_row(lp, j):
@@ -23,42 +16,35 @@ def upper_row(lp, j):
 
 
 def row_vector(lp, idx):
-    """The rational coefficients, one per column, of a row or bound row
-    of lp (the tight_rows index scheme)."""
+    """The 0/1 coefficients, one rational per column, of a row or bound
+    row of lp (the tight_rows index scheme)."""
     m = len(lp.rows)
     if idx < m:
-        row = lp.rows[idx]
-        return [Rat(a, row.scale) for a in row.columns(lp.var_ids)]
+        return [Rat((lp.rows[idx].mask >> v) & 1) for v in lp.var_ids]
     j = (idx - m) % lp.num_vars
     return [Rat(int(k == j)) for k in range(lp.num_vars)]
 
 
 def test_equality_forces_unique_point():
-    lp = make_lp([1, 1], [([1, 1], "=", 2)])
+    lp = box_lp([1, 1], [([1, 1], "=", 2)])
     sol = simplex_solve(lp)
     assert sol.values == (Rat(1), Rat(1))
     assert sol.objective == 2
 
 
 def test_contradictory_rows_infeasible():
-    lp = make_lp([0], [([1], ">=", 3), ([1], "<=", 1)], lower=[0], upper=[None])
+    lp = box_lp([0], [([1], ">=", Rat(2, 3)), ([1], "<=", Rat(1, 3))])
     with pytest.raises(LpInfeasible):
         simplex_solve(lp)
 
 
-def test_unbounded_detected():
-    lp = make_lp([-1], [], lower=[0], upper=[None])
-    with pytest.raises(LpUnbounded):
-        simplex_solve(lp)
-
-
 def test_triangle_total_row_unit_costs():
-    lp = make_lp([1, 1, 1], [([1, 1, 1], "=", 2)])
+    lp = box_lp([1, 1, 1], [([1, 1, 1], "=", 2)])
     assert simplex_solve(lp).objective == 2
 
 
 def test_fractional_optimum_exact():
-    lp = make_lp([1, 0], [([1, 1], ">=", 1), ([0, 1], "<=", Rat(1, 2))])
+    lp = box_lp([1, 0], [([1, 1], ">=", 1), ([0, 1], "<=", Rat(1, 2))])
     sol = simplex_solve(lp)
     assert sol.values == (Rat(1, 2), Rat(1, 2))
     assert sol.objective == Rat(1, 2)
@@ -96,14 +82,14 @@ def test_rank_of_tight_rows_at_four_cycle_half_point(edge_cover_4cycle):
 
 
 def test_tight_rows_include_bound_rows():
-    lp = make_lp([1, 1], [([1, 1], "=", 2)])
+    lp = box_lp([1, 1], [([1, 1], "=", 2)])
     sol = simplex_solve(lp)
     assert upper_row(lp, 0) in sol.tight_rows
     assert upper_row(lp, 1) in sol.tight_rows
 
 
 def test_determinism_same_input_same_output():
-    lp = make_lp(
+    lp = box_lp(
         [3, 1, 4, 1],
         [([1, 1, 1, 1], ">=", 2), ([1, 0, 1, 0], "<=", 1), ([0, 1, 0, 1], "<=", 1)],
     )
@@ -115,9 +101,9 @@ def test_determinism_same_input_same_output():
 small_rat = st.integers(min_value=-3, max_value=3).map(Rat)
 rows_strategy = st.lists(
     st.tuples(
-        st.lists(small_rat, min_size=3, max_size=3),
+        st.lists(st.integers(0, 1), min_size=3, max_size=3),
         st.sampled_from(["<=", "=", ">="]),
-        st.integers(min_value=-4, max_value=4).map(Rat),
+        st.builds(Rat, st.integers(-4, 4), st.sampled_from([1, 1, 2])),
     ),
     min_size=0,
     max_size=4,
@@ -127,10 +113,10 @@ rows_strategy = st.lists(
 @settings(max_examples=120, deadline=None)
 @given(rows_strategy, st.lists(small_rat, min_size=3, max_size=3), st.randoms())
 def test_constraint_order_never_changes_objective(rows, objective, rnd):
-    lp = make_lp(objective, rows)
+    lp = box_lp(objective, rows)
     shuffled = list(rows)
     rnd.shuffle(shuffled)
-    lp2 = make_lp(objective, shuffled)
+    lp2 = box_lp(objective, shuffled)
     try:
         first = simplex_solve(lp).objective
     except LpInfeasible:
@@ -143,7 +129,7 @@ def test_constraint_order_never_changes_objective(rows, objective, rnd):
 @settings(max_examples=120, deadline=None)
 @given(rows_strategy, st.lists(small_rat, min_size=3, max_size=3))
 def test_support_bounded_by_certificate_rank(rows, objective):
-    lp = make_lp(objective, rows)
+    lp = box_lp(objective, rows)
     try:
         sol = simplex_solve(lp)
     except LpInfeasible:
@@ -155,19 +141,14 @@ def test_support_bounded_by_certificate_rank(rows, objective):
         for idx in sol.tight_rows
         if idx < m
     ]
-    at_bound = sum(
-        1
-        for j in range(lp.num_vars)
-        if sol.values[j] == lp.lower[j]
-        or (lp.upper[j] is not None and sol.values[j] == lp.upper[j])
-    )
+    at_bound = sum(1 for v in sol.values if v in (0, 1))
     assert len(support) <= rank_of_rows(constraint_rows) + at_bound
     # and the full certificate re-verifies
     verify_vertex_certificate(lp, sol)
 
 
 def test_certificate_rejects_nonvertex():
-    lp = make_lp([0, 0], [([1, 1], "=", 1)])
-    fake = replace(Vertex.at(lp, (Rat(1, 2), Rat(1, 2))), tight_rows=(0,))
+    lp = box_lp([0, 0], [([1, 1], "=", 1)])
+    fake = replace(vertex_at(lp, (Rat(1, 2), Rat(1, 2))), tight_rows=(0,))
     with pytest.raises(InternalCheckError):
         verify_vertex_certificate(lp, fake)

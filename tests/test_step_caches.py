@@ -46,7 +46,6 @@ def test_cached_cuts_match_incidence_rows(graph, data):
         delta, touching = cut_masks(graph, vmask)
         assert graph.cut(vmask) == (delta, touching)
         assert graph.delta_mask(vmask) == delta
-        assert graph.touching_mask(vmask, within) == touching & within
         assert graph.induced_mask(vmask) == touching & ~delta
         assert graph.induced_mask(vmask, within) == touching & ~delta & within
 

@@ -52,7 +52,7 @@ def test_delta_induced_touching(triangle):
     s = 0b011  # vertices 0,1
     assert triangle.delta_mask(s) == 0b110  # edges (1,2) and (0,2)
     assert triangle.induced_mask(s) == 0b001
-    assert triangle.touching_mask(s) == 0b111
+    assert triangle.cut(s)[1] == 0b111
     assert triangle.is_spanning_tree(0b011)
     assert not triangle.is_spanning_tree(0b111)
 
@@ -87,7 +87,10 @@ def test_incidence_masks_match_per_edge_definitions(graph, data):
         return out if within is None else out & within
 
     assert graph.delta_mask(vmask, within) == per_edge(lambda a, b: a != b)
-    assert graph.touching_mask(vmask, within) == per_edge(lambda a, b: a or b)
+    touching = graph.cut(vmask)[1]
+    assert per_edge(lambda a, b: a or b) == (
+        touching if within is None else touching & within
+    )
     assert graph.induced_mask(vmask, within) == per_edge(lambda a, b: a and b)
 
 
