@@ -23,11 +23,22 @@ restricted to the remaining edges, is reused and re-certified
 loosens rows, so the old vertex need not stay optimal and the LP is
 solved again.
 
+The state owns one residual LP for the whole run (lpengine.McstLp),
+and each step event edits it instead of rebuilding it: a fix or delete
+removes the edge from the rows that hold it (a fix also lowers their
+bounds by one, in integers), a tighten rewrites the bounds it names,
+and a drop or merge rebuilds the degree rows.  Tightening loads only
+the degree rows the vertex does not claim tight; certify has shown the
+tight ones carry load equal to bound.  replay_trace applies the same
+edits through the same state methods, and builds no LP row.
+
 A node is good when at most MAX_LOCAL = 24 undecided edges are local to
 it.  Its local edges are its reach (the edges touching it, less those
 inside a grandchild or crossing both a grandchild and the node) within
 the undecided edges.  The reach depends only on the forest's shape, so
 the state keeps it for every alive node until a drop or merge step.
+No undecided edge may be local to more than six alive nodes; the owner
+counts are kept as 3-bit counters in bit planes over all edges at once.
 
 If no step applies the run aborts with an internal error: the counting
 argument behind the algorithm guarantees this never happens, and the
@@ -42,12 +53,12 @@ from .errors import InstanceError, InternalCheckError, NoStepApplies
 from .graphs import iter_bits
 from .instances import _rat
 from .laminar import VIRTUAL_ROOT, all_consecutive_blocks
-from .lpengine import ResidualMcstLp, tighten_degree_bounds
+from .lpengine import McstLp
 
 # imported by name so that crossopt.mcst.solve_to_extreme_point, which
 # the benchmark's wrapper test reads, stays the lpengine function
 from .lpengine import solve_to_extreme_point  # noqa: F401
-from .rational import ONE, ZERO, Rat, encode_rationals, render_rat
+from .rational import Rat, encode_rationals, render_rat
 from .relax import relax
 
 MAX_LOCAL = 24  # locality threshold for "good" nodes
@@ -91,17 +102,31 @@ def classify_good(forest, reach, eprime):
 
 
 def assert_edge_locality(locals_by, eprime):
-    """No undecided edge may be local to more than six alive nodes."""
-    for eid in iter_bits(eprime):
+    """No undecided edge may be local to more than six alive nodes.
+
+    Each edge's owner count is kept in three bit planes, one 3-bit
+    counter per edge, added to once per local-edge mask; ``over``
+    collects the edges whose count reached 7.  Only when some edge did
+    is the per-edge count taken, to name the first such edge."""
+    if len(locals_by) <= 6:
+        return
+    ones = twos = fours = over = 0
+    for mask in locals_by.values():
+        carry = ones & mask
+        ones ^= mask
+        carry, twos = twos & carry, twos ^ carry
+        over |= fours & carry
+        fours ^= carry
+    over = (over | (ones & twos & fours)) & eprime
+    if over:
+        eid = (over & -over).bit_length() - 1
         owners = sum(1 for mask in locals_by.values() if (mask >> eid) & 1)
-        if owners > 6:
-            raise InternalCheckError(
-                f"edge {eid} is local to {owners} nodes (limit 6)"
-            )
+        raise InternalCheckError(f"edge {eid} is local to {owners} nodes (limit 6)")
 
 
 class McstState:
-    """Mutable run state: chosen edges, undecided edges, residual forest."""
+    """Mutable run state: the residual forest and its LP (the chosen
+    and undecided edges, the bounds), edited by the step events."""
 
     header = {"kind": "mcst-trace", "alpha": MAX_LOCAL}
 
@@ -109,54 +134,63 @@ class McstState:
         self.instance = instance
         self.graph = instance.graph
         self.forest = instance.build_forest()
-        self.eprime = self.graph.all_edges_mask
-        self.fmask = 0
-        self.fcost = ZERO  # c(F), kept by fix_edge
+        self.lp = McstLp(self.graph, self.forest)
+        # c(F) as the int C * c(F), kept by fix_edge, with C the lcm of
+        # the edge costs' denominators
+        self.cost_den = lcm(*(e.cost.denominator for e in self.graph.edges))
+        self.fcost = 0
         # reach_masks of the forest; None after a drop or merge step,
         # the only steps that change a node's grandchildren
         self.reach = None
         self.iteration_cap = (
             self.eprime.bit_count() + drop_round_limit(self.graph.n) + 2
         )
-        # delta masks of the original sets, for _assert_degree_accounting
+        # delta masks and bounds of the original sets, for
+        # _assert_degree_accounting; the original bounds are integers
         self.family_deltas = tuple(
             self.graph.delta_mask(vmask) for vmask, _ in instance.family
         )
+        self.family_bounds = tuple(bound.numerator for _, bound in instance.family)
+
+    @property
+    def eprime(self):
+        return self.lp.eprime
+
+    @property
+    def fmask(self):
+        return self.lp.fmask
 
     def finished(self):
-        return not self.eprime
+        return not self.lp.eprime
 
     def residual(self):
-        rows = tuple(
-            (nid, self.forest.node(nid).vset, self.forest.node(nid).bound)
-            for nid in sorted(self.forest.alive_ids())
-        )
-        return ResidualMcstLp(self.graph, self.eprime, self.fmask, rows)
+        return self.lp.view()
 
     def fix_edge(self, eid):
-        bit = 1 << eid
-        self.fmask |= bit
-        self.eprime &= ~bit
-        self.fcost += self.graph.by_id[eid].cost
-        delta_mask = self.graph.delta_mask
-        for node in self.forest.nodes:
-            if node.alive and delta_mask(node.vset) & bit:
-                if node.bound < 1:
-                    raise InternalCheckError(
-                        f"fixing edge {eid} drives bound of node {node.id} negative"
-                    )
-                self.forest.set_bound(node.id, node.bound - ONE)
+        self.lp.fix(eid)
+        cost = self.graph.by_id[eid].cost
+        self.fcost += cost.numerator * (self.cost_den // cost.denominator)
 
     def delete_edge(self, eid):
-        self.eprime &= ~(1 << eid)
+        self.lp.delete(eid)
+
+    def reshaped(self):
+        """After a drop or merge step: the forest's alive nodes changed,
+        so the reach masks and the degree rows are rebuilt."""
+        self.reach = None
+        self.lp.reshape()
 
     def step(self, point, lp_initial, trace):
         """Tighten, check the invariants and apply try_step; True after
         a fix or delete, whose new region is a face of the old one."""
         graph = self.graph
-        if self.fcost + point.objective > lp_initial:
+        z, z0, c_den = point.objective, lp_initial, self.cost_den
+        # c(F) + z > z0, in integers
+        if (self.fcost * z.denominator + z.numerator * c_den) * z0.denominator > (
+            z0.numerator * c_den * z.denominator
+        ):
             raise InternalCheckError("cost accounting broke: c(F) + z > z0")
-        changes = tighten_degree_bounds(self.forest, graph, self.eprime, point)
+        changes = self.lp.tighten(point)
         trace.add(
             {
                 "ev": "tighten",
@@ -171,7 +205,7 @@ class McstState:
         classified = classify_good(self.forest, self.reach, self.eprime)
         assert_edge_locality(classified[0], self.eprime)
         _assert_degree_accounting(self)
-        before = self.forest.size()
+        before = len(self.reach)  # the alive nodes
         event = try_step(self, point, classified)
         trace.add(event)
         if event["ev"] in ("fix", "delete"):
@@ -231,7 +265,7 @@ def try_step(state, point, classified):
             )
         parents = sorted(chosen)
         dropped = forest.drop_children_of(parents)
-        state.reach = None
+        state.reshaped()
         return {
             "ev": "drop_children",
             "parity": parity,
@@ -256,7 +290,7 @@ def try_step(state, point, classified):
                 leftover = ordered[-1]
                 forest.remove_leaf(leftover)
                 removed.append([pkey, leftover])
-        state.reach = None
+        state.reshaped()
         return {"ev": "merge_leaves", "merges": merges, "removed": removed}
 
     raise NoStepApplies(
@@ -310,23 +344,18 @@ def drop_round_limit(n):
 def _assert_degree_accounting(state):
     """An original node's residual bound plus the chosen edges crossing
     it never exceeds its original bound (tightening only decreases, and
-    each fixed crossing edge decremented it by one)."""
-    for idx, (delta, (_, bound)) in enumerate(
-        zip(state.family_deltas, state.instance.family)
-    ):
-        node = state.forest.nodes[idx]
-        if not node.alive:
-            continue
-        fixed = (delta & state.fmask).bit_count()
-        residual = node.bound
-        # residual + fixed > bound, in integers
-        if (
-            (residual.numerator + fixed * residual.denominator) * bound.denominator
-            > bound.numerator * residual.denominator
-        ):
-            raise InternalCheckError(
-                f"degree accounting broke at original set {idx}"
-            )
+    each fixed crossing edge decremented it by one).  Original nodes
+    keep their family index as node id and come first in id order."""
+    lp = state.lp
+    fmask = lp.fmask
+    originals = len(state.family_bounds)
+    for nid, num, den in zip(lp.node_ids, lp.nums, lp.dens):
+        if nid >= originals:
+            break
+        fixed = (state.family_deltas[nid] & fmask).bit_count()
+        # num / den + fixed > bound, in integers
+        if num + fixed * den > state.family_bounds[nid] * den:
+            raise InternalCheckError(f"degree accounting broke at original set {nid}")
 
 
 # -- replay and verification ---------------------------------------------------
@@ -344,11 +373,14 @@ def replay_trace(instance, trace):
     """Re-apply the event log mechanically (no LP solves) and check it
     reproduces the recorded final tree and forest.
 
-    Events are numbered from 1 in trace order (a trace file's line
-    numbers when it has no blank lines).  A field that replay cannot
-    apply, such as a node or edge the run does not have, is an
-    InstanceError naming the event and the field; a well-formed event
-    that does not reproduce the run is an InternalCheckError."""
+    The events edit a McstState through the methods the run edits it
+    with; no LP row is built.  Events are numbered from 1 in trace order
+    (a trace file's line numbers when it has no blank lines).  A field
+    that replay cannot apply, such as a node or edge the run does not
+    have, is an InstanceError naming the event and the field; a
+    well-formed event that does not reproduce the run, such as a
+    tighten that raises a bound or leaves it negative, is an
+    InternalCheckError."""
     state = McstState(instance)
     forest = state.forest
     snapshots = [(forest.snapshot(), state.eprime)]
@@ -362,16 +394,31 @@ def replay_trace(instance, trace):
                 field = f"{where} changes[{i}]"
                 nid = _node_id(nid, forest, field)
                 old, new = _rat(old, field), _rat(new, field)
-                if forest.node(nid).bound != old:
+                node = forest.node(nid)
+                if not node.alive:
+                    raise InternalCheckError(
+                        f"replay mismatch: {field} tightens node {nid}, which is dead"
+                    )
+                if node.bound != old:
                     raise InternalCheckError(
                         f"replay mismatch: node {nid} bound differs before tighten"
                     )
-                forest.set_bound(nid, new)
+                if not 0 <= new <= old:
+                    raise InternalCheckError(
+                        f"replay mismatch: {field} moves node {nid}'s bound from "
+                        f"{render_rat(old)} to {render_rat(new)}; tightening only "
+                        "lowers a bound and keeps it non-negative"
+                    )
+                state.lp.set_bound(nid, new)
         elif kind in ("fix", "delete"):
             eid = _field(ev, "edge", where)
             if type(eid) is not int or eid not in instance.graph.by_id:
                 raise InstanceError(
                     f"{where} edge must be an edge id of the instance, got {eid!r}"
+                )
+            if not (state.eprime >> eid) & 1:
+                raise InternalCheckError(
+                    f"replay mismatch: {where} edge {eid} is already decided"
                 )
             if kind == "fix":
                 state.fix_edge(eid)
@@ -383,7 +430,7 @@ def replay_trace(instance, trace):
             dropped = forest.drop_children_of(tuple(parents))
             if sorted(dropped) != sorted(expected):
                 raise InternalCheckError("replay mismatch: dropped set differs")
-            state.reach = None
+            state.reshaped()
             snapshots.append((forest.snapshot(), state.eprime))
         elif kind == "merge_leaves":
             merges = _entries(ev, "merges", 4, where)
@@ -400,7 +447,7 @@ def replay_trace(instance, trace):
                 field = f"{where} removed[{i}]"
                 _node_id(pkey, forest, field, root_ok=True)
                 forest.remove_leaf(_node_id(nid, forest, field))
-            state.reach = None
+            state.reshaped()
             snapshots.append((forest.snapshot(), state.eprime))
         elif kind == "end":
             matches = (

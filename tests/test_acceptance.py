@@ -19,11 +19,7 @@ from crossopt.generators import gen_edge_cover_tight, gen_mcst_gap, gen_planar_m
 from crossopt.instances import INCLUSION
 from crossopt.intersection import run_intersection, verify_intersection
 from crossopt.lattice import bound_feasible_predicate, run_lattice, verify_lattice
-from crossopt.lpengine import (
-    ResidualIntersectionLp,
-    ResidualMcstLp,
-    solve_to_extreme_point,
-)
+from crossopt.lpengine import ResidualIntersectionLp, solve_to_extreme_point
 from crossopt.mcst import drop_round_limit, run_mcst, verify_guarantee
 from crossopt.randgen import (
     CorpusConfig,
@@ -37,6 +33,7 @@ from crossopt.brute import enumerate_spanning_trees
 from crossopt.generators import reduce_uniform_crossing_to_mcst
 from gadget_trees import tree_to_subset, yes_case_tree
 from optimal_face import coordinate_ranges, full_separation_clean
+from uncached_steps import RebuiltMcstLp
 
 MCST_CORPUS_SIZE = 200
 INTERSECTION_CORPUS_SIZE = 100
@@ -283,7 +280,7 @@ def test_criterion_9_certificates_and_separation(mcst_results):
         clean = clean and full_separation_clean(state, point)
     results, _, _ = mcst_results
     for inst, tree, trace, report in results[:5]:
-        state = ResidualMcstLp(
+        state = RebuiltMcstLp(
             inst.graph,
             inst.graph.all_edges_mask,
             0,

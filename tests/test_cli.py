@@ -257,6 +257,50 @@ def test_malformed_trace_is_usage_error(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _tighten_dead_node(events):
+    """Edit: the tighten after the drop round names node 1, dropped
+    there."""
+    at = next(i for i, ev in enumerate(events) if ev["ev"] == "drop_children")
+    ev = next(ev for ev in events[at:] if ev["ev"] == "tighten" and ev["changes"])
+    ev["changes"][0][0] = 1
+
+
+# well-formed events of the seed-76 run that it did not make; replay
+# must refuse each where it happens (exit 3), not at a later mismatch
+REPLAY_MISMATCHES = {
+    "tighten-raises-bound": (
+        _set_change(2, "54/1"),
+        "replay mismatch: trace event 3 (tighten) changes[0] moves node 1's "
+        "bound from 5/1 to 54/1",
+    ),
+    "tighten-negative-bound": (
+        _set_change(2, "-1/1"),
+        "replay mismatch: trace event 3 (tighten) changes[0] moves node 1's "
+        "bound from 5/1 to -1/1",
+    ),
+    "tighten-dead-node": (
+        _tighten_dead_node,
+        "replay mismatch: trace event 27 (tighten) changes[0] tightens node 1, "
+        "which is dead",
+    ),
+    "fix-decided-edge": (
+        _set("fix", "edge", 5, at=1),
+        "replay mismatch: trace event 7 (fix) edge 5 is already decided",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_MISMATCHES))
+def test_verify_refuses_an_event_the_run_did_not_make(case, tmp_path, capsys):
+    edit, named = REPLAY_MISMATCHES[case]
+    inst, solution, trace = _solved_mcst(tmp_path)
+    events = [json.loads(line) for line in trace.read_text().splitlines()]
+    edit(events)
+    trace.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+    assert _verify_trace(inst, solution, trace) == 3
+    assert named in capsys.readouterr().err
+
+
 def test_solve_lattice_variant_flag(tmp_path):
     inst_path = tmp_path / "lat.json"
     dump_instance(

@@ -7,17 +7,16 @@ from crossopt.generators import gen_planar_mincut_gap
 from crossopt.laminar import LaminarForest
 from crossopt.lpengine import (
     ResidualIntersectionLp,
-    ResidualMcstLp,
     separate_contra_polymatroid,
     separate_lattice,
     separate_spanning_tree,
     solve_to_extreme_point,
-    tighten_degree_bounds,
 )
 from crossopt.oracles import ContraPolymatroidPair
 from crossopt.rational import Rat
 from crossopt.simplex import LpInfeasible, Vertex
 from optimal_face import coordinate_ranges, full_separation_clean
+from uncached_steps import RebuiltMcstLp, tighten_degree_bounds
 
 
 def x_of(values):
@@ -112,7 +111,7 @@ def test_planar_lattice_separation_examples():
 
 
 def test_triangle_solve_integral(triangle):
-    state = ResidualMcstLp(triangle, 0b111, 0, ())
+    state = RebuiltMcstLp(triangle, 0b111, 0, ())
     point = solve_to_extreme_point(state)
     assert point.objective == 2
     assert sorted(point.x_by_id.values()) == [Rat(0), Rat(1), Rat(1)]
@@ -140,7 +139,7 @@ def test_edge_cover_solve_half_everywhere(edge_cover_4cycle):
 
 def test_infeasible_residual_propagates(triangle):
     forest_rows = ((0, 0b001, Rat(0)),)  # vertex 0 may not be reached
-    state = ResidualMcstLp(triangle, 0b111, 0, forest_rows)
+    state = RebuiltMcstLp(triangle, 0b111, 0, forest_rows)
     with pytest.raises(LpInfeasible):
         solve_to_extreme_point(state)
 
@@ -160,7 +159,7 @@ def test_tighten_examples(triangle):
 
 def test_tighten_triangle_bound_two(triangle):
     forest = LaminarForest.from_sets([(0b001, Rat(2))])
-    state = ResidualMcstLp(triangle, 0b111, 0, ((0, 0b001, Rat(2)),))
+    state = RebuiltMcstLp(triangle, 0b111, 0, ((0, 0b001, Rat(2)),))
     point = solve_to_extreme_point(state)
     load = sum(
         point.x_by_id[e]

@@ -1,23 +1,32 @@
 """The cached MCST step facts against their per-call references.
 
-``Graph`` keeps each vertex set's cut once computed, and ``McstState``
+``Graph`` keeps each vertex set's cut once computed; ``McstState``
 keeps each alive node's reach, rebuilding it only after drop and merge
-steps.  tests/uncached_steps.py recomputes both on every call; these
-tests compare the two on random graphs and on every step of seeded
-runs.
+steps, counts each edge's owners in bit planes, and owns one residual
+LP per run that the step events edit.  tests/uncached_steps.py
+recomputes all of them on every call; these tests compare the two on
+random inputs and on every step of seeded runs.
 """
 
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossopt import mcst
+from crossopt.errors import InternalCheckError
 from crossopt.graphs import Edge, Graph
 from crossopt.randgen import MCST_DROP_SEEDS, random_mcst_instance
 from crossopt.rational import Rat
-from uncached_steps import classify_good, cut_masks, local_edges
+from uncached_steps import (
+    RebuiltMcstState,
+    assert_edge_locality,
+    classify_good,
+    cut_masks,
+    local_edges,
+)
 
 
 @st.composite
@@ -83,6 +92,92 @@ def test_classification_matches_reference_on_every_step(monkeypatch):
         mcst.run_mcst(inst)
     # the reach is rebuilt after both kinds of drop round, and kept
     # across fix and delete steps
+    assert checked["drop_children"] > 0 and checked["merge_leaves"] > 0
+    assert checked["fix"] > 0 and checked["delete"] > 0
+    assert checked["start"] == len(MCST_DROP_SEEDS) + 40
+
+
+@st.composite
+def local_edge_masks(draw):
+    """(local-edge masks by node, undecided edges): up to 12 nodes over
+    up to 40 edges, with some edges made local to exactly 6 or exactly
+    7 of the nodes."""
+    nodes = draw(st.integers(0, 12))
+    edges = draw(st.integers(1, 40))
+    eprime = draw(st.integers(0, (1 << edges) - 1))
+    masks = [draw(st.integers(0, (1 << edges) - 1)) & eprime for _ in range(nodes)]
+    for owners in draw(st.lists(st.sampled_from((6, 7)), max_size=3)):
+        if owners > nodes or not eprime:
+            continue
+        eid = draw(st.sampled_from([e for e in range(edges) if (eprime >> e) & 1]))
+        chosen = set(draw(st.permutations(range(nodes)))[:owners])
+        for i in range(nodes):
+            if i in chosen:
+                masks[i] |= 1 << eid
+            else:
+                masks[i] &= ~(1 << eid)
+    return {nid: mask for nid, mask in enumerate(masks)}, eprime
+
+
+def locality_outcome(check, locals_by, eprime):
+    try:
+        check(locals_by, eprime)
+    except InternalCheckError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(local_edge_masks())
+def test_bit_sliced_locality_matches_edge_by_edge_count(case):
+    locals_by, eprime = case
+    assert locality_outcome(
+        mcst.assert_edge_locality, locals_by, eprime
+    ) == locality_outcome(assert_edge_locality, locals_by, eprime)
+
+
+@pytest.mark.parametrize("owners", [6, 7, 8, 15, 16])
+def test_bit_sliced_locality_at_the_counter_edges(owners):
+    # counts 7 and 8 (the counter's overflow), and 15 and 16, where a
+    # 3-bit count would read 7 and 0 again
+    locals_by = {nid: 0b100 if nid < owners else 0b011 for nid in range(owners + 3)}
+    got = locality_outcome(mcst.assert_edge_locality, locals_by, 0b111)
+    assert got == locality_outcome(assert_edge_locality, locals_by, 0b111)
+    assert (got is None) == (owners <= 6)
+
+
+def test_edited_lp_matches_rebuilt_reference_on_every_step(monkeypatch):
+    """On every step of seeded runs, drop-round seeds included, the
+    residual LP the run edits has the Row list (mask, relation, rhs and
+    tag, in order), the variables and the objective of the LP rebuilt
+    from a reference state that replays the run's events the old way."""
+    residual, step = mcst.McstState.residual, mcst.McstState.step
+    references = {}
+    last = {}
+    checked = Counter()
+
+    def checking_residual(state):
+        got = residual(state)
+        if state not in references:
+            references[state] = RebuiltMcstState(state.instance)
+        var_ids, objective, rows, _, _ = got.base()
+        want = references[state].residual().base()
+        assert (var_ids, objective, tuple(rows)) == (want[0], want[1], tuple(want[2]))
+        checked[last.get(state, "start")] += 1
+        return got
+
+    def recording_step(state, point, lp_initial, trace):
+        start = len(trace.events)
+        reuse = step(state, point, lp_initial, trace)
+        for event in trace.events[start:]:
+            references[state].apply(event, point)
+            last[state] = event["ev"]
+        return reuse
+
+    monkeypatch.setattr(mcst.McstState, "residual", checking_residual)
+    monkeypatch.setattr(mcst.McstState, "step", recording_step)
+    for seed in MCST_DROP_SEEDS + tuple(range(40)):
+        mcst.run_mcst(random_mcst_instance(random.Random(seed)))
     assert checked["drop_children"] > 0 and checked["merge_leaves"] > 0
     assert checked["fix"] > 0 and checked["delete"] > 0
     assert checked["start"] == len(MCST_DROP_SEEDS) + 40

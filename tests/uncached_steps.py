@@ -1,14 +1,24 @@
 """The MCST step facts recomputed on every call, for the tests.
 
-``crossopt.graphs.Graph`` keeps each vertex set's cut once computed,
-and ``crossopt.mcst`` keeps each alive node's reach between drop and
-merge steps, classifying nodes by reach & E'.  These are the per-call
-versions they replaced: every mask is built afresh from the incidence
-rows, so the tests can compare the caches against them.
+``crossopt.graphs.Graph`` keeps each vertex set's cut once computed;
+``crossopt.mcst`` keeps each alive node's reach between drop and merge
+steps, classifying nodes by reach & E', and counts each edge's owners
+in bit planes; ``crossopt.lpengine.McstLp`` is one residual LP per run,
+edited by the step events.  These are the per-call versions they
+replaced: every mask is built afresh from the incidence rows, every
+owner count is taken edge by edge, and every residual LP is rebuilt
+from a forest whose bounds are lowered in rationals, so the tests can
+compare the cached and edited forms against them.
 """
 
-from crossopt.errors import InstanceError
+from dataclasses import dataclass
+
+from crossopt.errors import InstanceError, InternalCheckError
+from crossopt.graphs import iter_bits
+from crossopt.lpengine import separate_spanning_tree
 from crossopt.mcst import MAX_LOCAL
+from crossopt.rational import ONE, Rat, render_rat
+from crossopt.simplex import EQ, LE, Row
 
 
 def cut_masks(graph, vmask):
@@ -53,3 +63,128 @@ def classify_good(forest, graph, eprime):
             else:
                 good_nonleaves.append(nid)
     return locals_by, good_nonleaves, good_leaves
+
+
+def assert_edge_locality(locals_by, eprime):
+    """No undecided edge may be local to more than six alive nodes,
+    counted edge by edge."""
+    for eid in iter_bits(eprime):
+        owners = sum(1 for mask in locals_by.values() if (mask >> eid) & 1)
+        if owners > 6:
+            raise InternalCheckError(
+                f"edge {eid} is local to {owners} nodes (limit 6)"
+            )
+
+
+@dataclass(frozen=True)
+class RebuiltMcstLp:
+    """LP data of one spanning-tree iteration, every row rebuilt: the
+    undecided edges, the fixed edges, and the alive degree rows (node
+    id, vertex set, bound)."""
+
+    graph: object
+    eprime: int
+    fmask: int
+    degree_rows: tuple
+
+    def __post_init__(self):
+        if self.eprime & self.fmask:
+            raise InstanceError("undecided and fixed edge sets overlap")
+
+    def base(self):
+        """(variable ids, objective, base rows, separator, cut builder);
+        every row is a tagged Row."""
+        graph = self.graph
+        var_ids = tuple(iter_bits(self.eprime))
+        objective = tuple(graph.by_id[v].cost for v in var_ids)
+        n_fixed = self.fmask.bit_count()
+        total = Rat(graph.n - n_fixed - 1)
+        rows = [Row(self.eprime, EQ, total, ("tree_total", None))]
+        for node_id, vset, bound in self.degree_rows:
+            dmask = graph.delta_mask(vset, within=self.eprime)
+            rows.append(Row(dmask, LE, bound, ("degree", node_id)))
+
+        def cut_row(res):
+            vmask = res.witness
+            inside = graph.induced_mask(vmask, within=self.eprime)
+            f_inside = (graph.induced_mask(vmask) & self.fmask).bit_count()
+            rhs = Rat(vmask.bit_count() - f_inside - 1)
+            return Row(inside, LE, rhs, ("subtour", vmask))
+
+        def separator(point):
+            return separate_spanning_tree(point, graph, self.fmask)
+
+        return var_ids, objective, rows, separator, cut_row
+
+
+def tighten_degree_bounds(forest, graph, eprime, point):
+    """Lower every alive bound to the current crossing load x(delta(S))
+    at the certified Vertex ``point``, compared in integers.
+
+    Never increases a bound; returns [(node id, old, new)] for changed
+    nodes.
+    """
+    den = point.den
+    changes = []
+    for nid in forest.alive_ids():
+        bound = forest.node(nid).bound
+        load = point.load(graph.delta_mask(forest.node(nid).vset, within=eprime))
+        excess = load * bound.denominator - bound.numerator * den
+        if excess > 0:
+            raise InternalCheckError(
+                f"crossing load exceeds bound at node {nid}; tightening "
+                "would increase the bound"
+            )
+        if excess:
+            new = Rat(load, den)
+            changes.append((nid, bound, new))
+            forest.set_bound(nid, new)
+    return changes
+
+
+class RebuiltMcstState:
+    """The residual state of an MCST run as it was kept before the run
+    owned one edited LP: the forest's bounds lowered in rationals, fixed
+    edges found by walking every node, and the residual LP rebuilt from
+    the forest on every call.  ``apply`` takes the step events of the
+    run, recomputing each tighten from the point."""
+
+    def __init__(self, instance):
+        self.graph = instance.graph
+        self.forest = instance.build_forest()
+        self.eprime = self.graph.all_edges_mask
+        self.fmask = 0
+
+    def residual(self):
+        rows = tuple(
+            (nid, self.forest.node(nid).vset, self.forest.node(nid).bound)
+            for nid in sorted(self.forest.alive_ids())
+        )
+        return RebuiltMcstLp(self.graph, self.eprime, self.fmask, rows)
+
+    def apply(self, event, point):
+        """Apply one step event of the run at its point; the tighten
+        changes must equal those recomputed from the point."""
+        forest = self.forest
+        kind = event["ev"]
+        if kind == "tighten":
+            changes = tighten_degree_bounds(forest, self.graph, self.eprime, point)
+            assert [
+                [nid, render_rat(old), render_rat(new)] for nid, old, new in changes
+            ] == event["changes"]
+        elif kind == "fix":
+            bit = 1 << event["edge"]
+            self.fmask |= bit
+            self.eprime &= ~bit
+            for node in forest.nodes:
+                if node.alive and self.graph.delta_mask(node.vset) & bit:
+                    forest.set_bound(node.id, node.bound - ONE)
+        elif kind == "delete":
+            self.eprime &= ~(1 << event["edge"])
+        elif kind == "drop_children":
+            assert forest.drop_children_of(event["parents"]) == event["dropped"]
+        elif kind == "merge_leaves":
+            for _, first, second, new_id in event["merges"]:
+                assert forest.merge_leaf_pair(first, second) == new_id
+            for _, nid in event["removed"]:
+                forest.remove_leaf(nid)
