@@ -13,7 +13,6 @@ opt-in (--timing) because it would break report determinism.
 
 import argparse
 import functools
-import json
 import os
 import random
 import sys
@@ -39,12 +38,13 @@ from .instances import (
     dump_instance,
     instance_digest,
     load_instance,
+    parse_json,
     read_json,
     write_text,
 )
 from .intersection import IntersectionState, run_intersection, verify_intersection
 from .lattice import bound_feasible_predicate, run_lattice, verify_lattice
-from .mcst import run_mcst, verify_guarantee
+from .mcst import McstState, run_mcst, verify_guarantee
 from .randgen import (
     random_intersection_instance,
     random_lattice_instance,
@@ -71,9 +71,10 @@ def _load(path):
         from .instances import decode_instance
 
         try:
-            return decode_instance(json.load(sys.stdin))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            text = sys.stdin.read()
+        except UnicodeDecodeError as exc:
             raise InstanceError(f"invalid JSON on stdin: {exc}") from exc
+        return decode_instance(parse_json(text, "invalid JSON on stdin"))
     return load_instance(path)
 
 
@@ -244,10 +245,7 @@ def cmd_gen(args):
 def _reduction_bounds(text, e):
     """The --bounds of `gen reduction`: a JSON list of [[element ids],
     bound] pairs, each id an int in range(e) and each bound an int."""
-    try:
-        specs = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"--bounds is not valid JSON: {exc}") from exc
+    specs = parse_json(text, "--bounds is not valid JSON")
     if not isinstance(specs, list):
         raise InstanceError(
             f"--bounds must be a list of [[elements], bound] pairs, got {specs!r}"
@@ -292,6 +290,15 @@ def cmd_verify(args):
             raise InstanceError("verifying an mcst run needs --trace")
         trace = RunTrace.from_jsonl(args.trace)
         result = verify_guarantee(instance, mask, trace)
+        # check (d) compares the cost with the trace's lp_initial, so that
+        # must be the LP optimum that run_mcst reports
+        opt = initial_optimum(McstState(instance))
+        claimed = trace.initial_lp_objective()
+        if claimed != opt:
+            raise InternalCheckError(
+                f"trace lp_initial {render_rat(claimed)} is not the initial LP "
+                f"optimum {render_rat(opt)} of the instance"
+            )
         body = result.to_json()
     elif isinstance(instance, IntersectionInstance):
         # the LP optimum that run_intersection reports, without the rounding

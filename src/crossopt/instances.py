@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import stat
+import sys
 from dataclasses import dataclass
 
 from .errors import InstanceError
@@ -114,10 +115,13 @@ class McstInstance:
                 raise InstanceError("initial degree bounds must be non-negative integers")
             if vmask <= 0 or vmask > self.graph.full_vmask:
                 raise InstanceError("family set out of vertex range")
-        LaminarForest.from_sets(self.family)  # validates laminarity
+        # built once: from_sets validates laminarity, and every run and
+        # trace replay starts from a copy
+        object.__setattr__(self, "_forest", LaminarForest.from_sets(self.family))
 
     def build_forest(self):
-        return LaminarForest.from_sets(self.family)
+        """A fresh LaminarForest of the family, for one run to edit."""
+        return self._forest.snapshot()
 
     def to_json(self):
         return {
@@ -306,14 +310,28 @@ def from_matroid(matroid, costs, constraints, variant=GENERAL):
 # -- decoding ---------------------------------------------------------------
 
 
+def _digit_limit():
+    """The part of a refusal that names Python's int conversion limit."""
+    limit = sys.get_int_max_str_digits()
+    return f"more than {limit} digits, Python's int conversion limit"
+
+
 def _rat(value, field):
     """The rational of a "p/q" (or "p") string; InstanceError naming
-    field for anything else, a zero denominator included."""
+    field for anything else, a zero denominator and a part past Python's
+    int conversion limit included."""
     if isinstance(value, str):
         try:
             return parse_rat(value)
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
             pass
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            parts = value.split("/", 1)
+            if limit and any(sum(map(str.isdigit, p)) > limit for p in parts):
+                raise InstanceError(
+                    f"{field} has a numerator or denominator of {_digit_limit()}"
+                ) from None
     raise InstanceError(f'{field} must be a rational string "p/q", got {value!r}')
 
 
@@ -468,16 +486,33 @@ def decode_instance(body):
     raise InstanceError(f"unknown instance type {kind!r}")
 
 
+def parse_json(text, invalid):
+    """The JSON value of the string text: the one JSON parse of the
+    package.  InstanceError, its message starting with ``invalid``, when
+    text is not JSON or holds an integer literal past Python's int
+    conversion limit."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"{invalid}: {exc}") from exc
+    except ValueError as exc:
+        # the only other ValueError json.loads raises on a string
+        raise InstanceError(
+            f"{invalid}: an integer literal has {_digit_limit()}"
+        ) from exc
+
+
 def read_json(path):
     """The JSON body of a file; InstanceError when it cannot be read or
     is not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise InstanceError(f"invalid JSON in {path}: {exc}") from exc
+    return parse_json(text, f"invalid JSON in {path}")
 
 
 def load_instance(path):

@@ -26,10 +26,11 @@ three claims exhaustively from scratch.
 
 from .errors import InternalCheckError, NoStepApplies
 from .graphs import iter_bits
-from .lpengine import ResidualIntersectionLp
+from .lpengine import Residual, separate_contra_polymatroid
 from .oracles import uncross
 from .rational import ZERO, Rat, rat_ceil, render_rat
 from .relax import CoverReport, relax
+from .simplex import GE, LE, LinearProgram, Row
 
 
 def _drop_threshold(bprime_i, delta):
@@ -58,13 +59,27 @@ class IntersectionState:
         return not self.eprime
 
     def residual(self):
-        instance = self.instance
+        """The residual LP: a bound row x(B & E') <= b' per alive bound
+        and, as cuts, the covering rows x(S & E') >= r_i(S) - |F & S|."""
+        instance, eprime, fmask = self.instance, self.eprime, self.fmask
+        pair = instance.pair
+        var_ids = tuple(iter_bits(eprime))
+        bounds = instance.constraints
         rows = tuple(
-            (i, instance.constraints[i].elems, self.bprime[i])
+            Row(bounds[i].elems & eprime, LE, self.bprime[i], ("bound_upper", i))
             for i in sorted(self.alive)
         )
-        return ResidualIntersectionLp(
-            instance.pair, instance.costs, self.eprime, self.fmask, rows
+
+        def cut_row(kind, s):
+            table = pair.r1 if kind == "cover1" else pair.r2
+            rhs = Rat(table[s] - (fmask & s).bit_count())
+            return Row(s & eprime, GE, rhs, (kind, s))
+
+        objective = tuple(instance.costs[v] for v in var_ids)
+        return Residual(
+            LinearProgram(var_ids, objective, rows),
+            lambda point: separate_contra_polymatroid(point, fmask, pair),
+            cut_row,
         )
 
     def step(self, point, lp_initial, trace):

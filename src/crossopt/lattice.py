@@ -28,10 +28,11 @@ iterations with all rank constraints met exactly.
 from .errors import InstanceError, InternalCheckError, NoStepApplies
 from .graphs import iter_bits
 from .instances import INCLUSION
-from .lpengine import ResidualLatticeLp
+from .lpengine import Residual, separate_lattice
 from .oracles import uncross
 from .rational import ZERO, Rat, render_rat
 from .relax import CoverReport, relax
+from .simplex import GE, LE, LinearProgram, Row
 
 
 def _drop_threshold(instance, i, fmask, variant):
@@ -60,13 +61,31 @@ class LatticeState:
         return not self.eprime and not self.alive
 
     def residual(self):
-        constraints = self.instance.constraints
-        rows = tuple(
-            (i, constraints[i].elems, constraints[i].lower, constraints[i].upper)
-            for i in sorted(self.alive)
-        )
-        return ResidualLatticeLp(
-            self.instance.lat, self.instance.costs, self.eprime, self.fmask, rows
+        """The residual LP: per alive bound an upper row, and a lower
+        row when it has one, both less the fixed elements of its set;
+        as cuts, the rank rows x(rho(S) & E') >= r(S) - |F & rho(S)|."""
+        instance, eprime, fmask = self.instance, self.eprime, self.fmask
+        lat = instance.lat
+        var_ids = tuple(iter_bits(eprime))
+        rows = []
+        for i in sorted(self.alive):
+            con = instance.constraints[i]
+            fixed = (con.elems & fmask).bit_count()
+            mask = con.elems & eprime
+            rows.append(Row(mask, LE, con.upper - fixed, ("bound_upper", i)))
+            if con.lower is not None:
+                rows.append(Row(mask, GE, con.lower - fixed, ("bound_lower", i)))
+
+        def cut_row(kind, j):
+            rho = lat.rho[j]
+            rhs = Rat(lat.rank[j] - (fmask & rho).bit_count())
+            return Row(rho & eprime, GE, rhs, ("rank", j))
+
+        objective = tuple(instance.costs[v] for v in var_ids)
+        return Residual(
+            LinearProgram(var_ids, objective, tuple(rows)),
+            lambda point: separate_lattice(point, fmask, lat),
+            cut_row,
         )
 
     def step(self, point, lp_initial, trace):

@@ -1,17 +1,18 @@
 """Cutting-plane engine for the three residual LPs.
 
-A residual LP (ResidualMcstLp, ResidualIntersectionLp or
-ResidualLatticeLp) describes one iteration's system, and its ``base()``
-method returns what the engine needs: the undecided variable ids, their
-costs, the explicitly known rows (the spanning-tree total-count row plus
-degree rows, or the crossing bound rows), the separation oracle for the
-exponential rows, and the builder that turns a separation witness into
-a row.  The engine functions take any of the three and never ask which
-one it is.  The spanning-tree rows are not rebuilt per iteration: one
-McstLp per run holds them, the step events edit it in place (each edit
-touches only the rows that hold the decided edge or the bounds that
-changed, with each bound an integer over a per-row denominator), and
-its ``view()`` is the iteration's ResidualMcstLp.
+A Residual describes one iteration's system: its base LP (the undecided
+variable ids, their costs, and the explicitly known rows: the
+spanning-tree total-count row plus degree rows, or the crossing bound
+rows), the separation oracle for the exponential rows, and the builder
+that turns a separation witness into a cut row.  Each step rule builds
+its own Residual (McstLp.view, IntersectionState.residual,
+LatticeState.residual), binding the iteration's decided sets, and the
+engine functions take any of them and never ask which problem it is.
+The spanning-tree rows are not rebuilt per iteration: one McstLp per
+run holds them, the step events edit it in place (each edit touches
+only the rows that hold the decided edge or the bounds that changed,
+with each bound an integer over a per-row denominator), and its
+``view()`` is the iteration's Residual.
 
 The working LP starts from the base rows over the box 0 <= x <= 1 (the
 box of every simplex.LinearProgram), and repeatedly adds the
@@ -233,6 +234,20 @@ def separate_lattice(point, fmask, lat):
 # -- working LP assembly -----------------------------------------------------
 
 
+class Residual(NamedTuple):
+    """One iteration's residual LP as the engine takes it: ``lp``, the
+    base simplex.LinearProgram (the undecided variables, their costs
+    and the explicitly known rows); ``separate(point)``, the
+    SeparationResult of the exponential family at a Vertex; and
+    ``cut_row(kind, witness)``, the tagged Row of that family's cut.
+    The two functions bind the iteration's decided sets, so a Residual
+    stays what it was when the state is edited later."""
+
+    lp: LinearProgram
+    separate: object
+    cut_row: object
+
+
 class McstLp:
     """The residual spanning-tree LP of one run, edited in place by the
     step events; McstState owns it for the whole run.
@@ -360,8 +375,8 @@ class McstLp:
         return changes
 
     def view(self):
-        """The LP as it stands, a ResidualMcstLp; builds the Rows that
-        changed since the last view."""
+        """The LP as it stands, a Residual; builds the Rows that changed
+        since the last view."""
         rows, nodes = self.rows, self.forest.nodes
         for p in self.stale:
             nid = self.node_ids[p]
@@ -369,132 +384,45 @@ class McstLp:
         self.stale.clear()
         graph, eprime, fmask = self.graph, self.eprime, self.fmask
         total = Rat(graph.n - fmask.bit_count() - 1)
-        return ResidualMcstLp(
-            graph,
-            eprime,
-            fmask,
-            self.var_ids,
-            self.objective,
-            (Row(eprime, EQ, total, ("tree_total", None)), *rows),
-        )
 
-
-class ResidualMcstLp(NamedTuple):
-    """One spanning-tree iteration's LP as McstLp.view leaves it: the
-    undecided edges, the fixed edges, the variables with their costs,
-    and the base rows (the tree-total row, then the degree rows)."""
-
-    graph: object
-    eprime: int
-    fmask: int
-    var_ids: tuple
-    objective: tuple
-    rows: tuple
-
-    def base(self):
-        """(variable ids, objective, base rows, separator, cut builder);
-        every row is a tagged Row."""
-        graph, eprime, fmask = self.graph, self.eprime, self.fmask
-
-        def cut_row(res):
-            vmask = res.witness
+        def cut_row(kind, vmask):
             inside = graph.induced_mask(vmask, within=eprime)
             f_inside = (graph.induced_mask(vmask) & fmask).bit_count()
             rhs = Rat(vmask.bit_count() - f_inside - 1)
             return Row(inside, LE, rhs, ("subtour", vmask))
 
-        def separator(point):
-            return separate_spanning_tree(point, graph, fmask)
-
-        return self.var_ids, self.objective, self.rows, separator, cut_row
-
-
-@dataclass(frozen=True)
-class ResidualIntersectionLp:
-    pair: object
-    costs: tuple
-    eprime: int
-    fmask: int
-    bound_rows: tuple  # (constraint index, element mask, residual upper)
-
-    def base(self):
-        """(variable ids, objective, base rows, separator, cut builder);
-        every row is a tagged Row."""
-        var_ids = tuple(iter_bits(self.eprime))
-        objective = tuple(self.costs[v] for v in var_ids)
-        rows = [
-            Row(elems & self.eprime, LE, resid, ("bound_upper", idx))
-            for idx, elems, resid in self.bound_rows
-        ]
-
-        def cut_row(res):
-            func_idx = 1 if res.family == "cover1" else 2
-            s = res.witness
-            table = self.pair.r1 if func_idx == 1 else self.pair.r2
-            rhs = Rat(table[s] - (self.fmask & s).bit_count())
-            return Row(s & self.eprime, GE, rhs, (res.family, s))
-
-        def separator(point):
-            return separate_contra_polymatroid(point, self.fmask, self.pair)
-
-        return var_ids, objective, rows, separator, cut_row
+        return Residual(
+            LinearProgram(
+                self.var_ids,
+                self.objective,
+                (Row(eprime, EQ, total, ("tree_total", None)), *rows),
+            ),
+            lambda point: separate_spanning_tree(point, graph, fmask),
+            cut_row,
+        )
 
 
-@dataclass(frozen=True)
-class ResidualLatticeLp:
-    lat: object
-    costs: tuple
-    eprime: int
-    fmask: int
-    bound_rows: tuple  # (constraint index, element mask, lower | None, upper)
-
-    def base(self):
-        """(variable ids, objective, base rows, separator, cut builder);
-        every row is a tagged Row."""
-        var_ids = tuple(iter_bits(self.eprime))
-        objective = tuple(self.costs[v] for v in var_ids)
-        rows = []
-        for idx, elems, lower, upper in self.bound_rows:
-            fixed = (elems & self.fmask).bit_count()
-            mask = elems & self.eprime
-            rows.append(Row(mask, LE, upper - fixed, ("bound_upper", idx)))
-            if lower is not None:
-                rows.append(Row(mask, GE, lower - fixed, ("bound_lower", idx)))
-
-        def cut_row(res):
-            j = res.witness
-            rho = self.lat.rho[j]
-            rhs = Rat(self.lat.rank[j] - (self.fmask & rho).bit_count())
-            return Row(rho & self.eprime, GE, rhs, ("rank", j))
-
-        def separator(point):
-            return separate_lattice(point, self.fmask, self.lat)
-
-        return var_ids, objective, rows, separator, cut_row
-
-
-def solve_to_extreme_point(state):
+def solve_to_extreme_point(residual):
     """Cutting-plane loop: optimal certified vertex of the full system.
 
-    ``state`` is any object whose ``base()`` returns the five-tuple the
-    residual LPs return; the engine solves over exactly those rows and
-    that objective.  Raises LpInfeasible if the full system is empty.
+    Solves the Residual's base LP, then that LP plus each most-violated
+    cut its separator finds, until the vertex is feasible for the full
+    system.  Raises LpInfeasible if the full system is empty.
     """
-    var_ids, objective, rows, separator, cut_row = state.base()
-    rows = list(rows)
-    seen = {row.tag for row in rows}
+    lp = residual.lp
+    seen = {row.tag for row in lp.rows}
     prev_obj = None
     while True:
-        point = simplex_solve(LinearProgram(var_ids, objective, tuple(rows)))
+        point = simplex_solve(lp)
         if prev_obj is not None and point.objective < prev_obj:
             raise InternalCheckError(
                 "objective decreased while adding cutting planes"
             )
         prev_obj = point.objective
-        res = separator(point)
+        res = residual.separate(point)
         if res.feasible:
             return point
-        row = cut_row(res)
+        row = residual.cut_row(res.family, res.witness)
         tag = row.tag
         if tag in seen:
             raise InternalCheckError(f"separator repeated row {tag}")
@@ -506,33 +434,37 @@ def solve_to_extreme_point(state):
             raise InternalCheckError(
                 f"separator violation for {tag} failed exact re-verification"
             )
-        rows.append(row)
+        lp = LinearProgram(lp.var_ids, lp.objective, lp.rows + (row,))
 
 
-def reuse_extreme_point(state, prev):
-    """Certified optimal vertex of ``state`` after a fix or delete step,
-    taken from the previous extreme point ``prev`` without a solve.
+def reuse_extreme_point(residual, prev):
+    """Certified optimal vertex of the Residual after a fix or delete
+    step, taken from the previous extreme point ``prev`` without a
+    solve.
 
-    The working LP is the base rows of ``state`` plus the cut rows that
-    were tight at ``prev``, each rebuilt from its tag by the cut builder
-    of ``state``.  The restriction of ``prev`` to the undecided
-    variables must satisfy that LP, pass full separation and carry a
-    vertex certificate; otherwise InternalCheckError.  Optimality is the
-    face argument in the module docstring.
+    The working LP is the Residual's base LP plus the cut rows that were
+    tight at ``prev``, each rebuilt from its tag by the Residual's
+    cut_row.  The restriction of ``prev`` to the undecided variables
+    must satisfy that LP, pass full separation and carry a vertex
+    certificate; otherwise InternalCheckError.  Optimality is the face
+    argument in the module docstring.
     """
-    var_ids, objective, rows, separator, cut_row = state.base()
-    rows = list(rows)
-    for kind, witness in prev.tight_tags():
-        if kind in CUT_KINDS:
-            rows.append(cut_row(SeparationResult(False, kind, witness)))
+    lp = residual.lp
+    cuts = tuple(
+        residual.cut_row(kind, witness)
+        for kind, witness in prev.tight_tags()
+        if kind in CUT_KINDS
+    )
+    if cuts:
+        lp = LinearProgram(lp.var_ids, lp.objective, lp.rows + cuts)
     try:
-        point = prev.restricted_to(LinearProgram(var_ids, objective, tuple(rows)))
+        point = prev.restricted_to(lp)
     except KeyError as exc:
         raise InternalCheckError(
             f"undecided variable {exc} has no value at the previous vertex"
         ) from None
     certify(point, InternalCheckError("reused vertex violates the new working LP"))
-    if not separator(point).feasible:
+    if not residual.separate(point).feasible:
         raise InternalCheckError("reused vertex violates a family constraint")
     STATS["reused"] += 1
     return point

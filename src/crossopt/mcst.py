@@ -51,7 +51,7 @@ from math import lcm
 
 from .errors import InstanceError, InternalCheckError, NoStepApplies
 from .graphs import iter_bits
-from .instances import _rat
+from .instances import SCHEMA_VERSION, _rat, instance_digest
 from .laminar import VIRTUAL_ROOT, all_consecutive_blocks
 from .lpengine import McstLp
 
@@ -369,24 +369,39 @@ class ReplayResult:
     matches_footer: bool
 
 
+# the events an mcst trace holds after its begin event
+REPLAYED_EVENTS = (
+    "solve",
+    "tighten",
+    "fix",
+    "delete",
+    "drop_children",
+    "merge_leaves",
+    "end",
+)
+
+
 def replay_trace(instance, trace):
     """Re-apply the event log mechanically (no LP solves) and check it
     reproduces the recorded final tree and forest.
 
     The events edit a McstState through the methods the run edits it
     with; no LP row is built.  Events are numbered from 1 in trace order
-    (a trace file's line numbers when it has no blank lines).  A field
-    that replay cannot apply, such as a node or edge the run does not
-    have, is an InstanceError naming the event and the field; a
-    well-formed event that does not reproduce the run, such as a
-    tighten that raises a bound or leaves it negative, is an
-    InternalCheckError."""
+    (a trace file's line numbers when it has no blank lines).  The first
+    must be the begin event of a run on this instance, and every later
+    one an event an mcst run writes.  A field that replay cannot apply,
+    such as a node or edge the run does not have, or a begin header of
+    another instance, kind, schema or alpha, is an InstanceError naming
+    the event and the field; a well-formed event that does not reproduce
+    the run, such as a tighten that raises a bound or leaves it
+    negative, is an InternalCheckError."""
+    _check_begin(instance, trace.events)
     state = McstState(instance)
     forest = state.forest
     snapshots = [(forest.snapshot(), state.eprime)]
-    for number, ev in enumerate(trace.events, 1):
+    for number, ev in enumerate(trace.events[1:], 2):
         kind = ev["ev"]
-        if kind in ("begin", "solve"):
+        if kind == "solve":
             continue
         where = f"trace event {number} ({kind})"
         if kind == "tighten":
@@ -455,7 +470,31 @@ def replay_trace(instance, trace):
                 and _field(ev, "forest", where) == _forest_json(forest)
             )
             return ReplayResult(state.fmask, forest, tuple(snapshots), matches)
+        else:
+            raise InstanceError(
+                f"{where} ev must be one of {', '.join(REPLAYED_EVENTS)} after "
+                f"the begin event, got {kind!r}"
+            )
     raise InstanceError("trace has no end event")
+
+
+def _check_begin(instance, events):
+    """InstanceError unless events open with the begin event that a run
+    on instance writes: this schema, the instance's digest, and the
+    trace kind and alpha of McstState.header."""
+    first = events[0]["ev"] if events else None
+    if first != "begin":
+        raise InstanceError(f"trace event 1 must be the begin event, got {first!r}")
+    where = "trace event 1 (begin)"
+    expected = {
+        "schema": SCHEMA_VERSION,
+        "instance_digest": instance_digest(instance),
+        **McstState.header,
+    }
+    for name, want in expected.items():
+        got = _field(events[0], name, where)
+        if type(got) is not type(want) or got != want:
+            raise InstanceError(f"{where} {name} must be {want!r}, got {got!r}")
 
 
 def _field(ev, name, where):

@@ -11,7 +11,9 @@ passes ``relax`` its residual state, an object with
 - ``iteration_cap``: the most iterations the counting argument allows;
 - ``eprime``: the undecided variables as a bitmask;
 - ``finished()``: true when nothing is left to decide;
-- ``residual()``: the current residual LP (an lpengine ``Residual*Lp``);
+- ``residual()``: the current residual LP as an lpengine ``Residual``
+  (its base LP, separator and cut builder), which the step rule builds
+  from its own bounds and which later steps leave unchanged;
 - ``step(point, lp_initial, trace)``: apply one step at the extreme
   point (``None`` when no variable is undecided), add its events to the
   trace, and return True when the new region is the face of the old one
@@ -29,12 +31,18 @@ CoverReport is the outcome of re-checking a covering solution
 (intersection or lattice) from scratch.
 """
 
-import json
 from dataclasses import dataclass
 from math import gcd
 
 from .errors import InstanceError, InternalCheckError
-from .instances import ENCODER, SCHEMA_VERSION, _rat, instance_digest, write_text
+from .instances import (
+    ENCODER,
+    SCHEMA_VERSION,
+    _rat,
+    instance_digest,
+    parse_json,
+    write_text,
+)
 from .lpengine import reuse_extreme_point, solve_to_extreme_point
 from .rational import ZERO, render_rat
 from .simplex import LpInfeasible
@@ -91,12 +99,8 @@ class RunTrace:
                     line = line.strip()
                     if not line:
                         continue
-                    try:
-                        ev = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise InstanceError(
-                            f"trace {path} line {number} is not valid JSON: {exc}"
-                        ) from exc
+                    invalid = f"trace {path} line {number} is not valid JSON"
+                    ev = parse_json(line, invalid)
                     if not isinstance(ev, dict) or "ev" not in ev:
                         raise InstanceError(
                             f'trace {path} line {number} must be an event object '

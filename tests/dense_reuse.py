@@ -6,7 +6,7 @@ after a fix or delete step as a dense ``LinearProgram`` of rational
 certificate on it.  It now checks the reused vertex on the 0/1 rows in
 integers.  The dense version is kept below verbatim; only the imports
 (the dense types and checks now come from tests/dense_rows.py),
-``_dense_base`` (which turns the residual LP's 0/1 rows back into the
+``_dense_base`` (which turns the Residual's 0/1 rows back into the
 indicator Constraints the old ``base()`` built), the tags read through
 ``Vertex.tight_tags``, the separator's point (now a ``Vertex``) and the
 result type are new.
@@ -36,20 +36,22 @@ class DenseReuse:
     x_by_id: dict
 
 
-def _dense_base(state):
-    """state.base() with every tagged 0/1 Row, including the rows the
-    cut builder returns, as an indicator (Constraint, tag) row."""
-    var_ids, objective, rows, separator, cut_row = state.base()
+def _dense_base(residual):
+    """The Residual's base LP and cut builder with every tagged 0/1 Row,
+    including the rows the cut builder returns, as an indicator
+    (Constraint, tag) row, in the five-tuple the old ``base()`` gave."""
+    lp = residual.lp
+    var_ids = lp.var_ids
 
     def dense(row):
         return Constraint(_indicator(var_ids, row.mask), row.rel, row.rhs), row.tag
 
     return (
         var_ids,
-        objective,
-        [dense(row) for row in rows],
-        separator,
-        lambda res: dense(cut_row(res)),
+        lp.objective,
+        [dense(row) for row in lp.rows],
+        residual.separate,
+        lambda res: dense(residual.cut_row(res.family, res.witness)),
     )
 
 

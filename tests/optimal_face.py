@@ -14,24 +14,24 @@ the separator from scratch.
 import fraction_simplex
 from dense_rows import Constraint, LinearProgram as DenseLp, dense_row
 from crossopt.rational import ONE, ZERO, Rat
-from crossopt.simplex import EQ, LinearProgram, Vertex, row_status
+from crossopt.simplex import EQ, Vertex, row_status
 
 
 def pinned_optimum(state, pin, objective):
     """min objective . x over the full system of the residual LP state
     plus the Constraint pin: the Fraction simplex on the dense base rows,
     adding each violated row the separator finds until none is left."""
-    var_ids, _, rows, separator, cut_row = state.base()
+    var_ids = state.lp.var_ids
     n = len(var_ids)
-    constraints = [dense_row(var_ids, row) for row in rows] + [pin]
+    constraints = [dense_row(var_ids, row) for row in state.lp.rows] + [pin]
     seen = set()
     while True:
         lp = DenseLp(n, objective, tuple(constraints), (ZERO,) * n, (ONE,) * n)
         sol = fraction_simplex.simplex_solve(lp)
-        res = separator(Vertex.of_values(dict(zip(var_ids, sol.values))))
+        res = state.separate(Vertex.of_values(dict(zip(var_ids, sol.values))))
         if res.feasible:
             return sol.objective_value
-        row = cut_row(res)
+        row = state.cut_row(res.family, res.witness)
         assert row.tag not in seen, f"separator repeated row {row.tag}"
         seen.add(row.tag)
         constraints.append(dense_row(var_ids, row))
@@ -43,7 +43,7 @@ def coordinate_ranges(state, optimum, base_objective):
     Adds the row base_objective . x = optimum and re-optimizes +e_j and
     -e_j for every variable; a coordinate is pinned when min == max.
     """
-    n = len(state.base()[0])
+    n = state.lp.num_vars
     pin = Constraint(tuple(Rat(c) for c in base_objective), EQ, Rat(optimum))
     ranges = []
     for j in range(n):
@@ -59,8 +59,6 @@ def coordinate_ranges(state, optimum, base_objective):
 def full_separation_clean(state, point):
     """No family constraint is violated at the Vertex point, and it
     satisfies the base rows and the box."""
-    var_ids, objective, rows, separator, _ = state.base()
-    if not separator(point).feasible:
+    if not state.separate(point).feasible:
         return False
-    lp = LinearProgram(var_ids, objective, tuple(rows))
-    return row_status(lp, point.restricted_to(lp)) is not None
+    return row_status(state.lp, point.restricted_to(state.lp)) is not None

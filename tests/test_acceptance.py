@@ -17,9 +17,13 @@ from crossopt.brute import brute_subset_opt
 from crossopt.errors import InternalCheckError, NoStepApplies
 from crossopt.generators import gen_edge_cover_tight, gen_mcst_gap, gen_planar_mincut_gap
 from crossopt.instances import INCLUSION
-from crossopt.intersection import run_intersection, verify_intersection
+from crossopt.intersection import (
+    IntersectionState,
+    run_intersection,
+    verify_intersection,
+)
 from crossopt.lattice import bound_feasible_predicate, run_lattice, verify_lattice
-from crossopt.lpengine import ResidualIntersectionLp, solve_to_extreme_point
+from crossopt.lpengine import solve_to_extreme_point
 from crossopt.mcst import drop_round_limit, run_mcst, verify_guarantee
 from crossopt.randgen import (
     CorpusConfig,
@@ -33,7 +37,7 @@ from crossopt.brute import enumerate_spanning_trees
 from crossopt.generators import reduce_uniform_crossing_to_mcst
 from gadget_trees import tree_to_subset, yes_case_tree
 from optimal_face import coordinate_ranges, full_separation_clean
-from uncached_steps import RebuiltMcstLp
+from uncached_steps import rebuilt_mcst_lp
 
 MCST_CORPUS_SIZE = 200
 INTERSECTION_CORPUS_SIZE = 100
@@ -121,13 +125,7 @@ def test_criterion_4_intersection(mcst_results):
             break
 
     tight = gen_edge_cover_tight(1)
-    state = ResidualIntersectionLp(
-        tight.pair,
-        tight.costs,
-        0b1111,
-        0,
-        tuple((i, c.elems, c.upper) for i, c in enumerate(tight.constraints)),
-    )
+    state = IntersectionState(tight).residual()
     point = solve_to_extreme_point(state)
     pinned = coordinate_ranges(state, point.objective, tight.costs)
     unique_half = all(lo == hi == Rat(1, 2) for lo, hi in pinned)
@@ -268,19 +266,13 @@ def test_criterion_9_certificates_and_separation(mcst_results):
     clean = True
     for _ in range(5):
         inst = random_intersection_instance(rng, max_elems=8)
-        state = ResidualIntersectionLp(
-            inst.pair,
-            inst.costs,
-            (1 << inst.n) - 1,
-            0,
-            tuple((i, c.elems, c.upper) for i, c in enumerate(inst.constraints)),
-        )
+        state = IntersectionState(inst).residual()
         point = solve_to_extreme_point(state)
         verify_vertex_certificate(point.lp, point)
         clean = clean and full_separation_clean(state, point)
     results, _, _ = mcst_results
     for inst, tree, trace, report in results[:5]:
-        state = RebuiltMcstLp(
+        state = rebuilt_mcst_lp(
             inst.graph,
             inst.graph.all_edges_mask,
             0,

@@ -16,7 +16,7 @@ from crossopt.instances import McstInstance
 from crossopt.lpengine import solve_to_extreme_point
 from crossopt.randgen import random_mcst_instance, random_spanning_tree
 from crossopt.rational import ZERO, Rat
-from uncached_steps import RebuiltMcstLp
+from uncached_steps import rebuilt_mcst_lp
 
 
 def test_triangle_and_cycle_counts(triangle, four_cycle):
@@ -119,7 +119,7 @@ def test_brute_optimum_at_least_lp_optimum():
             (i, vmask, bound) for i, (vmask, bound) in enumerate(inst.family)
         )
         lp = solve_to_extreme_point(
-            RebuiltMcstLp(inst.graph, inst.graph.all_edges_mask, 0, rows)
+            rebuilt_mcst_lp(inst.graph, inst.graph.all_edges_mask, 0, rows)
         )
         result = brute_mcst(inst)
         assert result.optimum is None or result.optimum >= lp.objective

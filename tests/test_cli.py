@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -183,6 +185,23 @@ def _drop_ev(events):
     del events[4]["ev"]
 
 
+def _drop_begin(events):
+    del events[0]
+
+
+def _drop_alpha(events):
+    del events[0]["alpha"]
+
+
+def _insert(event, at):
+    """Edit: event inserted as trace event at + 1."""
+
+    def edit(events):
+        events.insert(at, event)
+
+    return edit
+
+
 # malformed trace of the seed-76 run (38 events: tighten 3 has two
 # changes, fix 4 is the first fix, drop_children 25 the only drop round)
 # -> the message; each used to end in a traceback with exit 1
@@ -234,6 +253,35 @@ BAD_TRACES = {
         _set("end", "lp_initial", "x"),
         "trace event 38 (end) lp_initial must be a rational string",
     ),
+    # the begin header of another run, or none, and events no mcst run
+    # writes, used to be skipped by replay and verified with exit 0
+    "begin-digest": (
+        _set("begin", "instance_digest", "0" * 64),
+        "trace event 1 (begin) instance_digest must be '",
+    ),
+    "begin-kind": (
+        _set("begin", "kind", "lattice-trace"),
+        "trace event 1 (begin) kind must be 'mcst-trace', got 'lattice-trace'",
+    ),
+    "begin-schema": (
+        _set("begin", "schema", 2),
+        "trace event 1 (begin) schema must be 1, got 2",
+    ),
+    "begin-alpha": (
+        _set("begin", "alpha", 12),
+        "trace event 1 (begin) alpha must be 24, got 12",
+    ),
+    "begin-no-alpha": (_drop_alpha, "trace event 1 (begin) has no field 'alpha'"),
+    "no-begin": (_drop_begin, "trace event 1 must be the begin event, got 'solve'"),
+    "unknown-kind": (
+        _insert({"ev": "bogus"}, 4),
+        "trace event 5 (bogus) ev must be one of solve, tighten, fix, delete, "
+        "drop_children, merge_leaves, end after the begin event, got 'bogus'",
+    ),
+    "second-begin": (
+        _insert({"ev": "begin"}, 4),
+        "trace event 5 (begin) ev must be one of solve,",
+    ),
 }
 
 
@@ -255,6 +303,61 @@ def test_malformed_trace_is_usage_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+
+
+def _forged_seed3_trace(tmp_path, lp_initial):
+    """(instance, solution, trace) paths: the seed-3 instance, whose
+    initial LP optimum is 16, and a hand-written trace that fixes the
+    spanning tree {1, 2, 4, 5, 6} of cost 31 and claims lp_initial."""
+    from crossopt.instances import instance_digest
+    from crossopt.mcst import McstState, _forest_json
+
+    instance = random_mcst_instance(random.Random(3))
+    tree = [1, 2, 4, 5, 6]
+    state = McstState(instance)
+    for e in tree:
+        state.fix_edge(e)
+    events = [
+        {
+            "ev": "begin",
+            "schema": 1,
+            "instance_digest": instance_digest(instance),
+            "kind": "mcst-trace",
+            "alpha": 24,
+        },
+        *({"ev": "fix", "edge": e} for e in tree),
+        {
+            "ev": "end",
+            "lp_initial": lp_initial,
+            "tree": tree,
+            "forest": _forest_json(state.forest),
+        },
+    ]
+    inst, solution, trace = (tmp_path / f for f in ("i.json", "s.json", "t.jsonl"))
+    dump_instance(instance, inst)
+    solution.write_text(json.dumps({"ids": tree}))
+    trace.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+    return inst, solution, trace
+
+
+def test_verify_refuses_a_forged_lp_initial(tmp_path, capsys):
+    # check (d) read the footer's claim, so the forged trace verified
+    # with exit 0; with the true optimum the tree fails the cost check
+    assert _verify_trace(*_forged_seed3_trace(tmp_path, "16/1")) == 1
+    capsys.readouterr()
+    assert _verify_trace(*_forged_seed3_trace(tmp_path, "1000000/1")) == 3
+    assert (
+        "trace lp_initial 1000000/1 is not the initial LP optimum 16/1"
+        in capsys.readouterr().err
+    )
+    # the same refusal for a footer edited in a run's own trace
+    inst, solution, trace = _solved_mcst(tmp_path)
+    events = [json.loads(line) for line in trace.read_text().splitlines()]
+    _set("end", "lp_initial", "1/2")(events)
+    trace.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+    assert _verify_trace(inst, solution, trace) == 3
+    err = capsys.readouterr().err
+    assert "trace lp_initial 1/2 is not the initial LP optimum" in err
 
 
 def _tighten_dead_node(events):
@@ -833,6 +936,73 @@ def test_bad_reduction_bounds_are_usage_error(case, tmp_path, capsys):
     assert named in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# one digit past Python's int conversion limit: on every JSON read such
+# a literal used to end in a ValueError traceback with exit 1
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+HUGE = "9" * (DIGIT_LIMIT + 1)
+
+
+def _huge_instance(tmp_path, monkeypatch):
+    path = tmp_path / "inst.json"
+    path.write_text('{"schema": 1, "type": "mcst", "n": %s}' % HUGE)
+    return ("solve-mcst", "--in", str(path)), f"invalid JSON in {path}"
+
+
+def _huge_stdin(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"schema": %s}' % HUGE))
+    return ("solve-mcst", "--in", "-"), "invalid JSON on stdin"
+
+
+def _huge_solution(tmp_path, monkeypatch):
+    inst, solution = tmp_path / "inst.json", tmp_path / "sol.json"
+    dump_instance(random_lattice_instance(random.Random(3), max_ground=5), inst)
+    solution.write_text('{"ids": [%s]}' % HUGE)
+    argv = ("verify", "--in", str(inst), "--solution", str(solution))
+    return argv, f"invalid JSON in {solution}"
+
+
+def _huge_trace_line(tmp_path, monkeypatch):
+    inst, solution, trace = _solved_mcst(tmp_path)
+    with open(trace, "a", encoding="utf-8") as fh:
+        fh.write('{"ev": "fix", "edge": %s}\n' % HUGE)
+    argv = ("verify", "--in", str(inst), "--solution", str(solution))
+    return (*argv, "--trace", str(trace)), "line 39 is not valid JSON"
+
+
+def _huge_bounds(tmp_path, monkeypatch):
+    argv = ("gen", "reduction", "--e", "3", "--t", "2", "--bounds", f"[[[0], {HUGE}]]")
+    return argv, "--bounds is not valid JSON"
+
+
+def _huge_rational(tmp_path, monkeypatch):
+    body = random_mcst_instance(random.Random(3)).to_json()
+    body["edges"][0]["cost"] = f"{HUGE}/1"
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(body))
+    return ("solve-mcst", "--in", str(path)), "edge 0 cost has a numerator or denominator"
+
+
+OVERSIZED_LITERALS = {
+    "instance-file": _huge_instance,
+    "stdin": _huge_stdin,
+    "solution-file": _huge_solution,
+    "trace-line": _huge_trace_line,
+    "reduction-bounds": _huge_bounds,
+    "rational-string": _huge_rational,
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_LITERALS))
+def test_oversized_integer_literal_is_usage_error(case, tmp_path, monkeypatch, capsys):
+    argv, named = OVERSIZED_LITERALS[case](tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert f"more than {DIGIT_LIMIT} digits, Python's int conversion limit" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

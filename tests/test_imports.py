@@ -1,6 +1,7 @@
 """Every name a crossopt module imports is used in that module, every
-function, class and method it defines is referenced, and only the one
-writer, ``instances.write_text``, opens a file for writing.
+function, class and method it defines is referenced, only the one
+writer, ``instances.write_text``, opens a file for writing, and only
+the one reader, ``instances.parse_json``, parses JSON.
 
 A name that is imported only to be read from outside (a re-export)
 carries ``# noqa: F401`` on its import line.  The package's
@@ -137,23 +138,29 @@ WRITER = ("instances.py", "write_text")
 WRITE_FLAGS = {"O_WRONLY", "O_RDWR"}
 
 
-def write_opens(source):
-    """(line, enclosing function) of every call that opens a file for
-    writing: open() with a mode holding w, a, x or +, or one that is not
-    a string literal, and os.open() with O_WRONLY or O_RDWR among its
-    flags."""
+def calls_where(tree, test):
+    """(line, enclosing function) of every call node in tree that
+    test(call) accepts."""
     found = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Call) and _opens_for_writing(node):
+        if isinstance(node, ast.Call) and test(node):
             found.append((node.lineno, function))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
-    visit(ast.parse(source), None)
+    visit(tree, None)
     return found
+
+
+def write_opens(source):
+    """(line, enclosing function) of every call that opens a file for
+    writing: open() with a mode holding w, a, x or +, or one that is not
+    a string literal, and os.open() with O_WRONLY or O_RDWR among its
+    flags."""
+    return calls_where(ast.parse(source), _opens_for_writing)
 
 
 def _opens_for_writing(call):
@@ -213,3 +220,60 @@ def test_write_opens_tell_reads_from_writes():
     assert write_opens(source) == [
         (5, "f"), (6, "f"), (7, "f"), (9, "f"), (10, "f"), (11, None)
     ]
+
+
+# the one function of the package that parses JSON
+READER = ("instances.py", "parse_json")
+JSON_PARSERS = {"load", "loads"}
+
+
+def json_parses(source):
+    """(line, enclosing function) of every call of json.load or
+    json.loads, by attribute or by a name imported from json."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "json"
+        for alias in node.names
+        if alias.name in JSON_PARSERS
+    }
+
+    def parses(call):
+        func = call.func
+        if isinstance(func, ast.Name):
+            return func.id in imported
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr in JSON_PARSERS
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "json"
+        )
+
+    return calls_where(tree, parses)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_reader_parses_json(path):
+    parses = json_parses(path.read_text(encoding="utf-8"))
+    assert [site for site in parses if (path.name, site[1]) != READER] == []
+
+
+def test_the_reader_is_found():
+    source = (PACKAGE / READER[0]).read_text(encoding="utf-8")
+    assert [function for _, function in json_parses(source)] == [READER[1]]
+
+
+def test_json_parses_are_found():
+    source = (
+        "import json\n"
+        "from json import loads as parse, dumps\n"
+        "def f(fh, text):\n"
+        "    json.load(fh)\n"
+        "    json.dumps(text)\n"
+        "    parse(text)\n"
+        "    dumps(text)\n"
+        "    text.loads()\n"
+        "json.loads('1')\n"
+    )
+    assert json_parses(source) == [(4, "f"), (6, "f"), (9, None)]

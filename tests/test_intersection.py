@@ -10,7 +10,7 @@ from crossopt.intersection import (
     run_intersection,
     verify_intersection,
 )
-from crossopt.lpengine import ResidualIntersectionLp, solve_to_extreme_point
+from crossopt.lpengine import solve_to_extreme_point
 from crossopt.oracles import ContraPolymatroidPair, CrossingConstraint, uncross
 from crossopt.randgen import random_intersection_instance
 from crossopt.rational import Rat
@@ -20,13 +20,7 @@ from optimal_face import coordinate_ranges
 
 
 def first_point(inst):
-    state = ResidualIntersectionLp(
-        inst.pair,
-        inst.costs,
-        (1 << inst.n) - 1,
-        0,
-        tuple((i, c.elems, c.upper) for i, c in enumerate(inst.constraints)),
-    )
+    state = IntersectionState(inst).residual()
     return state, solve_to_extreme_point(state)
 
 

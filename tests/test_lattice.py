@@ -17,7 +17,7 @@ from crossopt.lattice import (
     run_lattice,
     verify_lattice,
 )
-from crossopt.lpengine import ResidualLatticeLp, solve_to_extreme_point
+from crossopt.lpengine import solve_to_extreme_point
 from crossopt.oracles import (
     CrossingConstraint,
     LatticeOracle,
@@ -168,14 +168,7 @@ def fractional_block_instance():
 
 def test_chain_growth_on_forced_fractional_vertex():
     inst = fractional_block_instance()
-    state = ResidualLatticeLp(
-        inst.lat,
-        inst.costs,
-        (1 << 6) - 1,
-        0,
-        tuple((i, c.elems, c.lower, c.upper) for i, c in enumerate(inst.constraints)),
-    )
-    point = solve_to_extreme_point(state)
+    point = solve_to_extreme_point(LatticeState(inst).residual())
     assert all(v == Rat(1, 2) for v in point.x_by_id.values())
     rep = check_chain_growth(point, inst.lat)
     assert rep["chain"] == [0b100001]
@@ -191,14 +184,7 @@ def test_chain_growth_collected_during_run():
 
 def test_chain_growth_preconditions():
     inst = fractional_block_instance()
-    state = ResidualLatticeLp(
-        inst.lat,
-        inst.costs,
-        (1 << 6) - 1,
-        0,
-        tuple((i, c.elems, c.lower, c.upper) for i, c in enumerate(inst.constraints)),
-    )
-    point = solve_to_extreme_point(state)
+    point = solve_to_extreme_point(LatticeState(inst).residual())
     with pytest.raises(ValueError):
         check_chain_growth(point, inst.lat, fmask=0b1)
 

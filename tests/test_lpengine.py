@@ -1,3 +1,7 @@
+import copy
+import random
+from collections import Counter
+
 import pytest
 
 from conftest import edge_cover_pair
@@ -5,18 +9,27 @@ from crossopt.graphs import Graph
 from crossopt.errors import SizeGuardError
 from crossopt.generators import gen_planar_mincut_gap
 from crossopt.laminar import LaminarForest
+from crossopt.intersection import IntersectionState, run_intersection
+from crossopt.lattice import LatticeState, run_lattice
 from crossopt.lpengine import (
-    ResidualIntersectionLp,
+    CUT_KINDS,
     separate_contra_polymatroid,
     separate_lattice,
     separate_spanning_tree,
     solve_to_extreme_point,
 )
+from crossopt.mcst import McstState, run_mcst
 from crossopt.oracles import ContraPolymatroidPair
+from crossopt.randgen import (
+    MCST_DROP_SEEDS,
+    random_intersection_instance,
+    random_lattice_instance,
+    random_mcst_instance,
+)
 from crossopt.rational import Rat
 from crossopt.simplex import LpInfeasible, Vertex
 from optimal_face import coordinate_ranges, full_separation_clean
-from uncached_steps import RebuiltMcstLp, tighten_degree_bounds
+from uncached_steps import rebuilt_mcst_lp, tighten_degree_bounds
 
 
 def x_of(values):
@@ -111,7 +124,7 @@ def test_planar_lattice_separation_examples():
 
 
 def test_triangle_solve_integral(triangle):
-    state = RebuiltMcstLp(triangle, 0b111, 0, ())
+    state = rebuilt_mcst_lp(triangle, 0b111, 0, ())
     point = solve_to_extreme_point(state)
     assert point.objective == 2
     assert sorted(point.x_by_id.values()) == [Rat(0), Rat(1), Rat(1)]
@@ -120,13 +133,7 @@ def test_triangle_solve_integral(triangle):
 
 def test_edge_cover_solve_half_everywhere(edge_cover_4cycle):
     inst = edge_cover_4cycle
-    state = ResidualIntersectionLp(
-        inst.pair,
-        inst.costs,
-        0b1111,
-        0,
-        tuple((i, c.elems, c.upper) for i, c in enumerate(inst.constraints)),
-    )
+    state = IntersectionState(inst).residual()
     point = solve_to_extreme_point(state)
     assert point.objective == 2
     assert all(v == Rat(1, 2) for v in point.x_by_id.values())
@@ -139,9 +146,72 @@ def test_edge_cover_solve_half_everywhere(edge_cover_4cycle):
 
 def test_infeasible_residual_propagates(triangle):
     forest_rows = ((0, 0b001, Rat(0)),)  # vertex 0 may not be reached
-    state = RebuiltMcstLp(triangle, 0b111, 0, forest_rows)
+    state = rebuilt_mcst_lp(triangle, 0b111, 0, forest_rows)
     with pytest.raises(LpInfeasible):
         solve_to_extreme_point(state)
+
+
+# -- residual snapshots ---------------------------------------------------------------
+
+
+def residual_outputs(residual, point, witnesses):
+    """What a Residual gives: its LP, its separation at point and at the
+    zero point, which violates rows that depend on the fixed set, and
+    its cut rows at the witnesses."""
+    zero = Vertex.of_values({v: Rat(0) for v in point.var_ids})
+    return (
+        copy.deepcopy(residual.lp),
+        residual.separate(point),
+        residual.separate(zero),
+        [residual.cut_row(kind, witness) for kind, witness in witnesses],
+    )
+
+
+def test_residual_is_unchanged_by_later_steps(monkeypatch):
+    """A Residual taken before a step gives the same LP, separation
+    results and cut rows after it: its functions bind the iteration's
+    decided sets, not the state the step edits."""
+    rng = random.Random(0)
+    steps = Counter()
+
+    def witnesses(state, point):
+        """Cut witnesses of every family: the point's tight cuts and a
+        few random ones."""
+        picked = [tag for tag in point.tight_tags() if tag[0] in CUT_KINDS]
+        if isinstance(state, McstState):
+            full = state.graph.full_vmask
+            picked += [("subtour", rng.randint(1, full)) for _ in range(4)]
+        elif isinstance(state, IntersectionState):
+            top = (1 << state.instance.n) - 1
+            picked += [(kind, rng.randint(0, top)) for kind in ("cover1", "cover2")]
+        else:
+            size = state.instance.lat.size
+            picked += [("rank", rng.randrange(size)) for _ in range(4)]
+        return picked
+
+    for cls in (McstState, IntersectionState, LatticeState):
+        step = cls.step
+
+        def checked(state, point, lp_initial, trace, step=step):
+            if point is None:
+                return step(state, point, lp_initial, trace)
+            residual = state.residual()
+            cuts = witnesses(state, point)
+            before = residual_outputs(residual, point, cuts)
+            start = len(trace.events)
+            reuse = step(state, point, lp_initial, trace)
+            assert residual_outputs(residual, point, cuts) == before
+            steps.update(ev["ev"] for ev in trace.events[start:])
+            return reuse
+
+        monkeypatch.setattr(cls, "step", checked)
+    for seed in MCST_DROP_SEEDS + (0, 1):
+        run_mcst(random_mcst_instance(random.Random(seed)))
+    for seed in range(4):
+        run_intersection(random_intersection_instance(random.Random(seed)))
+        run_lattice(random_lattice_instance(random.Random(seed)))
+    for kind in ("fix", "delete", "tighten", "drop", "drop_children", "merge_leaves"):
+        assert steps[kind] > 0, kind
 
 
 # -- bound tightening ----------------------------------------------------------------
@@ -159,7 +229,7 @@ def test_tighten_examples(triangle):
 
 def test_tighten_triangle_bound_two(triangle):
     forest = LaminarForest.from_sets([(0b001, Rat(2))])
-    state = RebuiltMcstLp(triangle, 0b111, 0, ((0, 0b001, Rat(2)),))
+    state = rebuilt_mcst_lp(triangle, 0b111, 0, ((0, 0b001, Rat(2)),))
     point = solve_to_extreme_point(state)
     load = sum(
         point.x_by_id[e]

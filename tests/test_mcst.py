@@ -107,6 +107,34 @@ def test_everything_good_when_few_edges():
     assert len(nonleaves) + len(leaves) == forest.size()
 
 
+def test_family_forest_is_built_once_per_instance(tmp_path, monkeypatch):
+    """The instance validates laminarity by building the forest once, and
+    every run and replay edits a copy of it: a solve-mcst --verify
+    builds it once, and a run leaves the instance's forest as it was."""
+    from crossopt import cli
+    from crossopt.instances import dump_instance
+    from crossopt.mcst import _forest_json
+
+    inst = random_mcst_instance(random.Random(76))
+    path = tmp_path / "inst.json"
+    dump_instance(inst, path)
+    built = []
+    from_sets = LaminarForest.from_sets
+
+    def counted(sets_with_bounds):
+        built.append(sets_with_bounds)
+        return from_sets(sets_with_bounds)
+
+    monkeypatch.setattr(LaminarForest, "from_sets", counted)
+    assert cli.main(["solve-mcst", "--in", str(path), "--verify"]) == 0
+    assert len(built) == 1
+    before = _forest_json(inst.build_forest())
+    _, trace = run_mcst(inst)
+    assert trace.drop_round_count() > 0
+    assert _forest_json(inst.build_forest()) == before
+    assert inst.build_forest() is not inst.build_forest()
+
+
 # -- steps --------------------------------------------------------------------------
 
 

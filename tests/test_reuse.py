@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from crossopt import lpengine, relax
 from crossopt.errors import InternalCheckError
-from crossopt.graphs import iter_bits
 from crossopt.instances import GENERAL, INCLUSION
 from crossopt.lattice import run_lattice
 from crossopt.mcst import run_mcst
@@ -146,12 +145,11 @@ def recorded_calls():
     with checked_reuse() as calls:
         for inst in mcst_corpus(CorpusConfig(count=6)):
             run_mcst(inst)
+        mcst_calls = len(calls)
         for inst in lattice_slice(10, 2):
             run_lattice(inst)
-    assert {type(state) for state, _ in calls} == {
-        lpengine.ResidualMcstLp,
-        lpengine.ResidualLatticeLp,
-    }
+    # both the mcst and the lattice runs reused vertices
+    assert 0 < mcst_calls < len(calls)
     return calls
 
 
@@ -166,7 +164,7 @@ def test_moved_value_is_refused(reuse_calls):
     # breaks a tight equality or upper row: never a certified vertex
     eps = Rat(1, 10**9)
     for state, prev in reuse_calls:
-        for var in sorted(iter_bits(state.eprime))[:3]:
+        for var in sorted(state.lp.var_ids)[:3]:
             x = dict(prev.x_by_id)
             x[var] += eps if x[var] < 1 else -eps
             den, scaled = scale_values([x[v] for v in prev.var_ids])

@@ -7,6 +7,7 @@ well outside the LP box.
 """
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -52,8 +53,10 @@ def assert_same(got, want):
 @pytest.fixture
 def checked_calls(monkeypatch):
     """Send every separator call made by the solvers through both
-    implementations; counts calls by (name, feasible)."""
+    implementations, in every crossopt module that holds the separator
+    by name; counts calls by (name, feasible)."""
     counts = Counter()
+    modules = [mod for key, mod in sys.modules.items() if key.startswith("crossopt.")]
     for name in SEPARATORS:
         fast, slow = getattr(lpengine, name), getattr(reference, name)
 
@@ -63,7 +66,9 @@ def checked_calls(monkeypatch):
             counts[name, got.feasible] += 1
             return got
 
-        monkeypatch.setattr(lpengine, name, checked)
+        for module in modules:
+            if getattr(module, name, None) is fast:
+                monkeypatch.setattr(module, name, checked)
     return counts
 
 

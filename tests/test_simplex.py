@@ -58,20 +58,10 @@ def test_rank_of_rows_basics():
 
 def test_rank_of_tight_rows_at_four_cycle_half_point(edge_cover_4cycle):
     """The half-integral edge-cover vertex has |E'| independent tight rows."""
-    from crossopt.lpengine import (
-        ResidualIntersectionLp,
-        solve_to_extreme_point,
-    )
+    from crossopt.intersection import IntersectionState
+    from crossopt.lpengine import solve_to_extreme_point
 
-    inst = edge_cover_4cycle
-    state = ResidualIntersectionLp(
-        inst.pair,
-        inst.costs,
-        0b1111,
-        0,
-        tuple((i, c.elems, c.upper) for i, c in enumerate(inst.constraints)),
-    )
-    point = solve_to_extreme_point(state)
+    point = solve_to_extreme_point(IntersectionState(edge_cover_4cycle).residual())
     assert all(v == Rat(1, 2) for v in point.x_by_id.values())
     rows = [
         row_vector(point.lp, idx)

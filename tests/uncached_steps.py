@@ -11,14 +11,12 @@ from a forest whose bounds are lowered in rationals, so the tests can
 compare the cached and edited forms against them.
 """
 
-from dataclasses import dataclass
-
 from crossopt.errors import InstanceError, InternalCheckError
 from crossopt.graphs import iter_bits
-from crossopt.lpengine import separate_spanning_tree
+from crossopt.lpengine import Residual, separate_spanning_tree
 from crossopt.mcst import MAX_LOCAL
 from crossopt.rational import ONE, Rat, render_rat
-from crossopt.simplex import EQ, LE, Row
+from crossopt.simplex import EQ, LE, LinearProgram, Row
 
 
 def cut_masks(graph, vmask):
@@ -76,45 +74,31 @@ def assert_edge_locality(locals_by, eprime):
             )
 
 
-@dataclass(frozen=True)
-class RebuiltMcstLp:
-    """LP data of one spanning-tree iteration, every row rebuilt: the
-    undecided edges, the fixed edges, and the alive degree rows (node
-    id, vertex set, bound)."""
+def rebuilt_mcst_lp(graph, eprime, fmask, degree_rows):
+    """The Residual of one spanning-tree iteration, every row rebuilt
+    from the undecided edges, the fixed edges, and the alive degree rows
+    (node id, vertex set, bound)."""
+    if eprime & fmask:
+        raise InstanceError("undecided and fixed edge sets overlap")
+    var_ids = tuple(iter_bits(eprime))
+    objective = tuple(graph.by_id[v].cost for v in var_ids)
+    n_fixed = fmask.bit_count()
+    total = Rat(graph.n - n_fixed - 1)
+    rows = [Row(eprime, EQ, total, ("tree_total", None))]
+    for node_id, vset, bound in degree_rows:
+        dmask = graph.delta_mask(vset, within=eprime)
+        rows.append(Row(dmask, LE, bound, ("degree", node_id)))
 
-    graph: object
-    eprime: int
-    fmask: int
-    degree_rows: tuple
+    def cut_row(kind, vmask):
+        inside = graph.induced_mask(vmask, within=eprime)
+        f_inside = (graph.induced_mask(vmask) & fmask).bit_count()
+        rhs = Rat(vmask.bit_count() - f_inside - 1)
+        return Row(inside, LE, rhs, ("subtour", vmask))
 
-    def __post_init__(self):
-        if self.eprime & self.fmask:
-            raise InstanceError("undecided and fixed edge sets overlap")
+    def separator(point):
+        return separate_spanning_tree(point, graph, fmask)
 
-    def base(self):
-        """(variable ids, objective, base rows, separator, cut builder);
-        every row is a tagged Row."""
-        graph = self.graph
-        var_ids = tuple(iter_bits(self.eprime))
-        objective = tuple(graph.by_id[v].cost for v in var_ids)
-        n_fixed = self.fmask.bit_count()
-        total = Rat(graph.n - n_fixed - 1)
-        rows = [Row(self.eprime, EQ, total, ("tree_total", None))]
-        for node_id, vset, bound in self.degree_rows:
-            dmask = graph.delta_mask(vset, within=self.eprime)
-            rows.append(Row(dmask, LE, bound, ("degree", node_id)))
-
-        def cut_row(res):
-            vmask = res.witness
-            inside = graph.induced_mask(vmask, within=self.eprime)
-            f_inside = (graph.induced_mask(vmask) & self.fmask).bit_count()
-            rhs = Rat(vmask.bit_count() - f_inside - 1)
-            return Row(inside, LE, rhs, ("subtour", vmask))
-
-        def separator(point):
-            return separate_spanning_tree(point, graph, self.fmask)
-
-        return var_ids, objective, rows, separator, cut_row
+    return Residual(LinearProgram(var_ids, objective, tuple(rows)), separator, cut_row)
 
 
 def tighten_degree_bounds(forest, graph, eprime, point):
@@ -160,7 +144,7 @@ class RebuiltMcstState:
             (nid, self.forest.node(nid).vset, self.forest.node(nid).bound)
             for nid in sorted(self.forest.alive_ids())
         )
-        return RebuiltMcstLp(self.graph, self.eprime, self.fmask, rows)
+        return rebuilt_mcst_lp(self.graph, self.eprime, self.fmask, rows)
 
     def apply(self, event, point):
         """Apply one step event of the run at its point; the tighten
