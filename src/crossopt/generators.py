@@ -30,7 +30,7 @@ from operator import add, and_, le, mul
 
 from .brute import edge_tree_counts, min_max_violation_over_trees
 from .errors import InstanceError, SizeGuardError
-from .graphs import Graph, iter_bits, mask_of
+from .graphs import ID_LIMIT, Graph, iter_bits, mask_of
 from .instances import (
     GENERAL,
     GeneralMcstInstance,
@@ -559,6 +559,11 @@ def reduce_uniform_crossing_to_mcst(e, t, bounds):
     the special bound 2e - t on all w-side edges.  No costs."""
     if e < 1:
         raise InstanceError(f"ground size must be at least 1, got {e}")
+    if 4 * e > ID_LIMIT:
+        raise InstanceError(
+            f"ground size must be at most {ID_LIMIT // 4}, got {e}: the gadget's "
+            f"4e edge ids must stay below the id limit {ID_LIMIT}"
+        )
     if not 0 <= t <= e:
         raise InstanceError(f"rank must be between 0 and the ground size {e}, got {t}")
     graph = gadget_graph(e)

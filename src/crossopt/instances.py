@@ -489,12 +489,18 @@ def decode_instance(body):
 def parse_json(text, invalid):
     """The JSON value of the string text: the one JSON parse of the
     package.  InstanceError, its message starting with ``invalid``, when
-    text is not JSON or holds an integer literal past Python's int
-    conversion limit."""
+    text is not JSON, holds an integer literal past Python's int
+    conversion limit, or nests arrays and objects past Python's
+    recursion limit."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"{invalid}: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceError(
+            f"{invalid}: arrays and objects nest too deeply for Python's "
+            f"recursion limit of {sys.getrecursionlimit()}"
+        ) from exc
     except ValueError as exc:
         # the only other ValueError json.loads raises on a string
         raise InstanceError(

@@ -131,9 +131,6 @@ class LaminarForest:
 
     # -- mutations ---------------------------------------------------------
 
-    def set_bound(self, node_id, bound):
-        self.nodes[node_id].bound = bound
-
     def drop_children_of(self, parent_ids):
         """Kill every child of the given nodes, splicing grandchildren
         into the child order at the dead child's position."""

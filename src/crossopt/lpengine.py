@@ -4,15 +4,11 @@ A Residual describes one iteration's system: its base LP (the undecided
 variable ids, their costs, and the explicitly known rows: the
 spanning-tree total-count row plus degree rows, or the crossing bound
 rows), the separation oracle for the exponential rows, and the builder
-that turns a separation witness into a cut row.  Each step rule builds
-its own Residual (McstLp.view, IntersectionState.residual,
-LatticeState.residual), binding the iteration's decided sets, and the
-engine functions take any of them and never ask which problem it is.
-The spanning-tree rows are not rebuilt per iteration: one McstLp per
-run holds them, the step events edit it in place (each edit touches
-only the rows that hold the decided edge or the bounds that changed,
-with each bound an integer over a per-row denominator), and its
-``view()`` is the iteration's Residual.
+that turns a separation witness into a cut row.  Each step rule's state
+builds its own Residual from its own rows (McstState.residual,
+IntersectionState.residual, LatticeState.residual), binding the
+iteration's decided sets, and the engine functions take any of them
+and never ask which problem it is.
 
 The working LP starts from the base rows over the box 0 <= x <= 1 (the
 box of every simplex.LinearProgram), and repeatedly adds the
@@ -74,7 +70,6 @@ from .simplex import (
     LE,
     STATS,
     LinearProgram,
-    Row,
     certify,
     simplex_solve,
     violated,
@@ -246,160 +241,6 @@ class Residual(NamedTuple):
     lp: LinearProgram
     separate: object
     cut_row: object
-
-
-class McstLp:
-    """The residual spanning-tree LP of one run, edited in place by the
-    step events; McstState owns it for the whole run.
-
-    Its rows are the tree-total row x(E') = n - |F| - 1 and one degree
-    row x(delta(S) & E') <= b(S) per alive node S of the forest, in node
-    id order.  Each bound is kept as an int numerator over a per-row int
-    denominator, so crossed-bound decrements and bound comparisons are
-    int operations, and is written to the forest node as a rational
-    whenever it changes, so the forest always holds the LP's bounds.
-    Each event edits only what it changes:
-
-    - ``fix`` or ``delete`` of e drops e from the undecided edges and
-      from the degree rows whose mask holds it (found through an
-      edge-to-rows index); ``fix`` also lowers those rows' bounds by one;
-    - ``set_bound`` and ``tighten`` rewrite the bounds of named rows;
-    - ``reshape`` rebuilds the degree rows after a drop or merge step.
-
-    A Row is built only when ``view`` needs it after an edit, so a trace
-    replay, which never solves, builds none.
-    """
-
-    def __init__(self, graph, forest):
-        self.graph = graph
-        self.forest = forest
-        self.eprime = graph.all_edges_mask
-        self.fmask = 0
-        self.var_ids = tuple(sorted(graph.by_id))
-        self.objective = tuple(graph.by_id[v].cost for v in self.var_ids)
-        self.reshape()
-
-    def reshape(self):
-        """Rebuild the degree rows from the forest's alive nodes."""
-        nodes = self.forest.nodes
-        eprime = self.eprime
-        cut = self.graph.cut
-        self.node_ids = [nd.id for nd in nodes if nd.alive]
-        self.masks = [cut(nodes[nid].vset)[0] & eprime for nid in self.node_ids]
-        self.nums = [nodes[nid].bound.numerator for nid in self.node_ids]
-        self.dens = [nodes[nid].bound.denominator for nid in self.node_ids]
-        # {1 << edge id: positions of the rows whose mask holds it}
-        self.edge_rows = edge_rows = {}
-        for p, mask in enumerate(self.masks):
-            while mask:
-                low = mask & -mask
-                edge_rows.setdefault(low, []).append(p)
-                mask ^= low
-        self.rows = [None] * len(self.node_ids)
-        self.stale = set(range(len(self.node_ids)))
-
-    def delete(self, eid):
-        """x_e = 0: the undecided edge eid leaves the undecided edges,
-        the variables and the degree rows that hold it; returns those
-        rows' positions."""
-        bit = 1 << eid
-        self.eprime ^= bit
-        j = self.var_ids.index(eid)
-        self.var_ids = self.var_ids[:j] + self.var_ids[j + 1 :]
-        self.objective = self.objective[:j] + self.objective[j + 1 :]
-        held = self.edge_rows.pop(bit, ())
-        masks = self.masks
-        for p in held:
-            masks[p] ^= bit
-        self.stale.update(held)
-        return held
-
-    def fix(self, eid):
-        """x_e = 1: e leaves the LP as on a delete, and every bound it
-        crosses drops by one; a bound below one is an InternalCheckError."""
-        held = self.delete(eid)
-        self.fmask |= 1 << eid
-        nums, dens = self.nums, self.dens
-        nodes, node_ids = self.forest.nodes, self.node_ids
-        for p in held:
-            num, den = nums[p], dens[p]
-            if num < den:
-                raise InternalCheckError(
-                    f"fixing edge {eid} drives bound of node {node_ids[p]} negative"
-                )
-            nums[p] = num = num - den
-            nodes[node_ids[p]].bound = Rat(num, den)
-
-    def set_bound(self, node_id, bound):
-        """The bound of node_id's degree row set to the rational bound."""
-        p = self.node_ids.index(node_id)
-        self.nums[p] = bound.numerator
-        self.dens[p] = bound.denominator
-        self.forest.nodes[node_id].bound = bound
-        self.stale.add(p)
-
-    def tighten(self, point):
-        """Lower every degree bound to its crossing load x(delta(S) & E')
-        at the certified Vertex ``point`` of this LP, compared in
-        integers; returns [(node id, old, new)] for the changed rows.
-
-        A row that ``point`` claims tight, and that is still the Row its
-        LP holds at that index, has load equal to bound (certify checked
-        it), so only the other rows are loaded.  A load above its bound
-        is an InternalCheckError: tightening never raises a bound.
-        """
-        rows, lp_rows = self.rows, point.lp.rows
-        tight = set()
-        for idx in point.tight_rows:  # rows first, in index order
-            if idx > len(rows):
-                break
-            if idx and lp_rows[idx] is rows[idx - 1]:
-                tight.add(idx - 1)
-        den = point.den
-        nodes = self.forest.nodes
-        changes = []
-        for p, nid in enumerate(self.node_ids):
-            if p in tight:
-                continue
-            load = point.load(self.masks[p])
-            excess = load * self.dens[p] - self.nums[p] * den
-            if excess > 0:
-                raise InternalCheckError(
-                    f"crossing load exceeds bound at node {nid}; tightening "
-                    "would increase the bound"
-                )
-            if excess:
-                new = Rat(load, den)
-                changes.append((nid, nodes[nid].bound, new))
-                self.set_bound(nid, new)
-        return changes
-
-    def view(self):
-        """The LP as it stands, a Residual; builds the Rows that changed
-        since the last view."""
-        rows, nodes = self.rows, self.forest.nodes
-        for p in self.stale:
-            nid = self.node_ids[p]
-            rows[p] = Row(self.masks[p], LE, nodes[nid].bound, ("degree", nid))
-        self.stale.clear()
-        graph, eprime, fmask = self.graph, self.eprime, self.fmask
-        total = Rat(graph.n - fmask.bit_count() - 1)
-
-        def cut_row(kind, vmask):
-            inside = graph.induced_mask(vmask, within=eprime)
-            f_inside = (graph.induced_mask(vmask) & fmask).bit_count()
-            rhs = Rat(vmask.bit_count() - f_inside - 1)
-            return Row(inside, LE, rhs, ("subtour", vmask))
-
-        return Residual(
-            LinearProgram(
-                self.var_ids,
-                self.objective,
-                (Row(eprime, EQ, total, ("tree_total", None)), *rows),
-            ),
-            lambda point: separate_spanning_tree(point, graph, fmask),
-            cut_row,
-        )
 
 
 def solve_to_extreme_point(residual):

@@ -23,8 +23,8 @@ restricted to the remaining edges, is reused and re-certified
 loosens rows, so the old vertex need not stay optimal and the LP is
 solved again.
 
-The state owns one residual LP for the whole run (lpengine.McstLp),
-and each step event edits it instead of rebuilding it: a fix or delete
+The state holds the residual LP's rows for the whole run, and each
+step event edits them instead of rebuilding them: a fix or delete
 removes the edge from the rows that hold it (a fix also lowers their
 bounds by one, in integers), a tighten rewrites the bounds it names,
 and a drop or merge rebuilds the degree rows.  Tightening loads only
@@ -53,13 +53,14 @@ from .errors import InstanceError, InternalCheckError, NoStepApplies
 from .graphs import iter_bits
 from .instances import SCHEMA_VERSION, _rat, instance_digest
 from .laminar import VIRTUAL_ROOT, all_consecutive_blocks
-from .lpengine import McstLp
+from .lpengine import Residual, separate_spanning_tree
 
 # imported by name so that crossopt.mcst.solve_to_extreme_point, which
 # the benchmark's wrapper test reads, stays the lpengine function
 from .lpengine import solve_to_extreme_point  # noqa: F401
 from .rational import Rat, encode_rationals, render_rat
 from .relax import relax
+from .simplex import EQ, LE, LinearProgram, Row
 
 MAX_LOCAL = 24  # locality threshold for "good" nodes
 VIOLATION_FACTOR = 4 * MAX_LOCAL  # additive degree slack per drop round
@@ -126,7 +127,17 @@ def assert_edge_locality(locals_by, eprime):
 
 class McstState:
     """Mutable run state: the residual forest and its LP (the chosen
-    and undecided edges, the bounds), edited by the step events."""
+    and undecided edges, the bounds), edited by the step events.
+
+    The LP's rows are the tree-total row x(E') = n - |F| - 1 and one
+    degree row x(delta(S) & E') <= b(S) per alive node S, in node id
+    order.  Each bound is an int numerator over a per-row int
+    denominator, written to the forest node as a rational whenever it
+    changes, so the forest always holds the LP's bounds.  An
+    edge-to-rows index finds the rows a fix or delete edits, and a Row
+    is built only when ``residual`` needs it after an edit, so a trace
+    replay, which never solves, builds none.
+    """
 
     header = {"kind": "mcst-trace", "alpha": MAX_LOCAL}
 
@@ -134,14 +145,15 @@ class McstState:
         self.instance = instance
         self.graph = instance.graph
         self.forest = instance.build_forest()
-        self.lp = McstLp(self.graph, self.forest)
+        self.eprime = self.graph.all_edges_mask
+        self.fmask = 0
+        self.var_ids = tuple(sorted(self.graph.by_id))
+        self.objective = tuple(self.graph.by_id[v].cost for v in self.var_ids)
         # c(F) as the int C * c(F), kept by fix_edge, with C the lcm of
         # the edge costs' denominators
         self.cost_den = lcm(*(e.cost.denominator for e in self.graph.edges))
         self.fcost = 0
-        # reach_masks of the forest; None after a drop or merge step,
-        # the only steps that change a node's grandchildren
-        self.reach = None
+        self.reshaped()
         self.iteration_cap = (
             self.eprime.bit_count() + drop_round_limit(self.graph.n) + 2
         )
@@ -152,33 +164,138 @@ class McstState:
         )
         self.family_bounds = tuple(bound.numerator for _, bound in instance.family)
 
-    @property
-    def eprime(self):
-        return self.lp.eprime
-
-    @property
-    def fmask(self):
-        return self.lp.fmask
-
     def finished(self):
-        return not self.lp.eprime
-
-    def residual(self):
-        return self.lp.view()
-
-    def fix_edge(self, eid):
-        self.lp.fix(eid)
-        cost = self.graph.by_id[eid].cost
-        self.fcost += cost.numerator * (self.cost_den // cost.denominator)
-
-    def delete_edge(self, eid):
-        self.lp.delete(eid)
+        return not self.eprime
 
     def reshaped(self):
-        """After a drop or merge step: the forest's alive nodes changed,
-        so the reach masks and the degree rows are rebuilt."""
+        """After a drop or merge step, and once at the start: the
+        forest's alive nodes changed, so the degree rows are rebuilt and
+        the reach masks are dropped until the next classification."""
+        # reach_masks of the forest; None after a drop or merge step,
+        # the only steps that change a node's grandchildren
         self.reach = None
-        self.lp.reshape()
+        nodes = self.forest.nodes
+        eprime = self.eprime
+        cut = self.graph.cut
+        self.node_ids = [nd.id for nd in nodes if nd.alive]
+        self.masks = [cut(nodes[nid].vset)[0] & eprime for nid in self.node_ids]
+        self.nums = [nodes[nid].bound.numerator for nid in self.node_ids]
+        self.dens = [nodes[nid].bound.denominator for nid in self.node_ids]
+        # {1 << edge id: positions of the rows whose mask holds it}
+        self.edge_rows = edge_rows = {}
+        for p, mask in enumerate(self.masks):
+            while mask:
+                low = mask & -mask
+                edge_rows.setdefault(low, []).append(p)
+                mask ^= low
+        self.rows = [None] * len(self.node_ids)
+        self.stale = set(range(len(self.node_ids)))
+
+    def delete_edge(self, eid):
+        """x_e = 0: the undecided edge eid leaves the undecided edges,
+        the variables and the degree rows that hold it; returns those
+        rows' positions."""
+        bit = 1 << eid
+        self.eprime ^= bit
+        j = self.var_ids.index(eid)
+        self.var_ids = self.var_ids[:j] + self.var_ids[j + 1 :]
+        self.objective = self.objective[:j] + self.objective[j + 1 :]
+        held = self.edge_rows.pop(bit, ())
+        masks = self.masks
+        for p in held:
+            masks[p] ^= bit
+        self.stale.update(held)
+        return held
+
+    def fix_edge(self, eid):
+        """x_e = 1: e leaves the LP as on a delete, joins the chosen
+        edges and their cost c(F), and every bound it crosses drops by
+        one; a bound below one is an InternalCheckError."""
+        held = self.delete_edge(eid)
+        self.fmask |= 1 << eid
+        cost = self.graph.by_id[eid].cost
+        self.fcost += cost.numerator * (self.cost_den // cost.denominator)
+        nums, dens = self.nums, self.dens
+        nodes, node_ids = self.forest.nodes, self.node_ids
+        for p in held:
+            num, den = nums[p], dens[p]
+            if num < den:
+                raise InternalCheckError(
+                    f"fixing edge {eid} drives bound of node {node_ids[p]} negative"
+                )
+            nums[p] = num = num - den
+            nodes[node_ids[p]].bound = Rat(num, den)
+
+    def set_bound(self, node_id, bound):
+        """The bound of node_id's degree row set to the rational bound."""
+        p = self.node_ids.index(node_id)
+        self.nums[p] = bound.numerator
+        self.dens[p] = bound.denominator
+        self.forest.nodes[node_id].bound = bound
+        self.stale.add(p)
+
+    def tighten(self, point):
+        """Lower every degree bound to its crossing load x(delta(S) & E')
+        at the certified Vertex ``point`` of this LP, compared in
+        integers; returns [(node id, old, new)] for the changed rows.
+
+        A row that ``point`` claims tight, and that is still the Row its
+        LP holds at that index, has load equal to bound (certify checked
+        it), so only the other rows are loaded.  A load above its bound
+        is an InternalCheckError: tightening never raises a bound.
+        """
+        rows, lp_rows = self.rows, point.lp.rows
+        tight = set()
+        for idx in point.tight_rows:  # rows first, in index order
+            if idx > len(rows):
+                break
+            if idx and lp_rows[idx] is rows[idx - 1]:
+                tight.add(idx - 1)
+        den = point.den
+        nodes = self.forest.nodes
+        changes = []
+        for p, nid in enumerate(self.node_ids):
+            if p in tight:
+                continue
+            load = point.load(self.masks[p])
+            excess = load * self.dens[p] - self.nums[p] * den
+            if excess > 0:
+                raise InternalCheckError(
+                    f"crossing load exceeds bound at node {nid}; tightening "
+                    "would increase the bound"
+                )
+            if excess:
+                new = Rat(load, den)
+                changes.append((nid, nodes[nid].bound, new))
+                self.set_bound(nid, new)
+        return changes
+
+    def residual(self):
+        """The LP as it stands, a Residual; builds the Rows that changed
+        since the last call."""
+        rows, nodes = self.rows, self.forest.nodes
+        for p in self.stale:
+            nid = self.node_ids[p]
+            rows[p] = Row(self.masks[p], LE, nodes[nid].bound, ("degree", nid))
+        self.stale.clear()
+        graph, eprime, fmask = self.graph, self.eprime, self.fmask
+        total = Rat(graph.n - fmask.bit_count() - 1)
+
+        def cut_row(kind, vmask):
+            inside = graph.induced_mask(vmask, within=eprime)
+            f_inside = (graph.induced_mask(vmask) & fmask).bit_count()
+            rhs = Rat(vmask.bit_count() - f_inside - 1)
+            return Row(inside, LE, rhs, ("subtour", vmask))
+
+        return Residual(
+            LinearProgram(
+                self.var_ids,
+                self.objective,
+                (Row(eprime, EQ, total, ("tree_total", None)), *rows),
+            ),
+            lambda point: separate_spanning_tree(point, graph, fmask),
+            cut_row,
+        )
 
     def step(self, point, lp_initial, trace):
         """Tighten, check the invariants and apply try_step; True after
@@ -190,7 +307,7 @@ class McstState:
             z0.numerator * c_den * z.denominator
         ):
             raise InternalCheckError("cost accounting broke: c(F) + z > z0")
-        changes = self.lp.tighten(point)
+        changes = self.tighten(point)
         trace.add(
             {
                 "ev": "tighten",
@@ -346,10 +463,9 @@ def _assert_degree_accounting(state):
     it never exceeds its original bound (tightening only decreases, and
     each fixed crossing edge decremented it by one).  Original nodes
     keep their family index as node id and come first in id order."""
-    lp = state.lp
-    fmask = lp.fmask
+    fmask = state.fmask
     originals = len(state.family_bounds)
-    for nid, num, den in zip(lp.node_ids, lp.nums, lp.dens):
+    for nid, num, den in zip(state.node_ids, state.nums, state.dens):
         if nid >= originals:
             break
         fixed = (state.family_deltas[nid] & fmask).bit_count()
@@ -424,7 +540,7 @@ def replay_trace(instance, trace):
                         f"{render_rat(old)} to {render_rat(new)}; tightening only "
                         "lowers a bound and keeps it non-negative"
                     )
-                state.lp.set_bound(nid, new)
+                state.set_bound(nid, new)
         elif kind in ("fix", "delete"):
             eid = _field(ev, "edge", where)
             if type(eid) is not int or eid not in instance.graph.by_id:

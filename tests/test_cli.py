@@ -1005,6 +1005,38 @@ def test_oversized_integer_literal_is_usage_error(case, tmp_path, monkeypatch, c
     assert "Traceback" not in err
 
 
+# nested past Python's recursion limit: json.loads used to end in a
+# RecursionError traceback with exit 1
+DEEP = "[" * 200_000
+
+
+def _deep_instance(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(DEEP)
+    return ("solve-mcst", "--in", str(path)), f"invalid JSON in {path}"
+
+
+def _deep_trace_line(tmp_path):
+    inst, solution, trace = _solved_mcst(tmp_path)
+    with open(trace, "a", encoding="utf-8") as fh:
+        fh.write(DEEP + "\n")
+    argv = ("verify", "--in", str(inst), "--solution", str(solution))
+    return (*argv, "--trace", str(trace)), "line 39 is not valid JSON"
+
+
+@pytest.mark.parametrize(
+    "make", [_deep_instance, _deep_trace_line], ids=["instance-file", "trace-line"]
+)
+def test_deeply_nested_json_is_usage_error(make, tmp_path, capsys):
+    argv, named = make(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "nest too deeply for Python's recursion limit" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "e, t, named",
     [
@@ -1012,6 +1044,9 @@ def test_oversized_integer_literal_is_usage_error(case, tmp_path, monkeypatch, c
         (0, 0, "ground size must be at least 1, got 0"),
         (3, -1, "rank must be between 0 and the ground size 3, got -1"),
         (2, 3, "rank must be between 0 and the ground size 2, got 3"),
+        # 4e edge ids past ID_LIMIT: the instance used to be written
+        # and then refused on read
+        (16385, 1, "ground size must be at most 16384, got 16385"),
     ],
 )
 def test_bad_reduction_size_is_usage_error(e, t, named, capsys):

@@ -1,7 +1,8 @@
 """Every name a crossopt module imports is used in that module, every
 function, class and method it defines is referenced, only the one
-writer, ``instances.write_text``, opens a file for writing, and only
-the one reader, ``instances.parse_json``, parses JSON.
+writer, ``instances.write_text``, opens a file for writing, only the
+one reader, ``instances.parse_json``, parses JSON, and only the three
+step rules build LP rows.
 
 A name that is imported only to be read from outside (a re-export)
 carries ``# noqa: F401`` on its import line.  The package's
@@ -277,3 +278,47 @@ def test_json_parses_are_found():
         "json.loads('1')\n"
     )
     assert json_parses(source) == [(4, "f"), (6, "f"), (9, None)]
+
+
+# the modules that build simplex.Row values: each step rule's state
+# builds its own residual LP's rows
+ROW_BUILDERS = {"mcst.py", "intersection.py", "lattice.py"}
+
+
+def row_builds(source):
+    """(line, enclosing function) of every call of Row or simplex.Row."""
+
+    def builds(call):
+        func = call.func
+        if isinstance(func, ast.Name):
+            return func.id == "Row"
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr == "Row"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "simplex"
+        )
+
+    return calls_where(ast.parse(source), builds)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_step_rules_build_rows(path):
+    builds = row_builds(path.read_text(encoding="utf-8"))
+    assert path.name in ROW_BUILDERS or builds == []
+    assert path.name not in ROW_BUILDERS or builds
+
+
+def test_row_builds_are_found():
+    source = (
+        "from . import simplex\n"
+        "from .simplex import Row\n"
+        "def f(mask):\n"
+        "    Row(mask, '<=', 1, None)\n"
+        "    simplex.Row(mask, '<=', 1, None)\n"
+        "    Rows(mask)\n"
+        "    return Row\n"
+        "simplex.Row._make((0, '<=', 1, None))\n"
+        "Row(0, '==', 1, None)\n"
+    )
+    assert row_builds(source) == [(4, "f"), (5, "f"), (9, None)]

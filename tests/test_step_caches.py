@@ -179,3 +179,29 @@ def test_edited_lp_matches_rebuilt_reference_on_every_step(monkeypatch):
     assert checked["drop_children"] > 0 and checked["merge_leaves"] > 0
     assert checked["fix"] > 0 and checked["delete"] > 0
     assert checked["start"] == len(MCST_DROP_SEEDS) + 40
+
+
+def test_replay_builds_no_row(monkeypatch):
+    """A trace replay edits a McstState through the run's methods but
+    never solves, so it builds no LP row; the counter itself sees the
+    rows a residual builds."""
+    runs = [
+        (inst, mcst.run_mcst(inst)[1])
+        for inst in (
+            random_mcst_instance(random.Random(seed))
+            for seed in MCST_DROP_SEEDS + tuple(range(10))
+        )
+    ]
+    built = Counter()
+    row = mcst.Row
+
+    def counting_row(*args):
+        built["rows"] += 1
+        return row(*args)
+
+    monkeypatch.setattr(mcst, "Row", counting_row)
+    for inst, trace in runs:
+        assert mcst.replay_trace(inst, trace).matches_footer
+    assert built["rows"] == 0
+    mcst.McstState(runs[0][0]).residual()
+    assert built["rows"] > 0

@@ -3,8 +3,8 @@
 ``crossopt.graphs.Graph`` keeps each vertex set's cut once computed;
 ``crossopt.mcst`` keeps each alive node's reach between drop and merge
 steps, classifying nodes by reach & E', and counts each edge's owners
-in bit planes; ``crossopt.lpengine.McstLp`` is one residual LP per run,
-edited by the step events.  These are the per-call versions they
+in bit planes; ``crossopt.mcst.McstState`` holds one residual LP per
+run, edited by the step events.  These are the per-call versions they
 replaced: every mask is built afresh from the incidence rows, every
 owner count is taken edge by edge, and every residual LP is rebuilt
 from a forest whose bounds are lowered in rationals, so the tests can
@@ -122,7 +122,7 @@ def tighten_degree_bounds(forest, graph, eprime, point):
         if excess:
             new = Rat(load, den)
             changes.append((nid, bound, new))
-            forest.set_bound(nid, new)
+            forest.node(nid).bound = new
     return changes
 
 
@@ -162,7 +162,7 @@ class RebuiltMcstState:
             self.eprime &= ~bit
             for node in forest.nodes:
                 if node.alive and self.graph.delta_mask(node.vset) & bit:
-                    forest.set_bound(node.id, node.bound - ONE)
+                    node.bound -= ONE
         elif kind == "delete":
             self.eprime &= ~(1 << event["edge"])
         elif kind == "drop_children":
