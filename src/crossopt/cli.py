@@ -17,7 +17,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .brute import SUBSET_GUARD, brute_subset_opt
 from .errors import InstanceError, InternalCheckError
@@ -96,59 +96,38 @@ def _maybe_timing(report, started, args):
         report["timing_seconds"] = round(time.perf_counter() - started, 3)
 
 
-@dataclass(frozen=True)
-class Solved:
-    instance: object  # the instance as solved, after any --variant
-    mask: int
-    cost: object
-    lp_optimum: object
-    verify: object  # () -> a report with .ok and .to_json()
-    fields: dict  # report fields of this solver only
+# command -> (instance type, its description, solution kind)
+SOLVERS = {
+    "solve-mcst": (McstInstance, "a laminar mcst instance", "edges"),
+    "solve-intersection": (IntersectionInstance, "an intersection instance", "elements"),
+    "solve-lattice": (LatticeInstance, "a lattice instance", "elements"),
+}
 
 
-def _solve_mcst(instance, args):
-    tree, trace = run_mcst(instance)
-    if args.trace:
-        trace.to_jsonl(args.trace)
-    return Solved(
-        instance,
-        tree,
-        instance.graph.cost_of(tree),
-        trace.initial_lp_objective(),
-        lambda: verify_guarantee(instance, tree, trace),
-        {"drop_rounds": trace.drop_round_count(), "trace": args.trace},
-    )
+def _run(instance):
+    """Solve instance; returns (mask, trace, LP optimum), the trace
+    None unless the instance is a spanning tree's.  run_* are looked up
+    in this module when called."""
+    if isinstance(instance, McstInstance):
+        tree, trace = run_mcst(instance)
+        return tree, trace, trace.initial_lp_objective()
+    if isinstance(instance, IntersectionInstance):
+        sol, _, opt = run_intersection(instance)
+    else:
+        sol, _, opt = run_lattice(instance)
+    return sol, None, opt
 
 
-def _solve_intersection(instance, args):
-    sol, _, opt = run_intersection(instance)
-    return Solved(
-        instance,
-        sol,
-        sum((instance.costs[e] for e in iter_bits(sol)), 0),
-        opt,
-        lambda: verify_intersection(instance, sol, opt),
-        {},
-    )
-
-
-def _solve_lattice(instance, args):
-    if args.variant and args.variant != instance.variant:
-        instance = replace(instance, variant=args.variant)
-    sol, _, opt = run_lattice(instance)
-    return Solved(
-        instance,
-        sol,
-        sum((instance.costs[e] for e in iter_bits(sol)), 0),
-        opt,
-        lambda: _verify_lattice(instance, sol),
-        {"variant": instance.variant},
-    )
-
-
-def _verify_lattice(instance, mask):
-    """verify_lattice of mask, with the cost check against the
-    brute-force optimum when the ground set is within SUBSET_GUARD."""
+def _verify(instance, mask, trace, lp_optimum):
+    """The CheckReport of mask: a spanning tree against its trace, an
+    intersection solution against lp_optimum, and a lattice solution
+    with the cost check against the brute-force optimum when the ground
+    set is within SUBSET_GUARD.  verify_* and brute_subset_opt are
+    looked up in this module when called."""
+    if isinstance(instance, McstInstance):
+        return verify_guarantee(instance, mask, trace)
+    if isinstance(instance, IntersectionInstance):
+        return verify_intersection(instance, mask, lp_optimum)
     brute = None
     if instance.n <= SUBSET_GUARD:
         _, brute = brute_subset_opt(
@@ -157,40 +136,38 @@ def _verify_lattice(instance, mask):
     return verify_lattice(instance, mask, brute)
 
 
-# command -> (instance type, its description, solution kind, solver);
-# the solvers look run_* and verify_* up in this module when called
-SOLVERS = {
-    "solve-mcst": (McstInstance, "a laminar mcst instance", "edges", _solve_mcst),
-    "solve-intersection": (
-        IntersectionInstance,
-        "an intersection instance",
-        "elements",
-        _solve_intersection,
-    ),
-    "solve-lattice": (LatticeInstance, "a lattice instance", "elements", _solve_lattice),
-}
-
-
 def cmd_solve(args):
     started = time.perf_counter()
     check_writable(args.report, args.solution, getattr(args, "trace", None))
     instance = _load(args.infile)
-    expected, description, kind, solve = SOLVERS[args.command]
+    expected, description, kind = SOLVERS[args.command]
     if not isinstance(instance, expected):
         raise InstanceError(f"{args.command} expects {description}")
-    solved = solve(instance, args)
+    fields = {}
+    if isinstance(instance, LatticeInstance):
+        if args.variant and args.variant != instance.variant:
+            instance = replace(instance, variant=args.variant)
+        fields["variant"] = instance.variant
+    mask, trace, lp_optimum = _run(instance)
+    if trace is None:
+        cost = sum((instance.costs[e] for e in iter_bits(mask)), 0)
+    else:
+        cost = instance.graph.cost_of(mask)
+        fields = {"drop_rounds": trace.drop_round_count(), "trace": args.trace}
+        if args.trace:
+            trace.to_jsonl(args.trace)
     report = {
         "schema": 1,
         "algorithm": args.command.removeprefix("solve-"),
-        "instance_digest": instance_digest(solved.instance),
-        "solution": sorted(iter_bits(solved.mask)),
-        "cost": _rat_field(solved.cost),
-        "lp_optimum": _rat_field(solved.lp_optimum),
-        **solved.fields,
+        "instance_digest": instance_digest(instance),
+        "solution": sorted(iter_bits(mask)),
+        "cost": _rat_field(cost),
+        "lp_optimum": _rat_field(lp_optimum),
+        **fields,
     }
     outcome = EXIT_OK
     if args.verify:
-        result = solved.verify()
+        result = _verify(instance, mask, trace, lp_optimum)
         report["checks"] = result.to_json()["checks"]
         report["outcome"] = "ok" if result.ok else "check-failed"
         if not result.ok:
@@ -198,7 +175,7 @@ def cmd_solve(args):
     else:
         report["outcome"] = "ok"
     if args.solution:
-        _write_solution(solved.mask, kind, args.solution)
+        _write_solution(mask, kind, args.solution)
     _maybe_timing(report, started, args)
     _emit(report, args.report)
     return outcome
@@ -285,11 +262,18 @@ def cmd_verify(args):
     check_writable(args.report)
     instance = _load(args.infile)
     mask = _load_solution(args.solution, instance)
+    trace = lp_optimum = None
     if isinstance(instance, McstInstance):
         if not args.trace:
             raise InstanceError("verifying an mcst run needs --trace")
         trace = RunTrace.from_jsonl(args.trace)
-        result = verify_guarantee(instance, mask, trace)
+    elif isinstance(instance, IntersectionInstance):
+        # the LP optimum that run_intersection reports, without the rounding
+        lp_optimum = initial_optimum(IntersectionState(instance))
+    elif not isinstance(instance, LatticeInstance):
+        raise InstanceError("general-mcst instances are verified by generators")
+    result = _verify(instance, mask, trace, lp_optimum)
+    if trace is not None:
         # check (d) compares the cost with the trace's lp_initial, so that
         # must be the LP optimum that run_mcst reports
         opt = initial_optimum(McstState(instance))
@@ -299,17 +283,7 @@ def cmd_verify(args):
                 f"trace lp_initial {render_rat(claimed)} is not the initial LP "
                 f"optimum {render_rat(opt)} of the instance"
             )
-        body = result.to_json()
-    elif isinstance(instance, IntersectionInstance):
-        # the LP optimum that run_intersection reports, without the rounding
-        opt = initial_optimum(IntersectionState(instance))
-        result = verify_intersection(instance, mask, opt)
-        body = result.to_json()
-    elif isinstance(instance, LatticeInstance):
-        result = _verify_lattice(instance, mask)
-        body = result.to_json()
-    else:
-        raise InstanceError("general-mcst instances are verified by generators")
+    body = result.to_json()
     body["schema"] = 1
     body["instance_digest"] = instance_digest(instance)
     _emit(body, args.report)
@@ -321,15 +295,11 @@ def _selftest_one(task):
     rng = random.Random(seed)
     if kind == "mcst":
         instance = random_mcst_instance(rng, n_min=5, n_max=8)
-        tree, trace = run_mcst(instance)
-        return verify_guarantee(instance, tree, trace).ok
-    if kind == "intersection":
+    elif kind == "intersection":
         instance = random_intersection_instance(rng, max_elems=8)
-        sol, _, opt = run_intersection(instance)
-        return verify_intersection(instance, sol, opt).ok
-    instance = random_lattice_instance(rng, max_ground=6)
-    sol, _, _ = run_lattice(instance)
-    return _verify_lattice(instance, sol).ok
+    else:
+        instance = random_lattice_instance(rng, max_ground=6)
+    return _verify(instance, *_run(instance)).ok
 
 
 def cmd_selftest(args):
@@ -352,9 +322,9 @@ def cmd_selftest(args):
     corpus_ok = all(results)
 
     ec = gen_edge_cover_tight(1)
-    sol, _, opt = run_intersection(ec)
+    sol, trace, opt = _run(ec)
     tight_ok = (
-        verify_intersection(ec, sol, opt).ok
+        _verify(ec, sol, trace, opt).ok
         and (sol & ec.constraints[0].elems).bit_count() == 2
     )
     _, gap1 = gen_planar_mincut_gap(2)

@@ -76,32 +76,22 @@ class GapReport:
 # 2-way choice per gadget of which side loses an edge.
 
 
-def _gadget_vertices(e):
-    def u(i):
-        return 3 * i + 1
-
-    def w(i):
-        return 3 * i + 2
-
-    def v(i):
-        return 3 * i + 3
-
-    return u, w, v
-
-
-def gadget_graph(e, costs=None):
-    u, w, v = _gadget_vertices(e)
+def gadget_graph(e):
+    """Vertex 0 is r; gadget i has u_i = 3i + 1, w_i = 3i + 2 and
+    v_i = 3i + 3, and edges r-u_i, u_i-v_i, r-w_i, w_i-v_i with ids
+    4i .. 4i + 3, all of cost 0."""
     pairs = []
     for i in range(e):
-        pairs.extend([(0, u(i)), (u(i), v(i)), (0, w(i)), (w(i), v(i))])
-    return Graph.from_pairs(3 * e + 1, pairs, costs)
+        u, w, v = 3 * i + 1, 3 * i + 2, 3 * i + 3
+        pairs.extend([(0, u), (u, v), (0, w), (w, v)])
+    return Graph.from_pairs(3 * e + 1, pairs)
 
 
-def gadget_u_edges(e, i):
+def gadget_u_edges(i):
     return mask_of([4 * i, 4 * i + 1])
 
 
-def gadget_w_edges(e, i):
+def gadget_w_edges(i):
     return mask_of([4 * i + 2, 4 * i + 3])
 
 
@@ -169,8 +159,8 @@ def gen_mcst_gap(e):
         u_mask = 0
         w_mask = 0
         for i in iter_bits(s):
-            u_mask |= gadget_u_edges(e, i)
-            w_mask |= gadget_w_edges(e, i)
+            u_mask |= gadget_u_edges(i)
+            w_mask |= gadget_w_edges(i)
         bounds.append((u_mask, limit))
         bounds.append((w_mask, limit))
     instance = GeneralMcstInstance(graph, tuple(bounds))
@@ -573,11 +563,11 @@ def reduce_uniform_crossing_to_mcst(e, t, bounds):
         for i in iter_bits(c_mask):
             if i >= e:
                 raise InstanceError("bound set out of range")
-            u_edges |= gadget_u_edges(e, i)
+            u_edges |= gadget_u_edges(i)
         rows.append((u_edges, Rat(c_mask.bit_count() + b)))
     special = 0
     for i in range(e):
-        special |= gadget_w_edges(e, i)
+        special |= gadget_w_edges(i)
     rows.append((special, Rat(2 * e - t)))
     return GeneralMcstInstance(graph, tuple(rows))
 

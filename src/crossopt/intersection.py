@@ -29,7 +29,7 @@ from .graphs import iter_bits
 from .lpengine import Residual, separate_contra_polymatroid
 from .oracles import uncross
 from .rational import ZERO, Rat, rat_ceil, render_rat
-from .relax import CoverReport, relax
+from .relax import CheckReport, check, relax
 from .simplex import GE, LE, LinearProgram, Row
 
 
@@ -194,35 +194,30 @@ def verify_intersection(instance, solution, lp_opt):
             failures.append(f"coverage S={s:#x}")
             break
     # r(empty) = 0, so on an empty ground set the only slack is 0
-    checks.append(("coverage", coverage_ok, "0", str(0 if worst is None else worst)))
+    achieved = str(0 if worst is None else worst)
+    checks.append(check("coverage", coverage_ok, bound="0", achieved=achieved))
 
-    bounds_ok = True
     for i, con in enumerate(instance.constraints):
         allowed = 2 * con.upper + delta - 1
         got = (solution & con.elems).bit_count()
+        good = Rat(got) <= allowed
         checks.append(
-            (f"bound[{i}]", Rat(got) <= allowed, render_rat(allowed), str(got))
+            check(f"bound[{i}]", good, bound=render_rat(allowed), achieved=str(got))
         )
-        if Rat(got) > allowed:
-            bounds_ok = False
+        if not good:
             failures.append(f"bound {i}")
 
     cost = ZERO
     for e in iter_bits(solution):
         cost += instance.costs[e]
     cost_ok = cost <= 2 * lp_opt
-    checks.append(("cost", cost_ok, render_rat(2 * lp_opt), render_rat(cost)))
+    checks.append(
+        check("cost", cost_ok, bound=render_rat(2 * lp_opt), achieved=render_rat(cost))
+    )
     if not cost_ok:
         failures.append("cost")
 
-    return CoverReport(
-        ok=not failures,
-        cover_ok=coverage_ok,
-        bounds_ok=bounds_ok,
-        cost_ok=cost_ok,
-        checks=tuple(checks),
-        failures=tuple(failures),
-    )
+    return CheckReport(tuple(checks), tuple(failures), {})
 
 
 # -- tight-set chain checks ---------------------------------------------------

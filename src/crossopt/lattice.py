@@ -31,7 +31,7 @@ from .instances import INCLUSION
 from .lpengine import Residual, separate_lattice
 from .oracles import uncross
 from .rational import ZERO, Rat, render_rat
-from .relax import CoverReport, relax
+from .relax import CheckReport, check, relax
 from .simplex import GE, LE, LinearProgram, Row
 
 
@@ -185,38 +185,31 @@ def verify_lattice(instance, solution, brute_optimum=None):
         if got < lat.rank[j]:
             rank_ok = False
             failures.append(f"rank member {j}")
-    checks.append(("rank-coverage", rank_ok, "exact", "exhaustive"))
+    checks.append(check("rank-coverage", rank_ok, bound="exact", achieved="exhaustive"))
 
-    bounds_ok = True
     for i, con in enumerate(instance.constraints):
         got = (solution & con.elems).bit_count()
         hi = con.upper + slack
         ok_here = Rat(got) <= hi
         if con.lower is not None:
             ok_here = ok_here and Rat(got) >= con.lower - slack
-        checks.append((f"bound[{i}]", ok_here, render_rat(hi), str(got)))
+        checks.append(
+            check(f"bound[{i}]", ok_here, bound=render_rat(hi), achieved=str(got))
+        )
         if not ok_here:
-            bounds_ok = False
             failures.append(f"bound {i}")
 
-    cost = ZERO
-    for e in iter_bits(solution):
-        cost += instance.costs[e]
-    cost_ok = True
     if brute_optimum is not None:
+        cost = ZERO
+        for e in iter_bits(solution):
+            cost += instance.costs[e]
         cost_ok = cost <= brute_optimum
-        checks.append(("cost", cost_ok, render_rat(brute_optimum), render_rat(cost)))
+        bound = render_rat(brute_optimum)
+        checks.append(check("cost", cost_ok, bound=bound, achieved=render_rat(cost)))
         if not cost_ok:
             failures.append("cost")
 
-    return CoverReport(
-        ok=not failures,
-        cover_ok=rank_ok,
-        bounds_ok=bounds_ok,
-        cost_ok=cost_ok,
-        checks=tuple(checks),
-        failures=tuple(failures),
-    )
+    return CheckReport(tuple(checks), tuple(failures), {})
 
 
 def bound_feasible_predicate(instance):

@@ -65,9 +65,6 @@ from .errors import InternalCheckError, SizeGuardError
 from .graphs import iter_bits
 from .rational import Rat
 from .simplex import (
-    EQ,
-    GE,
-    LE,
     STATS,
     LinearProgram,
     certify,
@@ -88,7 +85,6 @@ class SeparationResult:
     witness: object = None
     lhs: object = None
     rhs: object = None
-    sense: str = None
 
     @classmethod
     def ok(cls):
@@ -144,7 +140,7 @@ def separate_spanning_tree(point, graph, fmask):
     full = graph.full_vmask
     if xtotal != den * (n - fcount - 1):
         return SeparationResult(
-            False, "tree_total", full, Rat(xtotal, den), Rat(n - fcount - 1), EQ
+            False, "tree_total", full, Rat(xtotal, den), Rat(n - fcount - 1)
         )
 
     # excess[U] = X(E'(U)) + D*|F(U)| - D*|U|.  Adding vertex h to every
@@ -165,7 +161,7 @@ def separate_spanning_tree(point, graph, fmask):
     inside = graph.induced_mask(vmask)
     rhs = vmask.bit_count() - (inside & fmask).bit_count() - 1
     lhs = Rat(point.load(inside), den)
-    return SeparationResult(False, "subtour", vmask, lhs, Rat(rhs), LE)
+    return SeparationResult(False, "subtour", vmask, lhs, Rat(rhs))
 
 
 def separate_contra_polymatroid(point, fmask, pair):
@@ -198,9 +194,7 @@ def separate_contra_polymatroid(point, fmask, pair):
     _, func_idx, s = best
     table = pair.r1 if func_idx == 1 else pair.r2
     rhs = table[s] - fixed[s]
-    return SeparationResult(
-        False, f"cover{func_idx}", s, Rat(xsum[s], den), Rat(rhs), GE
-    )
+    return SeparationResult(False, f"cover{func_idx}", s, Rat(xsum[s], den), Rat(rhs))
 
 
 def separate_lattice(point, fmask, lat):
@@ -223,7 +217,7 @@ def separate_lattice(point, fmask, lat):
     if worst <= 0:
         return SeparationResult.ok()
     j = viol.index(worst)
-    return SeparationResult(False, "rank", j, Rat(lhs[j], den), Rat(need[j]), GE)
+    return SeparationResult(False, "rank", j, Rat(lhs[j], den), Rat(need[j]))
 
 
 # -- working LP assembly -----------------------------------------------------

@@ -58,8 +58,8 @@ from .lpengine import Residual, separate_spanning_tree
 # imported by name so that crossopt.mcst.solve_to_extreme_point, which
 # the benchmark's wrapper test reads, stays the lpengine function
 from .lpengine import solve_to_extreme_point  # noqa: F401
-from .rational import Rat, encode_rationals, render_rat
-from .relax import relax
+from .rational import Rat, render_rat
+from .relax import CheckReport, check, relax
 from .simplex import EQ, LE, LinearProgram, Row
 
 MAX_LOCAL = 24  # locality threshold for "good" nodes
@@ -133,10 +133,10 @@ class McstState:
     degree row x(delta(S) & E') <= b(S) per alive node S, in node id
     order.  Each bound is an int numerator over a per-row int
     denominator, written to the forest node as a rational whenever it
-    changes, so the forest always holds the LP's bounds.  An
-    edge-to-rows index finds the rows a fix or delete edits, and a Row
-    is built only when ``residual`` needs it after an edit, so a trace
-    replay, which never solves, builds none.
+    changes, so the forest always holds the LP's bounds.  A fix or
+    delete finds the rows it edits by scanning the rows' edge masks,
+    and a Row is built only when ``residual`` needs it after an edit,
+    so a trace replay, which never solves, builds none.
     """
 
     header = {"kind": "mcst-trace", "alpha": MAX_LOCAL}
@@ -181,13 +181,6 @@ class McstState:
         self.masks = [cut(nodes[nid].vset)[0] & eprime for nid in self.node_ids]
         self.nums = [nodes[nid].bound.numerator for nid in self.node_ids]
         self.dens = [nodes[nid].bound.denominator for nid in self.node_ids]
-        # {1 << edge id: positions of the rows whose mask holds it}
-        self.edge_rows = edge_rows = {}
-        for p, mask in enumerate(self.masks):
-            while mask:
-                low = mask & -mask
-                edge_rows.setdefault(low, []).append(p)
-                mask ^= low
         self.rows = [None] * len(self.node_ids)
         self.stale = set(range(len(self.node_ids)))
 
@@ -200,8 +193,8 @@ class McstState:
         j = self.var_ids.index(eid)
         self.var_ids = self.var_ids[:j] + self.var_ids[j + 1 :]
         self.objective = self.objective[:j] + self.objective[j + 1 :]
-        held = self.edge_rows.pop(bit, ())
         masks = self.masks
+        held = [p for p, mask in enumerate(masks) if mask & bit]
         for p in held:
             masks[p] ^= bit
         self.stale.update(held)
@@ -678,13 +671,13 @@ def verify_guarantee(instance, tree, trace):
     shrink_ok = all(
         8 * (sizes[t] - sizes[t + 1]) >= sizes[t] for t in range(T)
     )
-    checks.append(("shrink-per-round", shrink_ok, {"sizes": sizes}))
+    checks.append(check("shrink-per-round", shrink_ok, detail={"sizes": sizes}))
     if not shrink_ok:
         failures.append("shrink-per-round")
 
     limit = drop_round_limit(graph.n)
     round_ok = T <= limit
-    checks.append(("round-count", round_ok, {"T": T, "limit": limit}))
+    checks.append(check("round-count", round_ok, detail={"T": T, "limit": limit}))
     if not round_ok:
         failures.append("round-count")
 
@@ -703,7 +696,7 @@ def verify_guarantee(instance, tree, trace):
         "max_violation": None if worst is None else Rat(worst),
         "allowed": Rat(slack_total),
     }
-    checks.append(("original-bounds", orig_ok, detail))
+    checks.append(check("original-bounds", orig_ok, detail=detail))
 
     blocks_ok = True
     blocks_checked = 0
@@ -728,40 +721,15 @@ def verify_guarantee(instance, tree, trace):
             if inc * scale > limit:
                 blocks_ok = False
                 failures.append(f"block t={t} B={block}")
-    checks.append(("block-inequalities", blocks_ok, {"blocks": blocks_checked}))
+    detail = {"blocks": blocks_checked}
+    checks.append(check("block-inequalities", blocks_ok, detail=detail))
 
     lp_initial = trace.initial_lp_objective()
     cost = graph.cost_of(tree)
     cost_ok = cost <= lp_initial
-    checks.append(("cost", cost_ok, {"cost": cost, "lp": lp_initial}))
+    checks.append(check("cost", cost_ok, detail={"cost": cost, "lp": lp_initial}))
     if not cost_ok:
         failures.append("cost")
 
-    return GuaranteeReport(
-        ok=not failures,
-        t_rounds=T,
-        family_sizes=tuple(sizes),
-        checks=tuple(checks),
-        failures=tuple(failures),
-    )
-
-
-@dataclass(frozen=True)
-class GuaranteeReport:
-    ok: bool
-    t_rounds: int
-    family_sizes: tuple
-    checks: tuple
-    failures: tuple
-
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "drop_rounds": self.t_rounds,
-            "family_sizes": list(self.family_sizes),
-            "checks": [
-                {"name": name, "pass": ok, "detail": encode_rationals(detail)}
-                for name, ok, detail in self.checks
-            ],
-            "failures": list(self.failures),
-        }
+    fields = {"drop_rounds": T, "family_sizes": sizes}
+    return CheckReport(tuple(checks), tuple(failures), fields)

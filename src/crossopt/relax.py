@@ -27,8 +27,8 @@ so an empty LP later is an internal error.  The initial optimum is the
 first LP's objective, or zero when no variable was ever undecided;
 ``initial_optimum`` reads it without running the loop.
 
-CoverReport is the outcome of re-checking a covering solution
-(intersection or lattice) from scratch.
+CheckReport is the outcome of re-checking a solution from scratch; all
+three verifiers return one.
 """
 
 from dataclasses import dataclass
@@ -44,7 +44,7 @@ from .instances import (
     write_text,
 )
 from .lpengine import reuse_extreme_point, solve_to_extreme_point
-from .rational import ZERO, render_rat
+from .rational import ZERO, encode_rationals, render_rat
 from .simplex import LpInfeasible
 
 
@@ -198,23 +198,25 @@ def initial_optimum(state):
     return _extreme_point(state, None, True).objective
 
 
-@dataclass(frozen=True)
-class CoverReport:
-    """Each check is (name, passed, bound, achieved), both as strings."""
+def check(name, passed, **compared):
+    """One check of a CheckReport: its name, whether it passed, and
+    what it compared."""
+    return {"name": name, "pass": passed, **compared}
 
-    ok: bool
-    cover_ok: bool
-    bounds_ok: bool
-    cost_ok: bool
+
+@dataclass(frozen=True)
+class CheckReport:
+    """The checks (each from ``check``), the names of what failed, and
+    the verifier's own report fields."""
+
     checks: tuple
     failures: tuple
+    fields: dict
+
+    @property
+    def ok(self):
+        return not self.failures
 
     def to_json(self):
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": name, "pass": good, "bound": bound, "achieved": achieved}
-                for name, good, bound, achieved in self.checks
-            ],
-            "failures": list(self.failures),
-        }
+        body = {"ok": self.ok, "checks": self.checks, "failures": self.failures}
+        return encode_rationals({**body, **self.fields})

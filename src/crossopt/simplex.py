@@ -327,53 +327,37 @@ class _Tableau:
                 rel = _FLIPPED[rel]
             rows.append((coeffs, rhs, rel))
 
-        self.slack_of_row = []
-        self.art_of_row = []
-        cols = n
-        slack_cols = []
-        art_cols = []
-        for i, (_, _, rel) in enumerate(rows):
-            if rel in (LE, GE):
-                self.slack_of_row.append(cols)
-                slack_cols.append((cols, i, 1 if rel == LE else -1))
-                cols += 1
-            else:
-                self.slack_of_row.append(None)
-        for i, (_, _, rel) in enumerate(rows):
-            if rel == LE:
-                self.art_of_row.append(None)  # slack serves as initial basis
-            else:
-                self.art_of_row.append(cols)
-                art_cols.append((cols, i))
-                cols += 1
-
-        self.ncols = cols
-        self.art_start = cols - len(art_cols)
+        # columns: the structurals, then a slack per LE or GE row and an
+        # artificial per GE or EQ row, each in row order; a row's
+        # artificial, else its slack, starts basic in it
+        art = n + sum(rel != EQ for _, _, rel in rows)
+        self.art_start = art
+        self.ncols = cols = art + sum(rel != LE for _, _, rel in rows)
         # R times the upper bound of each internal column (lower bounds
         # are all 0): R for a structural, None for a slack or artificial
         self.ub = [R] * n + [None] * (cols - n)
 
-        m = len(rows)
-        self.m = m
+        self.m = len(rows)
         # column ncols, the last, is the right-hand side: beta_i = q * R
         # times the value of the variable basic in row i
-        self.A = [coeffs + [0] * (cols - n) + [rhs] for coeffs, rhs, _ in rows]
-        for col, i, sign in slack_cols:
-            self.A[i][col] = sign
-        for col, i in art_cols:
-            self.A[i][col] = 1
+        self.A = []
+        self.basis = []  # one column per row
+        slack = n
+        for coeffs, rhs, rel in rows:
+            row = coeffs + [0] * (cols - n) + [rhs]
+            if rel != EQ:
+                row[slack] = 1 if rel == LE else -1
+                basic = slack
+                slack += 1
+            if rel != LE:
+                row[art] = 1
+                basic = art
+                art += 1
+            self.A.append(row)
+            self.basis.append(basic)
         self.q = 1
-
-        # basis: one column per row
-        self.basis = [0] * m
-        self.row_of = {}
         self.status = ["L"] * cols  # L / U / B
-        for i in range(m):
-            col = self.art_of_row[i]
-            if col is None:
-                col = self.slack_of_row[i]
-            self.basis[i] = col
-            self.row_of[col] = i
+        for col in self.basis:
             self.status[col] = "B"
         self.d = [0] * cols  # reduced costs times q * cost_den, set per phase
         self.cost_den = 1
@@ -432,8 +416,6 @@ class _Tableau:
             self.A[r][-1] -= self.q * self.ub[old]
         self._pivot(r, j)
         self.basis[r] = j
-        del self.row_of[old]
-        self.row_of[j] = r
         self.status[old] = leave_status
         self.status[j] = "B"
 
@@ -549,15 +531,12 @@ class _Tableau:
         """(D, X) of the structural values x_j = beta / (q * R) (basic),
         1 (at U) or 0: over M = q * R they are beta, M or 0, and dividing
         M and them by their gcd leaves D."""
-        A, status = self.A, self.status
+        n = self.lp.num_vars
         M = self.q * self.R
-        nums = []
-        for j in range(self.lp.num_vars):
-            st = status[j]
-            if st == "B":
-                nums.append(A[self.row_of[j]][-1])
-            else:
-                nums.append(M if st == "U" else 0)
+        nums = [M if st == "U" else 0 for st in self.status[:n]]
+        for b, row in zip(self.basis, self.A):
+            if b < n:
+                nums[b] = row[-1]
         common = gcd(M, *nums)
         return M // common, [x // common for x in nums]
 

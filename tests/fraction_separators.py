@@ -12,7 +12,6 @@ from crossopt.errors import SizeGuardError
 from crossopt.graphs import iter_bits
 from crossopt.lpengine import SPANNING_SUBSET_GUARD, SeparationResult
 from crossopt.rational import Rat, ZERO
-from crossopt.simplex import EQ, GE, LE
 
 
 def _subset_sums(n, items, values):
@@ -66,7 +65,7 @@ def separate_spanning_tree(x_by_id, graph, fmask):
     full = graph.full_vmask
     target = Rat(n - fcount - 1)
     if xsum[full] != target:
-        return SeparationResult(False, "tree_total", full, xsum[full], target, EQ)
+        return SeparationResult(False, "tree_total", full, xsum[full], target)
 
     best = None
     for vmask in range(1, full):
@@ -82,7 +81,7 @@ def separate_spanning_tree(x_by_id, graph, fmask):
     if best is None:
         return SeparationResult.ok()
     _, vmask, lhs, rhs = best
-    return SeparationResult(False, "subtour", vmask, lhs, rhs, LE)
+    return SeparationResult(False, "subtour", vmask, lhs, rhs)
 
 
 def separate_contra_polymatroid(x_by_id, fmask, pair):
@@ -108,7 +107,7 @@ def separate_contra_polymatroid(x_by_id, fmask, pair):
     if best is None:
         return SeparationResult.ok()
     _, func_idx, s, lhs, rhs = best
-    return SeparationResult(False, f"cover{func_idx}", s, lhs, rhs, GE)
+    return SeparationResult(False, f"cover{func_idx}", s, lhs, rhs)
 
 
 def separate_lattice(x_by_id, fmask, lat):
@@ -131,4 +130,4 @@ def separate_lattice(x_by_id, fmask, lat):
     if best is None:
         return SeparationResult.ok()
     _, j, lhs, rhs = best
-    return SeparationResult(False, "rank", j, lhs, rhs, GE)
+    return SeparationResult(False, "rank", j, lhs, rhs)

@@ -16,8 +16,8 @@ def tree_to_subset(e, tree_mask):
     both u-side edges; checks the exactly-3-edges structure."""
     x = 0
     for i in range(e):
-        u_cnt = (tree_mask & gadget_u_edges(e, i)).bit_count()
-        w_cnt = (tree_mask & gadget_w_edges(e, i)).bit_count()
+        u_cnt = (tree_mask & gadget_u_edges(i)).bit_count()
+        w_cnt = (tree_mask & gadget_w_edges(i)).bit_count()
         if u_cnt + w_cnt != 3 or u_cnt == 0 or w_cnt == 0:
             raise InstanceError(
                 f"tree does not pick exactly three edges in gadget {i}"

@@ -78,7 +78,7 @@ def test_criterion_1_laminar_guarantee(mcst_results):
         if inst.graph.cost_of(tree) > trace.initial_lp_objective():
             failures.append("cost above LP optimum")
             ok = False
-    drops = sum(1 for _, _, _, rep in results if rep.t_rounds > 0)
+    drops = sum(1 for _, _, _, rep in results if rep.fields["drop_rounds"] > 0)
     ok = ok and elapsed < 300 and drops > 0
     announce(
         "criterion-1 laminar-mcst guarantee",
@@ -101,13 +101,13 @@ def test_criterion_3_drop_round_counts(mcst_results):
     results, _, _ = mcst_results
     ok = True
     for inst, _, _, report in results:
-        sizes = report.family_sizes
-        for t in range(report.t_rounds):
+        sizes = report.fields["family_sizes"]
+        for t in range(report.fields["drop_rounds"]):
             if 8 * (sizes[t] - sizes[t + 1]) < sizes[t]:
                 ok = False
-        if report.t_rounds > drop_round_limit(inst.graph.n):
+        if report.fields["drop_rounds"] > drop_round_limit(inst.graph.n):
             ok = False
-    max_t = max((r.t_rounds for _, _, _, r in results), default=0)
+    max_t = max((r.fields["drop_rounds"] for _, _, _, r in results), default=0)
     announce("criterion-3 drop-round bounds", ok, f"(max T observed: {max_t})")
 
 

@@ -2,9 +2,9 @@
 
 Each case solves a small seeded instance through the command line and
 hashes the files it writes: the canonical report, the solution file and,
-for solve-mcst, the event trace.  The MCST and intersection cases also
-hash the report of ``crossopt verify`` on the solution written (and,
-for MCST, on the trace written).  The expected digests were recorded
+for solve-mcst, the event trace.  Every case also hashes the report of
+``crossopt verify`` on the solution written (and, for MCST, on the trace
+written).  The expected digests were recorded
 from an earlier build, so any change to a report or an MCST trace shows
 up here; a change that means to alter them must update the digests.
 """
@@ -120,6 +120,10 @@ VERIFY_EXPECTED = {
     "edge-cover-1": "249d9ec18bb1e312a3b24621bec818fbfbd8bd46c062c1909a3823891d9fa8e5",
     "intersection-201": "5afed2b5a388de89973c86bb9e29210569cf05887249d10b93673ea0f2459248",
     "intersection-202": "e9a9e7548e4fb4d9e85663a7016966512aef85423423ae1e2e6653c5e692238a",
+    "lattice-general-301": "5ba9f6f026a2e62f1402706f5652863f443b4520370e88581a4d6d1384f8b0d0",
+    "lattice-general-302": "caeda20a7aae8cdf013f41bdf20d77ff140c38f8699324b06378b073c4218087",
+    "lattice-inclusion-303": "0c7bb7283715c9d8b75584af1dc987cdd2cdf7494fafc0e21590819328e2727d",
+    "lattice-inclusion-as-general-303": "0c7bb7283715c9d8b75584af1dc987cdd2cdf7494fafc0e21590819328e2727d",
 }
 
 

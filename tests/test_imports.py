@@ -1,8 +1,9 @@
 """Every name a crossopt module imports is used in that module, every
-function, class and method it defines is referenced, only the one
-writer, ``instances.write_text``, opens a file for writing, only the
-one reader, ``instances.parse_json``, parses JSON, and only the three
-step rules build LP rows.
+function, class and method it defines is referenced, every field a
+class body declares is read as an attribute, only the one writer,
+``instances.write_text``, opens a file for writing, only the one
+reader, ``instances.parse_json``, parses JSON, and only the three step
+rules build LP rows.
 
 A name that is imported only to be read from outside (a re-export)
 carries ``# noqa: F401`` on its import line.  The package's
@@ -132,6 +133,61 @@ def test_unreferenced_definitions_are_found():
     }
     readers = ["import a\na.Box().read()\n"]
     assert unreferenced(modules, readers) == [("a.py", "lonely"), ("a.py", "closed")]
+
+
+def declared_fields(tree):
+    """(class, field) of every annotated field in a class body of tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    yield node.name, sub.target.id
+
+
+def unread_fields(modules, readers):
+    """(module, class, field) of every annotated class-body field in the
+    sources modules ({name: source}) that no module and no reader source
+    reads as an attribute (``obj.field`` in a load)."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read = {
+        node.attr
+        for tree in [*trees.values(), *(ast.parse(source) for source in readers)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        (name, cls, field)
+        for name, tree in trees.items()
+        for cls, field in declared_fields(tree)
+        if field not in read
+    ]
+
+
+def test_every_declared_field_is_read():
+    sources = sorted(PACKAGE.glob("*.py"))
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sources}
+    readers = [path.read_text(encoding="utf-8") for path in PERFBENCH]
+    assert unread_fields(modules, readers) == []
+
+
+def test_unread_fields_are_found():
+    modules = {
+        "a.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class Point:\n"
+            "    x: int\n"
+            "    y: int\n"
+            "    label: str = ''\n"
+            "    kind = 'plain'\n"
+            "def name(p):\n"
+            "    p.label = 'seen'\n"
+            "    return p.x\n"
+        ),
+    }
+    # y is read only by the reader, label only written, kind not annotated
+    readers = ["def f(p):\n    return p.y\n"]
+    assert unread_fields(modules, readers) == [("a.py", "Point", "label")]
 
 
 # the one function of the package that opens a file for writing

@@ -250,7 +250,7 @@ def test_fixed_lps_reach_their_cases():
     # R = 6) with a slack and no artificial
     tableau = simplex._Tableau(FIXED["negative-rhs"])
     assert tableau.R == 6 and tableau.A[0] == [-1, -1, 0, 1, 0, 0, 6]
-    assert tableau.art_of_row[0] is None
+    assert tableau.basis[0] < tableau.art_start
     # x0 enters with ratio 0 in both rows; row 1's slack (column 2)
     # leaves before row 0's artificial (column 3)
     _, snapshots, _, _ = run("degenerate-tie-to-lower-index")

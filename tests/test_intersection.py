@@ -82,7 +82,7 @@ def test_random_batch_exhaustive():
 
 def test_verify_catches_bad_solution(edge_cover_4cycle):
     report = verify_intersection(edge_cover_4cycle, 0b0001, Rat(2))
-    assert not report.ok and not report.cover_ok
+    assert not report.ok and not report.checks[0]["pass"]
 
 
 def test_chain_token_bound_on_tight_example(edge_cover_4cycle):

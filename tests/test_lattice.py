@@ -114,7 +114,7 @@ def test_no_bounds_reduces_to_rank_coverage():
     inst = from_matroid(k4_graphic_matroid(), [2, 1, 3, 1, 2, 4], ())
     sol, events, opt = run_lattice(inst)
     report = verify_lattice(inst, sol, brute_opt(inst))
-    assert report.ok and report.cover_ok
+    assert report.ok and report.checks[0]["pass"]
     assert inst.lat.rank[(1 << 6) - 1] == sol.bit_count() == 3
 
 
@@ -144,7 +144,7 @@ def test_random_batches_general_and_inclusion():
 def test_verify_catches_bad_solution():
     inst = from_matroid(triangle_graphic_matroid(), [1, 1, 1], ())
     report = verify_lattice(inst, 0b001, None)
-    assert not report.ok and not report.cover_ok
+    assert not report.ok and not report.checks[0]["pass"]
 
 
 # -- chain growth diagnostics ---------------------------------------------------------

@@ -219,7 +219,7 @@ def test_run_on_tree_graph_fixes_everything(tree_instance):
     assert tree == tree_instance.graph.all_edges_mask
     assert trace.initial_lp_objective() == tree_instance.graph.cost_of(tree)
     report = verify_guarantee(tree_instance, tree, trace)
-    assert report.ok and report.t_rounds == 0
+    assert report.ok and report.fields["drop_rounds"] == 0
 
 
 def test_run_triangle(triangle):
@@ -239,8 +239,8 @@ def test_infeasible_bounds_detected():
 def test_zero_drop_runs_satisfy_bounds_exactly(tree_instance):
     tree, trace = run_mcst(tree_instance)
     report = verify_guarantee(tree_instance, tree, trace)
-    orig = dict((name, detail) for name, ok, detail in report.checks)
-    assert report.t_rounds == 0
+    orig = {check["name"]: check["detail"] for check in report.checks}
+    assert report.fields["drop_rounds"] == 0
     assert orig["original-bounds"]["max_violation"] <= 0
 
 
@@ -282,7 +282,7 @@ def test_known_seeds_exercise_drop_rounds():
         tree, trace = run_mcst(inst)
         report = verify_guarantee(inst, tree, trace)
         assert report.ok, report.failures
-        total_rounds += report.t_rounds
+        total_rounds += report.fields["drop_rounds"]
     assert total_rounds >= 3
 
 
