@@ -52,8 +52,6 @@ class IntersectionState:
         self.delta = instance.delta
         # every step removes an element or a bound
         self.iteration_cap = instance.n + len(instance.constraints)
-        # the tight-chain token check of every strictly positive vertex
-        self.chain_reports = []
 
     def finished(self):
         return not self.eprime
@@ -87,12 +85,9 @@ class IntersectionState:
         instance = self.instance
         delta = self.delta
         if not point.zeros:
-            self.chain_reports.append(
-                [
-                    check_chain_token_bound(point, instance.pair, f, self.fmask)
-                    for f in (1, 2)
-                ]
-            )
+            # the tight-chain token check of every strictly positive vertex
+            for f in (1, 2):
+                check_chain_token_bound(point, instance.pair, f, self.fmask)
 
         zeros = list(iter_bits(point.zeros))
         for e in zeros:

@@ -54,8 +54,6 @@ class LatticeState:
         self.fmask = 0
         self.alive = set(range(len(instance.constraints)))
         self.iteration_cap = instance.n + len(instance.constraints)
-        # the tight-chain growth check of every fresh fractional vertex
-        self.chain_reports = []
 
     def finished(self):
         return not self.eprime and not self.alive
@@ -126,8 +124,9 @@ class LatticeState:
                     instance, i, self.eprime, self.fmask, instance.variant
                 )
                 self.alive.discard(i)
+                # the tight-chain growth check of every fresh fractional vertex
                 if point is not None and not self.fmask:
-                    self.chain_reports.append(check_chain_growth(point, instance.lat))
+                    check_chain_growth(point, instance.lat)
                 return {"ev": "drop", "bound": i}
         return None
 

@@ -64,13 +64,7 @@ from typing import NamedTuple
 from .errors import InternalCheckError, SizeGuardError
 from .graphs import iter_bits
 from .rational import Rat
-from .simplex import (
-    STATS,
-    LinearProgram,
-    certify,
-    simplex_solve,
-    violated,
-)
+from .simplex import LinearProgram, certify, simplex_solve, violated
 
 # row-tag kinds the separators add; every other tag names a base row
 CUT_KINDS = frozenset(("subtour", "cover1", "cover2", "rank"))
@@ -301,5 +295,4 @@ def reuse_extreme_point(residual, prev):
     certify(point, InternalCheckError("reused vertex violates the new working LP"))
     if not residual.separate(point).feasible:
         raise InternalCheckError("reused vertex violates a family constraint")
-    STATS["reused"] += 1
     return point

@@ -473,7 +473,6 @@ def _assert_degree_accounting(state):
 @dataclass
 class ReplayResult:
     tree: int
-    forest: object
     snapshots: tuple  # (forest copy, undecided mask) at times 0..T
     matches_footer: bool
 
@@ -503,7 +502,8 @@ def replay_trace(instance, trace):
     another instance, kind, schema or alpha, is an InstanceError naming
     the event and the field; a well-formed event that does not reproduce
     the run, such as a tighten that raises a bound or leaves it
-    negative, is an InternalCheckError."""
+    negative, a drop parent off the event's level parity, or a merge or
+    removal under another parent key, is an InternalCheckError."""
     _check_begin(instance, trace.events)
     state = McstState(instance)
     forest = state.forest
@@ -549,8 +549,17 @@ def replay_trace(instance, trace):
             else:
                 state.delete_edge(eid)
         elif kind == "drop_children":
+            parity = _field(ev, "parity", where)
+            if type(parity) is not int or parity not in (0, 1):
+                raise InstanceError(f"{where} parity must be 0 or 1, got {parity!r}")
             parents = _node_ids(ev, "parents", forest, where)
             expected = _node_ids(ev, "dropped", forest, where)
+            for i, nid in enumerate(parents):
+                if not forest.node(nid).alive or forest.level(nid) % 2 != parity:
+                    raise InternalCheckError(
+                        f"replay mismatch: {where} parents[{i}] node {nid} is not "
+                        f"an alive node at a level of parity {parity}"
+                    )
             dropped = forest.drop_children_of(tuple(parents))
             if sorted(dropped) != sorted(expected):
                 raise InternalCheckError("replay mismatch: dropped set differs")
@@ -561,16 +570,18 @@ def replay_trace(instance, trace):
             removed = _entries(ev, "removed", 2, where)
             for i, (pkey, first, second, new_id) in enumerate(merges):
                 field = f"{where} merges[{i}]"
-                _node_id(pkey, forest, field, root_ok=True)
-                got = forest.merge_leaf_pair(
-                    _node_id(first, forest, field), _node_id(second, forest, field)
-                )
-                if got != new_id:
+                pkey = _node_id(pkey, forest, field, root_ok=True)
+                first = _node_id(first, forest, field)
+                second = _node_id(second, forest, field)
+                _check_parent_key(forest, pkey, first, field)
+                if forest.merge_leaf_pair(first, second) != new_id:
                     raise InternalCheckError("replay mismatch: merged node id")
             for i, (pkey, nid) in enumerate(removed):
                 field = f"{where} removed[{i}]"
-                _node_id(pkey, forest, field, root_ok=True)
-                forest.remove_leaf(_node_id(nid, forest, field))
+                pkey = _node_id(pkey, forest, field, root_ok=True)
+                nid = _node_id(nid, forest, field)
+                _check_parent_key(forest, pkey, nid, field)
+                forest.remove_leaf(nid)
             state.reshaped()
             snapshots.append((forest.snapshot(), state.eprime))
         elif kind == "end":
@@ -578,7 +589,7 @@ def replay_trace(instance, trace):
                 _field(ev, "tree", where) == sorted(iter_bits(state.fmask))
                 and _field(ev, "forest", where) == _forest_json(forest)
             )
-            return ReplayResult(state.fmask, forest, tuple(snapshots), matches)
+            return ReplayResult(state.fmask, tuple(snapshots), matches)
         else:
             raise InstanceError(
                 f"{where} ev must be one of {', '.join(REPLAYED_EVENTS)} after "
@@ -635,6 +646,16 @@ def _node_id(value, forest, field, root_ok=False):
     raise InstanceError(
         f"{field} must name a node 0..{len(forest.nodes) - 1}, got {value!r}"
     )
+
+
+def _check_parent_key(forest, pkey, nid, field):
+    """A replay mismatch unless pkey is the forest's parent key of node
+    nid."""
+    if forest.parent_key(nid) != pkey:
+        raise InternalCheckError(
+            f"replay mismatch: {field} names parent key {pkey} for node {nid}, "
+            f"whose parent key is {forest.parent_key(nid)}"
+        )
 
 
 def _node_ids(ev, name, forest, where):

@@ -13,7 +13,6 @@ HAVE_GMPY2 = False
 
 ZERO = Rat(0)
 ONE = Rat(1)
-HALF = Rat(1, 2)
 
 
 def parse_rat(s):

@@ -299,11 +299,6 @@ def _int_rank(rows):
 
 _MAX_PIVOTS = 500_000
 
-# running totals so callers can confirm every simplex solve and every
-# reused vertex (lpengine.reuse_extreme_point) was certified; pivots
-# counts every tableau pivot, including those of failed solves
-STATS = {"solves": 0, "certificates": 0, "reused": 0, "pivots": 0}
-
 
 class _Tableau:
     """Bounded-variable simplex working state (owned by one solve)."""
@@ -615,7 +610,6 @@ def verify_vertex_certificate(lp, point):
         raise InternalCheckError(
             f"vertex certificate failed: support {support}, tight-row rank {rank}"
         )
-    STATS["certificates"] += 1
     return rank
 
 
@@ -638,14 +632,8 @@ def simplex_solve(lp):
     """
     den, scaled = 1, ()
     if lp.num_vars:
-        tableau = _Tableau(lp)
-        try:
-            den, scaled = tableau.solve()
-        finally:
-            STATS["pivots"] += tableau.pivots
+        den, scaled = _Tableau(lp).solve()
         infeasible = InternalCheckError("simplex returned an infeasible point")
     else:
         infeasible = LpInfeasible()
-    point = certify(Vertex.scaled_at(lp, den, tuple(scaled)), infeasible)
-    STATS["solves"] += 1
-    return point
+    return certify(Vertex.scaled_at(lp, den, tuple(scaled)), infeasible)

@@ -1,11 +1,14 @@
+from collections import Counter
+from contextlib import contextmanager
+
 import pytest
 
+from crossopt import intersection, lattice, lpengine, relax, simplex
 from crossopt.generators import gen_mcst_gap
 from crossopt.graphs import Graph
 from crossopt.instances import IntersectionInstance, McstInstance
 from crossopt.oracles import ContraPolymatroidPair, CrossingConstraint, MatroidOracle
 from crossopt.rational import Rat
-from crossopt.relax import relax
 
 
 @pytest.fixture(scope="session")
@@ -100,8 +103,66 @@ def tree_instance():
     return McstInstance(graph, ((0b0011, Rat(2)), (0b0100, Rat(2))))
 
 
+def _after(patch, module, name, record):
+    """Replace module.name, through patch, by a wrapper that passes each
+    result it returns to record."""
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        record(result)
+        return result
+
+    patch.setattr(module, name, recorded)
+
+
+def count_pivots(patch, module, counts):
+    """Replace module._Tableau, through patch, by a subclass that adds the
+    pivots of each solve, failed solves included, to counts["pivots"]."""
+
+    class Counted(module._Tableau):
+        def solve(self):
+            try:
+                return super().solve()
+            finally:
+                counts["pivots"] += self.pivots
+
+    patch.setattr(module, "_Tableau", Counted)
+
+
+@contextmanager
+def counted_core():
+    """Count the simplex core's work while the block runs; yields a
+    Counter of "solves" and "reused" (the certified vertices that the
+    cutting-plane loop solved and reused), "certificates" (vertex
+    certificates verified) and "pivots" (tableau pivots).
+
+    Each count wraps the name that the package calls, where the
+    benchmark's wrappers sit too: lpengine.simplex_solve,
+    relax.reuse_extreme_point, simplex.verify_vertex_certificate and
+    simplex._Tableau.  A failed solve or reuse counts only its pivots."""
+    counts = Counter()
+
+    def count(key):
+        def record(_):
+            counts[key] += 1
+
+        return record
+
+    with pytest.MonkeyPatch.context() as patch:
+        _after(patch, lpengine, "simplex_solve", count("solves"))
+        _after(patch, relax, "reuse_extreme_point", count("reused"))
+        _after(patch, simplex, "verify_vertex_certificate", count("certificates"))
+        count_pivots(patch, simplex, counts)
+        yield counts
+
+
 def run_with_chain_reports(state):
-    """relax(state) as (fixed mask, events, LP optimum, the tight-chain
-    check reports the run's state kept)."""
-    trace, lp_initial = relax(state)
-    return state.fmask, trace.events, lp_initial, state.chain_reports
+    """relax(state) as (fixed mask, events, LP optimum, the report of each
+    tight-chain check the run made, in order)."""
+    reports = []
+    with pytest.MonkeyPatch.context() as patch:
+        _after(patch, intersection, "check_chain_token_bound", reports.append)
+        _after(patch, lattice, "check_chain_growth", reports.append)
+        trace, lp_initial = relax.relax(state)
+    return state.fmask, trace.events, lp_initial, reports

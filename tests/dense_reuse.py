@@ -9,7 +9,8 @@ integers.  The dense version is kept below verbatim; only the imports
 ``_dense_base`` (which turns the Residual's 0/1 rows back into the
 indicator Constraints the old ``base()`` built), the tags read through
 ``Vertex.tight_tags``, the separator's point (now a ``Vertex``) and the
-result type are new.
+result type are new, and the count of reused vertices that the package
+no longer keeps is left out.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from dense_rows import (
 from crossopt.errors import InternalCheckError
 from crossopt.lpengine import CUT_KINDS, SeparationResult
 from crossopt.rational import ONE, ZERO
-from crossopt.simplex import STATS, Vertex
+from crossopt.simplex import Vertex
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,6 @@ def reuse_extreme_point(state, prev):
     value = sum((c * v for c, v in zip(objective, values) if c and v), ZERO)
     solution = BasicSolution(values, value, tight)
     verify_vertex_certificate(lp, solution)
-    STATS["reused"] += 1
     return DenseReuse(
         solution, lp, var_ids, tuple(t for _, t in rows), x_by_id
     )

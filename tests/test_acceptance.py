@@ -10,6 +10,7 @@ covered, not just the fix/delete path.
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -32,9 +33,10 @@ from crossopt.randgen import (
     random_lattice_instance,
 )
 from crossopt.rational import Rat
-from crossopt.simplex import STATS, verify_vertex_certificate
+from crossopt.simplex import verify_vertex_certificate
 from crossopt.brute import enumerate_spanning_trees
 from crossopt.generators import reduce_uniform_crossing_to_mcst
+from conftest import counted_core
 from gadget_trees import tree_to_subset, yes_case_tree
 from optimal_face import coordinate_ranges, full_separation_clean
 from uncached_steps import rebuilt_mcst_lp
@@ -52,33 +54,75 @@ def announce(name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def mcst_results():
+    """(inst, tree, trace, report, core counts) per run that finished,
+    the number of runs that failed an internal check, and the time."""
     corpus = mcst_corpus(CorpusConfig(count=MCST_CORPUS_SIZE))
     results = []
     internal_failures = 0
     started = time.perf_counter()
     for inst in corpus:
         try:
-            tree, trace = run_mcst(inst)
+            with counted_core() as counts:
+                tree, trace = run_mcst(inst)
         except (InternalCheckError, NoStepApplies):
             internal_failures += 1
             continue
-        results.append((inst, tree, trace, verify_guarantee(inst, tree, trace)))
+        report = verify_guarantee(inst, tree, trace)
+        results.append((inst, tree, trace, report, counts))
     elapsed = time.perf_counter() - started
     return results, internal_failures, elapsed
+
+
+def counted_runs(run, instances):
+    """(instance, run(instance), the run's core counts) per instance."""
+    out = []
+    for inst in instances:
+        with counted_core() as counts:
+            result = run(inst)
+        out.append((inst, result, counts))
+    return out
+
+
+@pytest.fixture(scope="module")
+def intersection_runs():
+    rng = random.Random(404)
+    instances = [
+        random_intersection_instance(rng, max_elems=10, max_delta=3)
+        for _ in range(INTERSECTION_CORPUS_SIZE)
+    ]
+    return counted_runs(run_intersection, instances)
+
+
+@pytest.fixture(scope="module")
+def lattice_runs():
+    """The general runs and the inclusion runs; every other inclusion
+    instance has frequency at most 1."""
+    rng = random.Random(505)
+    general = [
+        random_lattice_instance(rng, max_ground=8, max_delta=2)
+        for _ in range(LATTICE_CORPUS_SIZE)
+    ]
+    inclusion = [
+        random_lattice_instance(
+            rng, max_ground=8, max_delta=1 if i % 2 == 0 else 2, variant=INCLUSION
+        )
+        for i in range(INCLUSION_CORPUS_SIZE)
+    ]
+    return counted_runs(run_lattice, general), counted_runs(run_lattice, inclusion)
 
 
 def test_criterion_1_laminar_guarantee(mcst_results):
     results, _, elapsed = mcst_results
     ok = len(results) == MCST_CORPUS_SIZE
     failures = []
-    for inst, tree, trace, report in results:
+    for inst, tree, trace, report, _ in results:
         if not report.ok:
             failures.extend(report.failures)
             ok = False
         if inst.graph.cost_of(tree) > trace.initial_lp_objective():
             failures.append("cost above LP optimum")
             ok = False
-    drops = sum(1 for _, _, _, rep in results if rep.fields["drop_rounds"] > 0)
+    drops = sum(1 for _, _, _, rep, _ in results if rep.fields["drop_rounds"] > 0)
     ok = ok and elapsed < 300 and drops > 0
     announce(
         "criterion-1 laminar-mcst guarantee",
@@ -100,24 +144,21 @@ def test_criterion_2_step_exhaustiveness(mcst_results):
 def test_criterion_3_drop_round_counts(mcst_results):
     results, _, _ = mcst_results
     ok = True
-    for inst, _, _, report in results:
+    for inst, _, _, report, _ in results:
         sizes = report.fields["family_sizes"]
         for t in range(report.fields["drop_rounds"]):
             if 8 * (sizes[t] - sizes[t + 1]) < sizes[t]:
                 ok = False
         if report.fields["drop_rounds"] > drop_round_limit(inst.graph.n):
             ok = False
-    max_t = max((r.fields["drop_rounds"] for _, _, _, r in results), default=0)
+    max_t = max((r.fields["drop_rounds"] for _, _, _, r, _ in results), default=0)
     announce("criterion-3 drop-round bounds", ok, f"(max T observed: {max_t})")
 
 
-def test_criterion_4_intersection(mcst_results):
-    rng = random.Random(404)
+def test_criterion_4_intersection(intersection_runs):
     ok = True
     detail = ""
-    for i in range(INTERSECTION_CORPUS_SIZE):
-        inst = random_intersection_instance(rng, max_elems=10, max_delta=3)
-        sol, events, opt = run_intersection(inst)
+    for i, (inst, (sol, events, opt), _) in enumerate(intersection_runs):
         report = verify_intersection(inst, sol, opt)
         if not report.ok:
             ok = False
@@ -143,13 +184,11 @@ def test_criterion_4_intersection(mcst_results):
     )
 
 
-def test_criterion_5_lattice():
-    rng = random.Random(505)
+def test_criterion_5_lattice(lattice_runs):
+    general, inclusion = lattice_runs
     ok = True
     detail = ""
-    for i in range(LATTICE_CORPUS_SIZE):
-        inst = random_lattice_instance(rng, max_ground=8, max_delta=2)
-        sol, events, opt = run_lattice(inst)
+    for i, (inst, (sol, events, opt), _) in enumerate(general):
         _, brute = brute_subset_opt(
             inst.n, bound_feasible_predicate(inst), inst.costs
         )
@@ -160,12 +199,7 @@ def test_criterion_5_lattice():
             break
 
     exact_delta_one = 0
-    for i in range(INCLUSION_CORPUS_SIZE):
-        max_delta = 1 if i % 2 == 0 else 2
-        inst = random_lattice_instance(
-            rng, max_ground=8, max_delta=max_delta, variant=INCLUSION
-        )
-        sol, events, opt = run_lattice(inst)
+    for i, (inst, (sol, events, opt), _) in enumerate(inclusion):
         _, brute = brute_subset_opt(
             inst.n, bound_feasible_predicate(inst), inst.costs
         )
@@ -252,13 +286,26 @@ def test_criterion_8_reduction_gadget():
     )
 
 
-def test_criterion_9_certificates_and_separation(mcst_results):
-    # every returned vertex was certificate-verified at solve time, the
-    # vertices reused after fix/delete steps as well as the solved ones
+def test_criterion_9_certificates_and_separation(
+    mcst_results, intersection_runs, lattice_runs
+):
+    # every vertex of every run was certificate-verified at solve time,
+    # the vertices reused after fix/delete steps as well as the solved ones
+    results, _, _ = mcst_results
+    general, inclusion = lattice_runs
+    runs = [counts for *_, counts in results]
+    for corpus in (intersection_runs, general, inclusion):
+        runs.extend(counts for _, _, counts in corpus)
+    uncertified = [
+        i for i, c in enumerate(runs) if c["certificates"] != c["solves"] + c["reused"]
+    ]
+    total = sum(runs, Counter())
     counters_ok = (
-        STATS["certificates"] >= STATS["solves"] + STATS["reused"]
-        and STATS["solves"] > 0
-        and STATS["reused"] > 0
+        len(runs) == MCST_CORPUS_SIZE + INTERSECTION_CORPUS_SIZE
+        + LATTICE_CORPUS_SIZE + INCLUSION_CORPUS_SIZE
+        and not uncertified
+        and total["solves"] > 0
+        and total["reused"] > 0
     )
 
     # independent post-hoc re-check on fresh solves across families
@@ -270,8 +317,7 @@ def test_criterion_9_certificates_and_separation(mcst_results):
         point = solve_to_extreme_point(state)
         verify_vertex_certificate(point.lp, point)
         clean = clean and full_separation_clean(state, point)
-    results, _, _ = mcst_results
-    for inst, tree, trace, report in results[:5]:
+    for inst, *_ in results[:5]:
         state = rebuilt_mcst_lp(
             inst.graph,
             inst.graph.all_edges_mask,
@@ -284,6 +330,7 @@ def test_criterion_9_certificates_and_separation(mcst_results):
     announce(
         "criterion-9 vertex certificates and clean separation",
         counters_ok and clean,
-        f"(solves={STATS['solves']}, reused={STATS['reused']}, "
-        f"certified={STATS['certificates']})",
+        f"({len(runs)} runs, solves={total['solves']}, reused={total['reused']}, "
+        f"certified={total['certificates']}; runs with a vertex not certified "
+        f"once: {uncertified[:3]})",
     )

@@ -101,12 +101,13 @@ def test_solve_mcst_trace_and_verify_subcommand(tmp_path):
     )
 
 
-def _solved_mcst(tmp_path):
-    """(instance, solution, trace) paths of a solved drop-round instance."""
+def _solved_mcst(tmp_path, seed=76):
+    """(instance, solution, trace) paths of a solved drop-round instance,
+    by default the first of the corpus."""
     inst = tmp_path / "inst.json"
     solution = tmp_path / "sol.json"
     trace = tmp_path / "trace.jsonl"
-    dump_instance(mcst_corpus(CorpusConfig(count=1))[0], inst)
+    dump_instance(random_mcst_instance(random.Random(seed)), inst)
     argv = ("--in", str(inst), "--solution", str(solution), "--trace", str(trace))
     assert run_cli("solve-mcst", *argv) == 0
     return inst, solution, trace
@@ -236,6 +237,10 @@ BAD_TRACES = {
     "fix-edge-a": (
         _set("fix", "edge", "a"),
         "trace event 4 (fix) edge must be an edge id of the instance, got 'a'",
+    ),
+    "drop-parity-2": (
+        _set("drop_children", "parity", 2),
+        "trace event 25 (drop_children) parity must be 0 or 1, got 2",
     ),
     "drop-unknown-parent": (
         _set("drop_children", "parents", [0, 999]),
@@ -368,35 +373,84 @@ def _tighten_dead_node(events):
     ev["changes"][0][0] = 1
 
 
-# well-formed events of the seed-76 run that it did not make; replay
-# must refuse each where it happens (exit 3), not at a later mismatch
+def _set_parent_key(name, at, value):
+    """Edit: the parent key of entry at of the merge_leaves event's list
+    name ("merges" or "removed") set to value."""
+
+    def edit(events):
+        ev = next(ev for ev in events if ev["ev"] == "merge_leaves")
+        ev[name][at][0] = value
+
+    return edit
+
+
+# case -> (seed, edit, message): well-formed events that the seed's run
+# did not make; replay must refuse each where it happens (exit 3), not
+# at a later mismatch.  The seed-76 run has one drop round, the seed-266
+# run two, and the seed-2828 and seed-3003 runs merge leaves at event 31
 REPLAY_MISMATCHES = {
     "tighten-raises-bound": (
+        76,
         _set_change(2, "54/1"),
         "replay mismatch: trace event 3 (tighten) changes[0] moves node 1's "
         "bound from 5/1 to 54/1",
     ),
     "tighten-negative-bound": (
+        76,
         _set_change(2, "-1/1"),
         "replay mismatch: trace event 3 (tighten) changes[0] moves node 1's "
         "bound from 5/1 to -1/1",
     ),
     "tighten-dead-node": (
+        76,
         _tighten_dead_node,
         "replay mismatch: trace event 27 (tighten) changes[0] tightens node 1, "
         "which is dead",
     ),
     "fix-decided-edge": (
+        76,
         _set("fix", "edge", 5, at=1),
         "replay mismatch: trace event 7 (fix) edge 5 is already decided",
+    ),
+    # the parity and the parent keys used to be read by nothing, so
+    # these replayed and verified with exit 0
+    "drop-parity-flipped": (
+        76,
+        _set("drop_children", "parity", 1),
+        "replay mismatch: trace event 25 (drop_children) parents[0] node 0 is "
+        "not an alive node at a level of parity 1",
+    ),
+    "second-drop-parity-flipped": (
+        266,
+        _set("drop_children", "parity", 1, at=1),
+        "replay mismatch: trace event 22 (drop_children) parents[0] node 2 is "
+        "not an alive node at a level of parity 1",
+    ),
+    "merge-other-parent": (
+        2828,
+        _set_parent_key("merges", 0, 8),
+        "replay mismatch: trace event 31 (merge_leaves) merges[0] names parent "
+        "key 8 for node 2, whose parent key is 0",
+    ),
+    "last-merge-other-parent": (
+        3003,
+        _set_parent_key("merges", 2, 1),
+        "replay mismatch: trace event 31 (merge_leaves) merges[2] names parent "
+        "key 1 for node 10, whose parent key is 8",
+    ),
+    "remove-other-parent": (
+        2828,
+        _set_parent_key("removed", 0, 0),
+        "replay mismatch: trace event 31 (merge_leaves) removed[0] names parent "
+        "key 0 for node 10, whose parent key is -1",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REPLAY_MISMATCHES))
 def test_verify_refuses_an_event_the_run_did_not_make(case, tmp_path, capsys):
-    edit, named = REPLAY_MISMATCHES[case]
-    inst, solution, trace = _solved_mcst(tmp_path)
+    seed, edit, named = REPLAY_MISMATCHES[case]
+    inst, solution, trace = _solved_mcst(tmp_path, seed)
     events = [json.loads(line) for line in trace.read_text().splitlines()]
     edit(events)
     trace.write_text("".join(json.dumps(ev) + "\n" for ev in events))

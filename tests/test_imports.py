@@ -1,9 +1,10 @@
 """Every name a crossopt module imports is used in that module, every
-function, class and method it defines is referenced, every field a
-class body declares is read as an attribute, only the one writer,
-``instances.write_text``, opens a file for writing, only the one
-reader, ``instances.parse_json``, parses JSON, and only the three step
-rules build LP rows.
+function, class, method and module-level constant it defines is
+referenced, every field a class body declares is read as an attribute,
+only the one writer, ``instances.write_text``, opens a file for
+writing, only the one reader, ``instances.parse_json``, parses JSON,
+only the three step rules build LP rows, and no function stores into
+state held by a module-level name.
 
 A name that is imported only to be read from outside (a re-export)
 carries ``# noqa: F401`` on its import line.  The package's
@@ -60,18 +61,58 @@ def test_unused_and_marked_imports_are_told_apart():
     assert unused_imports(source) == [(2, "dumps"), (5, "path"), (8, "pi")]
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def target_leaves(target):
+    """The names, subscripts and attributes an assignment or del target
+    is made of, tuples unpacked."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [leaf for elt in target.elts for leaf in target_leaves(elt)]
+    if isinstance(target, ast.Starred):
+        return target_leaves(target.value)
+    return [target]
+
+
+def bound_names(target):
+    """The names an assignment target binds."""
+    return [leaf.id for leaf in target_leaves(target) if isinstance(leaf, ast.Name)]
+
+
+def module_bindings(node):
+    """The names a module-level statement binds by assignment, import,
+    def or class."""
+    if isinstance(node, ast.Assign):
+        return [name for target in node.targets for name in bound_names(target)]
+    if isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        return bound_names(node.target)
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+        return [node.name]
+    return []
+
+
 def definitions(tree):
-    """Every top-level function and class of a module tree, and every
-    method of such a class other than a dunder."""
+    """(name, node) of every top-level function and class of a module
+    tree, every method of such a class other than a dunder, and every
+    module-level constant (a name a top-level assignment binds) other
+    than a dunder."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for name in module_bindings(node):
+                if not dunder(name):
+                    yield name, node
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                    sub.name.startswith("__") and sub.name.endswith("__")
-                ):
-                    yield sub
+                if isinstance(sub, FUNCTIONS) and not dunder(sub.name):
+                    yield sub.name, sub
 
 
 def references(tree):
@@ -97,10 +138,10 @@ def unreferenced(modules, readers):
     for tree in [*trees.values(), *(ast.parse(source) for source in readers)]:
         total.update(references(tree))
     return [
-        (name, node.name)
+        (name, defined)
         for name, tree in trees.items()
-        for node in definitions(tree)
-        if total[node.name] == references(node)[node.name]
+        for defined, node in definitions(tree)
+        if total[defined] == references(node)[defined]
     ]
 
 
@@ -113,8 +154,12 @@ def test_every_definition_is_referenced():
 def test_unreferenced_definitions_are_found():
     modules = {
         "a.py": (
+            "__all__ = ['used']\n"
+            "LIMIT = 3\n"
+            "SPARE = 4\n"
+            "LOW, HIGH = 0, 1\n"
             "def used():\n"
-            "    return helper\n"
+            "    return helper, LIMIT, HIGH\n"
             "def helper():\n"
             "    return helper()\n"
             "def lonely():\n"
@@ -131,8 +176,10 @@ def test_unreferenced_definitions_are_found():
         ),
         "b.py": "from a import used\nused()\n",
     }
-    readers = ["import a\na.Box().read()\n"]
-    assert unreferenced(modules, readers) == [("a.py", "lonely"), ("a.py", "closed")]
+    readers = ["import a\na.Box().read()\na.LOW\n"]
+    assert unreferenced(modules, readers) == [
+        ("a.py", "SPARE"), ("a.py", "lonely"), ("a.py", "closed")
+    ]
 
 
 def declared_fields(tree):
@@ -378,3 +425,106 @@ def test_row_builds_are_found():
         "Row(0, '==', 1, None)\n"
     )
     assert row_builds(source) == [(4, "f"), (5, "f"), (9, None)]
+
+
+STORES = (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)
+
+
+def root_name(target):
+    """The name a subscript or attribute chain starts from; None for a
+    bare name or a chain from another expression."""
+    if not isinstance(target, (ast.Subscript, ast.Attribute)):
+        return None
+    while isinstance(target, (ast.Subscript, ast.Attribute)):
+        target = target.value
+    return target.id if isinstance(target, ast.Name) else None
+
+
+def function_locals(fn):
+    """The names fn and the functions nested in it bind for themselves:
+    parameters, and names they assign, import or define, less the names
+    they declare global."""
+    names, declared = set(), set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+        elif node is not fn and isinstance(
+            node, (ast.Import, ast.ImportFrom, *FUNCTIONS, ast.ClassDef)
+        ):
+            names.update(module_bindings(node))
+    return names - declared
+
+
+def global_stores(source):
+    """(line, enclosing function) of every assignment, augmented
+    assignment or del in a function that stores into a subscript or an
+    attribute of a module-level name: one the module binds by
+    assignment, import, def or class, and the function does not bind
+    for itself."""
+    tree = ast.parse(source)
+    module_names = {name for node in tree.body for name in module_bindings(node)}
+    found = []
+
+    def visit(node, function, local):
+        if isinstance(node, FUNCTIONS):
+            function = node.name
+            if local is None:
+                local = function_locals(node)
+        if local is not None and isinstance(node, STORES):
+            targets = node.targets if hasattr(node, "targets") else [node.target]
+            for target in targets:
+                for leaf in target_leaves(target):
+                    name = root_name(leaf)
+                    if name in module_names and name not in local:
+                        found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, local)
+
+    visit(tree, None, None)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_stores_into_module_state(path):
+    assert global_stores(path.read_text(encoding="utf-8")) == []
+
+
+def test_global_stores_are_found():
+    source = (
+        "import os\n"
+        "from collections import Counter\n"
+        "COUNTS = Counter()\n"
+        "class Box:\n"
+        "    size = 0\n"
+        "    def grow(self):\n"
+        "        self.size += 1\n"
+        "        Box.size += 1\n"
+        "def f(key, LIMITS):\n"
+        "    COUNTS[key] += 1\n"
+        "    LIMITS[key] = 1\n"
+        "    os.environ['KEY'] = key\n"
+        "    del COUNTS[key]\n"
+        "    first, COUNTS.last = 1, 2\n"
+        "    def g():\n"
+        "        COUNTS['g'] = 1\n"
+        "    seen = {}\n"
+        "    seen[key] = 1\n"
+        "    return g\n"
+        "def h():\n"
+        "    COUNTS = Counter()\n"
+        "    COUNTS['h'] = 1\n"
+        "def k():\n"
+        "    global COUNTS\n"
+        "    COUNTS = Counter()\n"
+        "    COUNTS['k']: int = 1\n"
+        "COUNTS['module'] = 1\n"
+    )
+    # self, the parameter LIMITS, seen and h's own COUNTS are local; the
+    # last store is not in a function
+    assert global_stores(source) == [
+        (8, "grow"), (10, "f"), (12, "f"), (13, "f"), (14, "f"), (16, "g"), (26, "k")
+    ]

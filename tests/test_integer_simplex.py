@@ -17,6 +17,7 @@ ones and of the dense and mask integer ones they replaced.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 import dense_rows
 import fraction_simplex as reference
+from conftest import count_pivots
 from dense_rows import (
     BasicSolution,
     box_lp,
@@ -63,25 +65,26 @@ from crossopt.simplex import (
 
 
 def solve_counted(solve, lp):
-    """(BasicSolution or exception type, pivots taken) of one solve; the
-    Fraction reference solves the dense form of lp, and the package's
-    Vertex is compared as a BasicSolution."""
-    if solve is reference.simplex_solve:
-        stats, lp = reference.STATS, dense_lp(lp)
-    else:
-        stats = simplex.STATS
-    before = stats["pivots"]
-    try:
-        result = solve(lp)
-    except LpInfeasible as exc:
-        result = type(exc)
-    else:
-        if isinstance(result, Vertex):
-            assert (result.den, list(result.scaled)) == scale_values(result.values)
-            result = dense_solution(result)
-        for v in (*result.values, result.objective_value):
-            assert type(v) is Rat
-    return result, stats["pivots"] - before
+    """(BasicSolution or exception type, pivots taken, failed solves
+    included) of one solve; the Fraction reference solves the dense form
+    of lp, and the package's Vertex is compared as a BasicSolution."""
+    module = reference if solve is reference.simplex_solve else simplex
+    if module is reference:
+        lp = dense_lp(lp)
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        count_pivots(patch, module, counts)
+        try:
+            result = solve(lp)
+        except LpInfeasible as exc:
+            result = type(exc)
+        else:
+            if isinstance(result, Vertex):
+                assert (result.den, list(result.scaled)) == scale_values(result.values)
+                result = dense_solution(result)
+            for v in (*result.values, result.objective_value):
+                assert type(v) is Rat
+    return result, counts["pivots"]
 
 
 class Recorded:
@@ -146,7 +149,7 @@ def assert_same_run(lp):
     assert got == solve_counted(reference.simplex_solve, lp)
     values, snapshots, pivots, _ = run_tableau(IntegerTableau, lp)
     ref_values, ref_snapshots, ref_pivots, _ = run_tableau(FractionTableau, dense_lp(lp))
-    assert values == ref_values and pivots == ref_pivots
+    assert values == ref_values and pivots == ref_pivots == got[1]
     assert len(snapshots) == len(ref_snapshots)
     for step, (snap, ref_snap) in enumerate(zip(snapshots, ref_snapshots)):
         assert snap == ref_snap, step
@@ -265,12 +268,6 @@ def test_no_variable_lps_match_reference(rel, rhs):
     assert got == solve_counted(reference.simplex_solve, lp)
 
 
-def test_pivots_are_counted():
-    before = simplex.STATS["pivots"]
-    simplex_solve(FIXED["le-ge-eq-rows"])
-    assert simplex.STATS["pivots"] > before
-
-
 # -- row checks, certificates and rank ----------------------------------------------
 
 
@@ -353,17 +350,18 @@ def checked_core(monkeypatch):
     """Every simplex_solve of the cutting-plane loop also runs the
     Fraction simplex, and every reused vertex is re-checked by the
     Fraction row check and certificate.  Counts calls by kind."""
-    counts = {"solve": 0, "reuse": 0}
+    counts = Counter()
+    count_pivots(monkeypatch, simplex, counts)
 
     def solve(lp):
-        before = simplex.STATS["pivots"]
+        before = counts["pivots"]
         try:
             got = simplex_solve(lp)
         except LpInfeasible as exc:
             ours = type(exc)
         else:
             ours = dense_solution(got)
-        pivots = simplex.STATS["pivots"] - before
+        pivots = counts["pivots"] - before
         assert (ours, pivots) == solve_counted(reference.simplex_solve, lp)
         counts["solve"] += 1
         if isinstance(ours, BasicSolution):

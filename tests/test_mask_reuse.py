@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 import dense_reuse
 import dense_rows
 import fraction_simplex
+from conftest import counted_core
 from dense_rows import dense_lp, dense_solution, mask_lp
 from crossopt import lpengine, relax, simplex
 from crossopt.errors import InternalCheckError
@@ -54,7 +55,7 @@ from crossopt.randgen import (
     random_lattice_instance,
     random_mcst_instance,
 )
-from crossopt.simplex import STATS, row_status, verify_vertex_certificate
+from crossopt.simplex import row_status, verify_vertex_certificate
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 # simplex solves and reused vertices in one pass of the benchmark's
@@ -206,11 +207,10 @@ def small_corpora():
 def test_every_vertex_is_certified_run_by_run():
     reused = 0
     for instance in small_corpora():
-        before = dict(STATS)
-        solve(instance)
-        delta = {key: STATS[key] - before[key] for key in STATS}
-        assert delta["certificates"] == delta["solves"] + delta["reused"]
-        reused += delta["reused"]
+        with counted_core() as counts:
+            solve(instance)
+        assert counts["certificates"] == counts["solves"] + counts["reused"]
+        reused += counts["reused"]
     assert reused > 0
 
 
@@ -261,10 +261,10 @@ def test_reuse_builds_no_dense_lp(reuse_calls, monkeypatch):
         raise AssertionError(f"{type(self).__name__} built during reuse")
 
     monkeypatch.setattr(simplex._Tableau, "__init__", refuse)
-    before = STATS["certificates"]
-    for state, prev in calls:
-        lpengine.reuse_extreme_point(state, prev)
-    assert STATS["certificates"] - before == len(calls)
+    with counted_core() as counts:
+        for state, prev in calls:
+            lpengine.reuse_extreme_point(state, prev)
+    assert counts["certificates"] == len(calls)
     # the patch does stop the simplex
     with pytest.raises(AssertionError, match="built during reuse"):
         lpengine.solve_to_extreme_point(calls[0][0])

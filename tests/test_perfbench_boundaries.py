@@ -110,39 +110,21 @@ def test_cli_reaches_covering_runs_through_module_globals(command, name, tmp_pat
     assert cli.main([command, "--in", str(inst)]) == 3
 
 
-def test_every_vertex_is_certified_through_the_simplex_global(monkeypatch):
+def test_every_vertex_is_certified_through_the_simplex_global():
     """Solved and reused vertices both reach verify_vertex_certificate
     through crossopt.simplex's module global, where the benchmark's
     simplex.certify wrapper sits: one call per simplex solve and one per
-    reused vertex."""
+    reused vertex.  counted_core counts each at those names."""
     import random
 
-    from crossopt import lpengine, relax, simplex
+    from conftest import counted_core
     from crossopt.mcst import run_mcst
     from crossopt.randgen import random_mcst_instance
 
-    calls = {"solve": 0, "reuse": 0, "certify": 0}
-    solve, reuse = lpengine.simplex_solve, relax.reuse_extreme_point
-    certify = simplex.verify_vertex_certificate
-
-    def counted_solve(lp):
-        calls["solve"] += 1
-        return solve(lp)
-
-    def counted_reuse(state, prev):
-        calls["reuse"] += 1
-        return reuse(state, prev)
-
-    def counted_certify(lp, point):
-        calls["certify"] += 1
-        return certify(lp, point)
-
-    monkeypatch.setattr(lpengine, "simplex_solve", counted_solve)
-    monkeypatch.setattr(relax, "reuse_extreme_point", counted_reuse)
-    monkeypatch.setattr(simplex, "verify_vertex_certificate", counted_certify)
-    run_mcst(random_mcst_instance(random.Random(76)))
-    assert calls["solve"] > 0 and calls["reuse"] > 0
-    assert calls["certify"] == calls["solve"] + calls["reuse"]
+    with counted_core() as counts:
+        run_mcst(random_mcst_instance(random.Random(76)))
+    assert counts["solves"] > 0 and counts["reused"] > 0
+    assert counts["certificates"] == counts["solves"] + counts["reused"]
 
 
 def test_mcst_classify_and_verify_fire_through_module_globals(tmp_path, monkeypatch):
