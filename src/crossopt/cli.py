@@ -181,31 +181,56 @@ def cmd_solve(args):
     return outcome
 
 
+# the flags each generator reads, with their defaults
+GEN_FLAGS = {
+    "mcst-gap": {"e": 4},
+    "planar-gap": {"k": 2},
+    "edge-cover": {"n": 1},
+    "reduction": {"e": 4, "t": 2, "bounds": None},
+    "random-mcst": {"seed": 0},
+    "random-intersection": {"seed": 0},
+    "random-lattice": {"seed": 0},
+}
+
+
 def cmd_gen(args):
     kind = args.kind
     if args.report and kind not in ("mcst-gap", "planar-gap"):
         raise InstanceError(
             f"gen {kind} writes no report; --report is for mcst-gap and planar-gap"
         )
+    reads = GEN_FLAGS[kind]
+    opts = dict(reads)
+    for flag in ("e", "k", "n", "t", "bounds", "seed"):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if flag not in reads:
+            raise InstanceError(
+                f"gen {kind} does not read --{flag}; it reads "
+                + ", ".join(f"--{name}" for name in reads)
+            )
+        opts[flag] = value
     check_writable(args.out, args.report)
     report_body = None
     if kind == "mcst-gap":
-        instance, gap = gen_mcst_gap(args.e)
+        instance, gap = gen_mcst_gap(opts["e"])
         report_body = gap.to_json()
     elif kind == "planar-gap":
-        instance, gap = gen_planar_mincut_gap(args.k)
+        instance, gap = gen_planar_mincut_gap(opts["k"])
         report_body = gap.to_json()
     elif kind == "edge-cover":
-        instance = gen_edge_cover_tight(args.n)
+        instance = gen_edge_cover_tight(opts["n"])
     elif kind == "reduction":
-        bounds = _reduction_bounds(args.bounds, args.e) if args.bounds else []
-        instance = reduce_uniform_crossing_to_mcst(args.e, args.t, bounds)
+        e = opts["e"]
+        bounds = _reduction_bounds(opts["bounds"], e) if opts["bounds"] else []
+        instance = reduce_uniform_crossing_to_mcst(e, opts["t"], bounds)
     elif kind == "random-mcst":
-        instance = random_mcst_instance(random.Random(args.seed))
+        instance = random_mcst_instance(random.Random(opts["seed"]))
     elif kind == "random-intersection":
-        instance = random_intersection_instance(random.Random(args.seed))
+        instance = random_intersection_instance(random.Random(opts["seed"]))
     elif kind == "random-lattice":
-        instance = random_lattice_instance(random.Random(args.seed))
+        instance = random_lattice_instance(random.Random(opts["seed"]))
     else:  # pragma: no cover - argparse restricts choices
         raise InstanceError(f"unknown generator {kind}")
     if args.out:
@@ -385,12 +410,13 @@ def build_parser():
             "random-lattice",
         ],
     )
-    p.add_argument("--e", type=int, default=4)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--t", type=int, default=2)
+    # a flag the kind does not read is refused; GEN_FLAGS holds the defaults
+    p.add_argument("--e", type=int, help="mcst-gap and reduction (default 4)")
+    p.add_argument("--k", type=int, help="planar-gap (default 2)")
+    p.add_argument("--n", type=int, help="edge-cover (default 1)")
+    p.add_argument("--t", type=int, help="reduction (default 2)")
     p.add_argument("--bounds", help="JSON [[elements...], bound] pairs for reduction")
-    p.add_argument("--seed", type=int, default=0, help="random generators only")
+    p.add_argument("--seed", type=int, help="random generators only (default 0)")
     p.add_argument("--out")
     p.add_argument("--report")
     p.set_defaults(func=cmd_gen)

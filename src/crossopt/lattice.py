@@ -15,10 +15,13 @@ violation.
 A delete or fix step leaves the face x_e = 0 (or 1) of the old region
 with e dropped (a fix lowers every rank and bound rhs containing e by
 one, exactly x_e), and the old optimal vertex lies on that face, so the
-step asks for its restriction to be reused after a full re-check
-(lpengine.reuse_extreme_point).  Dropping a bound removes rows and can
-enlarge the region, so the LP after a drop, like the first, is solved
-from scratch.
+step asks for its restriction to be reused after certify re-checks it
+(lpengine.reuse_extreme_point).  Its rank rows are not scanned again:
+with F at 1 and deleted elements at 0 the point and every rank row's
+excess are unchanged, so the state's separator finds the verdict among
+the run's feasible keys (lpengine.remembering_feasible).  Dropping a
+bound removes rows and can enlarge the region, so the LP after a drop,
+like the first, is solved from scratch.
 
 Exactly one action happens per iteration, so |undecided| + |bounds|
 drops by one each time and the run ends after at most |E| + |I|
@@ -28,7 +31,7 @@ iterations with all rank constraints met exactly.
 from .errors import InstanceError, InternalCheckError, NoStepApplies
 from .graphs import iter_bits
 from .instances import INCLUSION
-from .lpengine import Residual, separate_lattice
+from .lpengine import Residual, remembering_feasible, separate_lattice
 from .oracles import uncross
 from .rational import ZERO, Rat, render_rat
 from .relax import CheckReport, check, relax
@@ -53,6 +56,8 @@ class LatticeState:
         self.eprime = (1 << instance.n) - 1
         self.fmask = 0
         self.alive = set(range(len(instance.constraints)))
+        # full-coordinate keys of the points separation found feasible
+        self.feasible = set()
         self.iteration_cap = instance.n + len(instance.constraints)
 
     def finished(self):
@@ -82,7 +87,11 @@ class LatticeState:
         objective = tuple(instance.costs[v] for v in var_ids)
         return Residual(
             LinearProgram(var_ids, objective, tuple(rows)),
-            lambda point: separate_lattice(point, fmask, lat),
+            remembering_feasible(
+                lambda point: separate_lattice(point, fmask, lat),
+                fmask,
+                self.feasible,
+            ),
             cut_row,
         )
 

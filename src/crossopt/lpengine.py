@@ -46,14 +46,36 @@ tags.  The reused point is checked against the base rows for the new
 state plus the previous point's tight cut rows (rebuilt from their
 tags, so each rhs reflects the new fixed set) by simplex.certify, the
 routine the simplex certifies its own vertices with: row feasibility,
-the box, the tight set and the vertex certificate; then comes a full
-separation pass.  Any failed check is an
-InternalCheckError; nothing falls back to a cold solve.  Steps that
-drop or merge bounds remove or relax rows, so the region can grow and
-the old vertex need not stay optimal; after those, and after rounding
-values >= 1/2 (which changes bounds by fractional amounts, so the new
-region is not a face of the old one), the LP is solved again with
-solve_to_extreme_point.
+the box, the tight set and the vertex certificate.  Then the
+separator is asked again, and it has answered already, in full
+coordinates.  Any failed check is an InternalCheckError; nothing falls
+back to a cold solve.  Steps that drop or merge bounds remove or relax
+rows, so the region can grow and the old vertex need not stay optimal;
+after those, and after rounding values >= 1/2 (which changes bounds by
+fractional amounts, so the new region is not a face of the old one),
+the LP is solved again with solve_to_extreme_point.
+
+In full coordinates a point x of the residual LP is x~: x on the
+undecided variables E', 1 on the fixed set F and 0 on the deleted ones.
+A fix or delete moves one variable at value c from E' into F (c = 1)
+or out of both (c = 0), so the restriction of the old vertex has the
+same x~ as the old vertex.  Every row of the exponential families is a
+row on x~ whose residual form moves the F part to the rhs, so its
+excess, scaled by D, is a function of D * x~ alone:
+- subtour row U, x(E'(U)) <= |U| - |F(U)| - 1: the excess
+  X(E'(U)) + D*|F(U)| - D*(|U| - 1) is D * (x~(E(U)) - |U| + 1);
+- the tree-total row x(E') = n - |F| - 1: X(E') + D*|F| - D*(n - 1) is
+  D * (x~(E) - n + 1);
+- rank row S, x(rho(S) & E') >= r(S) - |F & rho(S)|: the excess
+  X(rho(S) & E') + D*|F & rho(S)| - D*r(S) is D * (x~(rho(S)) - r(S)).
+Deleted variables are in neither E' nor F, and so add 0.  Drop and merge
+steps edit only base rows.  So the separator's verdict is fixed for the
+whole run by x~, which the key (D, the ids at value 1 together with F,
+the fractional X by id) determines: the same key is the same x~.
+remembering_feasible keeps a run's keys that separation found
+feasible.  A reused vertex has the key of the vertex it came from, which
+was separated feasible, so its check is a lookup.  A violated result is
+never kept: its lhs and rhs are residual numbers and change with F.
 """
 
 from dataclasses import dataclass
@@ -214,6 +236,28 @@ def separate_lattice(point, fmask, lat):
     return SeparationResult(False, "rank", j, Rat(lhs[j], den), Rat(need[j]))
 
 
+def remembering_feasible(separate, fmask, feasible):
+    """``separate`` (a separator bound to the fixed set ``fmask``) that
+    first looks the point up in ``feasible``, a run's set of full-
+    coordinate keys already found feasible, and adds the key of every
+    point it finds feasible.  The key (D, the mask of ids at value 1,
+    counting fmask, and the fractional X by id) fixes the point in full
+    coordinates, where the verdict depends on nothing else (see the
+    module docstring).  A violated result is never kept: its lhs and
+    rhs are in the coordinates of this fmask."""
+
+    def check(point):
+        key = (point.den, point.ones | fmask, tuple(point.fractional.items()))
+        if key in feasible:
+            return SeparationResult.ok()
+        result = separate(point)
+        if result.feasible:
+            feasible.add(key)
+        return result
+
+    return check
+
+
 # -- working LP assembly -----------------------------------------------------
 
 
@@ -274,9 +318,10 @@ def reuse_extreme_point(residual, prev):
     The working LP is the Residual's base LP plus the cut rows that were
     tight at ``prev``, each rebuilt from its tag by the Residual's
     cut_row.  The restriction of ``prev`` to the undecided variables
-    must satisfy that LP, pass full separation and carry a vertex
-    certificate; otherwise InternalCheckError.  Optimality is the face
-    argument in the module docstring.
+    must satisfy that LP, pass the Residual's separator (which finds it
+    among the run's feasible keys; see the module docstring) and carry
+    a vertex certificate; otherwise InternalCheckError.  Optimality is
+    the face argument in the module docstring.
     """
     lp = residual.lp
     cuts = tuple(

@@ -19,9 +19,12 @@ After a fix or delete step the new residual region is the face x_e = 1
 only lowered bounds to the loads at that vertex, and fixing decrements
 exactly the bounds the fixed edge crosses.  So the old vertex,
 restricted to the remaining edges, is reused and re-certified
-(lpengine.reuse_extreme_point).  A drop or merge step removes or
-loosens rows, so the old vertex need not stay optimal and the LP is
-solved again.
+(lpengine.reuse_extreme_point).  Its subtour and tree-total rows are
+not scanned again: with F at 1 and deleted edges at 0 the point and
+every such row's excess are unchanged, so the state's separator finds
+the verdict among the run's feasible keys (lpengine.remembering_feasible).
+A drop or merge step removes or loosens rows, so the old vertex need
+not stay optimal and the LP is solved again.
 
 The state holds the residual LP's rows for the whole run, and each
 step event edits them instead of rebuilding them: a fix or delete
@@ -53,7 +56,7 @@ from .errors import InstanceError, InternalCheckError, NoStepApplies
 from .graphs import iter_bits
 from .instances import SCHEMA_VERSION, _rat, instance_digest
 from .laminar import VIRTUAL_ROOT, all_consecutive_blocks
-from .lpengine import Residual, separate_spanning_tree
+from .lpengine import Residual, remembering_feasible, separate_spanning_tree
 
 # imported by name so that crossopt.mcst.solve_to_extreme_point, which
 # the benchmark's wrapper test reads, stays the lpengine function
@@ -153,6 +156,8 @@ class McstState:
         # the edge costs' denominators
         self.cost_den = lcm(*(e.cost.denominator for e in self.graph.edges))
         self.fcost = 0
+        # full-coordinate keys of the points separation found feasible
+        self.feasible = set()
         self.reshaped()
         self.iteration_cap = (
             self.eprime.bit_count() + drop_round_limit(self.graph.n) + 2
@@ -286,7 +291,11 @@ class McstState:
                 self.objective,
                 (Row(eprime, EQ, total, ("tree_total", None)), *rows),
             ),
-            lambda point: separate_spanning_tree(point, graph, fmask),
+            remembering_feasible(
+                lambda point: separate_spanning_tree(point, graph, fmask),
+                fmask,
+                self.feasible,
+            ),
             cut_row,
         )
 

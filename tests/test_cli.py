@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -586,6 +587,81 @@ def test_gen_report_without_a_report_is_usage_error(kind, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "mcst-gap" in err and "planar-gap" in err and "Traceback" not in err
     assert not out.exists() and not rep.exists()
+
+
+# a flag that the kind's generator never reads; each used to be ignored
+# with exit 0 (`gen random-mcst --n 25` wrote the `--n 0` instance)
+UNREAD_GEN_FLAGS = [
+    ("random-mcst", "--n", "25"),
+    ("random-intersection", "--e", "3"),
+    ("random-lattice", "--k", "3"),
+    ("random-lattice", "--t", "3"),
+    ("mcst-gap", "--seed", "1"),
+    ("planar-gap", "--seed", "1"),
+    ("edge-cover", "--seed", "1"),
+    ("reduction", "--seed", "1"),
+    ("mcst-gap", "--k", "3"),
+    ("planar-gap", "--e", "8"),
+    ("edge-cover", "--t", "2"),
+    ("reduction", "--n", "1"),
+    ("reduction", "--k", "2"),
+    ("random-mcst", "--bounds", "[]"),
+]
+
+
+@pytest.mark.parametrize("kind, flag, value", UNREAD_GEN_FLAGS)
+def test_gen_refuses_a_flag_its_generator_does_not_read(
+    kind, flag, value, tmp_path, capsys
+):
+    out = tmp_path / "inst.json"
+    assert run_cli("gen", kind, flag, value, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"gen {kind} does not read {flag}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# sha256 of what `gen KIND` writes with every flag defaulted, and the
+# flags that spell those defaults out
+GEN_DEFAULTS = {
+    "mcst-gap": (
+        "593ed009181bad7923ff0d2399615f4d20cb1bdb27be3d50374f319d8e814826",
+        ("--e", "4"),
+    ),
+    "planar-gap": (
+        "867bfe6729f2531e3847f1c72b4418d3537ecf1ad94662161bb1a9cc01ac51c8",
+        ("--k", "2"),
+    ),
+    "edge-cover": (
+        "846c0b8cdad0bbf768231d633afa8c176de2d59065001e570b691b45420321d2",
+        ("--n", "1"),
+    ),
+    "reduction": (
+        "eefe0f79f9f1ebed978133d24b4af0cd7e1e1dab72aada53f53141b43b6121aa",
+        ("--e", "4", "--t", "2"),
+    ),
+    "random-mcst": (
+        "3ed14d96090438ffe362f4314075e6603ffc26e42b25cbbb0a2be15408c5ee1e",
+        ("--seed", "0"),
+    ),
+    "random-intersection": (
+        "6aca72a9e021b860dbbe81ad9b11604ac1b46c67bbf44aeb533984cd5f86fcdb",
+        ("--seed", "0"),
+    ),
+    "random-lattice": (
+        "cf193058e325f405ce84ccf157875b3c5709ffa565950e0ceacdce912ee16bcb",
+        ("--seed", "0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GEN_DEFAULTS))
+def test_gen_defaults_write_the_pinned_bytes(kind, capsys):
+    digest, spelled_out = GEN_DEFAULTS[kind]
+    assert run_cli("gen", kind) == 0
+    written = capsys.readouterr().out
+    assert hashlib.sha256(written.encode()).hexdigest() == digest
+    assert run_cli("gen", kind, *spelled_out) == 0
+    assert capsys.readouterr().out == written
 
 
 def test_verify_lattice_beyond_the_brute_guard(tmp_path):
