@@ -149,10 +149,7 @@ def cmd_solve(args):
             instance = replace(instance, variant=args.variant)
         fields["variant"] = instance.variant
     mask, trace, lp_optimum = _run(instance)
-    if trace is None:
-        cost = sum((instance.costs[e] for e in iter_bits(mask)), 0)
-    else:
-        cost = instance.graph.cost_of(mask)
+    if trace is not None:
         fields = {"drop_rounds": trace.drop_round_count(), "trace": args.trace}
         if args.trace:
             trace.to_jsonl(args.trace)
@@ -161,7 +158,7 @@ def cmd_solve(args):
         "algorithm": args.command.removeprefix("solve-"),
         "instance_digest": instance_digest(instance),
         "solution": sorted(iter_bits(mask)),
-        "cost": _rat_field(cost),
+        "cost": _rat_field(instance.cost_of(mask)),
         "lp_optimum": _rat_field(lp_optimum),
         **fields,
     }

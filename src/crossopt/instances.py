@@ -32,7 +32,7 @@ from .oracles import (
     matroid_to_lattice,
     max_frequency,
 )
-from .rational import Rat, is_integral, parse_rat, render_rat
+from .rational import ZERO, Rat, is_integral, parse_rat, render_rat
 
 SCHEMA_VERSION = 1
 
@@ -123,6 +123,10 @@ class McstInstance:
         """A fresh LaminarForest of the family, for one run to edit."""
         return self._forest.snapshot()
 
+    def cost_of(self, mask):
+        """The total cost of the edges in mask."""
+        return self.graph.cost_of(mask)
+
     def to_json(self):
         return {
             "schema": SCHEMA_VERSION,
@@ -188,6 +192,10 @@ class IntersectionInstance:
     @property
     def delta(self):
         return max_frequency(self.constraints, self.pair.n)
+
+    def cost_of(self, mask):
+        """The total cost of the elements in mask."""
+        return sum((self.costs[e] for e in iter_bits(mask)), ZERO)
 
     def to_json(self):
         return {
@@ -265,6 +273,10 @@ class LatticeInstance:
     @property
     def delta(self):
         return max_frequency(self.constraints, self.lat.ground_n)
+
+    def cost_of(self, mask):
+        """The total cost of the elements in mask."""
+        return sum((self.costs[e] for e in iter_bits(mask)), ZERO)
 
     def to_json(self):
         body = {

@@ -28,7 +28,7 @@ from .errors import InternalCheckError, NoStepApplies
 from .graphs import iter_bits
 from .lpengine import Residual, separate_contra_polymatroid
 from .oracles import uncross
-from .rational import ZERO, Rat, rat_ceil, render_rat
+from .rational import Rat, rat_ceil, render_rat
 from .relax import CheckReport, check, relax
 from .simplex import GE, LE, LinearProgram, Row
 
@@ -130,10 +130,7 @@ class IntersectionState:
         return False
 
     def finish(self, lp_initial):
-        cost = ZERO
-        for e in iter_bits(self.fmask):
-            cost += self.instance.costs[e]
-        if cost > 2 * lp_initial:
+        if self.instance.cost_of(self.fmask) > 2 * lp_initial:
             raise InternalCheckError("final cost exceeds twice the LP optimum")
         return {"solution": sorted(iter_bits(self.fmask))}
 
@@ -202,9 +199,7 @@ def verify_intersection(instance, solution, lp_opt):
         if not good:
             failures.append(f"bound {i}")
 
-    cost = ZERO
-    for e in iter_bits(solution):
-        cost += instance.costs[e]
+    cost = instance.cost_of(solution)
     cost_ok = cost <= 2 * lp_opt
     checks.append(
         check("cost", cost_ok, bound=render_rat(2 * lp_opt), achieved=render_rat(cost))

@@ -33,7 +33,7 @@ from .graphs import iter_bits
 from .instances import INCLUSION
 from .lpengine import Residual, remembering_feasible, separate_lattice
 from .oracles import uncross
-from .rational import ZERO, Rat, render_rat
+from .rational import Rat, render_rat
 from .relax import CheckReport, check, relax
 from .simplex import GE, LE, LinearProgram, Row
 
@@ -208,9 +208,7 @@ def verify_lattice(instance, solution, brute_optimum=None):
             failures.append(f"bound {i}")
 
     if brute_optimum is not None:
-        cost = ZERO
-        for e in iter_bits(solution):
-            cost += instance.costs[e]
+        cost = instance.cost_of(solution)
         cost_ok = cost <= brute_optimum
         bound = render_rat(brute_optimum)
         checks.append(check("cost", cost_ok, bound=bound, achieved=render_rat(cost)))

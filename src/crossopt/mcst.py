@@ -26,14 +26,14 @@ the verdict among the run's feasible keys (lpengine.remembering_feasible).
 A drop or merge step removes or loosens rows, so the old vertex need
 not stay optimal and the LP is solved again.
 
-The state holds the residual LP's rows for the whole run, and each
-step event edits them instead of rebuilding them: a fix or delete
-removes the edge from the rows that hold it (a fix also lowers their
-bounds by one, in integers), a tighten rewrites the bounds it names,
-and a drop or merge rebuilds the degree rows.  Tightening loads only
-the degree rows the vertex does not claim tight; certify has shown the
-tight ones carry load equal to bound.  replay_trace applies the same
-edits through the same state methods, and builds no LP row.
+The state keeps each degree row's edge mask for the whole run, and
+each bound only on its forest node.  A fix or delete removes the edge
+from the masks that hold it (a fix also lowers those nodes' bounds by
+one, compared in integers), a tighten lowers every bound above its
+load, and a drop or merge rebuilds the masks; residual() builds the
+LP's Rows from the masks and the node bounds, as the covering states
+build theirs from E'.  replay_trace applies the same edits through the
+same state methods, and builds no LP row.
 
 A node is good when at most MAX_LOCAL = 24 undecided edges are local to
 it.  Its local edges are its reach (the edges touching it, less those
@@ -54,7 +54,7 @@ from math import lcm
 
 from .errors import InstanceError, InternalCheckError, NoStepApplies
 from .graphs import iter_bits
-from .instances import SCHEMA_VERSION, _rat, instance_digest
+from .instances import _rat
 from .laminar import VIRTUAL_ROOT, all_consecutive_blocks
 from .lpengine import Residual, remembering_feasible, separate_spanning_tree
 
@@ -62,7 +62,7 @@ from .lpengine import Residual, remembering_feasible, separate_spanning_tree
 # the benchmark's wrapper test reads, stays the lpengine function
 from .lpengine import solve_to_extreme_point  # noqa: F401
 from .rational import Rat, render_rat
-from .relax import CheckReport, check, relax
+from .relax import CheckReport, begin_event, check, relax
 from .simplex import EQ, LE, LinearProgram, Row
 
 MAX_LOCAL = 24  # locality threshold for "good" nodes
@@ -134,12 +134,10 @@ class McstState:
 
     The LP's rows are the tree-total row x(E') = n - |F| - 1 and one
     degree row x(delta(S) & E') <= b(S) per alive node S, in node id
-    order.  Each bound is an int numerator over a per-row int
-    denominator, written to the forest node as a rational whenever it
-    changes, so the forest always holds the LP's bounds.  A fix or
-    delete finds the rows it edits by scanning the rows' edge masks,
-    and a Row is built only when ``residual`` needs it after an edit,
-    so a trace replay, which never solves, builds none.
+    order.  The bound b(S) lives on the forest node alone; the state
+    keeps each row's edge mask, which a fix or delete edits by scanning
+    the masks.  ``residual`` builds the Rows from the masks and the
+    bounds, so a trace replay, which never solves, builds none.
     """
 
     header = {"kind": "mcst-trace", "alpha": MAX_LOCAL}
@@ -150,8 +148,6 @@ class McstState:
         self.forest = instance.build_forest()
         self.eprime = self.graph.all_edges_mask
         self.fmask = 0
-        self.var_ids = tuple(sorted(self.graph.by_id))
-        self.objective = tuple(self.graph.by_id[v].cost for v in self.var_ids)
         # c(F) as the int C * c(F), kept by fix_edge, with C the lcm of
         # the edge costs' denominators
         self.cost_den = lcm(*(e.cost.denominator for e in self.graph.edges))
@@ -174,8 +170,9 @@ class McstState:
 
     def reshaped(self):
         """After a drop or merge step, and once at the start: the
-        forest's alive nodes changed, so the degree rows are rebuilt and
-        the reach masks are dropped until the next classification."""
+        forest's alive nodes changed, so the degree rows' masks are
+        rebuilt and the reach masks are dropped until the next
+        classification."""
         # reach_masks of the forest; None after a drop or merge step,
         # the only steps that change a node's grandchildren
         self.reach = None
@@ -184,25 +181,16 @@ class McstState:
         cut = self.graph.cut
         self.node_ids = [nd.id for nd in nodes if nd.alive]
         self.masks = [cut(nodes[nid].vset)[0] & eprime for nid in self.node_ids]
-        self.nums = [nodes[nid].bound.numerator for nid in self.node_ids]
-        self.dens = [nodes[nid].bound.denominator for nid in self.node_ids]
-        self.rows = [None] * len(self.node_ids)
-        self.stale = set(range(len(self.node_ids)))
 
     def delete_edge(self, eid):
-        """x_e = 0: the undecided edge eid leaves the undecided edges,
-        the variables and the degree rows that hold it; returns those
-        rows' positions."""
+        """x_e = 0: the undecided edge eid leaves the undecided edges
+        and the degree rows that hold it; returns those rows' positions."""
         bit = 1 << eid
         self.eprime ^= bit
-        j = self.var_ids.index(eid)
-        self.var_ids = self.var_ids[:j] + self.var_ids[j + 1 :]
-        self.objective = self.objective[:j] + self.objective[j + 1 :]
         masks = self.masks
         held = [p for p, mask in enumerate(masks) if mask & bit]
         for p in held:
             masks[p] ^= bit
-        self.stale.update(held)
         return held
 
     def fix_edge(self, eid):
@@ -213,71 +201,50 @@ class McstState:
         self.fmask |= 1 << eid
         cost = self.graph.by_id[eid].cost
         self.fcost += cost.numerator * (self.cost_den // cost.denominator)
-        nums, dens = self.nums, self.dens
         nodes, node_ids = self.forest.nodes, self.node_ids
         for p in held:
-            num, den = nums[p], dens[p]
+            node = nodes[node_ids[p]]
+            num, den = node.bound.numerator, node.bound.denominator
             if num < den:
                 raise InternalCheckError(
-                    f"fixing edge {eid} drives bound of node {node_ids[p]} negative"
+                    f"fixing edge {eid} drives bound of node {node.id} negative"
                 )
-            nums[p] = num = num - den
-            nodes[node_ids[p]].bound = Rat(num, den)
-
-    def set_bound(self, node_id, bound):
-        """The bound of node_id's degree row set to the rational bound."""
-        p = self.node_ids.index(node_id)
-        self.nums[p] = bound.numerator
-        self.dens[p] = bound.denominator
-        self.forest.nodes[node_id].bound = bound
-        self.stale.add(p)
+            node.bound = Rat(num - den, den)
 
     def tighten(self, point):
         """Lower every degree bound to its crossing load x(delta(S) & E')
         at the certified Vertex ``point`` of this LP, compared in
         integers; returns [(node id, old, new)] for the changed rows.
-
-        A row that ``point`` claims tight, and that is still the Row its
-        LP holds at that index, has load equal to bound (certify checked
-        it), so only the other rows are loaded.  A load above its bound
-        is an InternalCheckError: tightening never raises a bound.
-        """
-        rows, lp_rows = self.rows, point.lp.rows
-        tight = set()
-        for idx in point.tight_rows:  # rows first, in index order
-            if idx > len(rows):
-                break
-            if idx and lp_rows[idx] is rows[idx - 1]:
-                tight.add(idx - 1)
+        A load above its bound is an InternalCheckError: tightening
+        never raises a bound."""
         den = point.den
         nodes = self.forest.nodes
         changes = []
-        for p, nid in enumerate(self.node_ids):
-            if p in tight:
-                continue
-            load = point.load(self.masks[p])
-            excess = load * self.dens[p] - self.nums[p] * den
+        for nid, mask in zip(self.node_ids, self.masks):
+            node = nodes[nid]
+            bound = node.bound
+            load = point.load(mask)
+            excess = load * bound.denominator - bound.numerator * den
             if excess > 0:
                 raise InternalCheckError(
                     f"crossing load exceeds bound at node {nid}; tightening "
                     "would increase the bound"
                 )
             if excess:
-                new = Rat(load, den)
-                changes.append((nid, nodes[nid].bound, new))
-                self.set_bound(nid, new)
+                node.bound = Rat(load, den)
+                changes.append((nid, bound, node.bound))
         return changes
 
     def residual(self):
-        """The LP as it stands, a Residual; builds the Rows that changed
-        since the last call."""
-        rows, nodes = self.rows, self.forest.nodes
-        for p in self.stale:
-            nid = self.node_ids[p]
-            rows[p] = Row(self.masks[p], LE, nodes[nid].bound, ("degree", nid))
-        self.stale.clear()
+        """The LP as it stands, a Residual: the variables and objective
+        of E', and the Rows built from the masks and the node bounds."""
         graph, eprime, fmask = self.graph, self.eprime, self.fmask
+        nodes, by_id = self.forest.nodes, graph.by_id
+        var_ids = tuple(iter_bits(eprime))
         total = Rat(graph.n - fmask.bit_count() - 1)
+        rows = [Row(eprime, EQ, total, ("tree_total", None))]
+        for nid, mask in zip(self.node_ids, self.masks):
+            rows.append(Row(mask, LE, nodes[nid].bound, ("degree", nid)))
 
         def cut_row(kind, vmask):
             inside = graph.induced_mask(vmask, within=eprime)
@@ -287,9 +254,7 @@ class McstState:
 
         return Residual(
             LinearProgram(
-                self.var_ids,
-                self.objective,
-                (Row(eprime, EQ, total, ("tree_total", None)), *rows),
+                var_ids, tuple(by_id[v].cost for v in var_ids), tuple(rows)
             ),
             remembering_feasible(
                 lambda point: separate_spanning_tree(point, graph, fmask),
@@ -467,12 +432,15 @@ def _assert_degree_accounting(state):
     keep their family index as node id and come first in id order."""
     fmask = state.fmask
     originals = len(state.family_bounds)
-    for nid, num, den in zip(state.node_ids, state.nums, state.dens):
+    nodes = state.forest.nodes
+    for nid in state.node_ids:
         if nid >= originals:
             break
+        bound = nodes[nid].bound
+        den = bound.denominator
         fixed = (state.family_deltas[nid] & fmask).bit_count()
-        # num / den + fixed > bound, in integers
-        if num + fixed * den > state.family_bounds[nid] * den:
+        # bound + fixed > original bound, in integers
+        if bound.numerator + fixed * den > state.family_bounds[nid] * den:
             raise InternalCheckError(f"degree accounting broke at original set {nid}")
 
 
@@ -503,7 +471,8 @@ def replay_trace(instance, trace):
     reproduces the recorded final tree and forest.
 
     The events edit a McstState through the methods the run edits it
-    with; no LP row is built.  Events are numbered from 1 in trace order
+    with, and a tighten sets the node bounds it names; no LP row is
+    built.  Events are numbered from 1 in trace order
     (a trace file's line numbers when it has no blank lines).  The first
     must be the begin event of a run on this instance, and every later
     one an event an mcst run writes.  A field that replay cannot apply,
@@ -542,7 +511,7 @@ def replay_trace(instance, trace):
                         f"{render_rat(old)} to {render_rat(new)}; tightening only "
                         "lowers a bound and keeps it non-negative"
                     )
-                state.set_bound(nid, new)
+                node.bound = new
         elif kind in ("fix", "delete"):
             eid = _field(ev, "edge", where)
             if type(eid) is not int or eid not in instance.graph.by_id:
@@ -609,18 +578,13 @@ def replay_trace(instance, trace):
 
 def _check_begin(instance, events):
     """InstanceError unless events open with the begin event that a run
-    on instance writes: this schema, the instance's digest, and the
-    trace kind and alpha of McstState.header."""
+    on instance writes: relax.begin_event of the instance and
+    McstState.header."""
     first = events[0]["ev"] if events else None
     if first != "begin":
         raise InstanceError(f"trace event 1 must be the begin event, got {first!r}")
     where = "trace event 1 (begin)"
-    expected = {
-        "schema": SCHEMA_VERSION,
-        "instance_digest": instance_digest(instance),
-        **McstState.header,
-    }
-    for name, want in expected.items():
+    for name, want in begin_event(instance, McstState.header).items():
         got = _field(events[0], name, where)
         if type(got) is not type(want) or got != want:
             raise InstanceError(f"{where} {name} must be {want!r}, got {got!r}")

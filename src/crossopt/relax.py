@@ -123,6 +123,17 @@ def _render_values(point):
     return out
 
 
+def begin_event(instance, header):
+    """The ``begin`` event of a run on instance: the schema, the
+    instance's digest and the state's header fields."""
+    return {
+        "ev": "begin",
+        "schema": SCHEMA_VERSION,
+        "instance_digest": instance_digest(instance),
+        **header,
+    }
+
+
 def relax(state):
     """Run ``state`` to completion; returns (trace, initial LP optimum).
 
@@ -131,14 +142,7 @@ def relax(state):
     exceeded; the step rule raises its own invariant failures.
     """
     trace = RunTrace()
-    trace.add(
-        {
-            "ev": "begin",
-            "schema": SCHEMA_VERSION,
-            "instance_digest": instance_digest(state.instance),
-            **state.header,
-        }
-    )
+    trace.add(begin_event(state.instance, state.header))
     lp_initial = None
     point = None
     reuse = False

@@ -105,12 +105,12 @@ def tree_instance():
 
 def _after(patch, module, name, record):
     """Replace module.name, through patch, by a wrapper that passes each
-    result it returns to record."""
+    result it returns, then the call's arguments, to record."""
     original = getattr(module, name)
 
     def recorded(*args, **kwargs):
         result = original(*args, **kwargs)
-        record(result)
+        record(result, *args, **kwargs)
         return result
 
     patch.setattr(module, name, recorded)
@@ -144,7 +144,7 @@ def counted_core():
     counts = Counter()
 
     def count(key):
-        def record(_):
+        def record(*_):
             counts[key] += 1
 
         return record
@@ -161,8 +161,12 @@ def run_with_chain_reports(state):
     """relax(state) as (fixed mask, events, LP optimum, the report of each
     tight-chain check the run made, in order)."""
     reports = []
+
+    def record(report, *_):
+        reports.append(report)
+
     with pytest.MonkeyPatch.context() as patch:
-        _after(patch, intersection, "check_chain_token_bound", reports.append)
-        _after(patch, lattice, "check_chain_growth", reports.append)
+        _after(patch, intersection, "check_chain_token_bound", record)
+        _after(patch, lattice, "check_chain_growth", record)
         trace, lp_initial = relax.relax(state)
     return state.fmask, trace.events, lp_initial, reports

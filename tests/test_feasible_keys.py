@@ -54,10 +54,14 @@ def compared_separation():
     feasible.  Yields a Counter of "calls" and "hits" per state class."""
     counts = Counter()
     scans = []
+
+    def scanned(*call):
+        scans.append(call)
+
     with pytest.MonkeyPatch.context() as patch:
         # the scans the wrapped separators make, through the names they call
-        _after(patch, mcst, "separate_spanning_tree", scans.append)
-        _after(patch, lattice, "separate_lattice", scans.append)
+        _after(patch, mcst, "separate_spanning_tree", scanned)
+        _after(patch, lattice, "separate_lattice", scanned)
         for cls, raw in ((McstState, raw_tree), (LatticeState, raw_lattice)):
             residual = cls.residual
 
@@ -109,7 +113,7 @@ def test_separator_scans_are_counted_per_run(run, module, name, instance):
     scans = []
     counts = []
     with pytest.MonkeyPatch.context() as patch:
-        _after(patch, module, name, scans.append)
+        _after(patch, module, name, lambda *call: scans.append(call))
         for _ in range(2):
             before = len(scans)
             run(instance)

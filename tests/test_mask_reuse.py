@@ -13,9 +13,8 @@ tight rows, on claims with a tight row dropped and on claims with a
 loose row or bound added, the same rank or the same error message.
 Each reuse is also repeated with the dense reuse reference
 (tests/dense_reuse.py), which must return the same values, tight rows,
-row tags and objective.  The other tests check, run by run, that every
-solved and every reused vertex was certified, and that reuse runs no
-simplex.
+row tags and objective.  The last test checks that reuse runs no
+simplex and certifies every reused vertex.
 """
 
 import importlib.util
@@ -24,7 +23,6 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +31,7 @@ from hypothesis import strategies as st
 import dense_reuse
 import dense_rows
 import fraction_simplex
-from conftest import counted_core
+from conftest import _after, counted_core
 from dense_rows import dense_lp, dense_solution, mask_lp
 from crossopt import lpengine, relax, simplex
 from crossopt.errors import InternalCheckError
@@ -135,14 +133,11 @@ def compared_reuse():
     calls = {"solve": [], "reuse": []}
     rng = random.Random(0)
 
-    def solve(lp):
-        point = simplex.simplex_solve(lp)
+    def solved(point, lp):
         assert_same_checks(point, rng)
         calls["solve"].append(point)
-        return point
 
-    def both(state, prev):
-        point = lpengine.reuse_extreme_point(state, prev)
+    def reused(point, state, prev):
         ref = dense_reuse.reuse_extreme_point(state, prev)
         assert point.values == ref.solution.values
         assert point.x_by_id == ref.x_by_id
@@ -155,11 +150,11 @@ def compared_reuse():
         )
         assert_same_checks(point, rng)
         calls["reuse"].append((state, prev))
-        return point
 
-    with mock.patch.object(lpengine, "simplex_solve", solve):
-        with mock.patch.object(relax, "reuse_extreme_point", both):
-            yield calls
+    with pytest.MonkeyPatch.context() as patch:
+        _after(patch, lpengine, "simplex_solve", solved)
+        _after(patch, relax, "reuse_extreme_point", reused)
+        yield calls
 
 
 @pytest.mark.parametrize("seed", [0, 7919])
@@ -204,28 +199,17 @@ def small_corpora():
     return mcst_corpus(CorpusConfig(count=20)) + lattices
 
 
-def test_every_vertex_is_certified_run_by_run():
-    reused = 0
-    for instance in small_corpora():
-        with counted_core() as counts:
-            solve(instance)
-        assert counts["certificates"] == counts["solves"] + counts["reused"]
-        reused += counts["reused"]
-    assert reused > 0
-
-
 @pytest.fixture(scope="module")
 def reuse_calls():
     """(residual, prev, reused point) of every reuse in small_corpora()."""
     calls = []
     reused = Counter()
 
-    def recorded(state, prev):
-        point = lpengine.reuse_extreme_point(state, prev)
+    def recorded(point, state, prev):
         calls.append((state, prev, point))
-        return point
 
-    with mock.patch.object(relax, "reuse_extreme_point", recorded):
+    with pytest.MonkeyPatch.context() as patch:
+        _after(patch, relax, "reuse_extreme_point", recorded)
         for instance in small_corpora():
             before = len(calls)
             solve(instance)

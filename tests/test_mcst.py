@@ -9,9 +9,11 @@ from crossopt.errors import InstanceError, InternalCheckError
 from crossopt.graphs import Graph, mask_of
 from crossopt.instances import McstInstance
 from crossopt.laminar import LaminarForest
+from crossopt.lpengine import solve_to_extreme_point
 from crossopt.mcst import (
     MAX_LOCAL,
     McstState,
+    _assert_degree_accounting,
     classify_good,
     drop_round_limit,
     node_reach,
@@ -147,6 +149,51 @@ def test_integral_values_fix_then_delete(tree_instance):
     assert step["ev"] == "fix" and step["edge"] == 2
     step = step_at(state, {1: Rat(0)})
     assert step["ev"] == "delete" and step["edge"] == 1
+
+
+def edited_state(instance, nid, bound):
+    """A fresh McstState of instance with node nid's bound set to
+    bound, and the degree rows rebuilt after the edit."""
+    state = McstState(instance)
+    state.forest.node(nid).bound = bound
+    state.reshaped()
+    return state
+
+
+def test_fix_that_drives_a_bound_negative_is_refused(tree_instance):
+    # edge 1 = (1, 2) crosses node 0 = {0, 1}, whose bound 1/2 cannot
+    # drop by one
+    state = edited_state(tree_instance, 0, Rat(1, 2))
+    with pytest.raises(
+        InternalCheckError, match="fixing edge 1 drives bound of node 0 negative"
+    ):
+        state.fix_edge(1)
+
+
+def test_tighten_that_would_raise_a_bound_is_refused(tree_instance):
+    # every edge of the path is at 1, so node 0 = {0, 1} carries load 1
+    # over its edited bound 0
+    point = solve_to_extreme_point(McstState(tree_instance).residual())
+    state = edited_state(tree_instance, 0, Rat(0))
+    with pytest.raises(
+        InternalCheckError,
+        match="crossing load exceeds bound at node 0; tightening would "
+        "increase the bound",
+    ):
+        state.tighten(point)
+
+
+def test_degree_accounting_above_the_original_bound_is_refused(tree_instance):
+    state = edited_state(tree_instance, 0, Rat(2))
+    _assert_degree_accounting(state)
+    state.fix_edge(1)  # node 0's bound drops to 1, with one chosen edge
+    _assert_degree_accounting(state)
+    state.forest.node(0).bound = Rat(3, 2)
+    state.reshaped()
+    with pytest.raises(
+        InternalCheckError, match="degree accounting broke at original set 0"
+    ):
+        _assert_degree_accounting(state)
 
 
 def test_drop_children_round_even_parity():

@@ -110,23 +110,6 @@ def test_cli_reaches_covering_runs_through_module_globals(command, name, tmp_pat
     assert cli.main([command, "--in", str(inst)]) == 3
 
 
-def test_every_vertex_is_certified_through_the_simplex_global():
-    """Solved and reused vertices both reach verify_vertex_certificate
-    through crossopt.simplex's module global, where the benchmark's
-    simplex.certify wrapper sits: one call per simplex solve and one per
-    reused vertex.  counted_core counts each at those names."""
-    import random
-
-    from conftest import counted_core
-    from crossopt.mcst import run_mcst
-    from crossopt.randgen import random_mcst_instance
-
-    with counted_core() as counts:
-        run_mcst(random_mcst_instance(random.Random(76)))
-    assert counts["solves"] > 0 and counts["reused"] > 0
-    assert counts["certificates"] == counts["solves"] + counts["reused"]
-
-
 def test_mcst_classify_and_verify_fire_through_module_globals(tmp_path, monkeypatch):
     """McstState.step calls classify_good through crossopt.mcst's module
     global once per step, and a verified solve calls verify_guarantee

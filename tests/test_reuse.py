@@ -10,7 +10,6 @@ tampered previous point is refused.
 import random
 from contextlib import contextmanager
 from dataclasses import replace
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +28,7 @@ from crossopt.randgen import (
     random_mcst_instance,
 )
 from crossopt.simplex import scale_values, verify_vertex_certificate
+from conftest import _after
 from dense_rows import dense_lp, rank_of_rows
 from optimal_face import full_separation_clean
 
@@ -44,7 +44,8 @@ def cold(state, prev):
 @contextmanager
 def reuse_replaced(fn):
     """Route the solvers' reuse calls through fn(state, prev)."""
-    with mock.patch.object(relax, "reuse_extreme_point", fn):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relax, "reuse_extreme_point", fn)
         yield
 
 
@@ -55,15 +56,14 @@ def checked_reuse():
     the cold one.  Yields the list of (state, prev) calls."""
     calls = []
 
-    def checked(state, prev):
-        point = lpengine.reuse_extreme_point(state, prev)
+    def checked(point, state, prev):
         verify_vertex_certificate(point.lp, point)
         assert full_separation_clean(state, point)
         assert point.objective == lpengine.solve_to_extreme_point(state).objective
         calls.append((state, prev))
-        return point
 
-    with reuse_replaced(checked):
+    with pytest.MonkeyPatch.context() as patch:
+        _after(patch, relax, "reuse_extreme_point", checked)
         yield calls
 
 

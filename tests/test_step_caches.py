@@ -2,8 +2,8 @@
 
 ``Graph`` keeps each vertex set's cut once computed; ``McstState``
 keeps each alive node's reach, rebuilding it only after drop and merge
-steps, counts each edge's owners in bit planes, and owns one residual
-LP per run that the step events edit.  tests/uncached_steps.py
+steps, counts each edge's owners in bit planes, and keeps the degree
+rows' edge masks, which the step events edit.  tests/uncached_steps.py
 recomputes all of them on every call; these tests compare the two on
 random inputs and on every step of seeded runs.
 """

@@ -27,7 +27,7 @@ from crossopt.oracles import (
     _local_exchange_violation,
     matroid_to_lattice,
 )
-from crossopt.rational import Rat
+from crossopt.rational import Rat, render_rat
 
 
 # -- graphs --------------------------------------------------------------------
@@ -421,6 +421,20 @@ def test_round_trip_lattice_matroid_and_explicit():
     planar, _ = gen_planar_mincut_gap(2)
     clone2 = _round_trip(planar)
     assert clone2.lat.rho == planar.lat.rho
+
+
+def test_cost_of_prices_a_mask_for_every_solver_kind(
+    tree_instance, edge_cover_4cycle
+):
+    lattice = from_matroid(
+        triangle_graphic_matroid(), [1, 2, Rat(5, 2)], (), GENERAL
+    )
+    for inst in (tree_instance, edge_cover_4cycle, lattice):
+        # the report renders the empty solution's cost as "0/1"
+        assert render_rat(inst.cost_of(0)) == "0/1"
+    assert tree_instance.cost_of(0b101) == 12
+    assert edge_cover_4cycle.cost_of(0b1011) == 3
+    assert lattice.cost_of(0b110) == Rat(9, 2)
 
 
 def test_decode_rejects_bad_schema():

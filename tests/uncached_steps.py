@@ -3,12 +3,13 @@
 ``crossopt.graphs.Graph`` keeps each vertex set's cut once computed;
 ``crossopt.mcst`` keeps each alive node's reach between drop and merge
 steps, classifying nodes by reach & E', and counts each edge's owners
-in bit planes; ``crossopt.mcst.McstState`` holds one residual LP per
-run, edited by the step events.  These are the per-call versions they
-replaced: every mask is built afresh from the incidence rows, every
-owner count is taken edge by edge, and every residual LP is rebuilt
-from a forest whose bounds are lowered in rationals, so the tests can
-compare the cached and edited forms against them.
+in bit planes; ``crossopt.mcst.McstState`` keeps each degree row's edge
+mask for the run, edited by the step events, and lowers the forest's
+bounds in integers.  These are the per-call versions they replaced:
+every mask is built afresh from the incidence rows, every owner count
+is taken edge by edge, and every residual LP is rebuilt from a forest
+whose bounds are lowered in rationals, so the tests can compare the
+cached and edited forms against them.
 """
 
 from crossopt.errors import InstanceError, InternalCheckError
@@ -128,9 +129,9 @@ def tighten_degree_bounds(forest, graph, eprime, point):
 
 class RebuiltMcstState:
     """The residual state of an MCST run as it was kept before the run
-    owned one edited LP: the forest's bounds lowered in rationals, fixed
-    edges found by walking every node, and the residual LP rebuilt from
-    the forest on every call.  ``apply`` takes the step events of the
+    edited its degree rows' masks: the forest's bounds lowered in
+    rationals, fixed edges found by walking every node, and the residual
+    LP rebuilt from the forest's vertex sets on every call.  ``apply`` takes the step events of the
     run, recomputing each tighten from the point."""
 
     def __init__(self, instance):
