@@ -21,17 +21,21 @@ graph and must equal the number of products, and the blocks must hold
 n - 1 tree edges between them, so a block the decomposition split or
 lost cannot go unseen.
 
-Tree scans compare violations in integers: the bounds are scaled once
-by D, the lcm of their denominators, so each tree's worst violation is
-max(count * D - bound * D) over the rows, and only the result is turned
-back into a rational (worst / D).  The counts come from two tables, one
-row per distinct low half and high half of the tree masks, so a tree
-costs one elementwise sum.  Every tree is still visited, in the
-enumeration order, with the same smallest-mask tie-break.
+The tree scan compares violations in integers: the bounds are scaled
+once by D, the lcm of their denominators, and only the result is
+turned back into a rational (best / D).  Each tree's scaled row counts
+sit in fixed-width fields of one int, one add of a low-half and a
+high-half table entry, and a threshold is tested on every row at once
+with one add and one AND against the fields' guard bits (SWAR; Lamport
+1975, "Multiple byte processing with full-word instructions", CACM).
+The scan lowers the threshold chunk by chunk through the values a
+row can take, so every tree is still tested exactly, and the witness
+is the smallest tree mask at the minimum in either enumeration order.
 """
 
+from itertools import compress, repeat
 from math import lcm
-from operator import add
+from operator import add, not_, rshift
 
 from .errors import SizeGuardError
 from .graphs import iter_bits
@@ -40,6 +44,8 @@ from .simplex import _eliminate
 
 TREE_COUNT_GUARD = 10**6
 SUBSET_GUARD = 16
+# trees packed and tested at a time by min_max_violation_over_trees
+SCAN_CHUNK = 4096
 
 
 def _bareiss_det(mat):
@@ -231,49 +237,120 @@ def enumerate_spanning_trees(graph, limit=TREE_COUNT_GUARD, reverse=False):
     return out
 
 
-def _scaled_violations(graph, trees, bound_masks):
-    """(D, [D times each tree's worst violation max(count - bound)]),
-    with D the lcm of the bounds' denominators; 0 for every tree when
-    there are no bounds.
+class _PackedCounts(dict):
+    """Half of a tree mask -> its rows' counts times D, packed one row to
+    a field, computed on first lookup as the sum of units[i] over the
+    half's bits i; units[i] holds D in the field of each row whose mask
+    has edge i."""
 
-    A tree's count on a row is the count of its low half (edge ids below
-    the middle one) plus that of its high half.  Each distinct half gets
-    one row of scaled counts, the scaled bounds taken off the low rows,
-    so a tree costs one elementwise sum and a max."""
-    d = lcm(*(bound.denominator for _, bound in bound_masks))
-    if not bound_masks:
-        return d, [0] * len(trees)
-    mid = graph.all_edges_mask.bit_length() // 2
-    low = (1 << mid) - 1
-    lo_rows = [
-        (emask & low, bound.numerator * (d // bound.denominator))
-        for emask, bound in bound_masks
-    ]
-    hi_rows = [emask >> mid for emask, _ in bound_masks]
-    lo_table = {
-        half: [(half & m).bit_count() * d - b for m, b in lo_rows]
-        for half in {tree & low for tree in trees}
-    }
-    hi_table = {
-        half: [(half & m).bit_count() * d for m in hi_rows]
-        for half in {tree >> mid for tree in trees}
-    }
-    return d, [max(map(add, lo_table[t & low], hi_table[t >> mid])) for t in trees]
+    def __init__(self, units):
+        super().__init__()
+        self.units = units
+
+    def __missing__(self, half):
+        packed = self[half] = sum(map(self.units.__getitem__, iter_bits(half)))
+        return packed
 
 
 def min_max_violation_over_trees(graph, bound_masks, reverse=False):
     """min over spanning trees of the max additive bound violation, and
-    the smallest tree mask attaining it; no bounds means violation 0.
-    (None, None) when the graph has no spanning tree."""
+    the smallest tree mask attaining it; violation 0 at the smallest
+    tree when there are no bounds, (None, None) when the graph has no
+    spanning tree.
+
+    Scaled by D, the lcm of the bounds' denominators, row r has edge
+    mask m_r and bound B_r (an int), and a tree T with n_r = |T & m_r|
+    has value v(T) = max_r(n_r * D - B_r).  Each term is one of the
+    levels c * D - B_r with 0 <= c <= |m_r|, and v(T) >= L =
+    max_r(-B_r), so the minimum is the least level t >= L that some
+    tree passes, where T passes t when n_r * D <= t + B_r on every row.
+
+    Packing.  Let cap_r = |m_r| * D, W = max_r(cap_r).bit_length() + 1
+    and H = 2^(W-1), so 0 <= n_r * D <= cap_r < H.  Field r (bits r*W
+    to r*W + W - 1) of the int P(T) holds n_r * D: the row's count on
+    the low half of T's edge ids plus its count on the high half, so
+    P(T) is one table entry per half, added, and a field's sum stays
+    below H.  For a level t >= L, put lim_r = min(t + B_r, cap_r);
+    t + B_r >= L + B_r >= 0, so 0 <= lim_r <= cap_r, and the constant
+    C_t holds c_r = H - 1 - lim_r, with 0 <= c_r <= H - 1, in field r.
+    Then field r of P(T) + C_t is n_r * D + c_r <= cap_r + H - 1 <
+    2H = 2^W: no field carries into the next one.  Its top bit (the
+    guard, H) is set exactly when n_r * D + H - 1 - lim_r >= H, that
+    is, n_r * D > lim_r, and n_r * D > lim_r holds exactly when
+    n_r * D > t + B_r, since n_r * D <= cap_r.  So T passes t exactly
+    when (P(T) + C_t) & G == 0, with G the guard bits of every field.
+
+    Search.  The trees are sorted and packed SCAN_CHUNK at a time, so
+    no per-tree list but `trees` outlives a chunk.  A chunk is tested
+    at the level just below the least level passed so far (every tree
+    passes the top level), and while one of its trees passes, the
+    least level falls by one and the earlier witness is dropped; a
+    passing test stops at the first tree that passes, so only the last
+    test of a chunk scans it whole.  The chunk's first tree at the
+    least level is its smallest one there, and the witness is the
+    smaller of it and the earlier chunks' witness, so it is the
+    smallest tree mask at the minimum in either enumeration order."""
     trees = enumerate_spanning_trees(graph, reverse=reverse)
-    d, viols = _scaled_violations(graph, trees, bound_masks)
-    best = None
+    if not trees:
+        return None, None
+    if not bound_masks:
+        return Rat(0, 1), min(trees)
+    d = lcm(*(bound.denominator for _, bound in bound_masks))
+    rows = [
+        (emask, bound.numerator * (d // bound.denominator))
+        for emask, bound in bound_masks
+    ]
+    caps = [emask.bit_count() * d for emask, _ in rows]
+    width = max(caps).bit_length() + 1
+    top = 1 << (width - 1)
+    shifts = range(0, width * len(rows), width)
+    guard = sum(top << s for s in shifts)
+    floor = max(-b for _, b in rows)
+    levels = sorted(
+        {
+            c * d - b
+            for emask, b in rows
+            for c in range(emask.bit_count() + 1)
+            if c * d - b >= floor
+        }
+    )
+
+    def offset(level):
+        return sum(
+            (top - 1 - min(level + b, cap)) << s
+            for (_, b), cap, s in zip(rows, caps, shifts)
+        )
+
+    mid = graph.all_edges_mask.bit_length() // 2
+    low = (1 << mid) - 1
+    units = [
+        sum(d << s for (m, _), s in zip(rows, shifts) if m >> i & 1)
+        for i in range(graph.all_edges_mask.bit_length())
+    ]
+    lo_table = _PackedCounts(units[:mid])
+    hi_table = _PackedCounts(units[mid:])
+    best = len(levels)  # every tree passes levels[-1]
     witness = None
-    for tree, viol in zip(trees, viols):
-        if best is None or viol < best or (viol == best and tree < witness):
-            best = viol
-            witness = tree
-    return (None if best is None else Rat(best, d)), witness
+    for start in range(0, len(trees), SCAN_CHUNK):
+        chunk = sorted(trees[start : start + SCAN_CHUNK])
+        packed = list(
+            map(
+                add,
+                map(lo_table.__getitem__, map(low.__and__, chunk)),
+                map(hi_table.__getitem__, map(rshift, chunk, repeat(mid))),
+            )
+        )
+
+        def guards(i):
+            return map(guard.__and__, map(offset(levels[i]).__add__, packed))
+
+        while best and 0 in guards(best - 1):
+            best -= 1
+            witness = None
+        # the chunk's smallest tree at levels[best], if it has one
+        first = next(compress(chunk, map(not_, guards(best))), witness)
+        witness = first if witness is None else min(witness, first)
+    return Rat(levels[best], d), witness
 
 
 def brute_subset_opt(n, feasible_fn, costs):

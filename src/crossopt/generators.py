@@ -11,21 +11,27 @@ the search is factored through an exactly-verified product structure
 and the report says so.
 
 The exhaustive scans work in Python ints and precomputed tables: each
-set's size and ceil(size/2) are computed once, a cut's paths hit and
-layer loads come from one table per half of its bits, and the path
-lattice's order rows (as bitmasks), meet and join rows are built from
-the mixed-radix digits of the path index.  Each scan looks for a
-minimum, so once it holds an incumbent it cuts a candidate off as soon
-as the candidate's running worst reaches the incumbent (branch and
-bound): only candidates that could never replace the incumbent are
-skipped.  Candidates are visited in the same order as a plain scan,
-with the same strict-< tie-breaks, so the minima, the witnesses and the
-reports are unchanged.
+set's size and ceil(size/2) are computed once, and a cut's paths hit
+and layer loads come from one table per half of its bits.  Each scan
+looks for a minimum, so once it holds an incumbent it cuts a candidate
+off as soon as the candidate's running worst reaches the incumbent
+(branch and bound): only candidates that could never replace the
+incumbent are skipped.  Candidates are visited in the same order as a
+plain scan, with the same strict-< tie-breaks, so the minima, the
+witnesses and the reports are unchanged.  The tree scan of the
+mcst-gap instances is brute.min_max_violation_over_trees.
+
+The path lattice's order rows (as bitmasks) come from the mixed-radix
+digits of the path index.  Its meet and join rows are sums of one
+term per layer, so each is put together from blocks: the partial rows
+of the first k//2 layers and of the rest are built once, and a row is
+the concatenation, over its head partial sums h in index order, of
+its tail row with h added, each such block built once.
 """
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from itertools import chain, product
 from operator import add, and_, le, mul
 
 from .brute import edge_tree_counts, min_max_violation_over_trees
@@ -266,6 +272,19 @@ def _path_edge_mask(k, choice):
     return mask
 
 
+def _layer_rows(k, weights, pick):
+    """{digits over these layers: [sum of pick(digit, j) * weight, for
+    every choice of the j over these layers, in index order]}."""
+    rows = {(): [0]}
+    for w in weights:
+        rows = {
+            digits + (d,): [x + pick(d, j) * w for x in row for j in range(k)]
+            for digits, row in rows.items()
+            for d in range(k)
+        }
+    return rows
+
+
 def _path_lattice_tables(k, choices):
     """above, meet and join tables of the paths under the componentwise
     order of their channel choices.
@@ -274,26 +293,38 @@ def _path_lattice_tables(k, choices):
     In a layer of index weight w, the paths whose digit is at least d
     are the bits d*w..k*w-1 of every period of k*w bits, so above[a]
     is the AND over the layers of those masks at a's digits.  Meet and
-    join rows are built digit by digit: after layer l the partial row
-    lists, for every prefix (j_1..j_l) in index order, the index weight
-    of min/max(a's digit, j) summed so far."""
+    join are sums over the layers of min/max(a's digit, b's digit)
+    times the layer's weight, so with the first k//2 layers as the head
+    and the rest as the tail, row a is, for each head partial sum h of
+    a's head digits in index order, the block [h + t for t in a's tail
+    row]; the blocks are built once for each tail row and head sum."""
     weights = [k ** (k - 1 - layer) for layer in range(k)]
     digits = range(k)
     at_least = []  # at_least[layer][d]: the paths whose digit there is >= d
     for w in weights:
         starts = mask_of(range(0, k**k, k * w))  # the first bit of each period
         at_least.append([((1 << k * w) - (1 << d * w)) * starts for d in digits])
-    above, meet, join = [], [], []
-    for choice in choices:
-        meet_row, join_row = [0], [0]
-        for d, w in zip(choice, weights):
-            meet_d = [min(d, j) * w for j in digits]
-            join_d = [max(d, j) * w for j in digits]
-            meet_row = [x + y for x in meet_row for y in meet_d]
-            join_row = [x + y for x in join_row for y in join_d]
-        above.append(reduce(and_, (masks[d] for masks, d in zip(at_least, choice))))
-        meet.append(meet_row)
-        join.append(join_row)
+    above = [
+        reduce(and_, (masks[d] for masks, d in zip(at_least, choice)))
+        for choice in choices
+    ]
+    split = k // 2
+    tables = []
+    for pick in (min, max):
+        heads = _layer_rows(k, weights[:split], pick)
+        sums = set().union(*heads.values())
+        # blocks[tail digits][h]: that tail row with h added to each entry
+        blocks = {
+            tail: {h: [h + t for t in row] for h in sums}
+            for tail, row in _layer_rows(k, weights[split:], pick).items()
+        }
+        tables.append(
+            [
+                list(chain.from_iterable(map(blocks[tail].__getitem__, heads[head])))
+                for head, tail in ((c[:split], c[split:]) for c in choices)
+            ]
+        )
+    meet, join = tables
     return above, meet, join
 
 

@@ -304,8 +304,11 @@ class LatticeInstance:
                     for i in range(lat.size)
                 ],
                 "leq": [_bit_row(up, lat.size) for up in lat.above],
-                "meet": [list(row) for row in lat.meet],
-                "join": [list(row) for row in lat.join],
+                # the rows go out as they are: the table check admits
+                # only list or tuple rows of ints, and JSON writes both
+                # as arrays
+                "meet": lat.meet,
+                "join": lat.join,
             }
         return body
 

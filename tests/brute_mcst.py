@@ -2,12 +2,16 @@
 
 `brute_mcst` scans every spanning tree of an mcst instance for the
 cheapest one within every degree bound, and for the cheapest tree at
-each additive slack.  It reaches the tree enumerator and the violation
-scan through ``crossopt.brute``'s module globals, so a test that
-patches them there patches this scan too.
+each additive slack.  It reaches the tree enumerator through
+``crossopt.brute``'s module globals, so a test that patches it there
+patches this scan too.  Its per-tree violation scan
+(`_scaled_violations`) is also the reference for the packed threshold
+scan of ``brute.min_max_violation_over_trees``.
 """
 
 from dataclasses import dataclass
+from math import lcm
+from operator import add
 
 from crossopt import brute
 from crossopt.brute import TREE_COUNT_GUARD
@@ -32,9 +36,39 @@ def brute_mcst(instance):
     return _brute_tree_opt(graph, bound_masks)
 
 
+def _scaled_violations(graph, trees, bound_masks):
+    """(D, [D times each tree's worst violation max(count - bound)]),
+    with D the lcm of the bounds' denominators; 0 for every tree when
+    there are no bounds.
+
+    A tree's count on a row is the count of its low half (edge ids below
+    the middle one) plus that of its high half.  Each distinct half gets
+    one row of scaled counts, the scaled bounds taken off the low rows,
+    so a tree costs one elementwise sum and a max."""
+    d = lcm(*(bound.denominator for _, bound in bound_masks))
+    if not bound_masks:
+        return d, [0] * len(trees)
+    mid = graph.all_edges_mask.bit_length() // 2
+    low = (1 << mid) - 1
+    lo_rows = [
+        (emask & low, bound.numerator * (d // bound.denominator))
+        for emask, bound in bound_masks
+    ]
+    hi_rows = [emask >> mid for emask, _ in bound_masks]
+    lo_table = {
+        half: [(half & m).bit_count() * d - b for m, b in lo_rows]
+        for half in {tree & low for tree in trees}
+    }
+    hi_table = {
+        half: [(half & m).bit_count() * d for m in hi_rows]
+        for half in {tree >> mid for tree in trees}
+    }
+    return d, [max(map(add, lo_table[t & low], hi_table[t >> mid])) for t in trees]
+
+
 def _brute_tree_opt(graph, bound_masks, limit=TREE_COUNT_GUARD):
     trees = brute.enumerate_spanning_trees(graph, limit=limit)
-    d, viols = brute._scaled_violations(graph, trees, bound_masks)
+    d, viols = _scaled_violations(graph, trees, bound_masks)
     best = None
     witness = None
     by_slack = {}  # scaled slack -> (cost, tree)

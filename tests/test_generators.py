@@ -23,8 +23,14 @@ from crossopt.generators import (
     tree_polytope_membership_certificate,
 )
 from crossopt.graphs import iter_bits
-from crossopt.instances import canonical_json
+from crossopt.instances import (
+    LatticeInstance,
+    canonical_json,
+    decode_instance,
+    parse_json,
+)
 from crossopt.lpengine import separate_lattice
+from crossopt.oracles import LatticeOracle
 from crossopt.rational import Rat
 from crossopt.simplex import Vertex
 
@@ -265,6 +271,30 @@ def test_gap_outputs_are_pinned(kind, size, request):
     written = (canonical_json(inst.to_json()), canonical_json(rep.to_json()))
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in written)
     assert digests == GAP_DIGESTS[kind, size]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_lattice_rows_are_written_as_they_are(k):
+    """`LatticeInstance.to_json` writes the meet and join rows without
+    copying them: the path lattice's list rows, the rows of the
+    LatticeOracle decoded from its file and those rows as tuples all
+    give the pinned instance file."""
+    inst, _ = gen_planar_mincut_gap(k)
+    text = canonical_json(inst.to_json())
+    lat = decode_instance(parse_json(text, "planar-gap file")).lat
+    tupled = LatticeOracle(
+        lat.ground_n,
+        lat.rho,
+        lat.rank,
+        lat.above,
+        tuple(map(tuple, lat.meet)),
+        tuple(map(tuple, lat.join)),
+    )
+    assert type(lat.meet[0]) is list and type(inst.lat.meet[0]) is list
+    for lattice in (inst.lat, lat, tupled):
+        body = LatticeInstance(lattice, inst.costs, inst.constraints, inst.variant)
+        digest = hashlib.sha256(canonical_json(body.to_json()).encode()).hexdigest()
+        assert digest == GAP_DIGESTS["planar-gap", k][0]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

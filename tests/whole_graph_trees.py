@@ -2,8 +2,9 @@
 rewrite: the reference the package versions are checked against.
 
 ``crossopt.brute`` now enumerates spanning trees per biconnected block
-and takes their products, scans violations through tables of half-mask
-counts, and eliminates a whole row per step in ``_bareiss_det``.  The
+and takes their products, scans violations with a threshold test on
+packed half-mask counts, and eliminates a whole row per step in
+``_bareiss_det``.  The
 functions below are the original code, kept verbatim (only the imports
 are new): one contraction/deletion recursion over the whole graph with
 a union-find connectivity test per deletion, a per-tree count over
