@@ -21,18 +21,13 @@ plain scan, with the same strict-< tie-breaks, so the minima, the
 witnesses and the reports are unchanged.  The tree scan of the
 mcst-gap instances is brute.min_max_violation_over_trees.
 
-The path lattice's order rows (as bitmasks) come from the mixed-radix
-digits of the path index.  Its meet and join rows are sums of one
-term per layer, so each is put together from blocks: the partial rows
-of the first k//2 layers and of the rest are built once, and a row is
-the concatenation, over its head partial sums h in index order, of
-its tail row with h added, each such block built once.
+The planar-gap lattice is oracles.PathLattice, a product of k chains
+with its axioms proved, so no table is built, written or validated:
+the instance file names the lattice by k alone.
 """
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, product
-from operator import add, and_, le, mul
+from operator import add
 
 from .brute import edge_tree_counts, min_max_violation_over_trees
 from .errors import InstanceError, SizeGuardError
@@ -44,7 +39,12 @@ from .instances import (
     LatticeInstance,
 )
 from .lpengine import separate_lattice, separate_spanning_tree
-from .oracles import ContraPolymatroidPair, CrossingConstraint
+from .oracles import (
+    CHAIN_COUNTS,
+    ContraPolymatroidPair,
+    CrossingConstraint,
+    PathLattice,
+)
 from .rational import ONE, Rat, encode_rationals, rat_ceil, render_rat
 from .simplex import Vertex
 
@@ -244,171 +244,12 @@ def _min_violation_via_subsets(e, sets):
 # -- planar min-cut gap ---------------------------------------------------------
 
 
-def planar_gap_graph(k):
-    """Layered s-t graph: s = v_0, spine v_1..v_{k-1}, t = v_k, and k
-    parallel 2-edge channels u_{i,1}..u_{i,k} per layer i."""
-    n = (k + 1) + k * k
-    pairs = []
-    for layer in range(1, k + 1):
-        v_prev = layer - 1
-        v_next = layer
-        for j in range(k):
-            u = (k + 1) + (layer - 1) * k + j
-            pairs.append((v_prev, u))
-            pairs.append((u, v_next))
-    return Graph.from_pairs(n, pairs, [1] * len(pairs))
-
-
-def _planar_paths(k):
-    """All s-t paths as channel choices (j_1..j_k); index is mixed radix."""
-    return list(product(range(k), repeat=k))
-
-
-def _path_edge_mask(k, choice):
-    mask = 0
-    for layer, j in enumerate(choice):
-        base = 2 * (layer * k + j)
-        mask |= 1 << base | 1 << (base + 1)
-    return mask
-
-
-def _layer_rows(k, weights, pick):
-    """{digits over these layers: [sum of pick(digit, j) * weight, for
-    every choice of the j over these layers, in index order]}."""
-    rows = {(): [0]}
-    for w in weights:
-        rows = {
-            digits + (d,): [x + pick(d, j) * w for x in row for j in range(k)]
-            for digits, row in rows.items()
-            for d in range(k)
-        }
-    return rows
-
-
-def _path_lattice_tables(k, choices):
-    """above, meet and join tables of the paths under the componentwise
-    order of their channel choices.
-
-    Path b's index is the mixed-radix number of its digits (j_1..j_k).
-    In a layer of index weight w, the paths whose digit is at least d
-    are the bits d*w..k*w-1 of every period of k*w bits, so above[a]
-    is the AND over the layers of those masks at a's digits.  Meet and
-    join are sums over the layers of min/max(a's digit, b's digit)
-    times the layer's weight, so with the first k//2 layers as the head
-    and the rest as the tail, row a is, for each head partial sum h of
-    a's head digits in index order, the block [h + t for t in a's tail
-    row]; the blocks are built once for each tail row and head sum."""
-    weights = [k ** (k - 1 - layer) for layer in range(k)]
-    digits = range(k)
-    at_least = []  # at_least[layer][d]: the paths whose digit there is >= d
-    for w in weights:
-        starts = mask_of(range(0, k**k, k * w))  # the first bit of each period
-        at_least.append([((1 << k * w) - (1 << d * w)) * starts for d in digits])
-    above = [
-        reduce(and_, (masks[d] for masks, d in zip(at_least, choice)))
-        for choice in choices
-    ]
-    split = k // 2
-    tables = []
-    for pick in (min, max):
-        heads = _layer_rows(k, weights[:split], pick)
-        sums = set().union(*heads.values())
-        # blocks[tail digits][h]: that tail row with h added to each entry
-        blocks = {
-            tail: {h: [h + t for t in row] for h in sums}
-            for tail, row in _layer_rows(k, weights[split:], pick).items()
-        }
-        tables.append(
-            [
-                list(chain.from_iterable(map(blocks[tail].__getitem__, heads[head])))
-                for head, tail in ((c[:split], c[split:]) for c in choices)
-            ]
-        )
-    meet, join = tables
-    return above, meet, join
-
-
-class PathLattice:
-    """The planar-gap path lattice, held as the product of k chains
-    0 < 1 < ... < k-1, one per layer, with no table validated.
-
-    Member i is the path whose channel choices (j_1..j_k) are the
-    mixed-radix digits of i, in `_planar_paths` order.  Its image rho[i]
-    is the path's edges, two per layer (`_path_edge_mask`), and its rank
-    is 1.  Order, meet and join go digit by digit: <=, min and max.
-    Every axiom that `LatticeOracle` checks on tables holds by
-    construction (Topkis 1978 treats such products of chains):
-
-    - the digit-wise order of a product of chains is a partial order in
-      which the digit-wise min and max are the greatest lower and least
-      upper bounds, and min and max distribute over each other in a
-      chain, so the product is a distributive lattice;
-    - in each layer, the meet and the join of a and b take the two
-      channels of a and b, and a path's image is one channel's edges
-      per layer, so rho(a meet b) | rho(a join b) = rho(a) | rho(b),
-      and the same holds for &: images are submodular;
-    - the rank is the constant 1, so it is supermodular;
-    - each edge lies in one layer and one channel, so the members whose
-      image holds it are the choices with one fixed digit, which is a
-      convex set: that is the consecutive property.
-
-    The ``above``, ``meet`` and ``join`` tables that
-    `LatticeInstance.to_json` writes are built once per lattice by
-    `_path_lattice_tables`.  A written file is validated in full when
-    it is read (`LatticeOracle.from_leq`)."""
-
-    def __init__(self, k):
-        choices = _planar_paths(k)
-        self.k = k
-        self.weights = [k ** (k - 1 - layer) for layer in range(k)]
-        self.ground_n = 2 * k * k
-        self.size = len(choices)
-        self.rho = tuple(_path_edge_mask(k, c) for c in choices)
-        self.rank = (1,) * self.size
-        self.above, self.meet, self.join = _path_lattice_tables(k, choices)
-
-    def _digits(self, i):
-        return [i // w % self.k for w in self.weights]
-
-    def leq(self, i, j):
-        return all(map(le, self._digits(i), self._digits(j)))
-
-    def comparable(self, i, j):
-        return self.leq(i, j) or self.leq(j, i)
-
-    def meet_of(self, a, b):
-        digits = map(min, self._digits(a), self._digits(b))
-        return sum(map(mul, digits, self.weights))
-
-    def join_of(self, a, b):
-        digits = map(max, self._digits(a), self._digits(b))
-        return sum(map(mul, digits, self.weights))
-
-    def covers(self, mask):
-        """True when mask meets every path (every rank is 1)."""
-        return all(mask & r for r in self.rho)
-
-    def monotonicity_witness(self):
-        """(0, 1), the first pair `LatticeOracle` reports (k >= 2): every
-        image has 2k edges, so no image grows up the order, and the
-        first strictly comparable pair in row-major order is member 0
-        (all digits 0, below every member) and member 1."""
-        return (0, 1)
-
-    def inclusion_witness(self):
-        """(0, 1), the first pair `LatticeOracle` reports: images of
-        distinct paths have equal size and so are never nested, yet
-        member 0 lies below member 1."""
-        return (0, 1)
-
-
 def gen_planar_mincut_gap(k):
     """Crossing path-cover instance: 1/(2k) on every edge satisfies all
     path and layer constraints, yet any integral set hitting every path
     loads some layer with at least k edges (violation k-1)."""
-    if k not in (2, 3, 4):
+    if k not in CHAIN_COUNTS:
         raise SizeGuardError("supported sizes are 2, 3, 4")
-    graph = planar_gap_graph(k)
     lat = PathLattice(k)
     rho = lat.rho
     layer_masks = [

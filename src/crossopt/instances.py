@@ -24,10 +24,12 @@ from .errors import InstanceError
 from .graphs import ID_LIMIT, Edge, Graph, iter_bits, mask_of
 from .laminar import LaminarForest
 from .oracles import (
+    CHAIN_COUNTS,
     ContraPolymatroidPair,
     CrossingConstraint,
     LatticeOracle,
     MatroidOracle,
+    PathLattice,
     SubsetLattice,
     matroid_to_lattice,
     max_frequency,
@@ -236,9 +238,9 @@ def _check_image_inclusion_order(lat):
 
 @dataclass(frozen=True)
 class LatticeInstance:
-    # LatticeOracle (explicit tables, as every file decodes), SubsetLattice
-    # (a matroid rank table) or generators.PathLattice (planar-gap, built
-    # without table validation; to_json writes its tables)
+    # LatticeOracle (explicit tables, validated in full), SubsetLattice
+    # (a matroid rank table) or PathLattice (a product of k chains); the
+    # last two are implicit, and to_json writes them by their parameters
     lat: object
     costs: tuple
     constraints: tuple  # CrossingConstraint; lower may be None
@@ -297,6 +299,8 @@ class LatticeInstance:
         lat = self.lat
         if isinstance(lat, SubsetLattice):
             body["matroid_rank"] = list(lat.matroid.rank)
+        elif isinstance(lat, PathLattice):
+            body["lattice"] = {"product_of_chains": {"k": lat.k}}
         else:
             body["lattice"] = {
                 "members": [
@@ -435,6 +439,60 @@ def _decode_bounds(body, ground):
     )
 
 
+def _decode_chains(tables, ground):
+    """The PathLattice of a lattice object {"product_of_chains": {"k": k}}:
+    k must be an int in CHAIN_COUNTS, the ground 2k^2, and the object
+    may hold no explicit table besides."""
+    both = [key for key in ("members", "leq", "meet", "join") if key in tables]
+    if both:
+        raise InstanceError(
+            f"lattice holds both product_of_chains and explicit {both[0]}"
+        )
+    chains = tables["product_of_chains"]
+    if not isinstance(chains, dict):
+        raise InstanceError(
+            f"lattice product_of_chains must be an object, got {chains!r}"
+        )
+    k = chains["k"]
+    if type(k) is not int or k not in CHAIN_COUNTS:
+        raise InstanceError(
+            f"lattice product_of_chains k must be an integer "
+            f"{CHAIN_COUNTS[0]}..{CHAIN_COUNTS[-1]}, got {k!r}"
+        )
+    if ground != 2 * k * k:
+        raise InstanceError(
+            f"ground must be 2k^2 = {2 * k * k} for a product of {k} chains, "
+            f"got {ground}"
+        )
+    return PathLattice(k)
+
+
+def _decode_lattice(body, ground):
+    """The lattice of a lattice body: the subset lattice of its
+    matroid_rank table, else its lattice object, which is a product of
+    chains or explicit tables."""
+    if "matroid_rank" in body:
+        rank = _int_table(body["matroid_rank"], "matroid_rank")
+        return matroid_to_lattice(MatroidOracle(ground, rank))
+    tables = body["lattice"]
+    if not isinstance(tables, dict):
+        raise InstanceError(f"lattice must be an object, got {tables!r}")
+    if "product_of_chains" in tables:
+        return _decode_chains(tables, ground)
+    members = _objects(tables, "members")
+    return LatticeOracle.from_leq(
+        ground,
+        rho=[
+            _element_mask(m["rho"], ground, f"lattice member {i} rho")
+            for i, m in enumerate(members)
+        ],
+        rank=_int_table([m["rank"] for m in members], "lattice member rank"),
+        leq=tables["leq"],
+        meet=tables["meet"],
+        join=tables["join"],
+    )
+
+
 def decode_instance(body):
     if not isinstance(body, dict):
         raise InstanceError("instance must be a JSON object")
@@ -473,29 +531,9 @@ def decode_instance(body):
             return IntersectionInstance(pair, _rats(body, "cost"), cons)
         if kind == "lattice":
             ground = _count(body, "ground")
+            lat = _decode_lattice(body, ground)
             cons = _decode_bounds(body, ground)
-            costs = _rats(body, "cost")
-            if "matroid_rank" in body:
-                matroid = MatroidOracle(
-                    ground, _int_table(body["matroid_rank"], "matroid_rank")
-                )
-                return from_matroid(matroid, costs, cons, body["variant"])
-            tables = body["lattice"]
-            if not isinstance(tables, dict):
-                raise InstanceError(f"lattice must be an object, got {tables!r}")
-            members = _objects(tables, "members")
-            lat = LatticeOracle.from_leq(
-                ground,
-                rho=[
-                    _element_mask(m["rho"], ground, f"lattice member {i} rho")
-                    for i, m in enumerate(members)
-                ],
-                rank=_int_table([m["rank"] for m in members], "lattice member rank"),
-                leq=tables["leq"],
-                meet=tables["meet"],
-                join=tables["join"],
-            )
-            return LatticeInstance(lat, costs, cons, body["variant"])
+            return LatticeInstance(lat, _rats(body, "cost"), cons, body["variant"])
     except KeyError as exc:
         raise InstanceError(f"missing instance field {exc}") from exc
     raise InstanceError(f"unknown instance type {kind!r}")

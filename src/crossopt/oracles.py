@@ -4,10 +4,14 @@ Rank tables (matroid, covering pair) and explicit lattices (order,
 meet and join tables) list every subset or member, and their axioms
 are verified exhaustively at construction time.  Construction fails
 loudly with the violated axiom and a witness; nothing is ever assumed.
-Every lattice read from a file is a ``LatticeOracle`` and is validated
-in full.  The planar-gap generator's own lattice is implicit
-(``generators.PathLattice``, a product of chains, with its proof); the
-tables it writes are validated when the file is read back.
+A lattice file with explicit tables decodes to a ``LatticeOracle`` and
+is validated in full.  Two lattices are implicit, with their axioms
+proved rather than checked on tables, and a file holds only what
+defines them: a matroid's rank table, or the number of chains.
+
+The path lattice of the planar-gap instances is implicit:
+``PathLattice`` is a product of k chains, and its docstring proves
+each axiom that ``LatticeOracle`` checks.
 
 The lattice of a matroid is implicit: ``SubsetLattice`` numbers the
 subsets of the ground set by their bitmasks, and order, meet and join
@@ -60,13 +64,16 @@ covering solvers.
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, repeat
-from operator import eq, or_, sub
+from itertools import compress, product, repeat
+from operator import eq, le, mul, or_, sub
 
 from .errors import InstanceError, InternalCheckError
 from .graphs import iter_bits, mask_of
 
 MAX_GROUND = 16
+# the numbers of chains a PathLattice is built for: k^k members over
+# 2k^2 elements (the planar-gap generator's size guard)
+CHAIN_COUNTS = (2, 3, 4)
 # bytes in one packed table (module docstring): at n = 16 this allows
 # fields of 16 bytes, so spans below 2^126; wider tables are scanned
 PACK_LIMIT = 1 << 20
@@ -502,6 +509,95 @@ class SubsetLattice:
     def inclusion_witness(self):
         """None: the order is image inclusion, as rho is the identity."""
         return None
+
+
+def _planar_paths(k):
+    """All s-t paths of the planar-gap graph as channel choices
+    (j_1..j_k); a path's index is the mixed-radix number of its digits.
+
+    The graph is layered: s = v_0, spine v_1..v_{k-1}, t = v_k, and in
+    each layer k parallel channels of two edges through a vertex of
+    their own."""
+    return list(product(range(k), repeat=k))
+
+
+def _path_edge_mask(k, choice):
+    """The edges of the path that takes channel j in each layer: edges
+    2(layer k + j) and 2(layer k + j) + 1."""
+    mask = 0
+    for layer, j in enumerate(choice):
+        base = 2 * (layer * k + j)
+        mask |= 1 << base | 1 << (base + 1)
+    return mask
+
+
+class PathLattice:
+    """The planar-gap path lattice, held as the product of k chains
+    0 < 1 < ... < k-1, one per layer, with nothing tabled.
+
+    Member i is the path whose channel choices (j_1..j_k) are the
+    mixed-radix digits of i, in `_planar_paths` order.  Its image rho[i]
+    is the path's edges, two per layer (`_path_edge_mask`), and its rank
+    is 1.  Order, meet and join go digit by digit: <=, min and max.
+    Every axiom that `LatticeOracle` checks on tables holds by
+    construction (Topkis 1978 treats such products of chains):
+
+    - the digit-wise order of a product of chains is a partial order in
+      which the digit-wise min and max are the greatest lower and least
+      upper bounds, and min and max distribute over each other in a
+      chain, so the product is a distributive lattice;
+    - in each layer, the meet and the join of a and b take the two
+      channels of a and b, and a path's image is one channel's edges
+      per layer, so rho(a meet b) | rho(a join b) = rho(a) | rho(b),
+      and the same holds for &: images are submodular;
+    - the rank is the constant 1, so it is supermodular;
+    - each edge lies in one layer and one channel, so the members whose
+      image holds it are the choices with one fixed digit, which is a
+      convex set: that is the consecutive property.
+
+    An instance file names this lattice by k alone
+    (``{"product_of_chains": {"k": k}}``), and decoding builds it
+    again with nothing to validate but k."""
+
+    def __init__(self, k):
+        self.k = k
+        self.digits = _planar_paths(k)
+        self.weights = [k ** (k - 1 - layer) for layer in range(k)]
+        self.ground_n = 2 * k * k
+        self.size = len(self.digits)
+        self.rho = tuple(_path_edge_mask(k, c) for c in self.digits)
+        self.rank = (1,) * self.size
+
+    def leq(self, i, j):
+        return all(map(le, self.digits[i], self.digits[j]))
+
+    def comparable(self, i, j):
+        return self.leq(i, j) or self.leq(j, i)
+
+    def meet_of(self, a, b):
+        digits = map(min, self.digits[a], self.digits[b])
+        return sum(map(mul, digits, self.weights))
+
+    def join_of(self, a, b):
+        digits = map(max, self.digits[a], self.digits[b])
+        return sum(map(mul, digits, self.weights))
+
+    def covers(self, mask):
+        """True when mask meets every path (every rank is 1)."""
+        return all(mask & r for r in self.rho)
+
+    def monotonicity_witness(self):
+        """(0, 1), the first pair `LatticeOracle` reports (k >= 2): every
+        image has 2k edges, so no image grows up the order, and the
+        first strictly comparable pair in row-major order is member 0
+        (all digits 0, below every member) and member 1."""
+        return (0, 1)
+
+    def inclusion_witness(self):
+        """(0, 1), the first pair `LatticeOracle` reports: images of
+        distinct paths have equal size and so are never nested, yet
+        member 0 lies below member 1."""
+        return (0, 1)
 
 
 def matroid_to_lattice(matroid):

@@ -17,9 +17,8 @@ by both with the same message or accepted by both.
 from brute_mcst import BruteMcstResult
 from crossopt.brute import TREE_COUNT_GUARD, enumerate_spanning_trees
 from crossopt.errors import InstanceError
-from crossopt.generators import _planar_paths
 from crossopt.graphs import iter_bits
-from crossopt.oracles import MAX_GROUND
+from crossopt.oracles import MAX_GROUND, _planar_paths
 from crossopt.rational import ZERO, Rat, rat_ceil
 
 

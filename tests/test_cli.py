@@ -627,8 +627,9 @@ GEN_DEFAULTS = {
         "593ed009181bad7923ff0d2399615f4d20cb1bdb27be3d50374f319d8e814826",
         ("--e", "4"),
     ),
+    # the product-of-chains body, GAP_DIGESTS["planar-gap", 2]'s file
     "planar-gap": (
-        "867bfe6729f2531e3847f1c72b4418d3537ecf1ad94662161bb1a9cc01ac51c8",
+        "62c90b0f9d7ff7992b1ec3dce4768ab2714ee4c2598e762e8a87a24e78223ab9",
         ("--k", "2"),
     ),
     "edge-cover": (
@@ -916,15 +917,21 @@ def test_malformed_lattice_table_is_usage_error(case, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["verify", "solve-lattice"])
 def test_written_planar_gap_file_is_validated_on_read(command, tmp_path, capsys):
-    """The generator skips table validation (its lattice is a product of
-    chains), so a gap file is checked in full when read back: a meet pair
-    moved to another valid member is refused with the check and pair."""
-    inst = tmp_path / "planar.json"
-    assert run_cli("gen", "planar-gap", "--k", "2", "--out", str(inst)) == 0
-    body = json.loads(inst.read_text())
+    """A gap file that holds its lattice as explicit tables, as the
+    generator wrote it before the product-of-chains body, is checked in
+    full when read: a meet pair moved to another valid member is refused
+    with the check and pair."""
+    from crossopt.generators import gen_planar_mincut_gap
+    from crossopt.instances import LatticeInstance
+
+    gap, _ = gen_planar_mincut_gap(2)
+    body = LatticeInstance(
+        table_lattice.path_lattice(2), gap.costs, gap.constraints, gap.variant
+    ).to_json()
     meet = body["lattice"]["meet"]
     assert meet[1][2] == meet[2][1] == 0
     meet[1][2] = meet[2][1] = 1  # (0,1) is not below (1,0)
+    inst = tmp_path / "planar.json"
     inst.write_text(json.dumps(body))
     solution = tmp_path / "sol.json"
     solution.write_text(json.dumps({"ids": list(range(body["ground"]))}))
@@ -935,6 +942,92 @@ def test_written_planar_gap_file_is_validated_on_read(command, tmp_path, capsys)
     err = capsys.readouterr().err
     assert "meet not below both at (1,2)" in err
     assert "Traceback" not in err
+
+
+def _set_k(value):
+    return lambda body: body["lattice"]["product_of_chains"].__setitem__("k", value)
+
+
+K_RANGE = "lattice product_of_chains k must be an integer 2..4, got"
+
+# case -> (what the error must name, corruption of the `gen planar-gap
+# --k 2` body)
+BAD_CHAINS = {
+    "k-true": (f"{K_RANGE} True", _set_k(True)),
+    "k-string": (f"{K_RANGE} '4'", _set_k("4")),
+    "k-float": (f"{K_RANGE} 4.0", _set_k(4.0)),
+    "k-1": (f"{K_RANGE} 1", _set_k(1)),
+    "k-5": (f"{K_RANGE} 5", _set_k(5)),
+    "k-null": (f"{K_RANGE} None", _set_k(None)),
+    "k-missing": (
+        "missing instance field 'k'",
+        lambda body: body["lattice"]["product_of_chains"].pop("k"),
+    ),
+    "chains-number": (
+        "lattice product_of_chains must be an object, got 2",
+        lambda body: body["lattice"].update(product_of_chains=2),
+    ),
+    "chains-list": (
+        "lattice product_of_chains must be an object, got [2]",
+        lambda body: body["lattice"].update(product_of_chains=[2]),
+    ),
+    "with-meet-table": (
+        "lattice holds both product_of_chains and explicit meet",
+        lambda body: body["lattice"].update(meet=[[0]]),
+    ),
+    "with-members": (
+        "lattice holds both product_of_chains and explicit members",
+        lambda body: body["lattice"].update(members=[]),
+    ),
+    "ground-above": (
+        "ground must be 2k^2 = 8 for a product of 2 chains, got 9",
+        lambda body: body.update(ground=9),
+    ),
+    "ground-below": (
+        "ground must be 2k^2 = 8 for a product of 2 chains, got 7",
+        lambda body: body.update(ground=7),
+    ),
+    "ground-of-another-k": (
+        "ground must be 2k^2 = 18 for a product of 3 chains, got 8",
+        _set_k(3),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHAINS))
+def test_malformed_product_of_chains_is_usage_error(case, tmp_path, capsys):
+    named, corrupt = BAD_CHAINS[case]
+    inst = tmp_path / "planar.json"
+    assert run_cli("gen", "planar-gap", "--k", "2", "--out", str(inst)) == 0
+    body = json.loads(inst.read_text())
+    corrupt(body)
+    inst.write_text(json.dumps(body))
+    solution = tmp_path / "sol.json"
+    solution.write_text(json.dumps({"ids": [0]}))
+    assert run_cli("solve-lattice", "--in", str(inst), "--verify") == 2
+    assert run_cli("verify", "--in", str(inst), "--solution", str(solution)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {named}\n" * 2
+    assert "Traceback" not in err
+
+
+def test_unknown_product_of_chains_keys_are_ignored(tmp_path):
+    plain, extra = tmp_path / "plain.json", tmp_path / "extra.json"
+    assert run_cli("gen", "planar-gap", "--k", "3", "--out", str(plain)) == 0
+    body = json.loads(plain.read_text())
+    assert body["lattice"] == {"product_of_chains": {"k": 3}}
+    body["lattice"]["product_of_chains"]["order"] = "not a field"
+    extra.write_text(json.dumps(body))
+    solution = tmp_path / "sol.json"
+    solution.write_text(json.dumps({"ids": list(range(6))}))
+    reports = []
+    for inst in (plain, extra):
+        report = tmp_path / f"{inst.stem}-report.json"
+        argv = ["--in", str(inst), "--solution", str(solution), "--report", str(report)]
+        assert run_cli("verify", *argv) == 1
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["instance_digest"]
 
 
 def _id_list_cases():

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+import table_lattice
 from brute_mcst import _brute_tree_opt
 from gadget_trees import tree_to_subset, yes_case_tree
 from crossopt import oracles
@@ -228,7 +229,9 @@ def test_reduction_validates_inputs():
 # sha256 of the instance file and of the report file that
 # `crossopt gen <kind> --out --report` writes, for each generator run of
 # the benchmark's gap mix, recorded before the exhaustive scans moved to
-# integers and tables.
+# integers and tables.  The planar-gap instance files have since named
+# their lattice by k alone (a product-of-chains body); the files that
+# held its tables are pinned in TABLE_DIGESTS.
 GAP_DIGESTS = {
     ("mcst-gap", 4): (
         "593ed009181bad7923ff0d2399615f4d20cb1bdb27be3d50374f319d8e814826",
@@ -243,17 +246,27 @@ GAP_DIGESTS = {
         "bd60221a1a05482713ac8136c244da05d8bcb76bba546ea018945b886e52d5bb",
     ),
     ("planar-gap", 2): (
-        "867bfe6729f2531e3847f1c72b4418d3537ecf1ad94662161bb1a9cc01ac51c8",
+        "62c90b0f9d7ff7992b1ec3dce4768ab2714ee4c2598e762e8a87a24e78223ab9",
         "62f5bb0b1e3f3b42dd52cf4887b969db83a1dc5d10131df6ec7b9470d9814842",
     ),
     ("planar-gap", 3): (
-        "ce6bb3d8430ab1002b0a32479cbf76a4f7959a29b07d4ac9ef2e7462254111a4",
+        "bb198b0417a6b29d0ae370dff021f934ec4cd71b6e7ad94a8cb90329c6838b67",
         "8f70bd2b86cb89040c6f7473eff844dcb1987b12e8c0f7509785d3cdd78cedbc",
     ),
     ("planar-gap", 4): (
-        "bd91a04c78daa618f32620b4695571ce1743cf4567bbf15ca6a0c5a39a9393a6",
+        "2a1ed2e16dd8977f4852823e44ba4c94b6ba817481834bc9db2b45e47a9e7e48",
         "3c898334d8547bfd1cc7f20a48df4109b9352b9f5434581b924412e4aeec12ab",
     ),
+}
+
+
+# sha256 of the planar-gap instance file with its lattice written as
+# explicit leq/meet/join tables, as the generator wrote it before the
+# product-of-chains body: the tables are tests/table_lattice.py's
+TABLE_DIGESTS = {
+    2: "867bfe6729f2531e3847f1c72b4418d3537ecf1ad94662161bb1a9cc01ac51c8",
+    3: "ce6bb3d8430ab1002b0a32479cbf76a4f7959a29b07d4ac9ef2e7462254111a4",
+    4: "bd91a04c78daa618f32620b4695571ce1743cf4567bbf15ca6a0c5a39a9393a6",
 }
 
 
@@ -273,15 +286,20 @@ def test_gap_outputs_are_pinned(kind, size, request):
     assert digests == GAP_DIGESTS[kind, size]
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_lattice_rows_are_written_as_they_are(k):
-    """`LatticeInstance.to_json` writes the meet and join rows without
-    copying them: the path lattice's list rows, the rows of the
-    LatticeOracle decoded from its file and those rows as tuples all
-    give the pinned instance file."""
+    """The generator writes the product-of-chains body, and an explicit
+    lattice is written with its rows as they are: the reference tables'
+    list rows, the rows of the LatticeOracle decoded from that file and
+    those rows as tuples all give the pinned table file, which differs
+    from the generator's file only in its lattice object."""
     inst, _ = gen_planar_mincut_gap(k)
-    text = canonical_json(inst.to_json())
-    lat = decode_instance(parse_json(text, "planar-gap file")).lat
+    implicit = inst.to_json()
+    assert implicit["lattice"] == {"product_of_chains": {"k": k}}
+    reference = table_lattice.path_lattice(k)
+    body = LatticeInstance(reference, inst.costs, inst.constraints, inst.variant)
+    text = canonical_json(body.to_json())
+    lat = decode_instance(parse_json(text, "planar-gap table file")).lat
     tupled = LatticeOracle(
         lat.ground_n,
         lat.rho,
@@ -290,16 +308,20 @@ def test_lattice_rows_are_written_as_they_are(k):
         tuple(map(tuple, lat.meet)),
         tuple(map(tuple, lat.join)),
     )
-    assert type(lat.meet[0]) is list and type(inst.lat.meet[0]) is list
-    for lattice in (inst.lat, lat, tupled):
+    assert type(lat.meet[0]) is list and type(reference.meet[0]) is list
+    for lattice in (reference, lat, tupled):
         body = LatticeInstance(lattice, inst.costs, inst.constraints, inst.variant)
-        digest = hashlib.sha256(canonical_json(body.to_json()).encode()).hexdigest()
-        assert digest == GAP_DIGESTS["planar-gap", k][0]
+        written = body.to_json()
+        digest = hashlib.sha256(canonical_json(written).encode()).hexdigest()
+        assert digest == TABLE_DIGESTS[k]
+        assert {key: v for key, v in written.items() if key != "lattice"} == {
+            key: v for key, v in implicit.items() if key != "lattice"
+        }
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_planar_gap_builds_no_lattice_oracle(k, monkeypatch):
-    """The generator's lattice is implicit (generators.PathLattice): with
+    """The generator's lattice is implicit (oracles.PathLattice): with
     LatticeOracle unusable, its outputs are still the pinned ones."""
 
     def refuse(*args, **kwargs):

@@ -21,15 +21,16 @@ from brute_mcst import _brute_tree_opt
 from crossopt import brute, generators
 from crossopt.brute import TREE_COUNT_GUARD, min_max_violation_over_trees
 from crossopt.errors import InstanceError
-from crossopt.generators import (
-    _path_edge_mask,
-    _planar_paths,
-    gen_mcst_gap,
-    hadamard_sets,
-)
+from crossopt.generators import gen_mcst_gap, hadamard_sets
 from crossopt.graphs import Graph, mask_of
 from crossopt.instances import GENERAL, INCLUSION, LatticeInstance
-from crossopt.oracles import LatticeOracle, MatroidOracle, matroid_to_lattice
+from crossopt.oracles import (
+    LatticeOracle,
+    MatroidOracle,
+    _path_edge_mask,
+    _planar_paths,
+    matroid_to_lattice,
+)
 from crossopt.randgen import random_lattice_instance
 from crossopt.rational import ZERO, Rat
 
@@ -132,7 +133,7 @@ def test_planar_hitting_scan_matches_reference(k):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_planar_lattice_tables_match_reference(k):
     choices = _planar_paths(k)
-    above, meet, join = generators._path_lattice_tables(k, choices)
+    above, meet, join = table_lattice._path_lattice_tables(k, choices)
     rho, _ = planar_inputs(k)
     old = reference.planar_gap_lattice(k, rho)
     m = len(choices)
@@ -330,10 +331,7 @@ def corrupted_lattices(draw):
     elif source == "chain":
         lat = chain_lattice(rng, draw(st.integers(1, 9)))
     else:
-        k = int(source[-1])
-        rho, _ = planar_inputs(k)
-        above, meet, join = generators._path_lattice_tables(k, _planar_paths(k))
-        lat = LatticeOracle(2 * k * k, rho, [1] * len(rho), above, meet, join)
+        lat = table_lattice.path_lattice(int(source[-1]))
     tables = lattice_tables(lat)
     ground_n, rho, rank, leq, meet, join = tables
     m = len(rho)
@@ -500,9 +498,7 @@ def inclusion_cases(draw):
     elif source == "chain":
         lat = chain_lattice(rng, draw(st.integers(1, 9)))
     else:
-        rho, _ = planar_inputs(2)
-        above, meet, join = generators._path_lattice_tables(2, _planar_paths(2))
-        lat = LatticeOracle(8, rho, [1] * len(rho), above, meet, join)
+        lat = table_lattice.path_lattice(2)
     i, j = rng.randrange(lat.size), rng.randrange(lat.size)
     field = draw(st.sampled_from(["none", "leq", "rho"]))
     if field == "leq":
