@@ -23,19 +23,22 @@ lost cannot go unseen.
 
 The tree scan compares violations in integers: the bounds are scaled
 once by D, the lcm of their denominators, and only the result is
-turned back into a rational (best / D).  Each tree's scaled row counts
-sit in fixed-width fields of one int, one add of a low-half and a
-high-half table entry, and a threshold is tested on every row at once
-with one add and one AND against the fields' guard bits (SWAR; Lamport
-1975, "Multiple byte processing with full-word instructions", CACM).
-The scan lowers the threshold chunk by chunk through the values a
-row can take, so every tree is still tested exactly, and the witness
-is the smallest tree mask at the minimum in either enumeration order.
+turned back into a rational (best / D).  A tree's row counts sit in
+fixed-width fields of one int, below its edge mask, and a threshold is
+tested on every row at once with one add and one AND against the
+fields' guard bits (SWAR; Lamport 1975, "Multiple byte processing with
+full-word instructions", CACM).  The counts of a tree are the sums of
+its blocks' counts, so the scan folds the blocks one at a time and
+keeps, for each distinct vector of counts, only its smallest tree: the
+gap gadget's 4^e trees come down to at most 2^e states.  It lowers the
+threshold through the values a row can take over those states, and the
+witness is the smallest tree mask at the minimum in either enumeration
+order.
 """
 
-from itertools import compress, repeat
+from itertools import compress
 from math import lcm
-from operator import add, not_, rshift
+from operator import not_
 
 from .errors import SizeGuardError
 from .graphs import iter_bits
@@ -44,8 +47,6 @@ from .simplex import _eliminate
 
 TREE_COUNT_GUARD = 10**6
 SUBSET_GUARD = 16
-# trees packed and tested at a time by min_max_violation_over_trees
-SCAN_CHUNK = 4096
 
 
 def _bareiss_det(mat):
@@ -180,76 +181,91 @@ def _connected(edges, labels):
 
 
 def _block_trees(edges, labels, chosen, reverse, out):
-    """Append to out every spanning tree (as chosen | edge mask) of the
-    connected multigraph (edges, labels): contraction/deletion on the
-    first edge, or on the last when reverse."""
+    """Append to out, for every spanning tree of the connected multigraph
+    (edges, labels), chosen plus the sum of its edges' weights:
+    contraction/deletion on the first edge, or on the last when reverse.
+    An edge is (weight, u, v), and no two edges share a weight."""
     if len(labels) == 1:
         out.append(chosen)
         return
-    eid, u, v = edges[-1] if reverse else edges[0]
+    weight, u, v = edges[-1] if reverse else edges[0]
     contracted = []
     for tup in edges:
-        if tup[0] == eid:
+        if tup[0] == weight:
             continue
         a = u if tup[1] == v else tup[1]
         b = u if tup[2] == v else tup[2]
         if a != b:
             contracted.append((tup[0], a, b))
-    _block_trees(contracted, labels - {v}, chosen | (1 << eid), reverse, out)
-    rest = [tup for tup in edges if tup[0] != eid]
+    _block_trees(contracted, labels - {v}, chosen + weight, reverse, out)
+    rest = [tup for tup in edges if tup[0] != weight]
     if _connected(rest, labels):
         _block_trees(rest, labels, chosen, reverse, out)
 
 
-def enumerate_spanning_trees(graph, limit=TREE_COUNT_GUARD, reverse=False):
-    """All spanning trees as edge masks, each exactly once.
+def block_spanning_trees(graph, weights=None, limit=TREE_COUNT_GUARD, reverse=False):
+    """The spanning trees of each biconnected block, one list per block,
+    or None when the graph has no spanning tree.  A block's tree is the
+    sum of weights[i] over its edge ids i; weights[i] defaults to 1 << i,
+    which makes it the tree's edge mask.  The weights must be distinct.
 
-    The trees are the OR-products of one spanning tree per biconnected
-    block, each block's trees enumerated by contraction/deletion.
-    `reverse` branches on each block's last edge instead of its first
-    and takes the product over the blocks in the opposite order: every
-    block's recursion, and so every product, is built by a different
-    sequence of steps, which keeps it an independent order for
-    cross-checks.  The Kirchhoff count that guards the size is taken on
-    the whole graph, never per block, and the number of trees must equal
-    it; the blocks' vertex counts, less one each, must add up to the
-    n - 1 edges of a tree.  So a block the decomposition split, or one
-    it lost, shows as a mismatch instead of a wrong set of trees.
+    An edge set is a spanning tree exactly when it is a spanning tree of
+    every block, so the graph's trees are the products of one tree per
+    block.  `reverse` branches on each block's last edge instead of its
+    first and lists the blocks in the opposite order: every block's
+    recursion is built by a different sequence of steps, which keeps it
+    an independent order for cross-checks.  The Kirchhoff count that
+    guards the size is taken on the whole graph, never per block, and
+    the product of the blocks' tree counts must equal it; the blocks'
+    vertex counts, less one each, must add up to the n - 1 edges of a
+    tree.  So a block the decomposition split, or one it lost, shows as
+    a mismatch instead of a wrong set of trees.
     """
     count = kirchhoff_count(graph)
     if count > limit:
         raise SizeGuardError(f"{count} spanning trees exceeds guard {limit}")
     if graph.n == 0:
-        return []
+        return None
     blocks = _blocks(graph)
     if blocks is None:
-        return []
-    out = [0]
+        return None
+    if weights is None:
+        weights = {e.id: 1 << e.id for e in graph.edges}
+    per_block = []
     tree_size = 0
+    product = 1
     for block in reversed(blocks) if reverse else blocks:
         labels = frozenset(x for _, u, v in block for x in (u, v))
         tree_size += len(labels) - 1
         trees = []
-        _block_trees(block, labels, 0, reverse, trees)
-        out = [head | tail for head in out for tail in trees]
+        _block_trees([(weights[i], u, v) for i, u, v in block], labels, 0, reverse, trees)
+        product *= len(trees)
+        per_block.append(trees)
     assert tree_size == graph.n - 1, "blocks do not cover the graph"
-    assert len(out) == count, "enumeration disagrees with Kirchhoff count"
+    assert product == count, "enumeration disagrees with Kirchhoff count"
+    return per_block
+
+
+def enumerate_spanning_trees(graph, limit=TREE_COUNT_GUARD, reverse=False):
+    """All spanning trees as edge masks, each exactly once: the
+    OR-products of one tree per block of block_spanning_trees, taken in
+    its order."""
+    per_block = block_spanning_trees(graph, limit=limit, reverse=reverse)
+    if per_block is None:
+        return []
+    out = [0]
+    for trees in per_block:
+        out = [head | tail for head in out for tail in trees]
     return out
 
 
-class _PackedCounts(dict):
-    """Half of a tree mask -> its rows' counts times D, packed one row to
-    a field, computed on first lookup as the sum of units[i] over the
-    half's bits i; units[i] holds D in the field of each row whose mask
-    has edge i."""
-
-    def __init__(self, units):
-        super().__init__()
-        self.units = units
-
-    def __missing__(self, half):
-        packed = self[half] = sum(map(self.units.__getitem__, iter_bits(half)))
-        return packed
+def _least_per_state(sums, counts):
+    """Of the ints in sums, which hold a packed state in their `counts`
+    bits and a tree mask above them, the one with the smallest mask for
+    each state.  Sorted from the largest down, the last one a dict keeps
+    for a state is that state's smallest."""
+    sums = sorted(sums, reverse=True)
+    return list(dict(zip(map(counts.__and__, sums), sums)).values())
 
 
 def min_max_violation_over_trees(graph, bound_masks, reverse=False):
@@ -265,92 +281,95 @@ def min_max_violation_over_trees(graph, bound_masks, reverse=False):
     max_r(-B_r), so the minimum is the least level t >= L that some
     tree passes, where T passes t when n_r * D <= t + B_r on every row.
 
-    Packing.  Let cap_r = |m_r| * D, W = max_r(cap_r).bit_length() + 1
-    and H = 2^(W-1), so 0 <= n_r * D <= cap_r < H.  Field r (bits r*W
-    to r*W + W - 1) of the int P(T) holds n_r * D: the row's count on
-    the low half of T's edge ids plus its count on the high half, so
-    P(T) is one table entry per half, added, and a field's sum stays
-    below H.  For a level t >= L, put lim_r = min(t + B_r, cap_r);
-    t + B_r >= L + B_r >= 0, so 0 <= lim_r <= cap_r, and the constant
+    Packing.  Let W = max_r(|m_r|).bit_length() + 1 and H = 2^(W-1), so
+    0 <= n_r <= |m_r| < H.  Field r (bits r*W to r*W + W - 1) of the int
+    P(T) holds n_r, and T's mask sits above all R fields, from bit S =
+    R*W: T's sum is T * 2^S + P(T).  The fields hold counts, not counts
+    times D, so their width does not grow with the bounds' denominators.
+    As n_r is an integer, n_r * D <= t + B_r exactly when n_r <= (t +
+    B_r) // D.  For a level t >= L, t + B_r >= L + B_r >= 0, so lim_r =
+    min((t + B_r) // D, |m_r|) has 0 <= lim_r <= |m_r|, and the constant
     C_t holds c_r = H - 1 - lim_r, with 0 <= c_r <= H - 1, in field r.
-    Then field r of P(T) + C_t is n_r * D + c_r <= cap_r + H - 1 <
-    2H = 2^W: no field carries into the next one.  Its top bit (the
-    guard, H) is set exactly when n_r * D + H - 1 - lim_r >= H, that
-    is, n_r * D > lim_r, and n_r * D > lim_r holds exactly when
-    n_r * D > t + B_r, since n_r * D <= cap_r.  So T passes t exactly
-    when (P(T) + C_t) & G == 0, with G the guard bits of every field.
+    Then field r of P(T) + C_t is n_r + c_r <= |m_r| + H - 1 < 2H = 2^W:
+    no field carries into the next one, nor the last into the mask.  Its
+    top bit (the guard, H) is set exactly when n_r + H - 1 - lim_r >= H,
+    that is, n_r > lim_r, and n_r > lim_r holds exactly when n_r > (t +
+    B_r) // D, since n_r <= |m_r|.  So T passes t exactly when (sum +
+    C_t) & G == 0, with G the guard bits of every field.
 
-    Search.  The trees are sorted and packed SCAN_CHUNK at a time, so
-    no per-tree list but `trees` outlives a chunk.  A chunk is tested
-    at the level just below the least level passed so far (every tree
-    passes the top level), and while one of its trees passes, the
-    least level falls by one and the earlier witness is dropped; a
-    passing test stops at the first tree that passes, so only the last
-    test of a chunk scans it whole.  The chunk's first tree at the
-    least level is its smallest one there, and the witness is the
-    smaller of it and the earlier chunks' witness, so it is the
-    smallest tree mask at the minimum in either enumeration order."""
-    trees = enumerate_spanning_trees(graph, reverse=reverse)
-    if not trees:
-        return None, None
-    if not bound_masks:
-        return Rat(0, 1), min(trees)
+    Fold.  Each edge weighs 2^(S + id) plus 1 in the field of each row
+    whose mask holds it, and block_spanning_trees gives each block's
+    trees as the sums of their weights.  The blocks share no edge, so
+    the mask of a product of block trees is the sum of their masks, and
+    each row's count is the sum of the blocks' counts on it.  No field
+    carries as partial sums are added: a partial count of row r never
+    exceeds the whole count n_r <= |m_r| < H, so P of a product is the
+    sum of the blocks' P.  The value and the pass test depend on T only
+    through P(T), so at each distinct P, a state, only the smallest mask
+    matters.  Each block's trees are cut down to the smallest one per
+    state, and the blocks are folded one at a time, states[p + q] =
+    min(states[p] + local[q]).  This is exact: the smallest of the sums
+    a + b, with a and b drawn from two sets apart, is the sum of the two
+    sets' smallest, and the masks of distinct blocks are disjoint, so
+    their sum is their union.  The states at the end are every P some
+    tree has, each at its smallest tree.
+
+    Search.  The states are tested in ascending mask order, at the
+    level just below the least level passed so far (every state passes
+    the top level), and while one passes, the least level falls by one;
+    a passing test stops at the first state that passes.  Every tree at
+    the minimum has its state's smallest tree at or below it, which
+    passes too, so the first state to pass the least level is the
+    smallest tree mask at the minimum, in either enumeration order."""
     d = lcm(*(bound.denominator for _, bound in bound_masks))
     rows = [
         (emask, bound.numerator * (d // bound.denominator))
         for emask, bound in bound_masks
     ]
-    caps = [emask.bit_count() * d for emask, _ in rows]
-    width = max(caps).bit_length() + 1
+    sizes = [emask.bit_count() for emask, _ in rows]
+    width = max(sizes, default=0).bit_length() + 1
     top = 1 << (width - 1)
     shifts = range(0, width * len(rows), width)
+    span = width * len(rows)
+    weights = {
+        e.id: (1 << (span + e.id))
+        + sum(1 << s for (m, _), s in zip(rows, shifts) if m >> e.id & 1)
+        for e in graph.edges
+    }
+    per_block = block_spanning_trees(graph, weights, reverse=reverse)
+    if per_block is None:
+        return None, None
+    counts = (1 << span) - 1
+    states = [0]
+    for trees in per_block:
+        local = _least_per_state(trees, counts)
+        states = _least_per_state([p + q for p in states for q in local], counts)
+    states.sort()
+    if not rows:
+        return Rat(0, 1), states[0] >> span
     guard = sum(top << s for s in shifts)
     floor = max(-b for _, b in rows)
     levels = sorted(
         {
             c * d - b
-            for emask, b in rows
-            for c in range(emask.bit_count() + 1)
+            for size, (_, b) in zip(sizes, rows)
+            for c in range(size + 1)
             if c * d - b >= floor
         }
     )
 
-    def offset(level):
-        return sum(
-            (top - 1 - min(level + b, cap)) << s
-            for (_, b), cap, s in zip(rows, caps, shifts)
+    def guards(i):
+        offset = sum(
+            (top - 1 - min((levels[i] + b) // d, size)) << s
+            for (_, b), size, s in zip(rows, sizes, shifts)
         )
+        return map(guard.__and__, map(offset.__add__, states))
 
-    mid = graph.all_edges_mask.bit_length() // 2
-    low = (1 << mid) - 1
-    units = [
-        sum(d << s for (m, _), s in zip(rows, shifts) if m >> i & 1)
-        for i in range(graph.all_edges_mask.bit_length())
-    ]
-    lo_table = _PackedCounts(units[:mid])
-    hi_table = _PackedCounts(units[mid:])
-    best = len(levels)  # every tree passes levels[-1]
-    witness = None
-    for start in range(0, len(trees), SCAN_CHUNK):
-        chunk = sorted(trees[start : start + SCAN_CHUNK])
-        packed = list(
-            map(
-                add,
-                map(lo_table.__getitem__, map(low.__and__, chunk)),
-                map(hi_table.__getitem__, map(rshift, chunk, repeat(mid))),
-            )
-        )
-
-        def guards(i):
-            return map(guard.__and__, map(offset(levels[i]).__add__, packed))
-
-        while best and 0 in guards(best - 1):
-            best -= 1
-            witness = None
-        # the chunk's smallest tree at levels[best], if it has one
-        first = next(compress(chunk, map(not_, guards(best))), witness)
-        witness = first if witness is None else min(witness, first)
-    return Rat(levels[best], d), witness
+    best = len(levels)  # every state passes levels[-1]
+    while best and 0 in guards(best - 1):
+        best -= 1
+    witness = next(compress(states, map(not_, guards(best))))
+    return Rat(levels[best], d), witness >> span
 
 
 def brute_subset_opt(n, feasible_fn, costs):

@@ -19,7 +19,8 @@ off as soon as the candidate's running worst reaches the incumbent
 incumbent are skipped.  Candidates are visited in the same order as a
 plain scan, with the same strict-< tie-breaks, so the minima, the
 witnesses and the reports are unchanged.  The tree scan of the
-mcst-gap instances is brute.min_max_violation_over_trees.
+mcst-gap instances is brute.min_max_violation_over_trees, a fold over
+the gadgets' 4-cycles that never lists the 4^e trees.
 
 The planar-gap lattice is oracles.PathLattice, a product of k chains
 with its axioms proved, so no table is built, written or validated:

@@ -13,10 +13,8 @@ from crossopt.rational import Rat
 
 @pytest.fixture(scope="session")
 def mcst_gap_e8():
-    """gen_mcst_gap(8): (instance, report).  Deterministic and about 2.7 s
-    to certify (2-vCPU Xeon VM, Python 3.11, Fraction backend), most of it
-    enumerating the 65536 trees twice, so it is built once for every test
-    that reads it."""
+    """gen_mcst_gap(8): (instance, report).  Deterministic, and built
+    once for every test that reads it."""
     return gen_mcst_gap(8)
 
 

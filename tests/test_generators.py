@@ -5,7 +5,7 @@ import pytest
 import table_lattice
 from brute_mcst import _brute_tree_opt
 from gadget_trees import tree_to_subset, yes_case_tree
-from crossopt import oracles
+from crossopt import brute, oracles
 from crossopt.brute import (
     TREE_COUNT_GUARD,
     enumerate_spanning_trees,
@@ -332,3 +332,19 @@ def test_planar_gap_builds_no_lattice_oracle(k, monkeypatch):
     written = (canonical_json(inst.to_json()), canonical_json(rep.to_json()))
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in written)
     assert digests == GAP_DIGESTS["planar-gap", k]
+
+
+@pytest.mark.parametrize("e", [4, 8])
+def test_mcst_gap_lists_no_whole_graph_trees(e, monkeypatch):
+    """The gap's tree scan folds the gadgets' blocks and never lists the
+    4^e trees of the whole graph: with enumerate_spanning_trees unusable,
+    its outputs are still the pinned ones."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen_mcst_gap listed every spanning tree")
+
+    monkeypatch.setattr(brute, "enumerate_spanning_trees", refuse)
+    inst, rep = gen_mcst_gap(e)
+    written = (canonical_json(inst.to_json()), canonical_json(rep.to_json()))
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in written)
+    assert digests == GAP_DIGESTS["mcst-gap", e]

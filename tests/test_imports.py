@@ -117,7 +117,9 @@ def definitions(tree):
 
 def references(tree):
     """Counter of the names tree reads as a Name, an Attribute or an
-    import."""
+    import, or names as the function a benchmark Boundary(span, module,
+    attr) wraps: perfbench/tracing.py looks that function up by its name,
+    and tests/test_perfbench_boundaries.py requires it to exist."""
     found = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -126,6 +128,14 @@ def references(tree):
             found[node.attr] += 1
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             found.update(alias.name.split(".")[-1] for alias in node.names)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "Boundary"
+            and len(node.args) >= 3
+            and isinstance(node.args[2], ast.Constant)
+        ):
+            found[node.args[2].value] += 1
     return found
 
 
@@ -180,6 +190,12 @@ def test_unreferenced_definitions_are_found():
     assert unreferenced(modules, readers) == [
         ("a.py", "SPARE"), ("a.py", "lonely"), ("a.py", "closed")
     ]
+
+
+def test_benchmark_boundaries_are_references():
+    modules = {"a.py": "def wrapped():\n    pass\ndef lonely():\n    pass\n"}
+    readers = ['Boundary("a.wrapped", "a", "wrapped")\nBoundary("a.other", "a")\n']
+    assert unreferenced(modules, readers) == [("a.py", "lonely")]
 
 
 def declared_fields(tree):

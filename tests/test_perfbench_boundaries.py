@@ -40,20 +40,22 @@ def test_boundary_exists(boundary):
 
 
 def test_gap_certify_spans_fire_through_module_globals(monkeypatch):
-    """gen_mcst_gap reaches the tree enumerator and the Kirchhoff count
-    through crossopt.brute's module globals, where the benchmark's
-    brute.tree_enum and brute.kirchhoff wrappers sit, and calls the
-    violation scan by the name it imports, once per order."""
+    """gen_mcst_gap reaches the block-tree source and the Kirchhoff
+    count through crossopt.brute's module globals, where the benchmark's
+    wrappers can sit, once per order, and calls the violation scan by the
+    name it imports, once per order.  The whole-graph tree list is not
+    built, so the benchmark's brute.tree_enum span, which wraps
+    enumerate_spanning_trees, stays empty on this path."""
     from crossopt import brute, generators
 
-    calls = {"enum": [], "kirchhoff": 0, "scan": 0}
-    enumerate_trees = brute.enumerate_spanning_trees
+    calls = {"blocks": [], "kirchhoff": 0, "scan": 0}
+    block_trees = brute.block_spanning_trees
     kirchhoff = brute.kirchhoff_count
     scan = generators.min_max_violation_over_trees
 
-    def counted_enumerate(graph, limit=brute.TREE_COUNT_GUARD, reverse=False):
-        calls["enum"].append(reverse)
-        return enumerate_trees(graph, limit=limit, reverse=reverse)
+    def counted_blocks(graph, weights=None, limit=brute.TREE_COUNT_GUARD, reverse=False):
+        calls["blocks"].append(reverse)
+        return block_trees(graph, weights, limit=limit, reverse=reverse)
 
     def counted_kirchhoff(graph):
         calls["kirchhoff"] += 1
@@ -63,11 +65,11 @@ def test_gap_certify_spans_fire_through_module_globals(monkeypatch):
         calls["scan"] += 1
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(brute, "enumerate_spanning_trees", counted_enumerate)
+    monkeypatch.setattr(brute, "block_spanning_trees", counted_blocks)
     monkeypatch.setattr(brute, "kirchhoff_count", counted_kirchhoff)
     monkeypatch.setattr(generators, "min_max_violation_over_trees", counted_scan)
     generators.gen_mcst_gap(4)
-    assert calls == {"enum": [False, True], "kirchhoff": 2, "scan": 2}
+    assert calls == {"blocks": [False, True], "kirchhoff": 2, "scan": 2}
 
 
 def test_run_lattice_events_carry_solve_vertices():
