@@ -119,7 +119,13 @@ def references(tree):
     """Counter of the names tree reads as a Name, an Attribute or an
     import, or names as the function a benchmark Boundary(span, module,
     attr) wraps: perfbench/tracing.py looks that function up by its name,
-    and tests/test_perfbench_boundaries.py requires it to exist."""
+    and tests/test_perfbench_boundaries.py requires it to exist.
+
+    The Boundary rule is temporary. Only `enumerate_spanning_trees` needs
+    it: src/ no longer calls it, and the `brute.tree_enum` boundary still
+    names it. Once that boundary wraps `block_spanning_trees` and the
+    enumerator moves to tests/, drop the rule unless another boundary
+    then needs it."""
     found = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):

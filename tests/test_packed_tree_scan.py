@@ -154,6 +154,10 @@ def test_fixed_cases_are_what_they_claim():
     scan and the block enumeration, so a change to either cannot quietly
     void them."""
     trees = enumerate_spanning_trees(K7)
+    graph, bounds = FIXED["negative-bound-below-every-count"]
+    assert per_tree_minimum(graph, bounds, False)[0] >= 2
+    graph, bounds = FIXED["threshold-at-row-load"]
+    assert per_tree_minimum(graph, bounds, False)[0] == 0
     d, viols = _scaled_violations(K7, trees, FIXED["ties-at-the-minimum"][1])
     assert min(viols) == 0 and viols.count(0) > 1
     value, witness = per_tree_minimum(K7, FIXED["minimum-only-without-edge-0"][1], False)
