@@ -40,7 +40,7 @@ from itertools import compress
 from math import lcm
 from operator import not_
 
-from .errors import SizeGuardError
+from .errors import InternalCheckError, SizeGuardError
 from .graphs import iter_bits
 from .rational import ZERO, Rat
 from .simplex import _eliminate
@@ -241,8 +241,10 @@ def block_spanning_trees(graph, weights=None, limit=TREE_COUNT_GUARD, reverse=Fa
         _block_trees([(weights[i], u, v) for i, u, v in block], labels, 0, reverse, trees)
         product *= len(trees)
         per_block.append(trees)
-    assert tree_size == graph.n - 1, "blocks do not cover the graph"
-    assert product == count, "enumeration disagrees with Kirchhoff count"
+    if tree_size != graph.n - 1:
+        raise InternalCheckError("blocks do not cover the graph")
+    if product != count:
+        raise InternalCheckError("enumeration disagrees with Kirchhoff count")
     return per_block
 
 

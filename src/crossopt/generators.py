@@ -13,14 +13,17 @@ and the report says so.
 The exhaustive scans work in Python ints and precomputed tables: each
 set's size and ceil(size/2) are computed once, and a cut's paths hit
 and layer loads come from one table per half of its bits.  Each scan
-looks for a minimum, so once it holds an incumbent it cuts a candidate
-off as soon as the candidate's running worst reaches the incumbent
-(branch and bound): only candidates that could never replace the
-incumbent are skipped.  Candidates are visited in the same order as a
-plain scan, with the same strict-< tie-breaks, so the minima, the
-witnesses and the reports are unchanged.  The tree scan of the
-mcst-gap instances is brute.min_max_violation_over_trees, a fold over
-the gadgets' 4-cycles that never lists the 4^e trees.
+looks for a minimum, so once it holds an incumbent it skips what could
+never replace it: the set scans cut a candidate off as soon as its
+running worst reaches the incumbent (branch and bound), and the
+hitting-set scan visits only the low halves whose layer loads fit
+under the room the incumbent leaves.  Candidates are visited in the
+same order as a plain scan, with the same strict-< tie-breaks, so the
+minima, the witnesses and the reports are unchanged.  The discrepancy
+scan's two orders split the subsets between them by complement, so
+the pair visits each subset once.  The tree scan of the mcst-gap
+instances is brute.min_max_violation_over_trees, a fold over the
+gadgets' 4-cycles that never lists the 4^e trees.
 
 The planar-gap lattice is oracles.PathLattice, a product of k chains
 with its axioms proved, so no table is built, written or validated:
@@ -28,10 +31,10 @@ the instance file names the lattice by k alone.
 """
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, le
 
 from .brute import edge_tree_counts, min_max_violation_over_trees
-from .errors import InstanceError, SizeGuardError
+from .errors import InstanceError, InternalCheckError, SizeGuardError
 from .graphs import ID_LIMIT, Graph, iter_bits, mask_of
 from .instances import (
     GENERAL,
@@ -132,11 +135,29 @@ def hadamard_sets(e):
 
 
 def brute_discrepancy(sets, e, reverse=False):
-    """min over X of max_j | |X & S_j| - |complement & S_j| |, exhaustive."""
+    """min over X of max_j | |X & S_j| - |complement & S_j| |, and the
+    first minimiser X in scan order, for sets S_j inside [e].
+
+    The two orders split the subsets of [e] between them: the forward
+    call scans X < 2^(e-1) in ascending order, the reverse call
+    X >= 2^(e-1) in descending order, so the pair visits every subset
+    exactly once.  The complement X' = [e] - X keeps every imbalance,
+    |2|X' & S| - |S|| = |2|X & S| - |S||, and flips bit e - 1, so it maps
+    each half onto the other: either half holds the minimum over all
+    subsets, and the two calls re-derive each other's value, so
+    comparing them stays a full cross-check.  Even without that lemma,
+    two halves that agree hold the minimum over all subsets.  The half a
+    call scans is the one a full scan in its order meets first, so the
+    call's witness is that scan's first minimiser."""
     sized = [(s, s.bit_count()) for s in sets]
     best = None
     witness = None
-    space = range((1 << e) - 1, -1, -1) if reverse else range(1 << e)
+    if e == 0:
+        space = range(1)  # the one subset of the empty ground set
+    elif reverse:
+        space = range((1 << e) - 1, (1 << (e - 1)) - 1, -1)
+    else:
+        space = range(1 << (e - 1))
     for x in space:
         worst = 0
         for s, size in sized:
@@ -177,10 +198,11 @@ def gen_mcst_gap(e):
     for emask, limit in bounds:
         if Rat(3, 4) * emask.bit_count() > limit:
             feasible = False
+    # the two orders scan complementary halves of the subsets
     rho, rho_witness = brute_discrepancy(sets, e)
     rho_rev, _ = brute_discrepancy(sets, e, reverse=True)
     if rho != rho_rev:
-        raise SizeGuardError("discrepancy re-enumeration disagreed")
+        raise InternalCheckError("discrepancy re-enumeration disagreed")
 
     details = {
         "discrepancy": rho,
@@ -193,10 +215,10 @@ def gen_mcst_gap(e):
         viol, witness = min_max_violation_over_trees(graph, bounds)
         viol_rev, _ = min_max_violation_over_trees(graph, bounds, reverse=True)
         if viol != viol_rev:
-            raise SizeGuardError("violation re-enumeration disagreed")
+            raise InternalCheckError("violation re-enumeration disagreed")
         via_subsets = _min_violation_via_subsets(e, sets)
         if Rat(via_subsets) != viol:
-            raise SizeGuardError(
+            raise InternalCheckError(
                 "tree-level and gadget-subset violation search disagree"
             )
         if e == 4:
@@ -274,7 +296,7 @@ def gen_planar_mincut_gap(k):
             k, rho, layer_masks, reverse=True
         )
         if viol != viol_rev:
-            raise SizeGuardError("hitting-set re-enumeration disagreed")
+            raise InternalCheckError("hitting-set re-enumeration disagreed")
         method = "subset-exhaustive"
     else:
         viol, witness = _min_hitting_violation_layered(k)
@@ -315,16 +337,26 @@ def _layer_load_table(layer_masks, shift, width):
 
 
 def _min_hitting_violation_exhaustive(k, rho, layer_masks, reverse=False):
-    """min over all hitting sets of (max layer load - 1), full 2^|E| scan.
+    """min over all hitting sets of (max layer load - 1): an exhaustive
+    scan of the 2^|E| cuts that skips only cuts which cannot win.
 
     Each cut is split into its low and high halves of bits; a table per
     half gives the paths that half hits, so "hits every path" is one OR
     and one compare, and a cut's load on a layer is the sum of its two
     halves' loads.  Cuts are visited in the order of the plain scan
-    (high half outer, low half inner).  Once a cut is held, a high half
-    whose own load on some layer already reaches the incumbent is
-    skipped whole, and a cut's layers are summed only until it cannot
-    win: no skipped cut could have replaced the incumbent."""
+    (high half outer, low half inner), and only a strictly smaller
+    violation replaces the incumbent.
+
+    A cut replaces the incumbent, of violation cap, exactly when it hits
+    every path and loads no layer above cap.  So for a high half with
+    layer loads b, only the low halves whose loads fit under the room
+    cap - b on every layer are visited: the low halves are grouped once
+    by their load vector, and the groups that fit are merged back into
+    scan order, once per distinct room.  A skipped cut loads some layer
+    above cap, so it could not have replaced the incumbent, and the
+    first cut accepted is the one the plain scan accepts.  The hit test
+    and the full load test stay in the inner loop, because cap falls
+    whenever a cut is accepted, even in the middle of a high half."""
     nbits = 2 * k * k
     low = nbits // 2
     low_hits = _path_hit_table(rho, 0, low)
@@ -336,6 +368,10 @@ def _min_hitting_violation_exhaustive(k, rho, layer_masks, reverse=False):
     highs = range(len(high_hits))
     if reverse:
         lows, highs = lows[::-1], highs[::-1]
+    groups = {}  # low-half load vector -> its low halves, in scan order
+    for lo in lows:
+        groups.setdefault(tuple(low_loads[lo]), []).append(lo)
+    fitting = {}  # room -> the low halves that fit under it, in scan order
     best = None
     witness = None
     cap = nbits  # a cut with a layer load above cap cannot win
@@ -344,16 +380,23 @@ def _min_hitting_violation_exhaustive(k, rho, layer_masks, reverse=False):
         loads = high_loads[high]
         if max(loads, default=0) > cap:
             continue
-        for lo in lows:
+        room = tuple(cap - b for b in loads)
+        fits = fitting.get(room)
+        if fits is None:
+            fits = fitting[room] = sorted(
+                (
+                    lo
+                    for key, group in groups.items()
+                    if all(map(le, key, room))
+                    for lo in group
+                ),
+                reverse=reverse,
+            )
+        for lo in fits:
             if low_hits[lo] | hit != every:
                 continue
-            worst = 0
-            for a, b in zip(low_loads[lo], loads):
-                if a + b > worst:
-                    worst = a + b
-                    if worst > cap:
-                        break
-            if best is None or worst - 1 < best:
+            worst = max(map(add, low_loads[lo], loads), default=0)
+            if worst <= cap:
                 best = cap = worst - 1
                 witness = high << low | lo
     return best, witness

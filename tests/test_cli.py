@@ -7,7 +7,7 @@ import pytest
 
 import table_lattice
 from crossopt.brute import SUBSET_GUARD, enumerate_spanning_trees
-from crossopt import cli
+from crossopt import brute, cli, generators
 from crossopt.cli import MAX_JOBS, main
 from crossopt.graphs import iter_bits
 from crossopt.instances import canonical_json, dump_instance, write_text
@@ -750,6 +750,52 @@ def test_internal_invariant_maps_to_exit_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_module, "run_mcst", boom)
     assert run_cli("solve-mcst", "--in", str(inst)) == 3
+
+
+def _reverse_reads_one_more(scan):
+    """scan, except that its reverse call's value is one larger."""
+
+    def patched(*args, reverse=False):
+        value, witness = scan(*args, reverse=reverse)
+        return (value + 1 if reverse else value), witness
+
+    return patched
+
+
+# (module, name, patch, gen arguments, message): each patch breaks one
+# cross-check a gap generator makes before it writes anything
+GAP_CROSS_CHECKS = [
+    (generators, "brute_discrepancy", _reverse_reads_one_more,
+     ("mcst-gap", "--e", "4"), "discrepancy re-enumeration disagreed"),
+    (generators, "min_max_violation_over_trees", _reverse_reads_one_more,
+     ("mcst-gap", "--e", "4"), "violation re-enumeration disagreed"),
+    (generators, "_min_violation_via_subsets", lambda scan: lambda *a: scan(*a) + 1,
+     ("mcst-gap", "--e", "4"),
+     "tree-level and gadget-subset violation search disagree"),
+    (brute, "kirchhoff_count", lambda count: lambda graph: count(graph) + 1,
+     ("mcst-gap", "--e", "4"), "enumeration disagrees with Kirchhoff count"),
+    (brute, "_blocks", lambda blocks: lambda graph: blocks(graph)[1:],
+     ("mcst-gap", "--e", "4"), "blocks do not cover the graph"),
+    (generators, "_min_hitting_violation_exhaustive", _reverse_reads_one_more,
+     ("planar-gap", "--k", "2"), "hitting-set re-enumeration disagreed"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, patch, gen_args, message",
+    GAP_CROSS_CHECKS,
+    ids=[case[-1] for case in GAP_CROSS_CHECKS],
+)
+def test_gap_cross_check_failures_exit_3(
+    module, name, patch, gen_args, message, tmp_path, monkeypatch, capsys
+):
+    """A generator whose two scans disagree has hit a broken invariant,
+    not bad input: exit 3 with the message, and no instance written."""
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    out = tmp_path / "gap.json"
+    assert run_cli("gen", *gen_args, "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"internal invariant failure: {message}\n"
+    assert not out.exists()
 
 
 def test_timing_field_is_opt_in(tmp_path):

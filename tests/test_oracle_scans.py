@@ -243,6 +243,54 @@ def test_set_family_scans_match_reference(case):
         )
 
 
+class RecordingSet(int):
+    """A set mask that records every x intersected with it (x & self)."""
+
+    def __new__(cls, mask, seen):
+        recorder = super().__new__(cls, mask)
+        recorder.seen = seen
+        return recorder
+
+    def __rand__(self, x):
+        self.seen.append(x)
+        return int.__rand__(self, x)
+
+
+def scanned_subsets(sets, e, reverse):
+    """The subsets X brute_discrepancy scans, in scan order: the first
+    set records them, since every X is intersected with it first."""
+    seen = []
+    generators.brute_discrepancy([RecordingSet(sets[0], seen), *sets[1:]], e, reverse)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "e, sets",
+    [(e, [(1 << e) - 1, random.Random(e).randrange(1 << e)]) for e in range(1, 10)]
+    + [(e, hadamard_sets(e)) for e in (4, 8, 16)],
+    ids=[f"e{e}" for e in range(1, 10)] + [f"hadamard-{e}" for e in (4, 8, 16)],
+)
+def test_discrepancy_pair_scans_every_subset_once(e, sets):
+    """The forward call scans the lower half of the subsets ascending,
+    the reverse call the upper half descending: disjoint halves whose
+    union is every subset of [e]."""
+    half = 1 << (e - 1)
+    assert scanned_subsets(sets, e, False) == list(range(half))
+    assert scanned_subsets(sets, e, True) == list(range(2 * half - 1, half - 1, -1))
+
+
+@pytest.mark.parametrize(
+    "e, sets",
+    [(0, []), (0, [0]), (0, [0, 0]), (1, []), (1, [0]), (4, [0, 0b1011, 0]), (9, [])],
+)
+def test_discrepancy_of_empty_ground_or_sets_matches_reference(e, sets):
+    for reverse in (False, True):
+        assert_same(
+            generators.brute_discrepancy(sets, e, reverse=reverse),
+            reference.brute_discrepancy(sets, e, reverse=reverse),
+        )
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(st.integers(0, 255), max_size=10),
@@ -272,6 +320,74 @@ def test_path_family_scans_k3_match_reference(seed):
             generators._min_hitting_violation_exhaustive(3, rho, layers, reverse),
             reference._min_hitting_violation_exhaustive(3, rho, layers, reverse),
         )
+
+
+def incumbent_falls(rho, layers, cuts):
+    """The cuts at which a plain scan over `cuts` takes a new incumbent."""
+    best, taken = None, []
+    for cut in cuts:
+        if all(cut & m for m in rho):
+            violation = max(((cut & m).bit_count() for m in layers), default=0) - 1
+            if best is None or violation < best:
+                best = violation
+                taken.append(cut)
+    return taken
+
+
+def random_paths(seed):
+    """Three to eight paths of one to four of the 18 edges each."""
+    rng = random.Random(seed)
+    return [mask_of(rng.sample(range(18), rng.randint(1, 4))) for _ in range(rng.randint(3, 8))]
+
+
+PLANAR_3, PLANAR_3_LAYERS = planar_inputs(3)
+# the low half 3 is the first cut to hit both paths {0, 2, 3} and
+# {1, 2, 3}; it and the low halves 4 and 8 load the layer {0, 1, 2} with
+# 2, 1 and 0 edges, so the incumbent falls twice in the first high half
+# (and three times in the reverse order's first high half)
+FALLS_TWICE = ([0b1101, 0b1110], [0b111])
+# the path {2, 3} is hit first by the low half 4 (loads (1, 0)) and then
+# by 8 (loads (0, 1)), at the same violation; the load group of 8 is met
+# first in scan order, at the low half 1, so a scan that took the fitting
+# groups one after another would answer 8
+TIE_ACROSS_GROUPS = ([0b1100], [0b100, 0b1001])
+ROOM_CASES = {
+    "random-paths-planar-layers": (random_paths(0), PLANAR_3_LAYERS),
+    "random-paths-random-layers": (
+        random_paths(3),
+        [random.Random(3).randrange(1 << 18) for _ in range(3)],
+    ),
+    "no-paths": ([], PLANAR_3_LAYERS),
+    "zero-layer": (PLANAR_3, [0, *PLANAR_3_LAYERS[1:]]),
+    "overlapping-layers": (PLANAR_3, [mask_of(range(0, 10)), mask_of(range(6, 18))]),
+    "falls-twice-in-one-high-half": FALLS_TWICE,
+    "tie-across-load-groups": TIE_ACROSS_GROUPS,
+}
+
+
+def test_room_cases_are_what_they_claim():
+    rho, layers = FALLS_TWICE
+    top = (1 << 18) - 1
+    assert incumbent_falls(rho, layers, range(1 << 9)) == [3, 4, 8]
+    assert incumbent_falls(rho, layers, range(top, top - (1 << 9), -1)) == [
+        top, top - 1, top - 3, top - 7
+    ]
+    rho, layers = TIE_ACROSS_GROUPS
+    assert incumbent_falls(rho, layers, range(1 << 9)) == [4]
+    assert incumbent_falls(rho, layers, [8, 4]) == [8]  # a tie: 4 does not replace 8
+    assert [(1 & m).bit_count() for m in layers] == [(8 & m).bit_count() for m in layers]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("case", ROOM_CASES)
+def test_room_filter_k3_cases_match_reference(case, reverse):
+    """The hitting scan skips low halves by layer-load room; the first
+    cut it accepts must still be the plain scan's, in both orders."""
+    rho, layers = ROOM_CASES[case]
+    assert_same(
+        generators._min_hitting_violation_exhaustive(3, rho, layers, reverse),
+        reference._min_hitting_violation_exhaustive(3, rho, layers, reverse),
+    )
 
 
 # -- lattice validation ---------------------------------------------------------------

@@ -8,8 +8,8 @@ trees, with huge rational bounds; on graphs of several blocks whose
 trees tie on their row counts inside a block and across blocks; on
 graphs of bridges only, of one vertex, with no bounds and with no
 spanning tree; and on random multigraphs.  The size checks of the block
-enumeration must still fire when the decomposition loses a tree or a
-block.
+enumeration must still fire, as internal check failures, when the
+decomposition loses a tree or a block.
 """
 
 import random
@@ -28,6 +28,7 @@ from crossopt.brute import (
     enumerate_spanning_trees,
     min_max_violation_over_trees,
 )
+from crossopt.errors import InternalCheckError
 from crossopt.generators import gadget_graph, gadget_u_edges, gadget_w_edges
 from crossopt.graphs import Graph, mask_of
 from crossopt.rational import Rat
@@ -228,9 +229,9 @@ def test_a_tree_the_blocks_lose_is_caught(reverse, monkeypatch):
     kirchhoff = brute.kirchhoff_count
     monkeypatch.setattr(brute, "kirchhoff_count", lambda graph: kirchhoff(graph) + 1)
     graph, bounds = FIXED["tied-across-blocks"]
-    with pytest.raises(AssertionError, match="Kirchhoff"):
+    with pytest.raises(InternalCheckError, match="Kirchhoff"):
         min_max_violation_over_trees(graph, bounds, reverse=reverse)
-    with pytest.raises(AssertionError, match="Kirchhoff"):
+    with pytest.raises(InternalCheckError, match="Kirchhoff"):
         enumerate_spanning_trees(graph, reverse=reverse)
 
 
@@ -241,5 +242,5 @@ def test_a_block_the_decomposition_loses_is_caught(reverse, monkeypatch):
     blocks = brute._blocks
     monkeypatch.setattr(brute, "_blocks", lambda graph: blocks(graph)[1:])
     graph, bounds = FIXED["bridges-only"]
-    with pytest.raises(AssertionError, match="cover"):
+    with pytest.raises(InternalCheckError, match="cover"):
         min_max_violation_over_trees(graph, bounds, reverse=reverse)
