@@ -41,8 +41,7 @@ from math import lcm
 from operator import not_
 
 from .errors import InternalCheckError, SizeGuardError
-from .graphs import iter_bits
-from .rational import ZERO, Rat
+from .rational import Rat
 from .simplex import _eliminate
 
 TREE_COUNT_GUARD = 10**6
@@ -375,18 +374,28 @@ def min_max_violation_over_trees(graph, bound_masks, reverse=False):
 
 
 def brute_subset_opt(n, feasible_fn, costs):
-    """Exact optimum of min cost(S) over all S in 2^[n] with feasible_fn(S)."""
+    """Exact optimum of min cost(S) over all S in 2^[n] with feasible_fn(S):
+    (the smallest mask at the minimum, its cost), or (None, None).
+
+    The costs are scaled once to integers by D, the lcm of their
+    denominators, and the cost of every mask is tabulated by doubling
+    over the elements.  The masks are scanned in increasing order, and
+    one that cannot beat the incumbent is passed over without asking
+    feasible_fn; only the result is turned back into a rational."""
     if n > SUBSET_GUARD:
         raise SizeGuardError(f"ground set {n} exceeds guard {SUBSET_GUARD}")
-    best_cost = None
+    costs = costs[:n]
+    den = lcm(*(c.denominator for c in costs))
+    table = [0]
+    for c in costs:
+        scaled = c.numerator * (den // c.denominator)
+        table += [t + scaled for t in table]
+    best = None
     best_mask = None
-    for mask in range(1 << n):
-        if not feasible_fn(mask):
-            continue
-        cost = ZERO
-        for e in iter_bits(mask):
-            cost += costs[e]
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
+    for mask, cost in enumerate(table):
+        if (best is None or cost < best) and feasible_fn(mask):
+            best = cost
             best_mask = mask
-    return best_mask, best_cost
+    if best_mask is None:
+        return None, None
+    return best_mask, Rat(best, den)

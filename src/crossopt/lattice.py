@@ -28,12 +28,14 @@ drops by one each time and the run ends after at most |E| + |I|
 iterations with all rank constraints met exactly.
 """
 
+from math import floor
+
 from .errors import InstanceError, InternalCheckError, NoStepApplies
 from .graphs import iter_bits
 from .instances import INCLUSION
 from .lpengine import Residual, remembering_feasible, separate_lattice
 from .oracles import uncross
-from .rational import Rat, render_rat
+from .rational import Rat, rat_ceil, render_rat
 from .relax import CheckReport, check, relax
 from .simplex import GE, LE, LinearProgram, Row
 
@@ -219,20 +221,23 @@ def verify_lattice(instance, solution, brute_optimum=None):
 
 
 def bound_feasible_predicate(instance):
-    """Feasibility test for the brute-force optimum: all rank constraints
-    and all bounds met exactly (no slack)."""
+    """Feasibility test for the brute-force optimum: all bounds and all
+    rank constraints met exactly (no slack).  A count is an integer, so
+    it meets an upper bound iff it is at most its floor, and a lower
+    bound iff it is at least its ceiling; the bounds are checked first,
+    as they cost one AND and one popcount each."""
     covers = instance.lat.covers
+    limits = [
+        (con.elems, floor(con.upper), 0 if con.lower is None else rat_ceil(con.lower))
+        for con in instance.constraints
+    ]
 
     def feasible(mask):
-        if not covers(mask):
-            return False
-        for con in instance.constraints:
-            got = (mask & con.elems).bit_count()
-            if Rat(got) > con.upper:
+        for elems, most, least in limits:
+            got = (mask & elems).bit_count()
+            if got > most or got < least:
                 return False
-            if con.lower is not None and Rat(got) < con.lower:
-                return False
-        return True
+        return covers(mask)
 
     return feasible
 

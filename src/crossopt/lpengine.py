@@ -25,9 +25,14 @@ Separation is exhaustive: every vertex subset, every ground subset, or
 every lattice member is checked.  Each separator takes the Vertex and
 reads its integers X = D * x, so all subset sums and slack comparisons
 run on exact Python integers; only the returned witness's lhs and rhs
-are built as rationals.  A min-cut separator could replace
-separate_spanning_tree behind the same interface if graphs beyond
-SPANNING_SUBSET_GUARD vertices were ever needed.
+are built as rationals.  separate_spanning_tree keeps the excess of
+every vertex subset in a field of one packed int and tests all of them
+against a threshold with one add and one AND (its docstring proves the
+field width); it bisects the threshold only when the point is violated.
+The covering and lattice separators tabulate their subset sums in
+lists.  A min-cut separator could replace separate_spanning_tree behind
+the same interface if graphs beyond SPANNING_SUBSET_GUARD vertices were
+ever needed.
 
 Ties in "most violated" break by smaller witness set, then by the
 lexicographically smallest bitmask (for lattices, by member index), so
@@ -80,7 +85,7 @@ never kept: its lhs and rhs are residual numbers and change with F.
 
 from dataclasses import dataclass
 from itertools import islice
-from operator import add, sub
+from operator import sub
 from typing import NamedTuple
 
 from .errors import InternalCheckError, SizeGuardError
@@ -129,9 +134,54 @@ def separate_spanning_tree(point, graph, fmask):
 
     Checks the total-count equality exactly, then every induced-subset
     row x(E'(U)) <= |U| - |F(U)| - 1 over 2 <= |U| <= n-1.  With x
-    scaled to integers X = D*x, row U is violated iff
-    X(E'(U)) + D*|F(U)| - D*|U| > -D; that excess is tabulated for all
-    subsets at once, vertex by vertex.
+    scaled to integers X = D*x, row U is violated iff its excess
+    e[U] = X(E'(U)) + D*|F(U)| - D*|U| is at least 1 - D.
+
+    The excesses of all 2^n subsets sit in one int, a table of W-bit
+    fields: field U, bits W*U up to W*U + W - 1, holds e[U] + off, and
+    every row is tested at once with one add and one AND against the
+    fields' top bits (SWAR; Lamport 1975, "Multiple byte processing
+    with full-word instructions", CACM).  Let w[h][u], u < h, be the
+    scaled x plus D per fixed edge between u and h; neg_h the sum of
+    -w[h][u] over its negative weights; P the sum of all positive
+    weights; off = sum(neg_h) + D*n; W the least width with
+    2^(W-1) > off + P + max(neg_h) + D; and ones_k the int with a 1 at
+    the bottom of each field 0 .. 2^k - 1.
+
+    Range.  The edges inside U weigh between -sum(neg_h) and P, and
+    D*|U| is between 0 and D*n, so e[U] lies in [-off, P] and field U
+    in [0, off + P].
+
+    No carry or borrow.  Ints are exact, so a sum of packed tables plus
+    c * ones_k, for any integer c, holds in each field the sum of its
+    fields plus c, and when every such sum lies in [0, 2^W) no field
+    carried into or borrowed from its neighbour.  Each step stays there:
+    - row_h[U] = neg_h + (w[h][u] summed over u in U), for U < 2^h, is
+      built by doubling over u: row |= (row + w[h][u] * ones_u) << W*2^u,
+      where the OR onto empty fields is an add.  Every field it ever
+      holds is a value of row_h, in [0, neg_h + P].
+    - Vertex h joins with table |= (table + row_h - (neg_h + D) * ones_h)
+      << W*2^h, onto the empty fields 2^h .. 2^(h+1) - 1.  Adding h to
+      U adds w[h][u] for each u in U and takes D, so field U of the
+      partial sum table + row_h holds e[U + {h}] + off + neg_h + D, at
+      most off + P + max(neg_h) + D < 2^(W-1), and the result holds
+      e[U + {h}] + off.
+    - The test at t, 1 - D <= t <= P, is the table plus
+      (2^(W-1) - off - t) * ones_n, which holds 2^(W-1) + e[U] - t:
+      at least 2^(W-1) - off - P > 0 and at most 2^(W-1) + P + D - 1,
+      below 2^W.  Its top bit is set iff e[U] >= t.
+
+    Guard.  G holds the top bits of fields 1 .. 2^n - 1, so the test is
+    nonzero iff some U other than the empty set (e = 0) has e[U] >= t.
+    A singleton has e = -D.  Once the total-count row holds,
+    X(E') + D*|F| = D*(n - 1), so e[V] = -D whatever the signs of the
+    values, and V never passes at t = 1 - D either: the point is
+    feasible iff the test at t = 1 - D is zero.
+
+    Witness.  No set of two or more vertices has excess above P - 2D,
+    so the largest excess M is found by bisection over [1 - D, P - 2D]
+    with the same test.  The witness is the U with the smallest
+    popcount, then the smallest U, among the top bits set at t = M.
     """
     n = graph.n
     if n > SPANNING_SUBSET_GUARD:
@@ -159,21 +209,45 @@ def separate_spanning_tree(point, graph, fmask):
             False, "tree_total", full, Rat(xtotal, den), Rat(n - fcount - 1)
         )
 
-    # excess[U] = X(E'(U)) + D*|F(U)| - D*|U|.  Adding vertex h to every
-    # U below it adds row[U] = (weight of edges from h into U) - D.
-    excess = [0]
+    neg = [-sum(w for w in row[:h] if w < 0) for h, row in enumerate(weight)]
+    pos = sum(w for row in weight for w in row if w > 0)  # P
+    off = sum(neg) + den * n
+    width = (off + pos + max(neg) + den).bit_length() + 1
+    ones = [1]
     for h in range(n):
-        row = [-den]
-        for w in weight[h][:h]:
-            if w:
-                row += [r + w for r in row]
-            else:
-                row *= 2
-        excess += list(map(add, excess, row))
-    worst = max(islice(excess, 1, full), default=-den)
-    if worst <= -den:
+        ones.append(ones[h] | ones[h] << (width << h))
+    table = off
+    for h in range(n):
+        row = neg[h]
+        for u in range(h):
+            w = weight[h][u]
+            row |= (row + w * ones[u] if w else row) << (width << u)
+        table |= (table + row - (neg[h] + den) * ones[h]) << (width << h)
+    half = 1 << (width - 1)
+    guards = (ones[n] - 1) << (width - 1)
+
+    def reaching(t):
+        """Top bits of the fields of the nonempty U with excess >= t."""
+        return (table + (half - off - t) * ones[n]) & guards
+
+    lo, hi = 1 - den, pos - 2 * den
+    if not reaching(lo):
         return SeparationResult.ok()
-    vmask = _smallest_witness(excess, worst, 1, full)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if reaching(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    # the guard bits set at the maximum, read lowest field first
+    bits = format(reaching(lo), "b")[::-1]
+    i = bits.find("1")
+    vmask = None
+    while i >= 0:
+        u = i // width
+        if vmask is None or u.bit_count() < vmask.bit_count():
+            vmask = u
+        i = bits.find("1", i + 1)
     inside = graph.induced_mask(vmask)
     rhs = vmask.bit_count() - (inside & fmask).bit_count() - 1
     lhs = Rat(point.load(inside), den)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import fraction_separators as reference
 from crossopt import lpengine
+from crossopt.generators import gadget_graph, gen_mcst_gap
 from crossopt.graphs import Graph
 from crossopt.instances import INCLUSION
 from crossopt.intersection import run_intersection
@@ -73,6 +74,7 @@ def checked_calls(monkeypatch):
 
 
 def test_separators_match_reference_on_corpus_slices(checked_calls):
+    gen_mcst_gap(4)  # its membership check separates at n = 13
     for inst in mcst_corpus(CorpusConfig(count=MCST_SLICE)):
         run_mcst(inst)
     rng = random.Random(404)
@@ -139,6 +141,97 @@ def test_spanning_tree_tie_breaks_to_smallest_mask():
     res = lpengine.separate_spanning_tree(Vertex.of_values(x), graph, 0)
     assert res.witness == 0b00011
     assert_same(res, reference.separate_spanning_tree(x, graph, 0))
+
+
+# n = 1 and n = 2 leave nothing to scan but the total and V itself.  Of
+# the two paths, the first has its witness at the largest excess the
+# search allows, P - 2D with P = 5 and D = 1; the second needs its
+# 6-bit fields (2^5 > off + P = 21), and 5-bit ones misread it.
+SMALL_TREE_CASES = {
+    "n1-empty": (Graph.from_pairs(1, []), 0, {}),
+    "n2-edge-at-one": (Graph.from_pairs(2, [(0, 1)]), 0, {0: Rat(1)}),
+    "n2-edge-fixed": (Graph.from_pairs(2, [(0, 1)]), 1, {}),
+    "n2-short-of-total": (Graph.from_pairs(2, [(0, 1)]), 0, {0: Rat(1, 2)}),
+    "n2-parallel-mixed-signs": (
+        Graph.from_pairs(2, [(0, 1), (0, 1)]),
+        0,
+        {0: Rat(7, 3), 1: Rat(-4, 3)},
+    ),
+    "n2-parallel-fixed": (Graph.from_pairs(2, [(0, 1), (0, 1)]), 0b10, {0: Rat(0)}),
+    "n2-parallel-over-total": (
+        Graph.from_pairs(2, [(0, 1), (0, 1)]),
+        0b01,
+        {1: Rat(1, 10**12)},
+    ),
+    "n3-top-of-search": (Graph.from_pairs(3, [(0, 1), (1, 2)]), 0, {0: Rat(5), 1: Rat(-3)}),
+    "n3-full-width": (Graph.from_pairs(3, [(1, 0), (1, 2)]), 0, {0: Rat(-8), 1: Rat(10)}),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_TREE_CASES)
+def test_spanning_tree_small_cases_match_reference(name):
+    graph, fmask, x = SMALL_TREE_CASES[name]
+    assert_same(
+        lpengine.separate_spanning_tree(Vertex.of_values(x), graph, fmask),
+        reference.separate_spanning_tree(x, graph, fmask),
+    )
+
+
+def meeting_total(rng, graph, fmask, point_value):
+    """A point on the edges outside fmask, drawn by point_value(rng),
+    with its last value moved so that the total-count row holds and the
+    subset rows are scanned."""
+    free = [e.id for e in graph.edges if not (fmask >> e.id) & 1]
+    x = {eid: point_value(rng) for eid in free}
+    x[free[-1]] = Rat(graph.n - fmask.bit_count() - 1) - sum(
+        v for k, v in x.items() if k != free[-1]
+    )
+    return x
+
+
+def quarter(rng):
+    return Rat(rng.randint(0, 4), 4)
+
+
+def wide(rng):
+    if rng.random() < 0.5:
+        return quarter(rng)
+    return Rat(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12))
+
+
+def grown_gadget(rng, extra):
+    """gadget_graph(4), n = 13, with extra more vertices, each joined to
+    two vertices before it."""
+    pairs = [(e.u, e.v) for e in gadget_graph(4).edges]
+    for v in range(13, 13 + extra):
+        pairs += [(v, u) for u in rng.sample(range(v), 2)]
+    return Graph.from_pairs(13 + extra, pairs)
+
+
+def large_tree_case(seed):
+    """The gadget of gen_mcst_gap(4) at a random fixed set and point
+    (seeds 0-3), the gadget grown to n = 14 and 15 (seeds 4, 5), and a
+    random graph at n = 16 (seed 6); quarters make ties common, and wide
+    values lie far outside the box."""
+    rng = random.Random(seed)
+    if seed < 6:
+        graph = grown_gadget(rng, max(0, seed - 3))
+    else:
+        pairs = [(v, rng.randrange(v)) for v in range(1, 16)]
+        pairs += [tuple(rng.sample(range(16), 2)) for _ in range(12)]
+        graph = Graph.from_pairs(16, pairs)
+    fmask = sum(1 << e.id for e in graph.edges if rng.random() < 0.15)
+    return graph, fmask, meeting_total(rng, graph, fmask, (quarter, wide)[seed % 2])
+
+
+@pytest.mark.parametrize("seed", range(7))
+def test_spanning_tree_large_cases_match_reference(seed):
+    graph, fmask, x = large_tree_case(seed)
+    assert graph.n == (13, 13, 13, 13, 14, 15, 16)[seed]
+    assert_same(
+        lpengine.separate_spanning_tree(Vertex.of_values(x), graph, fmask),
+        reference.separate_spanning_tree(x, graph, fmask),
+    )
 
 
 @settings(max_examples=150, deadline=None)
