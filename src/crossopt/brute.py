@@ -41,6 +41,7 @@ from math import lcm
 from operator import not_
 
 from .errors import InternalCheckError, SizeGuardError
+from .graphs import joins
 from .rational import Rat
 from .simplex import _eliminate
 
@@ -162,21 +163,7 @@ def _blocks(graph):
 
 
 def _connected(edges, labels):
-    parent = {v: v for v in labels}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    comps = len(labels)
-    for _, a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return comps == 1
+    return sum(joins((a, b) for _, a, b in edges)) == len(labels) - 1
 
 
 def _block_trees(edges, labels, chosen, reverse, out):

@@ -29,6 +29,8 @@ from .generators import (
 )
 from .graphs import iter_bits
 from .instances import (
+    GENERAL,
+    INCLUSION,
     IntersectionInstance,
     LatticeInstance,
     McstInstance,
@@ -391,22 +393,11 @@ def build_parser():
 
     p = sub.add_parser("solve-lattice", help="lattice covering with bounds")
     add_common(p)
-    p.add_argument("--variant", choices=["general", "inclusion"])
+    p.add_argument("--variant", choices=[GENERAL, INCLUSION])
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("gen", help="instance generators")
-    p.add_argument(
-        "kind",
-        choices=[
-            "mcst-gap",
-            "planar-gap",
-            "edge-cover",
-            "reduction",
-            "random-mcst",
-            "random-intersection",
-            "random-lattice",
-        ],
-    )
+    p.add_argument("kind", choices=list(GEN_FLAGS))
     # a flag the kind does not read is refused; GEN_FLAGS holds the defaults
     p.add_argument("--e", type=int, help="mcst-gap and reduction (default 4)")
     p.add_argument("--k", type=int, help="planar-gap (default 2)")

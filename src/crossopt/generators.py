@@ -49,7 +49,7 @@ from .oracles import (
     CrossingConstraint,
     PathLattice,
 )
-from .rational import ONE, Rat, encode_rationals, rat_ceil, render_rat
+from .rational import ONE, Rat, encode_rationals, rat_ceil
 from .simplex import Vertex
 
 
@@ -65,17 +65,21 @@ class GapReport:
     details: dict
 
     def to_json(self):
-        return {
-            "schema": 1,
-            "kind": self.kind,
-            "lp_point": {str(e): render_rat(v) for e, v in self.lp_point.items()},
-            "lp_feasible": self.lp_feasible,
-            "integral_min_violation": encode_rationals(self.integral_min_violation),
-            "claimed_bound": encode_rationals(self.claimed_bound),
-            "claim_ok": self.claim_ok,
-            "witness": encode_rationals(self.witness),
-            "details": encode_rationals(self.details),
-        }
+        # each field by name, not asdict(self), so that the declared-field
+        # lint sees details read
+        return encode_rationals(
+            {
+                "schema": 1,
+                "kind": self.kind,
+                "lp_point": self.lp_point,
+                "lp_feasible": self.lp_feasible,
+                "integral_min_violation": self.integral_min_violation,
+                "claimed_bound": self.claimed_bound,
+                "claim_ok": self.claim_ok,
+                "witness": self.witness,
+                "details": self.details,
+            }
+        )
 
 
 # -- shared gadget graph -------------------------------------------------------
@@ -430,8 +434,6 @@ def gen_edge_cover_tight(n):
     if n not in (1, 2, 3):
         raise SizeGuardError("supported sizes are 1, 2, 3")
     length = 4 * n
-    pairs = [(v, (v + 1) % length) for v in range(length)]
-    graph_costs = [1] * length
     incident = {v: ((v - 1) % length, v) for v in range(length)}
 
     def side_table(parity):

@@ -40,12 +40,17 @@ from .relax import CheckReport, check, relax
 from .simplex import GE, LE, LinearProgram, Row
 
 
-def _drop_threshold(instance, i, fmask, variant):
-    con = instance.constraints[i]
+def _slack(variant, delta):
+    """How far a bound may end up exceeded: delta - 1 in the inclusion
+    variant, 2 delta - 1 in the general one."""
+    return delta - 1 if variant == INCLUSION else 2 * delta - 1
+
+
+def _drop_threshold(con, fmask, variant, delta):
     if variant == INCLUSION:
         residual = con.upper - (con.elems & fmask).bit_count()
-        return residual + instance.delta - 1
-    return Rat(2 * instance.delta)
+        return residual + delta - 1
+    return Rat(2 * delta)
 
 
 class LatticeState:
@@ -58,6 +63,7 @@ class LatticeState:
         self.eprime = (1 << instance.n) - 1
         self.fmask = 0
         self.alive = set(range(len(instance.constraints)))
+        self.delta = instance.delta
         # full-coordinate keys of the points separation found feasible
         self.feasible = set()
         self.iteration_cap = instance.n + len(instance.constraints)
@@ -126,14 +132,13 @@ class LatticeState:
         return None
 
     def _drop(self, point):
-        instance = self.instance
+        instance, delta = self.instance, self.delta
         for i in sorted(self.alive):
-            support = (instance.constraints[i].elems & self.eprime).bit_count()
-            threshold = _drop_threshold(instance, i, self.fmask, instance.variant)
+            con = instance.constraints[i]
+            support = (con.elems & self.eprime).bit_count()
+            threshold = _drop_threshold(con, self.fmask, instance.variant, delta)
             if Rat(support) <= threshold:
-                _assert_drop_accounting(
-                    instance, i, self.eprime, self.fmask, instance.variant
-                )
+                _assert_drop_accounting(instance, i, self.eprime, self.fmask, delta)
                 self.alive.discard(i)
                 # the tight-chain growth check of every fresh fractional vertex
                 if point is not None and not self.fmask:
@@ -163,13 +168,13 @@ def run_lattice(instance):
     return state.fmask, trace.events, lp_initial
 
 
-def _assert_drop_accounting(instance, i, eprime, fmask, variant):
+def _assert_drop_accounting(instance, i, eprime, fmask, delta):
     """The two clauses the final guarantee telescopes from."""
     con = instance.constraints[i]
     fixed = (con.elems & fmask).bit_count()
     undecided = (con.elems & eprime).bit_count()
-    slack = instance.delta - 1 if variant == INCLUSION else 2 * instance.delta - 1
-    if con.lower is not None and con.lower > fixed + 2 * instance.delta - 1:
+    slack = _slack(instance.variant, delta)  # lower bounds are general only
+    if con.lower is not None and con.lower > fixed + slack:
         raise InternalCheckError(f"lower-bound drop accounting failed for {i}")
     if Rat(fixed + undecided) > con.upper + slack:
         raise InternalCheckError(f"upper-bound drop accounting failed for {i}")
@@ -183,9 +188,7 @@ def verify_lattice(instance, solution, brute_optimum=None):
     within the additive slack of its variant, and (when a bound-feasible
     integral solution exists) the cost is at most the brute optimum."""
     lat = instance.lat
-    slack = instance.delta - 1 if instance.variant == INCLUSION else (
-        2 * instance.delta - 1
-    )
+    slack = _slack(instance.variant, instance.delta)
     failures = []
     checks = []
 

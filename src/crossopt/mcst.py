@@ -563,9 +563,18 @@ def replay_trace(instance, trace):
             state.reshaped()
             snapshots.append((forest.snapshot(), state.eprime))
         elif kind == "end":
+            tree, final = _field(ev, "tree", where), _field(ev, "forest", where)
+            if not isinstance(tree, list) or not all(
+                type(eid) is int and eid in instance.graph.by_id for eid in tree
+            ):
+                raise InstanceError(
+                    f"{where} tree must be a list of edge ids of the instance, "
+                    f"got {tree!r}"
+                )
+            if not isinstance(final, dict):
+                raise InstanceError(f"{where} forest must be an object, got {final!r}")
             matches = (
-                _field(ev, "tree", where) == sorted(iter_bits(state.fmask))
-                and _field(ev, "forest", where) == _forest_json(forest)
+                tree == sorted(iter_bits(state.fmask)) and final == _forest_json(forest)
             )
             return ReplayResult(state.fmask, tuple(snapshots), matches)
         else:

@@ -9,10 +9,11 @@ seed-free.
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from operator import le
 
 from .brute import brute_subset_opt  # noqa: F401  (perfbench traces it here by name)
-from .graphs import Graph, mask_of
+from .graphs import Graph, iter_bits, joins, mask_of
 from .instances import (
     GENERAL,
     INCLUSION,
@@ -56,21 +57,7 @@ def random_spanning_tree(rng, graph):
     """Kruskal over a random edge order."""
     order = list(graph.edges)
     rng.shuffle(order)
-    parent = list(range(graph.n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    tree = 0
-    for e in order:
-        ra, rb = find(e.u), find(e.v)
-        if ra != rb:
-            parent[ra] = rb
-            tree |= 1 << e.id
-    return tree
+    return mask_of(e.id for e in compress(order, joins((e.u, e.v) for e in order)))
 
 
 def random_laminar_sets(rng, n, limit):
@@ -211,26 +198,7 @@ def random_matroid(rng, n):
     if kind == "graphic":
         nv = rng.randint(3, max(3, n - 1))
         ends = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(n)]
-        table = []
-        for s in range(1 << n):
-            parent = list(range(nv))
-
-            def find(a):
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
-            rank = 0
-            for e in range(n):
-                if (s >> e) & 1:
-                    u, v = ends[e]
-                    if u != v:
-                        ru, rv = find(u), find(v)
-                        if ru != rv:
-                            parent[ru] = rv
-                            rank += 1
-            table.append(rank)
+        table = (sum(joins(ends[e] for e in iter_bits(s))) for s in range(1 << n))
         return MatroidOracle(n, tuple(table))
     if kind == "linear":
         rows = rng.randint(2, max(2, n // 2 + 1))

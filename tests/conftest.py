@@ -4,10 +4,10 @@ from contextlib import contextmanager
 import pytest
 
 from crossopt import intersection, lattice, lpengine, relax, simplex
-from crossopt.generators import gen_mcst_gap
+from crossopt.generators import gen_edge_cover_tight, gen_mcst_gap
 from crossopt.graphs import Graph
-from crossopt.instances import IntersectionInstance, McstInstance
-from crossopt.oracles import ContraPolymatroidPair, CrossingConstraint, MatroidOracle
+from crossopt.instances import McstInstance
+from crossopt.oracles import MatroidOracle
 from crossopt.rational import Rat
 
 
@@ -34,33 +34,9 @@ def four_cycle():
     return Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [1, 1, 1, 1])
 
 
-def edge_cover_pair(n):
-    """Two per-side covering functions of the 4n-cycle bipartition."""
-    length = 4 * n
-    incident = {v: ((v - 1) % length, v) for v in range(length)}
-
-    def side(parity):
-        out = []
-        for s in range(1 << length):
-            count = 0
-            for v in range(parity, length, 2):
-                a, b = incident[v]
-                if (s >> a) & 1 and (s >> b) & 1:
-                    count += 1
-            out.append(count)
-        return tuple(out)
-
-    return ContraPolymatroidPair(length, side(0), side(1))
-
-
 @pytest.fixture
 def edge_cover_4cycle():
-    pair = edge_cover_pair(1)
-    cons = (
-        CrossingConstraint(0b0101, None, Rat(1)),
-        CrossingConstraint(0b1010, None, Rat(1)),
-    )
-    return IntersectionInstance(pair, (Rat(1),) * 4, cons)
+    return gen_edge_cover_tight(1)
 
 
 def triangle_graphic_matroid():

@@ -130,6 +130,21 @@ def test_verify_refuses_a_tampered_step_event(tmp_path, capsys):
     assert "does not replay to its recorded end" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("tree", [0]), ("tree", []), ("forest", {}), ("forest", {"nodes": []})],
+)
+def test_verify_refuses_a_well_formed_but_tampered_footer(
+    field, value, tmp_path, capsys
+):
+    inst, solution, trace = _solved_mcst(tmp_path)
+    events = [json.loads(line) for line in trace.read_text().splitlines()]
+    _set("end", field, value)(events)
+    trace.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+    assert _verify_trace(inst, solution, trace) == 3
+    assert "does not replay to its recorded end" in capsys.readouterr().err
+
+
 def test_verify_refuses_a_drop_event_after_the_end(tmp_path, capsys):
     inst, solution, trace = _solved_mcst(tmp_path)
     with open(trace, "a", encoding="utf-8") as fh:
@@ -258,6 +273,35 @@ BAD_TRACES = {
     "end-lp-initial-x": (
         _set("end", "lp_initial", "x"),
         "trace event 38 (end) lp_initial must be a rational string",
+    ),
+    # a footer tree or forest of the wrong type used to read as a replay
+    # mismatch (exit 3)
+    "end-tree-int": (
+        _set("end", "tree", 5),
+        "trace event 38 (end) tree must be a list of edge ids of the instance, got 5",
+    ),
+    "end-tree-str": (
+        _set("end", "tree", "x"),
+        "trace event 38 (end) tree must be a list of edge ids of the instance, "
+        "got 'x'",
+    ),
+    "end-tree-null": (
+        _set("end", "tree", None),
+        "trace event 38 (end) tree must be a list of edge ids of the instance, "
+        "got None",
+    ),
+    "end-tree-edge-999": (
+        _set("end", "tree", [0, 999]),
+        "trace event 38 (end) tree must be a list of edge ids of the instance, "
+        "got [0, 999]",
+    ),
+    "end-forest-int": (
+        _set("end", "forest", 1),
+        "trace event 38 (end) forest must be an object, got 1",
+    ),
+    "end-forest-list": (
+        _set("end", "forest", []),
+        "trace event 38 (end) forest must be an object, got []",
     ),
     # the begin header of another run, or none, and events no mcst run
     # writes, used to be skipped by replay and verified with exit 0

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import edge_cover_pair, run_with_chain_reports
+from conftest import run_with_chain_reports
+from crossopt.generators import gen_edge_cover_tight
 from crossopt.instances import IntersectionInstance
 from crossopt.intersection import (
     IntersectionState,
@@ -25,7 +26,7 @@ def first_point(inst):
 
 
 def test_huge_bounds_drop_immediately():
-    pair = edge_cover_pair(1)
+    pair = gen_edge_cover_tight(1).pair
     cons = (CrossingConstraint(0b1111, None, Rat(4)),)
     inst = IntersectionInstance(pair, (Rat(1),) * 4, cons)
     sol, events, opt = run_intersection(inst)
@@ -61,8 +62,6 @@ def test_tight_example_pipeline(edge_cover_4cycle):
 
 
 def test_longer_cycles_tight(edge_cover_4cycle):
-    from crossopt.generators import gen_edge_cover_tight
-
     for n in (2, 3):
         inst = gen_edge_cover_tight(n)
         sol, events, opt = run_intersection(inst)

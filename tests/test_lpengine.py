@@ -4,10 +4,9 @@ from collections import Counter
 
 import pytest
 
-from conftest import edge_cover_pair
 from crossopt.graphs import Graph
 from crossopt.errors import SizeGuardError
-from crossopt.generators import gen_planar_mincut_gap
+from crossopt.generators import gen_edge_cover_tight, gen_planar_mincut_gap
 from crossopt.laminar import LaminarForest
 from crossopt.intersection import IntersectionState, run_intersection
 from crossopt.lattice import LatticeState, run_lattice
@@ -89,7 +88,7 @@ def test_zero_requirement_always_feasible():
 
 
 def test_edge_cover_half_feasible_quarter_violated():
-    pair = edge_cover_pair(1)
+    pair = gen_edge_cover_tight(1).pair
     assert separate_contra_polymatroid(x_of([(1, 2)] * 4), 0, pair).feasible
     res = separate_contra_polymatroid(x_of([(1, 4)] * 4), 0, pair)
     assert not res.feasible
