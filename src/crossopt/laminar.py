@@ -45,8 +45,9 @@ class LaminarForest:
     def from_sets(cls, sets_with_bounds):
         """Build from [(vertex_mask, bound), ...] in file order.
 
-        Parents are the inclusion-minimal strict supersets; insertion
-        order of the input fixes the child order everywhere.
+        A set's parent is its smallest strict superset: the supersets of
+        a set in a laminar family form a chain.  Node ids, child orders
+        and the root order all follow the input order.
         """
         forest = cls()
         masks = [m for m, _ in sets_with_bounds]
@@ -59,38 +60,19 @@ class LaminarForest:
                     raise InstanceError(
                         f"family is not laminar: sets {a} and {b} cross"
                     )
-        for vmask, bound in sets_with_bounds:
+        for node_id, (vmask, bound) in enumerate(sets_with_bounds):
             if vmask == 0:
                 raise InstanceError("empty set in laminar family")
-            forest.add_node(vmask, bound)
+            supersets = [
+                j for j, m in enumerate(masks) if m != vmask and m & vmask == vmask
+            ]
+            parent = min(supersets, key=lambda j: masks[j].bit_count(), default=None)
+            forest.nodes.append(LaminarNode(node_id, vmask, bound, parent))
+        for node in forest.nodes:
+            p = node.parent
+            (forest.roots if p is None else forest.nodes[p].children).append(node.id)
         forest.check_invariants()
         return forest
-
-    def add_node(self, vmask, bound):
-        """Insert a set, deriving its parent; keeps insertion order."""
-        node_id = len(self.nodes)
-        parent = None
-        for other in self.nodes:
-            if not other.alive:
-                continue
-            if other.vset != vmask and other.vset & vmask == vmask:
-                if parent is None or other.vset & parent.vset == other.vset:
-                    parent = other
-        node = LaminarNode(node_id, vmask, bound, parent.id if parent else None)
-        self.nodes.append(node)
-        # adopt existing nodes that the new set now covers more tightly
-        pool = self.roots if parent is None else parent.children
-        adopted = [
-            cid
-            for cid in pool
-            if self.nodes[cid].vset & vmask == self.nodes[cid].vset
-        ]
-        for cid in adopted:
-            pool.remove(cid)
-            self.nodes[cid].parent = node_id
-            node.children.append(cid)
-        pool.append(node_id)
-        return node_id
 
     # -- queries ---------------------------------------------------------
 

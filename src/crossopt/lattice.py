@@ -248,7 +248,7 @@ def bound_feasible_predicate(instance):
 # -- tight-chain checks ---------------------------------------------------------
 
 
-def check_chain_growth(point, lat, fmask=0):
+def check_chain_growth(point, lat):
     """Uncross the tight rank rows of a strictly fractional vertex into a
     chain and check each member with a nonempty image contributes at
     least two new elements, which caps the chain at |E'| / 2.
@@ -260,8 +260,6 @@ def check_chain_growth(point, lat, fmask=0):
     at every uncrossing step.  Tightness is compared in the point's
     integers: x(rho(S)) = r(S) is D * x(rho(S)) = D * r(S).
     """
-    if fmask:
-        raise ValueError("chain growth applies to fresh vertices only")
     if point.zeros or point.ones:
         raise ValueError("chain growth needs a strictly fractional vertex")
     eprime = sum(1 << e for e in point.var_ids)

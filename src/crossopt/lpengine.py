@@ -29,14 +29,20 @@ are built as rationals.  separate_spanning_tree keeps the excess of
 every vertex subset in a field of one packed int and tests all of them
 against a threshold with one add and one AND (its docstring proves the
 field width); it bisects the threshold only when the point is violated.
-The covering and lattice separators tabulate their subset sums in
-lists.  A min-cut separator could replace separate_spanning_tree behind
-the same interface if graphs beyond SPANNING_SUBSET_GUARD vertices were
-ever needed.
+A min-cut separator could replace separate_spanning_tree behind the
+same interface if graphs beyond SPANNING_SUBSET_GUARD vertices were
+ever needed.  The covering and lattice separators share one kernel
+over rank rows x(rho_j & E') >= r_j - |F & rho_j|, which tabulates the
+row sums in lists: a lattice's rows are its members, and a covering
+pair's rows (ContraPolymatroidPair.rows) are its nonempty subsets S
+with r_j = max(r1(S), r2(S)), the rank rows of the subset lattice.
 
-Ties in "most violated" break by smaller witness set, then by the
-lexicographically smallest bitmask (for lattices, by member index), so
-runs are reproducible.
+Ties in "most violated" break so that runs are reproducible.  Subtour
+and covering witnesses are the smallest set, then the smallest bitmask:
+the kernel returns the first most-violated row in list order, and
+ContraPolymatroidPair.rows lists the subsets by size, then mask.  A
+covering row is cover1 (the row of r1) where r1(S) >= r2(S), else
+cover2.  Lattice witnesses are the smallest member index.
 
 After a fix (x_e = 1) or delete (x_e = 0) step no LP needs solving:
 reuse_extreme_point returns the previous vertex restricted to the
@@ -84,8 +90,6 @@ never kept: its lhs and rhs are residual numbers and change with F.
 """
 
 from dataclasses import dataclass
-from itertools import islice
-from operator import sub
 from typing import NamedTuple
 
 from .errors import InternalCheckError, SizeGuardError
@@ -113,20 +117,6 @@ class SeparationResult:
 
 
 # -- separation oracles ------------------------------------------------------
-
-
-def _smallest_witness(values, target, start, stop):
-    """Index i in [start, stop) with values[i] == target, smallest
-    popcount first, then smallest index; None if there is none."""
-    found, size = None, None
-    i = start - 1
-    try:
-        while True:
-            i = values.index(target, i + 1, stop)
-            if size is None or i.bit_count() < size:
-                found, size = i, i.bit_count()
-    except ValueError:
-        return found
 
 
 def separate_spanning_tree(point, graph, fmask):
@@ -254,60 +244,53 @@ def separate_spanning_tree(point, graph, fmask):
     return SeparationResult(False, "subtour", vmask, lhs, Rat(rhs))
 
 
-def separate_contra_polymatroid(point, fmask, pair):
-    """Most-violated covering row x(S & E') >= r_i(S) - |F & S| at the
-    Vertex point, exhaustive over both functions and all subsets, in its
-    integers X = D * x."""
-    n = pair.n
+def _most_violated_row(point, fmask, ground_n, rho, rank):
+    """(j, lhs, rhs) of the first most-violated rank row
+    x(rho_j & E') >= r_j - |F & rho_j| in list order at the Vertex point,
+    over a ground set of ground_n elements; None if every row holds.
+    Works in the point's integers X = D * x."""
     den = point.den
     scaled = dict(zip(point.var_ids, point.scaled))
-    xsum, fixed = [0], [0]
-    for e in range(n):
-        w = scaled.get(e, 0)
-        xsum += [s + w for s in xsum] if w else xsum
-        fixed += [f + 1 for f in fixed] if (fmask >> e) & 1 else fixed
-    best = None
-    for func_idx, table in ((1, pair.r1), (2, pair.r2)):
-        viol = [
-            den * r - x if r > 0 else 0
-            for r, x in zip(map(sub, table, fixed), xsum)
-        ]
-        worst = max(islice(viol, 1, None), default=0)
-        if worst <= 0:
-            continue
-        s = _smallest_witness(viol, worst, 1, len(viol))
-        key = (worst, -s.bit_count(), -s, -func_idx)
-        if best is None or key > best[0]:
-            best = (key, func_idx, s)
-    if best is None:
-        return SeparationResult.ok()
-    _, func_idx, s = best
-    table = pair.r1 if func_idx == 1 else pair.r2
-    rhs = table[s] - fixed[s]
-    return SeparationResult(False, f"cover{func_idx}", s, Rat(xsum[s], den), Rat(rhs))
-
-
-def separate_lattice(point, fmask, lat):
-    """Most-violated rank row x(rho(S) & E') >= r(S) - |F & rho(S)| at
-    the Vertex point, in its integers X = D * x; ties break by member
-    index."""
-    den = point.den
-    scaled = dict(zip(point.var_ids, point.scaled))
-    lhs = [0] * lat.size
-    for base in range(0, lat.ground_n, 8):
+    lhs = [0] * len(rho)
+    for base in range(0, ground_n, 8):
         # sums[b]: scaled x over the elements base + i for the bits i of b
         sums = [0]
         for e in range(base, base + 8):
             w = scaled.get(e, 0)
             sums += [s + w for s in sums] if w else sums
-        lhs = [acc + sums[(rho >> base) & 255] for acc, rho in zip(lhs, lat.rho)]
-    need = [rank - (fmask & rho).bit_count() for rank, rho in zip(lat.rank, lat.rho)]
+        lhs = [acc + sums[(m >> base) & 255] for acc, m in zip(lhs, rho)]
+    need = [r - (fmask & m).bit_count() for r, m in zip(rank, rho)] if fmask else rank
     viol = [den * r - x if r > 0 else 0 for r, x in zip(need, lhs)]
     worst = max(viol, default=0)
     if worst <= 0:
-        return SeparationResult.ok()
+        return None
     j = viol.index(worst)
-    return SeparationResult(False, "rank", j, Rat(lhs[j], den), Rat(need[j]))
+    return j, Rat(lhs[j], den), Rat(need[j])
+
+
+def separate_contra_polymatroid(point, fmask, pair):
+    """Most-violated covering row x(S & E') >= r_i(S) - |F & S| at the
+    Vertex point, exhaustive over both functions and all nonempty
+    subsets: the rank rows pair.rows, family cover1 where r1(S) >= r2(S)
+    and cover2 elsewhere."""
+    masks, rank = pair.rows
+    found = _most_violated_row(point, fmask, pair.n, masks, rank)
+    if found is None:
+        return SeparationResult.ok()
+    j, lhs, rhs = found
+    s = masks[j]
+    family = "cover1" if pair.r1[s] >= pair.r2[s] else "cover2"
+    return SeparationResult(False, family, s, lhs, rhs)
+
+
+def separate_lattice(point, fmask, lat):
+    """Most-violated rank row x(rho(S) & E') >= r(S) - |F & rho(S)| at
+    the Vertex point; ties break by member index."""
+    found = _most_violated_row(point, fmask, lat.ground_n, lat.rho, lat.rank)
+    if found is None:
+        return SeparationResult.ok()
+    j, lhs, rhs = found
+    return SeparationResult(False, "rank", j, lhs, rhs)
 
 
 def remembering_feasible(separate, fmask, feasible):

@@ -57,13 +57,18 @@ span].  Only when the pass finds a violation are the tables scanned in
 order, to name the same first witness; a table whose packed int would
 exceed PACK_LIMIT bytes (a huge span) is scanned directly.
 
+A covering pair's rows x(S) >= max(r1(S), r2(S)) are the rank rows
+of the subset lattice.  ``ContraPolymatroidPair.rows`` lists them once
+per pair, the nonempty subsets by size, then mask, so the one rank-row
+separator in lpengine scans them as it scans a lattice's members.
+
 ``uncross`` turns a family of tight sets or lattice members into a
 chain by meets and joins, for the tight-chain checks of the
 covering solvers.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import compress, product, repeat
 from operator import eq, le, mul, or_, sub
 
@@ -224,6 +229,16 @@ class ContraPolymatroidPair:
 
     def requirement(self, mask):
         return max(self.r1[mask], self.r2[mask])
+
+    @cached_property
+    def rows(self):
+        """(masks, requirements): the nonempty subsets by size, then
+        mask, and max(r1(S), r2(S)) for each.  These are the covering
+        rows as rank rows over the subset lattice, in the order that
+        breaks separation ties by smaller set, then smaller mask."""
+        masks = tuple(sorted(range(1, 1 << self.n), key=int.bit_count))
+        r1, r2 = self.r1, self.r2
+        return masks, tuple([r1[s] if r1[s] >= r2[s] else r2[s] for s in masks])
 
 
 def _check_table(name, table, m, types, values, what):

@@ -27,6 +27,7 @@ from crossopt.oracles import (
 )
 from crossopt.randgen import random_lattice_instance
 from crossopt.rational import Rat
+from crossopt.simplex import Vertex
 
 
 def brute_opt(inst):
@@ -183,10 +184,13 @@ def test_chain_growth_collected_during_run():
 
 
 def test_chain_growth_preconditions():
+    # a point with a coordinate at 0 or 1 is not strictly fractional
     inst = fractional_block_instance()
     point = solve_to_extreme_point(LatticeState(inst).residual())
-    with pytest.raises(ValueError):
-        check_chain_growth(point, inst.lat, fmask=0b1)
+    for value in (Rat(0), Rat(1)):
+        moved = Vertex.of_values({**point.x_by_id, 0: value})
+        with pytest.raises(ValueError, match="strictly fractional"):
+            check_chain_growth(moved, inst.lat)
 
 
 def test_uncross_tight_members_produces_chain():

@@ -11,7 +11,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_separators as reference
@@ -253,13 +253,48 @@ def cover_cases(draw):
     return draw_point(draw, list(range(n))), draw(st.integers(0, (1 << n) - 1)), pair
 
 
+def containing(n, t):
+    """The supermodular table S -> 1 if S contains t, else 0."""
+    return tuple(int(s & t == t) for s in range(1 << n))
+
+
+# Both functions reach 2 at {0,1}, the most violated set, where r1 wins
+# the tie: cover1.
+COVER_TIE_AT_EQUAL_REQUIREMENTS = (
+    {0: Rat(1, 2), 1: Rat(1, 2)},
+    0,
+    ContraPolymatroidPair(2, (0, 1, 0, 2), (0, 0, 1, 2)),
+)
+# {3} (mask 8, by r2) and {0,1,2} (mask 7, by r1) are both violated by
+# 3/4; the smaller set wins although its mask is larger.
+COVER_TIE_SMALLER_SET_LARGER_MASK = (
+    {0: Rat(1, 4), 3: Rat(1, 4)},
+    0,
+    ContraPolymatroidPair(4, containing(4, 0b0111), containing(4, 0b1000)),
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(cover_cases())
+@example(COVER_TIE_AT_EQUAL_REQUIREMENTS)
+@example(COVER_TIE_SMALLER_SET_LARGER_MASK)
 def test_contra_polymatroid_matches_reference(case):
     assert_same(
         lpengine.separate_contra_polymatroid(*at_vertex(case)),
         reference.separate_contra_polymatroid(*case),
     )
+
+
+def test_cover_tie_cases_are_what_they_claim():
+    x, fmask, pair = COVER_TIE_AT_EQUAL_REQUIREMENTS
+    res = reference.separate_contra_polymatroid(x, fmask, pair)
+    assert (res.family, res.witness) == ("cover1", 0b11)
+    assert pair.r1[0b11] == pair.r2[0b11]
+    x, fmask, pair = COVER_TIE_SMALLER_SET_LARGER_MASK
+    res = reference.separate_contra_polymatroid(x, fmask, pair)
+    assert (res.family, res.witness) == ("cover2", 0b1000)
+    load = sum(x.get(e, 0) for e in range(3))
+    assert pair.requirement(0b0111) - load == res.rhs - res.lhs
 
 
 def chain_lattice(rng, ground_n):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import table_lattice
 from conftest import triangle_graphic_matroid
+from incremental_laminar import incremental_forest
 from crossopt.errors import InstanceError, InternalCheckError
 from crossopt.graphs import Edge, Graph, mask_of
 from crossopt.instances import (
@@ -27,6 +28,7 @@ from crossopt.oracles import (
     _local_exchange_violation,
     matroid_to_lattice,
 )
+from crossopt.randgen import random_laminar_sets
 from crossopt.rational import Rat, render_rat
 
 
@@ -127,6 +129,27 @@ def test_crossing_family_rejected():
         LaminarForest.from_sets([(0b0011, Rat(1)), (0b0110, Rat(1))])
     with pytest.raises(InstanceError):
         LaminarForest.from_sets([(0b01, Rat(1)), (0b01, Rat(1))])
+
+
+def forest_shape(forest):
+    return (
+        [(nd.id, nd.vset, nd.bound, nd.parent, nd.children) for nd in forest.nodes],
+        forest.roots,
+    )
+
+
+def test_from_sets_matches_incremental_builder():
+    # shuffled so that supersets come after their subsets as often as
+    # before them, and children reach a parent in every order
+    rng = random.Random(3602)
+    for _ in range(2000):
+        n = rng.randint(2, 9)
+        masks = random_laminar_sets(rng, n, 2 * n - 1)
+        rng.shuffle(masks)
+        family = [(m, Rat(rng.randint(0, 3))) for m in masks]
+        assert forest_shape(LaminarForest.from_sets(family)) == forest_shape(
+            incremental_forest(family)
+        )
 
 
 def test_drop_children_splices_in_place():
