@@ -14,9 +14,10 @@ check of its own.  |S & F| is modular, so every local exchange
 difference of the residual equals that of r_i, which
 ContraPolymatroidPair verified when the instance was built.
 
-The step never asks for the old vertex to be reused: rounding a value in
-[1/2, 1) up and lowering bounds by fractional amounts does not restrict
-the old region to a face, so every iteration solves the LP again.
+The step never names a face, so the old vertex is never reused:
+rounding a value in [1/2, 1) up and lowering bounds by fractional
+amounts does not restrict the old region to a face, so every iteration
+solves the LP again.
 
 The final solution covers both functions on every subset, exceeds no
 bound by more than b + frequency - 1 beyond a factor two, and costs at
@@ -127,7 +128,7 @@ class IntersectionState:
             trace.add({"ev": "fix", "edge": e})
         for i in drops:
             trace.add({"ev": "drop", "bound": i})
-        return False
+        return None
 
     def finish(self, lp_initial):
         if self.instance.cost_of(self.fmask) > 2 * lp_initial:

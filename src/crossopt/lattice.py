@@ -15,13 +15,12 @@ violation.
 A delete or fix step leaves the face x_e = 0 (or 1) of the old region
 with e dropped (a fix lowers every rank and bound rhs containing e by
 one, exactly x_e), and the old optimal vertex lies on that face, so the
-step asks for its restriction to be reused after certify re-checks it
-(lpengine.reuse_extreme_point).  Its rank rows are not scanned again:
-with F at 1 and deleted elements at 0 the point and every rank row's
-excess are unchanged, so the state's separator finds the verdict among
-the run's feasible keys (lpengine.remembering_feasible).  Dropping a
-bound removes rows and can enlarge the region, so the LP after a drop,
-like the first, is solved from scratch.
+step returns the face (e, c) and the old vertex, less e, is reused after
+certify re-checks it (lpengine.reuse_extreme_point).  Reuse checks the
+face, so its rank rows are not scanned again: with F at 1 and deleted
+elements at 0 the point and every rank row's excess are unchanged.
+Dropping a bound removes rows and can enlarge the region, so the LP
+after a drop, like the first, is solved from scratch.
 
 Exactly one action happens per iteration, so |undecided| + |bounds|
 drops by one each time and the run ends after at most |E| + |I|
@@ -33,10 +32,10 @@ from math import floor
 from .errors import InstanceError, InternalCheckError, NoStepApplies
 from .graphs import iter_bits
 from .instances import INCLUSION
-from .lpengine import Residual, remembering_feasible, separate_lattice
+from .lpengine import Residual, separate_lattice
 from .oracles import uncross
 from .rational import Rat, rat_ceil, render_rat
-from .relax import CheckReport, check, relax
+from .relax import CheckReport, check, relax, step_face
 from .simplex import GE, LE, LinearProgram, Row
 
 
@@ -64,8 +63,6 @@ class LatticeState:
         self.fmask = 0
         self.alive = set(range(len(instance.constraints)))
         self.delta = instance.delta
-        # full-coordinate keys of the points separation found feasible
-        self.feasible = set()
         self.iteration_cap = instance.n + len(instance.constraints)
 
     def finished(self):
@@ -95,16 +92,13 @@ class LatticeState:
         objective = tuple(instance.costs[v] for v in var_ids)
         return Residual(
             LinearProgram(var_ids, objective, tuple(rows)),
-            remembering_feasible(
-                lambda point: separate_lattice(point, fmask, lat),
-                fmask,
-                self.feasible,
-            ),
+            lambda point: separate_lattice(point, fmask, lat),
             cut_row,
         )
 
     def step(self, point, lp_initial, trace):
-        """One delete, fix or drop; True after a delete or fix."""
+        """One delete, fix or drop; the face (e, c) after a delete or
+        fix, else None."""
         budget = self.eprime.bit_count() + len(self.alive)
         event = self._delete_or_fix(point) or self._drop(point)
         if event is None:
@@ -115,7 +109,7 @@ class LatticeState:
         trace.add(event)
         if self.eprime.bit_count() + len(self.alive) != budget - 1:
             raise InternalCheckError("|E'| + |W| did not decrease by exactly 1")
-        return event["ev"] != "drop"
+        return step_face(event)
 
     def _delete_or_fix(self, point):
         if point is None:

@@ -45,34 +45,37 @@ covering row is cover1 (the row of r1) where r1(S) >= r2(S), else
 cover2.  Lattice witnesses are the smallest member index.
 
 After a fix (x_e = 1) or delete (x_e = 0) step no LP needs solving:
-reuse_extreme_point returns the previous vertex restricted to the
-remaining variables.  The previous vertex x is optimal over the old
-region P and lies on its face {x in P : x_e = c}; the new residual
-region is exactly that face with coordinate e dropped (every row's rhs
-absorbs c), and the objective changes by the constant c * cost_e, so
-the restriction is an optimal point of the new region.  The cost is
-re-checking, not re-solving.  A certified vertex is one simplex.Vertex,
-carried once as integers X / D, whose LP rows name themselves by their
-tags.  The reused point is checked against the base rows for the new
-state plus the previous point's tight cut rows (rebuilt from their
-tags, so each rhs reflects the new fixed set) by simplex.certify, the
-routine the simplex certifies its own vertices with: row feasibility,
-the box, the tight set and the vertex certificate.  Then the
-separator is asked again, and it has answered already, in full
-coordinates.  Any failed check is an InternalCheckError; nothing falls
-back to a cold solve.  Steps that drop or merge bounds remove or relax
-rows, so the region can grow and the old vertex need not stay optimal;
-after those, and after rounding values >= 1/2 (which changes bounds by
-fractional amounts, so the new region is not a face of the old one),
-the LP is solved again with solve_to_extreme_point.
+the step names the face (e, c) it moved to, and reuse_extreme_point
+returns the previous vertex with coordinate e dropped.  The previous
+vertex x is optimal over the old region P and lies on its face
+{x in P : x_e = c}; the new residual region is exactly that face with
+coordinate e dropped (every row's rhs absorbs c), and the objective
+changes by the constant c * cost_e, so the restriction is an optimal
+point of the new region.  The cost is re-checking, not re-solving.  A
+certified vertex is one simplex.Vertex, carried once as integers X / D,
+whose LP rows name themselves by their tags.  Reuse checks the face:
+x_e = c at the previous vertex, and the new variables are the previous
+ones less e.  The reused point is then checked against the base rows
+for the new state plus the previous point's tight cut rows (the tight
+rows the new base LP does not hold, rebuilt from their tags, so each
+rhs reflects the new fixed set) by simplex.certify, the routine the
+simplex certifies its own vertices with: row feasibility, the box, the
+tight set and the vertex certificate.  Any failed check is an
+InternalCheckError; nothing falls back to a cold solve.  Steps that
+drop or merge bounds remove or relax rows, so the region can grow and
+the old vertex need not stay optimal; after those, and after rounding
+values >= 1/2 (which changes bounds by fractional amounts, so the new
+region is not a face of the old one), the LP is solved again with
+solve_to_extreme_point.
 
-In full coordinates a point x of the residual LP is x~: x on the
-undecided variables E', 1 on the fixed set F and 0 on the deleted ones.
-A fix or delete moves one variable at value c from E' into F (c = 1)
-or out of both (c = 0), so the restriction of the old vertex has the
-same x~ as the old vertex.  Every row of the exponential families is a
-row on x~ whose residual form moves the F part to the rhs, so its
-excess, scaled by D, is a function of D * x~ alone:
+The reused point is not separated again.  In full coordinates a point x
+of the residual LP is x~: x on the undecided variables E', 1 on the
+fixed set F and 0 on the deleted ones.  A fix or delete moves the
+variable e at value c from E' into F (c = 1) or out of both (c = 0), so
+once the face check holds, the reused point has the same x~ as the
+previous vertex.  Every row of the exponential families is a row on x~
+whose residual form moves the F part to the rhs, so its excess, scaled
+by D, is a function of D * x~ alone:
 - subtour row U, x(E'(U)) <= |U| - |F(U)| - 1: the excess
   X(E'(U)) + D*|F(U)| - D*(|U| - 1) is D * (x~(E(U)) - |U| + 1);
 - the tree-total row x(E') = n - |F| - 1: X(E') + D*|F| - D*(n - 1) is
@@ -80,13 +83,9 @@ excess, scaled by D, is a function of D * x~ alone:
 - rank row S, x(rho(S) & E') >= r(S) - |F & rho(S)|: the excess
   X(rho(S) & E') + D*|F & rho(S)| - D*r(S) is D * (x~(rho(S)) - r(S)).
 Deleted variables are in neither E' nor F, and so add 0.  Drop and merge
-steps edit only base rows.  So the separator's verdict is fixed for the
-whole run by x~, which the key (D, the ids at value 1 together with F,
-the fractional X by id) determines: the same key is the same x~.
-remembering_feasible keeps a run's keys that separation found
-feasible.  A reused vertex has the key of the vertex it came from, which
-was separated feasible, so its check is a lookup.  A violated result is
-never kept: its lhs and rhs are residual numbers and change with F.
+steps edit only base rows.  So the separator's verdict on the reused
+point is its verdict on the previous vertex, which was separated
+feasible (or was itself reused, by induction).
 """
 
 from dataclasses import dataclass
@@ -95,10 +94,7 @@ from typing import NamedTuple
 from .errors import InternalCheckError, SizeGuardError
 from .graphs import iter_bits
 from .rational import Rat
-from .simplex import LinearProgram, certify, simplex_solve, violated
-
-# row-tag kinds the separators add; every other tag names a base row
-CUT_KINDS = frozenset(("subtour", "cover1", "cover2", "rank"))
+from .simplex import LinearProgram, Vertex, certify, simplex_solve, violated
 
 SPANNING_SUBSET_GUARD = 20
 
@@ -293,28 +289,6 @@ def separate_lattice(point, fmask, lat):
     return SeparationResult(False, "rank", j, lhs, rhs)
 
 
-def remembering_feasible(separate, fmask, feasible):
-    """``separate`` (a separator bound to the fixed set ``fmask``) that
-    first looks the point up in ``feasible``, a run's set of full-
-    coordinate keys already found feasible, and adds the key of every
-    point it finds feasible.  The key (D, the mask of ids at value 1,
-    counting fmask, and the fractional X by id) fixes the point in full
-    coordinates, where the verdict depends on nothing else (see the
-    module docstring).  A violated result is never kept: its lhs and
-    rhs are in the coordinates of this fmask."""
-
-    def check(point):
-        key = (point.den, point.ones | fmask, tuple(point.fractional.items()))
-        if key in feasible:
-            return SeparationResult.ok()
-        result = separate(point)
-        if result.feasible:
-            feasible.add(key)
-        return result
-
-    return check
-
-
 # -- working LP assembly -----------------------------------------------------
 
 
@@ -367,34 +341,37 @@ def solve_to_extreme_point(residual):
         lp = LinearProgram(lp.var_ids, lp.objective, lp.rows + (row,))
 
 
-def reuse_extreme_point(residual, prev):
-    """Certified optimal vertex of the Residual after a fix or delete
-    step, taken from the previous extreme point ``prev`` without a
-    solve.
+def reuse_extreme_point(residual, prev, face):
+    """Certified optimal vertex of the Residual after a step moved to the
+    face (e, c), x_e = c, taken from the previous extreme point ``prev``
+    without a solve.
 
-    The working LP is the Residual's base LP plus the cut rows that were
-    tight at ``prev``, each rebuilt from its tag by the Residual's
-    cut_row.  The restriction of ``prev`` to the undecided variables
-    must satisfy that LP, pass the Residual's separator (which finds it
-    among the run's feasible keys; see the module docstring) and carry
-    a vertex certificate; otherwise InternalCheckError.  Optimality is
-    the face argument in the module docstring.
+    Reuse checks the face: x_e = c at prev, and the Residual's variables
+    are prev's less e.  The point is prev less e, certified against the
+    Residual's base LP plus the rows tight at prev that the base LP does
+    not hold, its cut rows, each rebuilt from its tag by cut_row; a
+    failed check is an InternalCheckError.  The point is not separated:
+    its verdict and its optimality are prev's, by the face argument in
+    the module docstring.
     """
+    e, c = face
+    var_ids = prev.var_ids
+    if e not in var_ids:
+        raise InternalCheckError(f"face variable {e} is not a previous variable")
+    at = var_ids.index(e)
+    if prev.scaled[at] != c * prev.den:
+        raise InternalCheckError(f"previous vertex is not on the face x_{e} = {c}")
     lp = residual.lp
+    if lp.var_ids != var_ids[:at] + var_ids[at + 1:]:
+        raise InternalCheckError(
+            f"undecided variables are not the previous vertex's less {e}"
+        )
+    base = {row.tag for row in lp.rows}
     cuts = tuple(
-        residual.cut_row(kind, witness)
-        for kind, witness in prev.tight_tags()
-        if kind in CUT_KINDS
+        residual.cut_row(*tag) for tag in prev.tight_tags() if tag not in base
     )
     if cuts:
         lp = LinearProgram(lp.var_ids, lp.objective, lp.rows + cuts)
-    try:
-        point = prev.restricted_to(lp)
-    except KeyError as exc:
-        raise InternalCheckError(
-            f"undecided variable {exc} has no value at the previous vertex"
-        ) from None
+    point = Vertex.scaled_at(lp, prev.den, prev.scaled[:at] + prev.scaled[at + 1:])
     certify(point, InternalCheckError("reused vertex violates the new working LP"))
-    if not residual.separate(point).feasible:
-        raise InternalCheckError("reused vertex violates a family constraint")
     return point

@@ -17,14 +17,13 @@ applicable step:
 After a fix or delete step the new residual region is the face x_e = 1
 (or 0) of the old one, which the old optimal vertex lies on: tightening
 only lowered bounds to the loads at that vertex, and fixing decrements
-exactly the bounds the fixed edge crosses.  So the old vertex,
-restricted to the remaining edges, is reused and re-certified
-(lpengine.reuse_extreme_point).  Its subtour and tree-total rows are
-not scanned again: with F at 1 and deleted edges at 0 the point and
-every such row's excess are unchanged, so the state's separator finds
-the verdict among the run's feasible keys (lpengine.remembering_feasible).
-A drop or merge step removes or loosens rows, so the old vertex need
-not stay optimal and the LP is solved again.
+exactly the bounds the fixed edge crosses.  The step returns that face
+(e, c), and the old vertex, less the edge e, is reused and re-certified
+(lpengine.reuse_extreme_point).  Reuse checks the face, so its subtour
+and tree-total rows are not scanned again: with F at 1 and deleted
+edges at 0 the point and every such row's excess are unchanged.  A
+drop or merge step removes or loosens rows, so the old vertex need not
+stay optimal and the LP is solved again.
 
 The state keeps each degree row's edge mask for the whole run, and
 each bound only on its forest node.  A fix or delete removes the edge
@@ -56,13 +55,13 @@ from .errors import InstanceError, InternalCheckError, NoStepApplies
 from .graphs import iter_bits
 from .instances import _rat
 from .laminar import VIRTUAL_ROOT, all_consecutive_blocks
-from .lpengine import Residual, remembering_feasible, separate_spanning_tree
+from .lpengine import Residual, separate_spanning_tree
 
 # imported by name so that crossopt.mcst.solve_to_extreme_point, which
 # the benchmark's wrapper test reads, stays the lpengine function
 from .lpengine import solve_to_extreme_point  # noqa: F401
 from .rational import Rat, render_rat
-from .relax import CheckReport, begin_event, check, relax
+from .relax import CheckReport, begin_event, check, relax, step_face
 from .simplex import EQ, LE, LinearProgram, Row
 
 MAX_LOCAL = 24  # locality threshold for "good" nodes
@@ -152,8 +151,6 @@ class McstState:
         # the edge costs' denominators
         self.cost_den = lcm(*(e.cost.denominator for e in self.graph.edges))
         self.fcost = 0
-        # full-coordinate keys of the points separation found feasible
-        self.feasible = set()
         self.reshaped()
         self.iteration_cap = (
             self.eprime.bit_count() + drop_round_limit(self.graph.n) + 2
@@ -256,17 +253,13 @@ class McstState:
             LinearProgram(
                 var_ids, tuple(by_id[v].cost for v in var_ids), tuple(rows)
             ),
-            remembering_feasible(
-                lambda point: separate_spanning_tree(point, graph, fmask),
-                fmask,
-                self.feasible,
-            ),
+            lambda point: separate_spanning_tree(point, graph, fmask),
             cut_row,
         )
 
     def step(self, point, lp_initial, trace):
-        """Tighten, check the invariants and apply try_step; True after
-        a fix or delete, whose new region is a face of the old one."""
+        """Tighten, check the invariants and apply try_step; the face
+        (e, c) after a fix or delete, else None."""
         graph = self.graph
         z, z0, c_den = point.objective, lp_initial, self.cost_den
         # c(F) + z > z0, in integers
@@ -292,15 +285,16 @@ class McstState:
         before = len(self.reach)  # the alive nodes
         event = try_step(self, point, classified)
         trace.add(event)
-        if event["ev"] in ("fix", "delete"):
-            return True
+        face = step_face(event)
+        if face is not None:
+            return face
         after = self.forest.size()
         if 8 * (before - after) < before:
             raise InternalCheckError(
                 f"drop round shrank the family by {before - after} of {before}, "
                 "less than an eighth"
             )
-        return False
+        return None
 
     def finish(self, lp_initial):
         tree = self.fmask

@@ -16,8 +16,10 @@ passes ``relax`` its residual state, an object with
   from its own bounds and which later steps leave unchanged;
 - ``step(point, lp_initial, trace)``: apply one step at the extreme
   point (``None`` when no variable is undecided), add its events to the
-  trace, and return True when the new region is the face of the old one
-  that the point lies on, so the point stays optimal and is reused;
+  trace, and return the face (e, c) after a fix (c = 1) or a delete
+  (c = 0) of the variable e, else ``None``.  The new region is then the
+  face x_e = c of the old one, so the point stays optimal and is
+  reused; reuse checks the face;
 - ``finish(lp_initial)``: the final checks; returns the fields of the
   trace's ``end`` event.
 
@@ -145,7 +147,7 @@ def relax(state):
     trace.add(begin_event(state.instance, state.header))
     lp_initial = None
     point = None
-    reuse = False
+    face = None
     iterations = 0
     while not state.finished():
         iterations += 1
@@ -156,7 +158,7 @@ def relax(state):
         if not state.eprime:
             point = None
         else:
-            point = _extreme_point(state, point if reuse else None, lp_initial is None)
+            point = _extreme_point(state, point, face, lp_initial is None)
             if lp_initial is None:
                 lp_initial = point.objective
             trace.add(
@@ -164,10 +166,10 @@ def relax(state):
                     "ev": "solve",
                     "x": _render_values(point),
                     "objective": render_rat(point.objective),
-                    "reused": reuse,
+                    "reused": face is not None,
                 }
             )
-        reuse = state.step(point, lp_initial, trace)
+        face = state.step(point, lp_initial, trace)
     if lp_initial is None:
         lp_initial = ZERO
     trace.add(
@@ -176,13 +178,20 @@ def relax(state):
     return trace, lp_initial
 
 
-def _extreme_point(state, prev, first):
-    """The certified extreme point of state's residual LP: prev reused
-    when given, else a fresh solve.  An empty LP is InstanceError when
-    it is the first, and InternalCheckError after that."""
+def step_face(event):
+    """(e, c) for a fix (c = 1) or delete (c = 0) of the variable e, else None."""
+    c = {"fix": 1, "delete": 0}.get(event["ev"])
+    return None if c is None else (event["edge"], c)
+
+
+def _extreme_point(state, prev, face, first):
+    """The certified extreme point of state's residual LP: prev reused on
+    the face (e, c) when a face is given, else a fresh solve.  An empty
+    LP is InstanceError when it is the first, and InternalCheckError
+    after that."""
     try:
-        if prev is not None:
-            return reuse_extreme_point(state.residual(), prev)
+        if face is not None:
+            return reuse_extreme_point(state.residual(), prev, face)
         return solve_to_extreme_point(state.residual())
     except LpInfeasible:
         if first:
@@ -199,7 +208,7 @@ def initial_optimum(state):
     first residual LP.  Raises InstanceError when that LP is empty."""
     if state.finished() or not state.eprime:
         return ZERO
-    return _extreme_point(state, None, True).objective
+    return _extreme_point(state, None, None, True).objective
 
 
 def check(name, passed, **compared):

@@ -154,9 +154,9 @@ def objective_value(objective, den, scaled):
 class Vertex:
     """A point x = X / D of ``lp``, with D = ``den`` and X = ``scaled``
     (ints aligned with var_ids, as scale_values gives them), its one
-    stored form; ``values`` and ``x_by_id`` derive the rationals from
-    it.  ``tight_rows`` lists the rows and bounds claimed tight (the
-    module's index scheme), which certify sets on the vertex itself."""
+    stored form; ``values`` derives the rationals from it.
+    ``tight_rows`` lists the rows and bounds claimed tight (the module's
+    index scheme), which certify sets on the vertex itself."""
 
     lp: object
     var_ids: tuple
@@ -180,20 +180,10 @@ class Vertex:
         den, scaled = scale_values([x_by_id[v] for v in var_ids])
         return cls(None, var_ids, den, tuple(scaled), None, ())
 
-    def restricted_to(self, lp):
-        """This point's values on the variables of lp, as a point of lp
-        claiming no tight rows; KeyError names a variable it lacks."""
-        by_id = dict(zip(self.var_ids, self.scaled))
-        return Vertex.scaled_at(lp, self.den, tuple(by_id[v] for v in lp.var_ids))
-
     @property
     def values(self):
         den = self.den
         return tuple(Rat(x, den) for x in self.scaled)
-
-    @property
-    def x_by_id(self):
-        return dict(zip(self.var_ids, self.values))
 
     def tight_tags(self):
         """The tags of the rows of lp claimed tight (bounds have none)."""

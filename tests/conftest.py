@@ -77,6 +77,11 @@ def tree_instance():
     return McstInstance(graph, ((0b0011, Rat(2)), (0b0100, Rat(2))))
 
 
+def values_by_id(point):
+    """{variable id: rational value} of the Vertex point."""
+    return dict(zip(point.var_ids, point.values))
+
+
 def _after(patch, module, name, record):
     """Replace module.name, through patch, by a wrapper that passes each
     result it returns, then the call's arguments, to record."""

@@ -4,17 +4,23 @@
 after a fix or delete step as a dense ``LinearProgram`` of rational
 ``Constraint`` rows, then run the dense ``row_status`` and vertex
 certificate on it.  It now checks the reused vertex on the 0/1 rows in
-integers.  The dense version is kept below verbatim; only the imports
-(the dense types and checks now come from tests/dense_rows.py),
+integers, checks the face the step names and does not separate the
+vertex again.  The dense version is kept below verbatim; only the
+imports (the dense types and checks now come from tests/dense_rows.py),
 ``_dense_base`` (which turns the Residual's 0/1 rows back into the
 indicator Constraints the old ``base()`` built), the tags read through
-``Vertex.tight_tags``, the separator's point (now a ``Vertex``) and the
-result type are new, and the count of reused vertices that the package
-no longer keeps is left out.
+``Vertex.tight_tags`` (a cut tag is a tight tag the base rows do not
+hold), the previous values read by id, the separator's point (now a
+``Vertex``) and the result type are new, and the count of reused
+vertices that the package no longer keeps is left out.  It still takes
+the previous vertex's values by the new variable ids and separates the
+reused vertex in full, so it stays the differential against both
+checks the face replaced.
 """
 
 from dataclasses import dataclass
 
+from conftest import values_by_id
 from dense_rows import (
     BasicSolution,
     Constraint,
@@ -23,7 +29,7 @@ from dense_rows import (
     verify_vertex_certificate,
 )
 from crossopt.errors import InternalCheckError
-from crossopt.lpengine import CUT_KINDS, SeparationResult
+from crossopt.lpengine import SeparationResult
 from crossopt.rational import ONE, ZERO
 from crossopt.simplex import Vertex
 
@@ -83,11 +89,13 @@ def reuse_extreme_point(state, prev):
     """
     var_ids, objective, rows, separator, cut_row = _dense_base(state)
     rows = list(rows)
+    base = {tag for _, tag in rows}
     for kind, witness in prev.tight_tags():
-        if kind in CUT_KINDS:
+        if (kind, witness) not in base:
             rows.append(cut_row(SeparationResult(False, kind, witness)))
+    prev_values = values_by_id(prev)
     try:
-        values = tuple(prev.x_by_id[v] for v in var_ids)
+        values = tuple(prev_values[v] for v in var_ids)
     except KeyError as exc:
         raise InternalCheckError(
             f"undecided variable {exc} has no value at the previous vertex"

@@ -8,7 +8,8 @@ LP is solved by the Fraction reference (tests/fraction_simplex.py) on
 the dense rows of tests/dense_rows.py, in a cutting-plane loop of its
 own with the residual LP's separator and cut builder.
 ``full_separation_clean`` re-checks a vertex against the base rows and
-the separator from scratch.
+the separator from scratch, on its values at the residual LP's
+variables.
 """
 
 import fraction_simplex
@@ -61,4 +62,7 @@ def full_separation_clean(state, point):
     satisfies the base rows and the box."""
     if not state.separate(point).feasible:
         return False
-    return row_status(state.lp, point.restricted_to(state.lp)) is not None
+    by_id = dict(zip(point.var_ids, point.scaled))
+    lp = state.lp
+    restricted = Vertex.scaled_at(lp, point.den, tuple(by_id[v] for v in lp.var_ids))
+    return row_status(lp, restricted) is not None

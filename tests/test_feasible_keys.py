@@ -1,26 +1,30 @@
-"""Separation verdicts carried over in full coordinates.
+"""Separation verdicts carried to a reused vertex by the face check.
 
-McstState and LatticeState wrap their separators in
-lpengine.remembering_feasible: a point whose full-coordinate key (D, the
-ids at value 1 counting the fixed set, the fractional X by id) was found
-feasible earlier in the run is not scanned again.  The differential
-below runs the raw lpengine scan next to every call of the wrapped
-separators on the MCST seeds 0-39, the drop-round seeds and the
-benchmark's seed-0 covering corpus, and must see equal results.  The
-unit cases each fail when the key loses D or the fixed set, when the
-fixed set is read at call time instead of when residual() is called,
-or when a violated result is kept.
+After a fix or delete step the relax loop reuses the previous vertex on
+the face (e, c) that the step names, and lpengine.reuse_extreme_point
+does not separate it again: once x_e = c at the previous vertex and the
+new variables are its variables less e, the reused point is the
+previous vertex in full coordinates, which was found feasible.  The
+differential below runs the raw lpengine scan on every reused vertex of
+the MCST seeds 0-39, the drop-round seeds and the benchmark's seed-0
+covering-corpus lattices, at the state's fixed set, and must find each
+feasible.  The face cases take the first reuse of an MCST run and of a
+lattice run, and reuse must refuse a face the vertex is not on, a face
+variable the vertex lacks and a residual that lost a second variable.
+The unit cases check that a state's separator reads the fixed set its
+residual was built with, and reports a violated row in that fixed
+set's coordinates.
 """
 
 from random import Random
 from collections import Counter
-from contextlib import contextmanager
 
 import pytest
 
 from conftest import _after
 from test_mask_reuse import benchmark_instances
-from crossopt import lattice, lpengine, mcst
+from crossopt import lattice, lpengine, mcst, relax
+from crossopt.errors import InternalCheckError
 from crossopt.graphs import Graph
 from crossopt.instances import LatticeInstance, McstInstance
 from crossopt.lattice import LatticeState, run_lattice
@@ -33,7 +37,7 @@ from crossopt.randgen import (
 )
 from crossopt.rational import Rat
 from crossopt.relax import RunTrace
-from crossopt.simplex import Vertex
+from crossopt.simplex import LinearProgram, Vertex
 
 OK = lpengine.SeparationResult.ok()
 
@@ -46,56 +50,29 @@ def raw_lattice(state, fmask, point):
     return lpengine.separate_lattice(point, fmask, state.instance.lat)
 
 
-@contextmanager
-def compared_separation():
-    """Every call of a McstState or LatticeState separator is checked
-    against the raw lpengine scan at the fixed set the residual bound;
-    a call that made no scan (a hit) must be one the raw scan finds
-    feasible.  Yields a Counter of "calls" and "hits" per state class."""
-    counts = Counter()
-    scans = []
-
-    def scanned(*call):
-        scans.append(call)
-
-    with pytest.MonkeyPatch.context() as patch:
-        # the scans the wrapped separators make, through the names they call
-        _after(patch, mcst, "separate_spanning_tree", scanned)
-        _after(patch, lattice, "separate_lattice", scanned)
-        for cls, raw in ((McstState, raw_tree), (LatticeState, raw_lattice)):
-            residual = cls.residual
-
-            def compared(state, residual=residual, raw=raw, name=cls.__name__):
-                res = residual(state)
-                fmask = state.fmask
-
-                def separate(point):
-                    before = len(scans)
-                    got = res.separate(point)
-                    assert got == raw(state, fmask, point)
-                    counts[name, "calls"] += 1
-                    counts[name, "hits"] += len(scans) == before
-                    return got
-
-                return res._replace(separate=separate)
-
-            patch.setattr(cls, "residual", compared)
-        yield counts
-
-
-def test_remembered_verdicts_match_the_raw_scans(tmp_path):
+def test_reused_vertices_pass_the_raw_scans(tmp_path):
     lattices = [
         instance
         for instance in benchmark_instances("covering-corpus", 0, tmp_path)
         if isinstance(instance, LatticeInstance)
     ]
-    with compared_separation() as counts:
+    reused = Counter()
+
+    def scanned(point, state, prev, face, first):
+        # the residual was built inside the call, so state.fmask is its
+        # fixed set
+        if face is not None:
+            raw = raw_tree if isinstance(state, McstState) else raw_lattice
+            assert raw(state, state.fmask, point) == OK
+            reused[type(state)] += 1
+
+    with pytest.MonkeyPatch.context() as patch:
+        _after(patch, relax, "_extreme_point", scanned)
         for seed in tuple(range(40)) + MCST_DROP_SEEDS:
             run_mcst(random_mcst_instance(Random(seed)))
         for instance in lattices:
             run_lattice(instance)
-    for name in ("McstState", "LatticeState"):
-        assert 0 < counts[name, "hits"] < counts[name, "calls"]
+    assert reused[McstState] > 0 and reused[LatticeState] > 0
 
 
 @pytest.mark.parametrize(
@@ -106,9 +83,9 @@ def test_remembered_verdicts_match_the_raw_scans(tmp_path):
     ],
 )
 def test_separator_scans_are_counted_per_run(run, module, name, instance):
-    # the feasible keys live on the run's state: a second run of the
-    # same instance scans as often as the first.  The seeds are drawn by
-    # no other test, so keys kept across runs would show here whatever
+    # a run keeps no verdict for the next: a second run of the same
+    # instance scans as often as the first.  The seeds are drawn by no
+    # other test, so verdicts kept across runs would show here whatever
     # ran before
     scans = []
     counts = []
@@ -119,6 +96,77 @@ def test_separator_scans_are_counted_per_run(run, module, name, instance):
             run(instance)
             counts.append(len(scans) - before)
     assert counts[0] == counts[1] > 0
+
+
+# -- the face check ------------------------------------------------------------
+
+
+def first_reuse(state):
+    """(residual, prev, face) of the first reuse in the run of state."""
+    calls = []
+
+    def recorded(point, *call):
+        calls.append(call)
+
+    with pytest.MonkeyPatch.context() as patch:
+        _after(patch, relax, "reuse_extreme_point", recorded)
+        relax.relax(state)
+    return calls[0]
+
+
+def without(residual, v):
+    """The Residual with the variable v also gone from its LP."""
+    lp = residual.lp
+    keep = [j for j, u in enumerate(lp.var_ids) if u != v]
+    rows = tuple(row._replace(mask=row.mask & ~(1 << v)) for row in lp.rows)
+    return residual._replace(
+        lp=LinearProgram(
+            tuple(lp.var_ids[j] for j in keep),
+            tuple(lp.objective[j] for j in keep),
+            rows,
+        )
+    )
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        lambda: McstState(random_mcst_instance(Random(0))),
+        lambda: LatticeState(random_lattice_instance(Random(505))),
+    ],
+    ids=["mcst", "lattice"],
+)
+def reuse_call(request):
+    return first_reuse(request.param())
+
+
+def test_reuse_takes_the_previous_vertex_less_the_face_variable(reuse_call):
+    residual, prev, (e, c) = reuse_call
+    point = lpengine.reuse_extreme_point(residual, prev, (e, c))
+    at = prev.var_ids.index(e)
+    assert prev.scaled[at] == c * prev.den
+    assert point.var_ids == prev.var_ids[:at] + prev.var_ids[at + 1:]
+    assert point.scaled == prev.scaled[:at] + prev.scaled[at + 1:]
+
+
+def test_reuse_refuses_a_face_the_vertex_is_not_on(reuse_call):
+    residual, prev, (e, c) = reuse_call
+    with pytest.raises(InternalCheckError, match="not on the face"):
+        lpengine.reuse_extreme_point(residual, prev, (e, 1 - c))
+
+
+def test_reuse_refuses_a_face_variable_the_vertex_lacks(reuse_call):
+    residual, prev, (e, c) = reuse_call
+    missing = max(prev.var_ids) + 1
+    with pytest.raises(InternalCheckError, match="not a previous variable"):
+        lpengine.reuse_extreme_point(residual, prev, (missing, c))
+
+
+def test_reuse_refuses_a_residual_that_lost_a_second_variable(reuse_call):
+    residual, prev, (e, c) = reuse_call
+    for v in residual.lp.var_ids:
+        with pytest.raises(InternalCheckError, match="less"):
+            lpengine.reuse_extreme_point(without(residual, v), prev, (e, c))
 
 
 # -- unit cases ----------------------------------------------------------------
@@ -191,26 +239,6 @@ def test_lattice_verdict_is_not_carried_to_another_fixed_set():
     unfixed = at(before, 2, (0, 1, 1))
     got = before.separate(unfixed)
     assert got == raw_lattice(state, 0, unfixed) and not got.feasible
-
-
-@pytest.mark.parametrize(
-    "state, raw, feasible, smaller",
-    [
-        # (1/3, 1/3, 1, 1, 0) carries 8/3 on a 4-vertex tree
-        (mcst_state, raw_tree, (1, 1, 2, 2, 0), (1, 1, 3, 3, 0)),
-        # (1, 1/3, 1/3) has x(0, 1, 2) = 5/3 < 2
-        (lattice_state, raw_lattice, (2, 1, 1), (3, 1, 1)),
-    ],
-)
-def test_verdict_is_not_carried_to_another_denominator(state, raw, feasible, smaller):
-    # the same numerators over 3 instead of 2: the same ones and
-    # fractional X, another point
-    state = state()
-    residual = state.residual()
-    assert residual.separate(at(residual, 2, feasible)) == OK
-    point = at(residual, 3, smaller)
-    got = residual.separate(point)
-    assert got == raw(state, 0, point) and not got.feasible
 
 
 def test_mcst_violated_result_is_not_kept():

@@ -98,40 +98,42 @@ def module_bindings(node):
 
 
 def definitions(tree):
-    """(name, node) of every top-level function and class of a module
-    tree, every method of such a class other than a dunder, and every
-    module-level constant (a name a top-level assignment binds) other
-    than a dunder."""
+    """(name, node, method) of every top-level function and class of a
+    module tree, every method of such a class other than a dunder (with
+    method true), and every module-level constant (a name a top-level
+    assignment binds) other than a dunder."""
     for node in tree.body:
         if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node, False
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for name in module_bindings(node):
                 if not dunder(name):
-                    yield name, node
+                    yield name, node, False
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, FUNCTIONS) and not dunder(sub.name):
-                    yield sub.name, sub
+                    yield sub.name, sub, True
 
 
 def references(tree):
-    """Counter of the names tree reads as a Name, an Attribute or an
-    import, or names as the function a benchmark Boundary(span, module,
-    attr) wraps: perfbench/tracing.py looks that function up by its name,
-    and tests/test_perfbench_boundaries.py requires it to exist.
+    """Counters (names, attributes) of what tree reads: ``attributes``
+    counts the names it reads as an Attribute (``obj.name``), and
+    ``names`` the names it reads as a Name or an import, or names as the
+    function a benchmark Boundary(span, module, attr) wraps:
+    perfbench/tracing.py looks that function up by its name, and
+    tests/test_perfbench_boundaries.py requires it to exist.
 
     The Boundary rule is temporary. Only `enumerate_spanning_trees` needs
     it: src/ no longer calls it, and the `brute.tree_enum` boundary still
     names it. Once that boundary wraps `block_spanning_trees` and the
     enumerator moves to tests/, drop the rule unless another boundary
     then needs it."""
-    found = Counter()
+    found, attributes = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            found[node.attr] += 1
+            attributes[node.attr] += 1
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             found.update(alias.name.split(".")[-1] for alias in node.names)
         elif (
@@ -142,7 +144,15 @@ def references(tree):
             and isinstance(node.args[2], ast.Constant)
         ):
             found[node.args[2].value] += 1
-    return found
+    return found, attributes
+
+
+def read_count(refs, name, method):
+    """How often the references refs, a (names, attributes) pair, read
+    name: a method or property is read only as an attribute, any other
+    definition also as a name."""
+    names, attributes = refs
+    return attributes[name] + (0 if method else names[name])
 
 
 def unreferenced(modules, readers):
@@ -150,14 +160,16 @@ def unreferenced(modules, readers):
     source}) that no module and no reader source references, leaving
     out references inside the definition itself."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    total = Counter()
+    total = Counter(), Counter()
     for tree in [*trees.values(), *(ast.parse(source) for source in readers)]:
-        total.update(references(tree))
+        for counter, found in zip(total, references(tree)):
+            counter.update(found)
     return [
         (name, defined)
         for name, tree in trees.items()
-        for defined, node in definitions(tree)
-        if total[defined] == references(node)[defined]
+        for defined, node, method in definitions(tree)
+        if read_count(total, defined, method)
+        == read_count(references(node), defined, method)
     ]
 
 
@@ -174,8 +186,8 @@ def test_unreferenced_definitions_are_found():
             "LIMIT = 3\n"
             "SPARE = 4\n"
             "LOW, HIGH = 0, 1\n"
-            "def used():\n"
-            "    return helper, LIMIT, HIGH\n"
+            "def used(closed=None):\n"
+            "    return helper, LIMIT, HIGH, closed\n"
             "def helper():\n"
             "    return helper()\n"
             "def lonely():\n"

@@ -370,8 +370,8 @@ def checked_core(monkeypatch):
 
     reuse = lpengine.reuse_extreme_point
 
-    def checked_reuse(state, prev):
-        point = reuse(state, prev)
+    def checked_reuse(state, prev, face):
+        point = reuse(state, prev, face)
         lp, sol = dense_lp(point.lp), dense_solution(point)
         assert reference.row_status(lp, sol.values) == (True, sol.tight_rows)
         rank = verify_vertex_certificate(point.lp, point)

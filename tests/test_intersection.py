@@ -48,7 +48,7 @@ def test_zero_requirements_give_empty_solution():
 def test_tight_example_pipeline(edge_cover_4cycle):
     inst = edge_cover_4cycle
     state, point = first_point(inst)
-    assert all(v == Rat(1, 2) for v in point.x_by_id.values())
+    assert all(v == Rat(1, 2) for v in point.values)
     # unique optimum: every coordinate pinned
     ranges = coordinate_ranges(state, point.objective, inst.costs)
     assert all(lo == hi == Rat(1, 2) for lo, hi in ranges)
@@ -98,7 +98,7 @@ def test_chain_token_bound_integral_vertex():
     pair = ContraPolymatroidPair(n, table, table)
     inst = IntersectionInstance(pair, (Rat(1),) * n, ())
     _, point = first_point(inst)
-    assert all(v == Rat(1) for v in point.x_by_id.values())
+    assert all(v == Rat(1) for v in point.values)
     rep = check_chain_token_bound(point, pair, 1)
     assert Rat(len(rep["chain"])) <= rep["x_total"] == Rat(n)
 

@@ -6,6 +6,7 @@ from conftest import (
     k4_graphic_matroid,
     run_with_chain_reports,
     triangle_graphic_matroid,
+    values_by_id,
 )
 from crossopt.brute import brute_subset_opt
 from crossopt.errors import InstanceError
@@ -170,7 +171,7 @@ def fractional_block_instance():
 def test_chain_growth_on_forced_fractional_vertex():
     inst = fractional_block_instance()
     point = solve_to_extreme_point(LatticeState(inst).residual())
-    assert all(v == Rat(1, 2) for v in point.x_by_id.values())
+    assert all(v == Rat(1, 2) for v in point.values)
     rep = check_chain_growth(point, inst.lat)
     assert rep["chain"] == [0b100001]
     assert 2 * len(rep["chain"]) <= rep["undecided"]
@@ -188,7 +189,7 @@ def test_chain_growth_preconditions():
     inst = fractional_block_instance()
     point = solve_to_extreme_point(LatticeState(inst).residual())
     for value in (Rat(0), Rat(1)):
-        moved = Vertex.of_values({**point.x_by_id, 0: value})
+        moved = Vertex.of_values({**values_by_id(point), 0: value})
         with pytest.raises(ValueError, match="strictly fractional"):
             check_chain_growth(moved, inst.lat)
 

@@ -11,7 +11,6 @@ from crossopt.laminar import LaminarForest
 from crossopt.intersection import IntersectionState, run_intersection
 from crossopt.lattice import LatticeState, run_lattice
 from crossopt.lpengine import (
-    CUT_KINDS,
     separate_contra_polymatroid,
     separate_lattice,
     separate_spanning_tree,
@@ -27,6 +26,7 @@ from crossopt.randgen import (
 )
 from crossopt.rational import Rat
 from crossopt.simplex import LpInfeasible, Vertex
+from conftest import values_by_id
 from optimal_face import coordinate_ranges, full_separation_clean
 from uncached_steps import rebuilt_mcst_lp, tighten_degree_bounds
 
@@ -126,7 +126,7 @@ def test_triangle_solve_integral(triangle):
     state = rebuilt_mcst_lp(triangle, 0b111, 0, ())
     point = solve_to_extreme_point(state)
     assert point.objective == 2
-    assert sorted(point.x_by_id.values()) == [Rat(0), Rat(1), Rat(1)]
+    assert sorted(point.values) == [Rat(0), Rat(1), Rat(1)]
     assert full_separation_clean(state, point)
 
 
@@ -135,7 +135,7 @@ def test_edge_cover_solve_half_everywhere(edge_cover_4cycle):
     state = IntersectionState(inst).residual()
     point = solve_to_extreme_point(state)
     assert point.objective == 2
-    assert all(v == Rat(1, 2) for v in point.x_by_id.values())
+    assert all(v == Rat(1, 2) for v in point.values)
     assert full_separation_clean(state, point)
     ranges = coordinate_ranges(
         state, point.objective, tuple(inst.costs)
@@ -173,10 +173,12 @@ def test_residual_is_unchanged_by_later_steps(monkeypatch):
     rng = random.Random(0)
     steps = Counter()
 
-    def witnesses(state, point):
-        """Cut witnesses of every family: the point's tight cuts and a
-        few random ones."""
-        picked = [tag for tag in point.tight_tags() if tag[0] in CUT_KINDS]
+    def witnesses(state, residual, point):
+        """Cut witnesses of every family: the point's tight cuts (its
+        tight rows that the base LP does not hold) and a few random
+        ones."""
+        base = {row.tag for row in residual.lp.rows}
+        picked = [tag for tag in point.tight_tags() if tag not in base]
         if isinstance(state, McstState):
             full = state.graph.full_vmask
             picked += [("subtour", rng.randint(1, full)) for _ in range(4)]
@@ -195,7 +197,7 @@ def test_residual_is_unchanged_by_later_steps(monkeypatch):
             if point is None:
                 return step(state, point, lp_initial, trace)
             residual = state.residual()
-            cuts = witnesses(state, point)
+            cuts = witnesses(state, residual, point)
             before = residual_outputs(residual, point, cuts)
             start = len(trace.events)
             reuse = step(state, point, lp_initial, trace)
@@ -230,11 +232,8 @@ def test_tighten_triangle_bound_two(triangle):
     forest = LaminarForest.from_sets([(0b001, Rat(2))])
     state = rebuilt_mcst_lp(triangle, 0b111, 0, ((0, 0b001, Rat(2)),))
     point = solve_to_extreme_point(state)
-    load = sum(
-        point.x_by_id[e]
-        for e in point.x_by_id
-        if (triangle.delta_mask(0b001) >> e) & 1
-    )
+    x = values_by_id(point)
+    load = sum(x[e] for e in x if (triangle.delta_mask(0b001) >> e) & 1)
     changes = tighten_degree_bounds(forest, triangle, 0b111, point)
     assert forest.node(0).bound == load
     if load == Rat(2):

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 import dense_reuse
 import dense_rows
 import fraction_simplex
-from conftest import _after, counted_core
+from conftest import _after, counted_core, values_by_id
 from dense_rows import dense_lp, dense_solution, mask_lp
 from crossopt import lpengine, relax, simplex
 from crossopt.errors import InternalCheckError
@@ -129,7 +129,7 @@ def compared_reuse():
     """Every simplex solve and every reuse call of the runs is checked by
     assert_same_checks, and every reuse also runs the dense reference,
     whose result must match.  Yields the lists of solved vertices
-    ("solve") and of (state, prev) reuse calls ("reuse")."""
+    ("solve") and of (state, prev, face) reuse calls ("reuse")."""
     calls = {"solve": [], "reuse": []}
     rng = random.Random(0)
 
@@ -137,10 +137,10 @@ def compared_reuse():
         assert_same_checks(point, rng)
         calls["solve"].append(point)
 
-    def reused(point, state, prev):
+    def reused(point, state, prev, face):
         ref = dense_reuse.reuse_extreme_point(state, prev)
         assert point.values == ref.solution.values
-        assert point.x_by_id == ref.x_by_id
+        assert values_by_id(point) == ref.x_by_id
         assert point.tight_rows == ref.solution.tight_rows
         assert tuple(row.tag for row in point.lp.rows) == ref.row_tags
         assert point.objective == ref.solution.objective_value
@@ -149,7 +149,7 @@ def compared_reuse():
             Rat(x, point.den) == v for x, v in zip(point.scaled, point.values)
         )
         assert_same_checks(point, rng)
-        calls["reuse"].append((state, prev))
+        calls["reuse"].append((state, prev, face))
 
     with pytest.MonkeyPatch.context() as patch:
         _after(patch, lpengine, "simplex_solve", solved)
@@ -201,12 +201,13 @@ def small_corpora():
 
 @pytest.fixture(scope="module")
 def reuse_calls():
-    """(residual, prev, reused point) of every reuse in small_corpora()."""
+    """(residual, prev, face, reused point) of every reuse in
+    small_corpora()."""
     calls = []
     reused = Counter()
 
-    def recorded(point, state, prev):
-        calls.append((state, prev, point))
+    def recorded(point, state, prev, face):
+        calls.append((state, prev, face, point))
 
     with pytest.MonkeyPatch.context() as patch:
         _after(patch, relax, "reuse_extreme_point", recorded)
@@ -224,7 +225,7 @@ def test_mask_certificate_matches_fraction_reference(reuse_calls):
     # tight claimed as tight: the integer certificate must give the rank
     # or the error the Fraction certificate gives on the dense rows
     rng = random.Random(0)
-    for _, _, point in reuse_calls:
+    for *_, point in reuse_calls:
         lp = dense_lp(point.lp)
         for claim in claims(point, rng, 4):
             claimed = replace(point, tight_rows=claim)
@@ -239,15 +240,15 @@ def test_mask_certificate_matches_fraction_reference(reuse_calls):
 
 def test_reuse_builds_no_dense_lp(reuse_calls, monkeypatch):
     # reuse re-checks the previous vertex and never runs the simplex
-    calls = [(state, prev) for state, prev, _ in reuse_calls]
+    calls = [call[:3] for call in reuse_calls]
 
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} built during reuse")
 
     monkeypatch.setattr(simplex._Tableau, "__init__", refuse)
     with counted_core() as counts:
-        for state, prev in calls:
-            lpengine.reuse_extreme_point(state, prev)
+        for call in calls:
+            lpengine.reuse_extreme_point(*call)
     assert counts["certificates"] == len(calls)
     # the patch does stop the simplex
     with pytest.raises(AssertionError, match="built during reuse"):

@@ -1,8 +1,9 @@
 """Vertex reuse after fix and delete steps against cold re-solving.
 
 After a fix or delete step run_mcst and run_lattice take the previous
-vertex restricted to the remaining variables (lpengine.reuse_extreme_point,
-called by the relax loop) instead of running the cutting-plane loop.  These tests swap that call
+vertex less the variable on the face the step names
+(lpengine.reuse_extreme_point, called by the relax loop) instead of
+running the cutting-plane loop.  These tests swap that call
 for a cold solve_to_extreme_point and compare, and check that a
 tampered previous point is refused.
 """
@@ -28,7 +29,7 @@ from crossopt.randgen import (
     random_mcst_instance,
 )
 from crossopt.simplex import scale_values, verify_vertex_certificate
-from conftest import _after
+from conftest import _after, values_by_id
 from dense_rows import dense_lp, rank_of_rows
 from optimal_face import full_separation_clean
 
@@ -37,13 +38,13 @@ LATTICE_SLICE = 30
 INCLUSION_SLICE = 12
 
 
-def cold(state, prev):
+def cold(state, prev, face):
     return lpengine.solve_to_extreme_point(state)
 
 
 @contextmanager
 def reuse_replaced(fn):
-    """Route the solvers' reuse calls through fn(state, prev)."""
+    """Route the solvers' reuse calls through fn(state, prev, face)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(relax, "reuse_extreme_point", fn)
         yield
@@ -53,14 +54,14 @@ def reuse_replaced(fn):
 def checked_reuse():
     """Every reuse call also runs a cold solve of the same state; the
     reused vertex must be certified, separation-clean and as cheap as
-    the cold one.  Yields the list of (state, prev) calls."""
+    the cold one.  Yields the list of (state, prev, face) calls."""
     calls = []
 
-    def checked(point, state, prev):
+    def checked(point, state, prev, face):
         verify_vertex_certificate(point.lp, point)
         assert full_separation_clean(state, point)
         assert point.objective == lpengine.solve_to_extreme_point(state).objective
-        calls.append((state, prev))
+        calls.append((state, prev, face))
 
     with pytest.MonkeyPatch.context() as patch:
         _after(patch, relax, "reuse_extreme_point", checked)
@@ -85,9 +86,9 @@ def test_acceptance_mcst_traces_equal_cold_solves():
     corpus = mcst_corpus(CorpusConfig(count=ACCEPTANCE_MCST))
     cold_calls = []
 
-    def counted_cold(state, prev):
+    def counted_cold(state, prev, face):
         cold_calls.append(state)
-        return cold(state, prev)
+        return cold(state, prev, face)
 
     reused = 0
     for inst in corpus:
@@ -163,28 +164,29 @@ def test_moved_value_is_refused(reuse_calls):
     # coordinate in the support with no tight row covering it, or
     # breaks a tight equality or upper row: never a certified vertex
     eps = Rat(1, 10**9)
-    for state, prev in reuse_calls:
+    for state, prev, face in reuse_calls:
         for var in sorted(state.lp.var_ids)[:3]:
-            x = dict(prev.x_by_id)
+            x = values_by_id(prev)
             x[var] += eps if x[var] < 1 else -eps
             den, scaled = scale_values([x[v] for v in prev.var_ids])
             moved = replace(prev, den=den, scaled=tuple(scaled))
             with pytest.raises(InternalCheckError):
-                lpengine.reuse_extreme_point(state, moved)
+                lpengine.reuse_extreme_point(state, moved, face)
 
 
 def test_dropped_tight_cut_is_refused_when_needed(reuse_calls):
     # Dropping a tight cut changes nothing but the certificate, so the
     # reuse must fail exactly when the rows left do not span the support.
     refused = kept = 0
-    for state, prev in reuse_calls:
-        point = lpengine.reuse_extreme_point(state, prev)
+    for state, prev, face in reuse_calls:
+        point = lpengine.reuse_extreme_point(state, prev, face)
+        base = {row.tag for row in state.lp.rows}
         lp = dense_lp(point.lp)
         values = point.values
         support = [j for j, v in enumerate(values) if v]
         m = len(prev.lp.rows)
         for idx in prev.tight_rows:
-            if idx >= m or prev.lp.rows[idx].tag[0] not in lpengine.CUT_KINDS:
+            if idx >= m or prev.lp.rows[idx].tag in base:
                 continue
             tag = prev.lp.rows[idx].tag
             left = [
@@ -198,9 +200,9 @@ def test_dropped_tight_cut_is_refused_when_needed(reuse_calls):
             )
             if needed:
                 with pytest.raises(InternalCheckError):
-                    lpengine.reuse_extreme_point(state, tampered)
+                    lpengine.reuse_extreme_point(state, tampered, face)
                 refused += 1
             else:
-                lpengine.reuse_extreme_point(state, tampered)
+                lpengine.reuse_extreme_point(state, tampered, face)
                 kept += 1
     assert refused > 0 and kept > 0

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_separators as reference
+from conftest import values_by_id
 from crossopt import lpengine
 from crossopt.generators import gadget_graph, gen_mcst_gap
 from crossopt.graphs import Graph
@@ -63,7 +64,7 @@ def checked_calls(monkeypatch):
 
         def checked(point, *args, name=name, fast=fast, slow=slow):
             got = fast(point, *args)
-            assert_same(got, slow(point.x_by_id, *args))
+            assert_same(got, slow(values_by_id(point), *args))
             counts[name, got.feasible] += 1
             return got
 

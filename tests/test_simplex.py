@@ -62,7 +62,7 @@ def test_rank_of_tight_rows_at_four_cycle_half_point(edge_cover_4cycle):
     from crossopt.lpengine import solve_to_extreme_point
 
     point = solve_to_extreme_point(IntersectionState(edge_cover_4cycle).residual())
-    assert all(v == Rat(1, 2) for v in point.x_by_id.values())
+    assert all(v == Rat(1, 2) for v in point.values)
     rows = [
         row_vector(point.lp, idx)
         for idx in point.tight_rows
