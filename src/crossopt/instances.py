@@ -107,6 +107,8 @@ class McstInstance:
     family: tuple  # ((vertex_mask, integral bound), ...) in file order
 
     def __post_init__(self):
+        if not self.graph.n:
+            raise InstanceError("graph has no vertices")
         limit = 2 * self.graph.n - 1
         if len(self.family) > limit:
             raise InstanceError(

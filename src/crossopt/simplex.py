@@ -12,16 +12,25 @@ determinism, and degeneracy needs no perturbation because all
 arithmetic is exact.
 
 The tableau is integer-preserving (Edmonds 1967; Bareiss 1968).  It is
-stored as an integer matrix A with one common denominator q > 0, so
-the rational tableau is T = A / q.  Row i enters as its 0/1
-coefficients, negated with its rhs when the rhs is negative (a lattice
-row's lower - fixed can be), with a unit slack and, unless it is a <=
-row, a unit artificial that phase 1 charges 1; the starting basis is
-the identity with q = 1.  A pivot on p = A[r][j] (row r negated first
-when p < 0, so q stays positive) sets A_i <- (A_i * p - A_ij * A_r) / q
-for every row i != r, then q <- p; by Sylvester's identity every
-division is exact.  Reduced costs are integers over q * C, C the lcm of
-the phase's cost denominators, and are updated as one more row.
+an integer matrix A with one common denominator q > 0, so the rational
+tableau is T = A / q.  Row i enters as its 0/1 coefficients, negated
+with its rhs when the rhs is negative (a lattice row's lower - fixed
+can be), with a unit slack and, unless it is a <= row, a unit
+artificial that phase 1 charges 1; the starting basis is the identity
+with q = 1.  A pivot on p = A[r][j] (row r negated first when p < 0, so
+q stays positive) sets A_i <- (A_i * p - A_ij * A_r) / q for every row
+i != r, then q <- p; by Sylvester's identity every division is exact,
+and a step with p = q = 1 is A_i - A_ij * A_r.  Reduced costs are
+integers over q * C, C the lcm of the phase's cost denominators, and
+are updated as one more row.
+
+A is condensed, as in lrs (Avis 2000): it stores only the nonbasic
+columns, column cols[s] at position s (pos[j] = s), since the column
+basic in row i is always q times unit i.  The pivot's step leaves the
+entering column j as p times unit r, so its position s takes the column
+leaving row r instead: -sign * A_ij in row i != r, -sign * d_j in the
+reduced costs and sign * q (the old q) in row r, sign that of p.  A row
+then holds about half the entries of a full one.
 
 The right-hand side is one more column, the last of A, and no step of
 a solve touches a rational.  With R the lcm of the rhs denominators,
@@ -32,9 +41,9 @@ value basic in row i; it takes the same Bareiss steps as every other
 column and stays integral because q * B^-1 is plus or minus the
 adjugate of B.  A bound flip of column j moves it by R times column j,
 and a basic variable leaving row r for its upper bound by q * R at row
-r.  The ratio test compares the limits num_i / |A[i][enter]|, num_i =
-beta_i or q * R - beta_i, and the entering column's own span R, by
-cross-multiplying ints: every limit is scaled by the same R > 0, so
+r.  The ratio test compares the limits num_i / |A[i][pos[enter]]|,
+num_i = beta_i or q * R - beta_i, and the entering column's own span R,
+by cross-multiplying ints: every limit is scaled by the same R > 0, so
 each comparison and each tie comes out as on the rationals and the
 pivots are those of a Fraction tableau.  solve reads the vertex as
 (D, X) off the column.  A box-bounded LP always meets a row limit or a
@@ -231,9 +240,12 @@ def _bareiss(row, prow, col, p, q):
     """One fraction-free (Bareiss) step: row after eliminating its entry
     in column col with the pivot row prow, p = prow[col], q the previous
     pivot.  The division is exact when row and prow are rows of a
-    matrix reached from an integer one by such steps (Sylvester)."""
+    matrix reached from an integer one by such steps (Sylvester); with
+    p = q = 1 there is none to make."""
     f = row[col]
     if f:
+        if p == q == 1:
+            return [a - f * b for a, b in zip(row, prow)]
         return [(a * p - f * b) // q for a, b in zip(row, prow)]
     if p != q:
         return [a * p // q for a in row]
@@ -323,28 +335,36 @@ class _Tableau:
         self.ub = [R] * n + [None] * (cols - n)
 
         self.m = len(rows)
-        # column ncols, the last, is the right-hand side: beta_i = q * R
-        # times the value of the variable basic in row i
+        # only the nonbasic columns are stored, column cols[s] at
+        # position s, and then the right-hand side: beta_i = q * R times
+        # the value of the variable basic in row i.  At the start they
+        # are the structurals and the slack of each GE row.
+        self.cols = list(range(n))
+        width = n + sum(rel == GE for _, _, rel in rows)
         self.A = []
         self.basis = []  # one column per row
         slack = n
         for coeffs, rhs, rel in rows:
-            row = coeffs + [0] * (cols - n) + [rhs]
+            row = coeffs + [0] * (width - n) + [rhs]
+            if rel == GE:
+                row[len(self.cols)] = -1
+                self.cols.append(slack)
             if rel != EQ:
-                row[slack] = 1 if rel == LE else -1
                 basic = slack
                 slack += 1
             if rel != LE:
-                row[art] = 1
                 basic = art
                 art += 1
             self.A.append(row)
             self.basis.append(basic)
+        self.pos = [None] * cols  # column -> position, None when basic
+        for s, j in enumerate(self.cols):
+            self.pos[j] = s
         self.q = 1
         self.status = ["L"] * cols  # L / U / B
         for col in self.basis:
             self.status[col] = "B"
-        self.d = [0] * cols  # reduced costs times q * cost_den, set per phase
+        self.d = [0] * width  # reduced costs times q * cost_den, set per phase
         self.cost_den = 1
         self.pivots = 0
 
@@ -353,7 +373,8 @@ class _Tableau:
     def set_costs(self, cost, cost_den):
         """Reduced costs for the internal cost vector cost / cost_den
         (cost a list of ints), as ints over q * cost_den."""
-        d = [self.q * c for c in cost]
+        q = self.q
+        d = [q * cost[j] for j in self.cols]
         for b, row in zip(self.basis, self.A):
             cb = cost[b]
             if cb:
@@ -362,20 +383,37 @@ class _Tableau:
         self.cost_den = cost_den
 
     def _pivot(self, r, j):
-        """Bareiss update making column j the unit column of row r."""
+        """Bareiss update making column j the unit column of row r.  Its
+        position s then holds the column leaving row r: -sign * f_i in
+        row i != r, f_i the row's old entry at s, -sign * d_s in the
+        reduced costs and sign * q (the old q) in row r, with sign the
+        sign of the pivot, since row r is negated when it is negative."""
         A = self.A
+        s = self.pos[j]
         prow = A[r]
-        p = prow[j]
+        p = prow[s]
         if not p:
             raise InternalCheckError("zero pivot")
+        sign = 1
         if p < 0:
             prow = A[r] = [-a for a in prow]
             p = -p
+            sign = -1
         q = self.q
         for i in range(self.m):
             if i != r:
-                A[i] = _bareiss(A[i], prow, j, p, q)
-        self.d = _bareiss(self.d, prow, j, p, q)
+                row = A[i]
+                f = row[s]
+                row = A[i] = _bareiss(row, prow, s, p, q)
+                row[s] = -sign * f
+        f = self.d[s]
+        d = self.d = _bareiss(self.d, prow, s, p, q)
+        d[s] = -sign * f
+        prow[s] = sign * q
+        leave = self.basis[r]
+        self.cols[s] = leave
+        self.pos[leave] = s
+        self.pos[j] = None
         self.q = p
         self.pivots += 1
         if self.pivots > _MAX_PIVOTS:
@@ -384,8 +422,9 @@ class _Tableau:
     def _shift_rhs(self, j, t):
         """Raise the nonbasic variable j by t / R: the right-hand side
         column gives up t times column j."""
+        s = self.pos[j]
         for row in self.A:
-            a = row[j]
+            a = row[s]
             if a:
                 row[-1] -= t * a
 
@@ -412,6 +451,7 @@ class _Tableau:
         ub = self.ub
         basis = self.basis
         status = self.status
+        pos = self.pos
         while True:
             enter = None
             direction = 0
@@ -421,7 +461,7 @@ class _Tableau:
                 st = status[j]
                 if st == "B" or ub[j] == 0:
                     continue  # a fixed variable can never move
-                dj = d[j]
+                dj = d[pos[j]]
                 if st == "L" and dj < 0:
                     enter = j
                     direction = 1
@@ -434,11 +474,13 @@ class _Tableau:
                 return
 
             # ratio test: the step limit of row i is num / (R * a) with
-            # a = |A[i][enter]| (over q > 0), compared by cross-multiplying
+            # a = |A[i][s]| (over q > 0), s the entering column's
+            # position, compared by cross-multiplying
             q = self.q
+            s = pos[enter]
             best_num = best_a = leave_row = leave_to = leave_var = None
             for i, row in enumerate(A):
-                a = row[enter]
+                a = row[s]
                 if not a:
                     continue
                 if direction < 0:
@@ -481,7 +523,7 @@ class _Tableau:
                 raise InternalCheckError("artificial basic at nonzero value")
             target = None
             for j in range(self.art_start):
-                if self.status[j] != "B" and row[j]:
+                if self.status[j] != "B" and row[self.pos[j]]:
                     target = j
                     break
             if target is None:

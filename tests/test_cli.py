@@ -1446,22 +1446,24 @@ def test_verify_refuses_an_infeasible_intersection_lp(tmp_path, capsys):
 
 
 # n >= 2 and no edges: relax solves no LP, and the tree check used to
-# run before the "no edges" check, so both exited 3
+# run before the "no edges" check, so both exited 3.  n = 0 used to be
+# refused as "laminar family has 0 sets, limit is -1".
 NO_EDGES = {
-    "empty-list": ([], "graph has no edges"),
-    "empty-object": ({}, "edges must be a list of objects, got {}"),
+    "empty-list": (3, [], "graph has no edges"),
+    "empty-object": (3, {}, "edges must be a list of objects, got {}"),
+    "no-vertices": (0, [], "graph has no vertices"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NO_EDGES))
 def test_mcst_without_edges_is_usage_error(case, tmp_path, capsys):
-    edges, named = NO_EDGES[case]
-    body = {"schema": 1, "type": "mcst", "n": 3, "edges": edges, "family": []}
+    n, edges, named = NO_EDGES[case]
+    body = {"schema": 1, "type": "mcst", "n": n, "edges": edges, "family": []}
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(body))
     assert run_cli("solve-mcst", "--in", str(inst), "--verify") == 2
     err = capsys.readouterr().err
-    assert named in err
+    assert named in err and "laminar family" not in err
     assert "Traceback" not in err
 
 

@@ -11,8 +11,12 @@ rational types), the identical pivot count, or the identical exception.
 The two tableaux are also stepped side by side: after every pivot and
 every change of costs, A / q, the integer reduced costs and the basic
 values beta_i / (q * R) of the integer right-hand side column must
-equal the Fraction tableau's entries.  The integer row checks and
-certificate must give the tight rows, rank or error of the Fraction
+equal the Fraction tableau's entries.  The package's tableau stores
+only its nonbasic columns; its snapshots expand it to all columns
+(tests/full_tableau.py), and every package solve here is also stepped
+side by side with the full-width integer tableau it condensed, which
+must agree entry for entry after every step.  The integer row checks
+and certificate must give the tight rows, rank or error of the Fraction
 ones and of the dense and mask integer ones they replaced.
 """
 
@@ -27,6 +31,7 @@ from hypothesis import strategies as st
 import dense_rows
 import fraction_simplex as reference
 from conftest import count_pivots
+from full_tableau import Recorded, expanded, step_side_by_side
 from dense_rows import (
     BasicSolution,
     box_lp,
@@ -74,6 +79,8 @@ def solve_counted(solve, lp):
     counts = Counter()
     with pytest.MonkeyPatch.context() as patch:
         count_pivots(patch, module, counts)
+        if module is simplex:
+            step_side_by_side(patch, simplex)
         try:
             result = solve(lp)
         except LpInfeasible as exc:
@@ -85,23 +92,6 @@ def solve_counted(solve, lp):
             for v in (*result.values, result.objective_value):
                 assert type(v) is Rat
     return result, counts["pivots"]
-
-
-class Recorded:
-    """Mixin: snapshot the tableau after every pivot (once the basis
-    records it) and every change of costs."""
-
-    def __init__(self, lp):
-        super().__init__(lp)
-        self.snapshots = []
-
-    def set_costs(self, *args):
-        super().set_costs(*args)
-        self.snapshots.append(self.snapshot())
-
-    def _enter_basis(self, *args):
-        super()._enter_basis(*args)
-        self.snapshots.append(self.snapshot())
 
 
 class FractionTableau(Recorded, reference._Tableau):
@@ -116,14 +106,16 @@ class FractionTableau(Recorded, reference._Tableau):
 
 class IntegerTableau(Recorded, simplex._Tableau):
     def snapshot(self):
-        """Entries in the units of the Fraction tableau.  q, R, the
-        right-hand side column and the stored bounds R are all ints."""
-        ncols, q, R = self.ncols, self.q, self.R
+        """Entries in the units of the Fraction tableau, the condensed
+        tableau expanded to all columns.  q, R, the right-hand side
+        column and the stored bounds R are all ints."""
+        q, R = self.q, self.R
         assert type(q) is int and q > 0 and type(R) is int and R > 0
         assert all(u is None or type(u) is int for u in self.ub)
-        assert all(len(row) == ncols + 1 and type(row[-1]) is int for row in self.A)
-        rows = [[Rat(a, q) for a in row[:ncols]] for row in self.A]
-        d = [Rat(a, q * self.cost_den) for a in self.d]
+        assert all(type(row[-1]) is int for row in self.A)
+        full, full_d = expanded(self)
+        rows = [[Rat(a, q) for a in row[:-1]] for row in full]
+        d = [Rat(a, q * self.cost_den) for a in full_d]
         bval = [Rat(row[-1], q * R) for row in self.A]
         return list(self.basis), rows, d, bval
 
@@ -250,15 +242,60 @@ def test_fixed_lps_reach_their_cases():
     assert tableau.R == 2 and tableau.ub[:2] == [2, 2]
     assert tableau.status[:2] == ["U", "U"]
     # x0 + x1 >= -1 enters negated, as the <= row -x0 - x1 <= 1 (times
-    # R = 6) with a slack and no artificial
+    # R = 6) with a slack and no artificial; the slack (column 3) is
+    # basic, so the row stores only the structurals and the rhs
     tableau = simplex._Tableau(FIXED["negative-rhs"])
-    assert tableau.R == 6 and tableau.A[0] == [-1, -1, 0, 1, 0, 0, 6]
+    assert tableau.R == 6 and tableau.A[0] == [-1, -1, 0, 6]
+    assert expanded(tableau)[0][0] == [-1, -1, 0, 1, 0, 0, 6]
+    assert tableau.cols == [0, 1, 2] and tableau.basis == [3, 5, 4]
     assert tableau.basis[0] < tableau.art_start
+    # the >= row's slack (column 4) is nonbasic under its artificial
+    # (column 5), so it is stored, at position 3
+    tableau = simplex._Tableau(FIXED["le-ge-eq-rows"])
+    assert tableau.cols == [0, 1, 2, 4] and tableau.basis == [3, 5, 6]
+    assert tableau.A[1] == [1, 1, 1, -1, 3]
+    assert expanded(tableau)[0][1] == [1, 1, 1, 0, -1, 1, 0, 3]
     # x0 enters with ratio 0 in both rows; row 1's slack (column 2)
     # leaves before row 0's artificial (column 3)
     _, snapshots, _, _ = run("degenerate-tie-to-lower-index")
     assert snapshots[0][0] == [3, 2] and snapshots[1][0] == [3, 0]
     assert snapshots[1][3] == [0, 0]
+
+
+# -- the tableau's internal errors -------------------------------------------
+
+
+def test_zero_pivot_is_an_internal_error():
+    # x1 has no entry in the one row x0 <= 1
+    tableau = simplex._Tableau(box_lp([0, 0], [([1, 0], "<=", 1)]))
+    with pytest.raises(InternalCheckError, match="zero pivot"):
+        tableau._pivot(0, 1)
+
+
+def test_pivot_limit_is_an_internal_error(monkeypatch):
+    # the equality needs a phase-1 pivot, one past the limit of none
+    monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
+    with pytest.raises(InternalCheckError, match="pivot limit exceeded"):
+        simplex.simplex_solve(box_lp([1, 1], [([1, 1], "=", 1)]))
+
+
+def test_nonzero_artificial_is_an_internal_error():
+    # the equality's artificial starts basic at 1; solve drives artificials
+    # out only once phase 1 has brought every one of them to 0
+    tableau = simplex._Tableau(box_lp([1, 1], [([1, 1], "=", 1)]))
+    with pytest.raises(InternalCheckError, match="artificial basic at nonzero"):
+        tableau.drive_out_artificials()
+
+
+def test_unlimited_step_is_an_internal_error():
+    # x0 >= 1 with its slack (column 1) given cost -1: the slack has no
+    # upper bound, and no row limits it, since its -1 entry only raises
+    # the artificial, which has no upper bound in phase 1.  solve never
+    # gets here: in a box-bounded LP some row or bound limits each step.
+    tableau = simplex._Tableau(box_lp([0], [([1], ">=", 1)]))
+    tableau.set_costs([0, -1, 0], 1)
+    with pytest.raises(InternalCheckError, match="no row limits a step"):
+        tableau.optimize(allow_art_entering=True)
 
 
 @pytest.mark.parametrize("rel, rhs", [("<=", 1), ("=", 0), (">=", 1)])
@@ -348,10 +385,12 @@ def test_rank_refuses_ragged_rows():
 @pytest.fixture
 def checked_core(monkeypatch):
     """Every simplex_solve of the cutting-plane loop also runs the
-    Fraction simplex, and every reused vertex is re-checked by the
-    Fraction row check and certificate.  Counts calls by kind."""
+    Fraction simplex, and its tableau is stepped side by side with the
+    full-width one; every reused vertex is re-checked by the Fraction
+    row check and certificate.  Counts calls by kind."""
     counts = Counter()
     count_pivots(monkeypatch, simplex, counts)
+    step_side_by_side(monkeypatch, simplex)
 
     def solve(lp):
         before = counts["pivots"]

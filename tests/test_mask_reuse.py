@@ -13,8 +13,10 @@ tight rows, on claims with a tight row dropped and on claims with a
 loose row or bound added, the same rank or the same error message.
 Each reuse is also repeated with the dense reuse reference
 (tests/dense_reuse.py), which must return the same values, tight rows,
-row tags and objective.  The last test checks that reuse runs no
-simplex and certifies every reused vertex.
+row tags and objective, and each solve's tableau is stepped side by
+side with the full-width one (tests/full_tableau.py).  The seed-0
+corpora pin their solve, reuse and pivot totals.  The last test checks
+that reuse runs no simplex and certifies every reused vertex.
 """
 
 import importlib.util
@@ -31,8 +33,9 @@ from hypothesis import strategies as st
 import dense_reuse
 import dense_rows
 import fraction_simplex
-from conftest import _after, counted_core, values_by_id
+from conftest import _after, count_pivots, counted_core, values_by_id
 from dense_rows import dense_lp, dense_solution, mask_lp
+from full_tableau import step_side_by_side
 from crossopt import lpengine, relax, simplex
 from crossopt.errors import InternalCheckError
 from crossopt.instances import (
@@ -56,10 +59,13 @@ from crossopt.randgen import (
 from crossopt.simplex import row_status, verify_vertex_certificate
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-# simplex solves and reused vertices in one pass of the benchmark's
-# mcst-corpus at seed 0
+# simplex solves, reused vertices and tableau pivots in one pass of
+# the benchmark's mcst-corpus at seed 0, and pivots in one pass of its
+# covering-corpus at seed 0
 MCST_CORPUS_SOLVES = 280
 MCST_CORPUS_REUSED = 1829
+MCST_CORPUS_PIVOTS = 3571
+COVERING_CORPUS_PIVOTS = 2279
 
 
 def benchmark_instances(workload, seed, work_dir):
@@ -127,10 +133,12 @@ def assert_same_checks(point, rng):
 @contextmanager
 def compared_reuse():
     """Every simplex solve and every reuse call of the runs is checked by
-    assert_same_checks, and every reuse also runs the dense reference,
-    whose result must match.  Yields the lists of solved vertices
-    ("solve") and of (state, prev, face) reuse calls ("reuse")."""
-    calls = {"solve": [], "reuse": []}
+    assert_same_checks, every reuse also runs the dense reference, whose
+    result must match, and every tableau is stepped side by side with
+    the full-width one.  Yields the lists of solved vertices ("solve")
+    and of (state, prev, face) reuse calls ("reuse"), and the number of
+    tableau pivots ("pivots"), failed solves included."""
+    calls = {"solve": [], "reuse": [], "pivots": 0}
     rng = random.Random(0)
 
     def solved(point, lp):
@@ -154,6 +162,8 @@ def compared_reuse():
     with pytest.MonkeyPatch.context() as patch:
         _after(patch, lpengine, "simplex_solve", solved)
         _after(patch, relax, "reuse_extreme_point", reused)
+        count_pivots(patch, simplex, calls)
+        step_side_by_side(patch, simplex)
         yield calls
 
 
@@ -165,6 +175,7 @@ def test_mcst_corpus_reuse_matches_dense(seed, tmp_path):
     if seed == 0:
         assert len(calls["solve"]) == MCST_CORPUS_SOLVES
         assert len(calls["reuse"]) == MCST_CORPUS_REUSED
+        assert calls["pivots"] == MCST_CORPUS_PIVOTS
     assert calls["solve"] and calls["reuse"]
 
 
@@ -180,6 +191,7 @@ def test_covering_corpus_reuse_matches_dense(tmp_path):
     assert reused[LatticeInstance] > 0
     assert IntersectionInstance in reused and reused[IntersectionInstance] == 0
     assert calls["solve"]
+    assert calls["pivots"] == COVERING_CORPUS_PIVOTS
 
 
 @settings(max_examples=60, deadline=None)
